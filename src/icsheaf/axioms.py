@@ -157,7 +157,6 @@ def check_ax1(S, strat):
             ids = [sid for sid in sorted(filt.W[k + 1].ids)
                    if S.stalk_cohomology(sid).get(a, 0)]
             if ids:
-                real = max(K.sdim(i) for i in ids)
                 witnesses.append(Witness("stalk", "b", ids, a,
                                          _locus_complex_dim(K, ids), cutoff, m=k))
     clauses.append(ClauseResult(

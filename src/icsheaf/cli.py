@@ -160,9 +160,7 @@ def _link_heuristic(strat):
                 sub, to_parent, from_parent = K.subcomplex(xm)
                 link = sub.link_of(K.simplices[sid])
                 expect_dim = 2 * m - 2 * kdim - 1
-                expected = {0: 1} if expect_dim == 0 else {0: 1, expect_dim: 1}
-                if expect_dim == 0:
-                    expected = {0: 2}
+                expected = {0: 2} if expect_dim == 0 else {0: 1, expect_dim: 1}
                 if link is None:
                     got = {}
                 else:
@@ -280,14 +278,12 @@ def run(argv=None):
             return 0
 
         if args.command in ("check-ax1", "check-ax2", "check-classic-ax2"):
-            costalks = {sid: sec.cell_costalk(bundle.ic, sid)
-                        for sid in sorted(K.full_set().ids)}
             if args.command == "check-ax1":
                 report = ax.check_ax1(bundle.ic, strat)
             elif args.command == "check-ax2":
-                report = ax.check_ax2(bundle.ic, strat, costalks=costalks)
+                report = ax.check_ax2(bundle.ic, strat)
             else:
-                report = ax.check_classic_ax2(bundle.ic, costalks=costalks)
+                report = ax.check_classic_ax2(bundle.ic)
             payload = report.to_json()
             payload["checked_complex"] = "naive build" if args.naive else "canonical build"
             reports.write_report(out / ("%s-report.json" % args.command), manifest, payload)

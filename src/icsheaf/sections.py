@@ -1,13 +1,18 @@
 """Derived functor engine for cellular sheaf complexes.
 
-Sections over an Alexandrov-open set are computed by the order-chain
-(nerve) cochain complex of the subposet: p-cochains are sums of stalks at
-the tops of strict chains s0 ⊂ … ⊂ sp, the differential alternates over
-chain-face deletions with a restriction on the top deletion, and the
-coefficient complex is totalized in.  This is the derived limit over the
-poset and is correct for every up-closed subset.
+Two cochain models compute sections.  The order-chain (nerve) model works
+over every Alexandrov-open set: p-cochains are sums of stalks at the tops
+of strict chains s0 ⊂ … ⊂ sp, the differential alternates over chain-face
+deletions with a restriction on the top deletion, and the coefficient
+complex is totalized in.  This is the derived limit over the poset; open
+pushforward and sections over deleted stars use it.
 
-Open pushforward produces such a complex at every simplex of the target;
+The cellular model has one summand per simplex τ, in degree dim τ, with
+incidence-signed cover restrictions.  Over a clopen set it computes the
+same sections as the nerve model, and over the open star of a simplex it
+computes the costalk there (compactly supported cochains of the star).
+
+Open pushforward produces a nerve complex at every simplex of the target;
 to keep iterated pushforwards small the result is reduced by Gaussian
 elimination of differential entries between generators with the same
 support simplex.  Each such elimination is an exact homotopy equivalence
@@ -101,16 +106,20 @@ def rgamma_dims(S, member_ids):
 
 
 def rgamma_cellular_dims(S, member_ids):
-    """Cohomology dims of RΓ over a clopen set via the cellular cochain model.
+    """Cohomology dims of the cellular cochain complex over a member set.
 
-    Valid when the member set is both up- and down-closed in the complex
-    (a union of connected components): there the one-summand-per-cell
-    complex computes the same sections as the order-chain model.
+    One copy of S(τ) per member τ, in degree dim τ + q, with internal
+    differential signed (−1)^dim τ and cover restrictions signed by
+    incidence.  On a clopen set (a union of connected components) this is
+    RΓ, the same sections as the order-chain model.  On the open star of a
+    simplex it is the costalk there, as in Shepard's cellular model of the
+    derived category (Curry, Sheaves, Cosheaves and Applications,
+    arXiv:1303.3255).
     """
     K = S.complex
     F = S.F
     G = SparseComplex(F)
-    members = sorted(set(member_ids) & set(S.domain.ids))
+    members = sorted(set(member_ids) & S.domain.ids)
     mset = set(members)
     for sid in members:
         p = K.sdim(sid)
@@ -166,27 +175,14 @@ def star_chains(S, sid):
 
 
 def cell_costalk(S, sid):
-    """Costalk dims at a simplex: supported sections at the open cell.
+    """Costalk dims at a simplex: compactly supported cochains of its open star.
 
-    Computed as the kernel complex of the surjection from sections over the
-    star onto sections over the deleted star (the chains through the
-    simplex), shifted down by the real dimension of the simplex.
+    The cellular cochain complex over the open star, one summand per
+    coface τ ≥ sid in degree dim τ + q (see `rgamma_cellular_dims`).
     """
     if sid not in S.domain.ids:
         raise SheafError("simplex outside the domain")
-    K = S.complex
-    chains = [c for c in star_chains(S, sid) if c[0] == sid]
-    G = SparseComplex(S.F)
-    _add_chain_gens(G, S, chains)
-    _chain_entries(G, S, chains)
-    dims = G.minimize_dims()
-    d = K.sdim(sid)
-    return {q + d: v for q, v in dims.items()}
-
-
-def costalk_table(S, sample=None):
-    ids = sorted(S.domain.ids) if sample is None else sorted(sample)
-    return {sid: cell_costalk(S, sid) for sid in ids}
+    return rgamma_cellular_dims(S, S.complex.up_set(sid))
 
 
 def supported_section_dims(S, sid, z_ids):

@@ -139,3 +139,23 @@ def test_check_links_advisory(tmp_path, capsys):
     assert "advisory" in captured.out
     doc = json.loads((tmp_path / "o" / "validate-report.json").read_text())
     assert doc["report"]["link_warnings"]
+
+
+def test_checks_compute_each_costalk_once(tmp_path, monkeypatch):
+    # check-ax1 needs costalks only on the non-open strata (the wedge point);
+    # the AX2 checks need one per simplex, computed once
+    from icsheaf import sections as sec
+    calls = []
+    real = sec.cell_costalk
+
+    def counting(S, sid):
+        calls.append(sid)
+        return real(S, sid)
+
+    monkeypatch.setattr(sec, "cell_costalk", counting)
+    o = out(tmp_path)
+    assert run(["check-ax1", "demo:wedge", "--out", o]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run(["check-ax2", "demo:wedge", "--out", o]) == 0
+    assert sorted(calls) == list(range(75))

@@ -1,8 +1,10 @@
 import pytest
 
 from icsheaf import demos
-from icsheaf.fields import QQ
+from icsheaf.deligne import build_ic, default_costalk_sample
+from icsheaf.fields import QQ, field_by_name
 from icsheaf import sections as sec
+from icsheaf.reduction import SparseComplex
 from icsheaf.sheaves import SheafError, constant_complex
 from icsheaf.simplicial import SimplicialComplex
 from icsheaf.stratify import compute_open_filtration
@@ -131,6 +133,55 @@ def test_costalk_outside_domain():
     S = constant_complex(QQ, K, U)
     with pytest.raises(SheafError):
         sec.cell_costalk(S, K.id_of([0]))
+
+
+def nerve_costalk(S, sid):
+    """Order-chain oracle for the costalk at sid.
+
+    The kernel of sections over the star onto sections over the deleted
+    star: the chains of the star that start at sid, shifted down by the
+    real dimension of sid.
+    """
+    chains = [c for c in sec.star_chains(S, sid) if c[0] == sid]
+    G = SparseComplex(S.F)
+    sec._add_chain_gens(G, S, chains)
+    sec._chain_entries(G, S, chains)
+    d = S.complex.sdim(sid)
+    return {q + d: v for q, v in G.minimize_dims().items()}
+
+
+SURFACE_DEMOS = ("wedge", "pinched-torus", "fake-surface")
+
+
+@pytest.mark.parametrize("field", ["q", "fp:3"])
+@pytest.mark.parametrize("naive", [False, True])
+def test_cellular_costalk_matches_nerve_oracle(spaces, built, naive, field):
+    # every simplex of the 2-dimensional demos; on the 4-dimensional ones the
+    # default sample plus every simplex off the open strata
+    F = field_by_name(field)
+    for name, (K, strat) in spaces.items():
+        if not naive and F is QQ:
+            b = built[name]
+        else:
+            b = build_ic(strat, field=F, naive=naive)
+        if name in SURFACE_DEMOS:
+            sample = sorted(K.full_set().ids)
+        else:
+            singular = K.full_set().ids - b.filtration.U[1].ids
+            sample = sorted(set(default_costalk_sample(strat)) | singular)
+        for sid in sample:
+            assert sec.cell_costalk(b.ic, sid) == nerve_costalk(b.ic, sid), \
+                (name, naive, field, K.simplices[sid])
+
+
+def test_cellular_costalk_matches_nerve_oracle_on_open_part(built):
+    # the first complex of the recursion lives on the proper up-set U_1
+    for name in SURFACE_DEMOS:
+        S = built[name].intermediates[0]
+        assert S.domain != S.complex.full_set()
+        for sid in sorted(S.domain.ids):
+            assert sec.cell_costalk(S, sid) == nerve_costalk(S, sid), \
+                (name, S.complex.simplices[sid])
 
 
 def test_adjunction_triangle_rank_identity(built):
