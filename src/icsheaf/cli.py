@@ -79,21 +79,20 @@ def load_space(args):
         inputs["space"] = args.space
     else:
         base = Path(args.space)
-        cpath = Path(args.complex_file) if args.complex_file else base / "complex.json"
-        spath = Path(args.strat_file) if args.strat_file else base / "stratification.json"
+        cpath, spath = base / "complex.json", base / "stratification.json"
         inputs["space"] = str(base)
-    if args.complex_file:
-        cpath = Path(args.complex_file)
-    if args.strat_file:
-        spath = Path(args.strat_file)
+    cpath = Path(args.complex_file) if args.complex_file else cpath
+    spath = Path(args.strat_file) if args.strat_file else spath
     inputs["complex"] = str(cpath)
     inputs["stratification"] = str(spath)
     try:
         K = load_complex(json.loads(cpath.read_text()))
-        strat = validate_stratification(K, json.loads(spath.read_text())["levels"])
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+        sdoc = json.loads(spath.read_text())
+    except (OSError, json.JSONDecodeError) as e:
         raise InputError("cannot read inputs: %s" % e)
-    return K, strat, inputs
+    if not isinstance(sdoc, dict) or "levels" not in sdoc:
+        raise InputError("stratification document must have 'levels'")
+    return K, validate_stratification(K, sdoc["levels"]), inputs
 
 
 def load_system(args, F, filt):
@@ -104,16 +103,33 @@ def load_system(args, F, filt):
     except (OSError, json.JSONDecodeError) as e:
         raise InputError("cannot read local system: %s" % e)
     K = filt.stratification.complex
+    if not isinstance(doc, dict):
+        raise InputError("local system must be a JSON object")
     if "rank" in doc:
+        if type(doc["rank"]) is not int:
+            raise InputError("local system rank must be an integer")
         return make_local_system(F, K, filt.U[1], {"rank": doc["rank"]})
-    stalk_dim = {K.id_of(_parse_simplex(k)): d for k, d in doc["stalk_dims"].items()}
-    matrices = {}
-    for key, m in doc.get("matrices", {}).items():
-        a, b = key.split("|")
-        matrices[(K.id_of(_parse_simplex(a)), K.id_of(_parse_simplex(b)))] = \
-            [[F.parse(x) for x in row] for row in m]
+    try:
+        stalk_dim = {K.id_of(_parse_simplex(k)): d for k, d in doc["stalk_dims"].items()}
+        matrices = {}
+        for key, m in doc.get("matrices", {}).items():
+            a, b = key.split("|")
+            matrices[(K.id_of(_parse_simplex(a)), K.id_of(_parse_simplex(b)))] = \
+                [[F.parse(x) for x in row] for row in m]
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise InputError("malformed local system: %s" % e)
     return make_local_system(F, K, filt.U[1],
                              {"stalk_dim": stalk_dim, "matrices": matrices})
+
+
+def _sample_limit(text):
+    """The --sample budget: None for every simplex, else an integer."""
+    if text in (None, "", "all"):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError("--sample must be an integer or 'all', got %r" % text)
 
 
 def _parse_simplex(text):
@@ -198,6 +214,7 @@ def run(argv=None):
             print("stratification: ", spath)
             return 0
 
+        limit = _sample_limit(args.sample)
         K, strat, inputs = load_space(args)
         manifest = _manifest(args, inputs)
 
@@ -265,10 +282,10 @@ def run(argv=None):
         if args.command == "costalks":
             if args.at:
                 sample = [K.id_of(_parse_simplex(args.at))]
-            elif args.sample in (None, "", "all"):
+            elif limit is None:
                 sample = sorted(K.full_set().ids)
             else:
-                sample = default_costalk_sample(strat, limit=int(args.sample))
+                sample = default_costalk_sample(strat, limit=limit)
             table = {sid: sec.cell_costalk(bundle.ic, sid) for sid in sample}
             payload = {"costalks": reports.table_doc(K, table)}
             reports.write_report(out / "costalks-report.json", manifest, payload)

@@ -208,25 +208,27 @@ def refine_stratification(strat, recipe):
     """
     K = strat.complex
     name, _, arg = recipe.partition(":")
+    try:
+        num = int(arg) if arg else 0
+    except ValueError:
+        raise StratificationError(
+            "refinement recipe %r: %r is not an integer" % (recipe, arg))
     if name == "extra-point":
-        idx = int(arg) if arg else 0
-        cands = _candidate_fake_points(strat)
-        for v in cands[idx:]:
+        for v in _candidate_fake_points(strat)[num:]:
             try:
                 return validate_stratification(K, _refined_doc(strat, extra_points=[v]))
             except StratificationError:
                 continue
         raise StratificationError("no admissible fake point stratum found")
     if name == "extra-surface":
-        idx = int(arg) if arg else 0
-        for surf in _candidate_fake_surfaces(strat)[idx:]:
+        for surf in _candidate_fake_surfaces(strat)[num:]:
             try:
                 return validate_stratification(K, _refined_doc(strat, extra_surface=surf))
             except StratificationError:
                 continue
         raise StratificationError("no admissible fake surface stratum found")
     if name == "random":
-        rng = random.Random(int(arg) if arg else 0)
+        rng = random.Random(num)
         return random_refinement(strat, rng)
     raise StratificationError("unknown refinement recipe %r" % recipe)
 

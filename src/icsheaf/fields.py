@@ -2,21 +2,26 @@
 
 All linear algebra in this package runs over an explicit field object so
 that ranks and kernels are exact: the rationals (default) or a prime field
-F_p.  Elements are plain Python values (Fraction, or int reduced mod p);
-the field object supplies the arithmetic.
+F_p.  Elements are plain Python values and the field object supplies the
+arithmetic.  Over F_p they are ints reduced mod p.  Over QQ they are ints
+first: an element becomes a Fraction only when a division is inexact, and
+Python mixes the two exactly, so the common case (pivots and entries
+±1) never pays for Fraction arithmetic.  No QQ operation yields a float.
 """
 
 from fractions import Fraction
 
 
 class RationalField:
+    """QQ with elements stored as ints, or Fractions after an inexact division."""
+
     name = "q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
         return a + b
@@ -31,16 +36,19 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        if a == 1 or a == -1:
+            return a
+        return 1 / Fraction(a)
 
     def div(self, a, b):
-        return a / b
+        return a * self.inv(b)
 
     def is_zero(self, a):
         return a == 0
 
     def parse(self, s):
-        return Fraction(s)
+        x = Fraction(s)
+        return x.numerator if x.denominator == 1 else x
 
     def to_str(self, a):
         return str(a)

@@ -55,14 +55,6 @@ def mat_mul(F, A, B):
     return out
 
 
-def mat_add(F, A, B):
-    return [[F.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_neg(F, A):
-    return [[F.neg(a) for a in row] for row in A]
-
-
 def mat_scale(F, c, A):
     return [[F.mul(c, a) for a in row] for row in A]
 

@@ -86,12 +86,6 @@ class SimplicialComplex:
     def sdim(self, sid):
         return len(self.simplices[sid]) - 1
 
-    def incidence_sign(self, face_id, coface_id):
-        for j, sign in self.cofacets[face_id]:
-            if j == coface_id:
-                return sign
-        raise ComplexError("not a codimension-1 pair")
-
     @lru_cache(maxsize=None)
     def up_set(self, sid):
         """Ids of all simplices containing sid (the open star), sid included."""
@@ -352,12 +346,25 @@ def load_complex(doc):
     """Build a complex from the JSON document format.
 
     {"vertices": [ids], "maximal_simplices": [[ids], ...]}
+
+    Vertex ids are integers or strings; any other shape is a ComplexError.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if "vertices" not in doc or "maximal_simplices" not in doc:
+    if not isinstance(doc, dict) or "vertices" not in doc or "maximal_simplices" not in doc:
         raise ComplexError("document must have 'vertices' and 'maximal_simplices'")
-    return SimplicialComplex(doc["vertices"], doc["maximal_simplices"])
+    vertices, maximal = doc["vertices"], doc["maximal_simplices"]
+    if not is_vertex_list(vertices):
+        raise ComplexError("'vertices' must be a list of integer or string ids")
+    if not isinstance(maximal, list) or not all(map(is_vertex_list, maximal)):
+        raise ComplexError("'maximal_simplices' must be a list of lists of vertex ids")
+    return SimplicialComplex(vertices, maximal)
+
+
+def is_vertex_list(t):
+    """True for a list or tuple of vertex ids (integers or strings)."""
+    return isinstance(t, (list, tuple)) and all(
+        isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)) for v in t)
 
 
 def complex_to_doc(K):

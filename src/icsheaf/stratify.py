@@ -7,7 +7,7 @@ of open point strata, and the frontier condition.  The local cone
 condition is NOT checked (undecidable); reports carry that trust note.
 """
 
-from .simplicial import SimplexSet
+from .simplicial import SimplexSet, is_vertex_list
 
 TRUST_NOTE = ("local cone structure of strata is not verified; "
               "validation covers combinatorial invariants only")
@@ -83,9 +83,15 @@ def validate_stratification(K, levels):
     n = K.dim // 2
     lv = []
     if isinstance(levels, dict):
-        items = {int(k): v for k, v in levels.items()}
-    else:
+        try:
+            items = {int(k): v for k, v in levels.items()}
+        except (TypeError, ValueError):
+            raise StratificationError(
+                "level keys must be integers, got %r" % sorted(map(str, levels)))
+    elif isinstance(levels, (list, tuple)):
         items = dict(enumerate(levels))
+    else:
+        raise StratificationError("levels must be a dict or a list, got %r" % (levels,))
     for k in range(n + 1):
         raw = items.get(k)
         if raw is None:
@@ -96,8 +102,11 @@ def validate_stratification(K, levels):
                 bad = _first_violation_down(K, s)
                 raise StratificationError(
                     "level %d is not down-closed: missing face of %r" % (k, bad))
-        else:
+        elif isinstance(raw, (list, tuple)) and all(map(is_vertex_list, raw)):
             s = K.set_from_tuples(raw).down_closure()
+        else:
+            raise StratificationError(
+                "level %d must be a list of simplices (lists of vertex ids)" % k)
         lv.append(s)
     full = K.full_set()
     if lv[n] != full:
@@ -301,7 +310,3 @@ def is_refinement(strat1, strat2):
         if covered[s2.index] != set(s2.simplex_set.ids):
             return False, {}
     return True, corr
-
-
-def stratification_from_doc(K, doc):
-    return validate_stratification(K, doc["levels"])

@@ -12,7 +12,15 @@ def out(tmp_path, name="o"):
     return str(tmp_path / name)
 
 
-def test_exit_code_contract(tmp_path):
+def _bad_space(tmp_path, name, complex_doc, strat_doc):
+    d = tmp_path / name
+    d.mkdir()
+    (d / "complex.json").write_text(json.dumps(complex_doc))
+    (d / "stratification.json").write_text(json.dumps(strat_doc))
+    return str(d)
+
+
+def test_exit_code_contract(tmp_path, capsys):
     o = out(tmp_path)
     # PASS -> 0
     assert run(["check-ax2", "demo:wedge", "--out", o]) == 0
@@ -24,6 +32,23 @@ def test_exit_code_contract(tmp_path):
     assert run(["build", str(tmp_path / "missing-dir"), "--out", o]) == 1
     assert run(["frobnicate", "demo:wedge", "--out", o]) == 1
     assert run(["build", "demo:wedge", "--field", "fp:6", "--out", o]) == 1
+    # malformed inputs -> 1 with a one-line message, never a traceback
+    assert run(["demo", "wedge", "--out", o]) == 0
+    wedge = tmp_path / "o" / "demos" / "wedge"
+    cdoc = json.loads((wedge / "complex.json").read_text())
+    sdoc = json.loads((wedge / "stratification.json").read_text())
+    nested = _bad_space(tmp_path, "nested",
+                        dict(cdoc, vertices=[[0]] + cdoc["vertices"][1:]), sdoc)
+    null = _bad_space(tmp_path, "null", dict(cdoc, vertices=None), sdoc)
+    word_key = _bad_space(tmp_path, "word-key", cdoc,
+                          {"levels": dict(sdoc["levels"], zero=[[0]])})
+    capsys.readouterr()
+    for argv in (["validate", nested], ["validate", null], ["validate", word_key],
+                 ["costalks", "demo:wedge", "--sample", "x"],
+                 ["compare", "demo:wedge", "--refine", "extra-point:x"]):
+        assert run(argv + ["--out", o]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_demo_materializes_and_caches(tmp_path):
