@@ -14,7 +14,6 @@ The classical global support/cosupport system (intended for pure spaces)
 is kept as check_classic_ax2 for negative demonstrations.
 """
 
-from . import matrices as mx
 from . import sections as sec
 from .sheaves import SheafError
 from .stratify import compute_open_filtration, TRUST_NOTE
@@ -126,13 +125,11 @@ def _normalization_clause(S, filt, clause_name, domains):
                 break
         else:
             Hm = sec.cohomology_sheaf(S, -m)
-            for (s, t) in Hm.cover_pairs():
-                if s in dom.ids and t in dom.ids:
-                    if Hm.dim(s) != Hm.dim(t) or (
-                            Hm.dim(s) and not mx.is_invertible(Hm.F, Hm.restriction_matrix(s, t))):
-                        witnesses.append(Witness("restriction", clause_name,
-                                                 [s, t], -m, None, None, m=m))
-                        break
+            for (s, t) in dom.cover_pairs():
+                if not Hm.is_iso(s, t):
+                    witnesses.append(Witness("restriction", clause_name,
+                                             [s, t], -m, None, None, m=m))
+                    break
     return ClauseResult(clause_name,
                         "restriction to each open dense piece is a local system "
                         "shifted by its complex dimension",
@@ -183,8 +180,8 @@ def check_ax1(S, strat):
     return AxiomReport("ax1", K, clauses)
 
 
-def check_ax2(S, strat, v_domains=None, costalks=None):
-    """Stratification-independent axioms, checked on V^m (default: U^m).
+def check_ax2(S, strat, costalks=None):
+    """Stratification-independent axioms, checked on the open pieces U^m.
 
     The complex must be locally constant along the given strata; that is an
     input error, not a FAIL.  Support loci live in the closures X^m.
@@ -198,9 +195,8 @@ def check_ax2(S, strat, v_domains=None, costalks=None):
             "complex is not locally constant on the strata: %r" % (witness,))
     n = strat.n
     filt = compute_open_filtration(strat)
-    domains = v_domains if v_domains is not None else filt.U_m
-    closures = {m: dom.down_closure() for m, dom in domains.items()}
-    clauses = [_normalization_clause(S, filt, "a", domains)]
+    closures = {m: dom.down_closure() for m, dom in filt.U_m.items()}
+    clauses = [_normalization_clause(S, filt, "a", filt.U_m)]
     lo, hi = S.degree_range()
 
     if costalks is None:
@@ -208,7 +204,7 @@ def check_ax2(S, strat, v_domains=None, costalks=None):
     crange = sorted({a for t in costalks.values() for a in t})
 
     support_w, cosupport_w = [], []
-    for m in sorted(domains):
+    for m in sorted(filt.U_m):
         xm = closures[m]
         for a in range(-m + 1, hi + 1):
             ids, real, cdim = support_locus(S, a, "stalk", within=xm.ids)
@@ -250,12 +246,10 @@ def check_classic_ax2(S, n=None, costalks=None):
     changed = True
     while changed:
         changed = False
-        for (s, t) in Hn.cover_pairs():
-            if s in v_ids and t in v_ids:
-                if Hn.dim(s) != Hn.dim(t) or (
-                        Hn.dim(s) and not mx.is_invertible(Hn.F, Hn.restriction_matrix(s, t))):
-                    v_ids -= set(K.down_set(s))
-                    changed = True
+        for (s, t) in Hn.domain.cover_pairs():
+            if s in v_ids and t in v_ids and not Hn.is_iso(s, t):
+                v_ids -= set(K.down_set(s))
+                changed = True
     V = K.simplex_set(v_ids)
     witnesses = []
     sigma = V.complement()

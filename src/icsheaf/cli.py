@@ -15,8 +15,8 @@ from pathlib import Path
 from . import demos, reports
 from . import axioms as ax
 from . import sections as sec
-from .deligne import (build_ic, check_decomposition, clc_coarsen,
-                      compare_stratifications, default_costalk_sample)
+from .deligne import (build_ic, clc_coarsen, compare_stratifications,
+                      default_costalk_sample)
 from .fields import field_by_name
 from .sheaves import SheafError, make_local_system
 from .simplicial import ComplexError, load_complex
@@ -41,7 +41,6 @@ def _parser():
     p.add_argument("--stratification", dest="strat_file", help="stratification JSON file")
     p.add_argument("--local-system", dest="local_system", help="local system JSON file")
     p.add_argument("--field", default="q", help="coefficients: q or fp:<p>")
-    p.add_argument("--cleanup", choices=["on", "off"], default="on")
     p.add_argument("--check-links", action="store_true",
                    help="advisory link-homology heuristic during validation")
     p.add_argument("--out", default="icsheaf-out", help="report/output directory")
@@ -145,7 +144,7 @@ def _parse_simplex(text):
 def _manifest(args, inputs, extra=None):
     m = {"format": reports.FORMAT_TAG, "command": args.command, "inputs": inputs,
          "field": args.field,
-         "options": {"cleanup": args.cleanup, "check_links": bool(args.check_links),
+         "options": {"check_links": bool(args.check_links),
                      "naive": bool(args.naive), "refine": list(args.refine),
                      "sample": args.sample}}
     if extra:
@@ -204,7 +203,6 @@ def run(argv=None):
     except ValueError as e:
         print("error:", e, file=sys.stderr)
         return 1
-    cleanup = args.cleanup == "on"
 
     try:
         if args.command == "demo":
@@ -244,7 +242,7 @@ def run(argv=None):
         filt = naive_filtration(strat) if args.naive else compute_open_filtration(strat)
         L = load_system(args, F, filt)
         if args.command != "compare":
-            bundle = build_ic(strat, L, field=F, naive=args.naive, cleanup=cleanup)
+            bundle = build_ic(strat, L, field=F, naive=args.naive)
 
         if args.command == "build":
             payload = reports.bundle_doc(bundle)
@@ -320,8 +318,7 @@ def run(argv=None):
             all_pass = True
             for recipe, other in zip(recipes, others):
                 rep, b1, b2 = compare_stratifications(
-                    strat, other, L1=L, field=F, cleanup=cleanup,
-                    naive_first=args.naive)
+                    strat, other, L1=L, field=F, naive_first=args.naive)
                 witnesses = rep["witnesses"]
                 payload["comparisons"].append(
                     {"refine": recipe, "passed": rep["passed"],

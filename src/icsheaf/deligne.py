@@ -53,21 +53,29 @@ def split_local_system(L, filt):
 
 
 def _attach_systems(F, K, systems, ambient, upto, raw=False):
-    """⊕_{m ≤ upto} L^m[m] extended by zero into the ambient open set."""
+    """⊕_{m ≤ upto} L^m[m] extended by zero into the ambient open set.
+
+    With raw=True (the naive construction) the pieces are placed in the
+    ambient set as they are: the naive open sets need not contain the lower
+    local systems as closed subsets, so this is not an extension by zero.
+    """
     total = None
     for m in sorted(systems):
         if m > upto:
             continue
         piece = systems[m].to_complex(degree=-m)
-        piece = piece.extend_by_zero_raw(ambient) if raw else piece.extend_by_zero(ambient)
+        if raw:
+            piece = SheafComplex(F, K, ambient, piece.dims, piece.diffs,
+                                 piece.restrictions)
+        else:
+            piece = piece.extend_by_zero(ambient)
         total = piece if total is None else total.direct_sum(piece)
     if total is None:
         return zero_complex(F, K, ambient)
     return total
 
 
-def build_ic(strat, local_system=None, field=QQ, naive=False, cleanup=True,
-             verify=True):
+def build_ic(strat, local_system=None, field=QQ, naive=False, verify=True):
     """Run the recursion over the induced (or naive) open filtration.
 
     Returns an ICBundle whose final complex lives on the whole space.  With
@@ -97,7 +105,7 @@ def build_ic(strat, local_system=None, field=QQ, naive=False, cleanup=True,
                 k2 += 1
         cutoff = k2 - 1 - n
         target = filt.U[k2 + 1]
-        pushed = sec.pushforward_open(I, target, cleanup=cleanup)
+        pushed = sec.pushforward_open(I, target)
         trunc = sec.truncate_le(pushed, cutoff)
         attach = _attach_systems(F, K, systems, target, upto=n - k2, raw=naive)
         I = trunc.direct_sum(attach)
@@ -169,7 +177,7 @@ def transport_complex(S, target_complex, id_map, domain):
     return SheafComplex(S.F, target_complex, domain, dims, diffs, restr)
 
 
-def build_ic_pure(strat, m, Lm=None, field=QQ, cleanup=True):
+def build_ic_pure(strat, m, Lm=None, field=QQ):
     """The classical pure-dimensional complex on the closure X^m.
 
     Validates purity of the closed part, runs the recursion there, and
@@ -191,12 +199,12 @@ def build_ic_pure(strat, m, Lm=None, field=QQ, cleanup=True):
     else:
         sub_dom = sub.simplex_set({from_parent[i] for i in Lm.domain.ids})
         Lsub = transport_sheaf(Lm, sub, from_parent, sub_dom)
-    bundle = build_ic(substrat, Lsub, field=field, cleanup=cleanup, verify=False)
+    bundle = build_ic(substrat, Lsub, field=field, verify=False)
     parent_ic = transport_complex(bundle.ic, strat.complex, to_parent, closed)
     return parent_ic, bundle
 
 
-def check_decomposition(bundle, cleanup=True):
+def check_decomposition(bundle):
     """Compare the direct construction with the sum of pure-closure complexes.
 
     Builds each pure piece independently, extends by zero, sums, and
@@ -209,7 +217,7 @@ def check_decomposition(bundle, cleanup=True):
     summand_hyperco = {}
     for m in sorted(bundle.systems):
         piece, sub_bundle = build_ic_pure(strat, m, bundle.systems[m],
-                                          field=bundle.field, cleanup=cleanup)
+                                          field=bundle.field)
         summand_hyperco[m] = sec.hypercohomology(sub_bundle.ic)
         ext = piece.extend_by_zero(K.full_set())
         total = ext if total is None else total.direct_sum(ext)
@@ -247,7 +255,7 @@ def default_costalk_sample(strat, limit=24):
 
 
 def compare_stratifications(strat1, strat2, L1=None, L2=None, field=QQ,
-                            cleanup=True, sample=None, naive_first=False):
+                            naive_first=False):
     """Build both complexes and compare stalks, sampled costalks, sections.
 
     The local systems must have equal stalk tables on the common open dense
@@ -257,8 +265,8 @@ def compare_stratifications(strat1, strat2, L1=None, L2=None, field=QQ,
     if strat1.complex is not strat2.complex:
         raise StratificationError("stratifications live on different complexes")
     K = strat1.complex
-    b1 = build_ic(strat1, L1, field=field, cleanup=cleanup, naive=naive_first)
-    b2 = build_ic(strat2, L2, field=field, cleanup=cleanup)
+    b1 = build_ic(strat1, L1, field=field, naive=naive_first)
+    b2 = build_ic(strat2, L2, field=field)
     common = b1.filtration.U[1].intersection(b2.filtration.U[1])
     for sid in sorted(common.ids):
         d1 = {m: L.dim(sid) for m, L in b1.systems.items() if sid in L.domain.ids}
@@ -275,9 +283,8 @@ def compare_stratifications(strat1, strat2, L1=None, L2=None, field=QQ,
                 {"kind": "stalk", "simplex": list(K.simplices[sid]),
                  "first": t1.get(sid, {}), "second": t2.get(sid, {})})
             break
-    if sample is None:
-        sample = sorted(set(default_costalk_sample(strat1))
-                        | set(default_costalk_sample(strat2)))
+    sample = sorted(set(default_costalk_sample(strat1))
+                    | set(default_costalk_sample(strat2)))
     for sid in sample:
         c1 = sec.cell_costalk(b1.ic, sid)
         c2 = sec.cell_costalk(b2.ic, sid)
@@ -331,13 +338,7 @@ def clc_coarsen(strat, S):
     sheaves = {a: sec.cohomology_sheaf(S, a) for a in range(lo, hi + 1)}
 
     def maps_iso(sid, tid):
-        for a, H in sheaves.items():
-            if H.dim(sid) != H.dim(tid):
-                return False
-            from . import matrices as mx
-            if H.dim(sid) and not mx.is_invertible(H.F, H.restriction_matrix(sid, tid)):
-                return False
-        return True
+        return all(H.is_iso(sid, tid) for H in sheaves.values())
 
     stratum_of = {}
     for st in strat.strata:

@@ -218,22 +218,3 @@ class CochainCohomology:
         X = solve_right(F, self._proj_basis, B)
         return [X[self._n_im + i] for i in range(self.h_dim)]
 
-
-def complex_cohomology_dims(F, dims, diffs):
-    """Cohomology dimensions of a cochain complex.
-
-    dims: dict degree -> dimension; diffs: dict degree -> matrix d^q
-    (from degree q to q+1).  Returns dict degree -> dim H^q, zeros omitted.
-    """
-    out = {}
-    for q, n in dims.items():
-        if n == 0:
-            continue
-        d_out = diffs.get(q)
-        r_out = rank(F, d_out) if d_out else 0
-        d_in = diffs.get(q - 1)
-        r_in = rank(F, d_in) if d_in else 0
-        h = n - r_out - r_in
-        if h:
-            out[q] = h
-    return out

@@ -152,17 +152,17 @@ def rgamma_cellular_dims(S, member_ids):
     return G.minimize_dims()
 
 
-def hypercohomology(S, subset=None, model="auto"):
-    """Hypercohomology dims of S over an up-closed subset (default: whole domain)."""
+def hypercohomology(S, subset=None):
+    """Hypercohomology dims of S over an up-closed subset (default: whole domain).
+
+    A clopen subset uses the cellular model, any other the order-chain model.
+    """
     A = subset if subset is not None else S.domain
     if not A.issubset(S.domain):
         raise SheafError("hypercohomology subset must lie in the domain")
     if not A.is_up_closed_in(S.domain):
         raise SheafError("hypercohomology needs an up-closed subset")
-    clopen = A.is_up_closed() and A.is_down_closed()
-    if model == "cellular" or (model == "auto" and clopen):
-        if not clopen:
-            raise SheafError("cellular section model needs a clopen subset")
+    if A.is_up_closed() and A.is_down_closed():
         return rgamma_cellular_dims(S, A.ids)
     return rgamma_dims(S, A.ids)
 
@@ -257,7 +257,7 @@ def cohomology_sheaf(S, a):
             stalks[sid] = coh.h_dim
     restr = {}
     K = S.complex
-    for (s, t) in S.cover_pairs():
+    for (s, t) in S.domain.cover_pairs():
         cs, ct = data[s], data[t]
         if cs.h_dim == 0 and ct.h_dim == 0:
             continue
@@ -281,23 +281,27 @@ def is_clc(S, strat):
         H = cohomology_sheaf(S, a)
         for st in strat.strata:
             ids = st.simplex_set.ids
-            for (s, t) in H.cover_pairs():
-                if s in ids and t in ids:
-                    if H.dim(s) != H.dim(t) or not mx.is_invertible(
-                            H.F, H.restriction_matrix(s, t)):
-                        return False, {"stratum": st.index, "degree": a,
-                                       "pair": (S.complex.simplices[s],
-                                                S.complex.simplices[t])}
+            for (s, t) in H.domain.cover_pairs():
+                if s in ids and t in ids and not H.is_iso(s, t):
+                    return False, {"stratum": st.index, "degree": a,
+                                   "pair": (S.complex.simplices[s],
+                                            S.complex.simplices[t])}
     return True, None
 
 
-def pushforward_open(S, V, cleanup=True, check_unit=True):
+def pushforward_open(S, V, cleanup=True):
     """Derived pushforward of S along the open inclusion domain(S) → V.
 
     The value at a new simplex is the order-chain section complex of its
     deleted star inside the old domain; on the old domain the result stays
-    literally S away from the boundary region and is the (reduced) section
-    complex there, glued by the compatible-family chain map.
+    literally S away from the boundary region and is the reduced section
+    complex there, glued by the compatible-family chain map.  The reduction
+    is checked against S's stalks on the boundary region.
+
+    cleanup=False skips the same-support reduction and its check and keeps
+    the raw nerve complexes: it is the uncleaned reference that tests
+    compare the cleaned result against, and is far too large for iterated
+    pushforwards on 4-dimensional spaces.
     """
     K = S.complex
     F = S.F
@@ -434,7 +438,7 @@ def pushforward_open(S, V, cleanup=True, check_unit=True):
             restr[(s, t)] = dict(ms)
 
     out = SheafComplex(F, K, V, dims, diffs, restr)
-    if cleanup and check_unit:
+    if cleanup:
         for sid in sorted(bids):
             if out.stalk_cohomology(sid) != S.stalk_cohomology(sid):
                 raise EngineError(

@@ -10,6 +10,7 @@ operations return new objects.
 """
 
 from . import matrices as mx
+from .reduction import SparseComplex
 from .simplicial import canonical_simplex
 
 
@@ -43,12 +44,10 @@ class CellularSheaf:
             return mx.zeros(self.F, self.dim(tid), self.dim(sid))
         return r
 
-    def cover_pairs(self):
-        K = self.complex
-        for s in sorted(self.domain.ids):
-            for c, _ in K.cofacets[s]:
-                if c in self.domain.ids:
-                    yield (s, c)
+    def is_iso(self, sid, tid):
+        """Is the restriction along the cover pair sid ⋖ tid an isomorphism?"""
+        return self.dim(sid) == self.dim(tid) and \
+            mx.is_invertible(self.F, self.restriction_matrix(sid, tid))
 
     def check_path_independence(self):
         """All two-step composites between a codim-2 pair must agree."""
@@ -77,12 +76,7 @@ class CellularSheaf:
                             % (K.simplices[s], K.simplices[t]))
 
     def is_invertible_everywhere(self):
-        for (s, t) in self.cover_pairs():
-            if self.dim(s) != self.dim(t):
-                return False
-            if not mx.is_invertible(self.F, self.restriction_matrix(s, t)):
-                return False
-        return True
+        return all(self.is_iso(s, t) for s, t in self.domain.cover_pairs())
 
     def restrict(self, subset):
         dims = {s: d for s, d in self.stalk_dim.items() if s in subset.ids}
@@ -112,17 +106,13 @@ def make_local_system(F, complex, domain, spec):
             raise SheafError("rank must be nonnegative")
         dims = {s: r for s in domain.ids}
         ident = mx.identity(F, r)
-        restr = {}
-        sheaf = CellularSheaf(F, complex, domain, dims, restr)
-        for p in sheaf.cover_pairs():
-            restr[p] = ident
-        return sheaf
+        restr = {p: ident for p in domain.cover_pairs()}
+        return CellularSheaf(F, complex, domain, dims, restr)
     dims = dict(spec["stalk_dim"])
     restr = dict(spec["matrices"])
     sheaf = CellularSheaf(F, complex, domain, dims, restr)
-    for (s, t) in sheaf.cover_pairs():
-        m = sheaf.restriction_matrix(s, t)
-        if sheaf.dim(s) != sheaf.dim(t) or not mx.is_invertible(F, m):
+    for (s, t) in domain.cover_pairs():
+        if not sheaf.is_iso(s, t):
             raise SheafError(
                 "restriction %r -> %r is not invertible"
                 % (complex.simplices[s], complex.simplices[t]))
@@ -133,8 +123,7 @@ def make_local_system(F, complex, domain, spec):
 class SheafComplex:
     """A bounded complex of cellular sheaves on a common domain."""
 
-    def __init__(self, F, complex, domain, dims, diffs, restrictions,
-                 validate=False):
+    def __init__(self, F, complex, domain, dims, diffs, restrictions):
         self.F = F
         self.complex = complex
         self.domain = domain
@@ -147,8 +136,6 @@ class SheafComplex:
         self.restrictions = restrictions
         self._stalk_cache = {}
         self._restr_cache = {}
-        if validate:
-            self.validate()
 
     # -- basic accessors ----------------------------------------------------
 
@@ -205,24 +192,28 @@ class SheafComplex:
         self._restr_cache[key] = out
         return out
 
-    def cover_pairs(self):
-        K = self.complex
-        for s in sorted(self.domain.ids):
-            for c, _ in K.cofacets[s]:
-                if c in self.domain.ids:
-                    yield (s, c)
-
     # -- derived data --------------------------------------------------------
 
     def stalk_cohomology(self, sid):
+        """Cohomology dims of the value complex at sid, by sparse reduction."""
         got = self._stalk_cache.get(sid)
         if got is None:
+            F = self.F
             qs = self.dims.get(sid, {})
-            if sum(qs.values()) > 64:
-                got = _sparse_value_cohomology(self, sid, qs)
-            else:
-                diffs = {q: self.diff(sid, q) for q in qs if self.dim(sid, q + 1)}
-                got = mx.complex_cohomology_dims(self.F, qs, diffs)
+            G = SparseComplex(F)
+            for q in sorted(qs):
+                for i in range(qs[q]):
+                    G.add_gen((q, i), q)
+            for q in sorted(qs):
+                if not self.dim(sid, q + 1):
+                    continue
+                d = self.diff(sid, q)
+                for i in range(qs[q]):
+                    for j in range(self.dim(sid, q + 1)):
+                        v = d[j][i]
+                        if not F.is_zero(v):
+                            G.add_entry((q, i), (q + 1, j), v)
+            got = G.minimize_dims()
             self._stalk_cache[sid] = got
         return got
 
@@ -240,7 +231,7 @@ class SheafComplex:
                               self.dim(sid, q + 2), self.dim(sid, q + 1), self.dim(sid, q))
                     if any(not F.is_zero(x) for row in dd for x in row):
                         raise SheafError("d² ≠ 0 at %r" % (self.complex.simplices[sid],))
-        for (s, t) in self.cover_pairs():
+        for (s, t) in self.domain.cover_pairs():
             for q in self.value_dims(s):
                 # restriction commutes with d
                 a = _mul(F, self.diff(t, q), self.restriction_cover(s, t, q),
@@ -294,7 +285,7 @@ class SheafComplex:
                                               qb.get(q + 1, 0), qb.get(q, 0))
                 if dmap:
                     diffs[sid] = dmap
-        for (s, t) in self.cover_pairs():
+        for (s, t) in self.domain.cover_pairs():
             rmap = {}
             for q in sorted(set(self.value_dims(s)) | set(other.value_dims(s))
                             | set(self.value_dims(t)) | set(other.value_dims(t))):
@@ -336,37 +327,6 @@ class SheafComplex:
         return SheafComplex(self.F, self.complex, ambient,
                             self.dims, self.diffs, self.restrictions)
 
-    def extend_by_zero_raw(self, ambient):
-        """Extension by zero without the closedness requirement.
-
-        Only used by the deliberately wrong naive construction, where the
-        lower local systems are not closed in the naive open sets.
-        """
-        if not self.domain.issubset(ambient):
-            raise SheafError("ambient set must contain the domain")
-        return SheafComplex(self.F, self.complex, ambient,
-                            self.dims, self.diffs, self.restrictions)
-
-
-def _sparse_value_cohomology(S, sid, qs):
-    # large value complexes (cleanup disabled) go through sparse reduction
-    from .reduction import SparseComplex
-    F = S.F
-    G = SparseComplex(F)
-    for q in sorted(qs):
-        for i in range(qs[q]):
-            G.add_gen((q, i), q)
-    for q in sorted(qs):
-        if not S.dim(sid, q + 1):
-            continue
-        d = S.diff(sid, q)
-        for i in range(qs[q]):
-            for j in range(S.dim(sid, q + 1)):
-                v = d[j][i]
-                if not F.is_zero(v):
-                    G.add_entry((q, i), (q + 1, j), v)
-    return G.minimize_dims()
-
 
 def _block_diag(F, A, B, ra, ca, rb, cb):
     out = mx.zeros(F, ra + rb, ca + cb)
@@ -387,6 +347,5 @@ def constant_complex(F, complex, domain, rank=1, degree=0):
     """The constant sheaf of the given rank on any domain, in one degree."""
     dims = {s: {degree: rank} for s in domain.ids}
     ident = mx.identity(F, rank)
-    probe = SheafComplex(F, complex, domain, dims, {}, {})
-    restr = {p: {degree: ident} for p in probe.cover_pairs()}
+    restr = {p: {degree: ident} for p in domain.cover_pairs()}
     return SheafComplex(F, complex, domain, dims, {}, restr)

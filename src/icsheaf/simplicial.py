@@ -256,6 +256,14 @@ class SimplexSet:
                    for i in self.ids for f, _ in K.facets[i]
                    if f in ambient.ids)
 
+    def cover_pairs(self):
+        """Covering pairs s ⋖ t inside the set, in ascending order of s."""
+        K = self.complex
+        for s in sorted(self.ids):
+            for c, _ in K.cofacets[s]:
+                if c in self.ids:
+                    yield (s, c)
+
     def max_real_dim(self):
         if not self.ids:
             return -1

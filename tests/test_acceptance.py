@@ -220,7 +220,7 @@ def _extract_system(S, filt):
         H = sec.cohomology_sheaf(S, -m)
         for sid in um.ids:
             dims[sid] = H.dim(sid)
-        for (a, b) in H.cover_pairs():
+        for (a, b) in H.domain.cover_pairs():
             if a in um.ids and b in um.ids:
                 mats[(a, b)] = H.restriction_matrix(a, b)
     return make_local_system(QQ, K, filt.U[1], {"stalk_dim": dims, "matrices": mats})

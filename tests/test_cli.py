@@ -32,6 +32,8 @@ def test_exit_code_contract(tmp_path, capsys):
     assert run(["build", str(tmp_path / "missing-dir"), "--out", o]) == 1
     assert run(["frobnicate", "demo:wedge", "--out", o]) == 1
     assert run(["build", "demo:wedge", "--field", "fp:6", "--out", o]) == 1
+    # cleanup is part of the construction, not an option
+    assert run(["build", "demo:wedge", "--cleanup", "off", "--out", o]) == 1
     # malformed inputs -> 1 with a one-line message, never a traceback
     assert run(["demo", "wedge", "--out", o]) == 0
     wedge = tmp_path / "o" / "demos" / "wedge"

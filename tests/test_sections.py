@@ -96,22 +96,15 @@ def test_bar_and_cellular_models_agree(spaces, built):
     # on clopen subsets the one-summand-per-cell model equals the nerve model
     for name in ("wedge", "pinched-torus", "fake-surface"):
         S = built[name].ic
-        assert sec.hypercohomology(S, model="bar") == \
-            sec.hypercohomology(S, model="cellular")
+        assert sec.rgamma_dims(S, S.domain.ids) == \
+            sec.rgamma_cellular_dims(S, S.domain.ids) == sec.hypercohomology(S)
     # a disjoint union, restricted to one clopen component
     K = SimplicialComplex(range(7), [[0, 1, 2], [3, 4, 5, 6]])
     S = constant_complex(QQ, K, K.full_set())
     comp = K.full_set().components()[0]
     assert comp.is_up_closed() and comp.is_down_closed()
-    assert sec.hypercohomology(S, comp, model="bar") == \
-        sec.hypercohomology(S, comp, model="cellular") == {0: 1}
-
-
-def test_cellular_model_guard():
-    K, U = punctured_disk()
-    S = constant_complex(QQ, K, U)
-    with pytest.raises(SheafError, match="clopen"):
-        sec.hypercohomology(S, model="cellular")
+    assert sec.rgamma_dims(S, comp.ids) == sec.rgamma_cellular_dims(S, comp.ids) \
+        == sec.hypercohomology(S, comp) == {0: 1}
 
 
 def test_costalk_concentration_on_manifolds():
@@ -245,13 +238,14 @@ def test_cleanup_rank_neutrality_pushforwards(spaces):
         assert on.stalk_table() == off.stalk_table(), name
 
 
-def test_cleanup_rank_neutrality_full_builds(spaces):
-    from icsheaf.deligne import build_ic
+def test_cleanup_rank_neutrality_full_builds(built):
+    # every pushforward of the canonical tower, with and without cleanup
     for name in ("wedge", "pinched-torus", "fake-surface"):
-        K, strat = spaces[name]
-        b_on = build_ic(strat, cleanup=True)
-        b_off = build_ic(strat, cleanup=False)
-        assert b_on.ic.stalk_table() == b_off.ic.stalk_table(), name
+        inter = built[name].intermediates
+        for i in range(len(inter) - 1):
+            on = sec.pushforward_open(inter[i], inter[i + 1].domain, cleanup=True)
+            off = sec.pushforward_open(inter[i], inter[i + 1].domain, cleanup=False)
+            assert on.stalk_table() == off.stalk_table(), (name, i)
 
 
 def test_exactness_bookkeeping():
@@ -279,7 +273,7 @@ def test_cohomology_sheaf_restrictions(built):
     assert {s for s in K.full_set().ids if H.dim(s)} == s2
     assert all(H.restriction_matrix(s, t) == [[QQ.one]] or
                abs(H.restriction_matrix(s, t)[0][0]) == 1
-               for (s, t) in H.cover_pairs() if s in s2 and t in s2)
+               for (s, t) in H.domain.cover_pairs() if s in s2 and t in s2)
 
 
 def test_pushforward_unit_property(built, spaces):
