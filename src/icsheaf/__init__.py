@@ -8,7 +8,7 @@ characterizations.
 """
 
 from .fields import QQ, PrimeField, field_by_name
-from .simplicial import SimplicialComplex, SimplexSet, load_complex, order_chains
+from .simplicial import SimplicialComplex, SimplexSet, load_complex
 from .stratify import (Stratification, OpenFiltration, validate_stratification,
                        compute_open_strata, compute_open_filtration,
                        naive_filtration, is_refinement)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QQ", "PrimeField", "field_by_name",
-    "SimplicialComplex", "SimplexSet", "load_complex", "order_chains",
+    "SimplicialComplex", "SimplexSet", "load_complex",
     "Stratification", "OpenFiltration", "validate_stratification",
     "compute_open_strata", "compute_open_filtration", "naive_filtration",
     "is_refinement",

@@ -97,12 +97,18 @@ def rref(F, A):
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        inv = F.inv(R[r][c])
-        R[r] = [F.mul(inv, x) for x in R[r]]
+        row = R[r]
+        # entries left of c are zero in rows r.. (earlier pivots cleared them)
+        nz = [j for j in range(c, nc) if not F.is_zero(row[j])]
+        inv = F.inv(row[c])
+        for j in nz:
+            row[j] = F.mul(inv, row[j])
         for i in range(nr):
-            if i != r and not F.is_zero(R[i][c]):
-                f = R[i][c]
-                R[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(R[i], R[r])]
+            Ri = R[i]
+            f = Ri[c]
+            if i != r and not F.is_zero(f):
+                for j in nz:
+                    Ri[j] = F.sub(Ri[j], F.mul(f, row[j]))
         pivots.append(c)
         r += 1
         if r == nr:

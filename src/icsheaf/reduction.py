@@ -1,11 +1,13 @@
 """Sparse Gaussian reduction of cochain complexes.
 
-A complex is presented by generator keys with integer degrees and a sparse
-differential.  Eliminating an invertible entry is an exact homotopy
-equivalence; exhaustive free elimination leaves a zero differential, so
-the surviving generator counts are the cohomology dimensions.  In sheaf
-mode (same_support=True) only entries between generators with the same
-support simplex are eliminated, which keeps every move an isomorphism of
+A complex is presented by integer generator ids with integer degrees and a
+sparse differential.  `add_gen` hands out ids 0, 1, 2, … in insertion
+order; callers keep their own map from whatever a generator stands for to
+its id.  Eliminating an invertible entry is an exact homotopy equivalence;
+exhaustive free elimination leaves a zero differential, so the surviving
+generator counts are the cohomology dimensions.  In sheaf mode
+(same_support=True) only entries between generators with the same support
+simplex are eliminated, which keeps every move an isomorphism of
 elementary down-set summands and hence an equivalence of complexes of
 sheaves, slice by slice.
 """
@@ -14,34 +16,40 @@ import heapq
 
 
 class SparseComplex:
-    """A cochain complex with generator keys and a sparse differential."""
+    """A cochain complex on generator ids 0, 1, … with a sparse differential.
+
+    `degree` maps each live id to its degree; `support`, `dout` and `din`
+    are lists indexed by id (an eliminated id keeps empty rows).  `ucols`
+    maps an id to the columns {external key: value} of a chain map into
+    the complex, carried along by elimination.
+    """
 
     def __init__(self, F):
         self.F = F
         self.degree = {}
-        self.support = {}
-        self.order = {}
-        self.dout = {}
-        self.din = {}
+        self.support = []
+        self.dout = []
+        self.din = []
         self.ucols = {}
-        self._counter = 0
 
-    def add_gen(self, gid, degree, support=None):
-        self.degree[gid] = degree
-        if support is not None:
-            self.support[gid] = support
-        self.order[gid] = self._counter
-        self._counter += 1
+    def add_gen(self, degree, support=None):
+        """Add a generator and return its id, the next in insertion order."""
+        g = len(self.dout)
+        self.degree[g] = degree
+        self.support.append(support)
+        self.dout.append({})
+        self.din.append({})
+        return g
 
     def add_entry(self, g, h, val):
         F = self.F
         if F.is_zero(val):
             return
-        row = self.dout.setdefault(g, {})
+        row = self.dout[g]
         cur = row.get(h)
         if cur is None:
             row[h] = val
-            self.din.setdefault(h, {})[g] = val
+            self.din[h][g] = val
         else:
             new = F.add(cur, val)
             if F.is_zero(new):
@@ -63,85 +71,85 @@ class SparseComplex:
             col[ext] = new
 
     def _detach(self, g):
-        for t in self.dout.pop(g, {}):
-            del self.din[t][g]
-        for s in self.din.pop(g, {}):
-            del self.dout[s][g]
+        din, dout = self.din, self.dout
+        for t in dout[g]:
+            del din[t][g]
+        for s in din[g]:
+            del dout[s][g]
+        dout[g] = {}
+        din[g] = {}
         self.ucols.pop(g, None)
         del self.degree[g]
-        self.support.pop(g, None)
-        del self.order[g]
 
     def eliminate(self, g, h):
-        """Gaussian elimination of the differential entry g -> h."""
+        """Gaussian elimination of the differential entry g -> h.
+
+        Returns the other sources into h and the other targets of g, as
+        {id: value} dicts.
+        """
         F = self.F
-        alpha = self.dout[g][h]
-        ins = {s: a for s, a in self.din[h].items() if s != g}
-        outs = {t: b for t, b in self.dout[g].items() if t != h}
-        uh = dict(self.ucols.get(h, ()))
+        outs = self.dout[g]
+        ins = self.din[h]
+        alpha = outs.pop(h)
+        del ins[g]
+        uh = self.ucols.get(h)
         self._detach(g)
         self._detach(h)
         inv = F.inv(alpha)
         for s, a in ins.items():
-            coeff = F.mul(a, inv)
+            coeff = F.neg(F.mul(a, inv))
             for t, b in outs.items():
-                self.add_entry(s, t, F.neg(F.mul(coeff, b)))
-        for ext, a in uh.items():
-            coeff = F.mul(a, inv)
-            for t, b in outs.items():
-                self.add_ucol(t, ext, F.neg(F.mul(coeff, b)))
+                self.add_entry(s, t, F.mul(coeff, b))
+        if uh:
+            for ext, a in uh.items():
+                coeff = F.neg(F.mul(a, inv))
+                for t, b in outs.items():
+                    self.add_ucol(t, ext, F.mul(coeff, b))
         return ins, outs
-
-    def _pivot_ok(self, g, h, same_support):
-        if same_support:
-            return self.support.get(g) == self.support.get(h)
-        return True
 
     def reduce(self, same_support=False):
         """Exhaustively eliminate admissible pivots, deterministically.
 
         Uses lazy Markowitz ordering: candidates are kept in a heap keyed
-        by (fill estimate, insertion order) and revalidated on pop.
+        by (fill estimate, source id, target id) and revalidated on pop.
+        An eliminated id has no entries left, so a candidate is stale
+        exactly when its entry is gone.
         """
+        dout, din, support = self.dout, self.din, self.support
         heap = []
+        push = heapq.heappush
 
-        def push(g, h):
-            cost = (len(self.din.get(h, ())) - 1) * (len(self.dout.get(g, ())) - 1)
-            heapq.heappush(heap, (cost, self.order[g], self.order[h], g, h))
-
-        for g, row in self.dout.items():
+        for g, row in enumerate(dout):
+            ng = len(row) - 1
             for h in row:
-                if self._pivot_ok(g, h, same_support):
-                    push(g, h)
+                if not same_support or support[g] == support[h]:
+                    heap.append(((len(din[h]) - 1) * ng, g, h))
+        heapq.heapify(heap)
         while heap:
-            cost, _, _, g, h = heapq.heappop(heap)
-            if g not in self.degree or h not in self.degree:
+            cost, g, h = heapq.heappop(heap)
+            if h not in dout[g]:
                 continue
-            val = self.dout.get(g, {}).get(h)
-            if val is None:
-                continue
-            cur = (len(self.din.get(h, ())) - 1) * (len(self.dout.get(g, ())) - 1)
+            cur = (len(din[h]) - 1) * (len(dout[g]) - 1)
             if cur > cost:
-                heapq.heappush(heap, (cur, self.order[g], self.order[h], g, h))
+                push(heap, (cur, g, h))
                 continue
-            ins, outs = self.eliminate(g, h)
+            ins, _ = self.eliminate(g, h)
             for s in ins:
-                if s not in self.degree:
-                    continue
-                for t in self.dout.get(s, ()):
-                    if self._pivot_ok(s, t, same_support):
-                        push(s, t)
+                row = dout[s]
+                ns = len(row) - 1
+                for t in row:
+                    if not same_support or support[s] == support[t]:
+                        push(heap, ((len(din[t]) - 1) * ns, s, t))
 
     def minimize_dims(self):
         """Free reduction to zero differential; returns degree -> dimension."""
         self.reduce(same_support=False)
-        assert not any(self.dout.values())
+        assert not any(self.dout)
         out = {}
-        for g, d in self.degree.items():
+        for d in self.degree.values():
             out[d] = out.get(d, 0) + 1
-        return {d: n for d, n in sorted(out.items()) if n}
+        return dict(sorted(out.items()))
 
     def gens_sorted(self):
-        return sorted(self.degree, key=lambda g: self.order[g])
-
-
+        """Live ids in ascending (insertion) order."""
+        return sorted(self.degree)

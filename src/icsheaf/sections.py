@@ -33,64 +33,78 @@ class EngineError(RuntimeError):
     pass
 
 
-def _chain_entries(G, S, chains, chain_set=None):
+def _chain_entries(G, S, chains, first):
     """Install bar-differential entries for the given chains of S's poset.
 
-    Entries from a chain c: insert an element below the top (sign (−1)^pos,
-    identity coefficients), append a new top (sign (−1)^len(c) times the
-    restriction matrix), plus the internal differential (sign (−1)^(len−1)).
-    Only entries between chains present in chain_set are installed.
+    first maps each chain to {q: id of its first generator in degree q},
+    as returned by `_add_chain_gens`.  Entries from a chain c: insert an
+    element below the top (sign (−1)^pos, identity coefficients), append a
+    new top (sign (−1)^len(c) times the restriction matrix), plus the
+    internal differential (sign (−1)^(len−1)).  Only entries between
+    chains present in first are installed.
     """
     F = S.F
-    if chain_set is None:
-        chain_set = set(chains)
+    one, mone = F.one, F.neg(F.one)
     for c in chains:
         ln = len(c)
         top = c[-1]
-        vd = S.value_dims(top)
+        vd = S.dims.get(top, {})
+        cid = first[c]
         # internal differential
-        sgn = F.one if (ln - 1) % 2 == 0 else F.neg(F.one)
-        for q in vd:
-            if not S.dim(top, q + 1):
+        sgn = one if (ln - 1) % 2 == 0 else mone
+        for q, n in vd.items():
+            n1 = vd.get(q + 1)
+            if not n1:
                 continue
             d = S.diff(top, q)
-            for i in range(vd[q]):
-                for i2 in range(S.dim(top, q + 1)):
+            g0, h0 = cid[q], cid[q + 1]
+            for i in range(n):
+                for i2 in range(n1):
                     v = d[i2][i]
                     if not F.is_zero(v):
-                        G.add_entry((c, q, i), (c, q + 1, i2), F.mul(sgn, v))
+                        G.add_entry(g0 + i, h0 + i2, F.mul(sgn, v))
         if ln < 2:
             continue
         # face deletions: from each face of c into c
         for pos in range(ln):
-            f = c[:pos] + c[pos + 1:]
-            if f not in chain_set:
+            fid = first.get(c[:pos] + c[pos + 1:])
+            if fid is None:
                 continue
             if pos < ln - 1:
-                sgn = F.one if pos % 2 == 0 else F.neg(F.one)
-                for q in vd:
-                    for i in range(vd[q]):
-                        G.add_entry((f, q, i), (c, q, i), sgn)
+                sgn = one if pos % 2 == 0 else mone
+                for q, n in vd.items():
+                    f0, c0 = fid[q], cid[q]
+                    for i in range(n):
+                        G.add_entry(f0 + i, c0 + i, sgn)
             else:
-                sgn = F.one if (ln - 1) % 2 == 0 else F.neg(F.one)
-                for q in sorted(S.value_dims(c[-2])):
-                    if not S.dim(top, q):
+                sgn = one if (ln - 1) % 2 == 0 else mone
+                below = c[-2]
+                bd = S.dims.get(below, {})
+                for q in sorted(bd):
+                    nt = vd.get(q)
+                    if not nt:
                         continue
-                    rm = S.restriction(c[-2], top, q)
-                    for i in range(S.dim(c[-2], q)):
-                        for j in range(S.dim(top, q)):
+                    rm = S.restriction(below, top, q)
+                    f0, c0 = fid[q], cid[q]
+                    for i in range(bd[q]):
+                        for j in range(nt):
                             v = rm[j][i]
                             if not F.is_zero(v):
-                                G.add_entry((f, q, i), (c, q, j), F.mul(sgn, v))
+                                G.add_entry(f0 + i, c0 + j, F.mul(sgn, v))
 
 
 def _add_chain_gens(G, S, chains, with_support=False):
+    """Add the generators of each chain's top value; chain -> {q: first id}."""
+    first = {}
     for c in chains:
-        top = c[-1]
-        for q, d in sorted(S.value_dims(top).items()):
-            for i in range(d):
-                G.add_gen((c, q, i), len(c) - 1 + q,
-                          support=c[0] if with_support else None)
+        support = c[0] if with_support else None
+        ids = first[c] = {}
+        for q, d in sorted(S.dims.get(c[-1], {}).items()):
+            deg = len(c) - 1 + q
+            ids[q] = G.add_gen(deg, support)
+            for _ in range(d - 1):
+                G.add_gen(deg, support)
+    return first
 
 
 def rgamma_dims(S, member_ids):
@@ -100,8 +114,7 @@ def rgamma_dims(S, member_ids):
         return {}
     G = SparseComplex(S.F)
     chains = all_chains(S.complex, members)
-    _add_chain_gens(G, S, chains)
-    _chain_entries(G, S, chains)
+    _chain_entries(G, S, chains, _add_chain_gens(G, S, chains))
     return G.minimize_dims()
 
 
@@ -120,35 +133,45 @@ def rgamma_cellular_dims(S, member_ids):
     F = S.F
     G = SparseComplex(F)
     members = sorted(set(member_ids) & S.domain.ids)
-    mset = set(members)
+    first = {}
     for sid in members:
         p = K.sdim(sid)
-        for q, d in sorted(S.value_dims(sid).items()):
-            for i in range(d):
-                G.add_gen((sid, q, i), p + q)
+        ids = first[sid] = {}
+        for q, d in sorted(S.dims.get(sid, {}).items()):
+            ids[q] = G.add_gen(p + q)
+            for _ in range(d - 1):
+                G.add_gen(p + q)
     for sid in members:
         p = K.sdim(sid)
-        vd = S.value_dims(sid)
+        vd = S.dims.get(sid, {})
+        sid0 = first[sid]
         sgn_int = F.one if p % 2 == 0 else F.neg(F.one)
-        for q in vd:
-            if S.dim(sid, q + 1):
+        for q, n in vd.items():
+            n1 = vd.get(q + 1)
+            if n1:
                 d = S.diff(sid, q)
-                for i in range(vd[q]):
-                    for i2 in range(S.dim(sid, q + 1)):
+                g0, h0 = sid0[q], sid0[q + 1]
+                for i in range(n):
+                    for i2 in range(n1):
                         v = d[i2][i]
                         if not F.is_zero(v):
-                            G.add_entry((sid, q, i), (sid, q + 1, i2), F.mul(sgn_int, v))
+                            G.add_entry(g0 + i, h0 + i2, F.mul(sgn_int, v))
         for cof, sign in K.cofacets[sid]:
-            if cof not in mset:
+            cof0 = first.get(cof)
+            if cof0 is None:
                 continue
             sg = F.one if sign > 0 else F.neg(F.one)
-            for q in vd:
+            for q, n in vd.items():
+                nt = S.dim(cof, q)
+                if not nt:
+                    continue
                 rm = S.restriction_cover(sid, cof, q)
-                for i in range(vd[q]):
-                    for j in range(S.dim(cof, q)):
+                g0, h0 = sid0[q], cof0[q]
+                for i in range(n):
+                    for j in range(nt):
                         v = rm[j][i]
                         if not F.is_zero(v):
-                            G.add_entry((sid, q, i), (cof, q, j), F.mul(sg, v))
+                            G.add_entry(g0 + i, h0 + j, F.mul(sg, v))
     return G.minimize_dims()
 
 
@@ -194,8 +217,7 @@ def supported_section_dims(S, sid, z_ids):
     zset = set(z_ids)
     chains = [c for c in star_chains(S, sid) if any(e in zset for e in c)]
     G = SparseComplex(S.F)
-    _add_chain_gens(G, S, chains)
-    _chain_entries(G, S, chains, chain_set=set(chains))
+    _chain_entries(G, S, chains, _add_chain_gens(G, S, chains))
     return G.minimize_dims()
 
 
@@ -322,8 +344,8 @@ def pushforward_open(S, V, cleanup=True):
 
     chains = all_chains(K, bids)
     G = SparseComplex(F)
-    _add_chain_gens(G, S, chains, with_support=True)
-    _chain_entries(G, S, chains)
+    first = _add_chain_gens(G, S, chains, with_support=True)
+    _chain_entries(G, S, chains, first)
 
     # compatible-family map from boundary-adjacent old simplices
     far_adjacent = set()
@@ -344,7 +366,7 @@ def pushforward_open(S, V, cleanup=True):
                     for j in range(S.dim(rho, q)):
                         v = rm[j][i]
                         if not F.is_zero(v):
-                            G.add_ucol(((rho,), q, j), (sid, q, i), v)
+                            G.add_ucol(first[(rho,)][q] + j, (sid, q, i), v)
 
     if cleanup:
         G.reduce(same_support=True)
@@ -359,7 +381,7 @@ def pushforward_open(S, V, cleanup=True):
     alive = {sid: {} for sid in region}
     down_cache = {}
     for g in G.gens_sorted():
-        supp = g[0][0]
+        supp = G.support[g]
         lst = down_cache.get(supp)
         if lst is None:
             lst = [x for x in K.down_set(supp) if x in region]
@@ -384,7 +406,7 @@ def pushforward_open(S, V, cleanup=True):
             ti = index_at[sid][q + 1]
             hit = False
             for j, g in enumerate(gs):
-                for h, v in G.dout.get(g, {}).items():
+                for h, v in G.dout[g].items():
                     i = ti.get(h)
                     if i is not None:
                         m[i][j] = v

@@ -11,7 +11,6 @@ operations return new objects.
 
 from . import matrices as mx
 from .reduction import SparseComplex
-from .simplicial import canonical_simplex
 
 
 class SheafError(ValueError):
@@ -179,12 +178,14 @@ class SheafComplex:
             return got
         K = self.complex
         s, t = K.simplices[sid], K.simplices[tid]
-        missing = [v for v in t if v not in set(s)]
-        assert set(s) <= set(t) and missing
+        have = set(s)
+        missing = [v for v in t if v not in have]
+        assert have <= set(t) and missing
         cur = sid
         out = None
         for v in missing:
-            nxt = K.id_of(canonical_simplex(set(K.simplices[cur]) | {v}))
+            have.add(v)
+            nxt = K.index[tuple(u for u in t if u in have)]
             step = self.restriction_cover(cur, nxt, q)
             out = step if out is None else _mul(self.F, step, out,
                                                 self.dim(nxt, q), self.dim(cur, q), self.dim(sid, q))
@@ -201,18 +202,22 @@ class SheafComplex:
             F = self.F
             qs = self.dims.get(sid, {})
             G = SparseComplex(F)
+            first = {}
             for q in sorted(qs):
-                for i in range(qs[q]):
-                    G.add_gen((q, i), q)
+                first[q] = G.add_gen(q)
+                for _ in range(qs[q] - 1):
+                    G.add_gen(q)
             for q in sorted(qs):
-                if not self.dim(sid, q + 1):
+                n1 = qs.get(q + 1)
+                if not n1:
                     continue
                 d = self.diff(sid, q)
+                g0, h0 = first[q], first[q + 1]
                 for i in range(qs[q]):
-                    for j in range(self.dim(sid, q + 1)):
+                    for j in range(n1):
                         v = d[j][i]
                         if not F.is_zero(v):
-                            G.add_entry((q, i), (q + 1, j), v)
+                            G.add_entry(g0 + i, h0 + j, v)
             got = G.minimize_dims()
             self._stalk_cache[sid] = got
         return got

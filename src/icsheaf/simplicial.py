@@ -89,12 +89,17 @@ class SimplicialComplex:
     @lru_cache(maxsize=None)
     def up_set(self, sid):
         """Ids of all simplices containing sid (the open star), sid included."""
-        s = set(self.simplices[sid])
-        out = []
-        for i, t in enumerate(self.simplices):
-            if len(t) >= len(s) and s.issubset(t):
-                out.append(i)
-        return tuple(out)
+        seen = {sid}
+        frontier = [sid]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for c, _ in self.cofacets[i]:
+                    if c not in seen:
+                        seen.add(c)
+                        nxt.append(c)
+            frontier = nxt
+        return tuple(sorted(seen))
 
     @lru_cache(maxsize=None)
     def down_set(self, sid):
@@ -305,30 +310,6 @@ class SimplexSet:
 
     def __repr__(self):
         return "SimplexSet(%d simplices)" % len(self.ids)
-
-
-def order_chains(P, length):
-    """All strictly increasing chains s0 ⊂ … ⊂ s_length in P, lexicographic."""
-    K = P.complex
-    members = sorted(P.ids)
-    mset = P.ids
-    out = []
-
-    def extend(chain, top):
-        if len(chain) == length + 1:
-            out.append(tuple(chain))
-            return
-        # strict supersets of top inside P, ascending id order
-        for j in K.up_set(top):
-            if j == top or j not in mset:
-                continue
-            chain.append(j)
-            extend(chain, j)
-            chain.pop()
-
-    for i in members:
-        extend([i], i)
-    return sorted(out)
 
 
 def all_chains(K, members):

@@ -145,6 +145,32 @@ def chains_by_bruteforce(members, length):
     return chains
 
 
+def order_chains(P, length):
+    """All strictly increasing chains s0 ⊂ … ⊂ s_length in a SimplexSet P.
+
+    Chains of simplex ids, in lexicographic order; the package builds all
+    lengths at once with `simplicial.all_chains`.
+    """
+    K = P.complex
+    mset = P.ids
+    out = []
+
+    def extend(chain, top):
+        if len(chain) == length + 1:
+            out.append(tuple(chain))
+            return
+        for j in K.up_set(top):
+            if j == top or j not in mset:
+                continue
+            chain.append(j)
+            extend(chain, j)
+            chain.pop()
+
+    for i in sorted(mset):
+        extend([i], i)
+    return sorted(out)
+
+
 def truncated_shift_dims(h, shift, cutoff):
     """Dims of τ_{≤cutoff}(V[shift]) for a graded dimension table V."""
     out = {}

@@ -137,8 +137,7 @@ def nerve_costalk(S, sid):
     """
     chains = [c for c in sec.star_chains(S, sid) if c[0] == sid]
     G = SparseComplex(S.F)
-    sec._add_chain_gens(G, S, chains)
-    sec._chain_entries(G, S, chains)
+    sec._chain_entries(G, S, chains, sec._add_chain_gens(G, S, chains))
     d = S.complex.sdim(sid)
     return {q + d: v for q, v in G.minimize_dims().items()}
 
