@@ -10,8 +10,8 @@ closed extensions by zero at each stage.  The pure-dimensional recursion
 
 from .fields import QQ
 from . import sections as sec
-from .sheaves import (SheafComplex, CellularSheaf, SheafError, make_local_system,
-                      zero_complex)
+from .sheaves import (SheafComplex, CellularSheaf, SheafError, first_difference,
+                      make_local_system, zero_complex)
 from .stratify import (compute_open_filtration, naive_filtration,
                        validate_stratification, StratificationError, TRUST_NOTE)
 
@@ -122,25 +122,31 @@ def build_ic(strat, local_system=None, field=QQ, naive=False, verify=True):
 
 def _verify_bundle(bundle):
     """Re-check the construction invariants on the finished tower."""
-    filt = bundle.filtration
+    K = bundle.stratification.complex
     inter = bundle.intermediates
+
+    def mismatch(sid, got, want):
+        q = first_difference(got, want)
+        return "at %s: degree %d has dim %d, expected %d" % (
+            list(K.simplices[sid]), q, got.get(q, 0), want.get(q, 0))
+
     # first stage is the shifted local system sum
-    t0 = inter[0].stalk_table()
     for m, Lm in bundle.systems.items():
-        for sid in Lm.domain.ids:
+        for sid in sorted(Lm.domain.ids):
             expect = {-m: Lm.dim(sid)} if Lm.dim(sid) else {}
-            if t0.get(sid, {}) != expect:
-                raise SheafError("first stage does not match the shifted local system")
+            got = inter[0].stalk_cohomology(sid)
+            if got != expect:
+                raise SheafError("first stage does not match the shifted local system "
+                                 + mismatch(sid, got, expect))
     # each stage restricts back to the previous one
-    steps = bundle.log
-    for i, stepinfo in enumerate(steps):
+    for i in range(len(bundle.log)):
         prev, cur = inter[i], inter[i + 1]
         back = cur.restrict_open(prev.domain)
         for sid in sorted(prev.domain.ids):
-            if back.stalk_cohomology(sid) != prev.stalk_cohomology(sid):
-                raise SheafError(
-                    "stage %d does not restrict to stage %d at %r"
-                    % (i + 1, i, bundle.stratification.complex.simplices[sid]))
+            got, want = back.stalk_cohomology(sid), prev.stalk_cohomology(sid)
+            if got != want:
+                raise SheafError("stage %d does not restrict to stage %d %s"
+                                 % (i + 1, i, mismatch(sid, got, want)))
     ok, witness = sec.is_clc(bundle.ic, bundle.stratification)
     if not ok:
         raise SheafError("constructed complex is not stratumwise locally constant: %r"
@@ -225,10 +231,8 @@ def check_decomposition(bundle):
     table_sum = total.stalk_table()
     mismatch = None
     for sid in sorted(K.full_set().ids):
-        if table_direct.get(sid, {}) != table_sum.get(sid, {}):
-            degrees = sorted(set(table_direct.get(sid, {})) | set(table_sum.get(sid, {})))
-            bad = next(q for q in degrees
-                       if table_direct.get(sid, {}).get(q, 0) != table_sum.get(sid, {}).get(q, 0))
+        bad = first_difference(table_direct.get(sid, {}), table_sum.get(sid, {}))
+        if bad is not None:
             mismatch = {"simplex": list(K.simplices[sid]), "degree": bad,
                         "direct": table_direct.get(sid, {}).get(bad, 0),
                         "sum": table_sum.get(sid, {}).get(bad, 0)}

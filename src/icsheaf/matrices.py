@@ -78,10 +78,6 @@ def hstack(A, B, rows):
     return [ra + rb for ra, rb in zip(A, B)]
 
 
-def columns(A, idxs):
-    return [[row[j] for j in idxs] for row in A]
-
-
 def rref(F, A):
     """Reduced row echelon form (in place on a copy). Returns (R, pivot_cols)."""
     R = copy_matrix(A)

@@ -25,7 +25,7 @@ coefficient complex on the open part.
 
 from . import matrices as mx
 from .reduction import SparseComplex
-from .sheaves import SheafComplex, CellularSheaf, SheafError
+from .sheaves import SheafComplex, CellularSheaf, SheafError, first_difference
 from .simplicial import all_chains
 
 
@@ -221,34 +221,46 @@ def supported_section_dims(S, sid, z_ids):
     return G.minimize_dims()
 
 
+def _vanishes(F, d):
+    """Is the differential d (None where a degree is missing) zero?"""
+    return d is None or all(F.is_zero(x) for row in d for x in row)
+
+
 def truncate_le(S, a):
-    """Good truncation: degrees < a kept, degree a replaced by ker d^a."""
+    """Good truncation: degrees < a kept, degree a replaced by ker d^a.
+
+    Where d^a vanishes the kernel is all of degree a with the identity
+    basis, and the degree-a blocks pass through unchanged; elsewhere they
+    are expressed in the rref kernel basis by `solve_right`.
+    """
     F = S.F
     lo, hi = S.degree_range()
     if hi <= a:
         return S
     dims, diffs, restr = {}, {}, {}
-    kernels = {}
+    kernels = {}  # sid -> kernel basis as columns, None for the identity
     for sid, qs in S.dims.items():
         nd = {q: d for q, d in qs.items() if q < a}
-        da = S.dim(sid, a)
+        da = qs.get(a)
         if da:
-            if S.dim(sid, a + 1):
-                kb = mx.right_kernel_basis(F, S.diff(sid, a), ncols=da)
+            d = S.diff(sid, a) if qs.get(a + 1) else None
+            if _vanishes(F, d):
+                nd[a] = da
+                kernels[sid] = None
             else:
-                kb = [[F.one if i == j else F.zero for i in range(da)] for j in range(da)]
-            if kb:
-                nd[a] = len(kb)
-                kernels[sid] = mx.transpose(F, kb, cols=da)
+                kb = mx.right_kernel_basis(F, d, ncols=da)
+                if kb:
+                    nd[a] = len(kb)
+                    kernels[sid] = mx.transpose(F, kb, cols=da)
         if nd:
             dims[sid] = nd
             dm = {}
             for q in nd:
-                if q + 1 < a and S.dim(sid, q + 1):
+                if q + 1 < a and qs.get(q + 1):
                     dm[q] = S.diff(sid, q)
                 elif q + 1 == a and sid in kernels:
                     # express the image of d^{a-1} in the kernel basis
-                    dm[q] = mx.solve_right(F, kernels[sid], S.diff(sid, q), ncols=nd[a])
+                    dm[q] = _in_kernel(F, kernels[sid], S.diff(sid, q), nd[a])
             if dm:
                 diffs[sid] = dm
     for (s, t), ms in S.restrictions.items():
@@ -257,39 +269,68 @@ def truncate_le(S, a):
             if q < a:
                 rm[q] = m
             elif q == a and s in kernels and t in kernels:
-                mapped = mx.mat_mul(F, m, kernels[s])
-                rm[q] = mx.solve_right(F, kernels[t], mapped, ncols=dims[t][a])
+                ks = kernels[s]
+                mapped = m if ks is None else mx.mat_mul(F, m, ks)
+                rm[q] = _in_kernel(F, kernels[t], mapped, dims[t][a])
         if rm:
             restr[(s, t)] = rm
     return SheafComplex(F, S.complex, S.domain, dims, diffs, restr)
 
 
+def _in_kernel(F, kernel, B, n):
+    """Coordinates of the columns of B in a kernel basis (None: the identity)."""
+    if kernel is None:
+        return B
+    return mx.solve_right(F, kernel, B, ncols=n)
+
+
 def cohomology_sheaf(S, a):
-    """The degree-a cohomology sheaf with induced restriction maps."""
+    """The degree-a cohomology sheaf with induced restriction maps.
+
+    Memoized per complex and degree.  At a flat simplex, where d^(a−1) and
+    d^a both vanish, H^a is the whole value with the identity basis, so no
+    CochainCohomology is built there; a cover pair of two flat simplices
+    induces its restriction matrix.
+    """
+    got = S._coh_cache.get(a)
+    if got is not None:
+        return got
     F = S.F
-    data = {}
+    data = {}    # sid -> CochainCohomology, None at a flat simplex
     stalks = {}
     for sid in sorted(S.domain.ids):
         n = S.dim(sid, a)
         d_out = S.diff(sid, a) if S.dim(sid, a + 1) else None
         d_in = S.diff(sid, a - 1) if S.dim(sid, a - 1) else None
-        coh = mx.CochainCohomology(F, n, d_in, d_out)
-        data[sid] = coh
+        if n and _vanishes(F, d_in) and _vanishes(F, d_out):
+            data[sid] = None
+            stalks[sid] = n
+            continue
+        coh = data[sid] = mx.CochainCohomology(F, n, d_in, d_out)
         if coh.h_dim:
             stalks[sid] = coh.h_dim
+
     restr = {}
-    K = S.complex
     for (s, t) in S.domain.cover_pairs():
-        cs, ct = data[s], data[t]
-        if cs.h_dim == 0 and ct.h_dim == 0:
+        hs, ht = stalks.get(s, 0), stalks.get(t, 0)
+        if hs == 0 and ht == 0:
             continue
-        if cs.h_dim == 0:
-            restr[(s, t)] = mx.zeros(F, ct.h_dim, 0)
+        if hs == 0:
+            restr[(s, t)] = mx.zeros(F, ht, 0)
             continue
         r = S.restriction_cover(s, t, a)
-        images = [mx.mat_vec(F, r, rep) for rep in cs.reps]
-        restr[(s, t)] = ct.project(images)
-    return CellularSheaf(F, K, S.domain, stalks, restr)
+        cs, ct = data[s], data[t]
+        if cs is None and ct is None:
+            restr[(s, t)] = r
+            continue
+        # a flat end has the identity basis: its representatives are the
+        # unit vectors and the coordinates of a vector are its entries
+        images = mx.transpose(F, r, cols=hs) if cs is None \
+            else [mx.mat_vec(F, r, rep) for rep in cs.reps]
+        restr[(s, t)] = mx.transpose(F, images, cols=ht) if ct is None \
+            else ct.project(images)
+    got = S._coh_cache[a] = CellularSheaf(F, S.complex, S.domain, stalks, restr)
+    return got
 
 
 def is_clc(S, strat):
@@ -462,8 +503,11 @@ def pushforward_open(S, V, cleanup=True):
     out = SheafComplex(F, K, V, dims, diffs, restr)
     if cleanup:
         for sid in sorted(bids):
-            if out.stalk_cohomology(sid) != S.stalk_cohomology(sid):
+            got, want = out.stalk_cohomology(sid), S.stalk_cohomology(sid)
+            if got != want:
+                q = first_difference(got, want)
                 raise EngineError(
-                    "pushforward cleanup broke the section unit at %r"
-                    % (K.simplices[sid],))
+                    "pushforward cleanup broke the section unit at %s: degree %d "
+                    "has dim %d, the coefficient complex %d"
+                    % (list(K.simplices[sid]), q, got.get(q, 0), want.get(q, 0)))
     return out

@@ -6,7 +6,9 @@ from faces to cofaces); path independence makes arbitrary restrictions
 well-defined.  A SheafComplex is a finite family of such assignments
 indexed by cohomological degree together with per-simplex differentials
 commuting with the restrictions.  Everything is immutable and explicit;
-operations return new objects.
+operations return new objects, which share every matrix and value they
+leave unchanged with their inputs.  A matrix is never mutated once it is
+part of a sheaf or complex.
 """
 
 from . import matrices as mx
@@ -15,6 +17,12 @@ from .reduction import SparseComplex
 
 class SheafError(ValueError):
     pass
+
+
+def first_difference(x, y):
+    """The lowest degree at which two {degree: dim} tables differ, or None."""
+    return min((q for q in set(x) | set(y) if x.get(q, 0) != y.get(q, 0)),
+               default=None)
 
 
 def _mul(F, A, B, m, k, n):
@@ -45,8 +53,12 @@ class CellularSheaf:
 
     def is_iso(self, sid, tid):
         """Is the restriction along the cover pair sid ⋖ tid an isomorphism?"""
-        return self.dim(sid) == self.dim(tid) and \
-            mx.is_invertible(self.F, self.restriction_matrix(sid, tid))
+        n = self.dim(sid)
+        if n != self.dim(tid):
+            return False
+        r = self.restriction_matrix(sid, tid)
+        # the identity needs no elimination
+        return r == mx.identity(self.F, n) or mx.is_invertible(self.F, r)
 
     def check_path_independence(self):
         """All two-step composites between a codim-2 pair must agree."""
@@ -120,7 +132,14 @@ def make_local_system(F, complex, domain, spec):
 
 
 class SheafComplex:
-    """A bounded complex of cellular sheaves on a common domain."""
+    """A bounded complex of cellular sheaves on a common domain.
+
+    Matrices are shared with the complexes an operation was derived from
+    and are never mutated.  Derived data is cached per instance: stalk
+    cohomology (shared with restricted copies, which keep the same values)
+    and, filled by `sections.cohomology_sheaf`, one cohomology sheaf per
+    degree.
+    """
 
     def __init__(self, F, complex, domain, dims, diffs, restrictions):
         self.F = F
@@ -135,6 +154,7 @@ class SheafComplex:
         self.restrictions = restrictions
         self._stalk_cache = {}
         self._restr_cache = {}
+        self._coh_cache = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -197,7 +217,10 @@ class SheafComplex:
 
     def stalk_cohomology(self, sid):
         """Cohomology dims of the value complex at sid, by sparse reduction."""
-        got = self._stalk_cache.get(sid)
+        # the cache may be shared with the complex this one was restricted
+        # from; only values inside this domain are the same in both
+        cached = sid in self.domain.ids
+        got = self._stalk_cache.get(sid) if cached else None
         if got is None:
             F = self.F
             qs = self.dims.get(sid, {})
@@ -219,7 +242,8 @@ class SheafComplex:
                         if not F.is_zero(v):
                             G.add_entry(g0 + i, h0 + j, v)
             got = G.minimize_dims()
-            self._stalk_cache[sid] = got
+            if cached:
+                self._stalk_cache[sid] = got
         return got
 
     def stalk_table(self):
@@ -270,34 +294,51 @@ class SheafComplex:
         return SheafComplex(F, self.complex, self.domain, dims, diffs, restr)
 
     def direct_sum(self, other):
+        """Blockwise sum; where one summand has no value, the other's block is shared.
+
+        Every key of the general sum is emitted, including explicit zero
+        matrices, so the result is the same document either way.
+        """
         if self.domain != other.domain:
             raise SheafError("direct sum requires equal domains")
         if self.F is not other.F:
             raise SheafError("direct sum requires a common field")
         F = self.F
+        none = {}
         dims, diffs, restr = {}, {}, {}
         for sid in self.domain.ids:
-            qa = self.value_dims(sid)
-            qb = other.value_dims(sid)
-            qs = sorted(set(qa) | set(qb))
-            if qs:
-                dims[sid] = {q: qa.get(q, 0) + qb.get(q, 0) for q in qs}
-                dmap = {}
-                for q in qs:
-                    if dims[sid].get(q) and (qa.get(q + 1, 0) + qb.get(q + 1, 0)):
-                        dmap[q] = _block_diag(F, self.diff(sid, q), other.diff(sid, q),
-                                              qa.get(q + 1, 0), qa.get(q, 0),
-                                              qb.get(q + 1, 0), qb.get(q, 0))
-                if dmap:
-                    diffs[sid] = dmap
+            qa = self.dims.get(sid, none)
+            qb = other.dims.get(sid, none)
+            if not (qa or qb):
+                continue
+            only = other if not qa else self if not qb else None
+            nd = dims[sid] = {q: qa.get(q, 0) + qb.get(q, 0)
+                              for q in sorted(set(qa) | set(qb))}
+            dmap = {}
+            for q in nd:
+                if not nd.get(q + 1):
+                    continue
+                if only is not None:
+                    dmap[q] = only.diff(sid, q)
+                else:
+                    dmap[q] = _block_diag(F, self.diff(sid, q), other.diff(sid, q),
+                                          qa.get(q + 1, 0), qa.get(q, 0),
+                                          qb.get(q + 1, 0), qb.get(q, 0))
+            if dmap:
+                diffs[sid] = dmap
         for (s, t) in self.domain.cover_pairs():
+            sa, ta = self.dims.get(s, none), self.dims.get(t, none)
+            sb, tb = other.dims.get(s, none), other.dims.get(t, none)
+            only = other if not (sa or ta) else self if not (sb or tb) else None
             rmap = {}
-            for q in sorted(set(self.value_dims(s)) | set(other.value_dims(s))
-                            | set(self.value_dims(t)) | set(other.value_dims(t))):
-                rmap[q] = _block_diag(F, self.restriction_cover(s, t, q),
-                                      other.restriction_cover(s, t, q),
-                                      self.dim(t, q), self.dim(s, q),
-                                      other.dim(t, q), other.dim(s, q))
+            for q in sorted(set(sa) | set(sb) | set(ta) | set(tb)):
+                if only is not None:
+                    rmap[q] = only.restriction_cover(s, t, q)
+                else:
+                    rmap[q] = _block_diag(F, self.restriction_cover(s, t, q),
+                                          other.restriction_cover(s, t, q),
+                                          ta.get(q, 0), sa.get(q, 0),
+                                          tb.get(q, 0), sb.get(q, 0))
             if rmap:
                 restr[(s, t)] = rmap
         return SheafComplex(F, self.complex, self.domain, dims, diffs, restr)
@@ -317,7 +358,9 @@ class SheafComplex:
         diffs = {s: ms for s, ms in self.diffs.items() if s in subset.ids}
         restr = {p: ms for p, ms in self.restrictions.items()
                  if p[0] in subset.ids and p[1] in subset.ids}
-        return SheafComplex(self.F, self.complex, subset, dims, diffs, restr)
+        out = SheafComplex(self.F, self.complex, subset, dims, diffs, restr)
+        out._stalk_cache = self._stalk_cache
+        return out
 
     def extend_by_zero(self, ambient):
         """Extension by zero to an ambient SimplexSet containing the domain.

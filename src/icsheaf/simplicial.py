@@ -15,6 +15,11 @@ class ComplexError(ValueError):
     pass
 
 
+# A maximal simplex on k vertices closes down to 2^k − 1 faces; inputs are
+# rejected above this many vertices (dimension 15) before any expansion.
+MAX_SIMPLEX_VERTICES = 16
+
+
 def _vertex_key(v):
     # deterministic order for mixed int/str vertex ids
     return (0, v, "") if isinstance(v, int) else (1, 0, str(v))
@@ -38,6 +43,9 @@ class SimplicialComplex:
             t = canonical_simplex(m)
             if not t:
                 raise ComplexError("empty simplex in input")
+            if len(t) > MAX_SIMPLEX_VERTICES:
+                raise ComplexError("simplex with %d vertices exceeds the limit of %d"
+                                   % (len(t), MAX_SIMPLEX_VERTICES))
             for v in t:
                 if v not in vset:
                     raise ComplexError("unknown vertex id %r" % (v,))
@@ -79,9 +87,6 @@ class SimplicialComplex:
         if t not in self.index:
             raise ComplexError("unknown simplex %r" % (list(simplex),))
         return self.index[t]
-
-    def simplex(self, sid):
-        return self.simplices[sid]
 
     def sdim(self, sid):
         return len(self.simplices[sid]) - 1

@@ -2,6 +2,7 @@ import pytest
 
 from icsheaf import demos
 from icsheaf.deligne import build_ic
+from icsheaf.fields import field_by_name
 from icsheaf.stratify import validate_stratification
 
 
@@ -16,9 +17,23 @@ def spaces():
 
 
 @pytest.fixture(scope="session")
-def built(spaces):
+def build_of(spaces):
+    """build_of(name, field="q", naive=False) -> ICBundle, built once per session."""
+    cache = {}
+
+    def get(name, field="q", naive=False):
+        key = (name, field, naive)
+        if key not in cache:
+            cache[key] = build_ic(spaces[name][1], field=field_by_name(field),
+                                  naive=naive)
+        return cache[key]
+    return get
+
+
+@pytest.fixture(scope="session")
+def built(build_of):
     """name -> ICBundle for the minimal stratification (canonical build)."""
-    return {name: build_ic(strat) for name, (K, strat) in spaces.items()}
+    return {name: build_of(name) for name in demos.DEMO_NAMES}
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,10 @@ Everything here is written from scratch against the definitions: its own
 rational Gaussian elimination, its own simplicial cochain complex, brute
 force set enumerations, and the Mayer-Vietoris bookkeeping for suspensions.
 Nothing imports the package's linear algebra or section machinery, so these
-results are independent of the code paths they check.
+results are independent of the code paths they check.  The exceptions are
+the reference versions of package code that a faster path replaced, kept
+as they were so the tests can compare the two (`order_chains`,
+`cohomology_sheaf_reference`).
 """
 
 from fractions import Fraction
@@ -200,3 +203,36 @@ def suspension_ic_hyperco(h_m, n=2):
         if v:
             out[q] = v
     return out
+
+
+def cohomology_sheaf_reference(S, a):
+    """The degree-a cohomology sheaf, one CochainCohomology per simplex.
+
+    `sections.cohomology_sheaf` before its flat path and memo: every stalk
+    gets a kernel and image basis, and every restriction is projected.
+    """
+    from icsheaf import matrices as mx
+    from icsheaf.sheaves import CellularSheaf
+    F = S.F
+    data = {}
+    stalks = {}
+    for sid in sorted(S.domain.ids):
+        n = S.dim(sid, a)
+        d_out = S.diff(sid, a) if S.dim(sid, a + 1) else None
+        d_in = S.diff(sid, a - 1) if S.dim(sid, a - 1) else None
+        coh = mx.CochainCohomology(F, n, d_in, d_out)
+        data[sid] = coh
+        if coh.h_dim:
+            stalks[sid] = coh.h_dim
+    restr = {}
+    for (s, t) in S.domain.cover_pairs():
+        cs, ct = data[s], data[t]
+        if cs.h_dim == 0 and ct.h_dim == 0:
+            continue
+        if cs.h_dim == 0:
+            restr[(s, t)] = mx.zeros(F, ct.h_dim, 0)
+            continue
+        r = S.restriction_cover(s, t, a)
+        images = [mx.mat_vec(F, r, rep) for rep in cs.reps]
+        restr[(s, t)] = ct.project(images)
+    return CellularSheaf(F, S.complex, S.domain, stalks, restr)

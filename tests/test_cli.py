@@ -44,8 +44,13 @@ def test_exit_code_contract(tmp_path, capsys):
     null = _bad_space(tmp_path, "null", dict(cdoc, vertices=None), sdoc)
     word_key = _bad_space(tmp_path, "word-key", cdoc,
                           {"levels": dict(sdoc["levels"], zero=[[0]])})
+    # rejected before its 2^64 - 1 faces are expanded
+    huge = _bad_space(tmp_path, "huge",
+                      {"vertices": list(range(64)), "maximal_simplices": [list(range(64))]},
+                      {"levels": {"0": []}})
     capsys.readouterr()
     for argv in (["validate", nested], ["validate", null], ["validate", word_key],
+                 ["validate", huge],
                  ["costalks", "demo:wedge", "--sample", "x"],
                  ["compare", "demo:wedge", "--refine", "extra-point:x"]):
         assert run(argv + ["--out", o]) == 1, argv

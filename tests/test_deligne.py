@@ -1,8 +1,9 @@
 import pytest
 
 from icsheaf import demos
-from icsheaf.deligne import (build_ic, build_ic_pure, check_decomposition,
-                             clc_coarsen, compare_stratifications)
+from icsheaf.deligne import (ICBundle, _verify_bundle, build_ic, build_ic_pure,
+                             check_decomposition, clc_coarsen,
+                             compare_stratifications)
 from icsheaf.fields import QQ
 from icsheaf import sections as sec
 from icsheaf.sheaves import SheafError, constant_complex
@@ -117,6 +118,43 @@ def test_susp_oracle_and_duality(built):
     # duality smoke test: the dimension vector is palindromic
     dims = [got.get(q, 0) for q in range(-2, 3)]
     assert dims == dims[::-1]
+
+
+@pytest.mark.parametrize("name", demos.DEMO_NAMES)
+def test_verdier_self_duality(build_of, spaces, name):
+    # the middle-perversity IC with constant coefficients is Verdier self-dual
+    # (Goresky-MacPherson, Intersection Homology II): costalk^a = stalk^-a on
+    # every simplex.  The naive builds are negative controls: they break it
+    # exactly at nonpure-wedge's cone point and on fake-surface's fake sphere.
+    K, strat = spaces[name]
+    expect_bad = set()
+    if name == "nonpure-wedge":
+        expect_bad = {(12,)}
+    elif name == "fake-surface":
+        expect_bad = {K.simplices[sid] for sid in demos.fake_surface_stratum_ids(K)}
+        assert len(expect_bad) == 14
+    for naive in (False, True):
+        S = build_of(name, "fp:32003", naive).ic
+        bad = {K.simplices[sid] for sid in sorted(K.full_set().ids)
+               if sec.cell_costalk(S, sid)
+               != {-q: d for q, d in S.stalk_cohomology(sid).items()}}
+        assert bad == (expect_bad if naive else set()), naive
+
+
+@pytest.mark.parametrize("stage", (0, -1), ids=("first", "last"))
+def test_verify_names_simplex_degree_and_dims(built, stage):
+    # a tower with one stage shifted by one degree fails verification with
+    # the simplex, the first differing degree and both dims in the message
+    b = built["wedge"]
+    tower = list(b.intermediates)
+    tower[stage] = tower[stage].shift(1)
+    bad = ICBundle(b.stratification, b.filtration, b.systems, tower, b.log,
+                   b.field, b.naive)
+    what = ("first stage does not match the shifted local system" if stage == 0
+            else "stage 2 does not restrict to stage 1")
+    with pytest.raises(SheafError, match=r"^%s at \[\d+(, \d+)*\]: "
+                       r"degree -\d has dim 1, expected 0$" % what):
+        _verify_bundle(bad)
 
 
 def test_susp_cone_point_stalk(built, spaces):

@@ -89,19 +89,118 @@ def test_gens_sorted_is_ascending():
     assert live == sorted(G.degree) and 0 < len(live) < len(faces)
 
 
-# sha256 of reports.sheaf_complex_doc(ic) for the canonical QQ build of every
-# bundled demo, recorded before generators became integer ids.  fake-surface
-# shares the wedge's complex, and its minimal stratification gives the same IC.
-PINNED_IC_SHA256 = {
-    "wedge": "4082d4f77f686ca7baf92fbd52b1cfb4c62343191ed62a3194e044abdaac19da",
-    "pinched-torus": "3dcb6b45504e37a2cc652a36f24ab39174036bf7c7156c250671b8f6e2aecf78",
-    "susp-s1xs2": "744517eea06fbd45f68a6c9859e0dfd6f961d96a2ab4e4cff52417d0620370a8",
-    "nonpure-wedge": "ba1a368dfd0b0d8691b43d1a48076933d73330d2c7ccfc2b4d884cadea391b7f",
-    "fake-surface": "4082d4f77f686ca7baf92fbd52b1cfb4c62343191ed62a3194e044abdaac19da",
+# sha256 of reports.sheaf_complex_doc for every stage of the tower (the
+# intermediates, the IC last), per (demo, field, naive), recorded on the
+# parent commits before generators became integer ids (the final canonical
+# QQ documents) and before direct sums, truncation and cohomology sheaves
+# passed unchanged blocks through (every stage).  fake-surface shares the
+# wedge's complex, and its minimal stratification gives the same IC.
+PINNED_TOWER_SHA256 = {
+    ("wedge", "q", False): (
+        "b6e78a50c61baaf9b3031504b86731406926f7f5a9a56b4ef78f0132576c3b99",
+        "b6e78a50c61baaf9b3031504b86731406926f7f5a9a56b4ef78f0132576c3b99",
+        "4082d4f77f686ca7baf92fbd52b1cfb4c62343191ed62a3194e044abdaac19da",
+    ),
+    ("wedge", "q", True): (
+        "b6e78a50c61baaf9b3031504b86731406926f7f5a9a56b4ef78f0132576c3b99",
+        "4082d4f77f686ca7baf92fbd52b1cfb4c62343191ed62a3194e044abdaac19da",
+    ),
+    ("wedge", "fp:32003", False): (
+        "aeb542450190ce7d6438b2c8dec654c5a7bc8ea147698fe9df8b7d2a7b21f593",
+        "aeb542450190ce7d6438b2c8dec654c5a7bc8ea147698fe9df8b7d2a7b21f593",
+        "70c3b6bd784cb37988732d11fb9d55c339fc0e4de730666dea594c3353cc317c",
+    ),
+    ("wedge", "fp:32003", True): (
+        "aeb542450190ce7d6438b2c8dec654c5a7bc8ea147698fe9df8b7d2a7b21f593",
+        "70c3b6bd784cb37988732d11fb9d55c339fc0e4de730666dea594c3353cc317c",
+    ),
+    ("pinched-torus", "q", False): (
+        "5274090dc9950b7b1d90f597ea507836cd32eb96a1079cb3215e2558cfeb2d63",
+        "3dcb6b45504e37a2cc652a36f24ab39174036bf7c7156c250671b8f6e2aecf78",
+    ),
+    ("pinched-torus", "q", True): (
+        "5274090dc9950b7b1d90f597ea507836cd32eb96a1079cb3215e2558cfeb2d63",
+        "3dcb6b45504e37a2cc652a36f24ab39174036bf7c7156c250671b8f6e2aecf78",
+    ),
+    ("pinched-torus", "fp:32003", False): (
+        "35574f402f072688e5ba4b0db1cfae575c6b53bc776187efe301d5d3efb545bd",
+        "4dbdcd1d780a56bc49d469708d71c48ed73322086679bd7d54a13f32f52c63a5",
+    ),
+    ("pinched-torus", "fp:32003", True): (
+        "35574f402f072688e5ba4b0db1cfae575c6b53bc776187efe301d5d3efb545bd",
+        "4dbdcd1d780a56bc49d469708d71c48ed73322086679bd7d54a13f32f52c63a5",
+    ),
+    ("susp-s1xs2", "q", False): (
+        "8c7206c8a559c8fc1ad0036b8d226835dd2544301c5452a8e64b51060fcbe232",
+        "8c7206c8a559c8fc1ad0036b8d226835dd2544301c5452a8e64b51060fcbe232",
+        "744517eea06fbd45f68a6c9859e0dfd6f961d96a2ab4e4cff52417d0620370a8",
+    ),
+    ("susp-s1xs2", "q", True): (
+        "8c7206c8a559c8fc1ad0036b8d226835dd2544301c5452a8e64b51060fcbe232",
+        "8c7206c8a559c8fc1ad0036b8d226835dd2544301c5452a8e64b51060fcbe232",
+        "744517eea06fbd45f68a6c9859e0dfd6f961d96a2ab4e4cff52417d0620370a8",
+    ),
+    ("susp-s1xs2", "fp:32003", False): (
+        "6fef311a8bd808f651f32e9fda5db1e1ab354b2951167432ef6f5f3f6743f3d6",
+        "6fef311a8bd808f651f32e9fda5db1e1ab354b2951167432ef6f5f3f6743f3d6",
+        "612ce4a7680e20443ea54da62efd8137a2e6983c724d6d279faff21f17c32246",
+    ),
+    ("susp-s1xs2", "fp:32003", True): (
+        "6fef311a8bd808f651f32e9fda5db1e1ab354b2951167432ef6f5f3f6743f3d6",
+        "6fef311a8bd808f651f32e9fda5db1e1ab354b2951167432ef6f5f3f6743f3d6",
+        "612ce4a7680e20443ea54da62efd8137a2e6983c724d6d279faff21f17c32246",
+    ),
+    ("nonpure-wedge", "q", False): (
+        "46f0553f3c32e5360ca406eb944e7386af732c35d6a0bcb1da599cc5893e80a5",
+        "46f0553f3c32e5360ca406eb944e7386af732c35d6a0bcb1da599cc5893e80a5",
+        "ba1a368dfd0b0d8691b43d1a48076933d73330d2c7ccfc2b4d884cadea391b7f",
+    ),
+    ("nonpure-wedge", "q", True): (
+        "46f0553f3c32e5360ca406eb944e7386af732c35d6a0bcb1da599cc5893e80a5",
+        "3b3b4bcd6d1fdc7b956a3ac6d86a9daed90864991a3d5001b23294455bdb0e61",
+        "bab86721bc303a4dd6345dfeea9db83cf66491b5a7be780ffb139434b9a5cc99",
+    ),
+    ("nonpure-wedge", "fp:32003", False): (
+        "92d30548cc31194a57390c5db7dcabd8081414830ec607061b92c47bfebcb23c",
+        "92d30548cc31194a57390c5db7dcabd8081414830ec607061b92c47bfebcb23c",
+        "4461a5b75e016401f4a97b9653861e160036a0415ee9691c1d15d72a93b5b4ee",
+    ),
+    ("nonpure-wedge", "fp:32003", True): (
+        "92d30548cc31194a57390c5db7dcabd8081414830ec607061b92c47bfebcb23c",
+        "8f2b40ddffca474f1e85edaeb5308905fae895dcd4c5d90f06168f8d5dfac3db",
+        "5686a4c3c15ce2bfe6a74cc7b0f4f6a4ebe313ca8c1d0ae2a64fe69f4b31ede1",
+    ),
+    ("fake-surface", "q", False): (
+        "1de152b91d44cc6d09e0d0d8b224c3b9118285094a42c487cf1005eef41f4ce4",
+        "b6e78a50c61baaf9b3031504b86731406926f7f5a9a56b4ef78f0132576c3b99",
+        "4082d4f77f686ca7baf92fbd52b1cfb4c62343191ed62a3194e044abdaac19da",
+    ),
+    ("fake-surface", "q", True): (
+        "1de152b91d44cc6d09e0d0d8b224c3b9118285094a42c487cf1005eef41f4ce4",
+        "d06ed615d77837d7aa57a56e4a7a09e35c9ea961cd253868cc0f5bbea7aec4d7",
+    ),
+    ("fake-surface", "fp:32003", False): (
+        "5af4a958695ca9b9fa112904710042899e24ce6b1b8af6f977295f1ca2632a61",
+        "aeb542450190ce7d6438b2c8dec654c5a7bc8ea147698fe9df8b7d2a7b21f593",
+        "70c3b6bd784cb37988732d11fb9d55c339fc0e4de730666dea594c3353cc317c",
+    ),
+    ("fake-surface", "fp:32003", True): (
+        "5af4a958695ca9b9fa112904710042899e24ce6b1b8af6f977295f1ca2632a61",
+        "1eb0fcf2fc94b11965b1f9d7751b5be99cbeb206801dad054ee8caa7566527a5",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", demos.DEMO_NAMES)
 def test_ic_document_is_pinned(built, name):
     assert reports.sha256_of(reports.sheaf_complex_doc(built[name].ic)) \
-        == PINNED_IC_SHA256[name]
+        == PINNED_TOWER_SHA256[(name, "q", False)][-1]
+
+
+@pytest.mark.parametrize("naive", (False, True), ids=("canonical", "naive"))
+@pytest.mark.parametrize("field", ("q", "fp:32003"))
+@pytest.mark.parametrize("name", demos.DEMO_NAMES)
+def test_tower_documents_are_pinned(build_of, name, field, naive):
+    tower = build_of(name, field, naive).intermediates
+    assert tuple(reports.sha256_of(reports.sheaf_complex_doc(S)) for S in tower) \
+        == PINNED_TOWER_SHA256[(name, field, naive)]

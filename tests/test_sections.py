@@ -275,6 +275,44 @@ def test_cohomology_sheaf_restrictions(built):
                for (s, t) in H.domain.cover_pairs() if s in s2 and t in s2)
 
 
+@pytest.mark.parametrize("naive", (False, True), ids=("canonical", "naive"))
+@pytest.mark.parametrize("field", ("q", "fp:32003"))
+def test_cohomology_sheaf_matches_reference(build_of, field, naive):
+    # the flat path and the memo against one CochainCohomology per simplex
+    flat = 0
+    for name in demos.DEMO_NAMES:
+        S = build_of(name, field, naive).ic
+        lo, hi = S.degree_range()
+        for a in range(lo - 1, hi + 2):
+            H, ref = sec.cohomology_sheaf(S, a), oracles.cohomology_sheaf_reference(S, a)
+            assert H.stalk_dim == ref.stalk_dim, (name, a)
+            assert H.restriction == ref.restriction, (name, a)
+            flat += sum(H.restriction[p] is S.restrictions.get(p, {}).get(a)
+                        for p in H.restriction)
+    assert flat  # the flat path was taken
+
+
+def test_cohomology_sheaf_is_memoized(built):
+    S = built["wedge"].ic
+    H = sec.cohomology_sheaf(S, -1)
+    assert sec.cohomology_sheaf(S, -1) is H
+    T = S.restrict_open(S.domain)
+    assert sec.cohomology_sheaf(T, -1) is not H
+
+
+def test_restricted_copies_share_stalk_values(built):
+    b = built["wedge"]
+    S, U1 = b.ic, b.filtration.U[1]
+    back = S.restrict_open(U1)
+    for sid in sorted(U1.ids):
+        assert back.stalk_cohomology(sid) is S.stalk_cohomology(sid)
+    # outside its domain a restricted copy has no value, whatever the parent has
+    v0 = S.complex.id_of([0])
+    assert S.stalk_cohomology(v0) == {-2: 1, -1: 1}
+    assert back.stalk_cohomology(v0) == {}
+    assert S.stalk_cohomology(v0) == {-2: 1, -1: 1}
+
+
 def test_pushforward_unit_property(built, spaces):
     # stalks over the old open set are unchanged by any pushforward
     for name in ("wedge", "susp-s1xs2"):
