@@ -105,8 +105,11 @@ def build_ic(strat, local_system=None, field=QQ, naive=False, verify=True):
                 k2 += 1
         cutoff = k2 - 1 - n
         target = filt.U[k2 + 1]
-        pushed = sec.pushforward_open(I, target)
-        trunc = sec.truncate_le(pushed, cutoff)
+        try:
+            pushed = sec.pushforward_open(I, target)
+            trunc = sec.truncate_le(pushed, cutoff)
+        except sec.EngineError as e:
+            raise type(e)("step %d (collapsed through %d): %s" % (k, k2, e)) from e
         attach = _attach_systems(F, K, systems, target, upto=n - k2, raw=naive)
         I = trunc.direct_sum(attach)
         log.append({"step": k, "collapsed_through": k2, "cutoff": cutoff,

@@ -4,6 +4,11 @@ Matrices are lists of rows of field elements.  A matrix representing a
 linear map V -> W has shape (dim W, dim V) and acts on column vectors.
 Everything here is deterministic: pivots are chosen by scan order, kernel
 bases come out of the reduced echelon form in column order.
+
+Coordinate rule: the kernel basis of `kernel` is the identity on the free
+(non-pivot) columns, so the coordinates of any vector of ker A in that
+basis are its entries at the free columns.  Nothing here solves a linear
+system; callers read coordinates and check membership (A · v = 0).
 """
 
 
@@ -25,13 +30,6 @@ def copy_matrix(A):
 
 def shape(A):
     return (len(A), len(A[0]) if A else 0)
-
-
-def transpose(F, A, cols=None):
-    r, c = shape(A)
-    if c == 0 and cols is not None:
-        c = cols
-    return [[A[i][j] for i in range(r)] for j in range(c)]
 
 
 def mat_mul(F, A, B):
@@ -57,25 +55,6 @@ def mat_mul(F, A, B):
 
 def mat_scale(F, c, A):
     return [[F.mul(c, a) for a in row] for row in A]
-
-
-def mat_vec(F, A, v):
-    out = []
-    for row in A:
-        s = F.zero
-        for a, x in zip(row, v):
-            if not (F.is_zero(a) or F.is_zero(x)):
-                s = F.add(s, F.mul(a, x))
-        out.append(s)
-    return out
-
-
-def hstack(A, B, rows):
-    if not A:
-        A = [[] for _ in range(rows)]
-    if not B:
-        B = [[] for _ in range(rows)]
-    return [ra + rb for ra, rb in zip(A, B)]
 
 
 def rref(F, A):
@@ -118,105 +97,26 @@ def rank(F, A):
     return len(rref(F, A)[1])
 
 
-def right_kernel_basis(F, A, ncols=None):
-    """Basis of {x : Ax = 0} as a list of column vectors, canonical order."""
-    if ncols is None:
-        ncols = shape(A)[1]
-    if ncols == 0:
-        return []
-    if not A:
-        return [[F.one if i == j else F.zero for i in range(ncols)]
-                for j in range(ncols)]
+def kernel(F, A, ncols):
+    """Kernel {x : Ax = 0} as (basis columns, free columns).
+
+    The basis is an (ncols × len(free)) matrix read off the rref of A:
+    column j is the unit vector at free[j] minus the rref entries of
+    free[j] at the pivot rows.  The rows `free` of the basis form the
+    identity, so the coordinates of a vector in the kernel are its entries
+    at the free columns.
+    """
     R, pivots = rref(F, A)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [F.zero] * ncols
-        v[fc] = F.one
+    K = zeros(F, ncols, len(free))
+    for j, fc in enumerate(free):
+        K[fc][j] = F.one
         for r, pc in enumerate(pivots):
-            v[pc] = F.neg(R[r][fc])
-        basis.append(v)
-    return basis
-
-
-def solve_right(F, A, B, ncols=None):
-    """X with A X = B (B a matrix of column targets). Raises on inconsistency."""
-    nr, nc = shape(A)
-    if ncols is not None:
-        nc = ncols
-    nb = shape(B)[1] if B else 0
-    aug = hstack(A if A else [[] for _ in range(nr)], B, nr)
-    R, pivots = rref(F, aug)
-    for c in pivots:
-        if c >= nc:
-            raise ValueError("inconsistent linear system")
-    X = zeros(F, nc, nb)
-    for r, pc in enumerate(pivots):
-        for j in range(nb):
-            X[pc][j] = R[r][nc + j]
-    return X
+            K[pc][j] = F.neg(R[r][fc])
+    return K, free
 
 
 def is_invertible(F, A):
     nr, nc = shape(A)
     return nr == nc and rank(F, A) == nr
-
-
-def basis_extension(F, B, K):
-    """Indices of columns of K extending the column span of B to span(B)+span(K).
-
-    B and K are matrices with the same row count; returns the canonical
-    (leftmost) selection of K-columns.
-    """
-    rows = len(B) if B else (len(K) if K else 0)
-    nb = shape(B)[1] if B else 0
-    aug = hstack(B, K, rows)
-    _, pivots = rref(F, aug)
-    return [c - nb for c in pivots if c >= nb]
-
-
-class CochainCohomology:
-    """Cohomology of one degree of a cochain complex, with induced-map support.
-
-    Holds a canonical basis of H = ker(d_out)/im(d_in) represented by
-    column vectors in the ambient space, plus enough data to project any
-    cocycle onto H-coordinates.
-    """
-
-    def __init__(self, F, dim, d_in, d_out):
-        # d_in: matrix into this degree (or None), d_out: matrix out (or None)
-        self.F = F
-        self.dim = dim
-        if dim == 0:
-            self.h_dim = 0
-            self.reps = []
-            self._proj_basis = None
-            return
-        if d_out is not None and len(d_out) > 0:
-            kernel = right_kernel_basis(F, d_out, ncols=dim)
-        else:
-            kernel = [[F.one if i == j else F.zero for i in range(dim)]
-                      for j in range(dim)]
-        K = transpose(F, kernel, cols=dim) if kernel else [[] for _ in range(dim)]
-        if d_in is not None and shape(d_in)[1] > 0:
-            Bim = d_in
-        else:
-            Bim = [[] for _ in range(dim)]
-        ext = basis_extension(F, Bim, K)
-        self.reps = [kernel[j] for j in ext]
-        self.h_dim = len(self.reps)
-        # ambient-basis matrix [im | reps] used to read off H-coordinates
-        reps_mat = transpose(F, self.reps, cols=dim) if self.reps else [[] for _ in range(dim)]
-        self._proj_basis = hstack(Bim, reps_mat, dim)
-        self._n_im = shape(Bim)[1]
-
-    def project(self, vectors):
-        """H-coordinates of cocycle column vectors: returns (h_dim, len(vectors)) matrix."""
-        F = self.F
-        if self.h_dim == 0:
-            return zeros(F, 0, len(vectors))
-        B = transpose(F, vectors, cols=self.dim)
-        X = solve_right(F, self._proj_basis, B)
-        return [X[self._n_im + i] for i in range(self.h_dim)]
-

@@ -190,13 +190,6 @@ def hypercohomology(S, subset=None):
     return rgamma_dims(S, A.ids)
 
 
-def star_chains(S, sid):
-    """All chains of the subposet up(sid) ∩ domain."""
-    K = S.complex
-    members = [i for i in K.up_set(sid) if i in S.domain.ids]
-    return all_chains(K, members)
-
-
 def cell_costalk(S, sid):
     """Costalk dims at a simplex: compactly supported cochains of its open star.
 
@@ -206,19 +199,6 @@ def cell_costalk(S, sid):
     if sid not in S.domain.ids:
         raise SheafError("simplex outside the domain")
     return rgamma_cellular_dims(S, S.complex.up_set(sid))
-
-
-def supported_section_dims(S, sid, z_ids):
-    """Dims of the sections-supported-on-Z stalk at sid (no shift).
-
-    Z must be closed in the domain near the star; the complex is the kernel
-    of sections over the star mapping onto sections over star ∖ Z.
-    """
-    zset = set(z_ids)
-    chains = [c for c in star_chains(S, sid) if any(e in zset for e in c)]
-    G = SparseComplex(S.F)
-    _chain_entries(G, S, chains, _add_chain_gens(G, S, chains))
-    return G.minimize_dims()
 
 
 def _vanishes(F, d):
@@ -231,14 +211,14 @@ def truncate_le(S, a):
 
     Where d^a vanishes the kernel is all of degree a with the identity
     basis, and the degree-a blocks pass through unchanged; elsewhere they
-    are expressed in the rref kernel basis by `solve_right`.
+    are read in the rref kernel basis at its free columns (`_coordinates`).
     """
     F = S.F
     lo, hi = S.degree_range()
     if hi <= a:
         return S
     dims, diffs, restr = {}, {}, {}
-    kernels = {}  # sid -> kernel basis as columns, None for the identity
+    kernels = {}  # sid -> (d^a, basis columns, free columns), None for the identity
     for sid, qs in S.dims.items():
         nd = {q: d for q, d in qs.items() if q < a}
         da = qs.get(a)
@@ -248,10 +228,10 @@ def truncate_le(S, a):
                 nd[a] = da
                 kernels[sid] = None
             else:
-                kb = mx.right_kernel_basis(F, d, ncols=da)
-                if kb:
-                    nd[a] = len(kb)
-                    kernels[sid] = mx.transpose(F, kb, cols=da)
+                kb, free = mx.kernel(F, d, da)
+                if free:
+                    nd[a] = len(free)
+                    kernels[sid] = (d, kb, free)
         if nd:
             dims[sid] = nd
             dm = {}
@@ -259,8 +239,9 @@ def truncate_le(S, a):
                 if q + 1 < a and qs.get(q + 1):
                     dm[q] = S.diff(sid, q)
                 elif q + 1 == a and sid in kernels:
-                    # express the image of d^{a-1} in the kernel basis
-                    dm[q] = _in_kernel(F, kernels[sid], S.diff(sid, q), nd[a])
+                    # the image of d^{a-1} in the kernel basis
+                    dm[q] = _coordinates(S, kernels[sid], S.diff(sid, q), a,
+                                         "differential", (sid,))
             if dm:
                 diffs[sid] = dm
     for (s, t), ms in S.restrictions.items():
@@ -270,65 +251,94 @@ def truncate_le(S, a):
                 rm[q] = m
             elif q == a and s in kernels and t in kernels:
                 ks = kernels[s]
-                mapped = m if ks is None else mx.mat_mul(F, m, ks)
-                rm[q] = _in_kernel(F, kernels[t], mapped, dims[t][a])
+                mapped = m if ks is None else mx.mat_mul(F, m, ks[1])
+                rm[q] = _coordinates(S, kernels[t], mapped, a, "restriction", (s, t))
         if rm:
             restr[(s, t)] = rm
     return SheafComplex(F, S.complex, S.domain, dims, diffs, restr)
 
 
-def _in_kernel(F, kernel, B, n):
-    """Coordinates of the columns of B in a kernel basis (None: the identity)."""
-    if kernel is None:
+def _coordinates(S, kern, B, a, what, sids):
+    """Coordinates of the columns of B in a degree-a kernel basis.
+
+    kern is (d^a, basis, free columns), or None for the identity basis,
+    where B is returned as it is.  The coordinates are the rows `free` of
+    B, once d^a · B = 0 confirms that every column lies in the kernel; a
+    column outside it raises EngineError naming the block (`what`, the
+    differential or a restriction), its simplices `sids` and the degree.
+    """
+    if kern is None:
         return B
-    return mx.solve_right(F, kernel, B, ncols=n)
+    d, _, free = kern
+    if not _vanishes(S.F, mx.mat_mul(S.F, d, B)):
+        at = " -> ".join(str(list(S.complex.simplices[i])) for i in sids)
+        raise EngineError("the %s at %s in degree %d does not land in ker d^%d"
+                          % (what, at, a, a))
+    return [B[f] for f in free]
 
 
 def cohomology_sheaf(S, a):
     """The degree-a cohomology sheaf with induced restriction maps.
 
     Memoized per complex and degree.  At a flat simplex, where d^(a−1) and
-    d^a both vanish, H^a is the whole value with the identity basis, so no
-    CochainCohomology is built there; a cover pair of two flat simplices
-    induces its restriction matrix.
+    d^a both vanish, H^a is the whole value with the identity basis, and a
+    cover pair of two flat simplices induces its restriction matrix.
+    Elsewhere the image of d^(a−1) is read in the kernel basis of d^a and
+    reduced to echelon form from the last coordinate down; the
+    representatives are the kernel basis vectors at the coordinates where
+    no image vector ends (the leftmost basis of H^a), and H-coordinates
+    are one product with the annihilator of the image, which is `kernel`
+    of the image rows with their coordinates reversed.
     """
     got = S._coh_cache.get(a)
     if got is not None:
         return got
     F = S.F
-    data = {}    # sid -> CochainCohomology, None at a flat simplex
+    data = {}    # sid -> (kernel, representatives, annihilator), None where flat
     stalks = {}
     for sid in sorted(S.domain.ids):
         n = S.dim(sid, a)
+        if not n:
+            continue
         d_out = S.diff(sid, a) if S.dim(sid, a + 1) else None
         d_in = S.diff(sid, a - 1) if S.dim(sid, a - 1) else None
-        if n and _vanishes(F, d_in) and _vanishes(F, d_out):
-            data[sid] = None
-            stalks[sid] = n
+        flat_in = _vanishes(F, d_in)
+        if _vanishes(F, d_out):
+            if flat_in:
+                data[sid] = None
+                stalks[sid] = n
+                continue
+            kern, K, k = None, mx.identity(F, n), n
+        else:
+            K, free = mx.kernel(F, d_out, n)
+            kern, k = (d_out, K, free), len(free)
+        image = [] if flat_in else _coordinates(S, kern, d_in, a, "differential", (sid,))
+        rev = [[row[i] for row in reversed(image)] for i in range(len(image[0]))] \
+            if image else []
+        P, pfree = mx.kernel(F, rev, k)
+        h = len(pfree)
+        if not h:
             continue
-        coh = data[sid] = mx.CochainCohomology(F, n, d_in, d_out)
-        if coh.h_dim:
-            stalks[sid] = coh.h_dim
+        reps = [k - 1 - f for f in reversed(pfree)]
+        data[sid] = (kern, [[row[j] for j in reps] for row in K],
+                     [[P[k - 1 - j][h - 1 - i] for j in range(k)] for i in range(h)])
+        stalks[sid] = h
 
     restr = {}
     for (s, t) in S.domain.cover_pairs():
         hs, ht = stalks.get(s, 0), stalks.get(t, 0)
         if hs == 0 and ht == 0:
             continue
-        if hs == 0:
-            restr[(s, t)] = mx.zeros(F, ht, 0)
+        if hs == 0 or ht == 0:
+            restr[(s, t)] = mx.zeros(F, ht, hs)
             continue
         r = S.restriction_cover(s, t, a)
         cs, ct = data[s], data[t]
-        if cs is None and ct is None:
-            restr[(s, t)] = r
-            continue
-        # a flat end has the identity basis: its representatives are the
-        # unit vectors and the coordinates of a vector are its entries
-        images = mx.transpose(F, r, cols=hs) if cs is None \
-            else [mx.mat_vec(F, r, rep) for rep in cs.reps]
-        restr[(s, t)] = mx.transpose(F, images, cols=ht) if ct is None \
-            else ct.project(images)
+        images = r if cs is None else mx.mat_mul(F, r, cs[1])
+        if ct is not None:
+            coords = _coordinates(S, ct[0], images, a, "restriction", (s, t))
+            images = mx.mat_mul(F, ct[2], coords)
+        restr[(s, t)] = images
     got = S._coh_cache[a] = CellularSheaf(F, S.complex, S.domain, stalks, restr)
     return got
 

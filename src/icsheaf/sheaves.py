@@ -86,9 +86,6 @@ class CellularSheaf:
                             "path independence fails between %r and %r"
                             % (K.simplices[s], K.simplices[t]))
 
-    def is_invertible_everywhere(self):
-        return all(self.is_iso(s, t) for s, t in self.domain.cover_pairs())
-
     def restrict(self, subset):
         dims = {s: d for s, d in self.stalk_dim.items() if s in subset.ids}
         rest = {p: m for p, m in self.restriction.items()

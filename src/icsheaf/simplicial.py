@@ -227,28 +227,11 @@ class SimplexSet:
                              for i in self.ids for f, _ in K.facets[i])
         return self._down
 
-    def closure_flag(self):
-        up, down = self.is_up_closed(), self.is_down_closed()
-        if up and down:
-            return "clopen"
-        if up:
-            return "up-closed"
-        if down:
-            return "down-closed"
-        return "neither"
-
     def down_closure(self):
         K = self.complex
         out = set()
         for i in self.ids:
             out.update(K.down_set(i))
-        return SimplexSet(K, out)
-
-    def up_closure(self):
-        K = self.complex
-        out = set()
-        for i in self.ids:
-            out.update(K.up_set(i))
         return SimplexSet(K, out)
 
     def is_up_closed_in(self, ambient):
@@ -279,11 +262,8 @@ class SimplexSet:
             return -1
         return max(self.complex.sdim(i) for i in self.ids)
 
-    def sorted_ids(self):
-        return sorted(self.ids)
-
     def tuples(self):
-        return [self.complex.simplices[i] for i in self.sorted_ids()]
+        return [self.complex.simplices[i] for i in sorted(self.ids)]
 
     def components(self):
         """Partition by face-comparability inside the set."""

@@ -3,15 +3,22 @@
 Everything here is written from scratch against the definitions: its own
 rational Gaussian elimination, its own simplicial cochain complex, brute
 force set enumerations, and the Mayer-Vietoris bookkeeping for suspensions.
-Nothing imports the package's linear algebra or section machinery, so these
-results are independent of the code paths they check.  The exceptions are
+None of these uses the package's linear algebra or section machinery, so
+their results are independent of the code paths they check.  The exceptions are
 the reference versions of package code that a faster path replaced, kept
-as they were so the tests can compare the two (`order_chains`,
-`cohomology_sheaf_reference`).
+as they were so the tests can compare the two (`order_chains`, the dense
+solver behind `cohomology_sheaf_reference`), and the supported-sections
+complex that AX2 is compared against (`supported_section_dims`).
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from icsheaf import matrices as mx
+from icsheaf import sections as sec
+from icsheaf.reduction import SparseComplex
+from icsheaf.sheaves import CellularSheaf
+from icsheaf.simplicial import all_chains
 
 
 def rational_rank(rows):
@@ -205,14 +212,161 @@ def suspension_ic_hyperco(h_m, n=2):
     return out
 
 
+def star_chains(S, sid):
+    """All chains of the subposet up(sid) ∩ domain."""
+    K = S.complex
+    members = [i for i in K.up_set(sid) if i in S.domain.ids]
+    return all_chains(K, members)
+
+
+def supported_section_dims(S, sid, z_ids):
+    """Dims of the sections-supported-on-Z stalk at sid (no shift).
+
+    Z must be closed in the domain near the star; the complex is the kernel
+    of sections over the star mapping onto sections over star ∖ Z.
+    """
+    zset = set(z_ids)
+    chains = [c for c in star_chains(S, sid) if any(e in zset for e in c)]
+    G = SparseComplex(S.F)
+    sec._chain_entries(G, S, chains, sec._add_chain_gens(G, S, chains))
+    return G.minimize_dims()
+
+
+# The dense solver that `sections.cohomology_sheaf` and `truncate_le` used
+# before they read kernel coordinates at the free columns.
+
+def mat_vec(F, A, v):
+    out = []
+    for row in A:
+        s = F.zero
+        for a, x in zip(row, v):
+            if not (F.is_zero(a) or F.is_zero(x)):
+                s = F.add(s, F.mul(a, x))
+        out.append(s)
+    return out
+
+
+def transpose(F, A, cols=None):
+    r, c = mx.shape(A)
+    if c == 0 and cols is not None:
+        c = cols
+    return [[A[i][j] for i in range(r)] for j in range(c)]
+
+
+def hstack(A, B, rows):
+    if not A:
+        A = [[] for _ in range(rows)]
+    if not B:
+        B = [[] for _ in range(rows)]
+    return [ra + rb for ra, rb in zip(A, B)]
+
+
+def right_kernel_basis(F, A, ncols=None):
+    """Basis of {x : Ax = 0} as a list of column vectors, canonical order."""
+    if ncols is None:
+        ncols = mx.shape(A)[1]
+    if ncols == 0:
+        return []
+    if not A:
+        return [[F.one if i == j else F.zero for i in range(ncols)]
+                for j in range(ncols)]
+    R, pivots = mx.rref(F, A)
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for fc in free:
+        v = [F.zero] * ncols
+        v[fc] = F.one
+        for r, pc in enumerate(pivots):
+            v[pc] = F.neg(R[r][fc])
+        basis.append(v)
+    return basis
+
+
+def solve_right(F, A, B, ncols=None):
+    """X with A X = B (B a matrix of column targets). Raises on inconsistency."""
+    nr, nc = mx.shape(A)
+    if ncols is not None:
+        nc = ncols
+    nb = mx.shape(B)[1] if B else 0
+    aug = hstack(A if A else [[] for _ in range(nr)], B, nr)
+    R, pivots = mx.rref(F, aug)
+    for c in pivots:
+        if c >= nc:
+            raise ValueError("inconsistent linear system")
+    X = mx.zeros(F, nc, nb)
+    for r, pc in enumerate(pivots):
+        for j in range(nb):
+            X[pc][j] = R[r][nc + j]
+    return X
+
+
+def basis_extension(F, B, K):
+    """Indices of columns of K extending the column span of B to span(B)+span(K).
+
+    B and K are matrices with the same row count; returns the canonical
+    (leftmost) selection of K-columns.
+    """
+    rows = len(B) if B else (len(K) if K else 0)
+    nb = mx.shape(B)[1] if B else 0
+    aug = hstack(B, K, rows)
+    _, pivots = mx.rref(F, aug)
+    return [c - nb for c in pivots if c >= nb]
+
+
+class CochainCohomology:
+    """Cohomology of one degree of a cochain complex, with induced-map support.
+
+    Holds a canonical basis of H = ker(d_out)/im(d_in) represented by
+    column vectors in the ambient space, plus enough data to project any
+    cocycle onto H-coordinates.
+    """
+
+    def __init__(self, F, dim, d_in, d_out):
+        # d_in: matrix into this degree (or None), d_out: matrix out (or None)
+        self.F = F
+        self.dim = dim
+        if dim == 0:
+            self.h_dim = 0
+            self.reps = []
+            self._proj_basis = None
+            return
+        if d_out is not None and len(d_out) > 0:
+            kernel = right_kernel_basis(F, d_out, ncols=dim)
+        else:
+            kernel = [[F.one if i == j else F.zero for i in range(dim)]
+                      for j in range(dim)]
+        K = transpose(F, kernel, cols=dim) if kernel else [[] for _ in range(dim)]
+        if d_in is not None and mx.shape(d_in)[1] > 0:
+            Bim = d_in
+        else:
+            Bim = [[] for _ in range(dim)]
+        ext = basis_extension(F, Bim, K)
+        self.reps = [kernel[j] for j in ext]
+        self.h_dim = len(self.reps)
+        # ambient-basis matrix [im | reps] used to read off H-coordinates
+        reps_mat = transpose(F, self.reps, cols=dim) if self.reps \
+            else [[] for _ in range(dim)]
+        self._proj_basis = hstack(Bim, reps_mat, dim)
+        self._n_im = mx.shape(Bim)[1]
+
+    def project(self, vectors):
+        """H-coordinates of cocycle column vectors: returns (h_dim, len(vectors)) matrix."""
+        F = self.F
+        if self.h_dim == 0:
+            return mx.zeros(F, 0, len(vectors))
+        B = transpose(F, vectors, cols=self.dim)
+        X = solve_right(F, self._proj_basis, B)
+        return [X[self._n_im + i] for i in range(self.h_dim)]
+
+
 def cohomology_sheaf_reference(S, a):
     """The degree-a cohomology sheaf, one CochainCohomology per simplex.
 
-    `sections.cohomology_sheaf` before its flat path and memo: every stalk
-    gets a kernel and image basis, and every restriction is projected.
+    `sections.cohomology_sheaf` before its flat path, its memo and its
+    kernel coordinates: every stalk gets a kernel and image basis by dense
+    row reduction, and every restriction is projected by a linear solve.
     """
-    from icsheaf import matrices as mx
-    from icsheaf.sheaves import CellularSheaf
     F = S.F
     data = {}
     stalks = {}
@@ -220,7 +374,7 @@ def cohomology_sheaf_reference(S, a):
         n = S.dim(sid, a)
         d_out = S.diff(sid, a) if S.dim(sid, a + 1) else None
         d_in = S.diff(sid, a - 1) if S.dim(sid, a - 1) else None
-        coh = mx.CochainCohomology(F, n, d_in, d_out)
+        coh = CochainCohomology(F, n, d_in, d_out)
         data[sid] = coh
         if coh.h_dim:
             stalks[sid] = coh.h_dim
@@ -233,6 +387,6 @@ def cohomology_sheaf_reference(S, a):
             restr[(s, t)] = mx.zeros(F, ct.h_dim, 0)
             continue
         r = S.restriction_cover(s, t, a)
-        images = [mx.mat_vec(F, r, rep) for rep in cs.reps]
+        images = [mat_vec(F, r, rep) for rep in cs.reps]
         restr[(s, t)] = ct.project(images)
     return CellularSheaf(F, S.complex, S.domain, stalks, restr)

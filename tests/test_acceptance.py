@@ -301,7 +301,7 @@ def test_criterion_10_engine_properties():
                 Z = V.difference(filt.U[k])
                 SV = b.ic.restrict_open(V)
                 for sid in sorted(Z.ids):
-                    supported = sec.supported_section_dims(SV, sid, Z.ids)
+                    supported = oracles.supported_section_dims(SV, sid, Z.ids)
                     stalk = SV.stalk_cohomology(sid)
                     star = [i for i in SV.complex.up_set(sid) if i in V.ids]
                     openpart = sec.rgamma_dims(SV, [i for i in star if i not in Z.ids])

@@ -12,6 +12,24 @@ from icsheaf.stratify import StratificationError, validate_stratification
 import oracles
 
 
+def test_engine_errors_name_the_step(spaces, monkeypatch):
+    # the wedge has two steps; truncation fails in the second
+    K, strat = spaces["wedge"]
+    truncate, calls = sec.truncate_le, []
+
+    def failing(S, a):
+        calls.append(a)
+        if len(calls) == 2:
+            raise sec.EngineError("the restriction at [0] -> [0, 1] in degree 0 "
+                                  "does not land in ker d^0")
+        return truncate(S, a)
+
+    monkeypatch.setattr(sec, "truncate_le", failing)
+    with pytest.raises(sec.EngineError,
+                       match=r"^step 2 \(collapsed through 2\): the restriction at"):
+        build_ic(strat)
+
+
 def test_manifold_trivial_build():
     # no singular strata: the recursion is the shifted constant sheaf
     from icsheaf.simplicial import SimplicialComplex

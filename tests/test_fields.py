@@ -58,8 +58,13 @@ def test_rref_and_rank_with_non_unit_pivots():
     for _ in range(20):
         M = [[rng.choice([0, 0, 2, 3, -5, 7]) for _ in range(6)] for _ in range(5)]
         assert mx.rank(QQ, M) == oracles.rational_rank(M)
-        for v in mx.right_kernel_basis(QQ, M):
-            assert mx.mat_vec(QQ, M, v) == [0] * len(M)
+        K, free = mx.kernel(QQ, M, 6)
+        assert mx.mat_mul(QQ, M, K) == mx.zeros(QQ, 5, len(free))
+        assert [K[f] for f in free] == mx.identity(QQ, len(free))
+        assert len(free) + mx.rank(QQ, M) == 6
+        # the basis the dense solver used, column for column
+        assert [[row[j] for row in K] for j in range(len(free))] == \
+            oracles.right_kernel_basis(QQ, M)
 
 
 def _scaled_system(F, K, filt):

@@ -29,7 +29,7 @@ def test_constant_local_system():
     K = circle()
     L = make_local_system(QQ, K, K.full_set(), {"rank": 1})
     assert all(L.dim(s) == 1 for s in K.full_set().ids)
-    assert L.is_invertible_everywhere()
+    assert all(L.is_iso(s, t) for s, t in L.domain.cover_pairs())
 
 
 def test_sign_local_system_on_circle():
@@ -44,7 +44,7 @@ def test_sign_local_system_on_circle():
     mats[twist] = [[Fraction(-1)]]
     L = make_local_system(QQ, K, K.full_set(),
                           {"stalk_dim": dims, "matrices": mats})
-    assert L.is_invertible_everywhere()
+    assert all(L.is_iso(s, t) for s, t in L.domain.cover_pairs())
     # twisted coefficients on a circle: no cohomology at all
     S = L.to_complex(0)
     assert sec.hypercohomology(S) == {}

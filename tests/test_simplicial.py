@@ -49,7 +49,7 @@ def test_open_star_cone_apex():
     star = K.open_star([0])
     assert len(star) == 7
     assert star.is_up_closed()
-    assert star.closure_flag() == "up-closed"
+    assert not star.is_down_closed()
 
 
 def test_open_star_top_simplex():
@@ -79,7 +79,6 @@ def test_closure_operators_idempotent_and_dual(spaces):
         assert star.is_up_closed()
         cl = star.down_closure()
         assert cl.is_down_closed() and cl.down_closure() == cl
-        assert star.up_closure() == star
         # Alexandrov duality
         assert star.complement().is_down_closed()
         assert cl.complement().is_up_closed()
