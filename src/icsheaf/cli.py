@@ -122,13 +122,16 @@ def load_system(args, F, filt):
 
 
 def _sample_limit(text):
-    """The --sample budget: None for every simplex, else an integer."""
+    """The --sample budget: None for every simplex, else a nonnegative integer."""
     if text in (None, "", "all"):
         return None
     try:
-        return int(text)
+        limit = int(text)
+        if limit >= 0:
+            return limit
     except ValueError:
-        raise InputError("--sample must be an integer or 'all', got %r" % text)
+        pass
+    raise InputError("--sample must be a nonnegative integer or 'all', got %r" % text)
 
 
 def _parse_simplex(text):
@@ -205,6 +208,8 @@ def run(argv=None):
         return 1
 
     try:
+        if args.at and args.command not in ("stalks", "costalks"):
+            raise InputError("--at applies only to stalks and costalks")
         if args.command == "demo":
             name = args.space[5:] if args.space.startswith("demo:") else args.space
             cpath, spath = demo_files(name, args.out)
@@ -215,6 +220,17 @@ def run(argv=None):
         limit = _sample_limit(args.sample)
         K, strat, inputs = load_space(args)
         manifest = _manifest(args, inputs)
+        # a point query reports values at chosen simplices, which depend only
+        # on their open stars: the build covers the union of those and no more
+        points = within = None
+        if args.at:
+            points = [K.id_of(_parse_simplex(args.at))]
+        elif args.command == "costalks" and limit is not None:
+            points = default_costalk_sample(strat, limit=limit)
+        if points is not None:
+            within = K.empty_set()
+            for sid in points:
+                within = within.union(K.open_star(K.simplices[sid]))
 
         if args.command == "validate":
             from .stratify import TRUST_NOTE
@@ -242,7 +258,7 @@ def run(argv=None):
         filt = naive_filtration(strat) if args.naive else compute_open_filtration(strat)
         L = load_system(args, F, filt)
         if args.command != "compare":
-            bundle = build_ic(strat, L, field=F, naive=args.naive)
+            bundle = build_ic(strat, L, field=F, naive=args.naive, within=within)
 
         if args.command == "build":
             payload = reports.bundle_doc(bundle)
@@ -267,10 +283,10 @@ def run(argv=None):
             return 0
 
         if args.command == "stalks":
-            table = bundle.stalk_table()
-            if args.at:
-                sid = K.id_of(_parse_simplex(args.at))
-                table = {sid: table.get(sid, {})}
+            if points is None:
+                table = bundle.stalk_table()
+            else:
+                table = {sid: bundle.ic.stalk_cohomology(sid) for sid in points}
             payload = {"stalks": reports.table_doc(K, table)}
             reports.write_report(out / "stalks-report.json", manifest, payload)
             for key, row in sorted(payload["stalks"].items()):
@@ -278,12 +294,7 @@ def run(argv=None):
             return 0
 
         if args.command == "costalks":
-            if args.at:
-                sample = [K.id_of(_parse_simplex(args.at))]
-            elif limit is None:
-                sample = sorted(K.full_set().ids)
-            else:
-                sample = default_costalk_sample(strat, limit=limit)
+            sample = sorted(K.full_set().ids) if points is None else points
             table = {sid: sec.cell_costalk(bundle.ic, sid) for sid in sample}
             payload = {"costalks": reports.table_doc(K, table)}
             reports.write_report(out / "costalks-report.json", manifest, payload)

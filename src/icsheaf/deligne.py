@@ -41,12 +41,13 @@ def default_local_system(F, filt, rank=1):
     return make_local_system(F, K, filt.U[1], {"rank": rank})
 
 
-def split_local_system(L, filt):
-    """Restrict a local system on U_1 to the per-dimension pieces U^m."""
+def split_local_system(L, filt, within):
+    """Restrict a local system on U_1 to the per-dimension pieces U^m ∩ within."""
     if L.domain != filt.U[1]:
         raise SheafError("local system must live on the open dense part U_1")
     out = {}
     for m, um in filt.U_m.items():
+        um = um.intersection(within)
         if len(um):
             out[m] = L.restrict(um)
     return out
@@ -75,26 +76,36 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
     return total
 
 
-def build_ic(strat, local_system=None, field=QQ, naive=False, verify=True):
+def build_ic(strat, local_system=None, field=QQ, naive=False, verify=True,
+             within=None):
     """Run the recursion over the induced (or naive) open filtration.
 
-    Returns an ICBundle whose final complex lives on the whole space.  With
-    naive=True the stepwise-simultaneous filtration is used instead and
-    runs of repeated open sets are collapsed into a single pushforward
-    truncated at the cutoff of the last collapsed step; the result is the
-    deliberately non-canonical comparison object.
+    Returns an ICBundle whose final complex lives on `within`, an up-closed
+    SimplexSet (default: the whole space).  The step schedule and cutoffs
+    come from the global filtration; only the domain of every stage is cut
+    down to `within`.  Pushforward, truncation and the sum with the lower
+    local systems commute with restriction to an open set, so the result
+    is the whole-space complex restricted to `within`.  With naive=True the
+    stepwise-simultaneous filtration is used instead and runs of repeated
+    open sets are collapsed into a single pushforward truncated at the
+    cutoff of the last collapsed step; the result is the deliberately
+    non-canonical comparison object.
     """
     F = field
     K = strat.complex
     n = strat.n
+    if within is None:
+        within = K.full_set()
+    elif not within.is_up_closed():
+        raise SheafError("build_ic needs an up-closed set to build on")
     filt = naive_filtration(strat) if naive else compute_open_filtration(strat)
     if local_system is None:
         local_system = default_local_system(F, filt, rank=1)
     if local_system.F is not F:
         raise SheafError("local system field does not match the build field")
-    systems = split_local_system(local_system, filt)
+    systems = split_local_system(local_system, filt, within)
 
-    I = _attach_systems(F, K, systems, filt.U[1], upto=n)
+    I = _attach_systems(F, K, systems, filt.U[1].intersection(within), upto=n)
     intermediates = [I]
     log = []
     k = 1
@@ -104,7 +115,7 @@ def build_ic(strat, local_system=None, field=QQ, naive=False, verify=True):
             while k2 + 1 <= n and filt.U[k2 + 2] == filt.U[k + 1]:
                 k2 += 1
         cutoff = k2 - 1 - n
-        target = filt.U[k2 + 1]
+        target = filt.U[k2 + 1].intersection(within)
         try:
             pushed = sec.pushforward_open(I, target)
             trunc = sec.truncate_le(pushed, cutoff)

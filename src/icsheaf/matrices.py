@@ -53,10 +53,6 @@ def mat_mul(F, A, B):
     return out
 
 
-def mat_scale(F, c, A):
-    return [[F.mul(c, a) for a in row] for row in A]
-
-
 def rref(F, A):
     """Reduced row echelon form (in place on a copy). Returns (R, pivot_cols)."""
     R = copy_matrix(A)

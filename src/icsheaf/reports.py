@@ -62,35 +62,6 @@ def sheaf_complex_doc(S):
     return doc
 
 
-def load_sheaf_complex(doc, K, F):
-    from .sheaves import SheafComplex
-
-    def parse_simplex(key):
-        parts = key.split(" ")
-        out = []
-        for p in parts:
-            try:
-                out.append(int(p))
-            except ValueError:
-                out.append(p)
-        return K.id_of(out)
-
-    def parse_matrix(m):
-        return [[F.parse(x) for x in row] for row in m]
-
-    domain = K.set_from_tuples(doc["domain"])
-    dims = {parse_simplex(k): {int(q): d for q, d in v.items()}
-            for k, v in doc["stalk_dims"].items()}
-    diffs = {parse_simplex(k): {int(q): parse_matrix(m) for q, m in v.items()}
-             for k, v in doc["differentials"].items()}
-    restr = {}
-    for k, v in doc["restrictions"].items():
-        a, b = k.split("|")
-        restr[(parse_simplex(a), parse_simplex(b))] = {
-            int(q): parse_matrix(m) for q, m in v.items()}
-    return SheafComplex(F, K, domain, dims, diffs, restr)
-
-
 def bundle_doc(bundle):
     strat = bundle.stratification
     return {

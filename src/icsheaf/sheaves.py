@@ -276,20 +276,6 @@ class SheafComplex:
 
     # -- operations -----------------------------------------------------------
 
-    def shift(self, k):
-        """Degree q becomes q−k; differentials pick up (−1)^k."""
-        if k == 0:
-            return self
-        F = self.F
-        sgn = F.one if k % 2 == 0 else F.neg(F.one)
-        dims = {s: {q - k: d for q, d in qs.items()} for s, qs in self.dims.items()}
-        diffs = {s: {q - k: (ms[q] if k % 2 == 0 else mx.mat_scale(F, sgn, ms[q]))
-                     for q in ms}
-                 for s, ms in self.diffs.items()}
-        restr = {p: {q - k: m for q, m in ms.items()}
-                 for p, ms in self.restrictions.items()}
-        return SheafComplex(F, self.complex, self.domain, dims, diffs, restr)
-
     def direct_sum(self, other):
         """Blockwise sum; where one summand has no value, the other's block is shared.
 

@@ -7,8 +7,10 @@ None of these uses the package's linear algebra or section machinery, so
 their results are independent of the code paths they check.  The exceptions are
 the reference versions of package code that a faster path replaced, kept
 as they were so the tests can compare the two (`order_chains`, the dense
-solver behind `cohomology_sheaf_reference`), and the supported-sections
-complex that AX2 is compared against (`supported_section_dims`).
+solver behind `cohomology_sheaf_reference`), the supported-sections
+complex that AX2 is compared against (`supported_section_dims`), and the
+helpers only tests need: `shift` builds test complexes and
+`load_sheaf_complex` reads a dumped complex back.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from itertools import combinations
 from icsheaf import matrices as mx
 from icsheaf import sections as sec
 from icsheaf.reduction import SparseComplex
-from icsheaf.sheaves import CellularSheaf
+from icsheaf.sheaves import CellularSheaf, SheafComplex
 from icsheaf.simplicial import all_chains
 
 
@@ -390,3 +392,43 @@ def cohomology_sheaf_reference(S, a):
         images = [mat_vec(F, r, rep) for rep in cs.reps]
         restr[(s, t)] = ct.project(images)
     return CellularSheaf(F, S.complex, S.domain, stalks, restr)
+
+
+def shift(S, k):
+    """S[k]: degree q becomes q−k; differentials pick up (−1)^k."""
+    if k == 0:
+        return S
+    F = S.F
+    dims = {s: {q - k: d for q, d in qs.items()} for s, qs in S.dims.items()}
+    diffs = {s: {q - k: (m if k % 2 == 0 else [[F.neg(x) for x in row] for row in m])
+                 for q, m in ms.items()}
+             for s, ms in S.diffs.items()}
+    restr = {p: {q - k: m for q, m in ms.items()} for p, ms in S.restrictions.items()}
+    return SheafComplex(F, S.complex, S.domain, dims, diffs, restr)
+
+
+def load_sheaf_complex(doc, K, F):
+    """A SheafComplex back from its `reports.sheaf_complex_doc` document."""
+    def parse_simplex(key):
+        out = []
+        for p in key.split(" "):
+            try:
+                out.append(int(p))
+            except ValueError:
+                out.append(p)
+        return K.id_of(out)
+
+    def parse_matrix(m):
+        return [[F.parse(x) for x in row] for row in m]
+
+    domain = K.set_from_tuples(doc["domain"])
+    dims = {parse_simplex(k): {int(q): d for q, d in v.items()}
+            for k, v in doc["stalk_dims"].items()}
+    diffs = {parse_simplex(k): {int(q): parse_matrix(m) for q, m in v.items()}
+             for k, v in doc["differentials"].items()}
+    restr = {}
+    for k, v in doc["restrictions"].items():
+        a, b = k.split("|")
+        restr[(parse_simplex(a), parse_simplex(b))] = {
+            int(q): parse_matrix(m) for q, m in v.items()}
+    return SheafComplex(F, K, domain, dims, diffs, restr)

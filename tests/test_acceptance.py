@@ -162,27 +162,28 @@ def _equivalence_corpus():
     L2 = make_local_system(QQ, Kw, filt_w.U[1], {"rank": 2})
     members.append(("wedge ic rank 2", sw, build_ic(sw, L2).ic))
     members.append(("wedge constant [2]", sw,
-                    constant_complex(QQ, Kw, Kw.full_set()).shift(2)))
+                    oracles.shift(constant_complex(QQ, Kw, Kw.full_set()), 2)))
     members.append(("wedge constant [0]", sw,
                     constant_complex(QQ, Kw, Kw.full_set())))
-    members.append(("wedge ic shifted", sw, bw.ic.shift(1)))
-    systems_w = split_local_system(default_local_system(QQ, filt_w), filt_w)
+    members.append(("wedge ic shifted", sw, oracles.shift(bw.ic, 1)))
+    systems_w = split_local_system(default_local_system(QQ, filt_w), filt_w,
+                                   filt_w.U[1])
     I1w = _attach_systems(QQ, Kw, systems_w, filt_w.U[1], upto=2)
     raw_w = sec.pushforward_open(I1w, Kw.full_set())
     members.append(("wedge untruncated pushforward", sw, raw_w))
     members.append(("wedge overtruncated pushforward", sw, sec.truncate_le(raw_w, -2)))
     L0 = make_local_system(QQ, Kw, filt_w.U[1], {"rank": 0})
     members.append(("wedge zero system ic", sw, build_ic(sw, L0).ic))
-    members.append(("wedge ic plus constant", sw,
-                    bw.ic.direct_sum(constant_complex(QQ, Kw, Kw.full_set()).shift(2))))
+    members.append(("wedge ic plus constant", sw, bw.ic.direct_sum(
+        oracles.shift(constant_complex(QQ, Kw, Kw.full_set()), 2))))
 
     Kp, sp = space("pinched-torus")
     filt_p = compute_open_filtration(sp)
     bp = build_ic(sp)
     members.append(("pinched ic", sp, bp.ic))
     members.append(("pinched constant [1]", sp,
-                    constant_complex(QQ, Kp, Kp.full_set()).shift(1)))
-    raw_p = sec.pushforward_open(constant_complex(QQ, Kp, filt_p.U[1]).shift(1),
+                    oracles.shift(constant_complex(QQ, Kp, Kp.full_set()), 1)))
+    raw_p = sec.pushforward_open(oracles.shift(constant_complex(QQ, Kp, filt_p.U[1]), 1),
                                  Kp.full_set())
     members.append(("pinched untruncated pushforward", sp, raw_p))
     members.append(("pinched undertruncated pushforward", sp, sec.truncate_le(raw_p, 0)))
@@ -202,8 +203,8 @@ def _equivalence_corpus():
     bs = build_ic(ss)
     members.append(("suspension ic", ss, bs.ic))
     members.append(("suspension constant [2]", ss,
-                    constant_complex(QQ, Ks, Ks.full_set()).shift(2)))
-    raw_s = sec.pushforward_open(constant_complex(QQ, Ks, filt_s.U[1]).shift(2),
+                    oracles.shift(constant_complex(QQ, Ks, Ks.full_set()), 2)))
+    raw_s = sec.pushforward_open(oracles.shift(constant_complex(QQ, Ks, filt_s.U[1]), 2),
                                  Ks.full_set())
     members.append(("suspension untruncated pushforward", ss, raw_s))
 
@@ -324,7 +325,7 @@ def test_criterion_10_engine_properties():
         # cleanup is rank-neutral on the construction's pushforwards
         for name, (K, strat) in spaces.items():
             filt = compute_open_filtration(strat)
-            systems = split_local_system(default_local_system(QQ, filt), filt)
+            systems = split_local_system(default_local_system(QQ, filt), filt, filt.U[1])
             I1 = _attach_systems(QQ, K, systems, filt.U[1], upto=strat.n)
             target = filt.U[2] if len(filt.U[2]) > len(filt.U[1]) \
                 else filt.U[strat.n + 1]

@@ -8,6 +8,8 @@ from icsheaf.fields import QQ
 from icsheaf.sheaves import constant_complex, make_local_system
 from icsheaf.stratify import compute_open_filtration, validate_stratification
 
+import oracles
+
 
 def full_costalks(S):
     return {sid: sec.cell_costalk(S, sid) for sid in sorted(S.domain.ids)}
@@ -19,7 +21,7 @@ def test_ax1_passes_on_constant_over_manifold():
     K = SimplicialComplex(range(6), [list(c) for c in combinations(range(6), 5)])
     strat = validate_stratification(
         K, {"2": [list(c) for c in combinations(range(6), 5)], "1": [], "0": []})
-    S = constant_complex(QQ, K, K.full_set()).shift(2)
+    S = oracles.shift(constant_complex(QQ, K, K.full_set()), 2)
     assert ax.check_ax1(S, strat).passed
     assert ax.check_ax2(S, strat).passed
 
@@ -34,7 +36,7 @@ def test_ax1_passes_on_all_bundled_ics(built, spaces):
 def test_ax1_fails_on_untruncated_pushforward(spaces):
     K, strat = spaces["pinched-torus"]
     filt = compute_open_filtration(strat)
-    S = constant_complex(QQ, K, filt.U[1]).shift(1)
+    S = oracles.shift(constant_complex(QQ, K, filt.U[1]), 1)
     T = sec.pushforward_open(S, K.full_set())
     report = ax.check_ax1(T, strat)
     assert not report.passed
@@ -70,7 +72,7 @@ def test_classic_ax2_passes_on_pure_pinched_torus(built, spaces):
 
 def test_classic_ax2_lower_bound_clause(spaces):
     K, strat = spaces["pinched-torus"]
-    S = constant_complex(QQ, K, K.full_set()).shift(3)  # degree -3 < -n
+    S = oracles.shift(constant_complex(QQ, K, K.full_set()), 3)  # degree -3 < -n
     report = ax.check_classic_ax2(S, n=1)
     assert not next(c for c in report.clauses if c.clause == "b").passed
 
@@ -94,7 +96,7 @@ def test_ax2_naive_failure_witness(spaces):
 
 def test_constant_on_wedge_fails_cosupport(wedge):
     K, strat = wedge
-    S = constant_complex(QQ, K, K.full_set()).shift(2)
+    S = oracles.shift(constant_complex(QQ, K, K.full_set()), 2)
     report = ax.check_ax2(S, strat)
     assert not report.passed
     clause_c = next(c for c in report.clauses if c.clause == "c")

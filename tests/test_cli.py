@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from icsheaf import cli
 from icsheaf.cli import run
 from icsheaf.fields import QQ
 from icsheaf import reports
 from icsheaf.simplicial import load_complex
+
+import oracles
 
 
 def out(tmp_path, name="o"):
@@ -20,7 +23,7 @@ def _bad_space(tmp_path, name, complex_doc, strat_doc):
     return str(d)
 
 
-def test_exit_code_contract(tmp_path, capsys):
+def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     o = out(tmp_path)
     # PASS -> 0
     assert run(["check-ax2", "demo:wedge", "--out", o]) == 0
@@ -49,9 +52,22 @@ def test_exit_code_contract(tmp_path, capsys):
                       {"vertices": list(range(64)), "maximal_simplices": [list(range(64))]},
                       {"levels": {"0": []}})
     capsys.readouterr()
+
+    # every input below is rejected before any build
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_ic ran on a rejected input")
+
+    monkeypatch.setattr(cli, "build_ic", no_build)
     for argv in (["validate", nested], ["validate", null], ["validate", word_key],
                  ["validate", huge],
                  ["costalks", "demo:wedge", "--sample", "x"],
+                 ["costalks", "demo:wedge", "--sample=-3"],
+                 ["costalks", "demo:wedge", "--sample=-1000"],
+                 ["stalks", "demo:wedge", "--at", "0,99"],
+                 ["costalks", "demo:wedge", "--at", "0,99"],
+                 # --at on a command that would ignore it
+                 ["hyperco", "demo:wedge", "--at", "0"],
+                 ["demo", "wedge", "--at", "0"],
                  ["compare", "demo:wedge", "--refine", "extra-point:x"]):
         assert run(argv + ["--out", o]) == 1, argv
         err = capsys.readouterr().err
@@ -116,7 +132,7 @@ def test_bundle_dump_round_trip(tmp_path):
     doc = json.loads((tmp_path / "o" / "ic-bundle.json").read_text())
     cpath = tmp_path / "o" / "demos" / "wedge" / "complex.json"
     K = load_complex(json.loads(cpath.read_text()))
-    S = reports.load_sheaf_complex(doc["report"]["complex"], K, QQ)
+    S = oracles.load_sheaf_complex(doc["report"]["complex"], K, QQ)
     S.validate()
     got = reports.table_doc(K, S.stalk_table())
     assert got == doc["report"]["stalk_table"]
@@ -143,6 +159,25 @@ def test_stalks_costalks_coarsen_commands(tmp_path):
     assert run(["coarsen", "demo:fake-surface", "--out", o]) == 0
     doc = json.loads((tmp_path / "o" / "coarsen-report.json").read_text())
     assert doc["report"]["levels"]["0"] == [[0]]
+
+
+def test_point_queries_report_the_full_rows(tmp_path):
+    # stalks --at and costalks --sample build on open stars only; their rows
+    # are those of the reports that build on the whole space
+    def rows(*argv):
+        o = tmp_path / "-".join((argv[0],) + argv[2:])
+        assert run(list(argv) + ["--field", "fp:32003", "--out", str(o)]) == 0
+        doc = json.loads((o / ("%s-report.json" % argv[0])).read_text())
+        return doc["report"][argv[0]]
+
+    space = "demo:susp-s1xs2"
+    stalks = rows("stalks", space)
+    for at in ("12", "0", "2,12"):
+        got = rows("stalks", space, "--at", at)
+        assert len(got) == 1 and got.items() <= stalks.items(), at
+    costalks = rows("costalks", space, "--sample", "all")
+    got = rows("costalks", space, "--sample", "6")
+    assert len(got) > 6 and got.items() <= costalks.items()
 
 
 def test_file_inputs_and_local_system(tmp_path):

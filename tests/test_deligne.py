@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from icsheaf import demos
 from icsheaf.deligne import (ICBundle, _verify_bundle, build_ic, build_ic_pure,
                              check_decomposition, clc_coarsen,
                              compare_stratifications)
-from icsheaf.fields import QQ
+from icsheaf.fields import QQ, field_by_name
 from icsheaf import sections as sec
 from icsheaf.sheaves import SheafError, constant_complex
 from icsheaf.stratify import StratificationError, validate_stratification
@@ -159,13 +161,43 @@ def test_verdier_self_duality(build_of, spaces, name):
         assert bad == (expect_bad if naive else set()), naive
 
 
+@pytest.mark.parametrize("field", ("q", "fp:32003"))
+@pytest.mark.parametrize("naive", (False, True), ids=("canonical", "naive"))
+def test_scoped_build_matches_full_build(build_of, spaces, naive, field):
+    # the full build is the oracle: built on the open star of a simplex, the
+    # tower gives the full build's stalk and costalk there; on the two large
+    # demos, every singular simplex and a seeded sample of the others
+    F = field_by_name(field)
+    for name in demos.DEMO_NAMES:
+        K, strat = spaces[name]
+        full = build_of(name, field, naive).ic
+        check = sorted(K.full_set().ids)
+        if name in ("susp-s1xs2", "nonpure-wedge"):
+            sing = strat.level(strat.n - 1).ids
+            rest = [sid for sid in check if sid not in sing]
+            check = sorted(sing) + random.Random(name).sample(rest, 8)
+        for sid in check:
+            star = K.open_star(K.simplices[sid])
+            ic = build_ic(strat, field=F, naive=naive, within=star).ic
+            assert ic.domain == star
+            where = (name, K.simplices[sid])
+            assert ic.stalk_cohomology(sid) == full.stalk_cohomology(sid), where
+            assert sec.cell_costalk(ic, sid) == sec.cell_costalk(full, sid), where
+
+
+def test_scoped_build_needs_an_open_set(wedge):
+    K, strat = wedge
+    with pytest.raises(SheafError, match="up-closed"):
+        build_ic(strat, within=K.simplex_set([K.id_of([0])]))
+
+
 @pytest.mark.parametrize("stage", (0, -1), ids=("first", "last"))
 def test_verify_names_simplex_degree_and_dims(built, stage):
     # a tower with one stage shifted by one degree fails verification with
     # the simplex, the first differing degree and both dims in the message
     b = built["wedge"]
     tower = list(b.intermediates)
-    tower[stage] = tower[stage].shift(1)
+    tower[stage] = oracles.shift(tower[stage], 1)
     bad = ICBundle(b.stratification, b.filtration, b.systems, tower, b.log,
                    b.field, b.naive)
     what = ("first stage does not match the shifted local system" if stage == 0
@@ -258,7 +290,7 @@ def test_coarsen_examples(built, spaces):
     Km = SimplicialComplex(range(6), [list(c) for c in combinations(range(6), 5)])
     sm = validate_stratification(
         Km, {"2": [list(c) for c in combinations(range(6), 5)], "1": [[0]], "0": [[0]]})
-    S = constant_complex(QQ, Km, Km.full_set()).shift(2)
+    S = oracles.shift(constant_complex(QQ, Km, Km.full_set()), 2)
     st = clc_coarsen(sm, S)
     assert len(st.levels[0]) == 0 and len(st.levels[1]) == 0
     # the pinch point never merges

@@ -42,7 +42,7 @@ def test_pushforward_pinched_torus_stalk():
     from icsheaf.stratify import validate_stratification
     strat = validate_stratification(K, doc["levels"])
     filt = compute_open_filtration(strat)
-    S = constant_complex(QQ, K, filt.U[1], rank=1, degree=0).shift(1)
+    S = oracles.shift(constant_complex(QQ, K, filt.U[1], rank=1, degree=0), 1)
     T = sec.pushforward_open(S, K.full_set())
     v = K.id_of([0])
     two_circles = oracles.cochain_cohomology_dims(
@@ -229,7 +229,7 @@ def test_cleanup_rank_neutrality_pushforwards(spaces):
     for name, (K, strat) in spaces.items():
         filt = compute_open_filtration(strat)
         L = default_local_system(QQ, filt)
-        systems = split_local_system(L, filt)
+        systems = split_local_system(L, filt, filt.U[1])
         I1 = _attach_systems(QQ, K, systems, filt.U[1], upto=strat.n)
         target = filt.U[2] if len(filt.U[2]) > len(filt.U[1]) else filt.U[strat.n + 1]
         on = sec.pushforward_open(I1, target, cleanup=True)
