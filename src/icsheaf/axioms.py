@@ -162,14 +162,10 @@ def check_ax1(S, strat):
 
     # (c) attaching, as costalk vanishing on the non-open strata
     witnesses = []
-    costalk_cache = {}
     for k in range(1, n + 1):
         zone = filt.U[k + 1].difference(filt.U[k])
         for sid in sorted(zone.ids):
-            table = costalk_cache.get(sid)
-            if table is None:
-                table = sec.cell_costalk(S, sid)
-                costalk_cache[sid] = table
+            table = sec.cell_costalk(S, sid)
             bad = [a for a, d in table.items() if d and a <= n - k]
             if bad:
                 witnesses.append(Witness("costalk", "c", [sid], min(bad),
@@ -180,7 +176,7 @@ def check_ax1(S, strat):
     return AxiomReport("ax1", K, clauses)
 
 
-def check_ax2(S, strat, costalks=None):
+def check_ax2(S, strat):
     """Stratification-independent axioms, checked on the open pieces U^m.
 
     The complex must be locally constant along the given strata; that is an
@@ -199,8 +195,7 @@ def check_ax2(S, strat, costalks=None):
     clauses = [_normalization_clause(S, filt, "a", filt.U_m)]
     lo, hi = S.degree_range()
 
-    if costalks is None:
-        costalks = {sid: sec.cell_costalk(S, sid) for sid in sorted(S.domain.ids)}
+    costalks = {sid: sec.cell_costalk(S, sid) for sid in sorted(S.domain.ids)}
     crange = sorted({a for t in costalks.values() for a in t})
 
     support_w, cosupport_w = [], []
@@ -224,15 +219,15 @@ def check_ax2(S, strat, costalks=None):
     return AxiomReport("ax2", K, clauses)
 
 
-def check_classic_ax2(S, n=None, costalks=None):
+def check_classic_ax2(S):
     """The single-perversity global support/cosupport system.
 
-    Correct for pure-dimensional spaces; on direct sums over components of
-    different dimensions it fails, which is the point of keeping it.
+    Correct for pure-dimensional spaces, with n the complex dimension of
+    the whole space; on direct sums over components of different
+    dimensions it fails, which is the point of keeping it.
     """
     K = S.complex
-    if n is None:
-        n = K.dim // 2
+    n = K.dim // 2
     lo, hi = S.degree_range()
     clauses = []
 
@@ -274,8 +269,7 @@ def check_classic_ax2(S, n=None, costalks=None):
                                 not witnesses, witnesses))
 
     # (c) support, (d) cosupport -- global loci
-    if costalks is None:
-        costalks = {sid: sec.cell_costalk(S, sid) for sid in sorted(S.domain.ids)}
+    costalks = {sid: sec.cell_costalk(S, sid) for sid in sorted(S.domain.ids)}
     crange = sorted({a for t in costalks.values() for a in t})
     support_w, cosupport_w = [], []
     for a in range(-n + 1, hi + 1):

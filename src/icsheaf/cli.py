@@ -208,8 +208,16 @@ def run(argv=None):
         return 1
 
     try:
-        if args.at and args.command not in ("stalks", "costalks"):
-            raise InputError("--at applies only to stalks and costalks")
+        # an option the command would ignore is an error, not a no-op
+        for given, option, commands in (
+                (args.at, "--at", ("stalks", "costalks")),
+                (args.sample is not None, "--sample", ("costalks",)),
+                (args.refine, "--refine", ("compare",)),
+                (args.check_links, "--check-links", ("validate",))):
+            if given and args.command not in commands:
+                raise InputError("%s applies only to %s" % (option, " and ".join(commands)))
+        if args.at and args.sample is not None:
+            raise InputError("--at and --sample exclude each other")
         if args.command == "demo":
             name = args.space[5:] if args.space.startswith("demo:") else args.space
             cpath, spath = demo_files(name, args.out)

@@ -76,8 +76,7 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
     return total
 
 
-def build_ic(strat, local_system=None, field=QQ, naive=False, verify=True,
-             within=None):
+def build_ic(strat, local_system=None, field=QQ, naive=False, within=None):
     """Run the recursion over the induced (or naive) open filtration.
 
     Returns an ICBundle whose final complex lives on `within`, an up-closed
@@ -129,7 +128,7 @@ def build_ic(strat, local_system=None, field=QQ, naive=False, verify=True,
         k = k2 + 1
 
     bundle = ICBundle(strat, filt, systems, intermediates, log, F, naive)
-    if verify and not naive:
+    if not naive:
         _verify_bundle(bundle)
     return bundle
 
@@ -219,7 +218,7 @@ def build_ic_pure(strat, m, Lm=None, field=QQ):
     else:
         sub_dom = sub.simplex_set({from_parent[i] for i in Lm.domain.ids})
         Lsub = transport_sheaf(Lm, sub, from_parent, sub_dom)
-    bundle = build_ic(substrat, Lsub, field=field, verify=False)
+    bundle = build_ic(substrat, Lsub, field=field)
     parent_ic = transport_complex(bundle.ic, strat.complex, to_parent, closed)
     return parent_ic, bundle
 

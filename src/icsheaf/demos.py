@@ -149,16 +149,6 @@ def demo_space(name):
     return _BUILDERS[name]()
 
 
-def fake_surface_stratum_ids(K):
-    """Simplex ids of the ∂Δ³-on-{1,2,3,4} stratum inside the wedge complex."""
-    fake = boundary_simplex_faces([1, 2, 3, 4])
-    ids = set()
-    for f in fake:
-        for sid in K.down_set(K.id_of(f)):
-            ids.add(sid)
-    return ids
-
-
 # -- refinement recipes -------------------------------------------------------
 
 

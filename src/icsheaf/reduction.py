@@ -1,15 +1,16 @@
 """Sparse Gaussian reduction of cochain complexes.
 
 A complex is presented by integer generator ids with integer degrees and a
-sparse differential.  `add_gen` hands out ids 0, 1, 2, … in insertion
-order; callers keep their own map from whatever a generator stands for to
-its id.  Eliminating an invertible entry is an exact homotopy equivalence;
-exhaustive free elimination leaves a zero differential, so the surviving
-generator counts are the cohomology dimensions.  In sheaf mode
-(same_support=True) only entries between generators with the same support
-simplex are eliminated, which keeps every move an isomorphism of
-elementary down-set summands and hence an equivalence of complexes of
-sheaves, slice by slice.
+sparse differential.  `add_gen` hands out a block of consecutive ids 0,
+1, 2, … in insertion order and `add_block` copies a dense matrix between
+two blocks; every complex built from sheaf values is assembled so, through
+`SheafComplex.add_value`.  Eliminating an invertible entry is an exact
+homotopy equivalence; exhaustive free elimination leaves a zero
+differential, so the surviving generator counts are the cohomology
+dimensions.  In sheaf mode (same_support=True) only entries between
+generators with the same support simplex are eliminated, which keeps
+every move an isomorphism of elementary down-set summands and hence an
+equivalence of complexes of sheaves, slice by slice.
 """
 
 import heapq
@@ -32,13 +33,14 @@ class SparseComplex:
         self.din = []
         self.ucols = {}
 
-    def add_gen(self, degree, support=None):
-        """Add a generator and return its id, the next in insertion order."""
+    def add_gen(self, degree, support=None, count=1):
+        """Add count generators; return the first of their consecutive ids."""
         g = len(self.dout)
-        self.degree[g] = degree
-        self.support.append(support)
-        self.dout.append({})
-        self.din.append({})
+        for h in range(g, g + count):
+            self.degree[h] = degree
+            self.support.append(support)
+            self.dout.append({})
+            self.din.append({})
         return g
 
     def add_entry(self, g, h, val):
@@ -58,6 +60,15 @@ class SparseComplex:
             else:
                 row[h] = new
                 self.din[h][g] = new
+
+    def add_block(self, g0, h0, M, sign):
+        """Add sign · M (sign ±1), a map from the block at id g0 to that at h0."""
+        F = self.F
+        for j, row in enumerate(M):
+            h = h0 + j
+            for i, v in enumerate(row):
+                if not F.is_zero(v):
+                    self.add_entry(g0 + i, h, v if sign > 0 else F.neg(v))
 
     def add_ucol(self, h, ext, val):
         if self.F.is_zero(val):

@@ -12,6 +12,9 @@ incidence-signed cover restrictions.  Over a clopen set it computes the
 same sections as the nerve model, and over the open star of a simplex it
 computes the costalk there (compactly supported cochains of the star).
 
+Both are assembled as a stalk is: the summands by `SheafComplex.add_value`,
+the maps between them by `SparseComplex.add_block`.
+
 Open pushforward produces a nerve complex at every simplex of the target;
 to keep iterated pushforwards small the result is reduced by Gaussian
 elimination of differential entries between generators with the same
@@ -33,78 +36,41 @@ class EngineError(RuntimeError):
     pass
 
 
-def _chain_entries(G, S, chains, first):
-    """Install bar-differential entries for the given chains of S's poset.
+def _nerve_complex(S, chains):
+    """The order-chain (nerve) complex of S over the given chains.
 
-    first maps each chain to {q: id of its first generator in degree q},
-    as returned by `_add_chain_gens`.  Entries from a chain c: insert an
-    element below the top (sign (−1)^pos, identity coefficients), append a
-    new top (sign (−1)^len(c) times the restriction matrix), plus the
-    internal differential (sign (−1)^(len−1)).  Only entries between
-    chains present in first are installed.
+    Returns (G, first), first mapping each chain to {q: id of its first
+    generator in degree q}.  A chain c contributes the value at its top in
+    degrees q + len(c) − 1, supported at its bottom, with the internal
+    differential signed (−1)^(len−1).  Entries into c come from each of
+    its faces among the chains: deleting the element at position pos
+    below the top gives the identity signed (−1)^pos, deleting the top
+    gives the restriction from the new top signed (−1)^(len−1).
     """
     F = S.F
     one, mone = F.one, F.neg(F.one)
+    G = SparseComplex(F)
+    first = {}
     for c in chains:
-        ln = len(c)
-        top = c[-1]
-        vd = S.dims.get(top, {})
-        cid = first[c]
-        # internal differential
-        sgn = one if (ln - 1) % 2 == 0 else mone
-        for q, n in vd.items():
-            n1 = vd.get(q + 1)
-            if not n1:
-                continue
-            d = S.diff(top, q)
-            g0, h0 = cid[q], cid[q + 1]
-            for i in range(n):
-                for i2 in range(n1):
-                    v = d[i2][i]
-                    if not F.is_zero(v):
-                        G.add_entry(g0 + i, h0 + i2, F.mul(sgn, v))
-        if ln < 2:
-            continue
-        # face deletions: from each face of c into c
+        first[c] = S.add_value(G, c[-1], len(c) - 1, (-1) ** (len(c) - 1), c[0])
+    for c in chains:
+        ln, cid = len(c), first[c]
         for pos in range(ln):
             fid = first.get(c[:pos] + c[pos + 1:])
             if fid is None:
                 continue
             if pos < ln - 1:
                 sgn = one if pos % 2 == 0 else mone
-                for q, n in vd.items():
+                for q, n in S.dims.get(c[-1], {}).items():
                     f0, c0 = fid[q], cid[q]
                     for i in range(n):
                         G.add_entry(f0 + i, c0 + i, sgn)
             else:
-                sgn = one if (ln - 1) % 2 == 0 else mone
-                below = c[-2]
-                bd = S.dims.get(below, {})
-                for q in sorted(bd):
-                    nt = vd.get(q)
-                    if not nt:
-                        continue
-                    rm = S.restriction(below, top, q)
-                    f0, c0 = fid[q], cid[q]
-                    for i in range(bd[q]):
-                        for j in range(nt):
-                            v = rm[j][i]
-                            if not F.is_zero(v):
-                                G.add_entry(f0 + i, c0 + j, F.mul(sgn, v))
-
-
-def _add_chain_gens(G, S, chains, with_support=False):
-    """Add the generators of each chain's top value; chain -> {q: first id}."""
-    first = {}
-    for c in chains:
-        support = c[0] if with_support else None
-        ids = first[c] = {}
-        for q, d in sorted(S.dims.get(c[-1], {}).items()):
-            deg = len(c) - 1 + q
-            ids[q] = G.add_gen(deg, support)
-            for _ in range(d - 1):
-                G.add_gen(deg, support)
-    return first
+                for q, f0 in fid.items():
+                    if q in cid:
+                        G.add_block(f0, cid[q], S.restriction(c[-2], c[-1], q),
+                                    (-1) ** pos)
+    return G, first
 
 
 def rgamma_dims(S, member_ids):
@@ -112,9 +78,7 @@ def rgamma_dims(S, member_ids):
     members = set(member_ids) & set(S.domain.ids)
     if not members:
         return {}
-    G = SparseComplex(S.F)
-    chains = all_chains(S.complex, members)
-    _chain_entries(G, S, chains, _add_chain_gens(G, S, chains))
+    G, _ = _nerve_complex(S, all_chains(S.complex, members))
     return G.minimize_dims()
 
 
@@ -130,48 +94,18 @@ def rgamma_cellular_dims(S, member_ids):
     arXiv:1303.3255).
     """
     K = S.complex
-    F = S.F
-    G = SparseComplex(F)
+    G = SparseComplex(S.F)
     members = sorted(set(member_ids) & S.domain.ids)
-    first = {}
+    first = {sid: S.add_value(G, sid, K.sdim(sid), (-1) ** K.sdim(sid))
+             for sid in members}
     for sid in members:
-        p = K.sdim(sid)
-        ids = first[sid] = {}
-        for q, d in sorted(S.dims.get(sid, {}).items()):
-            ids[q] = G.add_gen(p + q)
-            for _ in range(d - 1):
-                G.add_gen(p + q)
-    for sid in members:
-        p = K.sdim(sid)
-        vd = S.dims.get(sid, {})
-        sid0 = first[sid]
-        sgn_int = F.one if p % 2 == 0 else F.neg(F.one)
-        for q, n in vd.items():
-            n1 = vd.get(q + 1)
-            if n1:
-                d = S.diff(sid, q)
-                g0, h0 = sid0[q], sid0[q + 1]
-                for i in range(n):
-                    for i2 in range(n1):
-                        v = d[i2][i]
-                        if not F.is_zero(v):
-                            G.add_entry(g0 + i, h0 + i2, F.mul(sgn_int, v))
         for cof, sign in K.cofacets[sid]:
             cof0 = first.get(cof)
             if cof0 is None:
                 continue
-            sg = F.one if sign > 0 else F.neg(F.one)
-            for q, n in vd.items():
-                nt = S.dim(cof, q)
-                if not nt:
-                    continue
-                rm = S.restriction_cover(sid, cof, q)
-                g0, h0 = sid0[q], cof0[q]
-                for i in range(n):
-                    for j in range(nt):
-                        v = rm[j][i]
-                        if not F.is_zero(v):
-                            G.add_entry(g0 + i, h0 + j, F.mul(sg, v))
+            for q, g0 in first[sid].items():
+                if q in cof0:
+                    G.add_block(g0, cof0[q], S.restriction_cover(sid, cof, q), sign)
     return G.minimize_dims()
 
 
@@ -195,10 +129,15 @@ def cell_costalk(S, sid):
 
     The cellular cochain complex over the open star, one summand per
     coface τ ≥ sid in degree dim τ + q (see `rgamma_cellular_dims`).
+    Memoized per complex; a restricted copy keeps its own memo, since the
+    open star inside its domain may be smaller.
     """
     if sid not in S.domain.ids:
         raise SheafError("simplex outside the domain")
-    return rgamma_cellular_dims(S, S.complex.up_set(sid))
+    got = S._costalk_cache.get(sid)
+    if got is None:
+        got = S._costalk_cache[sid] = rgamma_cellular_dims(S, S.complex.up_set(sid))
+    return got
 
 
 def _vanishes(F, d):
@@ -393,10 +332,7 @@ def pushforward_open(S, V, cleanup=True):
     far = U.ids - bids
     region = bids | new_ids
 
-    chains = all_chains(K, bids)
-    G = SparseComplex(F)
-    first = _add_chain_gens(G, S, chains, with_support=True)
-    _chain_entries(G, S, chains, first)
+    G, first = _nerve_complex(S, all_chains(K, bids))
 
     # compatible-family map from boundary-adjacent old simplices
     far_adjacent = set()

@@ -134,8 +134,8 @@ class SheafComplex:
     Matrices are shared with the complexes an operation was derived from
     and are never mutated.  Derived data is cached per instance: stalk
     cohomology (shared with restricted copies, which keep the same values)
-    and, filled by `sections.cohomology_sheaf`, one cohomology sheaf per
-    degree.
+    and, filled by `sections.cohomology_sheaf` and `sections.cell_costalk`,
+    one cohomology sheaf per degree and one costalk per simplex.
     """
 
     def __init__(self, F, complex, domain, dims, diffs, restrictions):
@@ -152,6 +152,7 @@ class SheafComplex:
         self._stalk_cache = {}
         self._restr_cache = {}
         self._coh_cache = {}
+        self._costalk_cache = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -212,6 +213,19 @@ class SheafComplex:
 
     # -- derived data --------------------------------------------------------
 
+    def add_value(self, G, sid, shift=0, sign=1, support=None):
+        """Add the value at sid to G, degree q at q + shift; {q: first id}.
+
+        The internal differential enters times sign (±1); every generator
+        gets the given support.
+        """
+        qs = self.dims.get(sid, {})
+        first = {q: G.add_gen(q + shift, support, qs[q]) for q in sorted(qs)}
+        for q, m in self.diffs.get(sid, {}).items():
+            if q in first and q + 1 in first:
+                G.add_block(first[q], first[q + 1], m, sign)
+        return first
+
     def stalk_cohomology(self, sid):
         """Cohomology dims of the value complex at sid, by sparse reduction."""
         # the cache may be shared with the complex this one was restricted
@@ -219,25 +233,8 @@ class SheafComplex:
         cached = sid in self.domain.ids
         got = self._stalk_cache.get(sid) if cached else None
         if got is None:
-            F = self.F
-            qs = self.dims.get(sid, {})
-            G = SparseComplex(F)
-            first = {}
-            for q in sorted(qs):
-                first[q] = G.add_gen(q)
-                for _ in range(qs[q] - 1):
-                    G.add_gen(q)
-            for q in sorted(qs):
-                n1 = qs.get(q + 1)
-                if not n1:
-                    continue
-                d = self.diff(sid, q)
-                g0, h0 = first[q], first[q + 1]
-                for i in range(qs[q]):
-                    for j in range(n1):
-                        v = d[j][i]
-                        if not F.is_zero(v):
-                            G.add_entry(g0 + i, h0 + j, v)
+            G = SparseComplex(self.F)
+            self.add_value(G, sid)
             got = G.minimize_dims()
             if cached:
                 self._stalk_cache[sid] = got

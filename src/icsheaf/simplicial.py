@@ -152,7 +152,7 @@ class SimplicialComplex:
     def subcomplex(self, down_closed_set):
         """A down-closed SimplexSet as a standalone complex, with id maps."""
         assert down_closed_set.is_down_closed()
-        tuples = [self.simplices[i] for i in sorted(down_closed_set.ids)]
+        tuples = down_closed_set.tuples()
         verts = sorted({v for t in tuples for v in t}, key=_vertex_key)
         sub = SimplicialComplex(verts, tuples)
         to_parent = {sub.index[t]: self.index[t] for t in tuples}

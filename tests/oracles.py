@@ -9,8 +9,9 @@ the reference versions of package code that a faster path replaced, kept
 as they were so the tests can compare the two (`order_chains`, the dense
 solver behind `cohomology_sheaf_reference`), the supported-sections
 complex that AX2 is compared against (`supported_section_dims`), and the
-helpers only tests need: `shift` builds test complexes and
-`load_sheaf_complex` reads a dumped complex back.
+helpers only tests need: `shift` builds test complexes,
+`load_sheaf_complex` reads a dumped complex back and
+`fake_surface_stratum_ids` names the fake stratum of a demo.
 """
 
 from fractions import Fraction
@@ -18,7 +19,6 @@ from itertools import combinations
 
 from icsheaf import matrices as mx
 from icsheaf import sections as sec
-from icsheaf.reduction import SparseComplex
 from icsheaf.sheaves import CellularSheaf, SheafComplex
 from icsheaf.simplicial import all_chains
 
@@ -214,6 +214,14 @@ def suspension_ic_hyperco(h_m, n=2):
     return out
 
 
+def fake_surface_stratum_ids(K):
+    """Simplex ids of the ∂Δ³-on-{1,2,3,4} stratum of the fake-surface demo."""
+    ids = set()
+    for f in combinations([1, 2, 3, 4], 3):
+        ids.update(K.down_set(K.id_of(f)))
+    return ids
+
+
 def star_chains(S, sid):
     """All chains of the subposet up(sid) ∩ domain."""
     K = S.complex
@@ -229,8 +237,7 @@ def supported_section_dims(S, sid, z_ids):
     """
     zset = set(z_ids)
     chains = [c for c in star_chains(S, sid) if any(e in zset for e in c)]
-    G = SparseComplex(S.F)
-    sec._chain_entries(G, S, chains, sec._add_chain_gens(G, S, chains))
+    G, _ = sec._nerve_complex(S, chains)
     return G.minimize_dims()
 
 

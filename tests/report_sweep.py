@@ -1,0 +1,101 @@
+"""Byte-identity gate for the CLI: every command on every bundled demo.
+
+Runs the 11 report-writing commands on the 5 bundled demos, over QQ and
+GF(32003), canonical and --naive (220 jobs), through `cli.run` in one
+process.  The jobs run in a temporary working directory with a relative
+--out, so the paths recorded in each manifest do not depend on where the
+sweep runs.  Each job's exit code, the sha256 of its stdout and of its
+stderr, and the sha256 of every report it writes are compared with the
+table in report_sweep.json; the script names each job that differs and
+exits 1 if any does.
+
+    PYTHONPATH=src python tests/report_sweep.py            # compare
+    PYTHONPATH=src python tests/report_sweep.py --record   # rewrite the table
+
+Re-record the table only in a change that means to alter reports.  pytest
+does not collect this file: the sweep takes about 45 s.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from icsheaf import cli, demos
+
+COMMANDS = ("validate", "filtration", "build", "check-ax1", "check-ax2",
+            "check-classic-ax2", "hyperco", "stalks", "costalks", "compare",
+            "coarsen")
+FIELDS = ("q", "fp:32003")
+TABLE = Path(__file__).with_name("report_sweep.json")
+
+
+def jobs():
+    for name in demos.DEMO_NAMES:
+        for field in FIELDS:
+            for naive in ([], ["--naive"]):
+                for command in COMMANDS:
+                    yield [command, "demo:" + name, "--field", field] + naive
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_job(argv, out):
+    """Run one job with --out set to the relative directory `out`."""
+    for old in Path(out).glob("*.json"):
+        old.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run(argv + ["--out", out])
+    return {"argv": argv, "exit": code,
+            "stdout": _sha(stdout.getvalue().encode()),
+            "stderr": _sha(stderr.getvalue().encode()),
+            "reports": {p.name: _sha(p.read_bytes())
+                        for p in sorted(Path(out).glob("*.json"))}}
+
+
+def sweep():
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            return [run_job(argv, "out") for argv in jobs()]
+        finally:
+            os.chdir(here)
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--record", action="store_true",
+                   help="write the table instead of comparing against it")
+    args = p.parse_args()
+    rows = sweep()
+    if args.record:
+        TABLE.write_text("[\n%s\n]\n" % ",\n".join(
+            json.dumps(r, sort_keys=True) for r in rows))
+        print("recorded %d jobs in %s" % (len(rows), TABLE.name))
+        return 0
+    want = {" ".join(r["argv"]): r for r in json.loads(TABLE.read_text())}
+    got = {" ".join(r["argv"]): r for r in rows}
+    bad = sorted(set(want) ^ set(got))
+    for key in bad:
+        print("%s: %s" % ("missing" if key in want else "unrecorded", key))
+    for key in sorted(set(want) & set(got)):
+        diff = [f for f in ("exit", "stdout", "stderr", "reports")
+                if want[key][f] != got[key][f]]
+        if diff:
+            bad.append(key)
+            print("differs in %s: %s" % (", ".join(diff), key))
+    print("%d jobs, %d differ" % (len(got), len(bad)))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -48,10 +48,6 @@ def space(name):
     return K, validate_stratification(K, doc["levels"])
 
 
-def full_costalks(S):
-    return {sid: sec.cell_costalk(S, sid) for sid in sorted(S.domain.ids)}
-
-
 def test_criterion_1_wedge_reproduction():
     with criterion(1, "wedge stalk/costalk at the glue vertex", 30):
         K, strat = space("wedge")
@@ -66,15 +62,14 @@ def test_criterion_2_classical_axiom_failure():
                       "per-dimension axioms pass", 30):
         K, strat = space("wedge")
         b = build_ic(strat)
-        costalks = full_costalks(b.ic)
-        classic = ax.check_classic_ax2(b.ic, costalks=costalks)
+        classic = ax.check_classic_ax2(b.ic)
         assert not classic.passed
         by = {c.clause: c for c in classic.clauses}
         support = [w for w in by["c"].witnesses if w.degree == -1]
         assert support and support[0].observed_dim == 1
         cosupport = [w for w in by["d"].witnesses if w.degree == 1]
         assert cosupport and cosupport[0].observed_dim == 1
-        assert ax.check_ax2(b.ic, strat, costalks=costalks).passed
+        assert ax.check_ax2(b.ic, strat).passed
 
 
 def test_criterion_3_naive_filtration_failure():
@@ -88,7 +83,7 @@ def test_criterion_3_naive_filtration_failure():
         assert not clause_b.passed
         w = clause_b.witnesses[0]
         assert w.degree == -1 and w.observed_dim == 1 and w.bound == 1
-        fake = demos.fake_surface_stratum_ids(K)
+        fake = oracles.fake_surface_stratum_ids(K)
         locus = set(w.simplex_ids)
         # the witness locus is the fake stratum (its closure may pick up the
         # glue vertex, where the sphere summand also has degree -1 stalk)
@@ -236,9 +231,8 @@ def test_criterion_8_axiom_equivalence_suite():
         for label, strat, S in members:
             clc_ok, _ = sec.is_clc(S, strat)
             assert clc_ok, label
-            costalks = full_costalks(S)
             r1 = ax.check_ax1(S, strat)
-            r2 = ax.check_ax2(S, strat, costalks=costalks)
+            r2 = ax.check_ax2(S, strat)
             assert r1.passed == r2.passed, (label, r1.to_json(), r2.to_json())
             if r1.passed:
                 passes += 1

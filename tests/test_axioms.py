@@ -48,9 +48,8 @@ def test_ax1_fails_on_untruncated_pushforward(spaces):
 
 def test_ax2_wedge_values(wedge_ic, wedge):
     K, strat = wedge
-    ct = full_costalks(wedge_ic.ic)
-    assert ax.check_ax2(wedge_ic.ic, strat, costalks=ct).passed
-    classic = ax.check_classic_ax2(wedge_ic.ic, costalks=ct)
+    assert ax.check_ax2(wedge_ic.ic, strat).passed
+    classic = ax.check_classic_ax2(wedge_ic.ic)
     assert not classic.passed
     by_clause = {c.clause: c for c in classic.clauses}
     assert by_clause["a"].passed and by_clause["b"].passed
@@ -67,13 +66,13 @@ def test_ax2_wedge_values(wedge_ic, wedge):
 
 def test_classic_ax2_passes_on_pure_pinched_torus(built, spaces):
     K, strat = spaces["pinched-torus"]
-    assert ax.check_classic_ax2(built["pinched-torus"].ic, n=1).passed
+    assert ax.check_classic_ax2(built["pinched-torus"].ic).passed
 
 
 def test_classic_ax2_lower_bound_clause(spaces):
     K, strat = spaces["pinched-torus"]
     S = oracles.shift(constant_complex(QQ, K, K.full_set()), 3)  # degree -3 < -n
-    report = ax.check_classic_ax2(S, n=1)
+    report = ax.check_classic_ax2(S)
     assert not next(c for c in report.clauses if c.clause == "b").passed
 
 
@@ -87,7 +86,7 @@ def test_ax2_naive_failure_witness(spaces):
     w = clause_b.witnesses[0]
     assert w.degree == -1 and w.m == 2
     assert w.observed_dim == 1 and w.bound == 1
-    fake = demos.fake_surface_stratum_ids(K)
+    fake = oracles.fake_surface_stratum_ids(K)
     assert fake <= set(w.simplex_ids)
     assert set(w.simplex_ids) - fake <= {K.id_of([0])}
     # the canonical build passes
@@ -118,7 +117,7 @@ def test_support_locus(wedge_ic, wedge):
     bn = build_ic(sf, naive=True)
     ids3, _, cdim3 = ax.support_locus(bn.ic, -1, "stalk",
                                       within=bn.filtration.X_m[2].ids)
-    assert demos.fake_surface_stratum_ids(Kf) <= set(ids3) and cdim3 == 1
+    assert oracles.fake_surface_stratum_ids(Kf) <= set(ids3) and cdim3 == 1
 
 
 def test_ax2_rejects_non_clc(wedge):
@@ -133,7 +132,7 @@ def test_witness_minimality(wedge_ic, wedge, spaces):
     # every reported violation re-checks from scratch against raw tables
     K, strat = wedge
     ct = full_costalks(wedge_ic.ic)
-    classic = ax.check_classic_ax2(wedge_ic.ic, costalks=ct)
+    classic = ax.check_classic_ax2(wedge_ic.ic)
     for w in classic.witnesses():
         tables = ct if w.kind == "costalk" else \
             {sid: wedge_ic.ic.stalk_cohomology(sid) for sid in sorted(K.full_set().ids)}

@@ -65,9 +65,14 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
                  ["costalks", "demo:wedge", "--sample=-1000"],
                  ["stalks", "demo:wedge", "--at", "0,99"],
                  ["costalks", "demo:wedge", "--at", "0,99"],
-                 # --at on a command that would ignore it
+                 # an option the command would ignore
                  ["hyperco", "demo:wedge", "--at", "0"],
                  ["demo", "wedge", "--at", "0"],
+                 ["hyperco", "demo:wedge", "--sample", "3"],
+                 ["compare", "demo:wedge", "--sample", "3"],
+                 ["build", "demo:wedge", "--refine", "extra-point"],
+                 ["stalks", "demo:wedge", "--check-links"],
+                 ["costalks", "demo:wedge", "--at", "0", "--sample", "5"],
                  ["compare", "demo:wedge", "--refine", "extra-point:x"]):
         assert run(argv + ["--out", o]) == 1, argv
         err = capsys.readouterr().err

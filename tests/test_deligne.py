@@ -151,7 +151,7 @@ def test_verdier_self_duality(build_of, spaces, name):
     if name == "nonpure-wedge":
         expect_bad = {(12,)}
     elif name == "fake-surface":
-        expect_bad = {K.simplices[sid] for sid in demos.fake_surface_stratum_ids(K)}
+        expect_bad = {K.simplices[sid] for sid in oracles.fake_surface_stratum_ids(K)}
         assert len(expect_bad) == 14
     for naive in (False, True):
         S = build_of(name, "fp:32003", naive).ic
@@ -271,7 +271,7 @@ def test_compare_naive_fails_with_witness(spaces):
     kinds = {w["kind"] for w in rep["witnesses"]}
     assert "stalk" in kinds
     fake = {tuple(sorted(s)) for s in
-            (tuple(t) for t in (K.simplices[i] for i in demos.fake_surface_stratum_ids(K)))}
+            (tuple(t) for t in (K.simplices[i] for i in oracles.fake_surface_stratum_ids(K)))}
     first = rep["witnesses"][0]
     assert tuple(first["simplex"]) in fake
 

@@ -4,7 +4,6 @@ from icsheaf import demos
 from icsheaf.deligne import build_ic, default_costalk_sample
 from icsheaf.fields import QQ, field_by_name
 from icsheaf import sections as sec
-from icsheaf.reduction import SparseComplex
 from icsheaf.sheaves import SheafComplex, SheafError, constant_complex
 from icsheaf.simplicial import SimplicialComplex
 from icsheaf.stratify import compute_open_filtration
@@ -128,6 +127,18 @@ def test_costalk_outside_domain():
         sec.cell_costalk(S, K.id_of([0]))
 
 
+def test_costalk_memo_is_per_complex(wedge_ic, wedge):
+    # restricted to the closed 2-sphere at the glue vertex, the open star of
+    # the vertex shrinks and so does its costalk: the memo is not shared
+    K, _ = wedge
+    S, v0 = wedge_ic.ic, K.id_of([0])
+    full = sec.cell_costalk(S, v0)
+    sphere = K.simplex_set({i for i, s in enumerate(K.simplices) if set(s) <= {0, 6, 7, 8}})
+    assert full == {1: 1, 2: 1}
+    assert sec.cell_costalk(S.restrict_closed(sphere), v0) == {-2: 1, 1: 1}
+    assert sec.cell_costalk(S, v0) is full
+
+
 def nerve_costalk(S, sid):
     """Order-chain oracle for the costalk at sid.
 
@@ -136,8 +147,7 @@ def nerve_costalk(S, sid):
     real dimension of sid.
     """
     chains = [c for c in oracles.star_chains(S, sid) if c[0] == sid]
-    G = SparseComplex(S.F)
-    sec._chain_entries(G, S, chains, sec._add_chain_gens(G, S, chains))
+    G, _ = sec._nerve_complex(S, chains)
     d = S.complex.sdim(sid)
     return {q + d: v for q, v in G.minimize_dims().items()}
 
