@@ -12,7 +12,7 @@ from .simplicial import SimplicialComplex, SimplexSet, load_complex
 from .stratify import (Stratification, OpenFiltration, validate_stratification,
                        compute_open_strata, compute_open_filtration,
                        naive_filtration, is_refinement)
-from .sheaves import CellularSheaf, SheafComplex, make_local_system, constant_complex
+from .sheaves import SheafComplex, make_local_system, constant_complex
 from .sections import (pushforward_open, truncate_le, cohomology_sheaf,
                        cell_costalk, hypercohomology, is_clc)
 from .deligne import (ICBundle, build_ic, build_ic_pure, check_decomposition,
@@ -27,7 +27,7 @@ __all__ = [
     "Stratification", "OpenFiltration", "validate_stratification",
     "compute_open_strata", "compute_open_filtration", "naive_filtration",
     "is_refinement",
-    "CellularSheaf", "SheafComplex", "make_local_system", "constant_complex",
+    "SheafComplex", "make_local_system", "constant_complex",
     "pushforward_open", "truncate_le", "cohomology_sheaf", "cell_costalk",
     "hypercohomology", "is_clc",
     "ICBundle", "build_ic", "build_ic_pure", "check_decomposition",

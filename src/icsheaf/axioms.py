@@ -126,7 +126,7 @@ def _normalization_clause(S, filt, clause_name, domains):
         else:
             Hm = sec.cohomology_sheaf(S, -m)
             for (s, t) in dom.cover_pairs():
-                if not Hm.is_iso(s, t):
+                if not Hm.is_iso(s, t, -m):
                     witnesses.append(Witness("restriction", clause_name,
                                              [s, t], -m, None, None, m=m))
                     break
@@ -242,7 +242,7 @@ def check_classic_ax2(S):
     while changed:
         changed = False
         for (s, t) in Hn.domain.cover_pairs():
-            if s in v_ids and t in v_ids and not Hn.is_iso(s, t):
+            if s in v_ids and t in v_ids and not Hn.is_iso(s, t, -n):
                 v_ids -= set(K.down_set(s))
                 changed = True
     V = K.simplex_set(v_ids)

@@ -105,14 +105,14 @@ def load_system(args, F, filt):
     if not isinstance(doc, dict):
         raise InputError("local system must be a JSON object")
     if "rank" in doc:
-        if type(doc["rank"]) is not int:
-            raise InputError("local system rank must be an integer")
         return make_local_system(F, K, filt.U[1], {"rank": doc["rank"]})
     try:
         stalk_dim = {K.id_of(_parse_simplex(k)): d for k, d in doc["stalk_dims"].items()}
         matrices = {}
         for key, m in doc.get("matrices", {}).items():
             a, b = key.split("|")
+            if type(m) is not list or any(type(row) is not list for row in m):
+                raise InputError("matrix %r must be a list of rows, each a list" % key)
             matrices[(K.id_of(_parse_simplex(a)), K.id_of(_parse_simplex(b)))] = \
                 [[F.parse(x) for x in row] for row in m]
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:

@@ -10,8 +10,8 @@ closed extensions by zero at each stage.  The pure-dimensional recursion
 
 from .fields import QQ
 from . import sections as sec
-from .sheaves import (SheafComplex, CellularSheaf, SheafError, first_difference,
-                      make_local_system, zero_complex)
+from .sheaves import (SheafComplex, SheafError, first_difference, make_local_system,
+                      zero_complex)
 from .stratify import (compute_open_filtration, naive_filtration,
                        validate_stratification, StratificationError, TRUST_NOTE)
 
@@ -22,7 +22,7 @@ class ICBundle:
     def __init__(self, strat, filt, systems, intermediates, log, field, naive):
         self.stratification = strat
         self.filtration = filt
-        self.systems = systems              # m -> CellularSheaf on U^m
+        self.systems = systems              # m -> degree-0 SheafComplex on U^m
         self.intermediates = intermediates  # U_k-indexed complexes, I_1 first
         self.ic = intermediates[-1]
         self.log = log                      # per-step dicts
@@ -49,7 +49,7 @@ def split_local_system(L, filt, within):
     for m, um in filt.U_m.items():
         um = um.intersection(within)
         if len(um):
-            out[m] = L.restrict(um)
+            out[m] = L.restrict_open(um)
     return out
 
 
@@ -64,11 +64,11 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
     for m in sorted(systems):
         if m > upto:
             continue
-        piece = systems[m].to_complex(degree=-m)
-        if raw:
-            piece = SheafComplex(F, K, ambient, piece.dims, piece.diffs,
-                                 piece.restrictions)
-        else:
+        L = systems[m]
+        piece = SheafComplex(F, K, ambient if raw else L.domain,
+                             {s: {-m: qs[0]} for s, qs in L.dims.items()}, {},
+                             {p: {-m: ms[0]} for p, ms in L.restrictions.items()})
+        if not raw:
             piece = piece.extend_by_zero(ambient)
         total = piece if total is None else total.direct_sum(piece)
     if total is None:
@@ -146,7 +146,7 @@ def _verify_bundle(bundle):
     # first stage is the shifted local system sum
     for m, Lm in bundle.systems.items():
         for sid in sorted(Lm.domain.ids):
-            expect = {-m: Lm.dim(sid)} if Lm.dim(sid) else {}
+            expect = {-m: Lm.dim(sid, 0)} if Lm.dim(sid, 0) else {}
             got = inter[0].stalk_cohomology(sid)
             if got != expect:
                 raise SheafError("first stage does not match the shifted local system "
@@ -180,14 +180,6 @@ def restrict_stratification(strat, closed_set):
     return validate_stratification(sub, levels), sub, to_parent, from_parent
 
 
-def transport_sheaf(L, target_complex, id_map, domain):
-    """Move a CellularSheaf along a simplex id bijection."""
-    dims = {id_map[s]: d for s, d in L.stalk_dim.items() if s in id_map}
-    restr = {(id_map[s], id_map[t]): m for (s, t), m in L.restriction.items()
-             if s in id_map and t in id_map}
-    return CellularSheaf(L.F, target_complex, domain, dims, restr)
-
-
 def transport_complex(S, target_complex, id_map, domain):
     dims = {id_map[s]: dict(qs) for s, qs in S.dims.items() if s in id_map}
     diffs = {id_map[s]: dict(ms) for s, ms in S.diffs.items() if s in id_map}
@@ -217,7 +209,7 @@ def build_ic_pure(strat, m, Lm=None, field=QQ):
         Lsub = None
     else:
         sub_dom = sub.simplex_set({from_parent[i] for i in Lm.domain.ids})
-        Lsub = transport_sheaf(Lm, sub, from_parent, sub_dom)
+        Lsub = transport_complex(Lm, sub, from_parent, sub_dom)
     bundle = build_ic(substrat, Lsub, field=field)
     parent_ic = transport_complex(bundle.ic, strat.complex, to_parent, closed)
     return parent_ic, bundle
@@ -286,8 +278,8 @@ def compare_stratifications(strat1, strat2, L1=None, L2=None, field=QQ,
     b2 = build_ic(strat2, L2, field=field)
     common = b1.filtration.U[1].intersection(b2.filtration.U[1])
     for sid in sorted(common.ids):
-        d1 = {m: L.dim(sid) for m, L in b1.systems.items() if sid in L.domain.ids}
-        d2 = {m: L.dim(sid) for m, L in b2.systems.items() if sid in L.domain.ids}
+        d1 = {m: L.dim(sid, 0) for m, L in b1.systems.items() if sid in L.domain.ids}
+        d2 = {m: L.dim(sid, 0) for m, L in b2.systems.items() if sid in L.domain.ids}
         if sum(d1.values()) != sum(d2.values()):
             raise SheafError("local systems disagree on the common open part")
 
@@ -355,7 +347,7 @@ def clc_coarsen(strat, S):
     sheaves = {a: sec.cohomology_sheaf(S, a) for a in range(lo, hi + 1)}
 
     def maps_iso(sid, tid):
-        return all(H.is_iso(sid, tid) for H in sheaves.values())
+        return all(H.is_iso(sid, tid, a) for a, H in sheaves.items())
 
     stratum_of = {}
     for st in strat.strata:

@@ -28,7 +28,7 @@ coefficient complex on the open part.
 
 from . import matrices as mx
 from .reduction import SparseComplex
-from .sheaves import SheafComplex, CellularSheaf, SheafError, first_difference
+from .sheaves import SheafComplex, SheafError, first_difference
 from .simplicial import all_chains
 
 
@@ -219,15 +219,15 @@ def _coordinates(S, kern, B, a, what, sids):
 def cohomology_sheaf(S, a):
     """The degree-a cohomology sheaf with induced restriction maps.
 
-    Memoized per complex and degree.  At a flat simplex, where d^(a−1) and
-    d^a both vanish, H^a is the whole value with the identity basis, and a
-    cover pair of two flat simplices induces its restriction matrix.
-    Elsewhere the image of d^(a−1) is read in the kernel basis of d^a and
-    reduced to echelon form from the last coordinate down; the
-    representatives are the kernel basis vectors at the coordinates where
-    no image vector ends (the leftmost basis of H^a), and H-coordinates
-    are one product with the annihilator of the image, which is `kernel`
-    of the image rows with their coordinates reversed.
+    A SheafComplex in degree a, memoized per complex and degree.  At a
+    flat simplex, where d^(a−1) and d^a both vanish, H^a is the whole value
+    with the identity basis, and a cover pair of two flat simplices induces
+    its restriction matrix.  Elsewhere the image of d^(a−1) is read in the
+    kernel basis of d^a and reduced to echelon form from the last
+    coordinate down; the representatives are the kernel basis vectors at
+    the coordinates where no image vector ends (the leftmost basis of H^a),
+    and H-coordinates are one product with the annihilator of the image,
+    which is `kernel` of the image rows with their coordinates reversed.
     """
     got = S._coh_cache.get(a)
     if got is not None:
@@ -278,7 +278,9 @@ def cohomology_sheaf(S, a):
             coords = _coordinates(S, ct[0], images, a, "restriction", (s, t))
             images = mx.mat_mul(F, ct[2], coords)
         restr[(s, t)] = images
-    got = S._coh_cache[a] = CellularSheaf(F, S.complex, S.domain, stalks, restr)
+    got = S._coh_cache[a] = SheafComplex(
+        F, S.complex, S.domain, {sid: {a: h} for sid, h in stalks.items()}, {},
+        {p: {a: m} for p, m in restr.items()})
     return got
 
 
@@ -294,7 +296,7 @@ def is_clc(S, strat):
         for st in strat.strata:
             ids = st.simplex_set.ids
             for (s, t) in H.domain.cover_pairs():
-                if s in ids and t in ids and not H.is_iso(s, t):
+                if s in ids and t in ids and not H.is_iso(s, t, a):
                     return False, {"stratum": st.index, "degree": a,
                                    "pair": (S.complex.simplices[s],
                                             S.complex.simplices[t])}
@@ -345,15 +347,15 @@ def pushforward_open(S, V, cleanup=True):
         for rho in K.up_set(sid):
             if rho not in bids:
                 continue
+            top = first[(rho,)]
             for q, d in sorted(S.value_dims(sid).items()):
-                if not S.dim(rho, q):
+                n = S.dim(rho, q)
+                if not n:
                     continue
-                rm = S.restriction(sid, rho, q)
+                rm, h0 = S.restriction(sid, rho, q), top[q]
                 for i in range(d):
-                    for j in range(S.dim(rho, q)):
-                        v = rm[j][i]
-                        if not F.is_zero(v):
-                            G.add_ucol(first[(rho,)][q] + j, (sid, q, i), v)
+                    for j in range(n):
+                        G.add_ucol(h0 + j, (sid, q, i), rm[j][i])
 
     if cleanup:
         G.reduce(same_support=True)

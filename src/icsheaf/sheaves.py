@@ -1,14 +1,15 @@
-"""Cellular sheaves and complexes of them on a face poset.
+"""Complexes of cellular sheaves on a face poset.
 
-A cellular sheaf assigns a finite-dimensional vector space to every
-simplex of its domain and a matrix to every covering pair σ ⋖ τ (maps go
-from faces to cofaces); path independence makes arbitrary restrictions
-well-defined.  A SheafComplex is a finite family of such assignments
-indexed by cohomological degree together with per-simplex differentials
-commuting with the restrictions.  Everything is immutable and explicit;
+A SheafComplex assigns to every simplex of its domain a finite complex of
+vector spaces (its value), with per-simplex differentials, and to every
+covering pair σ ⋖ τ a restriction matrix in each degree (maps go from
+faces to cofaces) commuting with the differentials; path independence
+makes arbitrary restrictions well-defined.  A sheaf is a SheafComplex in
+one degree: a local system lives in degree 0 and the degree-a cohomology
+sheaf of a complex in degree a.  Everything is immutable and explicit;
 operations return new objects, which share every matrix and value they
 leave unchanged with their inputs.  A matrix is never mutated once it is
-part of a sheaf or complex.
+part of a complex.
 """
 
 from . import matrices as mx
@@ -32,99 +33,45 @@ def _mul(F, A, B, m, k, n):
     return mx.mat_mul(F, A, B)
 
 
-class CellularSheaf:
-    """Stalk dims + covering-pair matrices on a SimplexSet domain."""
-
-    def __init__(self, F, complex, domain, stalk_dim, restriction):
-        self.F = F
-        self.complex = complex
-        self.domain = domain
-        self.stalk_dim = {s: d for s, d in stalk_dim.items() if d}
-        self.restriction = restriction  # (sid, sid) -> matrix, cover pairs only
-
-    def dim(self, sid):
-        return self.stalk_dim.get(sid, 0)
-
-    def restriction_matrix(self, sid, tid):
-        r = self.restriction.get((sid, tid))
-        if r is None:
-            return mx.zeros(self.F, self.dim(tid), self.dim(sid))
-        return r
-
-    def is_iso(self, sid, tid):
-        """Is the restriction along the cover pair sid ⋖ tid an isomorphism?"""
-        n = self.dim(sid)
-        if n != self.dim(tid):
-            return False
-        r = self.restriction_matrix(sid, tid)
-        # the identity needs no elimination
-        return r == mx.identity(self.F, n) or mx.is_invertible(self.F, r)
-
-    def check_path_independence(self):
-        """All two-step composites between a codim-2 pair must agree."""
-        K = self.complex
-        F = self.F
-        dom = self.domain.ids
-        for s in sorted(dom):
-            mids = [c for c, _ in K.cofacets[s] if c in dom]
-            targets = {}
-            for m in mids:
-                for t, _ in K.cofacets[m]:
-                    if t in dom:
-                        targets.setdefault(t, []).append(m)
-            for t, ms in targets.items():
-                if len(ms) < 2:
-                    continue
-                comps = []
-                for m in ms:
-                    comps.append(_mul(F, self.restriction_matrix(m, t),
-                                      self.restriction_matrix(s, m),
-                                      self.dim(t), self.dim(m), self.dim(s)))
-                for other in comps[1:]:
-                    if other != comps[0]:
-                        raise SheafError(
-                            "path independence fails between %r and %r"
-                            % (K.simplices[s], K.simplices[t]))
-
-    def restrict(self, subset):
-        dims = {s: d for s, d in self.stalk_dim.items() if s in subset.ids}
-        rest = {p: m for p, m in self.restriction.items()
-                if p[0] in subset.ids and p[1] in subset.ids}
-        return CellularSheaf(self.F, self.complex, subset, dims, rest)
-
-    def to_complex(self, degree=0):
-        dims = {s: {degree: d} for s, d in self.stalk_dim.items()}
-        restr = {p: {degree: m} for p, m in self.restriction.items()}
-        return SheafComplex(self.F, self.complex, self.domain, dims, {}, restr)
-
-
 def make_local_system(F, complex, domain, spec):
-    """Build and verify a local system on an up-closed domain.
+    """Build and verify a local system on an up-closed domain, in degree 0.
 
-    spec: {"rank": r} for the constant system, or
-          {"stalk_dim": {...}, "matrices": {(σ,τ): matrix}} with explicit
-          invertible covering-pair matrices (keys may also be canonical
-          tuple pairs).
+    spec: {"rank": r} for the constant system of rank r (a nonnegative int), or
+          {"stalk_dim": {sid: dim}, "matrices": {(sid, tid): matrix}} with
+          explicit invertible cover-pair matrices.  Every stalk dim is a
+          nonnegative int at a simplex of the domain, every matrices key a
+          cover pair of the domain, and every matrix has dim(tid) rows of
+          dim(sid) entries.
     """
     if not domain.is_up_closed():
         raise SheafError("local system domain must be up-closed")
     if "rank" in spec:
-        r = int(spec["rank"])
-        if r < 0:
-            raise SheafError("rank must be nonnegative")
-        dims = {s: r for s in domain.ids}
-        ident = mx.identity(F, r)
-        restr = {p: ident for p in domain.cover_pairs()}
-        return CellularSheaf(F, complex, domain, dims, restr)
-    dims = dict(spec["stalk_dim"])
-    restr = dict(spec["matrices"])
-    sheaf = CellularSheaf(F, complex, domain, dims, restr)
-    for (s, t) in domain.cover_pairs():
-        if not sheaf.is_iso(s, t):
-            raise SheafError(
-                "restriction %r -> %r is not invertible"
-                % (complex.simplices[s], complex.simplices[t]))
-    sheaf.check_path_independence()
+        r = spec["rank"]
+        if type(r) is not int or r < 0:
+            raise SheafError("rank must be a nonnegative integer, got %r" % (r,))
+        return constant_complex(F, complex, domain, r)
+    at = complex.simplices
+    dims, matrices = spec["stalk_dim"], spec["matrices"]
+    for s, d in dims.items():
+        if s not in domain.ids or type(d) is not int or d < 0:
+            raise SheafError("stalk dim at %r must be a nonnegative integer at a simplex "
+                             "of the domain, got %r" % (at[s], d))
+    pairs = list(domain.cover_pairs())
+    cover = set(pairs)
+    for (s, t), m in matrices.items():
+        if (s, t) not in cover:
+            raise SheafError("matrix at %r -> %r is not on a cover pair of the domain"
+                             % (at[s], at[t]))
+        rows, cols = dims.get(t, 0), dims.get(s, 0)
+        if len(m) != rows or any(len(row) != cols for row in m):
+            raise SheafError("matrix at %r -> %r must have %d rows of %d entries"
+                             % (at[s], at[t], rows, cols))
+    sheaf = SheafComplex(F, complex, domain, {s: {0: d} for s, d in dims.items()}, {},
+                         {p: {0: m} for p, m in matrices.items()})
+    for (s, t) in pairs:
+        if not sheaf.is_iso(s, t, 0):
+            raise SheafError("restriction %r -> %r is not invertible" % (at[s], at[t]))
+    sheaf.check_path_independence(0)
     return sheaf
 
 
@@ -211,6 +158,15 @@ class SheafComplex:
         self._restr_cache[key] = out
         return out
 
+    def is_iso(self, sid, tid, q):
+        """Is the degree-q restriction along the cover pair sid ⋖ tid an isomorphism?"""
+        n = self.dim(sid, q)
+        if n != self.dim(tid, q):
+            return False
+        r = self.restriction_cover(sid, tid, q)
+        # the identity needs no elimination
+        return r == mx.identity(self.F, n) or mx.is_invertible(self.F, r)
+
     # -- derived data --------------------------------------------------------
 
     def add_value(self, G, sid, shift=0, sign=1, support=None):
@@ -266,10 +222,31 @@ class SheafComplex:
                         "restriction does not commute with d at %r -> %r"
                         % (self.complex.simplices[s], self.complex.simplices[t]))
         for q in self.degrees():
-            CellularSheaf(F, self.complex, self.domain,
-                          {s: self.dim(s, q) for s in self.dims},
-                          {p: m[q] for p, m in self.restrictions.items() if q in m}
-                          ).check_path_independence()
+            self.check_path_independence(q)
+
+    def check_path_independence(self, q):
+        """All two-step degree-q composites between a codim-2 pair must agree."""
+        K = self.complex
+        dom = self.domain.ids
+        for s in sorted(dom):
+            targets = {}
+            for m, _ in K.cofacets[s]:
+                if m in dom:
+                    for t, _ in K.cofacets[m]:
+                        if t in dom:
+                            targets.setdefault(t, []).append(m)
+            for t, ms in targets.items():
+                if len(ms) < 2:
+                    continue
+                comps = [_mul(self.F, self.restriction_cover(m, t, q),
+                              self.restriction_cover(s, m, q),
+                              self.dim(t, q), self.dim(m, q), self.dim(s, q))
+                         for m in ms]
+                for other in comps[1:]:
+                    if other != comps[0]:
+                        raise SheafError(
+                            "path independence fails between %r and %r"
+                            % (K.simplices[s], K.simplices[t]))
 
     # -- operations -----------------------------------------------------------
 

@@ -50,12 +50,6 @@ class Stratification:
     def strata_at(self, k):
         return [s for s in self.strata if s.complex_dim == k]
 
-    def stratum_of(self, sid):
-        for s in self.strata:
-            if sid in s.simplex_set:
-                return s
-        raise StratificationError("simplex id %d not covered by any stratum" % sid)
-
     def levels_doc(self):
         doc = {}
         for k in range(self.n + 1):

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from icsheaf import matrices as mx
 from icsheaf import sections as sec
-from icsheaf.sheaves import CellularSheaf, SheafComplex
+from icsheaf.sheaves import SheafComplex
 from icsheaf.simplicial import all_chains
 
 
@@ -386,19 +386,19 @@ def cohomology_sheaf_reference(S, a):
         coh = CochainCohomology(F, n, d_in, d_out)
         data[sid] = coh
         if coh.h_dim:
-            stalks[sid] = coh.h_dim
+            stalks[sid] = {a: coh.h_dim}
     restr = {}
     for (s, t) in S.domain.cover_pairs():
         cs, ct = data[s], data[t]
         if cs.h_dim == 0 and ct.h_dim == 0:
             continue
         if cs.h_dim == 0:
-            restr[(s, t)] = mx.zeros(F, ct.h_dim, 0)
+            restr[(s, t)] = {a: mx.zeros(F, ct.h_dim, 0)}
             continue
         r = S.restriction_cover(s, t, a)
         images = [mat_vec(F, r, rep) for rep in cs.reps]
-        restr[(s, t)] = ct.project(images)
-    return CellularSheaf(F, S.complex, S.domain, stalks, restr)
+        restr[(s, t)] = {a: ct.project(images)}
+    return SheafComplex(F, S.complex, S.domain, stalks, {}, restr)
 
 
 def shift(S, k):

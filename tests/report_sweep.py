@@ -1,19 +1,20 @@
 """Byte-identity gate for the CLI: every command on every bundled demo.
 
 Runs the 11 report-writing commands on the 5 bundled demos, over QQ and
-GF(32003), canonical and --naive (220 jobs), through `cli.run` in one
-process.  The jobs run in a temporary working directory with a relative
---out, so the paths recorded in each manifest do not depend on where the
-sweep runs.  Each job's exit code, the sha256 of its stdout and of its
-stderr, and the sha256 of every report it writes are compared with the
-table in report_sweep.json; the script names each job that differs and
-exits 1 if any does.
+GF(32003), canonical and --naive (220 jobs), and `build` and `check-ax2`
+on the wedge and the pinched torus with two --local-system files each (16
+jobs), through `cli.run` in one process.  The jobs run in a temporary
+working directory with a relative --out, so the paths recorded in each
+manifest do not depend on where the sweep runs.  Each job's exit code,
+the sha256 of its stdout and of its stderr, and the sha256 of every report
+it writes are compared with the table in report_sweep.json; the script
+names each job that differs and exits 1 if any does.
 
     PYTHONPATH=src python tests/report_sweep.py            # compare
     PYTHONPATH=src python tests/report_sweep.py --record   # rewrite the table
 
 Re-record the table only in a change that means to alter reports.  pytest
-does not collect this file: the sweep takes about 45 s.
+does not collect this file: the sweep takes about 50 s.
 """
 
 import argparse
@@ -26,12 +27,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-from icsheaf import cli, demos
+from icsheaf import cli, demos, reports
+from icsheaf.stratify import compute_open_filtration, validate_stratification
 
 COMMANDS = ("validate", "filtration", "build", "check-ax1", "check-ax2",
             "check-classic-ax2", "hyperco", "stalks", "costalks", "compare",
             "coarsen")
 FIELDS = ("q", "fp:32003")
+SYSTEM_DEMOS = ("wedge", "pinched-torus")
 TABLE = Path(__file__).with_name("report_sweep.json")
 
 
@@ -41,6 +44,29 @@ def jobs():
             for naive in ([], ["--naive"]):
                 for command in COMMANDS:
                     yield [command, "demo:" + name, "--field", field] + naive
+    for name in SYSTEM_DEMOS:
+        for field in FIELDS:
+            for command in ("build", "check-ax2"):
+                for system in ("rank2.json", "diag21-%s.json" % name):
+                    yield [command, "demo:" + name, "--field", field,
+                           "--local-system", system]
+
+
+def write_local_systems():
+    """Write the --local-system files of `jobs` into the working directory.
+
+    rank2.json is the constant rank-2 system; diag21-<demo>.json is the
+    explicit rank-2 system with diag(2, 1) on every cover pair of U_1.
+    """
+    Path("rank2.json").write_text(json.dumps({"rank": 2}))
+    for name in SYSTEM_DEMOS:
+        K, doc = demos.demo_space(name)
+        U = compute_open_filtration(validate_stratification(K, doc["levels"])).U[1]
+        key = lambda sid: reports.simplex_key(K, sid)
+        Path("diag21-%s.json" % name).write_text(json.dumps({
+            "stalk_dims": {key(s): 2 for s in sorted(U.ids)},
+            "matrices": {"%s|%s" % (key(s), key(t)): [[2, 0], [0, 1]]
+                         for s, t in sorted(U.cover_pairs())}}))
 
 
 def _sha(data):
@@ -66,6 +92,7 @@ def sweep():
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            write_local_systems()
             return [run_job(argv, "out") for argv in jobs()]
         finally:
             os.chdir(here)

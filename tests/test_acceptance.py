@@ -215,10 +215,10 @@ def _extract_system(S, filt):
     for m, um in filt.U_m.items():
         H = sec.cohomology_sheaf(S, -m)
         for sid in um.ids:
-            dims[sid] = H.dim(sid)
+            dims[sid] = H.dim(sid, -m)
         for (a, b) in H.domain.cover_pairs():
             if a in um.ids and b in um.ids:
-                mats[(a, b)] = H.restriction_matrix(a, b)
+                mats[(a, b)] = H.restriction_cover(a, b, -m)
     return make_local_system(QQ, K, filt.U[1], {"stalk_dim": dims, "matrices": mats})
 
 

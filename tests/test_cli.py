@@ -7,6 +7,7 @@ from icsheaf.cli import run
 from icsheaf.fields import QQ
 from icsheaf import reports
 from icsheaf.simplicial import load_complex
+from icsheaf.stratify import compute_open_filtration, validate_stratification
 
 import oracles
 
@@ -51,6 +52,29 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     huge = _bad_space(tmp_path, "huge",
                       {"vertices": list(range(64)), "maximal_simplices": [list(range(64))]},
                       {"levels": {"0": []}})
+    # local-system files, each breaking one rule of a valid rank-2 system
+    K = load_complex(cdoc)
+    U = compute_open_filtration(validate_stratification(K, sdoc["levels"])).U[1]
+    dims = {reports.simplex_key(K, s): 2 for s in U.ids}
+    mats = {"%s|%s" % (reports.simplex_key(K, s), reports.simplex_key(K, t)): [[2, 0], [0, 1]]
+            for s, t in U.cover_pairs()}
+    pair = next(iter(mats))
+    systems = []
+    for name, stalk_dims, matrices, reason in (
+            ("ragged", dims, dict(mats, **{pair: [[1, 0], [0]]}), "2 rows of 2 entries"),
+            ("string-dim", dict(dims, **{"1": "2"}), mats,
+             "integer at a simplex of the domain, got '2'"),
+            ("not-a-cover-pair", dims, dict(mats, **{"1|0,1,2": [[1, 0], [0, 1]]}),
+             "not on a cover pair"),
+            ("one-by-one", dims, dict(mats, **{pair: [[1]]}), "2 rows of 2 entries"),
+            # rows given as strings are not read digit by digit
+            ("string-rows", dims, dict(mats, **{pair: ["20", "01"]}), "each a list")):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps({"stalk_dims": stalk_dims, "matrices": matrices}))
+        systems.append((str(path), reason))
+    path = tmp_path / "string-rank.json"
+    path.write_text(json.dumps({"rank": "2"}))
+    systems.append((str(path), "rank must be a nonnegative integer, got '2'"))
     capsys.readouterr()
 
     # every input below is rejected before any build
@@ -77,6 +101,10 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
         assert run(argv + ["--out", o]) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    for path, reason in systems:
+        assert run(["build", "demo:wedge", "--local-system", path, "--out", o]) == 1, path
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and reason in err, (path, err)
 
 
 def test_demo_materializes_and_caches(tmp_path):

@@ -298,9 +298,9 @@ def test_cohomology_sheaf_restrictions(built):
     H = sec.cohomology_sheaf(b.ic, -1)
     K = b.ic.complex
     s2 = {i for i, s in enumerate(K.simplices) if set(s) <= {0, 6, 7, 8}}
-    assert {s for s in K.full_set().ids if H.dim(s)} == s2
-    assert all(H.restriction_matrix(s, t) == [[QQ.one]] or
-               abs(H.restriction_matrix(s, t)[0][0]) == 1
+    assert {s for s in K.full_set().ids if H.dim(s, -1)} == s2
+    assert all(H.restriction_cover(s, t, -1) == [[QQ.one]] or
+               abs(H.restriction_cover(s, t, -1)[0][0]) == 1
                for (s, t) in H.domain.cover_pairs() if s in s2 and t in s2)
 
 
@@ -315,10 +315,10 @@ def test_cohomology_sheaf_matches_reference(build_of, field, naive):
         lo, hi = S.degree_range()
         for a in range(lo - 1, hi + 2):
             H, ref = sec.cohomology_sheaf(S, a), oracles.cohomology_sheaf_reference(S, a)
-            assert H.stalk_dim == ref.stalk_dim, (name, a)
-            assert H.restriction == ref.restriction, (name, a)
-            flat += sum(H.restriction[p] is S.restrictions.get(p, {}).get(a)
-                        for p in H.restriction)
+            assert H.dims == ref.dims, (name, a)
+            assert H.restrictions == ref.restrictions, (name, a)
+            flat += sum(H.restrictions[p][a] is S.restrictions.get(p, {}).get(a)
+                        for p in H.restrictions)
     assert flat  # the flat path was taken
 
 

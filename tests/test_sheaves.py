@@ -28,8 +28,8 @@ def test_fields():
 def test_constant_local_system():
     K = circle()
     L = make_local_system(QQ, K, K.full_set(), {"rank": 1})
-    assert all(L.dim(s) == 1 for s in K.full_set().ids)
-    assert all(L.is_iso(s, t) for s, t in L.domain.cover_pairs())
+    assert all(L.dim(s, 0) == 1 for s in K.full_set().ids)
+    assert all(L.is_iso(s, t, 0) for s, t in L.domain.cover_pairs())
 
 
 def test_sign_local_system_on_circle():
@@ -44,10 +44,9 @@ def test_sign_local_system_on_circle():
     mats[twist] = [[Fraction(-1)]]
     L = make_local_system(QQ, K, K.full_set(),
                           {"stalk_dim": dims, "matrices": mats})
-    assert all(L.is_iso(s, t) for s, t in L.domain.cover_pairs())
+    assert all(L.is_iso(s, t, 0) for s, t in L.domain.cover_pairs())
     # twisted coefficients on a circle: no cohomology at all
-    S = L.to_complex(0)
-    assert sec.hypercohomology(S) == {}
+    assert sec.hypercohomology(L) == {}
     # sanity against the untwisted circle
     assert sec.hypercohomology(constant_complex(QQ, K, K.full_set())) == {0: 1, 1: 1}
 
@@ -96,6 +95,35 @@ def test_shift_negates_differential_signs():
     T = oracles.shift(S, 1)
     assert T.diff(0, -1) == [[QQ.neg(QQ.one)]]
     T.validate()
+
+
+def test_validate_rejects_each_broken_condition():
+    from icsheaf.sheaves import SheafComplex
+    one, two = [[QQ.one]], [[QQ.from_int(2)]]
+    # d^1 d^0 = 1 on a point with one dimension in degrees 0, 1, 2
+    P = SimplicialComplex(range(1), [[0]])
+    S = SheafComplex(QQ, P, P.full_set(), {0: {0: 1, 1: 1, 2: 1}}, {0: {0: one, 1: one}}, {})
+    with pytest.raises(SheafError, match="d² ≠ 0 at"):
+        S.validate()
+    # d^0 = 1 on an edge, but the degree-1 restriction [0] -> [0, 1] is 2
+    E = SimplicialComplex(range(2), [[0, 1]])
+    U = E.full_set()
+    restr = {p: {0: one, 1: one} for p in U.cover_pairs()}
+    restr[(E.id_of([0]), E.id_of([0, 1]))] = {0: one, 1: two}
+    S = SheafComplex(QQ, E, U, {s: {0: 1, 1: 1} for s in U.ids},
+                     {s: {0: one} for s in U.ids}, restr)
+    with pytest.raises(SheafError, match=r"does not commute with d at \(0,\) -> \(0, 1\)"):
+        S.validate()
+    # rank 1 in degree 1 on a triangle; [0] -> [0, 1] is 2, every other pair 1
+    T = SimplicialComplex(range(3), [[0, 1, 2]])
+    U = T.full_set()
+    restr = {p: {1: one} for p in U.cover_pairs()}
+    restr[(T.id_of([0]), T.id_of([0, 1]))] = {1: two}
+    S = SheafComplex(QQ, T, U, {s: {1: 1} for s in U.ids}, {}, restr)
+    with pytest.raises(SheafError,
+                       match=r"path independence fails between \(0,\) and \(0, 1, 2\)"):
+        S.validate()
+    S.check_path_independence(0)  # no values in degree 0
 
 
 def test_stalk_cohomology_matches_rank_oracle(built):
