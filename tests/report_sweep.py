@@ -1,11 +1,13 @@
 """Byte-identity gate for the CLI: every command on every bundled demo.
 
 Runs the 11 report-writing commands on the 5 bundled demos, over QQ and
-GF(32003), canonical and --naive (220 jobs), and `build` and `check-ax2`
-on the wedge and the pinched torus with two --local-system files each (16
-jobs), through `cli.run` in one process.  The jobs run in a temporary
-working directory with a relative --out, so the paths recorded in each
-manifest do not depend on where the sweep runs.  Each job's exit code,
+GF(32003), canonical and --naive (220 jobs), `build` and `check-ax2` on
+the wedge and the pinched torus with two --local-system files each (16
+jobs), and the point queries `stalks --at 0`, `costalks --at 0` and
+`costalks --sample 4` on the 5 demos over both fields (30 jobs), through
+`cli.run` in one process.  The jobs run in a temporary working directory
+with a relative --out, so the paths recorded in each manifest do not
+depend on where the sweep runs.  Each job's exit code,
 the sha256 of its stdout and of its stderr, and the sha256 of every report
 it writes are compared with the table in report_sweep.json; the script
 names each job that differs and exits 1 if any does.
@@ -50,6 +52,11 @@ def jobs():
                 for system in ("rank2.json", "diag21-%s.json" % name):
                     yield [command, "demo:" + name, "--field", field,
                            "--local-system", system]
+    for name in demos.DEMO_NAMES:
+        for field in FIELDS:
+            for query in (["stalks", "--at", "0"], ["costalks", "--at", "0"],
+                          ["costalks", "--sample", "4"]):
+                yield [query[0], "demo:" + name, "--field", field] + query[1:]
 
 
 def write_local_systems():
