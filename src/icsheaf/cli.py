@@ -8,6 +8,7 @@ afterwards.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -145,6 +146,12 @@ def _parse_simplex(text):
 
 
 def _manifest(args, inputs, extra=None):
+    if args.local_system:
+        try:
+            digest = hashlib.sha256(Path(args.local_system).read_bytes()).hexdigest()
+        except OSError as e:
+            raise InputError("cannot read local system: %s" % e)
+        inputs = dict(inputs, local_system_sha256=digest)
     m = {"format": reports.FORMAT_TAG, "command": args.command, "inputs": inputs,
          "field": args.field,
          "options": {"check_links": bool(args.check_links),
@@ -210,13 +217,13 @@ def run(argv=None):
     try:
         # an option the command would ignore is an error, not a no-op
         for given, option, commands in (
-                (args.at, "--at", ("stalks", "costalks")),
+                (args.at is not None, "--at", ("stalks", "costalks")),
                 (args.sample is not None, "--sample", ("costalks",)),
                 (args.refine, "--refine", ("compare",)),
                 (args.check_links, "--check-links", ("validate",))):
             if given and args.command not in commands:
                 raise InputError("%s applies only to %s" % (option, " and ".join(commands)))
-        if args.at and args.sample is not None:
+        if args.at is not None and args.sample is not None:
             raise InputError("--at and --sample exclude each other")
         if args.command == "demo":
             name = args.space[5:] if args.space.startswith("demo:") else args.space
@@ -227,14 +234,15 @@ def run(argv=None):
 
         limit = _sample_limit(args.sample)
         K, strat, inputs = load_space(args)
-        manifest = _manifest(args, inputs)
         # a point query reports values at chosen simplices, which depend only
         # on their open stars: the build covers the union of those and no more
-        points = within = None
-        if args.at:
+        points = within = extra = None
+        if args.at is not None:
             points = [K.id_of(_parse_simplex(args.at))]
+            extra = {"at": list(K.simplices[points[0]])}
         elif args.command == "costalks" and limit is not None:
             points = default_costalk_sample(strat, limit=limit)
+        manifest = _manifest(args, inputs, extra)
         if points is not None:
             within = K.empty_set()
             for sid in points:

@@ -1,8 +1,10 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from icsheaf import cli
+from icsheaf import cli, demos
 from icsheaf.cli import run
 from icsheaf.fields import QQ
 from icsheaf import reports
@@ -97,6 +99,9 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
                  ["build", "demo:wedge", "--refine", "extra-point"],
                  ["stalks", "demo:wedge", "--check-links"],
                  ["costalks", "demo:wedge", "--at", "0", "--sample", "5"],
+                 # an empty --at is a simplex to look up, not a missing option
+                 ["hyperco", "demo:wedge", "--at", ""],
+                 ["stalks", "demo:wedge", "--at", ""],
                  ["compare", "demo:wedge", "--refine", "extra-point:x"]):
         assert run(argv + ["--out", o]) == 1, argv
         err = capsys.readouterr().err
@@ -222,6 +227,41 @@ def test_file_inputs_and_local_system(tmp_path):
     assert run(["build", str(d), "--local-system", str(ls), "--out", o]) == 0
     doc = json.loads((tmp_path / "o" / "ic-bundle.json").read_text())
     assert doc["report"]["stalk_table"]["0"] == {"-2": 2, "-1": 2}
+
+
+def test_manifest_names_every_input(tmp_path):
+    # a report records each input that changes it: the --at simplex and the
+    # local system's bytes, and neither where the option is not given
+    o = out(tmp_path)
+    manifests = []
+    for at in ("1", "2"):
+        assert run(["stalks", "demo:wedge", "--at", at, "--out", o]) == 0
+        doc = json.loads((tmp_path / "o" / "stalks-report.json").read_text())
+        manifests.append(doc["manifest"])
+    assert manifests[0] != manifests[1]
+    assert [m["options"]["at"] for m in manifests] == [[1], [2]]
+    assert run(["stalks", "demo:wedge", "--out", o]) == 0
+    doc = json.loads((tmp_path / "o" / "stalks-report.json").read_text())
+    assert "at" not in doc["manifest"]["options"]
+
+    K, sdoc = demos.demo_space("wedge")
+    U = compute_open_filtration(validate_stratification(K, sdoc["levels"])).U[1]
+    key = lambda sid: reports.simplex_key(K, sid)
+    rank2, diag21 = tmp_path / "rank2.json", tmp_path / "diag21.json"
+    rank2.write_text(json.dumps({"rank": 2}))
+    diag21.write_text(json.dumps({
+        "stalk_dims": {key(s): 2 for s in U.ids},
+        "matrices": {"%s|%s" % (key(s), key(t)): [[2, 0], [0, 1]]
+                     for s, t in U.cover_pairs()}}))
+    hashes = set()
+    for system in ([], ["--local-system", str(rank2)], ["--local-system", str(diag21)]):
+        assert run(["check-ax2", "demo:wedge", "--field", "q", "--out", o] + system) == 0
+        data = (tmp_path / "o" / "check-ax2-report.json").read_bytes()
+        hashes.add(hashlib.sha256(data).hexdigest())
+        sha = json.loads(data)["manifest"]["inputs"].get("local_system_sha256")
+        assert sha == (hashlib.sha256(Path(system[1]).read_bytes()).hexdigest()
+                       if system else None)
+    assert len(hashes) == 3
 
 
 def test_field_option(tmp_path):
