@@ -153,8 +153,7 @@ def truncate_le(S, a):
     are read in the rref kernel basis at its free columns (`_coordinates`).
     """
     F = S.F
-    lo, hi = S.degree_range()
-    if hi <= a:
+    if S.degree_range()[1] <= a:
         return S
     dims, diffs, restr = {}, {}, {}
     kernels = {}  # sid -> (d^a, basis columns, free columns), None for the identity
@@ -219,47 +218,36 @@ def _coordinates(S, kern, B, a, what, sids):
 def cohomology_sheaf(S, a):
     """The degree-a cohomology sheaf with induced restriction maps.
 
-    A SheafComplex in degree a, memoized per complex and degree.  At a
-    flat simplex, where d^(a−1) and d^a both vanish, H^a is the whole value
-    with the identity basis, and a cover pair of two flat simplices induces
-    its restriction matrix.  Elsewhere the image of d^(a−1) is read in the
-    kernel basis of d^a and reduced to echelon form from the last
-    coordinate down; the representatives are the kernel basis vectors at
-    the coordinates where no image vector ends (the leftmost basis of H^a),
-    and H-coordinates are one product with the annihilator of the image,
-    which is `kernel` of the image rows with their coordinates reversed.
+    A SheafComplex in degree a, memoized per complex and degree, read off
+    T = `truncate_le(S, a)`, whose degree a is ker d^a: H^a is the cokernel
+    of T's d^(a−1).  Where that image vanishes, H^a is T's value and T's
+    restrictions pass through.  Elsewhere the image is reduced to echelon
+    form from the last coordinate down; the representatives are the kernel
+    coordinates where no image vector ends (the leftmost basis of H^a), and
+    H-coordinates are one product with the annihilator of the image, which
+    is `kernel` of the image rows with their coordinates reversed.
     """
     got = S._coh_cache.get(a)
     if got is not None:
         return got
     F = S.F
-    data = {}    # sid -> (kernel, representatives, annihilator), None where flat
+    T = truncate_le(S, a)
+    data = {}    # sid -> (representatives, annihilator), None where the image vanishes
     stalks = {}
     for sid in sorted(S.domain.ids):
-        n = S.dim(sid, a)
-        if not n:
+        k = T.dim(sid, a)
+        if not k:
             continue
-        d_out = S.diff(sid, a) if S.dim(sid, a + 1) else None
-        d_in = S.diff(sid, a - 1) if S.dim(sid, a - 1) else None
-        flat_in = _vanishes(F, d_in)
-        if _vanishes(F, d_out):
-            if flat_in:
-                data[sid] = None
-                stalks[sid] = n
-                continue
-            kern, K, k = None, mx.identity(F, n), n
-        else:
-            K, free = mx.kernel(F, d_out, n)
-            kern, k = (d_out, K, free), len(free)
-        image = [] if flat_in else _coordinates(S, kern, d_in, a, "differential", (sid,))
-        rev = [[row[i] for row in reversed(image)] for i in range(len(image[0]))] \
-            if image else []
+        image = T.diff(sid, a - 1) if T.dim(sid, a - 1) else None
+        if _vanishes(F, image):
+            data[sid], stalks[sid] = None, k
+            continue
+        rev = [[row[i] for row in reversed(image)] for i in range(len(image[0]))]
         P, pfree = mx.kernel(F, rev, k)
         h = len(pfree)
         if not h:
             continue
-        reps = [k - 1 - f for f in reversed(pfree)]
-        data[sid] = (kern, [[row[j] for j in reps] for row in K],
+        data[sid] = ([k - 1 - f for f in reversed(pfree)],
                      [[P[k - 1 - j][h - 1 - i] for j in range(k)] for i in range(h)])
         stalks[sid] = h
 
@@ -271,13 +259,12 @@ def cohomology_sheaf(S, a):
         if hs == 0 or ht == 0:
             restr[(s, t)] = mx.zeros(F, ht, hs)
             continue
-        r = S.restriction_cover(s, t, a)
-        cs, ct = data[s], data[t]
-        images = r if cs is None else mx.mat_mul(F, r, cs[1])
-        if ct is not None:
-            coords = _coordinates(S, ct[0], images, a, "restriction", (s, t))
-            images = mx.mat_mul(F, ct[2], coords)
-        restr[(s, t)] = images
+        r = T.restriction_cover(s, t, a)
+        if data[s] is not None:
+            r = [[row[j] for j in data[s][0]] for row in r]
+        if data[t] is not None:
+            r = mx.mat_mul(F, data[t][1], r)
+        restr[(s, t)] = r
     got = S._coh_cache[a] = SheafComplex(
         F, S.complex, S.domain, {sid: {a: h} for sid, h in stalks.items()}, {},
         {p: {a: m} for p, m in restr.items()})
@@ -294,9 +281,8 @@ def is_clc(S, strat):
     for a in range(lo, hi + 1):
         H = cohomology_sheaf(S, a)
         for st in strat.strata:
-            ids = st.simplex_set.ids
-            for (s, t) in H.domain.cover_pairs():
-                if s in ids and t in ids and not H.is_iso(s, t, a):
+            for (s, t) in st.simplex_set.intersection(S.domain).cover_pairs():
+                if not H.is_iso(s, t, a):
                     return False, {"stratum": st.index, "degree": a,
                                    "pair": (S.complex.simplices[s],
                                             S.complex.simplices[t])}

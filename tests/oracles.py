@@ -401,6 +401,31 @@ def cohomology_sheaf_reference(S, a):
     return SheafComplex(F, S.complex, S.domain, stalks, {}, restr)
 
 
+def is_clc_reference(S, strat):
+    """`sections.is_clc` by brute force over the reference cohomology sheaves.
+
+    Degrees ascending, then strata by index, then each stratum's cover
+    pairs inside the domain in ascending order; a restriction is invertible
+    when its two stalks agree in dimension and it has full rational rank.
+    """
+    K = S.complex
+    lo, hi = S.degree_range()
+    for a in range(lo, hi + 1):
+        H = cohomology_sheaf_reference(S, a)
+        for st in sorted(strat.strata, key=lambda st: st.index):
+            ids = st.simplex_set.ids & S.domain.ids
+            for s in sorted(ids):
+                for t, _ in K.cofacets[s]:
+                    if t not in ids:
+                        continue
+                    n = H.dim(s, a)
+                    if n != H.dim(t, a) or \
+                            rational_rank(H.restriction_cover(s, t, a)) != n:
+                        return False, {"stratum": st.index, "degree": a,
+                                       "pair": (K.simplices[s], K.simplices[t])}
+    return True, None
+
+
 def shift(S, k):
     """S[k]: degree q becomes q−k; differentials pick up (−1)^k."""
     if k == 0:

@@ -322,6 +322,30 @@ def test_cohomology_sheaf_matches_reference(build_of, field, naive):
     assert flat  # the flat path was taken
 
 
+def test_is_clc_matches_reference(spaces, built):
+    # verdict and witness against a brute-force walk over the dense
+    # cohomology sheaves, on whole-space builds against their own and a
+    # refined stratification, on a build inside an open star, and on vertex
+    # skyscrapers, which fail unless the vertex is a stratum by itself
+    failed = 0
+    for name in demos.DEMO_NAMES:
+        K, strat = spaces[name]
+        S = built[name].ic
+        for other in (strat, demos.refine_stratification(strat, "extra-point")):
+            assert sec.is_clc(S, other) == oracles.is_clc_reference(S, other), name
+        star = build_ic(strat, field=QQ, within=K.open_star([0])).ic
+        assert sec.is_clc(star, strat) == oracles.is_clc_reference(star, strat), name
+        for v in sorted(s for s in K.full_set().ids if K.sdim(s) == 0)[:4]:
+            sky = constant_complex(QQ, K, K.set_from_tuples([K.simplices[v]]))
+            sky = sky.extend_by_zero(K.full_set())
+            got = sec.is_clc(sky, strat)
+            assert got == oracles.is_clc_reference(sky, strat), (name, v)
+            alone = any(st.simplex_set.ids == {v} for st in strat.strata)
+            assert got[0] == alone, (name, v)
+            failed += not got[0]
+    assert failed
+
+
 def test_cohomology_sheaf_is_memoized(built):
     S = built["wedge"].ic
     H = sec.cohomology_sheaf(S, -1)
