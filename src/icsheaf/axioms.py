@@ -110,9 +110,8 @@ def support_locus(S, a, mode="stalk", within=None, costalks=None):
     return out, real, _locus_complex_dim(K, out)
 
 
-def _normalization_clause(S, filt, clause_name, domains):
+def _normalization_clause(S, clause_name, domains):
     """Stalk concentration in degree −m with invertible restrictions on each V^m."""
-    K = S.complex
     witnesses = []
     for m, dom in sorted(domains.items()):
         Hm = None
@@ -143,11 +142,11 @@ def check_ax1(S, strat):
         raise AxiomInputError("the complex must be defined on the whole space")
     n = strat.n
     filt = compute_open_filtration(strat)
-    clauses = [_normalization_clause(S, filt, "a", filt.U_m)]
+    clauses = [_normalization_clause(S, "a", filt.U_m)]
 
     # (b) vanishing above the cutoff on W_{k+1}
     witnesses = []
-    lo, hi = S.degree_range()
+    hi = S.degree_range()[1]
     for k in range(1, n + 1):
         cutoff = k - 1 - n
         for a in range(cutoff + 1, hi + 1):
@@ -189,11 +188,10 @@ def check_ax2(S, strat):
     if not ok:
         raise AxiomInputError(
             "complex is not locally constant on the strata: %r" % (witness,))
-    n = strat.n
     filt = compute_open_filtration(strat)
     closures = {m: dom.down_closure() for m, dom in filt.U_m.items()}
-    clauses = [_normalization_clause(S, filt, "a", filt.U_m)]
-    lo, hi = S.degree_range()
+    clauses = [_normalization_clause(S, "a", filt.U_m)]
+    hi = S.degree_range()[1]
 
     costalks = {sid: sec.cell_costalk(S, sid) for sid in sorted(S.domain.ids)}
     crange = sorted({a for t in costalks.values() for a in t})

@@ -223,7 +223,6 @@ def check_decomposition(bundle):
     """
     strat = bundle.stratification
     K = strat.complex
-    filt = bundle.filtration
     total = None
     summand_hyperco = {}
     for m in sorted(bundle.systems):

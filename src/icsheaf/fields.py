@@ -20,9 +20,6 @@ class RationalField:
     zero = 0
     one = 1
 
-    def from_int(self, n):
-        return n
-
     def add(self, a, b):
         return a + b
 
@@ -39,9 +36,6 @@ class RationalField:
         if a == 1 or a == -1:
             return a
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return a * self.inv(b)
 
     def is_zero(self, a):
         return a == 0
@@ -71,9 +65,6 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def from_int(self, n):
-        return n % self.p
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -90,9 +81,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.p)
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
 
     def is_zero(self, a):
         return a % self.p == 0

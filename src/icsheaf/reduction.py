@@ -44,9 +44,8 @@ class SparseComplex:
         return g
 
     def add_entry(self, g, h, val):
+        """Add the nonzero val to the entry g -> h, dropping it if it cancels."""
         F = self.F
-        if F.is_zero(val):
-            return
         row = self.dout[g]
         cur = row.get(h)
         if cur is None:

@@ -86,6 +86,9 @@ def validate_stratification(K, levels):
         items = dict(enumerate(levels))
     else:
         raise StratificationError("levels must be a dict or a list, got %r" % (levels,))
+    extra = sorted(set(items) - set(range(n + 1)))
+    if extra:
+        raise StratificationError("level %d is outside 0..%d" % (extra[0], n))
     for k in range(n + 1):
         raw = items.get(k)
         if raw is None:

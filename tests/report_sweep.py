@@ -7,16 +7,16 @@ jobs), and the point queries `stalks --at 0`, `costalks --at 0` and
 `costalks --sample 4` on the 5 demos over both fields (30 jobs), through
 `cli.run` in one process.  The jobs run in a temporary working directory
 with a relative --out, so the paths recorded in each manifest do not
-depend on where the sweep runs.  Each job's exit code,
-the sha256 of its stdout and of its stderr, and the sha256 of every report
-it writes are compared with the table in report_sweep.json; the script
-names each job that differs and exits 1 if any does.
+depend on where the sweep runs.  Each job's exit code, the sha256 of its
+stdout and of its stderr, and the sha256 of every report it writes are
+compared with the table in report_sweep.json; the script names each job
+that differs and exits 1 if any does.
 
     PYTHONPATH=src python tests/report_sweep.py            # compare
     PYTHONPATH=src python tests/report_sweep.py --record   # rewrite the table
 
 Re-record the table only in a change that means to alter reports.  pytest
-does not collect this file: the sweep takes about 50 s.
+does not collect this file: the sweep takes about 60 s.
 """
 
 import argparse

@@ -54,6 +54,14 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     huge = _bad_space(tmp_path, "huge",
                       {"vertices": list(range(64)), "maximal_simplices": [list(range(64))]},
                       {"levels": {"0": []}})
+    # levels beyond 0..n on the boundary of the 3-simplex (n = 1)
+    tetra = {"vertices": [0, 1, 2, 3],
+             "maximal_simplices": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
+    sphere = {"1": tetra["maximal_simplices"], "0": []}
+    assert run(["validate", _bad_space(tmp_path, "sphere", tetra, {"levels": sphere}),
+                "--out", o]) == 0
+    above = _bad_space(tmp_path, "above", tetra, {"levels": dict(sphere, **{"2": []})})
+    below = _bad_space(tmp_path, "below", tetra, {"levels": dict(sphere, **{"-1": []})})
     # local-system files, each breaking one rule of a valid rank-2 system
     K = load_complex(cdoc)
     U = compute_open_filtration(validate_stratification(K, sdoc["levels"])).U[1]
@@ -85,7 +93,7 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_ic", no_build)
     for argv in (["validate", nested], ["validate", null], ["validate", word_key],
-                 ["validate", huge],
+                 ["validate", huge], ["validate", above], ["validate", below],
                  ["costalks", "demo:wedge", "--sample", "x"],
                  ["costalks", "demo:wedge", "--sample=-3"],
                  ["costalks", "demo:wedge", "--sample=-1000"],

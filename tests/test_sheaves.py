@@ -99,7 +99,7 @@ def test_shift_negates_differential_signs():
 
 def test_validate_rejects_each_broken_condition():
     from icsheaf.sheaves import SheafComplex
-    one, two = [[QQ.one]], [[QQ.from_int(2)]]
+    one, two = [[QQ.one]], [[2]]
     # d^1 d^0 = 1 on a point with one dimension in degrees 0, 1, 2
     P = SimplicialComplex(range(1), [[0]])
     S = SheafComplex(QQ, P, P.full_set(), {0: {0: 1, 1: 1, 2: 1}}, {0: {0: one, 1: one}}, {})
