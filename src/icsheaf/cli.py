@@ -243,9 +243,7 @@ def run(argv=None):
             points = default_costalk_sample(strat, limit=limit)
         manifest = _manifest(args, inputs, extra)
         if points is not None:
-            within = K.empty_set()
-            for sid in points:
-                within = within.union(K.open_star(K.simplices[sid]))
+            within = K.simplex_set(K.walk(points, K.cofacets))
 
         if args.command == "validate":
             from .stratify import TRUST_NOTE

@@ -313,10 +313,7 @@ def pushforward_open(S, V, cleanup=True):
     new_ids = V.ids - U.ids
     if not new_ids:
         return S
-    bids = set()
-    for d in new_ids:
-        bids.update(K.up_set(d))
-    bids &= U.ids
+    bids = K.walk(new_ids, K.cofacets) & U.ids
     far = U.ids - bids
     region = bids | new_ids
 

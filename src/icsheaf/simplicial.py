@@ -5,6 +5,11 @@ integer ids assigned by (dimension, lexicographic tuple).  Subsets of the
 face poset are SimplexSet values; up-closed sets model open subspaces of
 the realization and down-closed sets model closed ones (Alexandrov
 duality).  Everything is immutable after construction.
+
+One walk, `SimplicialComplex.walk`, follows facets or cofacets from a set
+of seeds: up-sets, down-sets, closures, components and links are all read
+off it.  `up_set` keeps a process-wide lru_cache, the one cache left that
+outlives a call.
 """
 
 import json
@@ -91,26 +96,32 @@ class SimplicialComplex:
     def sdim(self, sid):
         return len(self.simplices[sid]) - 1
 
+    def walk(self, ids, *steps, within=None):
+        """Every simplex reached from ids along the given adjacency lists.
+
+        K.walk(ids, K.cofacets) is the up-set of ids and K.walk(ids, K.facets)
+        its down-set; with both lists and `within`, a set of ids the walk may
+        not leave, it is the component of ids inside that set.
+        """
+        seen = set(ids)
+        stack = list(seen)
+        while stack:
+            i = stack.pop()
+            for adj in steps:
+                for j, _ in adj[i]:
+                    if j not in seen and (within is None or j in within):
+                        seen.add(j)
+                        stack.append(j)
+        return seen
+
     @lru_cache(maxsize=None)
     def up_set(self, sid):
         """Ids of all simplices containing sid (the open star), sid included."""
-        seen = {sid}
-        frontier = [sid]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for c, _ in self.cofacets[i]:
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return tuple(sorted(seen))
+        return tuple(sorted(self.walk((sid,), self.cofacets)))
 
-    @lru_cache(maxsize=None)
     def down_set(self, sid):
         """Ids of all faces of sid, sid included."""
-        s = self.simplices[sid]
-        return tuple(sorted(self.index[f] for f in _subtuples(s)))
+        return tuple(sorted(self.walk((sid,), self.facets)))
 
     def all_ids(self):
         return frozenset(range(len(self.simplices)))
@@ -133,20 +144,15 @@ class SimplicialComplex:
         return self.simplex_set(self.up_set(self.id_of(simplex)))
 
     def link_of(self, simplex):
-        """The link as a complex of its own: {tau : tau ∩ s = ∅, tau ∪ s a simplex}."""
+        """The link as a complex of its own: {t − s : t ⊋ s a simplex}, or None."""
         sid = self.id_of(simplex)
         s = set(self.simplices[sid])
-        members = []
-        for t in self.simplices:
-            ts = set(t)
-            if ts & s:
-                continue
-            u = canonical_simplex(ts | s)
-            if u in self.index:
-                members.append(t)
-        verts = sorted({v for t in members for v in t}, key=_vertex_key)
+        # the maximal simplices over s generate the link
+        members = [tuple(v for v in self.simplices[t] if v not in s)
+                   for t in self.up_set(sid) if t != sid and not self.cofacets[t]]
         if not members:
             return None
+        verts = sorted({v for t in members for v in t}, key=_vertex_key)
         return SimplicialComplex(verts, members)
 
     def subcomplex(self, down_closed_set):
@@ -158,12 +164,6 @@ class SimplicialComplex:
         to_parent = {sub.index[t]: self.index[t] for t in tuples}
         from_parent = {v: k for k, v in to_parent.items()}
         return sub, to_parent, from_parent
-
-
-def _subtuples(s):
-    n = len(s)
-    for mask in range(1, 1 << n):
-        yield tuple(s[i] for i in range(n) if mask >> i & 1)
 
 
 class SimplexSet:
@@ -229,10 +229,7 @@ class SimplexSet:
 
     def down_closure(self):
         K = self.complex
-        out = set()
-        for i in self.ids:
-            out.update(K.down_set(i))
-        return SimplexSet(K, out)
+        return SimplexSet(K, K.walk(self.ids, K.facets))
 
     def is_up_closed_in(self, ambient):
         """Up-closed as a subset of ambient (relative openness)."""
@@ -266,31 +263,15 @@ class SimplexSet:
         return [self.complex.simplices[i] for i in sorted(self.ids)]
 
     def components(self):
-        """Partition by face-comparability inside the set."""
+        """Partition by face-comparability inside the set, by least member."""
         K = self.complex
-        ids = self.ids
-        parent = {i: i for i in ids}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def join(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for i in ids:
-            for c, _ in K.cofacets[i]:
-                if c in ids:
-                    join(i, c)
-        groups = {}
-        for i in ids:
-            groups.setdefault(find(i), set()).add(i)
-        comps = [SimplexSet(K, g) for g in groups.values()]
-        comps.sort(key=lambda s: min(s.ids))
+        comps = []
+        left = set(self.ids)
+        for i in sorted(self.ids):
+            if i in left:
+                comp = K.walk((i,), K.facets, K.cofacets, within=self.ids)
+                left -= comp
+                comps.append(SimplexSet(K, comp))
         return comps
 
     def __repr__(self):

@@ -6,8 +6,9 @@ force set enumerations, and the Mayer-Vietoris bookkeeping for suspensions.
 None of these uses the package's linear algebra or section machinery, so
 their results are independent of the code paths they check.  The exceptions are
 the reference versions of package code that a faster path replaced, kept
-as they were so the tests can compare the two (`order_chains`, the dense
-solver behind `cohomology_sheaf_reference`), the supported-sections
+as they were so the tests can compare the two (`order_chains`,
+`down_set_by_subsets`, the dense solver behind
+`cohomology_sheaf_reference`), the supported-sections
 complex that AX2 is compared against (`supported_section_dims`), and the
 helpers only tests need: `shift` builds test complexes,
 `load_sheaf_complex` reads a dumped complex back and
@@ -103,6 +104,17 @@ def count_subsets(n, sizes):
 def star_by_bruteforce(simplices, s):
     s = set(s)
     return [t for t in simplices if s <= set(t)]
+
+
+def down_set_by_subsets(K, sid):
+    """Ids of all faces of sid, one index lookup per nonempty vertex subset.
+
+    `SimplicialComplex.down_set` before it walked facets.
+    """
+    s = K.simplices[sid]
+    n = len(s)
+    return tuple(sorted(K.index[tuple(s[i] for i in range(n) if mask >> i & 1)]
+                        for mask in range(1, 1 << n)))
 
 
 def link_by_bruteforce(simplices, s):

@@ -1,6 +1,8 @@
 import pytest
 
+from icsheaf import demos
 from icsheaf.simplicial import ComplexError, SimplicialComplex, all_chains, load_complex
+from icsheaf.stratify import validate_stratification
 
 import oracles
 
@@ -127,6 +129,26 @@ def test_components_sphere_minus_star_connected():
     K2 = SimplicialComplex(range(6), [[0, 1, 2], [3, 4, 5]])
     a, b = K2.full_set().components()
     assert len(a.union(b).components()) == 2
+
+
+@pytest.mark.parametrize("name", demos.DEMO_NAMES)
+def test_face_poset_walk_matches_oracles(name):
+    K, doc = demos.demo_space(name)
+    for sid, s in enumerate(K.simplices):
+        assert [K.simplices[i] for i in K.up_set(sid)] == \
+            oracles.star_by_bruteforce(K.simplices, s)
+        assert K.down_set(sid) == oracles.down_set_by_subsets(K, sid)
+        link = K.link_of(s)
+        brute = oracles.link_by_bruteforce(K.simplices, s)
+        assert (set(link.simplices) if link else set()) == set(brute), s
+    strat = validate_stratification(K, doc["levels"])
+    for sset in strat.levels + [st.simplex_set for st in strat.strata]:
+        assert set(sset.down_closure().tuples()) == \
+            set(oracles.close_downward(sset.tuples()))
+        comps = sset.components()
+        assert [min(c.ids) for c in comps] == sorted(min(c.ids) for c in comps)
+        assert {frozenset(c.tuples()) for c in comps} == \
+            {frozenset(c) for c in oracles.components_by_bfs(sset.tuples())}
 
 
 def test_order_chains_triangle_flags():
