@@ -29,12 +29,14 @@ class InputError(Exception):
     pass
 
 
+# The commands that build the intersection complex.
+BUILDS = ("build", "check-ax1", "check-ax2", "check-classic-ax2", "hyperco",
+          "stalks", "costalks", "compare", "coarsen")
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="icsheaf", description=__doc__)
-    p.add_argument("command", choices=[
-        "validate", "filtration", "build", "check-ax1", "check-ax2",
-        "check-classic-ax2", "hyperco", "stalks", "costalks", "compare",
-        "coarsen", "demo"])
+    p.add_argument("command", choices=["validate", "filtration", *BUILDS, "demo"])
     p.add_argument("space", help="demo:<name>, a demo name (for the demo command), "
                                  "or a directory with complex.json/stratification.json")
     p.add_argument("--complex", dest="complex_file", help="complex JSON file")
@@ -111,8 +113,12 @@ def load_system(args, F, filt):
         matrices = {}
         for key, m in doc.get("matrices", {}).items():
             a, b = key.split("|")
-            if type(m) is not list or any(type(row) is not list for row in m):
-                raise InputError("matrix %r must be a list of rows, each a list" % key)
+            # entries are exact: a JSON float or boolean is not read as a number
+            if type(m) is not list or not all(
+                    type(row) is list and all(type(x) in (int, str) for x in row)
+                    for row in m):
+                raise InputError("matrix %r must be a list of rows, each a list of "
+                                 "integers or strings" % key)
             matrices[(K.id_of(_parse_simplex(a)), K.id_of(_parse_simplex(b)))] = \
                 [[F.parse(x) for x in row] for row in m]
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
@@ -219,9 +225,11 @@ def run(argv=None):
                 (args.at is not None, "--at", ("stalks", "costalks")),
                 (args.sample is not None, "--sample", ("costalks",)),
                 (args.refine, "--refine", ("compare",)),
-                (args.check_links, "--check-links", ("validate",))):
+                (args.check_links, "--check-links", ("validate",)),
+                (args.naive, "--naive", ("filtration",) + BUILDS),
+                (args.local_system, "--local-system", BUILDS)):
             if given and args.command not in commands:
-                raise InputError("%s applies only to %s" % (option, " and ".join(commands)))
+                raise InputError("%s applies only to %s" % (option, ", ".join(commands)))
         if args.at is not None and args.sample is not None:
             raise InputError("--at and --sample exclude each other")
         if args.command == "demo":
@@ -341,7 +349,7 @@ def run(argv=None):
             all_pass = True
             for recipe, other in zip(recipes, others):
                 rep, b1, b2 = compare_stratifications(
-                    strat, other, L1=L, field=F, naive_first=args.naive)
+                    strat, other, local_system=L, field=F, naive_first=args.naive)
                 witnesses = rep["witnesses"]
                 payload["comparisons"].append(
                     {"refine": recipe, "passed": rep["passed"],
@@ -363,8 +371,9 @@ def run(argv=None):
             return 0
 
         raise InputError("unknown command %r" % args.command)
+    # an OSError here comes from writing a demo file or a report under --out
     except (InputError, ComplexError, StratificationError, SheafError,
-            ax.AxiomInputError) as e:
+            ax.AxiomInputError, OSError) as e:
         print("error:", e, file=sys.stderr)
         return 1
 

@@ -262,25 +262,23 @@ def default_costalk_sample(strat, limit=24):
     return sorted(set(sample))
 
 
-def compare_stratifications(strat1, strat2, L1=None, L2=None, field=QQ,
+def compare_stratifications(strat1, strat2, local_system=None, field=QQ,
                             naive_first=False):
     """Build both complexes and compare stalks, sampled costalks, sections.
 
-    The local systems must have equal stalk tables on the common open dense
-    part; by default both are constant of rank 1.  With naive_first the
-    first build uses the non-canonical filtration (negative demonstrations).
+    The local system lives on the first build's open dense part U_1 (by
+    default it is constant of rank 1); the second build gets its restriction
+    to the second stratification's U_1, which lies inside the first when
+    strat2 refines strat1.  With naive_first the first build uses the
+    non-canonical filtration (negative demonstrations).
     """
     if strat1.complex is not strat2.complex:
         raise StratificationError("stratifications live on different complexes")
     K = strat1.complex
-    b1 = build_ic(strat1, L1, field=field, naive=naive_first)
-    b2 = build_ic(strat2, L2, field=field)
-    common = b1.filtration.U[1].intersection(b2.filtration.U[1])
-    for sid in sorted(common.ids):
-        d1 = {m: L.dim(sid, 0) for m, L in b1.systems.items() if sid in L.domain.ids}
-        d2 = {m: L.dim(sid, 0) for m, L in b2.systems.items() if sid in L.domain.ids}
-        if sum(d1.values()) != sum(d2.values()):
-            raise SheafError("local systems disagree on the common open part")
+    b1 = build_ic(strat1, local_system, field=field, naive=naive_first)
+    if local_system is not None:
+        local_system = local_system.restrict_open(compute_open_filtration(strat2).U[1])
+    b2 = build_ic(strat2, local_system, field=field)
 
     report = {"passed": True, "witnesses": []}
     t1, t2 = b1.ic.stalk_table(), b2.ic.stalk_table()

@@ -94,8 +94,9 @@ def filtration_doc(filt):
         "U_m": {str(m): fmt(s) for m, s in sorted(filt.U_m.items())},
         "X_m": {str(m): fmt(s) for m, s in sorted(filt.X_m.items())},
         "rows": rows,
-        # compute_open_filtration raises on a failed identity
-        "identity_checks": {"passed": True, "failures": []},
+        # compute_open_filtration raises on a failed identity; the naive
+        # filtration runs none
+        "identity_checks": {"passed": True, "failures": []} if filt.canonical else None,
     }
 
 

@@ -1,9 +1,9 @@
 """Byte-identity gate for the CLI: every command on every bundled demo.
 
 Runs the 11 report-writing commands on the 5 bundled demos, over QQ and
-GF(32003), canonical and --naive (220 jobs), `build` and `check-ax2` on
-the wedge and the pinched torus with two --local-system files each (16
-jobs), and the point queries `stalks --at 0`, `costalks --at 0` and
+GF(32003), canonical and --naive (220 jobs), `build`, `check-ax2` and
+`compare` on the wedge and the pinched torus with two --local-system files
+each (24 jobs), and the point queries `stalks --at 0`, `costalks --at 0` and
 `costalks --sample 4` on the 5 demos over both fields (30 jobs), through
 `cli.run` in one process.  The jobs run in a temporary working directory
 with a relative --out, so the paths recorded in each manifest do not
@@ -48,7 +48,7 @@ def jobs():
                     yield [command, "demo:" + name, "--field", field] + naive
     for name in SYSTEM_DEMOS:
         for field in FIELDS:
-            for command in ("build", "check-ax2"):
+            for command in ("build", "check-ax2", "compare"):
                 for system in ("rank2.json", "diag21-%s.json" % name):
                     yield [command, "demo:" + name, "--field", field,
                            "--local-system", system]

@@ -78,13 +78,28 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
              "not on a cover pair"),
             ("one-by-one", dims, dict(mats, **{pair: [[1]]}), "2 rows of 2 entries"),
             # rows given as strings are not read digit by digit
-            ("string-rows", dims, dict(mats, **{pair: ["20", "01"]}), "each a list")):
+            ("string-rows", dims, dict(mats, **{pair: ["20", "01"]}), "each a list"),
+            # entries are exact: no binary fraction for 0.1, no 2 for 2.5, no 1 for true
+            ("float-entry", dims, dict(mats, **{pair: [[0.1, 0], [0, 1]]}),
+             "%r must be a list of rows, each a list of integers or strings" % pair),
+            ("half-entry", dims, dict(mats, **{pair: [[2.5, 0], [0, 1]]}), repr(pair)),
+            ("bool-entry", dims, dict(mats, **{pair: [[True, 0], [0, 1]]}), repr(pair))):
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps({"stalk_dims": stalk_dims, "matrices": matrices}))
         systems.append((str(path), reason))
     path = tmp_path / "string-rank.json"
     path.write_text(json.dumps({"rank": "2"}))
     systems.append((str(path), "rank must be a nonnegative integer, got '2'"))
+    rank2 = tmp_path / "rank2.json"
+    rank2.write_text(json.dumps({"rank": 2}))
+    # an --out that cannot be a directory: writing a demo file or a report fails
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for space in ("demo:wedge", str(wedge)):
+        capsys.readouterr()
+        assert run(["validate", space, "--out", str(taken)]) == 1, space
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (space, err)
     capsys.readouterr()
 
     # every input below is rejected before any build
@@ -107,6 +122,11 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
                  ["build", "demo:wedge", "--refine", "extra-point"],
                  ["stalks", "demo:wedge", "--check-links"],
                  ["costalks", "demo:wedge", "--at", "0", "--sample", "5"],
+                 ["validate", "demo:wedge", "--naive"],
+                 ["demo", "wedge", "--naive"],
+                 ["validate", "demo:wedge", "--local-system", str(rank2)],
+                 ["filtration", "demo:wedge", "--local-system", str(rank2)],
+                 ["demo", "wedge", "--local-system", str(rank2)],
                  # an empty --at is a simplex to look up, not a missing option
                  ["hyperco", "demo:wedge", "--at", ""],
                  ["stalks", "demo:wedge", "--at", ""],
@@ -192,6 +212,18 @@ def test_compare_command(tmp_path):
     doc = json.loads((tmp_path / "o" / "compare-report.json").read_text())
     assert doc["report"]["comparisons"][0]["passed"] is False
     assert doc["report"]["comparisons"][0]["witnesses"]
+
+
+def test_compare_with_local_system(tmp_path):
+    # the second build gets the given system restricted to its own U_1
+    o = out(tmp_path)
+    rank2 = tmp_path / "rank2.json"
+    rank2.write_text(json.dumps({"rank": 2}))
+    assert run(["compare", "demo:wedge", "--local-system", str(rank2), "--refine", "self",
+                "--refine", "extra-point", "--out", o]) == 0
+    doc = json.loads((tmp_path / "o" / "compare-report.json").read_text())
+    assert [c["hypercohomology"] for c in doc["report"]["comparisons"]] == \
+        [{"-2": 2, "-1": 2, "1": 2, "2": 2}] * 2
 
 
 def test_stalks_costalks_coarsen_commands(tmp_path):
