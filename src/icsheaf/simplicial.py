@@ -8,8 +8,8 @@ duality).  Everything is immutable after construction.
 
 One walk, `SimplicialComplex.walk`, follows facets or cofacets from a set
 of seeds: up-sets, down-sets, closures, components and links are all read
-off it.  `up_set` keeps a process-wide lru_cache, the one cache left that
-outlives a call.
+off it.  `up_set` keeps the one process-wide cache left, an lru_cache that
+holds every complex it has seen.
 """
 
 import json
