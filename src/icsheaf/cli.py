@@ -348,7 +348,7 @@ def run(argv=None):
             payload = {"comparisons": []}
             all_pass = True
             for recipe, other in zip(recipes, others):
-                rep, b1, b2 = compare_stratifications(
+                rep = compare_stratifications(
                     strat, other, local_system=L, field=F, naive_first=args.naive)
                 witnesses = rep["witnesses"]
                 payload["comparisons"].append(

@@ -42,9 +42,13 @@ def default_local_system(F, filt, rank=1):
 
 
 def split_local_system(L, filt, within):
-    """Restrict a local system on U_1 to the per-dimension pieces U^m ∩ within."""
-    if L.domain != filt.U[1]:
-        raise SheafError("local system must live on the open dense part U_1")
+    """Restrict a local system to the per-dimension pieces U^m ∩ within.
+
+    L lives on an open set containing the open dense part U_1: on U_1
+    itself, or on the U_1 of a coarser stratification (`compare`).
+    """
+    if not filt.U[1].issubset(L.domain):
+        raise SheafError("local system must be defined on the open dense part U_1")
     out = {}
     for m, um in filt.U_m.items():
         um = um.intersection(within)
@@ -266,22 +270,35 @@ def compare_stratifications(strat1, strat2, local_system=None, field=QQ,
                             naive_first=False):
     """Build both complexes and compare stalks, sampled costalks, sections.
 
+    Returns the report.  The complexes are built one at a time: the first
+    one's stalk table, costalks at the sample and hypercohomology are read
+    and the complex dropped before the second build, so only one bundle is
+    alive at once.  The sample (`default_costalk_sample` of both
+    stratifications) is fixed before either build.  The witnesses are the
+    first stalk mismatch, the first costalk mismatch in sample order and
+    a hypercohomology mismatch; the second side's costalks are computed
+    up to that first mismatch, the first side's at the whole sample.
+
     The local system lives on the first build's open dense part U_1 (by
-    default it is constant of rank 1); the second build gets its restriction
-    to the second stratification's U_1, which lies inside the first when
+    default it is constant of rank 1); the second build restricts it to
+    the second stratification's U_1, which lies inside the first when
     strat2 refines strat1.  With naive_first the first build uses the
     non-canonical filtration (negative demonstrations).
     """
     if strat1.complex is not strat2.complex:
         raise StratificationError("stratifications live on different complexes")
     K = strat1.complex
-    b1 = build_ic(strat1, local_system, field=field, naive=naive_first)
-    if local_system is not None:
-        local_system = local_system.restrict_open(compute_open_filtration(strat2).U[1])
-    b2 = build_ic(strat2, local_system, field=field)
+    sample = sorted(set(default_costalk_sample(strat1))
+                    | set(default_costalk_sample(strat2)))
+
+    ic = build_ic(strat1, local_system, field=field, naive=naive_first).ic
+    t1, h1 = ic.stalk_table(), sec.hypercohomology(ic)
+    c1s = [sec.cell_costalk(ic, sid) for sid in sample]
+    del ic
+    ic = build_ic(strat2, local_system, field=field).ic
+    t2 = ic.stalk_table()
 
     report = {"passed": True, "witnesses": []}
-    t1, t2 = b1.ic.stalk_table(), b2.ic.stalk_table()
     for sid in sorted(K.full_set().ids):
         if t1.get(sid, {}) != t2.get(sid, {}):
             report["passed"] = False
@@ -289,25 +306,21 @@ def compare_stratifications(strat1, strat2, local_system=None, field=QQ,
                 {"kind": "stalk", "simplex": list(K.simplices[sid]),
                  "first": t1.get(sid, {}), "second": t2.get(sid, {})})
             break
-    sample = sorted(set(default_costalk_sample(strat1))
-                    | set(default_costalk_sample(strat2)))
-    for sid in sample:
-        c1 = sec.cell_costalk(b1.ic, sid)
-        c2 = sec.cell_costalk(b2.ic, sid)
+    for sid, c1 in zip(sample, c1s):
+        c2 = sec.cell_costalk(ic, sid)
         if c1 != c2:
             report["passed"] = False
             report["witnesses"].append(
                 {"kind": "costalk", "simplex": list(K.simplices[sid]),
                  "first": c1, "second": c2})
             break
-    h1 = sec.hypercohomology(b1.ic)
-    h2 = sec.hypercohomology(b2.ic)
+    h2 = sec.hypercohomology(ic)
     if h1 != h2:
         report["passed"] = False
         report["witnesses"].append({"kind": "hypercohomology", "first": h1, "second": h2})
     report["hypercohomology"] = h1
     report["sample_size"] = len(sample)
-    return report, b1, b2
+    return report
 
 
 class CoarseningState:

@@ -39,38 +39,58 @@ class EngineError(RuntimeError):
 def _nerve_complex(S, chains):
     """The order-chain (nerve) complex of S over the given chains.
 
-    Returns (G, first), first mapping each chain to {q: id of its first
-    generator in degree q}.  A chain c contributes the value at its top in
+    Returns (G, first), first(c, q) giving the id of chain c's first
+    generator in degree q.  A chain c contributes the value at its top in
     degrees q + len(c) − 1, supported at its bottom, with the internal
     differential signed (−1)^(len−1).  Entries into c come from each of
     its faces among the chains: deleting the element at position pos
     below the top gives the identity signed (−1)^pos, deleting the top
     gives the restriction from the new top signed (−1)^(len−1).
+
+    The bookkeeping holds one integer per chain, the id of its first
+    generator: `add_value` hands out consecutive ids in ascending degree
+    order, so a chain's degree-q block starts at that id plus an offset
+    that depends only on its top, kept in one table per top simplex.  A
+    chain whose top has a zero value has no generators and no entry.
+    Composite restrictions are memoized for the duration of the call.
     """
     F = S.F
     one, mone = F.one, F.neg(F.one)
     G = SparseComplex(F)
-    first = {}
+    start = {}    # chain -> id of its first generator
+    offsets = {}  # top simplex -> {q: offset of its degree-q block}
     for c in chains:
-        first[c] = S.add_value(G, c[-1], len(c) - 1, (-1) ** (len(c) - 1), c[0])
+        ids = S.add_value(G, c[-1], len(c) - 1, (-1) ** (len(c) - 1), c[0])
+        if ids:
+            g0 = start[c] = min(ids.values())
+            if c[-1] not in offsets:
+                offsets[c[-1]] = {q: g - g0 for q, g in ids.items()}
+    restrictions = {}
     for c in chains:
-        ln, cid = len(c), first[c]
+        cid = start.get(c)
+        if cid is None:
+            continue
+        ln, top = len(c), c[-1]
+        coff = offsets[top]
         for pos in range(ln):
-            fid = first.get(c[:pos] + c[pos + 1:])
+            fid = start.get(c[:pos] + c[pos + 1:])
             if fid is None:
                 continue
             if pos < ln - 1:
                 sgn = one if pos % 2 == 0 else mone
-                for q, n in S.dims.get(c[-1], {}).items():
-                    f0, c0 = fid[q], cid[q]
+                for q, n in S.dims[top].items():
+                    f0, c0 = fid + coff[q], cid + coff[q]
                     for i in range(n):
                         G.add_entry(f0 + i, c0 + i, sgn)
             else:
-                for q, f0 in fid.items():
-                    if q in cid:
-                        G.add_block(f0, cid[q], S.restriction(c[-2], c[-1], q),
-                                    (-1) ** pos)
-    return G, first
+                for q, o in offsets[c[-2]].items():
+                    if q in coff:
+                        key = (c[-2], top, q)
+                        m = restrictions.get(key)
+                        if m is None:
+                            m = restrictions[key] = S.restriction(c[-2], top, q)
+                        G.add_block(fid + o, cid + coff[q], m, (-1) ** pos)
+    return G, lambda c, q: start[c] + offsets[c[-1]][q]
 
 
 def rgamma_dims(S, member_ids):
@@ -298,6 +318,12 @@ def pushforward_open(S, V, cleanup=True):
     complex there, glued by the compatible-family chain map.  The reduction
     is checked against S's stalks on the boundary region.
 
+    Everything the call builds on the way lives only as long as the call:
+    the nerve complex with its one-id-per-chain bookkeeping and its memo
+    of composite restrictions (`_nerve_complex`), and the materialization
+    tables.  Where a materialized restriction selects every generator of
+    its source it is the identity, one shared matrix per size.
+
     cleanup=False skips the same-support reduction and its check and keeps
     the raw nerve complexes: it is the uncleaned reference that tests
     compare the cleaned result against, and is far too large for iterated
@@ -330,12 +356,11 @@ def pushforward_open(S, V, cleanup=True):
         for rho in K.up_set(sid):
             if rho not in bids:
                 continue
-            top = first[(rho,)]
             for q, d in sorted(S.value_dims(sid).items()):
                 n = S.dim(rho, q)
                 if not n:
                     continue
-                rm, h0 = S.restriction(sid, rho, q), top[q]
+                rm, h0 = S.restriction(sid, rho, q), first((rho,), q)
                 for i in range(d):
                     for j in range(n):
                         G.add_ucol(h0 + j, (sid, q, i), rm[j][i])
@@ -387,6 +412,9 @@ def pushforward_open(S, V, cleanup=True):
                 dm[q] = m
         if dm:
             diffs[sid] = dm
+    # a restriction selects the generators alive at the coface; where all
+    # of them are, it is the identity, one shared matrix per size
+    identities = {}
     for s in sorted(region):
         for t, _ in K.cofacets[s]:
             if t not in region:
@@ -396,10 +424,15 @@ def pushforward_open(S, V, cleanup=True):
                 tgt = alive[t].get(q)
                 if not tgt:
                     continue
-                m = mx.zeros(F, len(tgt), len(gs))
-                si = index_at[s][q]
-                for i, g in enumerate(tgt):
-                    m[i][si[g]] = F.one
+                if tgt == gs:
+                    m = identities.get(len(gs))
+                    if m is None:
+                        m = identities[len(gs)] = mx.identity(F, len(gs))
+                else:
+                    m = mx.zeros(F, len(tgt), len(gs))
+                    si = index_at[s][q]
+                    for i, g in enumerate(tgt):
+                        m[i][si[g]] = F.one
                 rm[q] = m
             if rm:
                 restr[(s, t)] = rm

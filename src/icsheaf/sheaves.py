@@ -79,10 +79,13 @@ class SheafComplex:
     """A bounded complex of cellular sheaves on a common domain.
 
     Matrices are shared with the complexes an operation was derived from
-    and are never mutated.  Derived data is cached per instance: stalk
-    cohomology (shared with restricted copies, which keep the same values)
-    and, filled by `sections.cohomology_sheaf` and `sections.cell_costalk`,
-    one cohomology sheaf per degree and one costalk per simplex.
+    and are never mutated.  Three kinds of derived data are cached per
+    instance: stalk cohomology (shared with restricted copies, which keep
+    the same values) and, filled by `sections.cohomology_sheaf` and
+    `sections.cell_costalk`, one cohomology sheaf per degree and one
+    costalk per simplex.  Composite restrictions are not cached here: they
+    are products the caller needs only while it assembles one complex, so
+    a caller that reads one repeatedly keeps its own memo for that call.
     """
 
     def __init__(self, F, complex, domain, dims, diffs, restrictions):
@@ -97,7 +100,6 @@ class SheafComplex:
         self.diffs = diffs
         self.restrictions = restrictions
         self._stalk_cache = {}
-        self._restr_cache = {}
         self._coh_cache = {}
         self._costalk_cache = {}
 
@@ -134,13 +136,12 @@ class SheafComplex:
         return m
 
     def restriction(self, sid, tid, q):
-        """Composite restriction along the canonical ascending-vertex path."""
+        """Composite restriction along the canonical ascending-vertex path.
+
+        Not cached: computed afresh on every call.
+        """
         if sid == tid:
             return mx.identity(self.F, self.dim(sid, q))
-        key = (sid, tid, q)
-        got = self._restr_cache.get(key)
-        if got is not None:
-            return got
         K = self.complex
         s, t = K.simplices[sid], K.simplices[tid]
         have = set(s)
@@ -155,7 +156,6 @@ class SheafComplex:
             out = step if out is None else _mul(self.F, step, out,
                                                 self.dim(nxt, q), self.dim(cur, q), self.dim(sid, q))
             cur = nxt
-        self._restr_cache[key] = out
         return out
 
     def is_iso(self, sid, tid, q):

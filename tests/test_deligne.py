@@ -1,8 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from icsheaf import demos
+from icsheaf import deligne, demos
 from icsheaf.deligne import (ICBundle, _verify_bundle, build_ic, build_ic_pure,
                              check_decomposition, clc_coarsen,
                              compare_stratifications)
@@ -257,16 +259,47 @@ def test_hypercohomology_additive_over_sums(built):
 
 def test_compare_same_and_refined(wedge, spaces):
     K, strat = wedge
-    rep, _, _ = compare_stratifications(strat, strat)
+    rep = compare_stratifications(strat, strat)
     assert rep["passed"]
     refined = demos.refine_stratification(strat, "extra-point")
-    rep2, _, _ = compare_stratifications(strat, refined)
+    rep2 = compare_stratifications(strat, refined)
     assert rep2["passed"]
+
+
+def test_compare_holds_one_bundle_at_a_time(wedge, monkeypatch):
+    # the first complex is read and dropped before the second build starts
+    K, strat = wedge
+    real, refs = deligne.build_ic, []
+
+    def build(*args, **kwargs):
+        if refs:
+            gc.collect()
+            assert refs[0]() is None, "the first bundle is alive during the second build"
+        bundle = real(*args, **kwargs)
+        refs.append(weakref.ref(bundle.ic))
+        return bundle
+
+    monkeypatch.setattr(deligne, "build_ic", build)
+    rep = compare_stratifications(strat, demos.refine_stratification(strat, "extra-point"))
+    assert len(refs) == 2 and rep["passed"]
+
+
+def test_stages_keep_no_composite_restrictions(built):
+    # composite restrictions are memoized per pushforward call, not per stage
+    for name, bundle in built.items():
+        for stage in bundle.intermediates:
+            assert "_restr_cache" not in vars(stage), name
+        S, K = bundle.ic, bundle.ic.complex
+        s, t = next((s, t) for s in sorted(S.dims) for t in K.up_set(s)
+                    if K.sdim(t) == K.sdim(s) + 2 and S.dims[s].keys() & S.dims.get(t, {}).keys())
+        q = min(S.dims[s].keys() & S.dims[t].keys())
+        assert S.restriction(s, t, q) == S.restriction(s, t, q)
+        assert S.restriction(s, t, q) is not S.restriction(s, t, q), name
 
 
 def test_compare_naive_fails_with_witness(spaces):
     K, strat = spaces["fake-surface"]
-    rep, b1, b2 = compare_stratifications(strat, strat, naive_first=True)
+    rep = compare_stratifications(strat, strat, naive_first=True)
     assert not rep["passed"]
     kinds = {w["kind"] for w in rep["witnesses"]}
     assert "stalk" in kinds
