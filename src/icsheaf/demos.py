@@ -192,9 +192,11 @@ def _refined_doc(strat, extra_points=(), extra_surface=None):
 def refine_stratification(strat, recipe):
     """Apply a refinement recipe; returns a validated Stratification.
 
-    Recipes: "extra-point[:i]" adds the i-th admissible fake point stratum,
-    "extra-surface[:i]" the i-th fake closed surface, "random:<seed>" a
-    seeded random admissible combination.
+    Recipes: "extra-point[:i]" adds the first admissible fake point
+    stratum among the candidates from index i on, "extra-surface[:i]" the
+    first admissible fake closed surface from index i on (i >= 0, default
+    0), "random:<seed>" a seeded random admissible combination (any
+    integer seed).
     """
     K = strat.complex
     name, _, arg = recipe.partition(":")
@@ -203,6 +205,9 @@ def refine_stratification(strat, recipe):
     except ValueError:
         raise StratificationError(
             "refinement recipe %r: %r is not an integer" % (recipe, arg))
+    if num < 0 and name in ("extra-point", "extra-surface"):
+        raise StratificationError(
+            "refinement recipe %r: the candidate index must be nonnegative" % recipe)
     if name == "extra-point":
         for v in _candidate_fake_points(strat)[num:]:
             try:

@@ -51,15 +51,46 @@ class RationalField:
         return "QQ"
 
 
+# Miller–Rabin with the first twelve primes as bases decides primality
+# exactly for every n < 3.18 · 10^23 (Sorenson and Webster, Strong
+# pseudoprimes to twelve prime bases, Math. Comp. 86 (2017)), hence on the
+# accepted range 2 <= p < 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_P_LIMIT = 2 ** 64
+
+
+def _is_prime(n):
+    """Is n prime?  Deterministic Miller–Rabin, exact for 0 <= n < 2^64."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """F_p with elements stored as ints in [0, p)."""
+    """F_p with elements stored as ints in [0, p), for a prime p < 2^64."""
 
     def __init__(self, p):
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
-        for d in range(2, int(p**0.5) + 1):
-            if p % d == 0:
-                raise ValueError("p must be prime, got %d" % p)
+        if not 2 <= p < _P_LIMIT:
+            raise ValueError("p must be a prime with 2 <= p < 2^64, got %d" % p)
+        if not _is_prime(p):
+            raise ValueError("p must be prime, got %d" % p)
         self.p = p
         self.name = "fp:%d" % p
         self.zero = 0

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from icsheaf import cli, demos
+from icsheaf import cli, deligne, demos
 from icsheaf.cli import run
 from icsheaf.fields import QQ
 from icsheaf import reports
@@ -38,6 +39,15 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     assert run(["build", str(tmp_path / "missing-dir"), "--out", o]) == 1
     assert run(["frobnicate", "demo:wedge", "--out", o]) == 1
     assert run(["build", "demo:wedge", "--field", "fp:6", "--out", o]) == 1
+    # primality is exact and fast on the whole accepted range 2 <= p < 2^64:
+    # 2^61 - 1 is prime, (2^31 - 1)^2 is not, and 2^64 + 13 is out of range
+    capsys.readouterr()
+    for p, code in ((2 ** 61 - 1, 0), ((2 ** 31 - 1) ** 2, 1), (2 ** 64 + 13, 1)):
+        t0 = time.perf_counter()
+        assert run(["validate", "demo:wedge", "--field", "fp:%d" % p, "--out", o]) == code, p
+        assert time.perf_counter() - t0 < 1, p
+        err = capsys.readouterr().err
+        assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1), (p, err)
     # cleanup is part of the construction, not an option
     assert run(["build", "demo:wedge", "--cleanup", "off", "--out", o]) == 1
     # malformed inputs -> 1 with a one-line message, never a traceback
@@ -130,7 +140,11 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
                  # an empty --at is a simplex to look up, not a missing option
                  ["hyperco", "demo:wedge", "--at", ""],
                  ["stalks", "demo:wedge", "--at", ""],
-                 ["compare", "demo:wedge", "--refine", "extra-point:x"]):
+                 ["compare", "demo:wedge", "--refine", "extra-point:x"],
+                 # a candidate index counts from the first candidate on
+                 ["compare", "demo:wedge", "--refine", "extra-point:-1"],
+                 ["compare", "demo:wedge", "--refine", "extra-point:-99"],
+                 ["compare", "demo:wedge", "--refine", "extra-surface:-1"]):
         assert run(argv + ["--out", o]) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
@@ -214,13 +228,22 @@ def test_compare_command(tmp_path):
     assert doc["report"]["comparisons"][0]["witnesses"]
 
 
-def test_compare_with_local_system(tmp_path):
+def test_compare_with_local_system(tmp_path, monkeypatch):
     # the second build gets the given system restricted to its own U_1
     o = out(tmp_path)
     rank2 = tmp_path / "rank2.json"
     rank2.write_text(json.dumps({"rank": 2}))
+    filtrations = []
+
+    def counted(strat):
+        filtrations.append(strat)
+        return compute_open_filtration(strat)
+
+    monkeypatch.setattr(deligne, "compute_open_filtration", counted)
     assert run(["compare", "demo:wedge", "--local-system", str(rank2), "--refine", "self",
                 "--refine", "extra-point", "--out", o]) == 0
+    # one open filtration per stratification of each comparison
+    assert len(filtrations) == 2 * 2
     doc = json.loads((tmp_path / "o" / "compare-report.json").read_text())
     assert [c["hypercohomology"] for c in doc["report"]["comparisons"]] == \
         [{"-2": 2, "-1": 2, "1": 2, "2": 2}] * 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from icsheaf import matrices as mx
 from icsheaf.deligne import build_ic
-from icsheaf.fields import QQ, PrimeField
+from icsheaf.fields import QQ, PrimeField, _is_prime
 from icsheaf.sheaves import make_local_system
 from icsheaf.stratify import compute_open_filtration
 
@@ -89,3 +89,18 @@ def test_build_with_fraction_entries_matches_prime_field(wedge):
     assert entries and not any(isinstance(x, float) for x in entries)
     # the restrictions really promoted some entries
     assert any(isinstance(x, Fraction) and x.denominator > 1 for x in entries)
+
+
+def test_primality_is_exact():
+    # agrees with trial division on small n, and rejects strong pseudoprimes
+    # to the smaller base sets: 3215031751 to 2, 3, 5, 7 and
+    # 3825123056546413051 to every prime base up to 23
+    def by_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == \
+        [n for n in range(3000) if by_division(n)]
+    for n in (3215031751, 3825123056546413051, (2 ** 31 - 1) ** 2, 2 ** 64 - 1):
+        assert not _is_prime(n), n
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert _is_prime(p) and PrimeField(p).inv(2) * 2 % p == 1, p
