@@ -15,8 +15,8 @@ from .stratify import (Stratification, OpenFiltration, validate_stratification,
 from .sheaves import SheafComplex, make_local_system, constant_complex
 from .sections import (pushforward_open, truncate_le, cohomology_sheaf,
                        cell_costalk, hypercohomology, is_clc)
-from .deligne import (ICBundle, build_ic, build_ic_pure, check_decomposition,
-                      clc_coarsen, compare_stratifications)
+from .deligne import (ICBundle, build_ic, build_tower, build_ic_pure,
+                      check_decomposition, clc_coarsen, compare_stratifications)
 from .axioms import check_ax1, check_ax2, check_classic_ax2, support_locus
 
 __version__ = "0.1.0"
@@ -30,7 +30,7 @@ __all__ = [
     "SheafComplex", "make_local_system", "constant_complex",
     "pushforward_open", "truncate_le", "cohomology_sheaf", "cell_costalk",
     "hypercohomology", "is_clc",
-    "ICBundle", "build_ic", "build_ic_pure", "check_decomposition",
+    "ICBundle", "build_ic", "build_tower", "build_ic_pure", "check_decomposition",
     "clc_coarsen", "compare_stratifications",
     "check_ax1", "check_ax2", "check_classic_ax2", "support_locus",
 ]

@@ -96,14 +96,16 @@ def load_space(args):
     return K, validate_stratification(K, sdoc["levels"]), inputs
 
 
-def load_system(args, F, filt):
+def load_system(args, F, strat):
+    """The --local-system file as a SheafComplex on U_1, or None without one."""
     if not args.local_system:
         return None
+    filt = naive_filtration(strat) if args.naive else compute_open_filtration(strat)
     try:
         doc = json.loads(Path(args.local_system).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise InputError("cannot read local system: %s" % e)
-    K = filt.stratification.complex
+    K = strat.complex
     if not isinstance(doc, dict):
         raise InputError("local system must be a JSON object")
     if "rank" in doc:
@@ -141,6 +143,9 @@ def _sample_limit(text):
 
 
 def _parse_simplex(text):
+    """Vertex ids separated by commas or whitespace; an empty field is an error."""
+    if "," in text and not all(f.strip() for f in text.split(",")):
+        raise InputError("empty vertex field in simplex %r" % text)
     out = []
     for part in text.replace(",", " ").split():
         try:
@@ -275,8 +280,7 @@ def run(argv=None):
             print(reports.filtration_table_text(filt))
             return 0
 
-        filt = naive_filtration(strat) if args.naive else compute_open_filtration(strat)
-        L = load_system(args, F, filt)
+        L = load_system(args, F, strat)
         if args.command != "compare":
             bundle = build_ic(strat, L, field=F, naive=args.naive, within=within)
 

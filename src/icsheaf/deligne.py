@@ -17,13 +17,19 @@ from .stratify import (compute_open_filtration, naive_filtration,
 
 
 class ICBundle:
-    """The constructed complex with its provenance and intermediate stages."""
+    """The constructed complex with its provenance.
+
+    `ic` is the final complex.  `intermediates` is the stage tower, the
+    U_k-indexed complexes with I_1 first and `ic` last, as `build_tower`
+    returns it; `build_ic` verifies it and sets it to None, so a bundle
+    from `build_ic` holds `ic` as its only complex.
+    """
 
     def __init__(self, strat, filt, systems, intermediates, log, field, naive):
         self.stratification = strat
         self.filtration = filt
         self.systems = systems              # m -> degree-0 SheafComplex on U^m
-        self.intermediates = intermediates  # U_k-indexed complexes, I_1 first
+        self.intermediates = intermediates
         self.ic = intermediates[-1]
         self.log = log                      # per-step dicts
         self.field = field
@@ -81,9 +87,25 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
 
 
 def build_ic(strat, local_system=None, field=QQ, naive=False, within=None):
-    """Run the recursion over the induced (or naive) open filtration.
+    """The intersection complex: `build_tower`, verified, without its stages.
 
-    Returns an ICBundle whose final complex lives on `within`, an up-closed
+    A canonical build runs `_verify_bundle` on the whole tower; a naive one
+    is not verified.  Either way the returned ICBundle keeps the final
+    complex `ic`, the log, the local systems and the filtration, and drops
+    the intermediate stages (`intermediates` is None), which no report reads.
+    """
+    bundle = build_tower(strat, local_system, field=field, naive=naive, within=within)
+    if not naive:
+        _verify_bundle(bundle)
+    bundle.intermediates = None
+    return bundle
+
+
+def build_tower(strat, local_system=None, field=QQ, naive=False, within=None):
+    """Run the recursion over the induced (or naive) open filtration, unverified.
+
+    Returns an ICBundle with every stage in `intermediates` and the final
+    complex, which lives on `within`, as `ic`.  `within` is an up-closed
     SimplexSet (default: the whole space).  The step schedule and cutoffs
     come from the global filtration; only the domain of every stage is cut
     down to `within`.  Pushforward, truncation and the sum with the lower
@@ -131,10 +153,7 @@ def build_ic(strat, local_system=None, field=QQ, naive=False, within=None):
         intermediates.append(I)
         k = k2 + 1
 
-    bundle = ICBundle(strat, filt, systems, intermediates, log, F, naive)
-    if not naive:
-        _verify_bundle(bundle)
-    return bundle
+    return ICBundle(strat, filt, systems, intermediates, log, F, naive)
 
 
 def _verify_bundle(bundle):

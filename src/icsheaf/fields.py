@@ -133,6 +133,7 @@ def field_by_name(name):
     """Resolve a CLI-style field tag: "q" or "fp:<p>"."""
     if name == "q":
         return QQ
-    if name.startswith("fp:"):
-        return PrimeField(int(name[3:]))
+    digits = name[3:]
+    if name.startswith("fp:") and digits.isascii() and digits.isdigit():
+        return PrimeField(int(digits))
     raise ValueError("unknown field %r (expected 'q' or 'fp:<p>')" % name)

@@ -38,25 +38,36 @@ def dims_doc(dims):
     return {str(q): d for q, d in sorted(dims.items()) if d}
 
 
-def matrix_doc(F, m):
-    return [[F.to_str(x) for x in row] for row in m]
-
-
 def sheaf_complex_doc(S):
+    """The document of a SheafComplex: domain, stalk dims and every matrix.
+
+    Equal matrices share one document list for the call: a complex holds
+    many references to few distinct values (shared blocks, identities and
+    0/1 selections), and equal values print the same, so each is written
+    once.  `json` encodes a shared list in full wherever it appears.
+    """
     K = S.complex
     F = S.F
+    docs = {}
+
+    def mdoc(m):
+        key = tuple(map(tuple, m))
+        got = docs.get(key)
+        if got is None:
+            got = docs[key] = [[F.to_str(x) for x in row] for row in key]
+        return got
+
     doc = {"field": F.name,
            "domain": [list(K.simplices[i]) for i in sorted(S.domain.ids)],
            "stalk_dims": {}, "differentials": {}, "restrictions": {}}
     for sid in sorted(S.dims):
         doc["stalk_dims"][simplex_key(K, sid)] = dims_doc(S.dims[sid])
     for sid in sorted(S.diffs):
-        row = {str(q): matrix_doc(F, m) for q, m in sorted(S.diffs[sid].items())}
+        row = {str(q): mdoc(m) for q, m in sorted(S.diffs[sid].items())}
         if row:
             doc["differentials"][simplex_key(K, sid)] = row
     for (s, t) in sorted(S.restrictions):
-        row = {str(q): matrix_doc(F, m)
-               for q, m in sorted(S.restrictions[(s, t)].items())}
+        row = {str(q): mdoc(m) for q, m in sorted(S.restrictions[(s, t)].items())}
         if row:
             doc["restrictions"]["%s|%s" % (simplex_key(K, s), simplex_key(K, t))] = row
     return doc

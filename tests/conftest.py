@@ -1,7 +1,7 @@
 import pytest
 
 from icsheaf import demos
-from icsheaf.deligne import build_ic
+from icsheaf.deligne import build_ic, build_tower
 from icsheaf.fields import field_by_name
 from icsheaf.stratify import validate_stratification
 
@@ -28,6 +28,26 @@ def build_of(spaces):
                                   naive=naive)
         return cache[key]
     return get
+
+
+@pytest.fixture(scope="session")
+def tower_of(spaces):
+    """tower_of(name, field="q", naive=False) -> unverified ICBundle with its stages."""
+    cache = {}
+
+    def get(name, field="q", naive=False):
+        key = (name, field, naive)
+        if key not in cache:
+            cache[key] = build_tower(spaces[name][1], field=field_by_name(field),
+                                     naive=naive)
+        return cache[key]
+    return get
+
+
+@pytest.fixture(scope="session")
+def towers(tower_of):
+    """name -> the canonical tower (stages in `intermediates`) over QQ."""
+    return {name: tower_of(name) for name in demos.DEMO_NAMES}
 
 
 @pytest.fixture(scope="session")

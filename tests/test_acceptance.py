@@ -15,7 +15,7 @@ import pytest
 from icsheaf import axioms as ax
 from icsheaf import demos
 from icsheaf import sections as sec
-from icsheaf.deligne import (build_ic, check_decomposition,
+from icsheaf.deligne import (build_ic, build_tower, check_decomposition,
                              compare_stratifications, default_costalk_sample,
                              default_local_system, split_local_system,
                              _attach_systems)
@@ -268,7 +268,7 @@ def test_criterion_10_engine_properties():
     with criterion(10, "truncation contract, pushforward unit, adjunction ranks, "
                        "manifold costalk concentration, cleanup neutrality", 600):
         spaces = {name: space(name) for name in demos.DEMO_NAMES}
-        builds = {name: build_ic(strat) for name, (K, strat) in spaces.items()}
+        builds = {name: build_tower(strat) for name, (K, strat) in spaces.items()}
 
         # truncation contract at every simplex and cutoff
         for name in ("wedge", "pinched-torus", "fake-surface"):

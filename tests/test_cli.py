@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from icsheaf import cli, deligne, demos
+from icsheaf import axioms as ax
+from icsheaf import cli, deligne, demos, stratify
 from icsheaf.cli import run
 from icsheaf.fields import QQ
 from icsheaf import reports
@@ -48,6 +49,11 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
         assert time.perf_counter() - t0 < 1, p
         err = capsys.readouterr().err
         assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1), (p, err)
+    # a field tag that is neither q nor fp: and a decimal p names the expected form
+    for tag in ("fp:x", "fp:", "fp:3.0", "fp:0x7"):
+        assert run(["validate", "demo:wedge", "--field", tag, "--out", o]) == 1, tag
+        assert capsys.readouterr().err == \
+            "error: unknown field %r (expected 'q' or 'fp:<p>')\n" % tag
     # cleanup is part of the construction, not an option
     assert run(["build", "demo:wedge", "--cleanup", "off", "--out", o]) == 1
     # malformed inputs -> 1 with a one-line message, never a traceback
@@ -140,6 +146,10 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
                  # an empty --at is a simplex to look up, not a missing option
                  ["hyperco", "demo:wedge", "--at", ""],
                  ["stalks", "demo:wedge", "--at", ""],
+                 # an empty vertex field is not skipped
+                 ["stalks", "demo:wedge", "--at", "0,"],
+                 ["stalks", "demo:wedge", "--at", ",1"],
+                 ["costalks", "demo:wedge", "--at", "0,,1"],
                  ["compare", "demo:wedge", "--refine", "extra-point:x"],
                  # a candidate index counts from the first candidate on
                  ["compare", "demo:wedge", "--refine", "extra-point:-1"],
@@ -247,6 +257,42 @@ def test_compare_with_local_system(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "o" / "compare-report.json").read_text())
     assert [c["hypercohomology"] for c in doc["report"]["comparisons"]] == \
         [{"-2": 2, "-1": 2, "1": 2, "2": 2}] * 2
+
+
+@pytest.mark.parametrize("command, calls", (
+    ("build", 1), ("hyperco", 1), ("stalks", 1), ("costalks", 1), ("coarsen", 1),
+    ("check-classic-ax2", 1),
+    # the axiom checkers compute their own filtration
+    ("check-ax1", 2), ("check-ax2", 2),
+    # one per stratification
+    ("compare", 2)))
+def test_open_filtrations_per_command(tmp_path, monkeypatch, command, calls):
+    o = out(tmp_path)
+    rank2 = tmp_path / "rank2.json"
+    rank2.write_text(json.dumps({"rank": 2}))
+    count = []
+
+    def counted(strat):
+        count.append(strat)
+        return compute_open_filtration(strat)
+
+    for module in (cli, deligne, ax):
+        monkeypatch.setattr(module, "compute_open_filtration", counted)
+    assert run([command, "demo:wedge", "--out", o]) in (0, 2)
+    assert len(count) == calls
+    # a --local-system file is loaded on U_1 before the build: one more
+    del count[:]
+    assert run([command, "demo:wedge", "--local-system", str(rank2), "--out", o]) in (0, 2)
+    assert len(count) == calls + 1
+
+
+@pytest.mark.parametrize("command", ("build", "check-ax1", "compare"))
+def test_failed_filtration_identity_exits_1(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(stratify, "verify_filtration_identities",
+                        lambda filt: ["U_1 is not dense"])
+    assert run([command, "demo:wedge", "--out", out(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: open filtration identity failed: U_1 is not dense\n"
 
 
 def test_stalks_costalks_coarsen_commands(tmp_path):

@@ -1,10 +1,11 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
 
-from icsheaf import deligne, demos
+from icsheaf import deligne, demos, reports
 from icsheaf.deligne import (ICBundle, _verify_bundle, build_ic, build_ic_pure,
                              check_decomposition, clc_coarsen,
                              compare_stratifications)
@@ -75,8 +76,8 @@ def test_wedge_restriction_to_u1_is_shifted_system(wedge_ic, wedge):
             assert back.stalk_cohomology(sid) == {-m: 1}
 
 
-def test_tower_restriction_compatibility(built):
-    for name, b in built.items():
+def test_tower_restriction_compatibility(towers):
+    for name, b in towers.items():
         for i in range(len(b.intermediates) - 1):
             prev, cur = b.intermediates[i], b.intermediates[i + 1]
             backed = cur.restrict_open(prev.domain)
@@ -194,10 +195,10 @@ def test_scoped_build_needs_an_open_set(wedge):
 
 
 @pytest.mark.parametrize("stage", (0, -1), ids=("first", "last"))
-def test_verify_names_simplex_degree_and_dims(built, stage):
+def test_verify_names_simplex_degree_and_dims(towers, stage):
     # a tower with one stage shifted by one degree fails verification with
     # the simplex, the first differing degree and both dims in the message
-    b = built["wedge"]
+    b = towers["wedge"]
     tower = list(b.intermediates)
     tower[stage] = oracles.shift(tower[stage], 1)
     bad = ICBundle(b.stratification, b.filtration, b.systems, tower, b.log,
@@ -284,9 +285,59 @@ def test_compare_holds_one_bundle_at_a_time(wedge, monkeypatch):
     assert len(refs) == 2 and rep["passed"]
 
 
-def test_stages_keep_no_composite_restrictions(built):
+@pytest.mark.parametrize("naive", (False, True), ids=("canonical", "naive"))
+def test_build_ic_keeps_only_the_final_complex(spaces, monkeypatch, naive):
+    # a canonical build verifies the whole tower; either way the bundle
+    # returned keeps the IC and no other stage alive
+    real_init, real_verify = ICBundle.__init__, deligne._verify_bundle
+    stages, verified = [], []
+
+    def init(self, strat, filt, systems, intermediates, *rest):
+        stages.append([weakref.ref(S) for S in intermediates])
+        real_init(self, strat, filt, systems, intermediates, *rest)
+
+    def verify(bundle):
+        verified.append(len(bundle.intermediates))
+        real_verify(bundle)
+
+    monkeypatch.setattr(ICBundle, "__init__", init)
+    monkeypatch.setattr(deligne, "_verify_bundle", verify)
+    for name, (K, strat) in spaces.items():
+        bundle = build_ic(strat, naive=naive)
+        gc.collect()
+        refs = stages.pop()
+        assert verified == ([] if naive else [len(refs)]), name
+        assert bundle.intermediates is None and refs[-1]() is bundle.ic, name
+        assert len(refs) > 1 and all(r() is None for r in refs[:-1]), name
+        verified.clear()
+
+
+@pytest.mark.parametrize("name, field", (("wedge", "q"), ("wedge", "fp:32003"),
+                                         ("susp-s1xs2", "q")))
+def test_build_report_stays_below_the_build_peak(name, field):
+    # writing a build's report, with the bundle held, allocates less at its
+    # peak than the build did.  Collections before each phase leave out the
+    # garbage and free lists the interpreter has not reclaimed yet, so the
+    # figures count live objects only.
+    K, doc = demos.demo_space(name)
+    strat = validate_stratification(K, doc["levels"])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bundle = build_ic(strat, field=field_by_name(field))
+        build_peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        tracemalloc.reset_peak()
+        text = reports.canonical_json(reports.bundle_doc(bundle))
+        report_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report_peak < build_peak, (len(text), report_peak, build_peak)
+
+
+def test_stages_keep_no_composite_restrictions(towers):
     # composite restrictions are memoized per pushforward call, not per stage
-    for name, bundle in built.items():
+    for name, bundle in towers.items():
         for stage in bundle.intermediates:
             assert "_restr_cache" not in vars(stage), name
         S, K = bundle.ic, bundle.ic.complex

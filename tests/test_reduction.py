@@ -200,7 +200,7 @@ def test_ic_document_is_pinned(built, name):
 @pytest.mark.parametrize("naive", (False, True), ids=("canonical", "naive"))
 @pytest.mark.parametrize("field", ("q", "fp:32003"))
 @pytest.mark.parametrize("name", demos.DEMO_NAMES)
-def test_tower_documents_are_pinned(build_of, name, field, naive):
-    tower = build_of(name, field, naive).intermediates
+def test_tower_documents_are_pinned(tower_of, name, field, naive):
+    tower = tower_of(name, field, naive).intermediates
     assert tuple(reports.sha256_of(reports.sheaf_complex_doc(S)) for S in tower) \
         == PINNED_TOWER_SHA256[(name, field, naive)]

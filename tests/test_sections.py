@@ -176,10 +176,10 @@ def test_cellular_costalk_matches_nerve_oracle(spaces, built, naive, field):
                 (name, naive, field, K.simplices[sid])
 
 
-def test_cellular_costalk_matches_nerve_oracle_on_open_part(built):
+def test_cellular_costalk_matches_nerve_oracle_on_open_part(towers):
     # the first complex of the recursion lives on the proper up-set U_1
     for name in SURFACE_DEMOS:
-        S = built[name].intermediates[0]
+        S = towers[name].intermediates[0]
         assert S.domain != S.complex.full_set()
         for sid in sorted(S.domain.ids):
             assert sec.cell_costalk(S, sid) == nerve_costalk(S, sid), \
@@ -247,10 +247,10 @@ def test_cleanup_rank_neutrality_pushforwards(spaces):
         assert on.stalk_table() == off.stalk_table(), name
 
 
-def test_cleanup_rank_neutrality_full_builds(built):
+def test_cleanup_rank_neutrality_full_builds(towers):
     # every pushforward of the canonical tower, with and without cleanup
     for name in ("wedge", "pinched-torus", "fake-surface"):
-        inter = built[name].intermediates
+        inter = towers[name].intermediates
         for i in range(len(inter) - 1):
             on = sec.pushforward_open(inter[i], inter[i + 1].domain, cleanup=True)
             off = sec.pushforward_open(inter[i], inter[i + 1].domain, cleanup=False)
@@ -367,10 +367,10 @@ def test_restricted_copies_share_stalk_values(built):
     assert S.stalk_cohomology(v0) == {-2: 1, -1: 1}
 
 
-def test_pushforward_unit_property(built, spaces):
+def test_pushforward_unit_property(towers):
     # stalks over the old open set are unchanged by any pushforward
     for name in ("wedge", "susp-s1xs2"):
-        b = built[name]
+        b = towers[name]
         S = b.intermediates[-2] if len(b.intermediates) > 1 else b.ic
         U = S.domain
         T = sec.pushforward_open(S, b.ic.domain)
