@@ -4,8 +4,10 @@ Runs the 11 report-writing commands on the 5 bundled demos, over QQ and
 GF(32003), canonical and --naive (220 jobs), `build`, `check-ax2` and
 `compare` on the wedge and the pinched torus with two --local-system files
 each (24 jobs), and the point queries `stalks --at 0`, `costalks --at 0` and
-`costalks --sample 4` on the 5 demos over both fields (30 jobs), through
-`cli.run` in one process.  The jobs run in a temporary working directory
+`costalks --sample 4` on the 5 demos over both fields (30 jobs), and
+`build`, `hyperco`, `costalks` and `check-ax2` on the 5 demos over GF(2),
+where every sign wraps (20 jobs): 294 jobs, through `cli.run` in one
+process.  The jobs run in a temporary working directory
 with a relative --out, so the paths recorded in each manifest do not
 depend on where the sweep runs.  Each job's exit code, the sha256 of its
 stdout and of its stderr, and the sha256 of every report it writes are
@@ -37,6 +39,8 @@ COMMANDS = ("validate", "filtration", "build", "check-ax1", "check-ax2",
             "coarsen")
 FIELDS = ("q", "fp:32003")
 SYSTEM_DEMOS = ("wedge", "pinched-torus")
+# over p = 32003 no sign wraps; p = 2 makes -1 = 1 and every entry 0 or 1
+SMALL_PRIME_COMMANDS = ("build", "hyperco", "costalks", "check-ax2")
 TABLE = Path(__file__).with_name("report_sweep.json")
 
 
@@ -57,6 +61,9 @@ def jobs():
             for query in (["stalks", "--at", "0"], ["costalks", "--at", "0"],
                           ["costalks", "--sample", "4"]):
                 yield [query[0], "demo:" + name, "--field", field] + query[1:]
+    for name in demos.DEMO_NAMES:
+        for command in SMALL_PRIME_COMMANDS:
+            yield [command, "demo:" + name, "--field", "fp:2"]
 
 
 def write_local_systems():
