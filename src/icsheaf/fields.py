@@ -7,8 +7,13 @@ arithmetic.  Over F_p they are ints reduced mod p.  Over QQ they are ints
 first: an element becomes a Fraction only when a division is inexact, and
 Python mixes the two exactly, so the common case (pivots and entries
 ±1) never pays for Fraction arithmetic.  No QQ operation yields a float.
+
+Elements are canonical (`is_element`): an int in [0, p) over F_p, an int
+that is not a bool or a Fraction over QQ.  Zero is then the only falsy
+element, so the kernels test an entry for zero by its truth value.
 """
 
+import operator
 from fractions import Fraction
 
 
@@ -20,25 +25,18 @@ class RationalField:
     zero = 0
     one = 1
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def inv(self, a):
         if a == 1 or a == -1:
             return a
         return 1 / Fraction(a)
 
-    def is_zero(self, a):
-        return a == 0
+    def is_element(self, a):
+        return isinstance(a, Fraction) or (isinstance(a, int) and not isinstance(a, bool))
 
     def parse(self, s):
         x = Fraction(s)
@@ -84,7 +82,10 @@ def _is_prime(n):
 
 
 class PrimeField:
-    """F_p with elements stored as ints in [0, p), for a prime p < 2^64."""
+    """F_p with elements stored as ints in [0, p), for a prime p < 2^64.
+
+    The operations are closures over p, set per instance.
+    """
 
     def __init__(self, p):
         if not 2 <= p < _P_LIMIT:
@@ -96,25 +97,27 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def add(self, a, b):
-        return (a + b) % self.p
+        def add(a, b):
+            return (a + b) % p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
+        def sub(a, b):
+            return (a - b) % p
 
-    def mul(self, a, b):
-        return (a * b) % self.p
+        def mul(a, b):
+            return a * b % p
 
-    def neg(self, a):
-        return (-a) % self.p
+        def neg(a):
+            return -a % p
+
+        self.add, self.sub, self.mul, self.neg = add, sub, mul, neg
 
     def inv(self, a):
-        if a % self.p == 0:
+        if not a:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.p)
         return pow(a, self.p - 2, self.p)
 
-    def is_zero(self, a):
-        return a % self.p == 0
+    def is_element(self, a):
+        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.p
 
     def parse(self, s):
         return int(s) % self.p

@@ -1,6 +1,7 @@
 """Small dense exact matrices.
 
-Matrices are lists of rows of field elements.  A matrix representing a
+Matrices are lists of rows of canonical field elements (see `fields`), so
+an entry is zero exactly when it is falsy.  A matrix representing a
 linear map V -> W has shape (dim W, dim V) and acts on column vectors.
 Everything here is deterministic: pivots are chosen by scan order, kernel
 bases come out of the reduced echelon form in column order.
@@ -34,6 +35,7 @@ def shape(A):
 
 def mat_mul(F, A, B):
     # A: (m, k), B: (k, n)
+    add, mul = F.add, F.mul
     m = len(A)
     k = len(B)
     n = len(B[0]) if B else 0
@@ -43,18 +45,19 @@ def mat_mul(F, A, B):
         oi = out[i]
         for t in range(k):
             a = Ai[t]
-            if F.is_zero(a):
+            if not a:
                 continue
             Bt = B[t]
             for j in range(n):
                 b = Bt[j]
-                if not F.is_zero(b):
-                    oi[j] = F.add(oi[j], F.mul(a, b))
+                if b:
+                    oi[j] = add(oi[j], mul(a, b))
     return out
 
 
 def rref(F, A):
     """Reduced row echelon form (in place on a copy). Returns (R, pivot_cols)."""
+    sub, mul = F.sub, F.mul
     R = copy_matrix(A)
     nr, nc = shape(R)
     pivots = []
@@ -62,7 +65,7 @@ def rref(F, A):
     for c in range(nc):
         pr = None
         for i in range(r, nr):
-            if not F.is_zero(R[i][c]):
+            if R[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -70,16 +73,16 @@ def rref(F, A):
         R[r], R[pr] = R[pr], R[r]
         row = R[r]
         # entries left of c are zero in rows r.. (earlier pivots cleared them)
-        nz = [j for j in range(c, nc) if not F.is_zero(row[j])]
+        nz = [j for j in range(c, nc) if row[j]]
         inv = F.inv(row[c])
         for j in nz:
-            row[j] = F.mul(inv, row[j])
+            row[j] = mul(inv, row[j])
         for i in range(nr):
             Ri = R[i]
             f = Ri[c]
-            if i != r and not F.is_zero(f):
+            if i != r and f:
                 for j in nz:
-                    Ri[j] = F.sub(Ri[j], F.mul(f, row[j]))
+                    Ri[j] = sub(Ri[j], mul(f, row[j]))
         pivots.append(c)
         r += 1
         if r == nr:

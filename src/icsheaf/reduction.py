@@ -45,40 +45,39 @@ class SparseComplex:
 
     def add_entry(self, g, h, val):
         """Add the nonzero val to the entry g -> h, dropping it if it cancels."""
-        F = self.F
         row = self.dout[g]
         cur = row.get(h)
         if cur is None:
             row[h] = val
             self.din[h][g] = val
         else:
-            new = F.add(cur, val)
-            if F.is_zero(new):
-                del row[h]
-                del self.din[h][g]
-            else:
+            new = self.F.add(cur, val)
+            if new:
                 row[h] = new
                 self.din[h][g] = new
+            else:
+                del row[h]
+                del self.din[h][g]
 
     def add_block(self, g0, h0, M, sign):
         """Add sign · M (sign ±1), a map from the block at id g0 to that at h0."""
-        F = self.F
+        neg, add_entry = self.F.neg, self.add_entry
         for j, row in enumerate(M):
             h = h0 + j
             for i, v in enumerate(row):
-                if not F.is_zero(v):
-                    self.add_entry(g0 + i, h, v if sign > 0 else F.neg(v))
+                if v:
+                    add_entry(g0 + i, h, v if sign > 0 else neg(v))
 
     def add_ucol(self, h, ext, val):
-        if self.F.is_zero(val):
+        if not val:
             return
         col = self.ucols.setdefault(h, {})
         cur = col.get(ext)
         new = val if cur is None else self.F.add(cur, val)
-        if self.F.is_zero(new):
-            col.pop(ext, None)
-        else:
+        if new:
             col[ext] = new
+        else:
+            col.pop(ext, None)
 
     def _detach(self, g):
         din, dout = self.din, self.dout
@@ -106,15 +105,29 @@ class SparseComplex:
         self._detach(g)
         self._detach(h)
         inv = F.inv(alpha)
+        add, mul, neg = F.add, F.mul, F.neg
+        dout, din = self.dout, self.din
+        # the fill s -> t is nonzero; it goes in under add_entry's rule
         for s, a in ins.items():
-            coeff = F.neg(F.mul(a, inv))
+            coeff = neg(mul(a, inv))
+            row = dout[s]
             for t, b in outs.items():
-                self.add_entry(s, t, F.mul(coeff, b))
+                val = mul(coeff, b)
+                cur = row.get(t)
+                if cur is None:
+                    row[t] = din[t][s] = val
+                else:
+                    new = add(cur, val)
+                    if new:
+                        row[t] = din[t][s] = new
+                    else:
+                        del row[t]
+                        del din[t][s]
         if uh:
             for ext, a in uh.items():
-                coeff = F.neg(F.mul(a, inv))
+                coeff = neg(mul(a, inv))
                 for t, b in outs.items():
-                    self.add_ucol(t, ext, F.mul(coeff, b))
+                    self.add_ucol(t, ext, mul(coeff, b))
         return ins, outs
 
     def reduce(self, same_support=False):

@@ -52,7 +52,9 @@ def _nerve_complex(S, chains):
     order, so a chain's degree-q block starts at that id plus an offset
     that depends only on its top, kept in one table per top simplex.  A
     chain whose top has a zero value has no generators and no entry.
-    Composite restrictions are memoized for the duration of the call.
+    The restrictions on top deletions share one memo of composites
+    (`SheafComplex.restriction`), so each costs one product; it lives
+    only as long as the call, and so is gone before any reduction of G.
     """
     F = S.F
     one, mone = F.one, F.neg(F.one)
@@ -65,7 +67,7 @@ def _nerve_complex(S, chains):
             g0 = start[c] = min(ids.values())
             if c[-1] not in offsets:
                 offsets[c[-1]] = {q: g - g0 for q, g in ids.items()}
-    restrictions = {}
+    memo = {}
     for c in chains:
         cid = start.get(c)
         if cid is None:
@@ -85,11 +87,8 @@ def _nerve_complex(S, chains):
             else:
                 for q, o in offsets[c[-2]].items():
                     if q in coff:
-                        key = (c[-2], top, q)
-                        m = restrictions.get(key)
-                        if m is None:
-                            m = restrictions[key] = S.restriction(c[-2], top, q)
-                        G.add_block(fid + o, cid + coff[q], m, (-1) ** pos)
+                        G.add_block(fid + o, cid + coff[q],
+                                    S.restriction(c[-2], top, q, memo), (-1) ** pos)
     return G, lambda c, q: start[c] + offsets[c[-1]][q]
 
 
@@ -160,9 +159,9 @@ def cell_costalk(S, sid):
     return got
 
 
-def _vanishes(F, d):
+def _vanishes(d):
     """Is the differential d (None where a degree is missing) zero?"""
-    return d is None or all(F.is_zero(x) for row in d for x in row)
+    return d is None or not any(any(row) for row in d)
 
 
 def truncate_le(S, a):
@@ -182,7 +181,7 @@ def truncate_le(S, a):
         da = qs.get(a)
         if da:
             d = S.diff(sid, a) if qs.get(a + 1) else None
-            if _vanishes(F, d):
+            if _vanishes(d):
                 nd[a] = da
                 kernels[sid] = None
             else:
@@ -228,7 +227,7 @@ def _coordinates(S, kern, B, a, what, sids):
     if kern is None:
         return B
     d, _, free = kern
-    if not _vanishes(S.F, mx.mat_mul(S.F, d, B)):
+    if not _vanishes(mx.mat_mul(S.F, d, B)):
         at = " -> ".join(str(list(S.complex.simplices[i])) for i in sids)
         raise EngineError("the %s at %s in degree %d does not land in ker d^%d"
                           % (what, at, a, a))
@@ -259,7 +258,7 @@ def cohomology_sheaf(S, a):
         if not k:
             continue
         image = T.diff(sid, a - 1) if T.dim(sid, a - 1) else None
-        if _vanishes(F, image):
+        if _vanishes(image):
             data[sid], stalks[sid] = None, k
             continue
         rev = [[row[i] for row in reversed(image)] for i in range(len(image[0]))]
@@ -309,6 +308,28 @@ def is_clc(S, strat):
     return True, None
 
 
+def _add_family_columns(S, G, first, sid, bids):
+    """The compatible-family columns of the far simplex sid, into G's ucols.
+
+    Column (sid, q, i) has the restrictions of basis vector i of S(sid) in
+    degree q to every boundary simplex ρ ≥ sid, placed at the chain (ρ,).
+    Every composite starts at sid, so one memo per sid serves them all; it
+    is dropped on return, before the same-support cleanup.
+    """
+    memo = {}
+    for rho in S.complex.up_set(sid):
+        if rho not in bids:
+            continue
+        for q, d in sorted(S.value_dims(sid).items()):
+            n = S.dim(rho, q)
+            if not n:
+                continue
+            rm, h0 = S.restriction(sid, rho, q, memo), first((rho,), q)
+            for i in range(d):
+                for j in range(n):
+                    G.add_ucol(h0 + j, (sid, q, i), rm[j][i])
+
+
 def pushforward_open(S, V, cleanup=True):
     """Derived pushforward of S along the open inclusion domain(S) → V.
 
@@ -319,9 +340,10 @@ def pushforward_open(S, V, cleanup=True):
     is checked against S's stalks on the boundary region.
 
     Everything the call builds on the way lives only as long as the call:
-    the nerve complex with its one-id-per-chain bookkeeping and its memo
-    of composite restrictions (`_nerve_complex`), and the materialization
-    tables.  Where a materialized restriction selects every generator of
+    the nerve complex with its one-id-per-chain bookkeeping, and the
+    materialization tables.  The memos of composite restrictions live
+    shorter: one per `_nerve_complex` call and one per far simplex of the
+    compatible-family map, none held through the cleanup.  Where a materialized restriction selects every generator of
     its source it is the identity, one shared matrix per size.
 
     cleanup=False skips the same-support reduction and its check and keeps
@@ -353,17 +375,7 @@ def pushforward_open(S, V, cleanup=True):
                 far_adjacent.add(sid)
                 break
     for sid in sorted(far_adjacent):
-        for rho in K.up_set(sid):
-            if rho not in bids:
-                continue
-            for q, d in sorted(S.value_dims(sid).items()):
-                n = S.dim(rho, q)
-                if not n:
-                    continue
-                rm, h0 = S.restriction(sid, rho, q), first((rho,), q)
-                for i in range(d):
-                    for j in range(n):
-                        G.add_ucol(h0 + j, (sid, q, i), rm[j][i])
+        _add_family_columns(S, G, first, sid, bids)
 
     if cleanup:
         G.reduce(same_support=True)
@@ -453,7 +465,7 @@ def pushforward_open(S, V, cleanup=True):
                         continue
                     for i2 in range(d):
                         v = col.get((s, q, i2))
-                        if v is not None and not F.is_zero(v):
+                        if v:
                             m[i][i2] = v
                             hit = True
                 if hit:

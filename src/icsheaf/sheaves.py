@@ -41,7 +41,8 @@ def make_local_system(F, complex, domain, spec):
           explicit invertible cover-pair matrices.  Every stalk dim is a
           nonnegative int at a simplex of the domain, every matrices key a
           cover pair of the domain, and every matrix has dim(tid) rows of
-          dim(sid) entries.
+          dim(sid) entries, each a canonical element of F
+          (`F.is_element`: no float or bool, and in [0, p) over F_p).
     """
     if not domain.is_up_closed():
         raise SheafError("local system domain must be up-closed")
@@ -66,6 +67,11 @@ def make_local_system(F, complex, domain, spec):
         if len(m) != rows or any(len(row) != cols for row in m):
             raise SheafError("matrix at %r -> %r must have %d rows of %d entries"
                              % (at[s], at[t], rows, cols))
+        for row in m:
+            for x in row:
+                if not F.is_element(x):
+                    raise SheafError("matrix at %r -> %r has entry %r, not an element of %r"
+                                     % (at[s], at[t], x, F))
     sheaf = SheafComplex(F, complex, domain, {s: {0: d} for s, d in dims.items()}, {},
                          {p: {0: m} for p, m in matrices.items()})
     for (s, t) in pairs:
@@ -85,7 +91,8 @@ class SheafComplex:
     `sections.cell_costalk`, one cohomology sheaf per degree and one
     costalk per simplex.  Composite restrictions are not cached here: they
     are products the caller needs only while it assembles one complex, so
-    a caller that reads one repeatedly keeps its own memo for that call.
+    the caller owns the memo, one dict per loop that reads them (see
+    `restriction`), and drops it when the loop ends.
     """
 
     def __init__(self, F, complex, domain, dims, diffs, restrictions):
@@ -135,27 +142,35 @@ class SheafComplex:
             return mx.zeros(self.F, self.dim(tid, q), self.dim(sid, q))
         return m
 
-    def restriction(self, sid, tid, q):
+    def restriction(self, sid, tid, q, memo=None):
         """Composite restriction along the canonical ascending-vertex path.
 
-        Not cached: computed afresh on every call.
+        The path adds the vertices of tid missing from sid in ascending
+        order, so the composite is the last cover map, into tid from tid
+        minus its last missing vertex, times the composite up to that
+        face.  A caller that reads many composites passes a dict as memo:
+        it keeps every composite this call computes, prefixes included,
+        keyed by (sid, tid, q), so each new one costs one product.  Without
+        a memo the same products run in the same order afresh.
         """
         if sid == tid:
             return mx.identity(self.F, self.dim(sid, q))
+        if memo is not None:
+            got = memo.get((sid, tid, q))
+            if got is not None:
+                return got
         K = self.complex
         s, t = K.simplices[sid], K.simplices[tid]
-        have = set(s)
-        missing = [v for v in t if v not in have]
-        assert have <= set(t) and missing
-        cur = sid
-        out = None
-        for v in missing:
-            have.add(v)
-            nxt = K.index[tuple(u for u in t if u in have)]
-            step = self.restriction_cover(cur, nxt, q)
-            out = step if out is None else _mul(self.F, step, out,
-                                                self.dim(nxt, q), self.dim(cur, q), self.dim(sid, q))
-            cur = nxt
+        missing = [v for v in t if v not in s]
+        assert set(s) <= set(t) and missing
+        last = missing[-1]
+        mid = K.index[tuple(u for u in t if u != last)]
+        out = self.restriction_cover(mid, tid, q)
+        if mid != sid:
+            out = _mul(self.F, out, self.restriction(sid, mid, q, memo),
+                       self.dim(tid, q), self.dim(mid, q), self.dim(sid, q))
+        if memo is not None:
+            memo[(sid, tid, q)] = out
         return out
 
     def is_iso(self, sid, tid, q):
@@ -183,15 +198,23 @@ class SheafComplex:
         return first
 
     def stalk_cohomology(self, sid):
-        """Cohomology dims of the value complex at sid, by sparse reduction."""
+        """Cohomology dims of the value complex at sid, by sparse reduction.
+
+        A value whose differentials all vanish is its own cohomology, and
+        its dims are returned without a reduction.
+        """
         # the cache may be shared with the complex this one was restricted
         # from; only values inside this domain are the same in both
         cached = sid in self.domain.ids
         got = self._stalk_cache.get(sid) if cached else None
         if got is None:
-            G = SparseComplex(self.F)
-            self.add_value(G, sid)
-            got = G.minimize_dims()
+            ds = self.diffs.get(sid)
+            if ds and any(any(row) for m in ds.values() for row in m):
+                G = SparseComplex(self.F)
+                self.add_value(G, sid)
+                got = G.minimize_dims()
+            else:
+                got = dict(sorted(self.dims.get(sid, {}).items()))
             if cached:
                 self._stalk_cache[sid] = got
         return got
@@ -208,7 +231,7 @@ class SheafComplex:
                 if self.dim(sid, q + 1) and self.dim(sid, q + 2):
                     dd = _mul(F, self.diff(sid, q + 1), self.diff(sid, q),
                               self.dim(sid, q + 2), self.dim(sid, q + 1), self.dim(sid, q))
-                    if any(not F.is_zero(x) for row in dd for x in row):
+                    if any(any(row) for row in dd):
                         raise SheafError("d² ≠ 0 at %r" % (self.complex.simplices[sid],))
         for (s, t) in self.domain.cover_pairs():
             for q in self.value_dims(s):

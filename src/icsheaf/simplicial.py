@@ -279,21 +279,29 @@ class SimplexSet:
 
 
 def all_chains(K, members):
-    """All strict chains (any length >= 1) in the subposet given by members."""
+    """All strict chains (any length >= 1) in the subposet given by members.
+
+    Depth first from each member in ascending order: a chain comes right
+    before its extensions, which follow the up-set order of its top.  The
+    walk keeps an explicit stack of iterators over the members above each
+    chain's top, so it leaves no reference cycle behind.
+    """
     mset = frozenset(members)
+    above = {i: [j for j in K.up_set(i) if j != i and j in mset] for i in mset}
     out = []
-
-    def extend(chain, top):
-        out.append(tuple(chain))
-        for j in K.up_set(top):
-            if j == top or j not in mset:
-                continue
-            chain.append(j)
-            extend(chain, j)
-            chain.pop()
-
     for i in sorted(mset):
-        extend([i], i)
+        chain = [i]
+        out.append((i,))
+        stack = [iter(above[i])]
+        while stack:
+            for j in stack[-1]:
+                chain.append(j)
+                out.append(tuple(chain))
+                stack.append(iter(above[j]))
+                break
+            else:
+                stack.pop()
+                chain.pop()
     return out
 
 

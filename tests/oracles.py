@@ -1,14 +1,15 @@
 """Independent oracles for the test suite.
 
 Everything here is written from scratch against the definitions: its own
-rational Gaussian elimination, its own simplicial cochain complex, brute
-force set enumerations, and the Mayer-Vietoris bookkeeping for suspensions.
+rational and modular Gaussian elimination and matrix product, its own
+simplicial cochain complex, brute force set enumerations, and the
+Mayer-Vietoris bookkeeping for suspensions.
 None of these uses the package's linear algebra or section machinery, so
 their results are independent of the code paths they check.  The exceptions are
 the reference versions of package code that a faster path replaced, kept
 as they were so the tests can compare the two (`order_chains`,
-`down_set_by_subsets`, the dense solver behind
-`cohomology_sheaf_reference`), the supported-sections
+`chains_recursively`, `down_set_by_subsets`, `composite_restriction`,
+the dense solver behind `cohomology_sheaf_reference`), the supported-sections
 complex that AX2 is compared against (`supported_section_dims`), and the
 helpers only tests need: `shift` builds test complexes,
 `load_sheaf_complex` reads a dumped complex back and
@@ -47,6 +48,40 @@ def rational_rank(rows):
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def modular_rank(rows, p):
+    """Row rank by plain Gaussian elimination over F_p."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def mat_mul_by_definition(F, A, B):
+    """A · B by the plain triple loop, every term added, zeros included."""
+    out = []
+    for row in A:
+        orow = []
+        for j in range(len(B[0])):
+            s = F.zero
+            for t in range(len(B)):
+                s = F.add(s, F.mul(row[t], B[t][j]))
+            orow.append(s)
+        out.append(orow)
+    return out
 
 
 def close_downward(maximal):
@@ -195,6 +230,46 @@ def order_chains(P, length):
     return sorted(out)
 
 
+def chains_recursively(K, members):
+    """All strict chains in members, by the recursive pre-order walk
+    `simplicial.all_chains` replaced: the same chains in the same order."""
+    out = []
+
+    def extend(chain):
+        out.append(chain)
+        for j in K.up_set(chain[-1]):
+            if j != chain[-1] and j in members:
+                extend(chain + (j,))
+
+    for i in sorted(members):
+        extend((i,))
+    return out
+
+
+def composite_restriction(S, sid, tid, q):
+    """The composite restriction as `SheafComplex.restriction` first built
+    it: a walk from sid adding the missing vertices of tid in ascending
+    order, each cover map multiplied onto the product so far."""
+    F, K = S.F, S.complex
+    if sid == tid:
+        return mx.identity(F, S.dim(sid, q))
+    t = K.simplices[tid]
+    have = set(K.simplices[sid])
+    cur, out = sid, None
+    for v in [v for v in t if v not in have]:
+        have.add(v)
+        nxt = K.index[tuple(u for u in t if u in have)]
+        step = S.restriction_cover(cur, nxt, q)
+        if out is None:
+            out = step
+        elif S.dim(nxt, q) and S.dim(cur, q) and S.dim(sid, q):
+            out = mx.mat_mul(F, step, out)
+        else:
+            out = mx.zeros(F, S.dim(nxt, q), S.dim(sid, q))
+        cur = nxt
+    return out
+
+
 def truncated_shift_dims(h, shift, cutoff):
     """Dims of τ_{≤cutoff}(V[shift]) for a graded dimension table V."""
     out = {}
@@ -261,7 +336,7 @@ def mat_vec(F, A, v):
     for row in A:
         s = F.zero
         for a, x in zip(row, v):
-            if not (F.is_zero(a) or F.is_zero(x)):
+            if a and x:
                 s = F.add(s, F.mul(a, x))
         out.append(s)
     return out

@@ -61,6 +61,25 @@ def test_non_invertible_matrix_rejected():
         make_local_system(QQ, K, K.full_set(), {"stalk_dim": dims, "matrices": mats})
 
 
+@pytest.mark.parametrize("field, entry", [
+    ("q", 0.5), ("q", True), ("q", 1.0), ("q", None), ("fp:3", 4), ("fp:3", -1), ("fp:3", 3),
+    ("fp:3", Fraction(1)), ("fp:3", True)])
+def test_non_canonical_entry_rejected(field, entry):
+    # zero is tested by truth value, so a stored 3 over GF(3) would pass as
+    # nonzero; every entry must be a canonical element of the field
+    F = field_by_name(field)
+    K = circle()
+    dims = {s: 1 for s in K.full_set().ids}
+    mats = {(s, c): [[F.one]] for s in range(len(K.simplices)) for c, _ in K.cofacets[s]}
+    mats[(K.id_of([0]), K.id_of([0, 1]))] = [[entry]]
+    with pytest.raises(SheafError) as err:
+        make_local_system(F, K, K.full_set(), {"stalk_dim": dims, "matrices": mats})
+    assert str(err.value) == "matrix at (0,) -> (0, 1) has entry %r, not an element of %r" \
+        % (entry, F)
+    mats[(K.id_of([0]), K.id_of([0, 1]))] = [[F.neg(F.one)]]
+    make_local_system(F, K, K.full_set(), {"stalk_dim": dims, "matrices": mats})
+
+
 def test_local_system_domain_must_be_open():
     K = SimplicialComplex(range(3), [[0, 1, 2]])
     closed = K.simplex_set({K.id_of([0])})

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from icsheaf import demos
@@ -198,3 +200,25 @@ def test_deterministic_ids():
     K1 = SimplicialComplex(range(4), [[0, 1, 2], [1, 2, 3]])
     K2 = SimplicialComplex(range(4), [[1, 2, 3], [0, 1, 2]])
     assert K1.simplices == K2.simplices
+
+
+def test_all_chains_order_matches_recursive_walk(spaces):
+    # the pinned tower hashes depend on the chain order
+    for name, (K, _) in spaces.items():
+        members = set(K.up_set(0))
+        assert all_chains(K, members) == oracles.chains_recursively(K, members), name
+
+
+def test_all_chains_leaves_no_garbage():
+    K = SimplicialComplex(range(5), boundary(range(5)))
+    members = sorted(K.full_set().ids)
+    all_chains(K, members)  # fill the up-set cache
+    gc.collect()
+    gc.disable()
+    try:
+        chains = all_chains(K, members)
+        assert len(chains) > len(members)
+        del chains
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
