@@ -6,13 +6,14 @@ GF(32003), canonical and --naive (220 jobs), `build`, `check-ax2` and
 each (24 jobs), and the point queries `stalks --at 0`, `costalks --at 0` and
 `costalks --sample 4` on the 5 demos over both fields (30 jobs), and
 `build`, `hyperco`, `costalks` and `check-ax2` on the 5 demos over GF(2),
-where every sign wraps (20 jobs): 294 jobs, through `cli.run` in one
-process.  The jobs run in a temporary working directory
-with a relative --out, so the paths recorded in each manifest do not
-depend on where the sweep runs.  Each job's exit code, the sha256 of its
-stdout and of its stderr, and the sha256 of every report it writes are
-compared with the table in report_sweep.json; the script names each job
-that differs and exits 1 if any does.
+where every sign wraps (20 jobs), and `validate --check-links` on the 5
+demos (5 jobs): 299 jobs, through `cli.run` in one process.  The jobs
+run in a temporary working directory with a relative --out, so the paths
+recorded in each manifest do not depend on where the sweep runs.  Each
+job's exit code, the sha256 of its stdout and of its stderr, and the
+sha256 of every report it writes are compared with the table in
+report_sweep.json; the script names each job that differs and exits 1 if
+any does.
 
     PYTHONPATH=src python tests/report_sweep.py            # compare
     PYTHONPATH=src python tests/report_sweep.py --record   # rewrite the table
@@ -64,6 +65,8 @@ def jobs():
     for name in demos.DEMO_NAMES:
         for command in SMALL_PRIME_COMMANDS:
             yield [command, "demo:" + name, "--field", "fp:2"]
+    for name in demos.DEMO_NAMES:
+        yield ["validate", "demo:" + name, "--check-links"]
 
 
 def write_local_systems():
