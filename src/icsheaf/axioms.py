@@ -75,39 +75,33 @@ class AxiomReport:
                 "trust_notes": self.notes}
 
 
-def _locus_complex_dim(K, ids):
-    """Complex dimension of the closure of a union of open simplices."""
-    if not ids:
-        return None
-    top = max(K.sdim(i) for i in ids)
+def support_locus(K, ids, a, dims_at):
+    """Simplices of ids whose degree-a dimension under dims_at is nonzero.
+
+    dims_at maps a simplex id to its table degree -> dim: a complex's
+    `stalk_cohomology`, or a costalk table's `__getitem__`.  Returns
+    (ids, complex_dim), the second that of the closure of the locus (None
+    for the empty locus).
+    """
+    out = [sid for sid in sorted(ids) if dims_at(sid).get(a, 0)]
+    if not out:
+        return out, None
+    top = max(K.sdim(i) for i in out)
     if top % 2 != 0:
         raise AxiomInputError(
             "support locus has odd real dimension %d; "
             "the complex is not locally constant on even-dimensional strata" % top)
-    return top // 2
+    return out, top // 2
 
 
-def support_locus(S, a, mode="stalk", within=None, costalks=None):
-    """Open simplices with nonzero degree-a stalk (or costalk) cohomology.
-
-    Returns (ids, real_dim, complex_dim); dimensions are those of the
-    closure of the locus (None for the empty locus).
-    """
-    K = S.complex
-    ids = set(within) if within is not None else set(S.domain.ids)
-    out = []
-    for sid in sorted(ids):
-        if mode == "stalk":
-            val = S.stalk_cohomology(sid).get(a, 0)
-        else:
-            table = costalks[sid] if costalks is not None else sec.cell_costalk(S, sid)
-            val = table.get(a, 0)
-        if val:
-            out.append(sid)
-    if not out:
-        return out, None, None
-    real = max(K.sdim(i) for i in out)
-    return out, real, _locus_complex_dim(K, out)
+def _locus_witnesses(K, ids, degrees, dims_at, kind, clause, bound, m=None):
+    """One witness per degree a whose locus in ids has complex dim ≥ bound(a)."""
+    witnesses = []
+    for a in degrees:
+        locus, cdim = support_locus(K, ids, a, dims_at)
+        if locus and cdim >= bound(a):
+            witnesses.append(Witness(kind, clause, locus, a, cdim, bound(a), m=m))
+    return witnesses
 
 
 def _normalization_clause(S, clause_name, domains):
@@ -144,17 +138,15 @@ def check_ax1(S, strat):
     filt = compute_open_filtration(strat)
     clauses = [_normalization_clause(S, "a", filt.U_m)]
 
-    # (b) vanishing above the cutoff on W_{k+1}
+    # (b) vanishing above the cutoff on W_{k+1}: a nonempty locus has
+    # complex dimension ≥ 0, above every cutoff
     witnesses = []
     hi = S.degree_range()[1]
     for k in range(1, n + 1):
         cutoff = k - 1 - n
-        for a in range(cutoff + 1, hi + 1):
-            ids = [sid for sid in sorted(filt.W[k + 1].ids)
-                   if S.stalk_cohomology(sid).get(a, 0)]
-            if ids:
-                witnesses.append(Witness("stalk", "b", ids, a,
-                                         _locus_complex_dim(K, ids), cutoff, m=k))
+        witnesses += _locus_witnesses(K, filt.W[k + 1].ids, range(cutoff + 1, hi + 1),
+                                      S.stalk_cohomology, "stalk", "b",
+                                      lambda a: cutoff, m=k)
     clauses.append(ClauseResult(
         "b", "cohomology sheaves vanish above the middle-perversity cutoff on each W_{k+1}",
         not witnesses, witnesses))
@@ -198,16 +190,12 @@ def check_ax2(S, strat):
 
     support_w, cosupport_w = [], []
     for m in sorted(filt.U_m):
-        xm = closures[m]
-        for a in range(-m + 1, hi + 1):
-            ids, real, cdim = support_locus(S, a, "stalk", within=xm.ids)
-            if ids and cdim >= -a:
-                support_w.append(Witness("stalk", "b", ids, a, cdim, -a, m=m))
-        for a in (x for x in crange if x < m):
-            ids, real, cdim = support_locus(S, a, "costalk", within=xm.ids,
-                                            costalks=costalks)
-            if ids and cdim >= a:
-                cosupport_w.append(Witness("costalk", "c", ids, a, cdim, a, m=m))
+        xm = closures[m].ids
+        support_w += _locus_witnesses(K, xm, range(-m + 1, hi + 1), S.stalk_cohomology,
+                                      "stalk", "b", lambda a: -a, m=m)
+        cosupport_w += _locus_witnesses(K, xm, [a for a in crange if a < m],
+                                        costalks.__getitem__, "costalk", "c",
+                                        lambda a: a, m=m)
     clauses.append(ClauseResult(
         "b", "stalk support loci in each X^m have complex dimension < −a",
         not support_w, support_w))
@@ -260,7 +248,7 @@ def check_classic_ax2(S):
     # (b) lower bound
     witnesses = []
     for a in range(lo, -n):
-        ids, real, cdim = support_locus(S, a, "stalk")
+        ids, cdim = support_locus(K, S.domain.ids, a, S.stalk_cohomology)
         if ids:
             witnesses.append(Witness("stalk", "b", ids, a, cdim, None))
     clauses.append(ClauseResult("b", "no cohomology below degree −n",
@@ -269,15 +257,10 @@ def check_classic_ax2(S):
     # (c) support, (d) cosupport -- global loci
     costalks = {sid: sec.cell_costalk(S, sid) for sid in sorted(S.domain.ids)}
     crange = sorted({a for t in costalks.values() for a in t})
-    support_w, cosupport_w = [], []
-    for a in range(-n + 1, hi + 1):
-        ids, real, cdim = support_locus(S, a, "stalk")
-        if ids and cdim >= -a:
-            support_w.append(Witness("stalk", "c", ids, a, cdim, -a))
-    for a in (x for x in crange if x < n):
-        ids, real, cdim = support_locus(S, a, "costalk", costalks=costalks)
-        if ids and cdim >= a:
-            cosupport_w.append(Witness("costalk", "d", ids, a, cdim, a))
+    support_w = _locus_witnesses(K, S.domain.ids, range(-n + 1, hi + 1),
+                                 S.stalk_cohomology, "stalk", "c", lambda a: -a)
+    cosupport_w = _locus_witnesses(K, S.domain.ids, [a for a in crange if a < n],
+                                   costalks.__getitem__, "costalk", "d", lambda a: a)
     clauses.append(ClauseResult("c", "global stalk support loci have complex dimension < −a",
                                 not support_w, support_w))
     clauses.append(ClauseResult("d", "global costalk support loci have complex dimension < a",

@@ -383,61 +383,47 @@ def clc_coarsen(strat, S):
         for sid in st.simplex_set.ids:
             stratum_of[sid] = st.index
 
-    merged = {st.index: False for st in strat.strata}
     merge_level = {st.index: None for st in strat.strata}
     steps = []
     n = strat.n
     for j in range(n, 0, -1):
-        # strata still closed and of complex dim <= j may merge at level j
+        # strata still closed and of complex dim <= j may merge at level j;
+        # a stratum that fails has a fixed first bad pair, so it is not
+        # checked again at this level
+        failed = set()
         changed = True
         while changed:
             changed = False
             for st in strat.strata:
-                if merged[st.index] or st.complex_dim > j:
+                if (merge_level[st.index] is not None or st.index in failed
+                        or st.complex_dim > j):
                     continue
-                # upward cover pairs leaving the stratum
-                pairs = []
-                blocked = False
-                for sid in sorted(st.simplex_set.ids):
-                    for cof, _ in K.cofacets[sid]:
-                        tst = stratum_of[cof]
-                        if tst == st.index:
-                            continue
-                        if not merged[tst]:
-                            blocked = True
-                            break
-                        pairs.append((sid, cof))
-                    if blocked:
-                        break
-                if blocked:
+                # upward cover pairs leaving the stratum; it waits until every
+                # one of them lands in a merged stratum
+                pairs = [(sid, cof) for sid in sorted(st.simplex_set.ids)
+                         for cof, _ in K.cofacets[sid] if stratum_of[cof] != st.index]
+                if any(merge_level[stratum_of[cof]] is None for _, cof in pairs):
                     continue
                 if st.complex_dim < j and not pairs:
                     # nothing above it: this stratum merges at its own level
                     continue
-                bad = None
-                for (sid, cof) in pairs:
-                    if not maps_iso(sid, cof):
-                        bad = (sid, cof)
-                        break
+                bad = next((pair for pair in pairs if not maps_iso(*pair)), None)
                 if bad is None:
-                    merged[st.index] = True
                     merge_level[st.index] = j
                     changed = True
                     steps.append({"level": j, "stratum": st.index,
                                   "complex_dim": st.complex_dim,
                                   "merged": True, "pairs_checked": len(pairs)})
-                elif st.complex_dim == j:
+                    continue
+                failed.add(st.index)
+                if st.complex_dim == j:
                     steps.append({"level": j, "stratum": st.index,
                                   "complex_dim": st.complex_dim, "merged": False,
                                   "witness_pair": [list(K.simplices[bad[0]]),
                                                    list(K.simplices[bad[1]])]})
     # a stratum merged at level j leaves the filtration below level j only
-    levels = {}
-    for k in range(n + 1):
-        keep = K.empty_set()
-        for st in strat.strata:
-            ml = merge_level[st.index]
-            if ml is None or ml <= k:
-                keep = keep.union(st.simplex_set)
-        levels[k] = keep if k < n else K.full_set()
+    levels = {k: K.simplex_set(sid for st in strat.strata
+                               if merge_level[st.index] is None or merge_level[st.index] <= k
+                               for sid in st.simplex_set.ids) if k < n else K.full_set()
+              for k in range(n + 1)}
     return CoarseningState(strat, levels, steps, merge_level)

@@ -128,16 +128,12 @@ def rgamma_cellular_dims(S, member_ids):
     return G.minimize_dims()
 
 
-def hypercohomology(S, subset=None):
-    """Hypercohomology dims of S over an up-closed subset (default: whole domain).
+def hypercohomology(S):
+    """Hypercohomology dims of S over its domain.
 
-    A clopen subset uses the cellular model, any other the order-chain model.
+    A clopen domain uses the cellular model, any other the order-chain model.
     """
-    A = subset if subset is not None else S.domain
-    if not A.issubset(S.domain):
-        raise SheafError("hypercohomology subset must lie in the domain")
-    if not A.is_up_closed_in(S.domain):
-        raise SheafError("hypercohomology needs an up-closed subset")
+    A = S.domain
     if A.is_up_closed() and A.is_down_closed():
         return rgamma_cellular_dims(S, A.ids)
     return rgamma_dims(S, A.ids)
@@ -147,16 +143,13 @@ def cell_costalk(S, sid):
     """Costalk dims at a simplex: compactly supported cochains of its open star.
 
     The cellular cochain complex over the open star, one summand per
-    coface τ ≥ sid in degree dim τ + q (see `rgamma_cellular_dims`).
-    Memoized per complex; a restricted copy keeps its own memo, since the
-    open star inside its domain may be smaller.
+    coface τ ≥ sid in the domain, in degree dim τ + q (see
+    `rgamma_cellular_dims`).  Computed afresh on every call: a caller that
+    reads a costalk twice keeps its own table.
     """
     if sid not in S.domain.ids:
         raise SheafError("simplex outside the domain")
-    got = S._costalk_cache.get(sid)
-    if got is None:
-        got = S._costalk_cache[sid] = rgamma_cellular_dims(S, S.complex.up_set(sid))
-    return got
+    return rgamma_cellular_dims(S, S.complex.up_set(sid))
 
 
 def _vanishes(d):
@@ -343,8 +336,7 @@ def pushforward_open(S, V, cleanup=True):
     the nerve complex with its one-id-per-chain bookkeeping, and the
     materialization tables.  The memos of composite restrictions live
     shorter: one per `_nerve_complex` call and one per far simplex of the
-    compatible-family map, none held through the cleanup.  Where a materialized restriction selects every generator of
-    its source it is the identity, one shared matrix per size.
+    compatible-family map, none held through the cleanup.
 
     cleanup=False skips the same-support reduction and its check and keeps
     the raw nerve complexes: it is the uncleaned reference that tests
@@ -424,9 +416,7 @@ def pushforward_open(S, V, cleanup=True):
                 dm[q] = m
         if dm:
             diffs[sid] = dm
-    # a restriction selects the generators alive at the coface; where all
-    # of them are, it is the identity, one shared matrix per size
-    identities = {}
+    # a restriction selects the generators alive at the coface
     for s in sorted(region):
         for t, _ in K.cofacets[s]:
             if t not in region:
@@ -436,15 +426,10 @@ def pushforward_open(S, V, cleanup=True):
                 tgt = alive[t].get(q)
                 if not tgt:
                     continue
-                if tgt == gs:
-                    m = identities.get(len(gs))
-                    if m is None:
-                        m = identities[len(gs)] = mx.identity(F, len(gs))
-                else:
-                    m = mx.zeros(F, len(tgt), len(gs))
-                    si = index_at[s][q]
-                    for i, g in enumerate(tgt):
-                        m[i][si[g]] = F.one
+                m = mx.zeros(F, len(tgt), len(gs))
+                si = index_at[s][q]
+                for i, g in enumerate(tgt):
+                    m[i][si[g]] = F.one
                 rm[q] = m
             if rm:
                 restr[(s, t)] = rm

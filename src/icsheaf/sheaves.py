@@ -85,14 +85,15 @@ class SheafComplex:
     """A bounded complex of cellular sheaves on a common domain.
 
     Matrices are shared with the complexes an operation was derived from
-    and are never mutated.  Three kinds of derived data are cached per
+    and are never mutated.  Two kinds of derived data are cached per
     instance: stalk cohomology (shared with restricted copies, which keep
-    the same values) and, filled by `sections.cohomology_sheaf` and
-    `sections.cell_costalk`, one cohomology sheaf per degree and one
-    costalk per simplex.  Composite restrictions are not cached here: they
-    are products the caller needs only while it assembles one complex, so
-    the caller owns the memo, one dict per loop that reads them (see
-    `restriction`), and drops it when the loop ends.
+    the same values) and, filled by `sections.cohomology_sheaf`, one
+    cohomology sheaf per degree.  Costalks are not cached: each check
+    that reads them keeps its own table for as long as it runs.
+    Composite restrictions are not cached here either: they are products
+    the caller needs only while it assembles one complex, so the caller
+    owns the memo, one dict per loop that reads them (see `restriction`),
+    and drops it when the loop ends.
     """
 
     def __init__(self, F, complex, domain, dims, diffs, restrictions):
@@ -108,7 +109,6 @@ class SheafComplex:
         self.restrictions = restrictions
         self._stalk_cache = {}
         self._coh_cache = {}
-        self._costalk_cache = {}
 
     # -- basic accessors ----------------------------------------------------
 

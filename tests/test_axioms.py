@@ -105,18 +105,18 @@ def test_constant_on_wedge_fails_cosupport(wedge):
 def test_support_locus(wedge_ic, wedge):
     K, strat = wedge
     S = wedge_ic.ic
-    ids, real, cdim = ax.support_locus(S, -1, "stalk")
+    ids, cdim = ax.support_locus(K, S.domain.ids, -1, S.stalk_cohomology)
     s2 = {i for i, s in enumerate(K.simplices) if set(s) <= {0, 6, 7, 8}}
-    assert set(ids) == s2 and real == 2 and cdim == 1
+    assert set(ids) == s2 and cdim == 1
     # below the degree range the locus is empty
-    ids2, real2, cdim2 = ax.support_locus(S, -5, "stalk")
-    assert ids2 == [] and real2 is None and cdim2 is None
+    ids2, cdim2 = ax.support_locus(K, S.domain.ids, -5, S.stalk_cohomology)
+    assert ids2 == [] and cdim2 is None
     # naive complex: degree -1 stalk locus contains the fake stratum
     Kf, docf = demos.demo_space("fake-surface")
     sf = validate_stratification(Kf, docf["levels"])
     bn = build_ic(sf, naive=True)
-    ids3, _, cdim3 = ax.support_locus(bn.ic, -1, "stalk",
-                                      within=bn.filtration.X_m[2].ids)
+    ids3, cdim3 = ax.support_locus(Kf, bn.filtration.X_m[2].ids, -1,
+                                   bn.ic.stalk_cohomology)
     assert oracles.fake_surface_stratum_ids(Kf) <= set(ids3) and cdim3 == 1
 
 

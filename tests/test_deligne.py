@@ -383,6 +383,17 @@ def test_coarsen_examples(built, spaces):
     assert stp.levels[0].tuples() == [(0,)]
 
 
+def test_coarsen_records_each_failure_once(spaces, build_of):
+    # on the naive build stratum 1 fails at its own level before stratum 2
+    # merges; the next round of that level must not record it again
+    K, strat = spaces["fake-surface"]
+    state = clc_coarsen(strat, build_of("fake-surface", naive=True).ic)
+    assert [(s["level"], s["stratum"], s["merged"], s.get("witness_pair"))
+            for s in state.steps] == [(2, 3, True, None),
+                                      (1, 1, False, [[1], [0, 1]]),
+                                      (1, 2, True, None)]
+
+
 def test_coarsen_rejects_non_clc(spaces):
     K, strat = spaces["wedge"]
     # a skyscraper off the strata pattern is not locally constant stratumwise
