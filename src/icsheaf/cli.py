@@ -39,8 +39,6 @@ def _parser():
     p.add_argument("command", choices=["validate", "filtration", *BUILDS, "demo"])
     p.add_argument("space", help="demo:<name>, a demo name (for the demo command), "
                                  "or a directory with complex.json/stratification.json")
-    p.add_argument("--complex", dest="complex_file", help="complex JSON file")
-    p.add_argument("--stratification", dest="strat_file", help="stratification JSON file")
     p.add_argument("--local-system", dest="local_system", help="local system JSON file")
     p.add_argument("--field", default="q", help="coefficients: q or fp:<p>")
     p.add_argument("--check-links", action="store_true",
@@ -82,8 +80,6 @@ def load_space(args):
         base = Path(args.space)
         cpath, spath = base / "complex.json", base / "stratification.json"
         inputs["space"] = str(base)
-    cpath = Path(args.complex_file) if args.complex_file else cpath
-    spath = Path(args.strat_file) if args.strat_file else spath
     inputs["complex"] = str(cpath)
     inputs["stratification"] = str(spath)
     try:

@@ -41,10 +41,10 @@ class ICBundle:
         return self.ic.stalk_table()
 
 
-def default_local_system(F, filt, rank=1):
-    """Constant local system of the given rank on the open dense part U_1."""
+def default_local_system(F, filt):
+    """Constant local system of rank 1 on the open dense part U_1."""
     K = filt.stratification.complex
-    return make_local_system(F, K, filt.U[1], {"rank": rank})
+    return make_local_system(F, K, filt.U[1], {"rank": 1})
 
 
 def split_local_system(L, filt, within):
@@ -125,7 +125,7 @@ def build_tower(strat, local_system=None, field=QQ, naive=False, within=None):
         raise SheafError("build_ic needs an up-closed set to build on")
     filt = naive_filtration(strat) if naive else compute_open_filtration(strat)
     if local_system is None:
-        local_system = default_local_system(F, filt, rank=1)
+        local_system = default_local_system(F, filt)
     if local_system.F is not F:
         raise SheafError("local system field does not match the build field")
     systems = split_local_system(local_system, filt, within)
@@ -174,12 +174,15 @@ def _verify_bundle(bundle):
             if got != expect:
                 raise SheafError("first stage does not match the shifted local system "
                                  + mismatch(sid, got, expect))
-    # each stage restricts back to the previous one
+    # each stage lives on an open part of the next and restricts back to it
     for i in range(len(bundle.log)):
         prev, cur = inter[i], inter[i + 1]
-        back = cur.restrict_open(prev.domain)
+        if not (prev.domain.issubset(cur.domain)
+                and prev.domain.is_up_closed_in(cur.domain)):
+            raise SheafError("stage %d domain is not an open subset of stage %d domain"
+                             % (i, i + 1))
         for sid in sorted(prev.domain.ids):
-            got, want = back.stalk_cohomology(sid), prev.stalk_cohomology(sid)
+            got, want = cur.stalk_cohomology(sid), prev.stalk_cohomology(sid)
             if got != want:
                 raise SheafError("stage %d does not restrict to stage %d %s"
                                  % (i + 1, i, mismatch(sid, got, want)))
@@ -193,13 +196,8 @@ def restrict_stratification(strat, closed_set):
     """The induced stratification of a down-closed union of strata."""
     K = strat.complex
     sub, to_parent, from_parent = K.subcomplex(closed_set)
-    if sub.dim % 2 != 0:
-        raise StratificationError("closed part has odd real dimension")
-    m = sub.dim // 2
-    levels = {}
-    for k in range(m + 1):
-        members = {from_parent[i] for i in strat.level(k).ids if i in from_parent}
-        levels[k] = sub.simplex_set(members)
+    levels = {k: [K.simplices[i] for i in strat.level(k).ids if i in from_parent]
+              for k in range(sub.dim // 2 + 1)}
     return validate_stratification(sub, levels), sub, to_parent, from_parent
 
 

@@ -114,8 +114,3 @@ def kernel(F, A, ncols):
         for r, pc in enumerate(pivots):
             K[pc][j] = F.neg(R[r][fc])
     return K, free
-
-
-def is_invertible(F, A):
-    nr, nc = shape(A)
-    return nr == nc and rank(F, A) == nr

@@ -86,9 +86,10 @@ class SheafComplex:
 
     Matrices are shared with the complexes an operation was derived from
     and are never mutated.  Two kinds of derived data are cached per
-    instance: stalk cohomology (shared with restricted copies, which keep
-    the same values) and, filled by `sections.cohomology_sheaf`, one
-    cohomology sheaf per degree.  Costalks are not cached: each check
+    instance and owned by it alone: stalk cohomology and, filled by
+    `sections.cohomology_sheaf`, one cohomology sheaf per degree.  A
+    restricted copy starts with empty caches and computes the same values
+    again where it reads them.  Costalks are not cached: each check
     that reads them keeps its own table for as long as it runs.
     Composite restrictions are not cached here either: they are products
     the caller needs only while it assembles one complex, so the caller
@@ -178,9 +179,7 @@ class SheafComplex:
         n = self.dim(sid, q)
         if n != self.dim(tid, q):
             return False
-        r = self.restriction_cover(sid, tid, q)
-        # the identity needs no elimination
-        return r == mx.identity(self.F, n) or mx.is_invertible(self.F, r)
+        return mx.rank(self.F, self.restriction_cover(sid, tid, q)) == n
 
     # -- derived data --------------------------------------------------------
 
@@ -203,10 +202,7 @@ class SheafComplex:
         A value whose differentials all vanish is its own cohomology, and
         its dims are returned without a reduction.
         """
-        # the cache may be shared with the complex this one was restricted
-        # from; only values inside this domain are the same in both
-        cached = sid in self.domain.ids
-        got = self._stalk_cache.get(sid) if cached else None
+        got = self._stalk_cache.get(sid)
         if got is None:
             ds = self.diffs.get(sid)
             if ds and any(any(row) for m in ds.values() for row in m):
@@ -215,8 +211,7 @@ class SheafComplex:
                 got = G.minimize_dims()
             else:
                 got = dict(sorted(self.dims.get(sid, {}).items()))
-            if cached:
-                self._stalk_cache[sid] = got
+            self._stalk_cache[sid] = got
         return got
 
     def stalk_table(self):
@@ -338,9 +333,7 @@ class SheafComplex:
         diffs = {s: ms for s, ms in self.diffs.items() if s in subset.ids}
         restr = {p: ms for p, ms in self.restrictions.items()
                  if p[0] in subset.ids and p[1] in subset.ids}
-        out = SheafComplex(self.F, self.complex, subset, dims, diffs, restr)
-        out._stalk_cache = self._stalk_cache
-        return out
+        return SheafComplex(self.F, self.complex, subset, dims, diffs, restr)
 
     def extend_by_zero(self, ambient):
         """Extension by zero to an ambient SimplexSet containing the domain.
@@ -371,9 +364,9 @@ def zero_complex(F, complex, domain):
     return SheafComplex(F, complex, domain, {}, {}, {})
 
 
-def constant_complex(F, complex, domain, rank=1, degree=0):
-    """The constant sheaf of the given rank on any domain, in one degree."""
-    dims = {s: {degree: rank} for s in domain.ids}
+def constant_complex(F, complex, domain, rank=1):
+    """The constant sheaf of the given rank on any domain, in degree 0."""
+    dims = {s: {0: rank} for s in domain.ids}
     ident = mx.identity(F, rank)
-    restr = {p: {degree: ident} for p in domain.cover_pairs()}
+    restr = {p: {0: ident} for p in domain.cover_pairs()}
     return SheafComplex(F, complex, domain, dims, {}, restr)

@@ -12,7 +12,6 @@ off it.  `up_set` keeps the one process-wide cache left, an lru_cache that
 holds every complex it has seen.
 """
 
-import json
 from functools import lru_cache
 
 
@@ -310,10 +309,9 @@ def load_complex(doc):
 
     {"vertices": [ids], "maximal_simplices": [[ids], ...]}
 
-    Vertex ids are integers or strings; any other shape is a ComplexError.
+    doc is the parsed document, a dict.  Vertex ids are integers or
+    strings; any other shape, a JSON string included, is a ComplexError.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     if not isinstance(doc, dict) or "vertices" not in doc or "maximal_simplices" not in doc:
         raise ComplexError("document must have 'vertices' and 'maximal_simplices'")
     vertices, maximal = doc["vertices"], doc["maximal_simplices"]

@@ -7,7 +7,7 @@ of open point strata, and the frontier condition.  The local cone
 condition is NOT checked (undecidable); reports carry that trust note.
 """
 
-from .simplicial import SimplexSet, is_vertex_list
+from .simplicial import is_vertex_list
 
 TRUST_NOTE = ("local cone structure of strata is not verified; "
               "validation covers combinatorial invariants only")
@@ -68,24 +68,24 @@ def _generators(K, sset):
 def validate_stratification(K, levels):
     """Check all stratification invariants; raise StratificationError otherwise.
 
-    levels: dict or list mapping complex dimension k to a SimplexSet (or a
-    list of generating simplex tuples, down-closed automatically).
+    levels: a dict mapping each complex dimension k = 0..n, as k or str(k),
+    to a list of generating simplices, each a list of vertex ids; level k is
+    their down-closure.  No other form is accepted.
     """
     if K.dim % 2 != 0:
         raise StratificationError(
             "complex has odd real dimension %d; strata must be even-dimensional" % K.dim)
     n = K.dim // 2
     lv = []
-    if isinstance(levels, dict):
-        try:
-            items = {int(k): v for k, v in levels.items()}
-        except (TypeError, ValueError):
-            raise StratificationError(
-                "level keys must be integers, got %r" % sorted(map(str, levels)))
-    elif isinstance(levels, (list, tuple)):
-        items = dict(enumerate(levels))
-    else:
-        raise StratificationError("levels must be a dict or a list, got %r" % (levels,))
+    if not isinstance(levels, dict):
+        raise StratificationError(
+            "levels must be a dict from level to simplex lists, got a %s"
+            % type(levels).__name__)
+    try:
+        items = {int(k): v for k, v in levels.items()}
+    except (TypeError, ValueError):
+        raise StratificationError(
+            "level keys must be integers, got %r" % sorted(map(str, levels)))
     extra = sorted(set(items) - set(range(n + 1)))
     if extra:
         raise StratificationError("level %d is outside 0..%d" % (extra[0], n))
@@ -93,18 +93,10 @@ def validate_stratification(K, levels):
         raw = items.get(k)
         if raw is None:
             raise StratificationError("missing level %d" % k)
-        if isinstance(raw, SimplexSet):
-            s = raw
-            if not s.is_down_closed():
-                bad = _first_violation_down(K, s)
-                raise StratificationError(
-                    "level %d is not down-closed: missing face of %r" % (k, bad))
-        elif isinstance(raw, (list, tuple)) and all(map(is_vertex_list, raw)):
-            s = K.set_from_tuples(raw).down_closure()
-        else:
+        if not (isinstance(raw, (list, tuple)) and all(map(is_vertex_list, raw))):
             raise StratificationError(
                 "level %d must be a list of simplices (lists of vertex ids)" % k)
-        lv.append(s)
+        lv.append(K.set_from_tuples(raw).down_closure())
     full = K.full_set()
     if lv[n] != full:
         raise StratificationError("top level X_%d must contain every simplex" % n)
@@ -147,14 +139,6 @@ def validate_stratification(K, levels):
                 "frontier violation: closure of stratum %d meets %r outside lower levels"
                 % (s.index, bad))
     return Stratification(K, lv, strata)
-
-
-def _first_violation_down(K, s):
-    for i in s.ids:
-        for f, _ in K.facets[i]:
-            if f not in s.ids:
-                return K.simplices[i]
-    return None
 
 
 class OpenFiltration:

@@ -56,6 +56,15 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
             "error: unknown field %r (expected 'q' or 'fp:<p>')\n" % tag
     # cleanup is part of the construction, not an option
     assert run(["build", "demo:wedge", "--cleanup", "off", "--out", o]) == 1
+    # the space argument is the one source of the complex and stratification:
+    # argparse rejects other file options with its usage and one error line
+    capsys.readouterr()
+    for argv in (["demo", "wedge", "--complex", "x"],
+                 ["validate", "demo:wedge", "--stratification", "x"]):
+        assert run(argv + ["--out", o]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.endswith(
+            "error: unrecognized arguments: %s x\n" % argv[2]), (argv, err)
     # malformed inputs -> 1 with a one-line message, never a traceback
     assert run(["demo", "wedge", "--out", o]) == 0
     wedge = tmp_path / "o" / "demos" / "wedge"
@@ -78,6 +87,8 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
                 "--out", o]) == 0
     above = _bad_space(tmp_path, "above", tetra, {"levels": dict(sphere, **{"2": []})})
     below = _bad_space(tmp_path, "below", tetra, {"levels": dict(sphere, **{"-1": []})})
+    # levels are a dict keyed by level, never a list indexed by it
+    listed = _bad_space(tmp_path, "listed", tetra, {"levels": [[], sphere["1"]]})
     # local-system files, each breaking one rule of a valid rank-2 system
     K = load_complex(cdoc)
     U = compute_open_filtration(validate_stratification(K, sdoc["levels"])).U[1]
@@ -125,6 +136,7 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_ic", no_build)
     for argv in (["validate", nested], ["validate", null], ["validate", word_key],
                  ["validate", huge], ["validate", above], ["validate", below],
+                 ["validate", listed],
                  ["costalks", "demo:wedge", "--sample", "x"],
                  ["costalks", "demo:wedge", "--sample=-3"],
                  ["costalks", "demo:wedge", "--sample=-1000"],

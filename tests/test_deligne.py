@@ -210,6 +210,21 @@ def test_verify_names_simplex_degree_and_dims(towers, stage):
         _verify_bundle(bad)
 
 
+def test_verify_needs_each_stage_open_in_the_next(towers):
+    # the finished complex put first lives on the whole space, which is not
+    # an open subset of the second stage's U_2; its stalks over U_1 still
+    # match the shifted local system, so the domain check is what fails
+    b = towers["wedge"]
+    tower = list(b.intermediates)
+    assert len(tower) == 3 and tower[1].domain != tower[-1].domain
+    tower[0] = tower[-1]
+    bad = ICBundle(b.stratification, b.filtration, b.systems, tower, b.log,
+                   b.field, b.naive)
+    with pytest.raises(SheafError, match="^stage 0 domain is not an open subset "
+                                         "of stage 1 domain$"):
+        _verify_bundle(bad)
+
+
 def test_susp_cone_point_stalk(built, spaces):
     K, strat = spaces["susp-s1xs2"]
     apex = K.id_of([12])

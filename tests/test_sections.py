@@ -41,7 +41,7 @@ def test_pushforward_pinched_torus_stalk():
     from icsheaf.stratify import validate_stratification
     strat = validate_stratification(K, doc["levels"])
     filt = compute_open_filtration(strat)
-    S = oracles.shift(constant_complex(QQ, K, filt.U[1], rank=1, degree=0), 1)
+    S = oracles.shift(constant_complex(QQ, K, filt.U[1], rank=1), 1)
     T = sec.pushforward_open(S, K.full_set())
     v = K.id_of([0])
     two_circles = oracles.cochain_cohomology_dims(
@@ -353,12 +353,12 @@ def test_cohomology_sheaf_is_memoized(built):
     assert sec.cohomology_sheaf(T, -1) is not H
 
 
-def test_restricted_copies_share_stalk_values(built):
+def test_restricted_copies_keep_stalk_values(built):
     b = built["wedge"]
     S, U1 = b.ic, b.filtration.U[1]
     back = S.restrict_open(U1)
     for sid in sorted(U1.ids):
-        assert back.stalk_cohomology(sid) is S.stalk_cohomology(sid)
+        assert back.stalk_cohomology(sid) == S.stalk_cohomology(sid)
     # outside its domain a restricted copy has no value, whatever the parent has
     v0 = S.complex.id_of([0])
     assert S.stalk_cohomology(v0) == {-2: 1, -1: 1}

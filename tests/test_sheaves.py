@@ -89,7 +89,7 @@ def test_local_system_domain_must_be_open():
 
 def test_shift():
     K = circle()
-    S = constant_complex(QQ, K, K.full_set(), rank=1, degree=0)
+    S = constant_complex(QQ, K, K.full_set(), rank=1)
     T = oracles.shift(S, 2)
     assert T.degrees() == [-2]
     assert T.stalk_cohomology(0) == {-2: 1}

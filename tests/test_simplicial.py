@@ -43,6 +43,12 @@ def test_unknown_vertex_rejected():
         load_complex({"vertices": [0, 1], "maximal_simplices": [[0, 2]]})
 
 
+def test_json_text_is_not_a_document():
+    # the caller parses the file; the text itself is not a second input form
+    with pytest.raises(ComplexError, match="must have 'vertices'"):
+        load_complex('{"vertices": [0, 1], "maximal_simplices": [[0, 1]]}')
+
+
 def test_empty_complex_rejected():
     with pytest.raises(ComplexError):
         load_complex({"vertices": [], "maximal_simplices": []})
