@@ -185,7 +185,7 @@ def check_ax2(S, strat):
     clauses = [_normalization_clause(S, "a", filt.U_m)]
     hi = S.degree_range()[1]
 
-    costalks = {sid: sec.cell_costalk(S, sid) for sid in sorted(S.domain.ids)}
+    costalks = sec.costalk_table(S)
     crange = sorted({a for t in costalks.values() for a in t})
 
     support_w, cosupport_w = [], []
@@ -255,7 +255,7 @@ def check_classic_ax2(S):
                                 not witnesses, witnesses))
 
     # (c) support, (d) cosupport -- global loci
-    costalks = {sid: sec.cell_costalk(S, sid) for sid in sorted(S.domain.ids)}
+    costalks = sec.costalk_table(S)
     crange = sorted({a for t in costalks.values() for a in t})
     support_w = _locus_witnesses(K, S.domain.ids, range(-n + 1, hi + 1),
                                  S.stalk_cohomology, "stalk", "c", lambda a: -a)

@@ -34,8 +34,15 @@ BUILDS = ("build", "check-ax1", "check-ax2", "check-classic-ax2", "hyperco",
           "stalks", "costalks", "compare", "coarsen")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are InputErrors, with no usage block."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _parser():
-    p = argparse.ArgumentParser(prog="icsheaf", description=__doc__)
+    p = _Parser(prog="icsheaf", description=__doc__)
     p.add_argument("command", choices=["validate", "filtration", *BUILDS, "demo"])
     p.add_argument("space", help="demo:<name>, a demo name (for the demo command), "
                                  "or a directory with complex.json/stratification.json")
@@ -208,11 +215,13 @@ def _link_heuristic(strat):
 
 
 def run(argv=None):
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit:
+        args = _parser().parse_args(argv)
+    except InputError as e:
+        print("error:", e, file=sys.stderr)
         return 1
+    except SystemExit as e:  # --help
+        return e.code
     out = Path(args.out)
     try:
         F = field_by_name(args.field)
@@ -314,8 +323,10 @@ def run(argv=None):
             return 0
 
         if args.command == "costalks":
-            sample = sorted(K.full_set().ids) if points is None else points
-            table = {sid: sec.cell_costalk(bundle.ic, sid) for sid in sample}
+            if points is None:
+                table = sec.costalk_table(bundle.ic)
+            else:
+                table = {sid: sec.cell_costalk(bundle.ic, sid) for sid in points}
             payload = {"costalks": reports.table_doc(K, table)}
             reports.write_report(out / "costalks-report.json", manifest, payload)
             shown = list(sorted(payload["costalks"].items()))[:10]

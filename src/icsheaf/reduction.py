@@ -173,6 +173,21 @@ class SparseComplex:
             out[d] = out.get(d, 0) + 1
         return dict(sorted(out.items()))
 
+    def subcomplex(self, ids):
+        """A new complex on the live ids given, with the entries among them.
+
+        It is a subcomplex when no entry leaves ids; its generators are
+        renumbered 0, 1, … in the order given.
+        """
+        H = SparseComplex(self.F)
+        new = {g: H.add_gen(self.degree[g], self.support[g]) for g in ids}
+        for g, i in new.items():
+            for h, v in self.dout[g].items():
+                j = new.get(h)
+                if j is not None:
+                    H.dout[i][j] = H.din[j][i] = v
+        return H
+
     def gens_sorted(self):
         """Live ids in ascending (insertion) order."""
         return sorted(self.degree)

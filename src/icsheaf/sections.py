@@ -7,10 +7,14 @@ deletions with a restriction on the top deletion, and the coefficient
 complex is totalized in.  This is the derived limit over the poset; open
 pushforward and sections over deleted stars use it.
 
-The cellular model has one summand per simplex τ, in degree dim τ, with
-incidence-signed cover restrictions.  Over a clopen set it computes the
-same sections as the nerve model, and over the open star of a simplex it
-computes the costalk there (compactly supported cochains of the star).
+The cellular model has one summand per simplex τ, in degree dim τ,
+supported at τ, with incidence-signed cover restrictions.  Over a clopen
+set it computes the same sections as the nerve model, and over the open
+star of a simplex it computes the costalk there (compactly supported
+cochains of the star).  The open star's summands form a subcomplex of the
+cellular complex over the whole domain, and a same-support reduction of
+that one complex keeps every such subcomplex up to homotopy, so
+`costalk_table` reads the costalks at all simplices off one reduction.
 
 Both are assembled as a stalk is: the summands by `SheafComplex.add_value`,
 the maps between them by `SparseComplex.add_block`.
@@ -101,21 +105,19 @@ def rgamma_dims(S, member_ids):
     return G.minimize_dims()
 
 
-def rgamma_cellular_dims(S, member_ids):
-    """Cohomology dims of the cellular cochain complex over a member set.
+def _cellular_complex(S, members):
+    """The cellular cochain complex of S over a member set.
 
-    One copy of S(τ) per member τ, in degree dim τ + q, with internal
-    differential signed (−1)^dim τ and cover restrictions signed by
-    incidence.  On a clopen set (a union of connected components) this is
-    RΓ, the same sections as the order-chain model.  On the open star of a
-    simplex it is the costalk there, as in Shepard's cellular model of the
-    derived category (Curry, Sheaves, Cosheaves and Applications,
-    arXiv:1303.3255).
+    One copy of S(τ) per member τ, in degree dim τ + q and supported at
+    τ, with internal differential signed (−1)^dim τ and cover restrictions
+    signed by incidence: d maps the block at τ into the blocks at τ and at
+    its cofacets, so the blocks at the simplices ≥ σ form a subcomplex for
+    every σ.
     """
     K = S.complex
     G = SparseComplex(S.F)
-    members = sorted(set(member_ids) & S.domain.ids)
-    first = {sid: S.add_value(G, sid, K.sdim(sid), (-1) ** K.sdim(sid))
+    members = sorted(set(members) & S.domain.ids)
+    first = {sid: S.add_value(G, sid, K.sdim(sid), (-1) ** K.sdim(sid), sid)
              for sid in members}
     for sid in members:
         for cof, sign in K.cofacets[sid]:
@@ -125,7 +127,18 @@ def rgamma_cellular_dims(S, member_ids):
             for q, g0 in first[sid].items():
                 if q in cof0:
                     G.add_block(g0, cof0[q], S.restriction_cover(sid, cof, q), sign)
-    return G.minimize_dims()
+    return G
+
+
+def rgamma_cellular_dims(S, member_ids):
+    """Cohomology dims of the cellular cochain complex over a member set.
+
+    On a clopen set (a union of connected components) this is RΓ, the same
+    sections as the order-chain model.  On the open star of a simplex it is
+    the costalk there, as in Shepard's cellular model of the derived
+    category (Curry, Sheaves, Cosheaves and Applications, arXiv:1303.3255).
+    """
+    return _cellular_complex(S, member_ids).minimize_dims()
 
 
 def hypercohomology(S):
@@ -144,12 +157,39 @@ def cell_costalk(S, sid):
 
     The cellular cochain complex over the open star, one summand per
     coface τ ≥ sid in the domain, in degree dim τ + q (see
-    `rgamma_cellular_dims`).  Computed afresh on every call: a caller that
-    reads a costalk twice keeps its own table.
+    `rgamma_cellular_dims`).  Computed afresh on every call, for one
+    simplex or a few.  These summands are the subcomplex at sid of the
+    cellular complex over the whole domain, and one same-support reduction
+    of that complex keeps the subcomplex at every simplex up to homotopy:
+    `costalk_table` reads the same dims at every simplex off it.
     """
     if sid not in S.domain.ids:
         raise SheafError("simplex outside the domain")
     return rgamma_cellular_dims(S, S.complex.up_set(sid))
+
+
+def costalk_table(S):
+    """Costalk dims at every simplex of S's domain: {sid: dims}.
+
+    One same-support reduction of the cellular complex over the whole
+    domain keeps every costalk.  Eliminating g → h, both supported at τ,
+    writes fill only x → y with supp(x) ≤ τ ≤ supp(y).  For σ ≤ τ that is
+    a Gaussian elimination inside σ's subcomplex (the blocks at τ' ≥ σ);
+    for σ ≰ τ no x lies in it, so its entries are untouched.  The costalk
+    at σ is then the free reduction of the survivors supported at the
+    simplices ≥ σ.  Equal to `cell_costalk` at every simplex.
+    """
+    K = S.complex
+    G = _cellular_complex(S, S.domain.ids)
+    G.reduce(same_support=True)
+    survivors = {}  # support simplex -> its surviving generators
+    for g in G.gens_sorted():
+        survivors.setdefault(G.support[g], []).append(g)
+    table = {}
+    for sid in sorted(S.domain.ids):
+        star = [g for tau in K.up_set(sid) for g in survivors.get(tau, ())]
+        table[sid] = G.subcomplex(star).minimize_dims()
+    return table
 
 
 def _vanishes(d):

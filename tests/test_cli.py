@@ -38,7 +38,6 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     # input errors -> 1
     assert run(["build", "demo:nonexistent", "--out", o]) == 1
     assert run(["build", str(tmp_path / "missing-dir"), "--out", o]) == 1
-    assert run(["frobnicate", "demo:wedge", "--out", o]) == 1
     assert run(["build", "demo:wedge", "--field", "fp:6", "--out", o]) == 1
     # primality is exact and fast on the whole accepted range 2 <= p < 2^64:
     # 2^61 - 1 is prime, (2^31 - 1)^2 is not, and 2^64 + 13 is out of range
@@ -54,17 +53,23 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
         assert run(["validate", "demo:wedge", "--field", tag, "--out", o]) == 1, tag
         assert capsys.readouterr().err == \
             "error: unknown field %r (expected 'q' or 'fp:<p>')\n" % tag
-    # cleanup is part of the construction, not an option
-    assert run(["build", "demo:wedge", "--cleanup", "off", "--out", o]) == 1
-    # the space argument is the one source of the complex and stratification:
-    # argparse rejects other file options with its usage and one error line
+    # usage errors print one error line and no usage block: cleanup is part
+    # of the construction, not an option, and the space argument is the one
+    # source of the complex and stratification
     capsys.readouterr()
-    for argv in (["demo", "wedge", "--complex", "x"],
-                 ["validate", "demo:wedge", "--stratification", "x"]):
+    for argv, extra in ((["build", "demo:wedge", "--cleanup", "off"], "--cleanup off"),
+                        (["demo", "wedge", "--complex", "x"], "--complex x"),
+                        (["validate", "demo:wedge", "--stratification", "x"],
+                         "--stratification x"),
+                        (["frobnicate", "demo:wedge"], None)):
         assert run(argv + ["--out", o]) == 1, argv
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and err.endswith(
-            "error: unrecognized arguments: %s x\n" % argv[2]), (argv, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert extra is None or err.endswith(
+            "unrecognized arguments: %s\n" % extra), (argv, err)
+    # help is not an error
+    assert run(["--help"]) == 0
+    assert "usage: icsheaf" in capsys.readouterr().out
     # malformed inputs -> 1 with a one-line message, never a traceback
     assert run(["demo", "wedge", "--out", o]) == 0
     wedge = tmp_path / "o" / "demos" / "wedge"
@@ -404,19 +409,28 @@ def test_check_links_advisory(tmp_path, capsys):
 
 def test_checks_compute_each_costalk_once(tmp_path, monkeypatch):
     # check-ax1 needs costalks only on the non-open strata (the wedge point);
-    # the AX2 checks need one per simplex, computed once
+    # the AX2 checks and the full costalks table need one per simplex, all
+    # from one costalk table
     from icsheaf import sections as sec
     calls = []
-    real = sec.cell_costalk
+    real_one, real_table = sec.cell_costalk, sec.costalk_table
 
-    def counting(S, sid):
+    def one(S, sid):
         calls.append(sid)
-        return real(S, sid)
+        return real_one(S, sid)
 
-    monkeypatch.setattr(sec, "cell_costalk", counting)
+    def table(S):
+        calls.append("table")
+        return real_table(S)
+
+    monkeypatch.setattr(sec, "cell_costalk", one)
+    monkeypatch.setattr(sec, "costalk_table", table)
     o = out(tmp_path)
     assert run(["check-ax1", "demo:wedge", "--out", o]) == 0
-    assert len(calls) == 1
-    calls.clear()
-    assert run(["check-ax2", "demo:wedge", "--out", o]) == 0
-    assert sorted(calls) == list(range(75))
+    assert len(calls) == 1 and "table" not in calls
+    for argv, code in ((["check-ax2", "demo:wedge"], 0),
+                       (["check-classic-ax2", "demo:wedge"], 2),
+                       (["costalks", "demo:wedge"], 0)):
+        calls.clear()
+        assert run(argv + ["--out", o]) == code, argv
+        assert calls == ["table"], argv

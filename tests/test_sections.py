@@ -185,6 +185,27 @@ def test_cellular_costalk_matches_nerve_oracle_on_open_part(towers):
                 (name, S.complex.simplices[sid])
 
 
+@pytest.mark.parametrize("field", ("q", "fp:2", "fp:32003"))
+def test_costalk_table_matches_cell_costalk(spaces, tower_of, field):
+    # every stage of every tower, whose domains are the open sets U_k, and
+    # one build scoped to an open star
+    cases = []
+    for name in demos.DEMO_NAMES:
+        for naive in (False, True):
+            for k, S in enumerate(tower_of(name, field, naive).intermediates):
+                cases.append(("%s%s stage %d" % (name, " --naive" if naive else "", k), S))
+    K, strat = spaces["nonpure-wedge"]
+    star = K.open_star(K.simplices[default_costalk_sample(strat)[0]])
+    cases.append(("nonpure-wedge within a star",
+                  build_ic(strat, field=field_by_name(field), within=star).ic))
+    for label, S in cases:
+        table = sec.costalk_table(S)
+        assert sorted(table) == sorted(S.domain.ids), label
+        for sid, row in table.items():
+            want = sec.cell_costalk(S, sid)
+            assert row == want, (label, S.complex.simplices[sid], row, want)
+
+
 def test_adjunction_triangle_rank_identity(built):
     # alternating dims of (supported sections, stalk, deleted-star sections)
     # cancel at every closed-part simplex, per the open/closed triangle
