@@ -11,6 +11,12 @@ dimensions.  In sheaf mode (same_support=True) only entries between
 generators with the same support simplex are eliminated, which keeps
 every move an isomorphism of elementary down-set summands and hence an
 equivalence of complexes of sheaves, slice by slice.
+
+A complex stores its differential one way only, as rows `dout[g]`.  The
+reverse index `din` (the sources into each id), which an elimination
+needs, is built by `reduce` when it starts and dropped when it returns,
+so a complex waiting to be reduced, or one already reduced and being
+read, holds no second copy of its entries.
 """
 
 import heapq
@@ -19,10 +25,12 @@ import heapq
 class SparseComplex:
     """A cochain complex on generator ids 0, 1, … with a sparse differential.
 
-    `degree` maps each live id to its degree; `support`, `dout` and `din`
-    are lists indexed by id (an eliminated id keeps empty rows).  `ucols`
+    `degree` maps each live id to its degree; `support` and `dout` are
+    lists indexed by id (an eliminated id keeps an empty row).  `ucols`
     maps an id to the columns {external key: value} of a chain map into
-    the complex, carried along by elimination.
+    the complex, carried along by elimination.  `din`, the reverse index
+    {source: value} per id, exists only while `reduce` runs; `eliminate`
+    reads and updates it there.
     """
 
     def __init__(self, F):
@@ -30,7 +38,6 @@ class SparseComplex:
         self.degree = {}
         self.support = []
         self.dout = []
-        self.din = []
         self.ucols = {}
 
     def add_gen(self, degree, support=None, count=1):
@@ -40,7 +47,6 @@ class SparseComplex:
             self.degree[h] = degree
             self.support.append(support)
             self.dout.append({})
-            self.din.append({})
         return g
 
     def add_entry(self, g, h, val):
@@ -49,15 +55,12 @@ class SparseComplex:
         cur = row.get(h)
         if cur is None:
             row[h] = val
-            self.din[h][g] = val
         else:
             new = self.F.add(cur, val)
             if new:
                 row[h] = new
-                self.din[h][g] = new
             else:
                 del row[h]
-                del self.din[h][g]
 
     def add_block(self, g0, h0, M, sign):
         """Add sign · M (sign ±1), a map from the block at id g0 to that at h0."""
@@ -93,6 +96,7 @@ class SparseComplex:
     def eliminate(self, g, h):
         """Gaussian elimination of the differential entry g -> h.
 
+        Needs the reverse index `din`, which `reduce` holds while it runs.
         Returns the other sources into h and the other targets of g, as
         {id: value} dicts.
         """
@@ -133,36 +137,52 @@ class SparseComplex:
     def reduce(self, same_support=False):
         """Exhaustively eliminate admissible pivots, deterministically.
 
-        Uses lazy Markowitz ordering: candidates are kept in a heap keyed
+        Uses lazy Markowitz ordering: candidates are kept in a heap ordered
         by (fill estimate, source id, target id) and revalidated on pop.
         An eliminated id has no entries left, so a candidate is stale
-        exactly when its entry is gone.
+        exactly when its entry is gone.  Each candidate is one int,
+        cost << 2b | g << b | h with b the bit length of the id count:
+        ids are below 2^b, so ints order exactly as the tuples would, in
+        about a third of the memory and untracked by the cycle collector.
+
+        The reverse index `din` is built from `dout` on entry and dropped
+        on return.
         """
-        dout, din, support = self.dout, self.din, self.support
+        dout, support = self.dout, self.support
+        din = self.din = [{} for _ in dout]
+        for g, row in enumerate(dout):
+            for h, v in row.items():
+                din[h][g] = v
+        b = len(dout).bit_length()
+        mask = (1 << b) - 1
         heap = []
         push = heapq.heappush
-
-        for g, row in enumerate(dout):
-            ng = len(row) - 1
-            for h in row:
-                if not same_support or support[g] == support[h]:
-                    heap.append(((len(din[h]) - 1) * ng, g, h))
-        heapq.heapify(heap)
-        while heap:
-            cost, g, h = heapq.heappop(heap)
-            if h not in dout[g]:
-                continue
-            cur = (len(din[h]) - 1) * (len(dout[g]) - 1)
-            if cur > cost:
-                push(heap, (cur, g, h))
-                continue
-            ins, _ = self.eliminate(g, h)
-            for s in ins:
-                row = dout[s]
-                ns = len(row) - 1
-                for t in row:
-                    if not same_support or support[s] == support[t]:
-                        push(heap, ((len(din[t]) - 1) * ns, s, t))
+        try:
+            for g, row in enumerate(dout):
+                ng = len(row) - 1
+                for h in row:
+                    if not same_support or support[g] == support[h]:
+                        heap.append(((len(din[h]) - 1) * ng << b | g) << b | h)
+            heapq.heapify(heap)
+            while heap:
+                key = heapq.heappop(heap)
+                h = key & mask
+                g = key >> b & mask
+                if h not in dout[g]:
+                    continue
+                cur = (len(din[h]) - 1) * (len(dout[g]) - 1)
+                if cur > key >> 2 * b:
+                    push(heap, (cur << b | g) << b | h)
+                    continue
+                ins, _ = self.eliminate(g, h)
+                for s in ins:
+                    row = dout[s]
+                    ns = len(row) - 1
+                    for t in row:
+                        if not same_support or support[s] == support[t]:
+                            push(heap, ((len(din[t]) - 1) * ns << b | s) << b | t)
+        finally:
+            del self.din
 
     def minimize_dims(self):
         """Free reduction to zero differential; returns degree -> dimension."""
@@ -185,7 +205,7 @@ class SparseComplex:
             for h, v in self.dout[g].items():
                 j = new.get(h)
                 if j is not None:
-                    H.dout[i][j] = H.din[j][i] = v
+                    H.dout[i][j] = v
         return H
 
     def gens_sorted(self):

@@ -4,12 +4,23 @@ Reports are machine-readable JSON, written with sorted keys and fixed
 separators so identical manifests produce byte-identical files; human
 tables are derived from the same payloads.  Matrices serialize with exact
 field elements as strings ("p/q" over the rationals).
+
+`write_report` streams the document to disk: it writes the sorted keys of
+every dict itself and encodes each other value with one `json` call, each
+distinct list once, so neither the whole text nor the encoder's list of
+its tokens is ever held.  The bytes equal `canonical_json` of the same
+document.  It writes a temporary file beside the target and moves it into
+place, so a failed write leaves no partial report.
 """
 
 import hashlib
 import json
+import os
+from json.encoder import encode_basestring_ascii
 
 FORMAT_TAG = "icsheaf-report-v1"
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_json(obj):
@@ -18,6 +29,39 @@ def canonical_json(obj):
 
 def sha256_of(obj):
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+
+
+def _dump(doc, write, texts):
+    """Write canonical_json(doc) for a dict doc, without its newline.
+
+    Strings and ints are written as `json` writes them; texts maps id(lst)
+    to the text of a list already written: a document shares each distinct
+    matrix among its references, so each is encoded once.  The document
+    holds every list it keys alive for the call.
+    """
+    sep = "{"
+    for k, v in sorted(doc.items()):
+        # json's own rule for a key that is not a string
+        key = encode_basestring_ascii(k) if isinstance(k, str) \
+            else _ENCODER.encode({k: 0})[1:-3]
+        t = type(v)
+        if t is dict:
+            write(sep + key + ":")
+            _dump(v, write, texts)
+        else:
+            if t is str:
+                text = encode_basestring_ascii(v)
+            elif t is int:
+                text = int.__repr__(v)
+            else:
+                text = texts.get(id(v))
+                if text is None:
+                    text = _ENCODER.encode(v)
+                    if t is list:
+                        texts[id(v)] = text
+            write(sep + key + ":" + text)
+        sep = ","
+    write("{}" if sep == "{" else "}")
 
 
 def simplex_key(K, sid):
@@ -44,17 +88,25 @@ def sheaf_complex_doc(S):
     Equal matrices share one document list for the call: a complex holds
     many references to few distinct values (shared blocks, identities and
     0/1 selections), and equal values print the same, so each is written
-    once.  `json` encodes a shared list in full wherever it appears.
+    once.  `json` encodes a shared list in full wherever it appears.  The
+    entries share their strings the same way: most are a few values (0, 1,
+    −1), and each distinct one is printed once per call.
     """
     K = S.complex
     F = S.F
-    docs = {}
+    docs, strs = {}, {}
+
+    def estr(x):
+        got = strs.get(x)
+        if got is None:
+            got = strs[x] = F.to_str(x)
+        return got
 
     def mdoc(m):
         key = tuple(map(tuple, m))
         got = docs.get(key)
         if got is None:
-            got = docs[key] = [[F.to_str(x) for x in row] for row in key]
+            got = docs[key] = [[estr(x) for x in row] for row in key]
         return got
 
     doc = {"field": F.name,
@@ -138,8 +190,21 @@ def filtration_table_text(filt):
 
 
 def write_report(path, manifest, payload):
+    """Stream the canonical JSON of the report document to path.
+
+    A payload `json` cannot encode raises, and leaves the directory as it
+    was: the text goes to a temporary file beside path, which replaces
+    path only once it is complete.
+    """
     doc = {"format": FORMAT_TAG, "manifest": manifest, "report": payload}
-    data = canonical_json(doc)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(data)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="ascii") as f:
+            _dump(doc, f.write, {})
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path

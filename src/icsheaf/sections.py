@@ -43,13 +43,16 @@ class EngineError(RuntimeError):
 def _nerve_complex(S, chains):
     """The order-chain (nerve) complex of S over the given chains.
 
-    Returns (G, first), first(c, q) giving the id of chain c's first
-    generator in degree q.  A chain c contributes the value at its top in
-    degrees q + len(c) − 1, supported at its bottom, with the internal
-    differential signed (−1)^(len−1).  Entries into c come from each of
-    its faces among the chains: deleting the element at position pos
-    below the top gives the identity signed (−1)^pos, deleting the top
-    gives the restriction from the new top signed (−1)^(len−1).
+    Returns (G, heads), heads[sid][q] the id of the first generator in
+    degree q of the one-element chain (sid,), for each sid with a nonzero
+    value: the compatible-family map reads those and nothing else of the
+    chain bookkeeping, which dies on return.  A chain c contributes the
+    value at its top in degrees q + len(c) − 1, supported at its bottom,
+    with the internal differential signed (−1)^(len−1).  Entries into c
+    come from each of its faces among the chains: deleting the element at
+    position pos below the top gives the identity signed (−1)^pos,
+    deleting the top gives the restriction from the new top signed
+    (−1)^(len−1).
 
     The bookkeeping holds one integer per chain, the id of its first
     generator: `add_value` hands out consecutive ids in ascending degree
@@ -93,7 +96,9 @@ def _nerve_complex(S, chains):
                     if q in coff:
                         G.add_block(fid + o, cid + coff[q],
                                     S.restriction(c[-2], top, q, memo), (-1) ** pos)
-    return G, lambda c, q: start[c] + offsets[c[-1]][q]
+    heads = {c[0]: {q: cid + o for q, o in offsets[c[0]].items()}
+             for c, cid in start.items() if len(c) == 1}
+    return G, heads
 
 
 def rgamma_dims(S, member_ids):
@@ -341,7 +346,7 @@ def is_clc(S, strat):
     return True, None
 
 
-def _add_family_columns(S, G, first, sid, bids):
+def _add_family_columns(S, G, heads, sid, bids):
     """The compatible-family columns of the far simplex sid, into G's ucols.
 
     Column (sid, q, i) has the restrictions of basis vector i of S(sid) in
@@ -357,7 +362,7 @@ def _add_family_columns(S, G, first, sid, bids):
             n = S.dim(rho, q)
             if not n:
                 continue
-            rm, h0 = S.restriction(sid, rho, q, memo), first((rho,), q)
+            rm, h0 = S.restriction(sid, rho, q, memo), heads[rho][q]
             for i in range(d):
                 for j in range(n):
                     G.add_ucol(h0 + j, (sid, q, i), rm[j][i])
@@ -372,11 +377,15 @@ def pushforward_open(S, V, cleanup=True):
     complex there, glued by the compatible-family chain map.  The reduction
     is checked against S's stalks on the boundary region.
 
-    Everything the call builds on the way lives only as long as the call:
-    the nerve complex with its one-id-per-chain bookkeeping, and the
-    materialization tables.  The memos of composite restrictions live
-    shorter: one per `_nerve_complex` call and one per far simplex of the
-    compatible-family map, none held through the cleanup.
+    Everything the call builds on the way lives only as long as the call,
+    and most of it shorter.  The chain list and the one-id-per-chain
+    bookkeeping die inside `_nerve_complex`, which hands back only the
+    first ids of the one-element chains; the memos of composite
+    restrictions live one per `_nerve_complex` call and one per far
+    simplex of the compatible-family map.  So the same-support cleanup
+    holds the nerve complex (its rows `dout`, the family columns `ucols`
+    and, while `reduce` runs, the reverse index and the candidate heap)
+    and nothing of the chains; the materialization tables come after it.
 
     cleanup=False skips the same-support reduction and its check and keeps
     the raw nerve complexes: it is the uncleaned reference that tests
@@ -397,7 +406,7 @@ def pushforward_open(S, V, cleanup=True):
     far = U.ids - bids
     region = bids | new_ids
 
-    G, first = _nerve_complex(S, all_chains(K, bids))
+    G, heads = _nerve_complex(S, all_chains(K, bids))
 
     # compatible-family map from boundary-adjacent old simplices
     far_adjacent = set()
@@ -407,7 +416,7 @@ def pushforward_open(S, V, cleanup=True):
                 far_adjacent.add(sid)
                 break
     for sid in sorted(far_adjacent):
-        _add_family_columns(S, G, first, sid, bids)
+        _add_family_columns(S, G, heads, sid, bids)
 
     if cleanup:
         G.reduce(same_support=True)

@@ -9,13 +9,15 @@ their results are independent of the code paths they check.  The exceptions are
 the reference versions of package code that a faster path replaced, kept
 as they were so the tests can compare the two (`order_chains`,
 `chains_recursively`, `down_set_by_subsets`, `composite_restriction`,
-the dense solver behind `cohomology_sheaf_reference`), the supported-sections
+the dense solver behind `cohomology_sheaf_reference`, the tuple-keyed
+eliminator `ReferenceComplex`), the supported-sections
 complex that AX2 is compared against (`supported_section_dims`), and the
 helpers only tests need: `shift` builds test complexes,
 `load_sheaf_complex` reads a dumped complex back and
 `fake_surface_stratum_ids` names the fake stratum of a demo.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations
 
@@ -551,3 +553,114 @@ def load_sheaf_complex(doc, K, F):
         restr[(parse_simplex(a), parse_simplex(b))] = {
             int(q): parse_matrix(m) for q, m in v.items()}
     return SheafComplex(F, K, domain, dims, diffs, restr)
+
+
+# The eliminator as it was before its reverse index lived only inside
+# `reduce` and its heap keys became single ints: a persistent `din` and
+# (cost, source, target) tuples.
+
+class ReferenceComplex:
+    """A copy of a SparseComplex's state, reduced by the tuple-keyed eliminator."""
+
+    def __init__(self, G):
+        self.F = G.F
+        self.degree = dict(G.degree)
+        self.support = list(G.support)
+        self.dout = [dict(row) for row in G.dout]
+        self.din = [{} for _ in G.dout]
+        for g, row in enumerate(self.dout):
+            for h, v in row.items():
+                self.din[h][g] = v
+        self.ucols = {g: dict(col) for g, col in G.ucols.items()}
+
+    def add_ucol(self, h, ext, val):
+        if not val:
+            return
+        col = self.ucols.setdefault(h, {})
+        cur = col.get(ext)
+        new = val if cur is None else self.F.add(cur, val)
+        if new:
+            col[ext] = new
+        else:
+            col.pop(ext, None)
+
+    def _detach(self, g):
+        din, dout = self.din, self.dout
+        for t in dout[g]:
+            del din[t][g]
+        for s in din[g]:
+            del dout[s][g]
+        dout[g] = {}
+        din[g] = {}
+        self.ucols.pop(g, None)
+        del self.degree[g]
+
+    def eliminate(self, g, h):
+        F = self.F
+        outs = self.dout[g]
+        ins = self.din[h]
+        alpha = outs.pop(h)
+        del ins[g]
+        uh = self.ucols.get(h)
+        self._detach(g)
+        self._detach(h)
+        inv = F.inv(alpha)
+        add, mul, neg = F.add, F.mul, F.neg
+        dout, din = self.dout, self.din
+        for s, a in ins.items():
+            coeff = neg(mul(a, inv))
+            row = dout[s]
+            for t, b in outs.items():
+                val = mul(coeff, b)
+                cur = row.get(t)
+                if cur is None:
+                    row[t] = din[t][s] = val
+                else:
+                    new = add(cur, val)
+                    if new:
+                        row[t] = din[t][s] = new
+                    else:
+                        del row[t]
+                        del din[t][s]
+        if uh:
+            for ext, a in uh.items():
+                coeff = neg(mul(a, inv))
+                for t, b in outs.items():
+                    self.add_ucol(t, ext, mul(coeff, b))
+        return ins, outs
+
+    def reduce(self, same_support=False):
+        dout, din, support = self.dout, self.din, self.support
+        heap = []
+        push = heapq.heappush
+
+        for g, row in enumerate(dout):
+            ng = len(row) - 1
+            for h in row:
+                if not same_support or support[g] == support[h]:
+                    heap.append(((len(din[h]) - 1) * ng, g, h))
+        heapq.heapify(heap)
+        while heap:
+            cost, g, h = heapq.heappop(heap)
+            if h not in dout[g]:
+                continue
+            cur = (len(din[h]) - 1) * (len(dout[g]) - 1)
+            if cur > cost:
+                push(heap, (cur, g, h))
+                continue
+            ins, _ = self.eliminate(g, h)
+            for s in ins:
+                row = dout[s]
+                ns = len(row) - 1
+                for t in row:
+                    if not same_support or support[s] == support[t]:
+                        push(heap, ((len(din[t]) - 1) * ns, s, t))
+
+
+def first_reduced_difference(G, R):
+    """The first id whose liveness, degree, row or map columns differ, or None."""
+    for g in range(max(len(G.dout), len(R.dout))):
+        if g >= len(G.dout) or g >= len(R.dout) or G.degree.get(g) != R.degree.get(g) \
+                or G.dout[g] != R.dout[g] or G.ucols.get(g) != R.ucols.get(g):
+            return g
+    return None

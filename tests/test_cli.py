@@ -221,6 +221,35 @@ def test_manifest_round_trip(tmp_path):
     assert doc["report"]["hypercohomology"] == {"-1": 1, "1": 1}
 
 
+def test_streamed_report_equals_canonical_json(tmp_path, built):
+    shared = [["1", "-1/2"], ["0", "1"]]
+    payloads = [
+        {"b": {"z": [], "a": {}}, "a": [{"y": 1, "x": None}], "é": "ü\u2603"},
+        {2: "two", 10: "ten", 1.5: [1.25, False], True: None},
+        {"m": shared, "n": {"m": shared, "k": shared}},
+        reports.bundle_doc(built["wedge"]),
+    ]
+    for payload in payloads:
+        path = reports.write_report(tmp_path / "r.json", {"command": "x"}, payload)
+        doc = {"format": reports.FORMAT_TAG, "manifest": {"command": "x"},
+               "report": payload}
+        assert path.read_bytes() == reports.canonical_json(doc).encode()
+
+
+def test_failed_report_leaves_no_file(tmp_path):
+    # a payload json cannot encode fails mid-document; nothing partial stays
+    bad = {"a": [1, 2], "b": {"c": object()}}
+    with pytest.raises(TypeError):
+        reports.write_report(tmp_path / "o" / "r.json", {}, bad)
+    assert list((tmp_path / "o").iterdir()) == []
+    # a report already there is kept whole
+    good = reports.write_report(tmp_path / "o" / "r.json", {}, {"a": 1}).read_bytes()
+    with pytest.raises(TypeError):
+        reports.write_report(tmp_path / "o" / "r.json", {}, bad)
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["r.json"]
+    assert (tmp_path / "o" / "r.json").read_bytes() == good
+
+
 def test_build_report_contents(tmp_path):
     o = out(tmp_path)
     assert run(["build", "demo:wedge", "--out", o]) == 0

@@ -4,8 +4,11 @@ from itertools import combinations
 import pytest
 
 from icsheaf import demos, reports
+from icsheaf import sections as sec
 from icsheaf.fields import QQ
 from icsheaf.reduction import SparseComplex
+
+import oracles
 
 
 def simplex_cochains(n, kmax=None, support=None, cls=SparseComplex):
@@ -30,18 +33,22 @@ def test_ids_are_consecutive_from_zero():
     G = SparseComplex(QQ)
     assert [G.add_gen(d) for d in (0, 1, 1, 2, 0)] == [0, 1, 2, 3, 4]
     assert G.degree == {0: 0, 1: 1, 2: 1, 3: 2, 4: 0}
-    assert len(G.dout) == len(G.din) == len(G.support) == 5
+    assert len(G.dout) == len(G.support) == 5
+    # the reverse index exists only while reduce runs
+    assert not hasattr(G, "din")
 
 
 def test_add_entry_cancellation_clears_both_directions():
     G = SparseComplex(QQ)
     g, h = G.add_gen(0), G.add_gen(1)
     G.add_entry(g, h, 2)
-    assert G.dout[g] == {h: 2} and G.din[h] == {g: 2}
+    assert G.dout[g] == {h: 2}
     G.add_entry(g, h, 0)
     assert G.dout[g] == {h: 2}
     G.add_entry(g, h, -2)
-    assert G.dout[g] == {} and G.din[h] == {}
+    assert G.dout[g] == {}
+    # reduce indexes the sources from the rows: h has none left to pivot on
+    assert G.minimize_dims() == {0: 1, 1: 1} and not hasattr(G, "din")
 
 
 def test_same_support_reduction_never_pivots_across_supports():
@@ -63,18 +70,58 @@ def test_same_support_reduction_never_pivots_across_supports():
 
 
 def test_ucols_fill_through_an_elimination():
-    # d x = 2y + 3z, and a map column e lands on y
-    G = SparseComplex(QQ)
+    # d x = 2y + 3z, and a map column e lands on y; both entries cost 0,
+    # so reduce pivots on x -> y, the smaller target
+    steps = []
+
+    class Recording(SparseComplex):
+        def eliminate(self, g, h):
+            ins, outs = super().eliminate(g, h)
+            steps.append((g, h, dict(ins), dict(outs)))
+            return ins, outs
+
+    G = Recording(QQ)
     x, y, z = G.add_gen(0), G.add_gen(1), G.add_gen(1)
     G.add_entry(x, y, 2)
     G.add_entry(x, z, 3)
     G.add_ucol(y, "e", 1)
     G.add_ucol(x, "f", 5)
-    ins, outs = G.eliminate(x, y)
-    assert ins == {} and outs == {z: 3}
+    G.reduce()
+    assert steps == [(x, y, {}, {z: 3})]
     assert G.ucols == {z: {"e": Fraction(-3, 2)}}
     assert G.degree == {z: 1}
-    assert G.dout[x] == G.din[y] == G.din[z] == {}
+    assert G.dout == [{}, {}, {}] and not hasattr(G, "din")
+
+
+@pytest.mark.parametrize("field", ("q", "fp:2", "fp:32003"))
+def test_eliminator_matches_the_tuple_keyed_reference(monkeypatch, tower_of, field):
+    # every pushforward of every demo's tower, canonical and naive, and each
+    # IC's whole-domain cellular complex, same-support and free: every
+    # reduction leaves the live ids, degrees, rows and map columns that the
+    # reference eliminator leaves on a copy of its input
+    real, case, seen = SparseComplex.reduce, [], []
+
+    def checked(G, same_support=False):
+        R = oracles.ReferenceComplex(G)
+        R.reduce(same_support)
+        real(G, same_support)
+        g = oracles.first_reduced_difference(G, R)
+        assert g is None, "%s: first differing id %d" % (case[-1], g)
+        seen.append(same_support)
+
+    towers = {(name, naive): tower_of(name, field, naive)
+              for name in demos.DEMO_NAMES for naive in (False, True)}
+    monkeypatch.setattr(SparseComplex, "reduce", checked)
+    for (name, naive), bundle in towers.items():
+        label = "%s%s over %s" % (name, " --naive" if naive else "", field)
+        for entry, S in zip(bundle.log, bundle.intermediates):
+            case.append("%s, pushforward of step %d" % (label, entry["step"]))
+            sec.pushforward_open(S, bundle.filtration.U[entry["collapsed_through"] + 1])
+        for same_support in (True, False):
+            case.append("%s, cellular complex of the IC%s"
+                        % (label, " (same support)" if same_support else ""))
+            sec._cellular_complex(bundle.ic, bundle.ic.domain.ids).reduce(same_support)
+    assert True in seen and False in seen
 
 
 def test_minimize_dims_triangle_boundary():
