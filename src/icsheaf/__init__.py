@@ -11,12 +11,12 @@ from .fields import QQ, PrimeField, field_by_name
 from .simplicial import SimplicialComplex, SimplexSet, load_complex
 from .stratify import (Stratification, OpenFiltration, validate_stratification,
                        compute_open_strata, compute_open_filtration,
-                       naive_filtration, is_refinement)
+                       naive_filtration)
 from .sheaves import SheafComplex, make_local_system, constant_complex
 from .sections import (pushforward_open, truncate_le, cohomology_sheaf,
                        cell_costalk, hypercohomology, is_clc)
-from .deligne import (ICBundle, build_ic, build_tower, build_ic_pure,
-                      check_decomposition, clc_coarsen, compare_stratifications)
+from .deligne import (ICBundle, build_ic, build_tower, clc_coarsen,
+                      compare_stratifications)
 from .axioms import check_ax1, check_ax2, check_classic_ax2, support_locus
 
 __version__ = "0.1.0"
@@ -26,11 +26,9 @@ __all__ = [
     "SimplicialComplex", "SimplexSet", "load_complex",
     "Stratification", "OpenFiltration", "validate_stratification",
     "compute_open_strata", "compute_open_filtration", "naive_filtration",
-    "is_refinement",
     "SheafComplex", "make_local_system", "constant_complex",
     "pushforward_open", "truncate_le", "cohomology_sheaf", "cell_costalk",
     "hypercohomology", "is_clc",
-    "ICBundle", "build_ic", "build_tower", "build_ic_pure", "check_decomposition",
-    "clc_coarsen", "compare_stratifications",
+    "ICBundle", "build_ic", "build_tower", "clc_coarsen", "compare_stratifications",
     "check_ax1", "check_ax2", "check_classic_ax2", "support_locus",
 ]

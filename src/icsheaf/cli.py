@@ -77,6 +77,18 @@ def demo_files(name, out):
     return cpath, spath
 
 
+def _read_json(path, what):
+    """The JSON document at path; a file that cannot be read or parsed is an InputError.
+
+    ValueError covers invalid JSON and bytes that are not UTF-8, and a
+    document nested too deeply for the parser raises RecursionError.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as e:
+        raise InputError("cannot read %s: %s" % (what, e))
+
+
 def load_space(args):
     """Resolve the space argument to (complex, stratification, input record)."""
     inputs = {}
@@ -89,11 +101,8 @@ def load_space(args):
         inputs["space"] = str(base)
     inputs["complex"] = str(cpath)
     inputs["stratification"] = str(spath)
-    try:
-        K = load_complex(json.loads(cpath.read_text()))
-        sdoc = json.loads(spath.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise InputError("cannot read inputs: %s" % e)
+    K = load_complex(_read_json(cpath, "complex"))
+    sdoc = _read_json(spath, "stratification")
     if not isinstance(sdoc, dict) or "levels" not in sdoc:
         raise InputError("stratification document must have 'levels'")
     return K, validate_stratification(K, sdoc["levels"]), inputs
@@ -104,10 +113,7 @@ def load_system(args, F, strat):
     if not args.local_system:
         return None
     filt = naive_filtration(strat) if args.naive else compute_open_filtration(strat)
-    try:
-        doc = json.loads(Path(args.local_system).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise InputError("cannot read local system: %s" % e)
+    doc = _read_json(args.local_system, "local system")
     K = strat.complex
     if not isinstance(doc, dict):
         raise InputError("local system must be a JSON object")

@@ -4,16 +4,18 @@ Starting from a local system split over the open strata unions U^m and
 shifted by complex dimension, the complex is pushed forward step by step
 along the induced open filtration, truncated at the middle-perversity
 cutoff k−1−n, with the lower-dimensional local systems re-attached as
-closed extensions by zero at each stage.  The pure-dimensional recursion
-(the classical construction) is the same loop on a single closure X^m.
+closed extensions by zero at each stage.  This one pass builds the sum of
+the classical pure-dimensional complexes of the closures X^m, each extended
+by zero; the tests check that decomposition against the pure recursion run
+on each closure.
 """
 
 from .fields import QQ
 from . import sections as sec
 from .sheaves import (SheafComplex, SheafError, first_difference, make_local_system,
                       zero_complex)
-from .stratify import (compute_open_filtration, naive_filtration,
-                       validate_stratification, StratificationError, TRUST_NOTE)
+from .stratify import (compute_open_filtration, generators_doc, naive_filtration,
+                       StratificationError, TRUST_NOTE)
 
 
 class ICBundle:
@@ -192,85 +194,6 @@ def _verify_bundle(bundle):
                          % (witness,))
 
 
-def restrict_stratification(strat, closed_set):
-    """The induced stratification of a down-closed union of strata."""
-    K = strat.complex
-    sub, to_parent, from_parent = K.subcomplex(closed_set)
-    levels = {k: [K.simplices[i] for i in strat.level(k).ids if i in from_parent]
-              for k in range(sub.dim // 2 + 1)}
-    return validate_stratification(sub, levels), sub, to_parent, from_parent
-
-
-def transport_complex(S, target_complex, id_map, domain):
-    dims = {id_map[s]: dict(qs) for s, qs in S.dims.items() if s in id_map}
-    diffs = {id_map[s]: dict(ms) for s, ms in S.diffs.items() if s in id_map}
-    restr = {(id_map[s], id_map[t]): dict(ms) for (s, t), ms in S.restrictions.items()
-             if s in id_map and t in id_map}
-    return SheafComplex(S.F, target_complex, domain, dims, diffs, restr)
-
-
-def build_ic_pure(strat, m, Lm=None, field=QQ):
-    """The classical pure-dimensional complex on the closure X^m.
-
-    Validates purity of the closed part, runs the recursion there, and
-    returns the result extended by zero back over the ambient complex.
-    """
-    filt = compute_open_filtration(strat)
-    if m not in filt.U_m or not len(filt.U_m[m]):
-        raise StratificationError("no open strata of complex dimension %d" % m)
-    closed = filt.X_m[m]
-    substrat, sub, to_parent, from_parent = restrict_stratification(strat, closed)
-    subfilt = compute_open_filtration(substrat)
-    for j, uj in subfilt.U_m.items():
-        if j != m and len(uj):
-            raise StratificationError(
-                "closure of the dimension-%d strata is not pure: open strata of dimension %d"
-                % (m, j))
-    if Lm is None:
-        Lsub = None
-    else:
-        sub_dom = sub.simplex_set({from_parent[i] for i in Lm.domain.ids})
-        Lsub = transport_complex(Lm, sub, from_parent, sub_dom)
-    bundle = build_ic(substrat, Lsub, field=field)
-    parent_ic = transport_complex(bundle.ic, strat.complex, to_parent, closed)
-    return parent_ic, bundle
-
-
-def check_decomposition(bundle):
-    """Compare the direct construction with the sum of pure-closure complexes.
-
-    Builds each pure piece independently, extends by zero, sums, and
-    compares stalk cohomology tables at every simplex and degree.
-    """
-    strat = bundle.stratification
-    K = strat.complex
-    total = None
-    summand_hyperco = {}
-    for m in sorted(bundle.systems):
-        piece, sub_bundle = build_ic_pure(strat, m, bundle.systems[m],
-                                          field=bundle.field)
-        summand_hyperco[m] = sec.hypercohomology(sub_bundle.ic)
-        ext = piece.extend_by_zero(K.full_set())
-        total = ext if total is None else total.direct_sum(ext)
-    table_direct = bundle.ic.stalk_table()
-    table_sum = total.stalk_table()
-    mismatch = None
-    for sid in sorted(K.full_set().ids):
-        bad = first_difference(table_direct.get(sid, {}), table_sum.get(sid, {}))
-        if bad is not None:
-            mismatch = {"simplex": list(K.simplices[sid]), "degree": bad,
-                        "direct": table_direct.get(sid, {}).get(bad, 0),
-                        "sum": table_sum.get(sid, {}).get(bad, 0)}
-            break
-    return {
-        "passed": mismatch is None,
-        "first_mismatch": mismatch,
-        "summand_hypercohomology": {m: dict(h) for m, h in summand_hyperco.items()},
-        "sum_hypercohomology": sec.hypercohomology(total),
-        "direct_hypercohomology": sec.hypercohomology(bundle.ic),
-    }
-
-
 def default_costalk_sample(strat, limit=24):
     """Deterministic simplex sample: all singular simplices plus a spread."""
     K = strat.complex
@@ -350,10 +273,8 @@ class CoarseningState:
                      "manifold-ness of merged pieces is not decidable and is not checked")
 
     def levels_doc(self):
-        from .stratify import _generators
-        K = self.input_stratification.complex
-        return {str(k): [list(t) for t in _generators(K, s)]
-                for k, s in sorted(self.levels.items())}
+        return generators_doc(self.input_stratification.complex,
+                              sorted(self.levels.items()))
 
 
 def clc_coarsen(strat, S):

@@ -5,16 +5,17 @@ over every Alexandrov-open set: p-cochains are sums of stalks at the tops
 of strict chains s0 ⊂ … ⊂ sp, the differential alternates over chain-face
 deletions with a restriction on the top deletion, and the coefficient
 complex is totalized in.  This is the derived limit over the poset; open
-pushforward and sections over deleted stars use it.
+pushforward uses it for the sections over each deleted star.
 
 The cellular model has one summand per simplex τ, in degree dim τ,
 supported at τ, with incidence-signed cover restrictions.  Over a clopen
-set it computes the same sections as the nerve model, and over the open
-star of a simplex it computes the costalk there (compactly supported
-cochains of the star).  The open star's summands form a subcomplex of the
-cellular complex over the whole domain, and a same-support reduction of
-that one complex keeps every such subcomplex up to homotopy, so
-`costalk_table` reads the costalks at all simplices off one reduction.
+set it computes the same sections as the nerve model, and
+`hypercohomology` uses it there; over the open star of a simplex it
+computes the costalk there (compactly supported cochains of the star).
+The open star's summands form a subcomplex of the cellular complex over
+the whole domain, and a same-support reduction of that one complex keeps
+every such subcomplex up to homotopy, so `costalk_table` reads the
+costalks at all simplices off one reduction.
 
 Both are assembled as a stalk is: the summands by `SheafComplex.add_value`,
 the maps between them by `SparseComplex.add_block`.
@@ -101,15 +102,6 @@ def _nerve_complex(S, chains):
     return G, heads
 
 
-def rgamma_dims(S, member_ids):
-    """Cohomology dims of RΓ over an up-set of S's domain (order-chain model)."""
-    members = set(member_ids) & set(S.domain.ids)
-    if not members:
-        return {}
-    G, _ = _nerve_complex(S, all_chains(S.complex, members))
-    return G.minimize_dims()
-
-
 def _cellular_complex(S, members):
     """The cellular cochain complex of S over a member set.
 
@@ -147,14 +139,15 @@ def rgamma_cellular_dims(S, member_ids):
 
 
 def hypercohomology(S):
-    """Hypercohomology dims of S over its domain.
+    """Hypercohomology dims of S over its domain, in the cellular model.
 
-    A clopen domain uses the cellular model, any other the order-chain model.
+    The domain must be clopen (a union of connected components), where the
+    cellular complex computes RΓ; any other domain raises SheafError.
     """
     A = S.domain
-    if A.is_up_closed() and A.is_down_closed():
-        return rgamma_cellular_dims(S, A.ids)
-    return rgamma_dims(S, A.ids)
+    if not (A.is_up_closed() and A.is_down_closed()):
+        raise SheafError("hypercohomology needs a clopen domain")
+    return rgamma_cellular_dims(S, A.ids)
 
 
 def cell_costalk(S, sid):

@@ -321,14 +321,6 @@ class SheafComplex:
     def restrict_open(self, subset):
         if not subset.issubset(self.domain) or not subset.is_up_closed_in(self.domain):
             raise SheafError("restrict_open needs an up-closed subset of the domain")
-        return self._restrict(subset)
-
-    def restrict_closed(self, subset):
-        if not subset.issubset(self.domain) or not subset.is_down_closed_in(self.domain):
-            raise SheafError("restrict_closed needs a down-closed subset of the domain")
-        return self._restrict(subset)
-
-    def _restrict(self, subset):
         dims = {s: qs for s, qs in self.dims.items() if s in subset.ids}
         diffs = {s: ms for s, ms in self.diffs.items() if s in subset.ids}
         restr = {p: ms for p, ms in self.restrictions.items()

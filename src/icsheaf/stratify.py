@@ -51,18 +51,21 @@ class Stratification:
         return [s for s in self.strata if s.complex_dim == k]
 
     def levels_doc(self):
-        doc = {}
-        for k in range(self.n + 1):
-            doc[str(k)] = [list(t) for t in _generators(self.complex, self.levels[k])]
-        return {"levels": doc}
+        return {"levels": generators_doc(self.complex, enumerate(self.levels))}
 
 
-def _generators(K, sset):
-    """Maximal members of a down-closed set (enough to regenerate it)."""
-    ids = sset.ids
-    gens = [i for i in sorted(ids)
-            if not any(c in ids for c, _ in K.cofacets[i])]
-    return [K.simplices[i] for i in gens]
+def generators_doc(K, levels):
+    """{str(k): maximal members of level k} for (k, down-closed SimplexSet) pairs.
+
+    The maximal members, as vertex lists in ascending id order, are enough
+    to regenerate each level.
+    """
+    doc = {}
+    for k, sset in levels:
+        ids = sset.ids
+        doc[str(k)] = [list(K.simplices[i]) for i in sorted(ids)
+                       if not any(c in ids for c, _ in K.cofacets[i])]
+    return doc
 
 
 def validate_stratification(K, levels):
@@ -267,27 +270,3 @@ def verify_filtration_identities(filt):
         if lhs != rhs:
             errors.append("U_%d − U_%d ≠ (W_%d − W_%d) − U^%d_1" % (k + 1, k, k + 1, k, m))
     return errors
-
-
-def is_refinement(strat1, strat2):
-    """True iff every stratum of strat2 is a union of strat1 strata.
-
-    Returns (bool, correspondence) where correspondence maps each strat1
-    stratum index to the strat2 stratum index containing it (when true).
-    """
-    if strat1.complex is not strat2.complex:
-        raise StratificationError("stratifications live on different complexes")
-    corr = {}
-    for s1 in strat1.strata:
-        hosts = [s2.index for s2 in strat2.strata
-                 if s1.simplex_set.issubset(s2.simplex_set)]
-        if len(hosts) != 1:
-            return False, {}
-        corr[s1.index] = hosts[0]
-    covered = {j: set() for j in range(len(strat2.strata))}
-    for i, j in corr.items():
-        covered[j].update(strat1.strata[i].simplex_set.ids)
-    for s2 in strat2.strata:
-        if covered[s2.index] != set(s2.simplex_set.ids):
-            return False, {}
-    return True, corr

@@ -15,6 +15,14 @@ complex that AX2 is compared against (`supported_section_dims`), and the
 helpers only tests need: `shift` builds test complexes,
 `load_sheaf_complex` reads a dumped complex back and
 `fake_surface_stratum_ids` names the fake stratum of a demo.
+
+Library paths that no command runs live here too, as references:
+`rgamma_dims`, RΓ over any up-set in the order-chain (nerve) model, which
+`hypercohomology` computes in the cellular model over clopen domains only;
+`restrict_closed`; `is_refinement`; and the paper's decomposition
+statement, `check_decomposition`, which builds each pure closure's
+complex with `build_ic_pure` (through `restrict_stratification` and
+`transport_complex`) and compares their sum with the direct-sum build.
 """
 
 import heapq
@@ -23,8 +31,12 @@ from itertools import combinations
 
 from icsheaf import matrices as mx
 from icsheaf import sections as sec
-from icsheaf.sheaves import SheafComplex
+from icsheaf.deligne import build_ic
+from icsheaf.fields import QQ
+from icsheaf.sheaves import SheafComplex, SheafError, first_difference
 from icsheaf.simplicial import all_chains
+from icsheaf.stratify import (StratificationError, compute_open_filtration,
+                              validate_stratification)
 
 
 def rational_rank(rows):
@@ -328,6 +340,132 @@ def supported_section_dims(S, sid, z_ids):
     chains = [c for c in star_chains(S, sid) if any(e in zset for e in c)]
     G, _ = sec._nerve_complex(S, chains)
     return G.minimize_dims()
+
+
+def rgamma_dims(S, member_ids):
+    """Cohomology dims of RΓ over an up-set of S's domain (order-chain model)."""
+    members = set(member_ids) & set(S.domain.ids)
+    if not members:
+        return {}
+    G, _ = sec._nerve_complex(S, all_chains(S.complex, members))
+    return G.minimize_dims()
+
+
+def restrict_closed(S, subset):
+    """S restricted to a down-closed subset of its domain."""
+    if not subset.issubset(S.domain) or not subset.is_down_closed_in(S.domain):
+        raise SheafError("restrict_closed needs a down-closed subset of the domain")
+    dims = {s: qs for s, qs in S.dims.items() if s in subset.ids}
+    diffs = {s: ms for s, ms in S.diffs.items() if s in subset.ids}
+    restr = {p: ms for p, ms in S.restrictions.items()
+             if p[0] in subset.ids and p[1] in subset.ids}
+    return SheafComplex(S.F, S.complex, subset, dims, diffs, restr)
+
+
+def is_refinement(strat1, strat2):
+    """True iff every stratum of strat2 is a union of strat1 strata.
+
+    Returns (bool, correspondence) where correspondence maps each strat1
+    stratum index to the strat2 stratum index containing it (when true).
+    """
+    if strat1.complex is not strat2.complex:
+        raise StratificationError("stratifications live on different complexes")
+    corr = {}
+    for s1 in strat1.strata:
+        hosts = [s2.index for s2 in strat2.strata
+                 if s1.simplex_set.issubset(s2.simplex_set)]
+        if len(hosts) != 1:
+            return False, {}
+        corr[s1.index] = hosts[0]
+    covered = {j: set() for j in range(len(strat2.strata))}
+    for i, j in corr.items():
+        covered[j].update(strat1.strata[i].simplex_set.ids)
+    for s2 in strat2.strata:
+        if covered[s2.index] != set(s2.simplex_set.ids):
+            return False, {}
+    return True, corr
+
+
+# The pure-dimensional recursion on each closure X^m, whose extensions by
+# zero sum to the direct-sum complex that `build_ic` builds in one pass.
+
+def restrict_stratification(strat, closed_set):
+    """The induced stratification of a down-closed union of strata."""
+    K = strat.complex
+    sub, to_parent, from_parent = K.subcomplex(closed_set)
+    levels = {k: [K.simplices[i] for i in strat.level(k).ids if i in from_parent]
+              for k in range(sub.dim // 2 + 1)}
+    return validate_stratification(sub, levels), sub, to_parent, from_parent
+
+
+def transport_complex(S, target_complex, id_map, domain):
+    dims = {id_map[s]: dict(qs) for s, qs in S.dims.items() if s in id_map}
+    diffs = {id_map[s]: dict(ms) for s, ms in S.diffs.items() if s in id_map}
+    restr = {(id_map[s], id_map[t]): dict(ms) for (s, t), ms in S.restrictions.items()
+             if s in id_map and t in id_map}
+    return SheafComplex(S.F, target_complex, domain, dims, diffs, restr)
+
+
+def build_ic_pure(strat, m, Lm=None, field=QQ):
+    """The classical pure-dimensional complex on the closure X^m.
+
+    Validates purity of the closed part, runs the recursion there, and
+    returns the result extended by zero back over the ambient complex.
+    """
+    filt = compute_open_filtration(strat)
+    if m not in filt.U_m or not len(filt.U_m[m]):
+        raise StratificationError("no open strata of complex dimension %d" % m)
+    closed = filt.X_m[m]
+    substrat, sub, to_parent, from_parent = restrict_stratification(strat, closed)
+    subfilt = compute_open_filtration(substrat)
+    for j, uj in subfilt.U_m.items():
+        if j != m and len(uj):
+            raise StratificationError(
+                "closure of the dimension-%d strata is not pure: open strata of dimension %d"
+                % (m, j))
+    if Lm is None:
+        Lsub = None
+    else:
+        sub_dom = sub.simplex_set({from_parent[i] for i in Lm.domain.ids})
+        Lsub = transport_complex(Lm, sub, from_parent, sub_dom)
+    bundle = build_ic(substrat, Lsub, field=field)
+    parent_ic = transport_complex(bundle.ic, strat.complex, to_parent, closed)
+    return parent_ic, bundle
+
+
+def check_decomposition(bundle):
+    """Compare the direct construction with the sum of pure-closure complexes.
+
+    Builds each pure piece independently, extends by zero, sums, and
+    compares stalk cohomology tables at every simplex and degree.
+    """
+    strat = bundle.stratification
+    K = strat.complex
+    total = None
+    summand_hyperco = {}
+    for m in sorted(bundle.systems):
+        piece, sub_bundle = build_ic_pure(strat, m, bundle.systems[m],
+                                          field=bundle.field)
+        summand_hyperco[m] = sec.hypercohomology(sub_bundle.ic)
+        ext = piece.extend_by_zero(K.full_set())
+        total = ext if total is None else total.direct_sum(ext)
+    table_direct = bundle.ic.stalk_table()
+    table_sum = total.stalk_table()
+    mismatch = None
+    for sid in sorted(K.full_set().ids):
+        bad = first_difference(table_direct.get(sid, {}), table_sum.get(sid, {}))
+        if bad is not None:
+            mismatch = {"simplex": list(K.simplices[sid]), "degree": bad,
+                        "direct": table_direct.get(sid, {}).get(bad, 0),
+                        "sum": table_sum.get(sid, {}).get(bad, 0)}
+            break
+    return {
+        "passed": mismatch is None,
+        "first_mismatch": mismatch,
+        "summand_hypercohomology": {m: dict(h) for m, h in summand_hyperco.items()},
+        "sum_hypercohomology": sec.hypercohomology(total),
+        "direct_hypercohomology": sec.hypercohomology(bundle.ic),
+    }
 
 
 # The dense solver that `sections.cohomology_sheaf` and `truncate_le` used

