@@ -59,20 +59,16 @@ class ClauseResult:
 
 
 class AxiomReport:
-    def __init__(self, axiom_id, complex, clauses, notes=()):
+    def __init__(self, axiom_id, complex, clauses):
         self.axiom_id = axiom_id
         self.complex = complex
         self.clauses = clauses
         self.passed = all(c.passed for c in clauses)
-        self.notes = [TRUST_NOTE] + list(notes)
-
-    def witnesses(self):
-        return [w for c in self.clauses for w in c.witnesses]
 
     def to_json(self):
         return {"axiom": self.axiom_id, "passed": self.passed,
                 "clauses": [c.to_json(self.complex) for c in self.clauses],
-                "trust_notes": self.notes}
+                "trust_notes": [TRUST_NOTE]}
 
 
 def support_locus(K, ids, a, dims_at):

@@ -78,13 +78,16 @@ def demo_files(name, out):
 
 
 def _read_json(path, what):
-    """The JSON document at path; a file that cannot be read or parsed is an InputError.
+    """The JSON document at path and the sha256 of the bytes it was parsed from.
 
-    ValueError covers invalid JSON and bytes that are not UTF-8, and a
-    document nested too deeply for the parser raises RecursionError.
+    The file is read once.  One that cannot be read or parsed is an
+    InputError: ValueError covers invalid JSON and bytes that are not
+    UTF-8, and a document nested too deeply for the parser raises
+    RecursionError.
     """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = Path(path).read_bytes()
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except (OSError, ValueError, RecursionError) as e:
         raise InputError("cannot read %s: %s" % (what, e))
 
@@ -101,24 +104,27 @@ def load_space(args):
         inputs["space"] = str(base)
     inputs["complex"] = str(cpath)
     inputs["stratification"] = str(spath)
-    K = load_complex(_read_json(cpath, "complex"))
-    sdoc = _read_json(spath, "stratification")
+    K = load_complex(_read_json(cpath, "complex")[0])
+    sdoc = _read_json(spath, "stratification")[0]
     if not isinstance(sdoc, dict) or "levels" not in sdoc:
         raise InputError("stratification document must have 'levels'")
     return K, validate_stratification(K, sdoc["levels"]), inputs
 
 
 def load_system(args, F, strat):
-    """The --local-system file as a SheafComplex on U_1, or None without one."""
+    """The --local-system file as a SheafComplex on U_1 and the sha256 of its bytes.
+
+    (None, None) without one.
+    """
     if not args.local_system:
-        return None
+        return None, None
+    doc, digest = _read_json(args.local_system, "local system")
     filt = naive_filtration(strat) if args.naive else compute_open_filtration(strat)
-    doc = _read_json(args.local_system, "local system")
     K = strat.complex
     if not isinstance(doc, dict):
         raise InputError("local system must be a JSON object")
     if "rank" in doc:
-        return make_local_system(F, K, filt.U[1], {"rank": doc["rank"]})
+        return make_local_system(F, K, filt.U[1], {"rank": doc["rank"]}), digest
     try:
         stalk_dim = {K.id_of(_parse_simplex(k)): d for k, d in doc["stalk_dims"].items()}
         matrices = {}
@@ -135,7 +141,7 @@ def load_system(args, F, strat):
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError("malformed local system: %s" % e)
     return make_local_system(F, K, filt.U[1],
-                             {"stalk_dim": stalk_dim, "matrices": matrices})
+                             {"stalk_dim": stalk_dim, "matrices": matrices}), digest
 
 
 def _sample_limit(text):
@@ -165,12 +171,6 @@ def _parse_simplex(text):
 
 
 def _manifest(args, inputs, extra=None):
-    if args.local_system:
-        try:
-            digest = hashlib.sha256(Path(args.local_system).read_bytes()).hexdigest()
-        except OSError as e:
-            raise InputError("cannot read local system: %s" % e)
-        inputs = dict(inputs, local_system_sha256=digest)
     m = {"format": reports.FORMAT_TAG, "command": args.command, "inputs": inputs,
          "field": args.field,
          "options": {"check_links": bool(args.check_links),
@@ -201,8 +201,7 @@ def _link_heuristic(strat):
             for m, xm in sorted(filt.X_m.items()):
                 if sid not in xm.ids or m == kdim:
                     continue
-                sub, to_parent, from_parent = K.subcomplex(xm)
-                link = sub.link_of(K.simplices[sid])
+                link = K.link_of(K.simplices[sid], xm)
                 expect_dim = 2 * m - 2 * kdim - 1
                 expected = {0: 2} if expect_dim == 0 else {0: 1, expect_dim: 1}
                 if link is None:
@@ -265,6 +264,9 @@ def run(argv=None):
             extra = {"at": list(K.simplices[points[0]])}
         elif args.command == "costalks" and limit is not None:
             points = default_costalk_sample(strat, limit=limit)
+        L, digest = load_system(args, F, strat)
+        if digest is not None:
+            inputs["local_system_sha256"] = digest
         manifest = _manifest(args, inputs, extra)
         if points is not None:
             within = K.simplex_set(K.walk(points, K.cofacets))
@@ -291,14 +293,13 @@ def run(argv=None):
             print(reports.filtration_table_text(filt))
             return 0
 
-        L = load_system(args, F, strat)
         if args.command != "compare":
             bundle = build_ic(strat, L, field=F, naive=args.naive, within=within)
 
         if args.command == "build":
             payload = reports.bundle_doc(bundle)
             reports.write_report(out / "ic-bundle.json", manifest, payload)
-            table = bundle.stalk_table()
+            table = bundle.ic.stalk_table()
             sing = strat.level(strat.n - 1) if strat.n else None
             shown = sorted(sing.ids)[:8] if sing else []
             print("built %s complex; construction steps: %s"
@@ -319,7 +320,7 @@ def run(argv=None):
 
         if args.command == "stalks":
             if points is None:
-                table = bundle.stalk_table()
+                table = bundle.ic.stalk_table()
             else:
                 table = {sid: bundle.ic.stalk_cohomology(sid) for sid in points}
             payload = {"stalks": reports.table_doc(K, table)}

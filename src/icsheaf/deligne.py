@@ -12,8 +12,7 @@ on each closure.
 
 from .fields import QQ
 from . import sections as sec
-from .sheaves import (SheafComplex, SheafError, first_difference, make_local_system,
-                      zero_complex)
+from .sheaves import SheafComplex, SheafError, first_difference, make_local_system
 from .stratify import (compute_open_filtration, generators_doc, naive_filtration,
                        StratificationError, TRUST_NOTE)
 
@@ -38,9 +37,6 @@ class ICBundle:
         self.naive = naive
         self.convention = "local systems shifted by complex dimension"
         self.trust_note = TRUST_NOTE
-
-    def stalk_table(self):
-        return self.ic.stalk_table()
 
 
 def default_local_system(F, filt):
@@ -84,7 +80,7 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
             piece = piece.extend_by_zero(ambient)
         total = piece if total is None else total.direct_sum(piece)
     if total is None:
-        return zero_complex(F, K, ambient)
+        return SheafComplex(F, K, ambient, {}, {}, {})
     return total
 
 
@@ -180,7 +176,7 @@ def _verify_bundle(bundle):
     for i in range(len(bundle.log)):
         prev, cur = inter[i], inter[i + 1]
         if not (prev.domain.issubset(cur.domain)
-                and prev.domain.is_up_closed_in(cur.domain)):
+                and prev.domain.is_up_closed(within=cur.domain)):
             raise SheafError("stage %d domain is not an open subset of stage %d domain"
                              % (i, i + 1))
         for sid in sorted(prev.domain.ids):

@@ -109,9 +109,7 @@ def demo_susp_s1xs2():
 
 def demo_nonpure_wedge():
     """The suspension demo wedged with an S² (∂Δ³) at cone point 12."""
-    cells = _s1xs2_cells()
-    relabeled = [[_product_label(u, w) for (u, w) in cell] for cell in cells]
-    top = [c + [12] for c in relabeled] + [c + [13] for c in relabeled]
+    top = demo_susp_s1xs2()[1]["levels"]["2"]
     s2 = boundary_simplex_faces([12, 14, 15, 16])
     K = SimplicialComplex(range(17), top + s2)
     levels = {"2": [sorted(c) for c in sorted(map(tuple, map(canonical_simplex, top + s2)))],

@@ -25,10 +25,6 @@ def identity(F, n):
     return M
 
 
-def copy_matrix(A):
-    return [row[:] for row in A]
-
-
 def shape(A):
     return (len(A), len(A[0]) if A else 0)
 
@@ -58,7 +54,7 @@ def mat_mul(F, A, B):
 def rref(F, A):
     """Reduced row echelon form (in place on a copy). Returns (R, pivot_cols)."""
     sub, mul = F.sub, F.mul
-    R = copy_matrix(A)
+    R = [row[:] for row in A]
     nr, nc = shape(R)
     pivots = []
     r = 0

@@ -134,7 +134,7 @@ def bundle_doc(bundle):
         "stratification_hash": sha256_of(strat.levels_doc()),
         "construction_log": bundle.log,
         "trust_note": bundle.trust_note,
-        "stalk_table": table_doc(strat.complex, bundle.stalk_table()),
+        "stalk_table": table_doc(strat.complex, bundle.ic.stalk_table()),
         "complex": sheaf_complex_doc(bundle.ic),
     }
 

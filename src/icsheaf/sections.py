@@ -127,27 +127,20 @@ def _cellular_complex(S, members):
     return G
 
 
-def rgamma_cellular_dims(S, member_ids):
-    """Cohomology dims of the cellular cochain complex over a member set.
-
-    On a clopen set (a union of connected components) this is RΓ, the same
-    sections as the order-chain model.  On the open star of a simplex it is
-    the costalk there, as in Shepard's cellular model of the derived
-    category (Curry, Sheaves, Cosheaves and Applications, arXiv:1303.3255).
-    """
-    return _cellular_complex(S, member_ids).minimize_dims()
-
-
 def hypercohomology(S):
     """Hypercohomology dims of S over its domain, in the cellular model.
 
     The domain must be clopen (a union of connected components), where the
-    cellular complex computes RΓ; any other domain raises SheafError.
+    cellular complex computes RΓ, the same sections as the order-chain
+    model; any other domain raises SheafError.  Over the open star of a
+    simplex the same complex computes the costalk there (`cell_costalk`),
+    as in Shepard's cellular model of the derived category (Curry,
+    Sheaves, Cosheaves and Applications, arXiv:1303.3255).
     """
     A = S.domain
     if not (A.is_up_closed() and A.is_down_closed()):
         raise SheafError("hypercohomology needs a clopen domain")
-    return rgamma_cellular_dims(S, A.ids)
+    return _cellular_complex(S, A.ids).minimize_dims()
 
 
 def cell_costalk(S, sid):
@@ -155,7 +148,7 @@ def cell_costalk(S, sid):
 
     The cellular cochain complex over the open star, one summand per
     coface τ ≥ sid in the domain, in degree dim τ + q (see
-    `rgamma_cellular_dims`).  Computed afresh on every call, for one
+    `hypercohomology`).  Computed afresh on every call, for one
     simplex or a few.  These summands are the subcomplex at sid of the
     cellular complex over the whole domain, and one same-support reduction
     of that complex keeps the subcomplex at every simplex up to homotopy:
@@ -163,7 +156,7 @@ def cell_costalk(S, sid):
     """
     if sid not in S.domain.ids:
         raise SheafError("simplex outside the domain")
-    return rgamma_cellular_dims(S, S.complex.up_set(sid))
+    return _cellular_complex(S, S.complex.up_set(sid)).minimize_dims()
 
 
 def costalk_table(S):
@@ -351,7 +344,7 @@ def _add_family_columns(S, G, heads, sid, bids):
     for rho in S.complex.up_set(sid):
         if rho not in bids:
             continue
-        for q, d in sorted(S.value_dims(sid).items()):
+        for q, d in sorted(S.dims.get(sid, {}).items()):
             n = S.dim(rho, q)
             if not n:
                 continue
@@ -480,7 +473,7 @@ def pushforward_open(S, V, cleanup=True):
             if t not in bids:
                 continue
             rm = {}
-            for q, d in sorted(S.value_dims(s).items()):
+            for q, d in sorted(S.dims.get(s, {}).items()):
                 tgt = alive[t].get(q)
                 if not tgt:
                     continue

@@ -128,9 +128,6 @@ class SheafComplex:
     def dim(self, sid, q):
         return self.dims.get(sid, {}).get(q, 0)
 
-    def value_dims(self, sid):
-        return dict(self.dims.get(sid, {}))
-
     def diff(self, sid, q):
         m = self.diffs.get(sid, {}).get(q)
         if m is None:
@@ -229,7 +226,7 @@ class SheafComplex:
                     if any(any(row) for row in dd):
                         raise SheafError("d² ≠ 0 at %r" % (self.complex.simplices[sid],))
         for (s, t) in self.domain.cover_pairs():
-            for q in self.value_dims(s):
+            for q in self.dims.get(s, {}):
                 # restriction commutes with d
                 a = _mul(F, self.diff(t, q), self.restriction_cover(s, t, q),
                          self.dim(t, q + 1), self.dim(t, q), self.dim(s, q))
@@ -319,7 +316,7 @@ class SheafComplex:
         return SheafComplex(F, self.complex, self.domain, dims, diffs, restr)
 
     def restrict_open(self, subset):
-        if not subset.issubset(self.domain) or not subset.is_up_closed_in(self.domain):
+        if not subset.issubset(self.domain) or not subset.is_up_closed(within=self.domain):
             raise SheafError("restrict_open needs an up-closed subset of the domain")
         dims = {s: qs for s, qs in self.dims.items() if s in subset.ids}
         diffs = {s: ms for s, ms in self.diffs.items() if s in subset.ids}
@@ -335,7 +332,7 @@ class SheafComplex:
         """
         if not self.domain.issubset(ambient):
             raise SheafError("ambient set must contain the domain")
-        if not self.domain.is_down_closed_in(ambient):
+        if not self.domain.is_down_closed(within=ambient):
             raise SheafError("extend_by_zero requires a domain closed in the ambient set")
         return SheafComplex(self.F, self.complex, ambient,
                             self.dims, self.diffs, self.restrictions)
@@ -350,10 +347,6 @@ def _block_diag(F, A, B, ra, ca, rb, cb):
         for j in range(cb):
             out[ra + i][ca + j] = B[i][j]
     return out
-
-
-def zero_complex(F, complex, domain):
-    return SheafComplex(F, complex, domain, {}, {}, {})
 
 
 def constant_complex(F, complex, domain, rank=1):

@@ -142,27 +142,22 @@ class SimplicialComplex:
     def open_star(self, simplex):
         return self.simplex_set(self.up_set(self.id_of(simplex)))
 
-    def link_of(self, simplex):
-        """The link as a complex of its own: {t − s : t ⊋ s a simplex}, or None."""
+    def link_of(self, simplex, closed):
+        """The link inside a down-closed SimplexSet, as a complex of its own, or None.
+
+        {t − s : s ⊊ t in closed}: the maximal simplices of closed over s
+        generate it.  With K.full_set() it is the link in K.
+        """
         sid = self.id_of(simplex)
         s = set(self.simplices[sid])
-        # the maximal simplices over s generate the link
+        inside = closed.ids
         members = [tuple(v for v in self.simplices[t] if v not in s)
-                   for t in self.up_set(sid) if t != sid and not self.cofacets[t]]
+                   for t in self.up_set(sid) if t != sid and t in inside
+                   and not any(c in inside for c, _ in self.cofacets[t])]
         if not members:
             return None
         verts = sorted({v for t in members for v in t}, key=_vertex_key)
         return SimplicialComplex(verts, members)
-
-    def subcomplex(self, down_closed_set):
-        """A down-closed SimplexSet as a standalone complex, with id maps."""
-        assert down_closed_set.is_down_closed()
-        tuples = down_closed_set.tuples()
-        verts = sorted({v for t in tuples for v in t}, key=_vertex_key)
-        sub = SimplicialComplex(verts, tuples)
-        to_parent = {sub.index[t]: self.index[t] for t in tuples}
-        from_parent = {v: k for k, v in to_parent.items()}
-        return sub, to_parent, from_parent
 
 
 class SimplexSet:
@@ -212,38 +207,33 @@ class SimplexSet:
     def complement(self):
         return SimplexSet(self.complex, self.complex.all_ids() - self.ids)
 
-    def is_up_closed(self):
+    def _closed(self, adj, within):
+        ids = self.ids
+        if within is None:
+            return all(j in ids for i in ids for j, _ in adj[i])
+        self._same(within)
+        amb = within.ids
+        return all(j in ids for i in ids for j, _ in adj[i] if j in amb)
+
+    def is_up_closed(self, within=None):
+        """Up-closed; with `within`, up-closed as a subset of that set (relatively open)."""
+        if within is not None:
+            return self._closed(self.complex.cofacets, within)
         if self._up is None:
-            K = self.complex
-            self._up = all(c in self.ids
-                           for i in self.ids for c, _ in K.cofacets[i])
+            self._up = self._closed(self.complex.cofacets, None)
         return self._up
 
-    def is_down_closed(self):
+    def is_down_closed(self, within=None):
+        """Down-closed; with `within`, down-closed as a subset of that set (relatively closed)."""
+        if within is not None:
+            return self._closed(self.complex.facets, within)
         if self._down is None:
-            K = self.complex
-            self._down = all(f in self.ids
-                             for i in self.ids for f, _ in K.facets[i])
+            self._down = self._closed(self.complex.facets, None)
         return self._down
 
     def down_closure(self):
         K = self.complex
         return SimplexSet(K, K.walk(self.ids, K.facets))
-
-    def is_up_closed_in(self, ambient):
-        """Up-closed as a subset of ambient (relative openness)."""
-        self._same(ambient)
-        K = self.complex
-        return all(c in self.ids
-                   for i in self.ids for c, _ in K.cofacets[i]
-                   if c in ambient.ids)
-
-    def is_down_closed_in(self, ambient):
-        self._same(ambient)
-        K = self.complex
-        return all(f in self.ids
-                   for i in self.ids for f, _ in K.facets[i]
-                   if f in ambient.ids)
 
     def cover_pairs(self):
         """Covering pairs s ⋖ t inside the set, in ascending order of s."""

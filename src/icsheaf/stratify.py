@@ -235,7 +235,7 @@ def verify_filtration_identities(filt):
     errors = []
     # openness: U_k up-closed inside U_{k+1}
     for k in range(1, n + 1):
-        if not filt.U[k].is_up_closed_in(filt.U[k + 1]):
+        if not filt.U[k].is_up_closed(within=filt.U[k + 1]):
             errors.append("U_%d is not open in U_%d" % (k, k + 1))
     if filt.U[n + 1] != K.full_set():
         errors.append("U_%d is not the whole complex" % (n + 1))

@@ -21,7 +21,8 @@ Library paths that no command runs live here too, as references:
 `hypercohomology` computes in the cellular model over clopen domains only;
 `restrict_closed`; `is_refinement`; and the paper's decomposition
 statement, `check_decomposition`, which builds each pure closure's
-complex with `build_ic_pure` (through `restrict_stratification` and
+complex with `build_ic_pure` (through `restrict_stratification`, which
+takes the closure as a standalone complex with `subcomplex`, and
 `transport_complex`) and compares their sum with the direct-sum build.
 """
 
@@ -34,7 +35,7 @@ from icsheaf import sections as sec
 from icsheaf.deligne import build_ic
 from icsheaf.fields import QQ
 from icsheaf.sheaves import SheafComplex, SheafError, first_difference
-from icsheaf.simplicial import all_chains
+from icsheaf.simplicial import SimplicialComplex, all_chains
 from icsheaf.stratify import (StratificationError, compute_open_filtration,
                               validate_stratification)
 
@@ -353,7 +354,7 @@ def rgamma_dims(S, member_ids):
 
 def restrict_closed(S, subset):
     """S restricted to a down-closed subset of its domain."""
-    if not subset.issubset(S.domain) or not subset.is_down_closed_in(S.domain):
+    if not subset.issubset(S.domain) or not subset.is_down_closed(within=S.domain):
         raise SheafError("restrict_closed needs a down-closed subset of the domain")
     dims = {s: qs for s, qs in S.dims.items() if s in subset.ids}
     diffs = {s: ms for s, ms in S.diffs.items() if s in subset.ids}
@@ -389,10 +390,20 @@ def is_refinement(strat1, strat2):
 # The pure-dimensional recursion on each closure X^m, whose extensions by
 # zero sum to the direct-sum complex that `build_ic` builds in one pass.
 
+def subcomplex(K, down_closed_set):
+    """A down-closed SimplexSet of K as a standalone complex, with id maps."""
+    assert down_closed_set.is_down_closed()
+    tuples = down_closed_set.tuples()
+    sub = SimplicialComplex({v for t in tuples for v in t}, tuples)
+    to_parent = {sub.index[t]: K.index[t] for t in tuples}
+    from_parent = {v: k for k, v in to_parent.items()}
+    return sub, to_parent, from_parent
+
+
 def restrict_stratification(strat, closed_set):
     """The induced stratification of a down-closed union of strata."""
     K = strat.complex
-    sub, to_parent, from_parent = K.subcomplex(closed_set)
+    sub, to_parent, from_parent = subcomplex(K, closed_set)
     levels = {k: [K.simplices[i] for i in strat.level(k).ids if i in from_parent]
               for k in range(sub.dim // 2 + 1)}
     return validate_stratification(sub, levels), sub, to_parent, from_parent

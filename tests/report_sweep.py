@@ -6,8 +6,11 @@ GF(32003), canonical and --naive (220 jobs), `build`, `check-ax2` and
 each (24 jobs), and the point queries `stalks --at 0`, `costalks --at 0` and
 `costalks --sample 4` on the 5 demos over both fields (30 jobs), and
 `build`, `hyperco`, `costalks` and `check-ax2` on the 5 demos over GF(2),
-where every sign wraps (20 jobs), and `validate --check-links` on the 5
-demos (5 jobs): 299 jobs, through `cli.run` in one process.  The jobs
+where every sign wraps (20 jobs), `validate --check-links` on the 5
+demos (5 jobs), and `compare` with the benchmark's refinement recipes
+`--refine random:7` and `--refine extra-surface` on the 5 demos over both
+fields (20 jobs; the pinched torus has no fake surface, so `extra-surface`
+exits 1 there): 319 jobs, through `cli.run` in one process.  The jobs
 run in a temporary working directory with a relative --out, so the paths
 recorded in each manifest do not depend on where the sweep runs.  Each
 job's exit code, the sha256 of its stdout and of its stderr, and the
@@ -19,7 +22,7 @@ any does.
     PYTHONPATH=src python tests/report_sweep.py --record   # rewrite the table
 
 Re-record the table only in a change that means to alter reports.  pytest
-does not collect this file: the sweep takes about 60 s.
+does not collect this file: the sweep takes about 75 s.
 """
 
 import argparse
@@ -67,6 +70,10 @@ def jobs():
             yield [command, "demo:" + name, "--field", "fp:2"]
     for name in demos.DEMO_NAMES:
         yield ["validate", "demo:" + name, "--check-links"]
+    for name in demos.DEMO_NAMES:
+        for field in FIELDS:
+            for recipe in ("random:7", "extra-surface"):
+                yield ["compare", "demo:" + name, "--field", field, "--refine", recipe]
 
 
 def write_local_systems():

@@ -133,7 +133,7 @@ def test_witness_minimality(wedge_ic, wedge, spaces):
     K, strat = wedge
     ct = full_costalks(wedge_ic.ic)
     classic = ax.check_classic_ax2(wedge_ic.ic)
-    for w in classic.witnesses():
+    for w in [w for c in classic.clauses for w in c.witnesses]:
         tables = ct if w.kind == "costalk" else \
             {sid: wedge_ic.ic.stalk_cohomology(sid) for sid in sorted(K.full_set().ids)}
         assert all(tables[sid].get(w.degree, 0) for sid in w.simplex_ids)
@@ -142,7 +142,7 @@ def test_witness_minimality(wedge_ic, wedge, spaces):
     Kf, sf = spaces["fake-surface"]
     bn = build_ic(sf, naive=True)
     rep = ax.check_ax2(bn.ic, sf)
-    for w in rep.witnesses():
+    for w in [w for c in rep.clauses for w in c.witnesses]:
         assert all(bn.ic.stalk_cohomology(sid).get(w.degree, 0)
                    for sid in w.simplex_ids)
         assert max(Kf.sdim(i) for i in w.simplex_ids) // 2 >= w.bound

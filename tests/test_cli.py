@@ -431,6 +431,41 @@ def test_manifest_names_every_input(tmp_path):
     assert len(hashes) == 3
 
 
+def test_local_system_is_read_once(tmp_path, capsys, monkeypatch):
+    # the manifest hashes the bytes that were parsed: the file is read once,
+    # and is rewritten after each read, so a second read would parse rank 3
+    o = out(tmp_path)
+    system = tmp_path / "rank2.json"
+    data = json.dumps({"rank": 2}).encode()
+    system.write_bytes(data)
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        def counted(self, *args, _real=getattr(Path, name), **kwargs):
+            got = _real(self, *args, **kwargs)
+            if self == system:
+                reads.append(got)
+                system.write_bytes(json.dumps({"rank": 3}).encode())
+            return got
+        monkeypatch.setattr(Path, name, counted)
+    assert run(["build", "demo:wedge", "--local-system", str(system), "--out", o]) == 0
+    assert len(reads) == 1
+    doc = json.loads((tmp_path / "o" / "ic-bundle.json").read_text())
+    assert doc["manifest"]["inputs"]["local_system_sha256"] == \
+        hashlib.sha256(data).hexdigest()
+    assert doc["report"]["stalk_table"]["0"] == {"-2": 2, "-1": 2}
+    # a file that cannot be read or parsed is one error line
+    capsys.readouterr()
+    for bad, content in (("missing", None), ("not-utf8", b'{"rank": "\xff"}'),
+                         ("deep", b"[" * 200000)):
+        path = tmp_path / (bad + ".json")
+        if content is not None:
+            path.write_bytes(content)
+        assert run(["build", "demo:wedge", "--local-system", str(path), "--out", o]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read local system: ") \
+            and err.count("\n") == 1, (bad, err)
+
+
 def test_field_option(tmp_path):
     o = out(tmp_path)
     assert run(["hyperco", "demo:wedge", "--field", "fp:7", "--out", o]) == 0

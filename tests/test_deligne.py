@@ -10,7 +10,7 @@ from icsheaf.deligne import (ICBundle, _verify_bundle, build_ic, clc_coarsen,
                              compare_stratifications)
 from icsheaf.fields import QQ, field_by_name
 from icsheaf import sections as sec
-from icsheaf.sheaves import SheafError, constant_complex
+from icsheaf.sheaves import SheafError, constant_complex, first_difference
 from icsheaf.stratify import StratificationError, validate_stratification
 
 import oracles
@@ -397,6 +397,52 @@ def test_coarsen_examples(built, spaces):
     Kp, sp = spaces["pinched-torus"]
     stp = clc_coarsen(sp, built["pinched-torus"].ic)
     assert stp.levels[0].tuples() == [(0,)]
+
+
+def test_coarsening_is_a_fixed_point(spaces, build_of):
+    # the direct-sum IC does not depend on the stratification: a rebuild on
+    # the levels clc_coarsen returns keeps every stalk, every costalk and the
+    # hypercohomology, coarsening those levels again changes nothing, and a
+    # refinement of a demo coarsens to the demo's own levels
+    def first_row(t1, t2):
+        return next((sid for sid in sorted(set(t1) | set(t2))
+                     if t1.get(sid, {}) != t2.get(sid, {})), None)
+
+    coarse = {}
+    for name in demos.DEMO_NAMES:
+        K, own = spaces[name]
+        for field in ("q", "fp:32003"):
+            F = field_by_name(field)
+            rebuilt, docs = {}, {}
+            for label in ("own", "random:7"):
+                case = "%s over %s, %s stratification" % (name, field, label)
+                if label == "own":
+                    strat, ic = own, build_of(name, field).ic
+                else:
+                    strat = demos.refine_stratification(own, label)
+                    ic = build_ic(strat, field=F).ic
+                doc = docs[label] = clc_coarsen(strat, ic).levels_doc()
+                key = reports.canonical_json(doc)
+                if key not in rebuilt:
+                    coarser = validate_stratification(K, doc)
+                    ic2 = build_ic(coarser, field=F).ic
+                    rebuilt[key] = (ic2, sec.costalk_table(ic2),
+                                    clc_coarsen(coarser, ic2).levels_doc())
+                ic2, costalks2, again = rebuilt[key]
+                for what, t1, t2 in (("stalk", ic.stalk_table(), ic2.stalk_table()),
+                                     ("costalk", sec.costalk_table(ic), costalks2)):
+                    sid = first_row(t1, t2)
+                    assert sid is None, "%s: %s differs at %s: %s != %s" % (
+                        case, what, list(K.simplices[sid]), t1.get(sid), t2.get(sid))
+                h1, h2 = sec.hypercohomology(ic), sec.hypercohomology(ic2)
+                assert h1 == h2, "%s: hypercohomology differs in degree %s" % (
+                    case, first_difference(h1, h2))
+                assert again == doc, "%s: coarsening the coarsened levels moves them" % case
+            assert docs["own"] == docs["random:7"], \
+                "%s over %s: the refinement coarsens to other levels" % (name, field)
+            coarse[name, field] = docs["own"]
+    for field in ("q", "fp:32003"):
+        assert coarse["fake-surface", field] == coarse["wedge", field], field
 
 
 def test_coarsen_records_each_failure_once(spaces, build_of):

@@ -81,7 +81,7 @@ def test_build_with_fraction_entries_matches_prime_field(wedge):
     FP = PrimeField(32003)
     bq = build_ic(strat, _scaled_system(QQ, K, filt), field=QQ)
     bp = build_ic(strat, _scaled_system(FP, K, filt), field=FP)
-    assert bq.stalk_table() == bp.stalk_table()
+    assert bq.ic.stalk_table() == bp.ic.stalk_table()
     ic = bq.ic
     entries = [x for qs in ic.diffs.values() for m in qs.values() for row in m for x in row]
     entries += [x for qs in ic.restrictions.values() for m in qs.values()

@@ -1,10 +1,11 @@
 import gc
+import random
 
 import pytest
 
 from icsheaf import demos
 from icsheaf.simplicial import ComplexError, SimplicialComplex, all_chains, load_complex
-from icsheaf.stratify import validate_stratification
+from icsheaf.stratify import compute_open_filtration, validate_stratification
 
 import oracles
 
@@ -96,7 +97,7 @@ def test_closure_operators_idempotent_and_dual(spaces):
 
 def test_link_triangle_in_delta5_is_circle():
     K = SimplicialComplex(range(6), boundary(range(6)))
-    link = K.link_of([1, 2, 3])
+    link = K.link_of([1, 2, 3], K.full_set())
     brute = oracles.link_by_bruteforce([list(s) for s in K.simplices], [1, 2, 3])
     assert len(link) == len(brute) == 6
     assert oracles.cochain_cohomology_dims([list(s) for s in link.simplices]) \
@@ -105,12 +106,12 @@ def test_link_triangle_in_delta5_is_circle():
 
 def test_link_of_facet_is_empty():
     K = SimplicialComplex(range(4), boundary(range(4)))
-    assert K.link_of([1, 2, 3]) is None
+    assert K.link_of([1, 2, 3], K.full_set()) is None
 
 
 def test_link_of_sphere_vertex_is_cycle():
     K = SimplicialComplex(range(4), boundary(range(4)))
-    link = K.link_of([0])
+    link = K.link_of([0], K.full_set())
     dims = {d: sum(1 for s in link.simplices if len(s) == d + 1) for d in (0, 1)}
     assert dims == {0: 3, 1: 3}
     assert oracles.cochain_cohomology_dims([list(s) for s in link.simplices]) \
@@ -146,7 +147,7 @@ def test_face_poset_walk_matches_oracles(name):
         assert [K.simplices[i] for i in K.up_set(sid)] == \
             oracles.star_by_bruteforce(K.simplices, s)
         assert K.down_set(sid) == oracles.down_set_by_subsets(K, sid)
-        link = K.link_of(s)
+        link = K.link_of(s, K.full_set())
         brute = oracles.link_by_bruteforce(K.simplices, s)
         assert (set(link.simplices) if link else set()) == set(brute), s
     strat = validate_stratification(K, doc["levels"])
@@ -157,6 +158,59 @@ def test_face_poset_walk_matches_oracles(name):
         assert [min(c.ids) for c in comps] == sorted(min(c.ids) for c in comps)
         assert {frozenset(c.tuples()) for c in comps} == \
             {frozenset(c) for c in oracles.components_by_bfs(sset.tuples())}
+
+
+@pytest.mark.parametrize("name", demos.DEMO_NAMES)
+def test_link_within_a_closure_is_the_link_in_its_subcomplex(name, spaces):
+    # the link inside X^m equals the link taken in X^m as a complex of its own
+    K, strat = spaces[name]
+    for m, xm in sorted(compute_open_filtration(strat).X_m.items()):
+        if not len(xm):
+            continue
+        sub = oracles.subcomplex(K, xm)[0]
+        for sid in sorted(xm.ids):
+            s = K.simplices[sid]
+            got, want = K.link_of(s, xm), sub.link_of(s, sub.full_set())
+            assert (got and got.simplices) == (want and want.simplices), (m, s)
+
+
+@pytest.mark.parametrize("name", demos.DEMO_NAMES)
+def test_relative_closedness_matches_bruteforce(name, spaces):
+    # is_up_closed / is_down_closed within an ambient set: no cover pair
+    # leaves the subset inside the ambient set, checked on vertex tuples
+    K, _ = spaces[name]
+    rng = random.Random(name)
+    n = len(K)
+
+    def cofacets(s):
+        return [tuple(sorted(s + (v,))) for v in K.vertices if v not in s]
+
+    def facets(s):
+        return [s[:i] + s[i + 1:] for i in range(len(s))] if len(s) > 1 else []
+
+    def closed(sub, amb, step):
+        return all(t in sub for s in sub for t in step(s) if t in amb)
+
+    seen = set()
+    for _ in range(200):
+        amb_ids = K.walk(rng.sample(range(n), rng.randint(1, 3)), K.cofacets) \
+            if rng.random() < 0.5 else set(rng.sample(range(n), rng.randint(0, n)))
+        ambient = K.simplex_set(amb_ids)
+        pick = rng.random()
+        if pick < 0.3:
+            ids = K.walk(rng.sample(range(n), 2), K.cofacets) & amb_ids
+        elif pick < 0.6:
+            ids = K.walk(rng.sample(range(n), 2), K.facets) & amb_ids
+        else:
+            ids = set(rng.sample(sorted(amb_ids), rng.randint(0, len(amb_ids))))
+        subset = K.simplex_set(ids)
+        sub, amb = set(subset.tuples()), set(ambient.tuples())
+        up, down = closed(sub, amb, cofacets), closed(sub, amb, facets)
+        assert subset.is_up_closed(within=ambient) == up
+        assert subset.is_down_closed(within=ambient) == down
+        seen.add((up, down))
+    # both verdicts of both checks occur
+    assert {u for u, _ in seen} == {d for _, d in seen} == {True, False}
 
 
 def test_order_chains_triangle_flags():
