@@ -20,7 +20,7 @@ from .deligne import (build_ic, clc_coarsen, compare_stratifications,
                       default_costalk_sample)
 from .fields import field_by_name
 from .sheaves import SheafError, make_local_system
-from .simplicial import ComplexError, load_complex
+from .simplicial import ComplexError, SimplicialComplex, load_complex
 from .stratify import (StratificationError, compute_open_filtration,
                        naive_filtration, validate_stratification)
 
@@ -220,6 +220,18 @@ def _link_heuristic(strat):
 
 
 def run(argv=None):
+    """Run one job and return its exit code.
+
+    However the job ends, `up_set`'s process-wide cache is emptied, so no
+    complex the job built outlives it.
+    """
+    try:
+        return _job(argv)
+    finally:
+        SimplicialComplex.up_set.cache_clear()
+
+
+def _job(argv):
     try:
         args = _parser().parse_args(argv)
     except InputError as e:

@@ -9,7 +9,9 @@ duality).  Everything is immutable after construction.
 One walk, `SimplicialComplex.walk`, follows facets or cofacets from a set
 of seeds: up-sets, down-sets, closures, components and links are all read
 off it.  `up_set` keeps the one process-wide cache left, an lru_cache that
-holds every complex it has seen.
+holds every complex it has seen until it is emptied: `cli.run` calls
+`SimplicialComplex.up_set.cache_clear()` at the end of every job, and
+library code that builds many complexes in one process should call it too.
 """
 
 from functools import lru_cache

@@ -16,7 +16,9 @@ recorded in each manifest do not depend on where the sweep runs.  Each
 job's exit code, the sha256 of its stdout and of its stderr, and the
 sha256 of every report it writes are compared with the table in
 report_sweep.json; the script names each job that differs and exits 1 if
-any does.
+any does.  The summary line also gives the process's peak RSS: the sweep
+is one long-lived `cli.run` process, so memory that outlives a job shows
+there.
 
     PYTHONPATH=src python tests/report_sweep.py            # compare
     PYTHONPATH=src python tests/report_sweep.py --record   # rewrite the table
@@ -31,6 +33,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import sys
 import tempfile
 from pathlib import Path
@@ -144,7 +147,9 @@ def main():
         if diff:
             bad.append(key)
             print("differs in %s: %s" % (", ".join(diff), key))
-    print("%d jobs, %d differ" % (len(got), len(bad)))
+    # ru_maxrss is in KiB on Linux
+    print("%d jobs, %d differ, peak RSS %d KiB"
+          % (len(got), len(bad), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
     return 1 if bad else 0
 
 

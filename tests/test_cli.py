@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from icsheaf import cli, deligne, demos, stratify
 from icsheaf.cli import run
 from icsheaf.fields import QQ
 from icsheaf import reports
-from icsheaf.simplicial import load_complex
+from icsheaf.simplicial import SimplicialComplex, load_complex
 from icsheaf.stratify import compute_open_filtration, validate_stratification
 
 import oracles
@@ -191,6 +193,40 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
         assert run(["build", "demo:wedge", "--local-system", path, "--out", o]) == 1, path
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and reason in err, (path, err)
+
+
+def test_each_job_frees_its_complex(tmp_path, monkeypatch):
+    """No complex outlives its job, however the job ends."""
+    o = out(tmp_path)
+    load_space = cli.load_space
+    loaded = []
+
+    def tracked(args):
+        K, strat, inputs = load_space(args)
+        loaded.append(weakref.ref(K))
+        return K, strat, inputs
+
+    def build_then_fail(*args, **kwargs):
+        deligne.build_ic(*args, **kwargs)
+        raise RuntimeError("build interrupted")
+
+    def assert_freed(argv):
+        gc.collect()
+        assert len(loaded) == 1 and loaded.pop()() is None, argv
+        assert SimplicialComplex.up_set.cache_info().currsize == 0, argv
+
+    monkeypatch.setattr(cli, "load_space", tracked)
+    # exit 0, exit 2, and exit 1 on an input error found after the space is loaded
+    for argv, code in ((["build", "demo:wedge"], 0),
+                       (["check-ax2", "demo:fake-surface", "--naive"], 2),
+                       (["stalks", "demo:wedge", "--at", "0,99"], 1)):
+        assert run(argv + ["--out", o]) == code, argv
+        assert_freed(argv)
+    # an exception that propagates out of the job, after the build filled the cache
+    monkeypatch.setattr(cli, "build_ic", build_then_fail)
+    with pytest.raises(RuntimeError):
+        run(["build", "demo:wedge", "--out", o])
+    assert_freed("build_ic raised")
 
 
 def test_demo_materializes_and_caches(tmp_path):
