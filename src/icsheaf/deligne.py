@@ -67,15 +67,24 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
     With raw=True (the naive construction) the pieces are placed in the
     ambient set as they are: the naive open sets need not contain the lower
     local systems as closed subsets, so this is not an extension by zero.
+    The cover pairs of a piece share one {-m: matrix} map per distinct
+    matrix of L^m, one in all for a constant system.
     """
     total = None
     for m in sorted(systems):
         if m > upto:
             continue
         L = systems[m]
+        shifted = {}  # id of a matrix of L -> its {-m: matrix} map
+        restr = {}
+        for p, ms in L.restrictions.items():
+            r = ms[0]
+            got = shifted.get(id(r))
+            if got is None:
+                got = shifted[id(r)] = {-m: r}
+            restr[p] = got
         piece = SheafComplex(F, K, ambient if raw else L.domain,
-                             {s: {-m: qs[0]} for s, qs in L.dims.items()}, {},
-                             {p: {-m: ms[0]} for p, ms in L.restrictions.items()})
+                             {s: {-m: qs[0]} for s, qs in L.dims.items()}, {}, restr)
         if not raw:
             piece = piece.extend_by_zero(ambient)
         total = piece if total is None else total.direct_sum(piece)
@@ -140,12 +149,12 @@ def build_tower(strat, local_system=None, field=QQ, naive=False, within=None):
         cutoff = k2 - 1 - n
         target = filt.U[k2 + 1].intersection(within)
         try:
-            pushed = sec.pushforward_open(I, target)
-            trunc = sec.truncate_le(pushed, cutoff)
+            trunc = sec.truncate_le(sec.pushforward_open(I, target), cutoff)
         except sec.EngineError as e:
             raise type(e)("step %d (collapsed through %d): %s" % (k, k2, e)) from e
-        attach = _attach_systems(F, K, systems, target, upto=n - k2, raw=naive)
-        I = trunc.direct_sum(attach)
+        I = trunc.direct_sum(_attach_systems(F, K, systems, target, upto=n - k2,
+                                             raw=naive))
+        del trunc  # so only I, and no step leftover, meets the next cleanup
         log.append({"step": k, "collapsed_through": k2, "cutoff": cutoff,
                     "target_size": len(target)})
         intermediates.append(I)

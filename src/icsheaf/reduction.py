@@ -29,8 +29,8 @@ class SparseComplex:
     lists indexed by id (an eliminated id keeps an empty row).  `ucols`
     maps an id to the columns {external key: value} of a chain map into
     the complex, carried along by elimination.  `din`, the reverse index
-    {source: value} per id, exists only while `reduce` runs; `eliminate`
-    reads and updates it there.
+    (the list of source ids per id), exists only while `reduce` runs;
+    `eliminate` reads and updates it there.
     """
 
     def __init__(self, F):
@@ -85,11 +85,11 @@ class SparseComplex:
     def _detach(self, g):
         din, dout = self.din, self.dout
         for t in dout[g]:
-            del din[t][g]
+            din[t].remove(g)
         for s in din[g]:
             del dout[s][g]
         dout[g] = {}
-        din[g] = {}
+        din[g] = ()
         self.ucols.pop(g, None)
         del self.degree[g]
 
@@ -97,36 +97,40 @@ class SparseComplex:
         """Gaussian elimination of the differential entry g -> h.
 
         Needs the reverse index `din`, which `reduce` holds while it runs.
-        Returns the other sources into h and the other targets of g, as
-        {id: value} dicts.
+        Each coefficient s -> h is read from the row `dout[s]` before h is
+        detached.  Returns the other sources into h, a list of ids, and the
+        other targets of g, g's former row.
         """
         F = self.F
-        outs = self.dout[g]
-        ins = self.din[h]
+        dout, din = self.dout, self.din
+        outs = dout[g]
+        ins = din[h]
         alpha = outs.pop(h)
-        del ins[g]
+        ins.remove(g)
+        coeffs = [dout[s][h] for s in ins]
         uh = self.ucols.get(h)
         self._detach(g)
         self._detach(h)
         inv = F.inv(alpha)
         add, mul, neg = F.add, F.mul, F.neg
-        dout, din = self.dout, self.din
-        # the fill s -> t is nonzero; it goes in under add_entry's rule
-        for s, a in ins.items():
+        # the fill s -> t is nonzero; it goes in under add_entry's rule, and
+        # s enters or leaves din[t] exactly where the row gains or loses t
+        for s, a in zip(ins, coeffs):
             coeff = neg(mul(a, inv))
             row = dout[s]
             for t, b in outs.items():
                 val = mul(coeff, b)
                 cur = row.get(t)
                 if cur is None:
-                    row[t] = din[t][s] = val
+                    row[t] = val
+                    din[t].append(s)
                 else:
                     new = add(cur, val)
                     if new:
-                        row[t] = din[t][s] = new
+                        row[t] = new
                     else:
                         del row[t]
-                        del din[t][s]
+                        din[t].remove(s)
         if uh:
             for ext, a in uh.items():
                 coeff = neg(mul(a, inv))
@@ -146,13 +150,22 @@ class SparseComplex:
         about a third of the memory and untracked by the cycle collector.
 
         The reverse index `din` is built from `dout` on entry and dropped
-        on return.
+        on return.  It holds source ids only, a list per id in the order
+        the entries arose; the values stay in `dout`.
         """
         dout, support = self.dout, self.support
-        din = self.din = [{} for _ in dout]
-        for g, row in enumerate(dout):
-            for h, v in row.items():
-                din[h][g] = v
+        n = [0] * len(dout)
+        for row in dout:
+            for h in row:
+                n[h] += 1
+        # exact-size lists, filled from the back; an id with no sources
+        # never gains one, so it shares the empty tuple
+        din = self.din = [[0] * k if k else () for k in n]
+        for g in range(len(dout) - 1, -1, -1):
+            for h in dout[g]:
+                n[h] -= 1
+                din[h][n[h]] = g
+        del n
         b = len(dout).bit_length()
         mask = (1 << b) - 1
         heap = []

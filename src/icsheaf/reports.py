@@ -8,7 +8,8 @@ field elements as strings ("p/q" over the rationals).
 `write_report` streams the document to disk: it writes the sorted keys of
 every dict itself and encodes each other value with one `json` call, each
 distinct list once, so neither the whole text nor the encoder's list of
-its tokens is ever held.  The bytes equal `canonical_json` of the same
+its tokens is ever held; a `Rows` section is made row by row as it is
+written.  The bytes equal `canonical_json` of the same
 document.  It writes a temporary file beside the target and moves it into
 place, so a failed write leaves no partial report.
 """
@@ -20,11 +21,34 @@ from json.encoder import encode_basestring_ascii
 
 FORMAT_TAG = "icsheaf-report-v1"
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+class Rows:
+    """A document dict whose rows are made as they are read.
+
+    `items()` yields the (key, value) pairs in sorted key order from a
+    fresh call of `make`, so no row outlives its turn.  `write_report`
+    streams it row by row; `canonical_json` encodes it as the dict it
+    stands for.
+    """
+
+    def __init__(self, make):
+        self.make = make
+
+    def items(self):
+        return self.make()
+
+
+def _expand(obj):
+    if type(obj) is Rows:
+        return dict(obj.items())
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_expand)
 
 
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_expand) + "\n"
 
 
 def sha256_of(obj):
@@ -40,12 +64,12 @@ def _dump(doc, write, texts):
     holds every list it keys alive for the call.
     """
     sep = "{"
-    for k, v in sorted(doc.items()):
+    for k, v in doc.items() if type(doc) is Rows else sorted(doc.items()):
         # json's own rule for a key that is not a string
         key = encode_basestring_ascii(k) if isinstance(k, str) \
             else _ENCODER.encode({k: 0})[1:-3]
         t = type(v)
-        if t is dict:
+        if t is dict or t is Rows:
             write(sep + key + ":")
             _dump(v, write, texts)
         else:
@@ -90,7 +114,9 @@ def sheaf_complex_doc(S):
     0/1 selections), and equal values print the same, so each is written
     once.  `json` encodes a shared list in full wherever it appears.  The
     entries share their strings the same way: most are a few values (0, 1,
-    −1), and each distinct one is printed once per call.
+    −1), and each distinct one is printed once per call.  The restrictions,
+    the largest section, are `Rows` made from the complex as they are
+    written, so a report never holds that section whole.
     """
     K = S.complex
     F = S.F
@@ -111,17 +137,24 @@ def sheaf_complex_doc(S):
 
     doc = {"field": F.name,
            "domain": [list(K.simplices[i]) for i in sorted(S.domain.ids)],
-           "stalk_dims": {}, "differentials": {}, "restrictions": {}}
+           "stalk_dims": {}, "differentials": {}}
     for sid in sorted(S.dims):
         doc["stalk_dims"][simplex_key(K, sid)] = dims_doc(S.dims[sid])
     for sid in sorted(S.diffs):
         row = {str(q): mdoc(m) for q, m in sorted(S.diffs[sid].items())}
         if row:
             doc["differentials"][simplex_key(K, sid)] = row
-    for (s, t) in sorted(S.restrictions):
-        row = {str(q): mdoc(m) for q, m in sorted(S.restrictions[(s, t)].items())}
-        if row:
-            doc["restrictions"]["%s|%s" % (simplex_key(K, s), simplex_key(K, t))] = row
+
+    def pair_key(p):
+        return "%s|%s" % (simplex_key(K, p[0]), simplex_key(K, p[1]))
+
+    def restriction_rows():
+        for p in sorted(S.restrictions, key=pair_key):
+            row = {str(q): mdoc(m) for q, m in sorted(S.restrictions[p].items())}
+            if row:
+                yield pair_key(p), row
+
+    doc["restrictions"] = Rows(restriction_rows)
     return doc
 
 

@@ -337,10 +337,14 @@ def _add_family_columns(S, G, heads, sid, bids):
 
     Column (sid, q, i) has the restrictions of basis vector i of S(sid) in
     degree q to every boundary simplex ρ ≥ sid, placed at the chain (ρ,).
-    Every composite starts at sid, so one memo per sid serves them all; it
-    is dropped on return, before the same-support cleanup.
+    Each composite's nonzero entries go straight into `G.ucols`, under one
+    key tuple per column: the blocks at distinct (ρ, q) are disjoint and
+    the keys of distinct sids differ, so each entry is written once and
+    nothing needs adding up.  Every composite starts at sid, so one memo
+    per sid serves them all; it is dropped on return, before the
+    same-support cleanup.
     """
-    memo = {}
+    memo, ucols = {}, G.ucols
     for rho in S.complex.up_set(sid):
         if rho not in bids:
             continue
@@ -350,8 +354,11 @@ def _add_family_columns(S, G, heads, sid, bids):
                 continue
             rm, h0 = S.restriction(sid, rho, q, memo), heads[rho][q]
             for i in range(d):
+                key = (sid, q, i)
                 for j in range(n):
-                    G.add_ucol(h0 + j, (sid, q, i), rm[j][i])
+                    v = rm[j][i]
+                    if v:
+                        ucols.setdefault(h0 + j, {})[key] = v
 
 
 def pushforward_open(S, V, cleanup=True):
@@ -370,8 +377,11 @@ def pushforward_open(S, V, cleanup=True):
     restrictions live one per `_nerve_complex` call and one per far
     simplex of the compatible-family map.  So the same-support cleanup
     holds the nerve complex (its rows `dout`, the family columns `ucols`
-    and, while `reduce` runs, the reverse index and the candidate heap)
-    and nothing of the chains; the materialization tables come after it.
+    with one key tuple per column and, while `reduce` runs, the reverse
+    index of source ids and the candidate heap) and nothing of the
+    chains; the materialization tables come after it.  Away from the
+    boundary region the result shares S's maps, which no operation
+    mutates.
 
     cleanup=False skips the same-support reduction and its check and keeps
     the raw nerve complexes: it is the uncleaned reference that tests
@@ -411,9 +421,9 @@ def pushforward_open(S, V, cleanup=True):
     dims, diffs, restr = {}, {}, {}
     for sid in far:
         if sid in S.dims:
-            dims[sid] = dict(S.dims[sid])
+            dims[sid] = S.dims[sid]
         if sid in S.diffs:
-            diffs[sid] = dict(S.diffs[sid])
+            diffs[sid] = S.diffs[sid]
     alive = {sid: {} for sid in region}
     down_cache = {}
     for g in G.gens_sorted():
@@ -494,7 +504,7 @@ def pushforward_open(S, V, cleanup=True):
                 restr[(s, t)] = rm
     for (s, t), ms in S.restrictions.items():
         if s in far and t in far:
-            restr[(s, t)] = dict(ms)
+            restr[(s, t)] = ms
 
     out = SheafComplex(F, K, V, dims, diffs, restr)
     if cleanup:

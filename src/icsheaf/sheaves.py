@@ -8,8 +8,8 @@ makes arbitrary restrictions well-defined.  A sheaf is a SheafComplex in
 one degree: a local system lives in degree 0 and the degree-a cohomology
 sheaf of a complex in degree a.  Everything is immutable and explicit;
 operations return new objects, which share every matrix and value they
-leave unchanged with their inputs.  A matrix is never mutated once it is
-part of a complex.
+leave unchanged with their inputs.  A matrix, and a map of matrices or
+dims, is never mutated once it is part of a complex.
 """
 
 from . import matrices as mx
@@ -85,16 +85,19 @@ class SheafComplex:
     """A bounded complex of cellular sheaves on a common domain.
 
     Matrices are shared with the complexes an operation was derived from
-    and are never mutated.  Two kinds of derived data are cached per
-    instance and owned by it alone: stalk cohomology and, filled by
-    `sections.cohomology_sheaf`, one cohomology sheaf per degree.  A
-    restricted copy starts with empty caches and computes the same values
-    again where it reads them.  Costalks are not cached: each check
-    that reads them keeps its own table for as long as it runs.
-    Composite restrictions are not cached here either: they are products
-    the caller needs only while it assembles one complex, so the caller
-    owns the memo, one dict per loop that reads them (see `restriction`),
-    and drops it when the loop ends.
+    and are never mutated, and neither is any map of `dims`, `diffs` or
+    `restrictions`: no operation changes a map in place, so one map may
+    serve many simplices or pairs, within a complex and across complexes
+    (`constant_complex` gives every cover pair the same one).  Two kinds
+    of derived data are cached per instance and owned by it alone: stalk
+    cohomology and, filled by `sections.cohomology_sheaf`, one cohomology
+    sheaf per degree.  A restricted copy starts with empty caches and
+    computes the same values again where it reads them.  Costalks are not
+    cached: each check that reads them keeps its own table for as long as
+    it runs.  Composite restrictions are not cached here either: they are
+    products the caller needs only while it assembles one complex, so the
+    caller owns the memo, one dict per loop that reads them (see
+    `restriction`), and drops it when the loop ends.
     """
 
     def __init__(self, F, complex, domain, dims, diffs, restrictions):
@@ -103,9 +106,14 @@ class SheafComplex:
         self.domain = domain
         # dims: sid -> {q: dim}; diffs: sid -> {q: matrix}; restrictions:
         # (sid,tid) -> {q: matrix}.  Missing entries mean zero.
-        self.dims = {s: {q: d for q, d in qs.items() if d}
-                     for s, qs in dims.items()}
-        self.dims = {s: qs for s, qs in self.dims.items() if qs}
+        # One pass drops zero dims and then empty values; a value with no
+        # zero dim is kept as it is, shared with the caller.
+        self.dims = {}
+        for s, qs in dims.items():
+            if not all(qs.values()):
+                qs = {q: d for q, d in qs.items() if d}
+            if qs:
+                self.dims[s] = qs
         self.diffs = diffs
         self.restrictions = restrictions
         self._stalk_cache = {}
@@ -269,7 +277,9 @@ class SheafComplex:
         """Blockwise sum; where one summand has no value, the other's block is shared.
 
         Every key of the general sum is emitted, including explicit zero
-        matrices, so the result is the same document either way.
+        matrices, so the result is the same document either way.  Where
+        the one summand's map at a simplex or pair already has exactly
+        those keys, the map itself is shared.
         """
         if self.domain != other.domain:
             raise SheafError("direct sum requires equal domains")
@@ -284,8 +294,15 @@ class SheafComplex:
             if not (qa or qb):
                 continue
             only = other if not qa else self if not qb else None
-            nd = dims[sid] = {q: qa.get(q, 0) + qb.get(q, 0)
-                              for q in sorted(set(qa) | set(qb))}
+            if only is not None:
+                nd = dims[sid] = qa or qb
+                got = only.diffs.get(sid)
+                if got and got.keys() == {q for q in nd if nd.get(q + 1)}:
+                    diffs[sid] = got
+                    continue
+            else:
+                nd = dims[sid] = {q: qa.get(q, 0) + qb.get(q, 0)
+                                  for q in sorted(set(qa) | set(qb))}
             dmap = {}
             for q in nd:
                 if not nd.get(q + 1):
@@ -302,8 +319,14 @@ class SheafComplex:
             sa, ta = self.dims.get(s, none), self.dims.get(t, none)
             sb, tb = other.dims.get(s, none), other.dims.get(t, none)
             only = other if not (sa or ta) else self if not (sb or tb) else None
+            qs = sorted(set(sa) | set(sb) | set(ta) | set(tb))
+            if only is not None:
+                got = only.restrictions.get((s, t))
+                if got and got.keys() == set(qs):
+                    restr[(s, t)] = got
+                    continue
             rmap = {}
-            for q in sorted(set(sa) | set(sb) | set(ta) | set(tb)):
+            for q in qs:
                 if only is not None:
                     rmap[q] = only.restriction_cover(s, t, q)
                 else:
@@ -350,8 +373,11 @@ def _block_diag(F, A, B, ra, ca, rb, cb):
 
 
 def constant_complex(F, complex, domain, rank=1):
-    """The constant sheaf of the given rank on any domain, in degree 0."""
+    """The constant sheaf of the given rank on any domain, in degree 0.
+
+    Every cover pair shares one {0: identity} map.
+    """
     dims = {s: {0: rank} for s in domain.ids}
-    ident = mx.identity(F, rank)
-    restr = {p: {0: ident} for p in domain.cover_pairs()}
+    ident = {0: mx.identity(F, rank)}
+    restr = {p: ident for p in domain.cover_pairs()}
     return SheafComplex(F, complex, domain, dims, {}, restr)

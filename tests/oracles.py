@@ -9,9 +9,10 @@ their results are independent of the code paths they check.  The exceptions are
 the reference versions of package code that a faster path replaced, kept
 as they were so the tests can compare the two (`order_chains`,
 `chains_recursively`, `down_set_by_subsets`, `composite_restriction`,
-the dense solver behind `cohomology_sheaf_reference`, the tuple-keyed
-eliminator `ReferenceComplex`), the supported-sections
-complex that AX2 is compared against (`supported_section_dims`), and the
+the dense solver behind `cohomology_sheaf_reference`, the dict-indexed
+eliminator `DictIndexComplex` and the tuple-keyed one `ReferenceComplex`),
+the supported-sections complex that AX2 is compared against
+(`supported_section_dims`), and the
 helpers only tests need: `shift` builds test complexes,
 `load_sheaf_complex` reads a dumped complex back and
 `fake_surface_stratum_ids` names the fake stratum of a demo.
@@ -704,22 +705,19 @@ def load_sheaf_complex(doc, K, F):
     return SheafComplex(F, K, domain, dims, diffs, restr)
 
 
-# The eliminator as it was before its reverse index lived only inside
-# `reduce` and its heap keys became single ints: a persistent `din` and
-# (cost, source, target) tuples.
+# The eliminator as it was while its reverse index `din` held
+# {source: value} dicts, built by `reduce` on entry and dropped on return,
+# with one int per heap candidate: `reduce`, `eliminate` and `_detach`
+# unchanged.
 
-class ReferenceComplex:
-    """A copy of a SparseComplex's state, reduced by the tuple-keyed eliminator."""
+class DictIndexComplex:
+    """A copy of a SparseComplex's state, reduced by the dict-indexed eliminator."""
 
     def __init__(self, G):
         self.F = G.F
         self.degree = dict(G.degree)
         self.support = list(G.support)
         self.dout = [dict(row) for row in G.dout]
-        self.din = [{} for _ in G.dout]
-        for g, row in enumerate(self.dout):
-            for h, v in row.items():
-                self.din[h][g] = v
         self.ucols = {g: dict(col) for g, col in G.ucols.items()}
 
     def add_ucol(self, h, ext, val):
@@ -745,6 +743,12 @@ class ReferenceComplex:
         del self.degree[g]
 
     def eliminate(self, g, h):
+        """Gaussian elimination of the differential entry g -> h.
+
+        Needs the reverse index `din`, which `reduce` holds while it runs.
+        Returns the other sources into h and the other targets of g, as
+        {id: value} dicts.
+        """
         F = self.F
         outs = self.dout[g]
         ins = self.din[h]
@@ -756,6 +760,7 @@ class ReferenceComplex:
         inv = F.inv(alpha)
         add, mul, neg = F.add, F.mul, F.neg
         dout, din = self.dout, self.din
+        # the fill s -> t is nonzero; it goes in under add_entry's rule
         for s, a in ins.items():
             coeff = neg(mul(a, inv))
             row = dout[s]
@@ -777,6 +782,70 @@ class ReferenceComplex:
                 for t, b in outs.items():
                     self.add_ucol(t, ext, mul(coeff, b))
         return ins, outs
+
+    def reduce(self, same_support=False):
+        """Exhaustively eliminate admissible pivots, deterministically.
+
+        Uses lazy Markowitz ordering: candidates are kept in a heap ordered
+        by (fill estimate, source id, target id) and revalidated on pop.
+        An eliminated id has no entries left, so a candidate is stale
+        exactly when its entry is gone.  Each candidate is one int,
+        cost << 2b | g << b | h with b the bit length of the id count:
+        ids are below 2^b, so ints order exactly as the tuples would, in
+        about a third of the memory and untracked by the cycle collector.
+
+        The reverse index `din` is built from `dout` on entry and dropped
+        on return.
+        """
+        dout, support = self.dout, self.support
+        din = self.din = [{} for _ in dout]
+        for g, row in enumerate(dout):
+            for h, v in row.items():
+                din[h][g] = v
+        b = len(dout).bit_length()
+        mask = (1 << b) - 1
+        heap = []
+        push = heapq.heappush
+        try:
+            for g, row in enumerate(dout):
+                ng = len(row) - 1
+                for h in row:
+                    if not same_support or support[g] == support[h]:
+                        heap.append(((len(din[h]) - 1) * ng << b | g) << b | h)
+            heapq.heapify(heap)
+            while heap:
+                key = heapq.heappop(heap)
+                h = key & mask
+                g = key >> b & mask
+                if h not in dout[g]:
+                    continue
+                cur = (len(din[h]) - 1) * (len(dout[g]) - 1)
+                if cur > key >> 2 * b:
+                    push(heap, (cur << b | g) << b | h)
+                    continue
+                ins, _ = self.eliminate(g, h)
+                for s in ins:
+                    row = dout[s]
+                    ns = len(row) - 1
+                    for t in row:
+                        if not same_support or support[s] == support[t]:
+                            push(heap, ((len(din[t]) - 1) * ns << b | s) << b | t)
+        finally:
+            del self.din
+
+
+# The eliminator before that: a persistent `din` and (cost, source, target)
+# heap tuples, with the same `eliminate` and `_detach`.
+
+class ReferenceComplex(DictIndexComplex):
+    """A copy of a SparseComplex's state, reduced by the tuple-keyed eliminator."""
+
+    def __init__(self, G):
+        super().__init__(G)
+        self.din = [{} for _ in G.dout]
+        for g, row in enumerate(self.dout):
+            for h, v in row.items():
+                self.din[h][g] = v
 
     def reduce(self, same_support=False):
         dout, din, support = self.dout, self.din, self.support

@@ -16,9 +16,10 @@ recorded in each manifest do not depend on where the sweep runs.  Each
 job's exit code, the sha256 of its stdout and of its stderr, and the
 sha256 of every report it writes are compared with the table in
 report_sweep.json; the script names each job that differs and exits 1 if
-any does.  The summary line also gives the process's peak RSS: the sweep
-is one long-lived `cli.run` process, so memory that outlives a job shows
-there.
+any does.  The summary line also gives the process's peak RSS and the
+job after which it last rose: the sweep is one long-lived `cli.run`
+process, so memory that outlives a job shows there, and the named job is
+the one that sets the peak.
 
     PYTHONPATH=src python tests/report_sweep.py            # compare
     PYTHONPATH=src python tests/report_sweep.py --record   # rewrite the table
@@ -114,13 +115,24 @@ def run_job(argv, out):
                         for p in sorted(Path(out).glob("*.json"))}}
 
 
+def _maxrss():
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def sweep():
+    """Run every job; returns (rows, argv of the job after which the peak RSS last rose)."""
     here = os.getcwd()
+    rows, peak, peak_argv = [], _maxrss(), None
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             write_local_systems()
-            return [run_job(argv, "out") for argv in jobs()]
+            for argv in jobs():
+                rows.append(run_job(argv, "out"))
+                if _maxrss() > peak:
+                    peak, peak_argv = _maxrss(), argv
+            return rows, peak_argv
         finally:
             os.chdir(here)
 
@@ -130,7 +142,7 @@ def main():
     p.add_argument("--record", action="store_true",
                    help="write the table instead of comparing against it")
     args = p.parse_args()
-    rows = sweep()
+    rows, peak_argv = sweep()
     if args.record:
         TABLE.write_text("[\n%s\n]\n" % ",\n".join(
             json.dumps(r, sort_keys=True) for r in rows))
@@ -147,9 +159,9 @@ def main():
         if diff:
             bad.append(key)
             print("differs in %s: %s" % (", ".join(diff), key))
-    # ru_maxrss is in KiB on Linux
-    print("%d jobs, %d differ, peak RSS %d KiB"
-          % (len(got), len(bad), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+    print("%d jobs, %d differ, peak RSS %d KiB, last raised by %s"
+          % (len(got), len(bad), _maxrss(),
+             " ".join(peak_argv) if peak_argv else "no job"))
     return 1 if bad else 0
 
 

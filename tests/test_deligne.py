@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 import tracemalloc
@@ -10,7 +11,9 @@ from icsheaf.deligne import (ICBundle, _verify_bundle, build_ic, clc_coarsen,
                              compare_stratifications)
 from icsheaf.fields import QQ, field_by_name
 from icsheaf import sections as sec
-from icsheaf.sheaves import SheafError, constant_complex, first_difference
+from icsheaf.sheaves import (SheafComplex, SheafError, constant_complex, first_difference,
+                             make_local_system)
+from icsheaf.stratify import compute_open_filtration
 from icsheaf.stratify import StratificationError, validate_stratification
 
 import oracles
@@ -349,6 +352,49 @@ def test_build_report_stays_below_the_build_peak(tmp_path, name, field):
     finally:
         tracemalloc.stop()
     assert report_peak < build_peak, (path.stat().st_size, report_peak, build_peak)
+
+
+@pytest.mark.parametrize("system", ("constant", "matrices"))
+@pytest.mark.parametrize("name", demos.DEMO_NAMES)
+def test_no_operation_mutates_a_shared_map(monkeypatch, spaces, name, system):
+    # maps are shared across simplices, pairs and complexes (one {degree:
+    # matrix} map per matrix of a local system, the far region of a
+    # pushforward, one summand's maps in a direct sum), so none may change
+    # in place: every complex built here, the local system and each stage
+    # among them, keeps the dims, differentials and restrictions it was
+    # built with through build_tower, costalk_table, cohomology_sheaf and
+    # clc_coarsen
+    K, strat = spaces[name]
+    U = compute_open_filtration(strat).U[1]
+    built, init = [], SheafComplex.__init__
+
+    def recording(S, *args):
+        init(S, *args)
+        built.append((S, copy.deepcopy((S.dims, S.diffs, S.restrictions))))
+
+    monkeypatch.setattr(SheafComplex, "__init__", recording)
+    if system == "constant":
+        L = make_local_system(QQ, K, U, {"rank": 2})
+    else:
+        # diag(2, 1) on every cover pair; every other pair shares one matrix
+        D = [[2, 0], [0, 1]]
+        L = make_local_system(QQ, K, U, {
+            "stalk_dim": {s: 2 for s in U.ids},
+            "matrices": {p: D if i % 2 else [row[:] for row in D]
+                         for i, p in enumerate(sorted(U.cover_pairs()))}})
+    bundle = deligne.build_tower(strat, L, field=QQ)
+    S = bundle.ic
+    sec.costalk_table(S)
+    lo, hi = S.degree_range()
+    for a in range(lo, hi + 1):
+        sec.cohomology_sheaf(S, a)
+    clc_coarsen(strat, S)
+    assert len(built) > len(bundle.intermediates)
+    for i, (T, before) in enumerate(built):
+        for what, got, want in zip(("dims", "diffs", "restrictions"),
+                                   (T.dims, T.diffs, T.restrictions), before):
+            assert got == want, "%s, %s system: complex %d changed its %s" % (
+                name, system, i, what)
 
 
 def test_stages_keep_no_composite_restrictions(towers):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import pytest
 
 from icsheaf import demos, reports
 from icsheaf import sections as sec
-from icsheaf.fields import QQ
+from icsheaf.fields import QQ, field_by_name
 from icsheaf.reduction import SparseComplex
 
 import oracles
@@ -77,7 +78,7 @@ def test_ucols_fill_through_an_elimination():
     class Recording(SparseComplex):
         def eliminate(self, g, h):
             ins, outs = super().eliminate(g, h)
-            steps.append((g, h, dict(ins), dict(outs)))
+            steps.append((g, h, list(ins), dict(outs)))
             return ins, outs
 
     G = Recording(QQ)
@@ -87,7 +88,7 @@ def test_ucols_fill_through_an_elimination():
     G.add_ucol(y, "e", 1)
     G.add_ucol(x, "f", 5)
     G.reduce()
-    assert steps == [(x, y, {}, {z: 3})]
+    assert steps == [(x, y, [], {z: 3})]
     assert G.ucols == {z: {"e": Fraction(-3, 2)}}
     assert G.degree == {z: 1}
     assert G.dout == [{}, {}, {}] and not hasattr(G, "din")
@@ -98,15 +99,19 @@ def test_eliminator_matches_the_tuple_keyed_reference(monkeypatch, tower_of, fie
     # every pushforward of every demo's tower, canonical and naive, and each
     # IC's whole-domain cellular complex, same-support and free: every
     # reduction leaves the live ids, degrees, rows and map columns that the
-    # reference eliminator leaves on a copy of its input
+    # tuple-keyed and the dict-indexed reference eliminators leave on a copy
+    # of its input
     real, case, seen = SparseComplex.reduce, [], []
 
     def checked(G, same_support=False):
-        R = oracles.ReferenceComplex(G)
-        R.reduce(same_support)
+        refs = [Ref(G) for Ref in (oracles.ReferenceComplex, oracles.DictIndexComplex)]
+        for R in refs:
+            R.reduce(same_support)
         real(G, same_support)
-        g = oracles.first_reduced_difference(G, R)
-        assert g is None, "%s: first differing id %d" % (case[-1], g)
+        for R in refs:
+            g = oracles.first_reduced_difference(G, R)
+            assert g is None, "%s: first differing id %d from %s" % (
+                case[-1], g, type(R).__name__)
         seen.append(same_support)
 
     towers = {(name, naive): tower_of(name, field, naive)
@@ -122,6 +127,87 @@ def test_eliminator_matches_the_tuple_keyed_reference(monkeypatch, tower_of, fie
                         % (label, " (same support)" if same_support else ""))
             sec._cellular_complex(bundle.ic, bundle.ic.domain.ids).reduce(same_support)
     assert True in seen and False in seen
+
+
+class CountingCancels(SparseComplex):
+    """Counts the fill entries that cancel, the case where din loses an id."""
+
+    cancels = 0
+
+    def eliminate(self, g, h):
+        met = [(s, t) for s in self.din[h] if s != g
+               for t in self.dout[g] if t != h and t in self.dout[s]]
+        out = super().eliminate(g, h)
+        self.cancels += sum(t not in self.dout[s] for s, t in met)
+        return out
+
+
+def random_complex(F, rng):
+    """A seeded random cochain complex with map columns, in which fill cancels.
+
+    The simplicial cochains of a random complex on 5 or 6 vertices, each
+    generator supported at one of three labels, in a basis scrambled by
+    random same-degree changes e_x <- e_x + c e_y (d² stays 0, and the
+    rows gain entries that elimination later cancels), with a few random
+    map columns.
+    """
+    n = rng.choice((5, 6))
+    faces = set()
+    for _ in range(rng.randrange(3, 7)):
+        top = tuple(sorted(rng.sample(range(n), rng.randrange(2, 5))))
+        faces.update(f for k in range(1, len(top) + 1) for f in combinations(top, k))
+    faces = sorted(faces, key=lambda f: (len(f), f))
+    G = CountingCancels(F)
+    ids = {f: G.add_gen(len(f) - 1, rng.randrange(3)) for f in faces}
+    one, mone = F.one, F.neg(F.one)
+    for f in faces:
+        for v in range(n):
+            cof = tuple(sorted(f + (v,)))
+            if v not in f and cof in ids:
+                G.add_entry(ids[f], ids[cof], mone if cof.index(v) % 2 else one)
+    coeffs = [one, mone, F.add(one, one)]
+    by_degree = {}
+    for f in faces:
+        by_degree.setdefault(len(f) - 1, []).append(ids[f])
+    for _ in range(2 * len(faces)):
+        gens = by_degree[rng.choice(sorted(by_degree))]
+        if len(gens) < 2:
+            continue
+        x, y = rng.sample(gens, 2)
+        c = rng.choice(coeffs)
+        if not c:
+            continue
+        # e_x = e'_x - c e_y: an entry s -> x also reaches y, times -c
+        for s, row in enumerate(G.dout):
+            a = row.get(x)
+            if a:
+                G.add_entry(s, y, F.neg(F.mul(a, c)))
+        for t, b in list(G.dout[y].items()):
+            G.add_entry(x, t, F.mul(c, b))
+    for k in range(rng.randrange(1, 4)):
+        for g in rng.sample(range(len(faces)), 3):
+            G.add_ucol(g, ("col", k), rng.choice(coeffs))
+    return G
+
+
+@pytest.mark.parametrize("field", ("q", "fp:2", "fp:32003"))
+def test_eliminator_matches_the_dict_index_oracle(field):
+    # seeded random complexes, same-support and free: the eliminator, whose
+    # reverse index holds ids only, leaves the live ids, degrees, rows and
+    # map columns that the dict-indexed one leaves, and fill does cancel
+    F = field_by_name(field)
+    cancels = 0
+    for seed in range(40):
+        for same_support in (True, False):
+            G = random_complex(F, random.Random(seed))
+            R = oracles.DictIndexComplex(G)
+            R.reduce(same_support)
+            G.reduce(same_support)
+            g = oracles.first_reduced_difference(G, R)
+            assert g is None, "random complex %d over %s%s: first differing id %d" % (
+                seed, field, " (same support)" if same_support else "", g)
+            cancels += G.cancels
+    assert cancels
 
 
 def test_minimize_dims_triangle_boundary():
