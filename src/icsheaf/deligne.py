@@ -68,7 +68,8 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
     ambient set as they are: the naive open sets need not contain the lower
     local systems as closed subsets, so this is not an extension by zero.
     The cover pairs of a piece share one {-m: matrix} map per distinct
-    matrix of L^m, one in all for a constant system.
+    matrix of L^m, and its simplices one {-m: rank} dims map per distinct
+    rank: one of each in all for a constant system.
     """
     total = None
     for m in sorted(systems):
@@ -83,8 +84,9 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
             if got is None:
                 got = shifted[id(r)] = {-m: r}
             restr[p] = got
+        ranks = {r: {-m: r} for r in {qs[0] for qs in L.dims.values()}}
         piece = SheafComplex(F, K, ambient if raw else L.domain,
-                             {s: {-m: qs[0]} for s, qs in L.dims.items()}, {}, restr)
+                             {s: ranks[qs[0]] for s, qs in L.dims.items()}, {}, restr)
         if not raw:
             piece = piece.extend_by_zero(ambient)
         total = piece if total is None else total.direct_sum(piece)

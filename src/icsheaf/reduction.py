@@ -17,24 +17,38 @@ reverse index `din` (the sources into each id), which an elimination
 needs, is built by `reduce` when it starts and dropped when it returns,
 so a complex waiting to be reduced, or one already reduced and being
 read, holds no second copy of its entries.
+
+Every id is one int object, made by `add_gen` and kept in `ids`: every
+key that names an id (in `degree`, in a row, in the reverse index and in
+`ucols`) is that object, looked up as `ids[g]`, never an int computed
+afresh, so a complex holds one int per generator however many entries
+name it.  An eliminated id's row is `DEAD`, one read-only empty mapping
+shared by every complex; nothing writes to a dead id, so the share is
+safe, and a write would raise TypeError.
 """
 
 import heapq
+from types import MappingProxyType
+
+DEAD = MappingProxyType({})  # the row of every eliminated id
 
 
 class SparseComplex:
     """A cochain complex on generator ids 0, 1, … with a sparse differential.
 
-    `degree` maps each live id to its degree; `support` and `dout` are
-    lists indexed by id (an eliminated id keeps an empty row).  `ucols`
-    maps an id to the columns {external key: value} of a chain map into
-    the complex, carried along by elimination.  `din`, the reverse index
-    (the list of source ids per id), exists only while `reduce` runs;
-    `eliminate` reads and updates it there.
+    `ids[g]` is the one int object of id g, which every key naming g
+    shares.  `degree` maps each live id to its degree; `support` and
+    `dout` are lists indexed by id (an eliminated id's row is the shared
+    read-only `DEAD`).  `ucols` maps an id to the columns {external key:
+    value} of a chain map into the complex, carried along by elimination;
+    `ucol(g)` gives the columns at g to write into.  `din`, the reverse
+    index (the list of source ids per id), exists only while `reduce`
+    runs; `eliminate` reads and updates it there.
     """
 
     def __init__(self, F):
         self.F = F
+        self.ids = []
         self.degree = {}
         self.support = []
         self.dout = []
@@ -42,19 +56,20 @@ class SparseComplex:
 
     def add_gen(self, degree, support=None, count=1):
         """Add count generators; return the first of their consecutive ids."""
-        g = len(self.dout)
+        ids, g = self.ids, len(self.ids)
         for h in range(g, g + count):
+            ids.append(h)
             self.degree[h] = degree
             self.support.append(support)
             self.dout.append({})
-        return g
+        return ids[g]
 
     def add_entry(self, g, h, val):
         """Add the nonzero val to the entry g -> h, dropping it if it cancels."""
         row = self.dout[g]
         cur = row.get(h)
         if cur is None:
-            row[h] = val
+            row[self.ids[h]] = val
         else:
             new = self.F.add(cur, val)
             if new:
@@ -64,17 +79,24 @@ class SparseComplex:
 
     def add_block(self, g0, h0, M, sign):
         """Add sign · M (sign ±1), a map from the block at id g0 to that at h0."""
-        neg, add_entry = self.F.neg, self.add_entry
+        neg, add_entry, ids = self.F.neg, self.add_entry, self.ids
         for j, row in enumerate(M):
-            h = h0 + j
+            h = ids[h0 + j]
             for i, v in enumerate(row):
                 if v:
                     add_entry(g0 + i, h, v if sign > 0 else neg(v))
 
+    def ucol(self, h):
+        """The map columns {external key: value} at id h, made empty if new."""
+        col = self.ucols.get(h)
+        if col is None:
+            col = self.ucols[self.ids[h]] = {}
+        return col
+
     def add_ucol(self, h, ext, val):
         if not val:
             return
-        col = self.ucols.setdefault(h, {})
+        col = self.ucol(h)
         cur = col.get(ext)
         new = val if cur is None else self.F.add(cur, val)
         if new:
@@ -83,12 +105,13 @@ class SparseComplex:
             col.pop(ext, None)
 
     def _detach(self, g):
+        """Remove g's entries and map columns; its row becomes `DEAD`."""
         din, dout = self.din, self.dout
         for t in dout[g]:
             din[t].remove(g)
         for s in din[g]:
             del dout[s][g]
-        dout[g] = {}
+        dout[g] = DEAD
         din[g] = ()
         self.ucols.pop(g, None)
         del self.degree[g]
@@ -151,9 +174,11 @@ class SparseComplex:
 
         The reverse index `din` is built from `dout` on entry and dropped
         on return.  It holds source ids only, a list per id in the order
-        the entries arose; the values stay in `dout`.
+        the entries arose; the values stay in `dout`.  On return `degree`
+        is rebuilt, so that its table is sized for the survivors alone
+        rather than for every id it ever held.
         """
-        dout, support = self.dout, self.support
+        dout, support, ids = self.dout, self.support, self.ids
         n = [0] * len(dout)
         for row in dout:
             for h in row:
@@ -164,7 +189,7 @@ class SparseComplex:
         for g in range(len(dout) - 1, -1, -1):
             for h in dout[g]:
                 n[h] -= 1
-                din[h][n[h]] = g
+                din[h][n[h]] = ids[g]
         del n
         b = len(dout).bit_length()
         mask = (1 << b) - 1
@@ -196,6 +221,7 @@ class SparseComplex:
                             push(heap, ((len(din[t]) - 1) * ns << b | s) << b | t)
         finally:
             del self.din
+            self.degree = {g: d for g, d in self.degree.items()}
 
     def minimize_dims(self):
         """Free reduction to zero differential; returns degree -> dimension."""

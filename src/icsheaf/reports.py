@@ -114,9 +114,11 @@ def sheaf_complex_doc(S):
     0/1 selections), and equal values print the same, so each is written
     once.  `json` encodes a shared list in full wherever it appears.  The
     entries share their strings the same way: most are a few values (0, 1,
-    −1), and each distinct one is printed once per call.  The restrictions,
-    the largest section, are `Rows` made from the complex as they are
-    written, so a report never holds that section whole.
+    −1), and each distinct one is printed once per call.  The stalk dims,
+    differentials and restrictions are `Rows` made from the complex as
+    they are written, in order of simplex key, so a report never holds a
+    section whole: the complex's maps are shared and never mutated, so
+    they are read, not copied, while the report is written.
     """
     K = S.complex
     F = S.F
@@ -135,27 +137,27 @@ def sheaf_complex_doc(S):
             got = docs[key] = [[estr(x) for x in row] for row in key]
         return got
 
-    doc = {"field": F.name,
-           "domain": [list(K.simplices[i]) for i in sorted(S.domain.ids)],
-           "stalk_dims": {}, "differentials": {}}
-    for sid in sorted(S.dims):
-        doc["stalk_dims"][simplex_key(K, sid)] = dims_doc(S.dims[sid])
-    for sid in sorted(S.diffs):
-        row = {str(q): mdoc(m) for q, m in sorted(S.diffs[sid].items())}
-        if row:
-            doc["differentials"][simplex_key(K, sid)] = row
+    def sid_key(sid):
+        return simplex_key(K, sid)
 
     def pair_key(p):
-        return "%s|%s" % (simplex_key(K, p[0]), simplex_key(K, p[1]))
+        return "%s|%s" % (sid_key(p[0]), sid_key(p[1]))
 
-    def restriction_rows():
-        for p in sorted(S.restrictions, key=pair_key):
-            row = {str(q): mdoc(m) for q, m in sorted(S.restrictions[p].items())}
+    def stalk_rows():
+        for sid in sorted(S.dims, key=sid_key):
+            yield sid_key(sid), dims_doc(S.dims[sid])
+
+    def matrix_rows(maps, name):
+        for k in sorted(maps, key=name):
+            row = {str(q): mdoc(m) for q, m in sorted(maps[k].items())}
             if row:
-                yield pair_key(p), row
+                yield name(k), row
 
-    doc["restrictions"] = Rows(restriction_rows)
-    return doc
+    return {"field": F.name,
+            "domain": [list(K.simplices[i]) for i in sorted(S.domain.ids)],
+            "stalk_dims": Rows(stalk_rows),
+            "differentials": Rows(lambda: matrix_rows(S.diffs, sid_key)),
+            "restrictions": Rows(lambda: matrix_rows(S.restrictions, pair_key))}
 
 
 def bundle_doc(bundle):

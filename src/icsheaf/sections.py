@@ -194,6 +194,11 @@ def truncate_le(S, a):
     Where d^a vanishes the kernel is all of degree a with the identity
     basis, and the degree-a blocks pass through unchanged; elsewhere they
     are read in the rref kernel basis at its free columns (`_coordinates`).
+    A dims, differential or restriction map that lies wholly below a is
+    S's own map, shared and not copied: no operation mutates a map.  A
+    differential map is shared where its keys are exactly the degrees the
+    truncation would emit, the key-set check `direct_sum` uses, so the
+    explicit zero matrices of a value whose map lacks them are still made.
     """
     F = S.F
     if S.degree_range()[1] <= a:
@@ -201,18 +206,25 @@ def truncate_le(S, a):
     dims, diffs, restr = {}, {}, {}
     kernels = {}  # sid -> (d^a, basis columns, free columns), None for the identity
     for sid, qs in S.dims.items():
-        nd = {q: d for q, d in qs.items() if q < a}
-        da = qs.get(a)
-        if da:
-            d = S.diff(sid, a) if qs.get(a + 1) else None
-            if _vanishes(d):
-                nd[a] = da
-                kernels[sid] = None
-            else:
-                kb, free = mx.kernel(F, d, da)
-                if free:
-                    nd[a] = len(free)
-                    kernels[sid] = (d, kb, free)
+        if max(qs) < a:
+            nd = qs
+            got = S.diffs.get(sid)
+            if got and got.keys() == {q for q in qs if q + 1 in qs}:
+                dims[sid], diffs[sid] = qs, got
+                continue
+        else:
+            nd = {q: d for q, d in qs.items() if q < a}
+            da = qs.get(a)
+            if da:
+                d = S.diff(sid, a) if qs.get(a + 1) else None
+                if _vanishes(d):
+                    nd[a] = da
+                    kernels[sid] = None
+                else:
+                    kb, free = mx.kernel(F, d, da)
+                    if free:
+                        nd[a] = len(free)
+                        kernels[sid] = (d, kb, free)
         if nd:
             dims[sid] = nd
             dm = {}
@@ -226,6 +238,9 @@ def truncate_le(S, a):
             if dm:
                 diffs[sid] = dm
     for (s, t), ms in S.restrictions.items():
+        if ms and max(ms) < a:
+            restr[(s, t)] = ms
+            continue
         rm = {}
         for q, m in ms.items():
             if q < a:
@@ -261,7 +276,8 @@ def _coordinates(S, kern, B, a, what, sids):
 def cohomology_sheaf(S, a):
     """The degree-a cohomology sheaf with induced restriction maps.
 
-    A SheafComplex in degree a, memoized per complex and degree, read off
+    A SheafComplex in degree a, memoized per complex and degree, whose
+    simplices share one {a: h} dims map per dimension h; it is read off
     T = `truncate_le(S, a)`, whose degree a is ker d^a: H^a is the cokernel
     of T's d^(a−1).  Where that image vanishes, H^a is T's value and T's
     restrictions pass through.  Elsewhere the image is reduced to echelon
@@ -308,8 +324,9 @@ def cohomology_sheaf(S, a):
         if data[t] is not None:
             r = mx.mat_mul(F, data[t][1], r)
         restr[(s, t)] = r
+    shared = {h: {a: h} for h in set(stalks.values())}  # one dims map per dim
     got = S._coh_cache[a] = SheafComplex(
-        F, S.complex, S.domain, {sid: {a: h} for sid, h in stalks.items()}, {},
+        F, S.complex, S.domain, {sid: shared[h] for sid, h in stalks.items()}, {},
         {p: {a: m} for p, m in restr.items()})
     return got
 
@@ -337,14 +354,14 @@ def _add_family_columns(S, G, heads, sid, bids):
 
     Column (sid, q, i) has the restrictions of basis vector i of S(sid) in
     degree q to every boundary simplex ρ ≥ sid, placed at the chain (ρ,).
-    Each composite's nonzero entries go straight into `G.ucols`, under one
-    key tuple per column: the blocks at distinct (ρ, q) are disjoint and
-    the keys of distinct sids differ, so each entry is written once and
-    nothing needs adding up.  Every composite starts at sid, so one memo
-    per sid serves them all; it is dropped on return, before the
-    same-support cleanup.
+    Each composite's nonzero entries go straight into G's map columns
+    (`G.ucol`), under one key tuple per column: the blocks at distinct
+    (ρ, q) are disjoint and the keys of distinct sids differ, so each
+    entry is written once and nothing needs adding up.  Every composite
+    starts at sid, so one memo per sid serves them all; it is dropped on
+    return, before the same-support cleanup.
     """
-    memo, ucols = {}, G.ucols
+    memo, ucol = {}, G.ucol
     for rho in S.complex.up_set(sid):
         if rho not in bids:
             continue
@@ -358,7 +375,7 @@ def _add_family_columns(S, G, heads, sid, bids):
                 for j in range(n):
                     v = rm[j][i]
                     if v:
-                        ucols.setdefault(h0 + j, {})[key] = v
+                        ucol(h0 + j)[key] = v
 
 
 def pushforward_open(S, V, cleanup=True):

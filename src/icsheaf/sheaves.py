@@ -88,10 +88,11 @@ class SheafComplex:
     and are never mutated, and neither is any map of `dims`, `diffs` or
     `restrictions`: no operation changes a map in place, so one map may
     serve many simplices or pairs, within a complex and across complexes
-    (`constant_complex` gives every cover pair the same one).  Two kinds
-    of derived data are cached per instance and owned by it alone: stalk
-    cohomology and, filled by `sections.cohomology_sheaf`, one cohomology
-    sheaf per degree.  A restricted copy starts with empty caches and
+    (`constant_complex` gives every simplex the same dims map and every
+    cover pair the same restriction map).  Two kinds of derived data are
+    cached per instance and owned by it alone: stalk cohomology and,
+    filled by `sections.cohomology_sheaf`, one cohomology sheaf per
+    degree.  A restricted copy starts with empty caches and
     computes the same values again where it reads them.  Costalks are not
     cached: each check that reads them keeps its own table for as long as
     it runs.  Composite restrictions are not cached here either: they are
@@ -375,9 +376,11 @@ def _block_diag(F, A, B, ra, ca, rb, cb):
 def constant_complex(F, complex, domain, rank=1):
     """The constant sheaf of the given rank on any domain, in degree 0.
 
-    Every cover pair shares one {0: identity} map.
+    Every simplex shares one {0: rank} dims map and every cover pair one
+    {0: identity} map; no operation mutates a map, so the shares hold.
     """
-    dims = {s: {0: rank} for s in domain.ids}
+    value = {0: rank}
+    dims = {s: value for s in domain.ids}
     ident = {0: mx.identity(F, rank)}
     restr = {p: ident for p in domain.cover_pairs()}
     return SheafComplex(F, complex, domain, dims, {}, restr)

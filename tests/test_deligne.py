@@ -397,6 +397,34 @@ def test_no_operation_mutates_a_shared_map(monkeypatch, spaces, name, system):
                 name, system, i, what)
 
 
+def _one_dims_map_per_value(dims):
+    maps = {}  # value -> ids of the maps that hold it
+    for qs in dims.values():
+        maps.setdefault(tuple(sorted(qs.items())), set()).add(id(qs))
+    return all(len(ids) == 1 for ids in maps.values())
+
+
+@pytest.mark.parametrize("name", demos.DEMO_NAMES)
+def test_systems_and_cohomology_sheaves_share_one_dims_map_per_value(tower_of, name):
+    # a constant system, the attached local systems (extended by zero and
+    # raw) and every cohomology sheaf of the IC give all simplices with the
+    # same value one dims map, which no operation mutates
+    bundle = tower_of(name)
+    S, K, U = bundle.ic, bundle.ic.complex, bundle.filtration.U
+    L = constant_complex(QQ, K, U[1], 2)
+    assert len({id(qs) for qs in L.dims.values()}) == 1
+    attached = [bundle.intermediates[0],
+                deligne._attach_systems(QQ, K, bundle.systems, U[max(U)],
+                                        upto=max(bundle.systems), raw=True)]
+    for A in attached:
+        assert len(A.dims) > len({id(qs) for qs in A.dims.values()})
+        assert _one_dims_map_per_value(A.dims), name
+    lo, hi = S.degree_range()
+    for a in range(lo, hi + 1):
+        H = sec.cohomology_sheaf(S, a)
+        assert _one_dims_map_per_value(H.dims), (name, a)
+
+
 def test_stages_keep_no_composite_restrictions(towers):
     # composite restrictions are memoized per pushforward call, not per stage
     for name, bundle in towers.items():

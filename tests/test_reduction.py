@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from types import MappingProxyType
 from itertools import combinations
 
 import pytest
@@ -92,6 +94,67 @@ def test_ucols_fill_through_an_elimination():
     assert G.ucols == {z: {"e": Fraction(-3, 2)}}
     assert G.degree == {z: 1}
     assert G.dout == [{}, {}, {}] and not hasattr(G, "din")
+
+
+@pytest.mark.parametrize("same_support", (False, True), ids=("free", "same-support"))
+def test_reduce_leaves_one_shared_dead_row_and_only_the_survivors(same_support):
+    # every eliminated id's row is the one read-only empty row, in every
+    # complex, and degree is rebuilt for the survivors: its table is no
+    # larger than a fresh dict of them (1 on the 8-vertex simplex freely,
+    # a few per support class otherwise)
+    G, faces = simplex_cochains(8, support=lambda f: f[0] if same_support else None)
+    G.reduce(same_support)
+    assert sys.getsizeof(G.degree) <= sys.getsizeof({g: d for g, d in G.degree.items()})
+    complexes = [G] + [random_complex(QQ, random.Random(seed)) for seed in range(5)]
+    dead = set()
+    for H in complexes:
+        if H is not G:
+            H.reduce(same_support)
+        eliminated = [g for g in range(len(H.dout)) if g not in H.degree]
+        assert eliminated
+        for g in eliminated:
+            row = H.dout[g]
+            assert type(row) is MappingProxyType and not row
+            with pytest.raises(TypeError):
+                row[g] = 1
+            dead.add(id(row))
+    assert len(dead) == 1
+
+
+@pytest.mark.parametrize("field", ("q", "fp:32003"))
+def test_every_key_of_a_pushforward_is_its_id_object(monkeypatch, tower_of, field):
+    # the nerve complex of every pushforward in a tower keys its rows, its
+    # reverse index, its map columns and its degrees by the one int object
+    # add_gen made for each id, before, during and after the cleanup
+    real_reduce, real_eliminate = SparseComplex.reduce, SparseComplex.eliminate
+    checked = []
+
+    def shared(G):
+        ids = G.ids
+        assert len(ids) > 256  # ids above 256 are not the interpreter's cached ints
+        assert all(g is ids[g] for g in G.degree)
+        assert all(h is ids[h] for row in G.dout for h in row)
+        assert all(h is ids[h] for h in G.ucols)
+
+    def eliminate(G, g, h):
+        if len(checked) % 64 == 0:
+            assert all(s is G.ids[s] for ins in G.din for s in ins)
+        checked.append(g)
+        return real_eliminate(G, g, h)
+
+    def reduce(G, same_support=False):
+        if same_support:
+            shared(G)
+        real_reduce(G, same_support)
+        if same_support:
+            shared(G)
+
+    bundle = tower_of("susp-s1xs2", field)
+    monkeypatch.setattr(SparseComplex, "reduce", reduce)
+    monkeypatch.setattr(SparseComplex, "eliminate", eliminate)
+    for entry, S in zip(bundle.log, bundle.intermediates):
+        sec.pushforward_open(S, bundle.filtration.U[entry["collapsed_through"] + 1])
+    assert checked
 
 
 @pytest.mark.parametrize("field", ("q", "fp:2", "fp:32003"))

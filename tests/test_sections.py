@@ -74,6 +74,32 @@ def test_truncation_contract(built):
                 assert cut == {q: d for q, d in full.items() if q <= a}, (name, a, sid)
 
 
+def test_truncation_shares_every_map_below_the_cutoff(towers):
+    # a dims, differential or restriction map wholly below the cutoff is
+    # the complex's own map (a differential map where its keys are the
+    # degrees the truncation emits), at every cutoff of every tower step
+    shared = 0
+    for name, bundle in towers.items():
+        for entry, stage in zip(bundle.log, bundle.intermediates):
+            S = sec.pushforward_open(
+                stage, bundle.filtration.U[entry["collapsed_through"] + 1])
+            lo, hi = S.degree_range()
+            for a in range(lo, hi):
+                T = sec.truncate_le(S, a)
+                for sid, qs in S.dims.items():
+                    if max(qs) < a:
+                        assert T.dims[sid] is qs, (name, a, sid)
+                        got = S.diffs.get(sid)
+                        if got and got.keys() == {q for q in qs if q + 1 in qs}:
+                            assert T.diffs[sid] is got, (name, a, sid)
+                            shared += 1
+                for p, ms in S.restrictions.items():
+                    if ms and max(ms) < a:
+                        assert T.restrictions[p] is ms, (name, a, p)
+                        shared += 1
+    assert shared
+
+
 def test_truncation_identity_when_bounded():
     K, U = punctured_disk()
     S = constant_complex(QQ, K, U)
