@@ -109,9 +109,13 @@ def dims_doc(dims):
 def sheaf_complex_doc(S):
     """The document of a SheafComplex: domain, stalk dims and every matrix.
 
-    Equal matrices share one document list for the call: a complex holds
-    many references to few distinct values (shared blocks, identities and
-    0/1 selections), and equal values print the same, so each is written
+    A missing matrix is zero; the writer spells out the canonical keys:
+    every degree q of a simplex's value that also has degree q + 1, and
+    every degree of either end of a cover pair, each written as the zero
+    matrix of its shape where the complex stores none.  Equal matrices
+    share one document list for the call: a complex holds many references
+    to few distinct values (shared blocks, identities, 0/1 selections and
+    zero blocks), and equal values print the same, so each is written
     once.  `json` encodes a shared list in full wherever it appears.  The
     entries share their strings the same way: most are a few values (0, 1,
     −1), and each distinct one is printed once per call.  The stalk dims,
@@ -122,7 +126,8 @@ def sheaf_complex_doc(S):
     """
     K = S.complex
     F = S.F
-    docs, strs = {}, {}
+    docs, strs, zeros = {}, {}, {}
+    none = {}
 
     def estr(x):
         got = strs.get(x)
@@ -137,6 +142,12 @@ def sheaf_complex_doc(S):
             got = docs[key] = [[estr(x) for x in row] for row in key]
         return got
 
+    def zero(rows, cols):
+        got = zeros.get((rows, cols))
+        if got is None:
+            got = zeros[(rows, cols)] = mdoc(((F.zero,) * cols,) * rows)
+        return got
+
     def sid_key(sid):
         return simplex_key(K, sid)
 
@@ -147,17 +158,28 @@ def sheaf_complex_doc(S):
         for sid in sorted(S.dims, key=sid_key):
             yield sid_key(sid), dims_doc(S.dims[sid])
 
-    def matrix_rows(maps, name):
-        for k in sorted(maps, key=name):
-            row = {str(q): mdoc(m) for q, m in sorted(maps[k].items())}
+    def differential_rows():
+        for sid in sorted(S.dims, key=sid_key):
+            qs, ms = S.dims[sid], S.diffs.get(sid, none)
+            row = {str(q): mdoc(ms[q]) if q in ms else zero(qs[q + 1], d)
+                   for q, d in sorted(qs.items()) if q + 1 in qs}
             if row:
-                yield name(k), row
+                yield sid_key(sid), row
+
+    def restriction_rows():
+        pairs = [p for p in S.domain.cover_pairs() if p[0] in S.dims or p[1] in S.dims]
+        for p in sorted(pairs, key=pair_key):
+            qs, qt = S.dims.get(p[0], none), S.dims.get(p[1], none)
+            ms = S.restrictions.get(p, none)
+            yield pair_key(p), {
+                str(q): mdoc(ms[q]) if q in ms else zero(qt.get(q, 0), qs.get(q, 0))
+                for q in sorted(qs.keys() | qt.keys())}
 
     return {"field": F.name,
             "domain": [list(K.simplices[i]) for i in sorted(S.domain.ids)],
             "stalk_dims": Rows(stalk_rows),
-            "differentials": Rows(lambda: matrix_rows(S.diffs, sid_key)),
-            "restrictions": Rows(lambda: matrix_rows(S.restrictions, pair_key))}
+            "differentials": Rows(differential_rows),
+            "restrictions": Rows(restriction_rows)}
 
 
 def bundle_doc(bundle):

@@ -195,46 +195,42 @@ def truncate_le(S, a):
     basis, and the degree-a blocks pass through unchanged; elsewhere they
     are read in the rref kernel basis at its free columns (`_coordinates`).
     A dims, differential or restriction map that lies wholly below a is
-    S's own map, shared and not copied: no operation mutates a map.  A
-    differential map is shared where its keys are exactly the degrees the
-    truncation would emit, the key-set check `direct_sum` uses, so the
-    explicit zero matrices of a value whose map lacks them are still made.
+    S's own map, shared and not copied: no operation mutates a map.
     """
     F = S.F
     if S.degree_range()[1] <= a:
         return S
+    none = {}
     dims, diffs, restr = {}, {}, {}
     kernels = {}  # sid -> (d^a, basis columns, free columns), None for the identity
     for sid, qs in S.dims.items():
+        ms = S.diffs.get(sid, none)
         if max(qs) < a:
-            nd = qs
-            got = S.diffs.get(sid)
-            if got and got.keys() == {q for q in qs if q + 1 in qs}:
-                dims[sid], diffs[sid] = qs, got
-                continue
-        else:
-            nd = {q: d for q, d in qs.items() if q < a}
-            da = qs.get(a)
-            if da:
-                d = S.diff(sid, a) if qs.get(a + 1) else None
-                if _vanishes(d):
-                    nd[a] = da
-                    kernels[sid] = None
-                else:
-                    kb, free = mx.kernel(F, d, da)
-                    if free:
-                        nd[a] = len(free)
-                        kernels[sid] = (d, kb, free)
+            dims[sid] = qs
+            if ms:
+                diffs[sid] = ms
+            continue
+        nd = {q: d for q, d in qs.items() if q < a}
+        da = qs.get(a)
+        if da:
+            d = ms.get(a) if qs.get(a + 1) else None
+            if _vanishes(d):
+                nd[a] = da
+                kernels[sid] = None
+            else:
+                kb, free = mx.kernel(F, d, da)
+                if free:
+                    nd[a] = len(free)
+                    kernels[sid] = (d, kb, free)
         if nd:
             dims[sid] = nd
             dm = {}
-            for q in nd:
-                if q + 1 < a and qs.get(q + 1):
-                    dm[q] = S.diff(sid, q)
+            for q, m in ms.items():
+                if q + 1 < a:
+                    dm[q] = m
                 elif q + 1 == a and sid in kernels:
                     # the image of d^{a-1} in the kernel basis
-                    dm[q] = _coordinates(S, kernels[sid], S.diff(sid, q), a,
-                                         "differential", (sid,))
+                    dm[q] = _coordinates(S, kernels[sid], m, a, "differential", (sid,))
             if dm:
                 diffs[sid] = dm
     for (s, t), ms in S.restrictions.items():

@@ -9,7 +9,9 @@ one degree: a local system lives in degree 0 and the degree-a cohomology
 sheaf of a complex in degree a.  Everything is immutable and explicit;
 operations return new objects, which share every matrix and value they
 leave unchanged with their inputs.  A matrix, and a map of matrices or
-dims, is never mutated once it is part of a complex.
+dims, is never mutated once it is part of a complex.  A missing matrix is
+zero; the writer (`reports.sheaf_complex_doc`) spells out the canonical
+keys, so no operation stores a zero block for the sake of a document.
 """
 
 from . import matrices as mx
@@ -275,68 +277,40 @@ class SheafComplex:
     # -- operations -----------------------------------------------------------
 
     def direct_sum(self, other):
-        """Blockwise sum; where one summand has no value, the other's block is shared.
-
-        Every key of the general sum is emitted, including explicit zero
-        matrices, so the result is the same document either way.  Where
-        the one summand's map at a simplex or pair already has exactly
-        those keys, the map itself is shared.
-        """
+        """Blockwise sum: a simplex or cover pair where one summand alone has
+        a value keeps that summand's maps as they are."""
         if self.domain != other.domain:
             raise SheafError("direct sum requires equal domains")
         if self.F is not other.F:
             raise SheafError("direct sum requires a common field")
         F = self.F
         none = {}
+
+        def total(in_a, in_b, ma, mb, shape):
+            # shape(S, q): the rows and columns of S's degree-q block
+            if not in_b:
+                return ma
+            if not in_a:
+                return mb
+            ma, mb = ma or none, mb or none
+            return {q: _block_diag(F, ma.get(q), mb.get(q), *shape(self, q), *shape(other, q))
+                    for q in sorted(ma.keys() | mb.keys())}
+
         dims, diffs, restr = {}, {}, {}
-        for sid in self.domain.ids:
-            qa = self.dims.get(sid, none)
-            qb = other.dims.get(sid, none)
-            if not (qa or qb):
-                continue
-            only = other if not qa else self if not qb else None
-            if only is not None:
-                nd = dims[sid] = qa or qb
-                got = only.diffs.get(sid)
-                if got and got.keys() == {q for q in nd if nd.get(q + 1)}:
-                    diffs[sid] = got
-                    continue
-            else:
-                nd = dims[sid] = {q: qa.get(q, 0) + qb.get(q, 0)
-                                  for q in sorted(set(qa) | set(qb))}
-            dmap = {}
-            for q in nd:
-                if not nd.get(q + 1):
-                    continue
-                if only is not None:
-                    dmap[q] = only.diff(sid, q)
-                else:
-                    dmap[q] = _block_diag(F, self.diff(sid, q), other.diff(sid, q),
-                                          qa.get(q + 1, 0), qa.get(q, 0),
-                                          qb.get(q + 1, 0), qb.get(q, 0))
-            if dmap:
-                diffs[sid] = dmap
-        for (s, t) in self.domain.cover_pairs():
-            sa, ta = self.dims.get(s, none), self.dims.get(t, none)
-            sb, tb = other.dims.get(s, none), other.dims.get(t, none)
-            only = other if not (sa or ta) else self if not (sb or tb) else None
-            qs = sorted(set(sa) | set(sb) | set(ta) | set(tb))
-            if only is not None:
-                got = only.restrictions.get((s, t))
-                if got and got.keys() == set(qs):
-                    restr[(s, t)] = got
-                    continue
-            rmap = {}
-            for q in qs:
-                if only is not None:
-                    rmap[q] = only.restriction_cover(s, t, q)
-                else:
-                    rmap[q] = _block_diag(F, self.restriction_cover(s, t, q),
-                                          other.restriction_cover(s, t, q),
-                                          ta.get(q, 0), sa.get(q, 0),
-                                          tb.get(q, 0), sb.get(q, 0))
-            if rmap:
-                restr[(s, t)] = rmap
+        for sid in self.dims.keys() | other.dims.keys():
+            qa, qb = self.dims.get(sid, none), other.dims.get(sid, none)
+            dims[sid] = {q: qa.get(q, 0) + qb.get(q, 0) for q in sorted(qa.keys() | qb.keys())} \
+                if qa and qb else qa or qb
+            dm = total(qa, qb, self.diffs.get(sid), other.diffs.get(sid),
+                       lambda S, q: (S.dim(sid, q + 1), S.dim(sid, q)))
+            if dm:
+                diffs[sid] = dm
+        for (s, t) in self.restrictions.keys() | other.restrictions.keys():
+            rm = total(s in self.dims or t in self.dims, s in other.dims or t in other.dims,
+                       self.restrictions.get((s, t)), other.restrictions.get((s, t)),
+                       lambda S, q: (S.dim(t, q), S.dim(s, q)))
+            if rm:
+                restr[(s, t)] = rm
         return SheafComplex(F, self.complex, self.domain, dims, diffs, restr)
 
     def restrict_open(self, subset):
@@ -363,13 +337,14 @@ class SheafComplex:
 
 
 def _block_diag(F, A, B, ra, ca, rb, cb):
+    """diag(A, B) for an ra × ca block A and an rb × cb block B; None is zero."""
     out = mx.zeros(F, ra + rb, ca + cb)
-    for i in range(ra):
-        for j in range(ca):
-            out[i][j] = A[i][j]
-    for i in range(rb):
-        for j in range(cb):
-            out[ra + i][ca + j] = B[i][j]
+    if A is not None:
+        for i in range(ra):
+            out[i][:ca] = A[i]
+    if B is not None:
+        for i in range(rb):
+            out[ra + i][ca:] = B[i]
     return out
 
 

@@ -10,7 +10,6 @@ import pytest
 from icsheaf import axioms as ax
 from icsheaf import cli, deligne, demos, stratify
 from icsheaf.cli import run
-from icsheaf.fields import QQ
 from icsheaf import reports
 from icsheaf.simplicial import SimplicialComplex, load_complex
 from icsheaf.stratify import compute_open_filtration, validate_stratification
@@ -310,16 +309,32 @@ def test_build_report_contents(tmp_path):
     assert rep["construction_log"][0]["cutoff"] == -2
 
 
-def test_bundle_dump_round_trip(tmp_path):
-    o = out(tmp_path)
-    assert run(["build", "demo:wedge", "--out", o]) == 0
-    doc = json.loads((tmp_path / "o" / "ic-bundle.json").read_text())
-    cpath = tmp_path / "o" / "demos" / "wedge" / "complex.json"
-    K = load_complex(json.loads(cpath.read_text()))
-    S = oracles.load_sheaf_complex(doc["report"]["complex"], K, QQ)
-    S.validate()
-    got = reports.table_doc(K, S.stalk_table())
-    assert got == doc["report"]["stalk_table"]
+def _has_shape(m, rows, cols):
+    return len(m) == rows and all(len(row) == cols for row in m)
+
+
+def test_bundle_dump_round_trip(tmp_path, spaces, build_of):
+    # every build report reads back as a valid complex with the report's
+    # stalk table, and every matrix it writes, the zero blocks the writer
+    # spells out included, has the shape its stalk dims give
+    for name in demos.DEMO_NAMES:
+        K = spaces[name][0]
+        for field in ("q", "fp:32003"):
+            for naive in (False, True):
+                bundle = build_of(name, field, naive)
+                path = reports.write_report(tmp_path / "ic-bundle.json", {},
+                                            reports.bundle_doc(bundle))
+                doc = json.loads(path.read_text())["report"]
+                S = oracles.load_sheaf_complex(doc["complex"], K, bundle.field)
+                for s, ms in S.diffs.items():
+                    for q, m in ms.items():
+                        assert _has_shape(m, S.dim(s, q + 1), S.dim(s, q)), (name, s, q)
+                for (s, t), ms in S.restrictions.items():
+                    for q, m in ms.items():
+                        assert _has_shape(m, S.dim(t, q), S.dim(s, q)), (name, s, t, q)
+                S.validate()
+                got = reports.table_doc(K, S.stalk_table())
+                assert got == doc["stalk_table"], (name, field, naive)
 
 
 def test_compare_command(tmp_path):

@@ -425,6 +425,40 @@ def test_systems_and_cohomology_sheaves_share_one_dims_map_per_value(tower_of, n
         assert _one_dims_map_per_value(H.dims), (name, a)
 
 
+@pytest.mark.parametrize("name", demos.DEMO_NAMES)
+def test_direct_sum_shares_every_one_sided_map(monkeypatch, spaces, name):
+    # a simplex or cover pair where one summand alone has a value keeps
+    # that summand's dims, differential and restriction maps: every sum of
+    # a canonical and a naive QQ build shares them, and none is rebuilt
+    real = SheafComplex.direct_sum
+    shared, rebuilt = [0], []
+
+    def summing(A, B):
+        C = real(A, B)
+        for X, Y in ((A, B), (B, A)):
+            one_sided = X.dims.keys() - Y.dims.keys()
+            for sid in one_sided:
+                for what, mine, got in (("dims", X.dims, C.dims), ("diffs", X.diffs, C.diffs)):
+                    if sid in mine:
+                        if got.get(sid) is mine[sid]:
+                            shared[0] += 1
+                        else:
+                            rebuilt.append((what, sid))
+            for p, ms in X.restrictions.items():
+                if (p[0] in one_sided or p[1] in one_sided) \
+                        and p[0] not in Y.dims and p[1] not in Y.dims:
+                    if C.restrictions.get(p) is ms:
+                        shared[0] += 1
+                    else:
+                        rebuilt.append(("restrictions", p))
+        return C
+
+    monkeypatch.setattr(SheafComplex, "direct_sum", summing)
+    for naive in (False, True):
+        deligne.build_tower(spaces[name][1], naive=naive)
+    assert shared[0] and not rebuilt, (shared[0], len(rebuilt), rebuilt[:5])
+
+
 def test_stages_keep_no_composite_restrictions(towers):
     # composite restrictions are memoized per pushforward call, not per stage
     for name, bundle in towers.items():
