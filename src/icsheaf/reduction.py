@@ -3,8 +3,9 @@
 A complex is presented by integer generator ids with integer degrees and a
 sparse differential.  `add_gen` hands out a block of consecutive ids 0,
 1, 2, … in insertion order and `add_block` copies a dense matrix between
-two blocks; every complex built from sheaf values is assembled so, through
-`SheafComplex.add_value`.  Eliminating an invertible entry is an exact
+two blocks; every section model (a complex over many simplices) is
+assembled so, through `sections._add_value`, while a question about one
+value is dense (`matrices`).  Eliminating an invertible entry is an exact
 homotopy equivalence; exhaustive free elimination leaves a zero
 differential, so the surviving generator counts are the cohomology
 dimensions.  In sheaf mode (same_support=True) only entries between

@@ -17,8 +17,9 @@ the whole domain, and a same-support reduction of that one complex keeps
 every such subcomplex up to homotopy, so `costalk_table` reads the
 costalks at all simplices off one reduction.
 
-Both are assembled as a stalk is: the summands by `SheafComplex.add_value`,
-the maps between them by `SparseComplex.add_block`.
+Both are assembled by `_add_value` and `SparseComplex.add_block` and
+reduced sparsely; a question about one value (stalk cohomology, a
+truncation kernel, invertibility) is dense (`matrices`).
 
 Open pushforward produces a nerve complex at every simplex of the target;
 to keep iterated pushforwards small the result is reduced by Gaussian
@@ -41,6 +42,17 @@ class EngineError(RuntimeError):
     pass
 
 
+def _add_value(S, G, sid, shift, sign, support):
+    """Add S's value at sid to G as consecutive ids, degree q at q + shift,
+    differential times sign (±1), all with the given support; {q: first id}."""
+    qs = S.dims.get(sid, {})
+    first = {q: G.add_gen(q + shift, support, qs[q]) for q in sorted(qs)}
+    for q, m in S.diffs.get(sid, {}).items():
+        if q in first and q + 1 in first:
+            G.add_block(first[q], first[q + 1], m, sign)
+    return first
+
+
 def _nerve_complex(S, chains):
     """The order-chain (nerve) complex of S over the given chains.
 
@@ -56,7 +68,7 @@ def _nerve_complex(S, chains):
     (−1)^(len−1).
 
     The bookkeeping holds one integer per chain, the id of its first
-    generator: `add_value` hands out consecutive ids in ascending degree
+    generator: `_add_value` hands out consecutive ids in ascending degree
     order, so a chain's degree-q block starts at that id plus an offset
     that depends only on its top, kept in one table per top simplex.  A
     chain whose top has a zero value has no generators and no entry.
@@ -70,7 +82,7 @@ def _nerve_complex(S, chains):
     start = {}    # chain -> id of its first generator
     offsets = {}  # top simplex -> {q: offset of its degree-q block}
     for c in chains:
-        ids = S.add_value(G, c[-1], len(c) - 1, (-1) ** (len(c) - 1), c[0])
+        ids = _add_value(S, G, c[-1], len(c) - 1, (-1) ** (len(c) - 1), c[0])
         if ids:
             g0 = start[c] = min(ids.values())
             if c[-1] not in offsets:
@@ -114,7 +126,7 @@ def _cellular_complex(S, members):
     K = S.complex
     G = SparseComplex(S.F)
     members = sorted(set(members) & S.domain.ids)
-    first = {sid: S.add_value(G, sid, K.sdim(sid), (-1) ** K.sdim(sid), sid)
+    first = {sid: _add_value(S, G, sid, K.sdim(sid), (-1) ** K.sdim(sid), sid)
              for sid in members}
     for sid in members:
         for cof, sign in K.cofacets[sid]:
@@ -308,22 +320,17 @@ def cohomology_sheaf(S, a):
 
     restr = {}
     for (s, t) in S.domain.cover_pairs():
-        hs, ht = stalks.get(s, 0), stalks.get(t, 0)
-        if hs == 0 and ht == 0:
-            continue
-        if hs == 0 or ht == 0:
-            restr[(s, t)] = mx.zeros(F, ht, hs)
-            continue
+        if s not in stalks or t not in stalks:
+            continue  # a missing block is zero
         r = T.restriction_cover(s, t, a)
         if data[s] is not None:
             r = [[row[j] for j in data[s][0]] for row in r]
         if data[t] is not None:
             r = mx.mat_mul(F, data[t][1], r)
-        restr[(s, t)] = r
+        restr[(s, t)] = {a: r}
     shared = {h: {a: h} for h in set(stalks.values())}  # one dims map per dim
     got = S._coh_cache[a] = SheafComplex(
-        F, S.complex, S.domain, {sid: shared[h] for sid, h in stalks.items()}, {},
-        {p: {a: m} for p, m in restr.items()})
+        F, S.complex, S.domain, {sid: shared[h] for sid, h in stalks.items()}, {}, restr)
     return got
 
 

@@ -12,10 +12,12 @@ leave unchanged with their inputs.  A matrix, and a map of matrices or
 dims, is never mutated once it is part of a complex.  A missing matrix is
 zero; the writer (`reports.sheaf_complex_doc`) spells out the canonical
 keys, so no operation stores a zero block for the sake of a document.
+A question about one value is dense (`matrices`): stalk cohomology comes
+from exact ranks, invertibility from a rank; section models over many
+simplices are sparse (`sections`).
 """
 
 from . import matrices as mx
-from .reduction import SparseComplex
 
 
 class SheafError(ValueError):
@@ -191,34 +193,20 @@ class SheafComplex:
 
     # -- derived data --------------------------------------------------------
 
-    def add_value(self, G, sid, shift=0, sign=1, support=None):
-        """Add the value at sid to G, degree q at q + shift; {q: first id}.
-
-        The internal differential enters times sign (±1); every generator
-        gets the given support.
-        """
-        qs = self.dims.get(sid, {})
-        first = {q: G.add_gen(q + shift, support, qs[q]) for q in sorted(qs)}
-        for q, m in self.diffs.get(sid, {}).items():
-            if q in first and q + 1 in first:
-                G.add_block(first[q], first[q + 1], m, sign)
-        return first
-
     def stalk_cohomology(self, sid):
-        """Cohomology dims of the value complex at sid, by sparse reduction.
+        """Cohomology dims of the value complex at sid, from exact ranks.
 
-        A value whose differentials all vanish is its own cohomology, and
-        its dims are returned without a reduction.
+        dim H^q = dim_q − rank d^q − rank d^(q−1), each rank by
+        `matrices.rank`; a missing differential has rank 0.
         """
         got = self._stalk_cache.get(sid)
         if got is None:
-            ds = self.diffs.get(sid)
-            if ds and any(any(row) for m in ds.values() for row in m):
-                G = SparseComplex(self.F)
-                self.add_value(G, sid)
-                got = G.minimize_dims()
-            else:
-                got = dict(sorted(self.dims.get(sid, {}).items()))
+            rk = {q: mx.rank(self.F, m) for q, m in self.diffs.get(sid, {}).items()}
+            got = {}
+            for q, d in sorted(self.dims.get(sid, {}).items()):
+                h = d - rk.get(q, 0) - rk.get(q - 1, 0)
+                if h:
+                    got[q] = h
             self._stalk_cache[sid] = got
         return got
 

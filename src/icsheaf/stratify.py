@@ -84,14 +84,17 @@ def validate_stratification(K, levels):
         raise StratificationError(
             "levels must be a dict from level to simplex lists, got a %s"
             % type(levels).__name__)
-    try:
-        items = {int(k): v for k, v in levels.items()}
-    except (TypeError, ValueError):
-        raise StratificationError(
-            "level keys must be integers, got %r" % sorted(map(str, levels)))
-    extra = sorted(set(items) - set(range(n + 1)))
-    if extra:
-        raise StratificationError("level %d is outside 0..%d" % (extra[0], n))
+    names = {str(k): k for k in range(n + 1)}
+    items, named = {}, {}
+    for key, v in levels.items():
+        k = key if type(key) is int and 0 <= key <= n else names.get(key)
+        if k is None:
+            raise StratificationError(
+                "level key %r is not a level 0..%d, as k or exactly str(k)" % (key, n))
+        if k in named:
+            raise StratificationError(
+                "level %d is named twice, by keys %r and %r" % (k, named[k], key))
+        items[k], named[k] = v, key
     for k in range(n + 1):
         raw = items.get(k)
         if raw is None:

@@ -11,6 +11,10 @@ columns are assembled, after the same-support cleanup and after the
 pushforward returns; then before and after verification.  Each line gives
 the MiB live at the mark and the peak since the previous mark.  The last
 lines give each phase's highest peak over the steps and the build's peak.
+Then, with the bundle held, the build's report is written to a temporary
+directory as `test_build_report_stays_below_the_build_peak` writes it,
+after a collection, and the report's peak and the report/build ratio are
+printed: that test asserts the ratio is below 1 for its five cases.
 A script, not a test: it prints and checks nothing.
 """
 
@@ -18,10 +22,11 @@ import argparse
 import gc
 import json
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
-from icsheaf import deligne, demos, sections
+from icsheaf import deligne, demos, reports, sections
 from icsheaf.fields import field_by_name
 from icsheaf.reduction import SparseComplex
 from icsheaf.simplicial import load_complex
@@ -98,7 +103,12 @@ def main():
     gc.collect()
     tracemalloc.start()
     try:
-        deligne.build_ic(strat, field=F)
+        bundle = deligne.build_ic(strat, field=F)
+        gc.collect()
+        tracemalloc.reset_peak()
+        with tempfile.TemporaryDirectory() as tmp:
+            reports.write_report(Path(tmp) / "ic-bundle.json", {}, reports.bundle_doc(bundle))
+            report_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -112,7 +122,10 @@ def main():
         phase[what] = max(phase.get(what, 0), peak)
     for what, peak in phase.items():
         print("phase peak  %-18s  %7.2f" % (what, mib(peak)))
-    print("build_ic peak  %.2f" % mib(max(peak for *_, peak in marks)))
+    build_peak = max(peak for *_, peak in marks)
+    print("build_ic peak  %.2f" % mib(build_peak))
+    print("report peak  %.2f" % mib(report_peak))
+    print("report/build  %.3f" % (report_peak / build_peak))
 
 
 if __name__ == "__main__":

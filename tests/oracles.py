@@ -2,8 +2,11 @@
 
 Everything here is written from scratch against the definitions: its own
 rational and modular Gaussian elimination and matrix product, its own
-simplicial cochain complex, brute force set enumerations, and the
-Mayer-Vietoris bookkeeping for suspensions.
+simplicial cochain complex, brute force set enumerations, the
+Mayer-Vietoris bookkeeping for suspensions, and intersection homology
+from allowable chains with its own GF(p) rank (`intersection_homology`
+for the whole space, `link_stalks` for the stalk at every simplex), which
+reads only the simplices and the levels.
 None of these uses the package's linear algebra or section machinery, so
 their results are independent of the code paths they check.  The exceptions are
 the reference versions of package code that a faster path replaced, kept
@@ -882,3 +885,181 @@ def first_reduced_difference(G, R):
                 or G.dout[g] != R.dout[g] or G.ucols.get(g) != R.ucols.get(g):
             return g
     return None
+
+
+# Intersection homology from allowable chains (Goresky–MacPherson,
+# Topology 19, 1980), over GF(p), with its own sparse rank.  It reads only
+# the simplices and the closed levels X_0 ⊆ X_1 ⊆ … of a stratification,
+# as sets of vertex sets; nothing of the sheaf engine.
+
+def _gf_ranks(columns, split, p):
+    """(rank M, rank of M's rows ≥ split) over GF(p), M given by its columns.
+
+    Each column is a {row: value} dict.  Columns are reduced in turn
+    against the earlier ones at their highest row.  A reduced column whose
+    pivot lies below `split` has no entry at a row ≥ split, and those whose
+    pivots are ≥ split stay independent on those rows, so they count the
+    rank of the high rows.
+    """
+    pivots = {}
+    rank = high = 0
+    for col in columns:
+        col = {r: v % p for r, v in col.items() if v % p}
+        while col:
+            r = max(col)
+            other = pivots.get(r)
+            if other is None:
+                inv = pow(col[r], p - 2, p)
+                pivots[r] = {k: v * inv % p for k, v in col.items()}
+                rank += 1
+                high += r >= split
+                break
+            f = col[r]
+            for k, v in other.items():
+                x = (col.get(k, 0) - f * v) % p
+                if x:
+                    col[k] = x
+                else:
+                    col.pop(k, None)
+    return rank, high
+
+
+def _ih(members, level, m, p):
+    """{i: IH_i} over GF(p) of a space with closed levels of codimension 2(m − j).
+
+    members: the space's simplices as frozensets.  level[τ] is the least
+    j < m with τ in the closed level X_j, or m where there is none.  The
+    chains are those of the barycentric subdivision: an i-flag τ_0 ⊂ … ⊂ τ_i
+    of members.  Its members in X_j form an initial segment, and it is
+    allowable when, for every j < m, there are none or at most i − m + j of
+    them: middle perversity at the real codimension 2(m − j).  With A_i the
+    allowable i-flags and π_i the projection onto the others,
+    IH_i = |A_i| − rank ∂|A_i − rank ∂|A_(i+1) + rank π_i ∂|A_(i+1).
+    """
+    order = sorted(members, key=lambda t: (len(t), sorted(t)))
+    up = {t: [u for u in order if len(u) > len(t) and t < u] for t in order}
+    flags = {}
+
+    def extend(flag):
+        flags.setdefault(len(flag) - 1, []).append(flag)
+        for u in up[flag[-1]]:
+            extend(flag + (u,))
+
+    for t in order:
+        extend((t,))
+    rows, split = {}, {}  # allowable i-flags first, then the others
+    for i, fs in flags.items():
+        good, bad = [], []
+        for f in fs:
+            (good if _allowable(f, level, m) else bad).append(f)
+        rows[i] = {f: r for r, f in enumerate(good + bad)}
+        split[i] = len(good)
+    ranks = {}
+    for i in flags:
+        if i == 0:
+            continue
+        below = rows[i - 1]
+        cols = [{below[f[:k] + f[k + 1:]]: (-1) ** k for k in range(i + 1)}
+                for f, r in rows[i].items() if r < split[i]]
+        ranks[i] = _gf_ranks(cols, split[i - 1], p)
+    out = {}
+    for i in flags:
+        r_i = ranks.get(i, (0, 0))[0]
+        r_up, s_up = ranks.get(i + 1, (0, 0))
+        h = split[i] - r_i - r_up + s_up
+        if h:
+            out[i] = h
+    return out
+
+
+def _allowable(flag, level, m):
+    i = len(flag) - 1
+    for j in range(m):
+        c = sum(level[t] <= j for t in flag)
+        if c and c > i - m + j:
+            return False
+    return True
+
+
+def _pure_closures(simplices, levels):
+    """{m: X^m}: the closure of the union of the open strata of dimension m.
+
+    simplices: every simplex of the space, as a frozenset; levels[k]: the
+    closed level X_k, a set of them.  A stratum is a component of
+    X_m − X_(m−1), connected through the cover relation (`components_by_bfs`
+    compares every pair, too slow here), and it is open when it holds every
+    coface of its members.
+    """
+    cofacets = {s: [] for s in simplices}
+    for s in simplices:
+        if len(s) > 1:
+            for v in s:
+                cofacets[s - {v}].append(s)
+    out = {}
+    for m in range(1, len(levels)):
+        content = levels[m] - levels[m - 1]
+        seen, union = set(), []
+        for start in content:
+            if start in seen:
+                continue
+            comp, stack = set(), [start]
+            while stack:
+                s = stack.pop()
+                if s not in comp:
+                    comp.add(s)
+                    stack += [u for u in cofacets[s] if u in content]
+                    stack += [s - {v} for v in s if s - {v} in content]
+            seen |= comp
+            if all(u in comp for s in comp for u in cofacets[s]):
+                union += comp
+        out[m] = {frozenset(c) for c in close_downward(union)}
+    return out
+
+
+def _level_of(members, levels, m, sigma=frozenset()):
+    """{τ: the least j < m with τ ∪ sigma in X_j, or m}."""
+    return {t: next((j for j in range(m) if t | sigma in levels[j]), m) for t in members}
+
+
+def intersection_homology(K, levels, p):
+    """{m: {i: IH_i(X^m)}} over GF(p), from allowable chains.
+
+    levels: the stratification document's levels, {k or str(k): generating
+    simplices}; X^m is computed from them here.  X^m has real dimension
+    2m, and its closed level X_j (j < m) real codimension 2(m − j).  By the
+    paper's decomposition the direct-sum IC has H^q = Σ_m IH_(m−q)(X^m).
+    """
+    lv = [{frozenset(c) for c in close_downward(levels[k])} for k in sorted(levels, key=int)]
+    closures = _pure_closures([frozenset(s) for s in K.simplices], lv)
+    return {m: _ih(X, _level_of(X, lv, m), m, p) for m, X in closures.items()}
+
+
+def link_stalks(K, strat, p):
+    """{sid: {a: dim}}, the direct-sum IC's stalks from the IH of links.
+
+    A simplex σ of X^m outside X_(m−1) has stalk {−m: 1}.  Otherwise the
+    open star of σ is R^(dim σ) × c°(lk σ), with lk σ taken in X^m and its
+    level j the τ with τ ∪ σ in X_j; refined by the cone point as a stratum
+    of codimension N = 2m − dim σ, the cone formula gives
+    H^a(IC_(X^m))_σ = IH_(a+m)(lk σ) for a + m < N − 1 − ⌊(N − 2)/2⌋, and 0
+    otherwise.  The stalk is the sum over the m with σ in X^m.
+    """
+    lv = [{frozenset(K.simplices[i]) for i in L.ids} for L in strat.levels]
+    closures = _pure_closures([frozenset(s) for s in K.simplices], lv)
+    out = {}
+    for sid, simplex in enumerate(K.simplices):
+        sigma = frozenset(simplex)
+        row = {}
+        for m, X in sorted(closures.items()):
+            if sigma not in X:
+                continue
+            if sigma not in lv[m - 1]:
+                row[-m] = row.get(-m, 0) + 1
+                continue
+            N = 2 * m - (len(sigma) - 1)
+            link = [t - sigma for t in X if sigma < t]
+            for i, h in _ih(link, _level_of(link, lv, m, sigma), m, p).items():
+                if i < N - 1 - (N - 2) // 2:
+                    row[i - m] = row.get(i - m, 0) + h
+        out[sid] = dict(sorted(row.items()))
+    return out

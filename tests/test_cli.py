@@ -81,6 +81,12 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     null = _bad_space(tmp_path, "null", dict(cdoc, vertices=None), sdoc)
     word_key = _bad_space(tmp_path, "word-key", cdoc,
                           {"levels": dict(sdoc["levels"], zero=[[0]])})
+    # "01" names level 1 too; it was read in place of the bad level "1"
+    shadow_key = _bad_space(tmp_path, "shadow-key", cdoc,
+                            {"levels": {"0": sdoc["levels"]["0"],
+                                        "1": [["not", "a", "vertex"]],
+                                        "01": sdoc["levels"]["1"],
+                                        "2": sdoc["levels"]["2"]}})
     # rejected before its 2^64 - 1 faces are expanded
     huge = _bad_space(tmp_path, "huge",
                       {"vertices": list(range(64)), "maximal_simplices": [list(range(64))]},
@@ -152,6 +158,7 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_ic", no_build)
     for argv in (["validate", nested], ["validate", null], ["validate", word_key],
+                 ["validate", shadow_key],
                  ["validate", huge], ["validate", above], ["validate", below],
                  ["validate", listed],
                  ["validate", not_utf8], ["validate", deep], ["validate", deep_levels],

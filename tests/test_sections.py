@@ -364,7 +364,12 @@ def test_cohomology_sheaf_restrictions(built):
 @pytest.mark.parametrize("field", ("q", "fp:32003"))
 def test_cohomology_sheaf_matches_reference(build_of, field, naive):
     # the flat path, the memo and the kernel coordinates against the dense
-    # solver: one CochainCohomology per simplex
+    # solver: one CochainCohomology per simplex.  A missing block is zero,
+    # and the sheaf stores none where one end has no H^a, so zero-sized
+    # blocks are dropped from both sides
+    def sized(H, a):
+        return {p: ms for p, ms in H.restrictions.items() if ms[a] and ms[a][0]}
+
     flat = 0
     for name in demos.DEMO_NAMES:
         S = build_of(name, field, naive).ic
@@ -372,7 +377,8 @@ def test_cohomology_sheaf_matches_reference(build_of, field, naive):
         for a in range(lo - 1, hi + 2):
             H, ref = sec.cohomology_sheaf(S, a), oracles.cohomology_sheaf_reference(S, a)
             assert H.dims == ref.dims, (name, a)
-            assert H.restrictions == ref.restrictions, (name, a)
+            assert sized(H, a) == sized(ref, a), (name, a)
+            assert all(H.dim(s, a) and H.dim(t, a) for s, t in H.restrictions), (name, a)
             flat += sum(H.restrictions[p][a] is S.restrictions.get(p, {}).get(a)
                         for p in H.restrictions)
     assert flat  # the flat path was taken

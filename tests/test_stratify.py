@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -57,6 +58,28 @@ def test_non_nested_levels_rejected(wedge):
         validate_stratification(K, bad)
     with pytest.raises(StratificationError, match="missing"):
         validate_stratification(K, {"2": levels["2"]})
+
+
+def test_level_keys_name_each_level_once(wedge):
+    # a key is the int k or exactly str(k); a level named by two keys was
+    # read from whichever came last, so a bad level could hide behind it
+    K, strat = wedge
+    levels = strat.levels_doc()["levels"]
+    assert len(validate_stratification(K, {int(k): v for k, v in levels.items()}).strata) == 3
+    for key in ("01", " 1", "+1", "1 ", "1.0", "one", "3", "-1", True, 1.0):
+        bad = {"0": levels["0"], key: levels["1"], "2": levels["2"]}
+        with pytest.raises(StratificationError,
+                           match=re.escape("level key %r is not a level 0..2" % (key,))):
+            validate_stratification(K, bad)
+    shadowed = {"0": levels["0"], "1": [["not", "a", "vertex"]], "01": levels["1"],
+                "2": levels["2"]}
+    with pytest.raises(StratificationError, match="level key '01' is not"):
+        validate_stratification(K, shadowed)
+    twice = {"0": levels["0"], "1": [["not", "a", "vertex"]], 1: levels["1"],
+             "2": levels["2"]}
+    with pytest.raises(StratificationError,
+                       match=r"^level 1 is named twice, by keys '1' and 1$"):
+        validate_stratification(K, twice)
 
 
 def test_odd_dimensional_complex_rejected():
