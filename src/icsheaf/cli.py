@@ -77,17 +77,29 @@ def demo_files(name, out):
     return cpath, spath
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key that appears twice in it."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError("key %r appears twice in one object" % key)
+        out[key] = value
+    return out
+
+
 def _read_json(path, what):
     """The JSON document at path and the sha256 of the bytes it was parsed from.
 
     The file is read once.  One that cannot be read or parsed is an
-    InputError: ValueError covers invalid JSON and bytes that are not
-    UTF-8, and a document nested too deeply for the parser raises
-    RecursionError.
+    InputError: ValueError covers invalid JSON, bytes that are not UTF-8
+    and a key repeated in one object, whose last value would otherwise
+    hide the others, and a document nested too deeply for the parser
+    raises RecursionError.
     """
     try:
         data = Path(path).read_bytes()
-        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+        return (json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys),
+                hashlib.sha256(data).hexdigest())
     except (OSError, ValueError, RecursionError) as e:
         raise InputError("cannot read %s: %s" % (what, e))
 

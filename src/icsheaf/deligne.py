@@ -8,7 +8,17 @@ closed extensions by zero at each stage.  This one pass builds the sum of
 the classical pure-dimensional complexes of the closures X^m, each extended
 by zero; the tests check that decomposition against the pure recursion run
 on each closure.
+
+Each stage is a disjoint union, not a block sum: the truncated pushforward
+has no value on the pieces U^m where L^m[m] is re-attached.  U^m is
+up-closed, so a value of a stage at σ ∈ U^m is built from simplices in
+U^m, in degrees ≥ −m; for m ≤ n−k that lies above the cutoff k−1−n, so
+the truncation leaves no value there, and no differential or restriction
+at a simplex where L^m[m] has one.  `_glue` merges the two complexes'
+maps and raises EngineError where they meet.
 """
+
+from itertools import chain
 
 from .fields import QQ
 from . import sections as sec
@@ -64,20 +74,26 @@ def split_local_system(L, filt, within):
 def _attach_systems(F, K, systems, ambient, upto, raw=False):
     """⊕_{m ≤ upto} L^m[m] extended by zero into the ambient open set.
 
-    With raw=True (the naive construction) the pieces are placed in the
-    ambient set as they are: the naive open sets need not contain the lower
-    local systems as closed subsets, so this is not an extension by zero.
-    The cover pairs of a piece share one {-m: matrix} map per distinct
-    matrix of L^m, and its simplices one {-m: rank} dims map per distinct
-    rank: one of each in all for a constant system.
+    The pieces U^m ∩ within are disjoint (strata of different dimensions),
+    so the sum is one complex whose maps are the pieces' maps.  Each piece
+    must be closed in the ambient set, which makes this the extension by
+    zero.  With raw=True (the naive construction) the pieces are placed in
+    the ambient set as they are: the naive open sets need not contain the
+    lower local systems as closed subsets.  The cover pairs of a piece
+    share one {-m: matrix} map per distinct matrix of L^m, and its
+    simplices one {-m: rank} dims map per distinct rank: one of each in
+    all for a constant system.
     """
-    total = None
+    dims, restr = {}, {}
     for m in sorted(systems):
         if m > upto:
             continue
         L = systems[m]
+        if not raw and not (L.domain.issubset(ambient)
+                            and L.domain.is_down_closed(within=ambient)):
+            raise SheafError("the local system on U^%d is not closed in the open set "
+                             "it is attached to" % m)
         shifted = {}  # id of a matrix of L -> its {-m: matrix} map
-        restr = {}
         for p, ms in L.restrictions.items():
             r = ms[0]
             got = shifted.get(id(r))
@@ -85,14 +101,35 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
                 got = shifted[id(r)] = {-m: r}
             restr[p] = got
         ranks = {r: {-m: r} for r in {qs[0] for qs in L.dims.values()}}
-        piece = SheafComplex(F, K, ambient if raw else L.domain,
-                             {s: ranks[qs[0]] for s, qs in L.dims.items()}, {}, restr)
-        if not raw:
-            piece = piece.extend_by_zero(ambient)
-        total = piece if total is None else total.direct_sum(piece)
-    if total is None:
-        return SheafComplex(F, K, ambient, {}, {}, {})
-    return total
+        for s, qs in L.dims.items():
+            dims[s] = ranks[qs[0]]
+    return SheafComplex(F, K, ambient, dims, {}, restr)
+
+
+def _glue(trunc, attached):
+    """The stage trunc ⊕ attached, for complexes on one domain with disjoint values.
+
+    Every map of the result is a map of one of the two, shared as it is.
+    A simplex where one side has a value and the other a value, a
+    differential or a restriction raises EngineError naming it: there the
+    sum would need blocks of both.  A cover pair where both store a map
+    has no value at either end (a rank-0 system), and keeps the
+    truncation's empty map.
+    """
+    owned, K = attached.dims, trunc.complex
+    clash = next(chain((s for s in trunc.dims if s in owned),
+                       (s for s in trunc.diffs if s in owned),
+                       (s for p in trunc.restrictions for s in p if s in owned),
+                       (s for p in attached.restrictions for s in p if s in trunc.dims)),
+                 None)
+    if clash is not None:
+        raise sec.EngineError("the truncation meets an attached local system at %s"
+                              % list(K.simplices[clash]))
+    dims = dict(trunc.dims)
+    dims.update(owned)
+    restr = dict(attached.restrictions)
+    restr.update(trunc.restrictions)
+    return SheafComplex(trunc.F, K, trunc.domain, dims, trunc.diffs, restr)
 
 
 def build_ic(strat, local_system=None, field=QQ, naive=False, within=None):
@@ -152,10 +189,10 @@ def build_tower(strat, local_system=None, field=QQ, naive=False, within=None):
         target = filt.U[k2 + 1].intersection(within)
         try:
             trunc = sec.truncate_le(sec.pushforward_open(I, target), cutoff)
+            I = _glue(trunc, _attach_systems(F, K, systems, target, upto=n - k2,
+                                             raw=naive))
         except sec.EngineError as e:
             raise type(e)("step %d (collapsed through %d): %s" % (k, k2, e)) from e
-        I = trunc.direct_sum(_attach_systems(F, K, systems, target, upto=n - k2,
-                                             raw=naive))
         del trunc  # so only I, and no step leftover, meets the next cleanup
         log.append({"step": k, "collapsed_through": k2, "cutoff": cutoff,
                     "target_size": len(target)})

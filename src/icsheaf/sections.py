@@ -381,7 +381,7 @@ def _add_family_columns(S, G, heads, sid, bids):
                         ucol(h0 + j)[key] = v
 
 
-def pushforward_open(S, V, cleanup=True):
+def pushforward_open(S, V):
     """Derived pushforward of S along the open inclusion domain(S) → V.
 
     The value at a new simplex is the order-chain section complex of its
@@ -402,11 +402,6 @@ def pushforward_open(S, V, cleanup=True):
     chains; the materialization tables come after it.  Away from the
     boundary region the result shares S's maps, which no operation
     mutates.
-
-    cleanup=False skips the same-support reduction and its check and keeps
-    the raw nerve complexes: it is the uncleaned reference that tests
-    compare the cleaned result against, and is far too large for iterated
-    pushforwards on 4-dimensional spaces.
     """
     K = S.complex
     F = S.F
@@ -434,8 +429,7 @@ def pushforward_open(S, V, cleanup=True):
     for sid in sorted(far_adjacent):
         _add_family_columns(S, G, heads, sid, bids)
 
-    if cleanup:
-        G.reduce(same_support=True)
+    G.reduce(same_support=True)
 
     # materialize
     dims, diffs, restr = {}, {}, {}
@@ -527,13 +521,12 @@ def pushforward_open(S, V, cleanup=True):
             restr[(s, t)] = ms
 
     out = SheafComplex(F, K, V, dims, diffs, restr)
-    if cleanup:
-        for sid in sorted(bids):
-            got, want = out.stalk_cohomology(sid), S.stalk_cohomology(sid)
-            if got != want:
-                q = first_difference(got, want)
-                raise EngineError(
-                    "pushforward cleanup broke the section unit at %s: degree %d "
-                    "has dim %d, the coefficient complex %d"
-                    % (list(K.simplices[sid]), q, got.get(q, 0), want.get(q, 0)))
+    for sid in sorted(bids):
+        got, want = out.stalk_cohomology(sid), S.stalk_cohomology(sid)
+        if got != want:
+            q = first_difference(got, want)
+            raise EngineError(
+                "pushforward cleanup broke the section unit at %s: degree %d "
+                "has dim %d, the coefficient complex %d"
+                % (list(K.simplices[sid]), q, got.get(q, 0), want.get(q, 0)))
     return out

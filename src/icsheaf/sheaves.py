@@ -9,9 +9,13 @@ one degree: a local system lives in degree 0 and the degree-a cohomology
 sheaf of a complex in degree a.  Everything is immutable and explicit;
 operations return new objects, which share every matrix and value they
 leave unchanged with their inputs.  A matrix, and a map of matrices or
-dims, is never mutated once it is part of a complex.  A missing matrix is
-zero; the writer (`reports.sheaf_complex_doc`) spells out the canonical
-keys, so no operation stores a zero block for the sake of a document.
+dims, is never mutated once it is part of a complex.  No operation adds
+two values at one simplex: each stage of the construction is a disjoint
+union of a truncated pushforward and the attached local systems
+(`deligne._glue`), so no block-diagonal matrix is ever built.  A missing
+matrix is zero; the writer (`reports.sheaf_complex_doc`) spells out the
+canonical keys, so no operation stores a zero block for the sake of a
+document.
 A question about one value is dense (`matrices`): stalk cohomology comes
 from exact ranks, invertibility from a rank; section models over many
 simplices are sparse (`sections`).
@@ -93,7 +97,8 @@ class SheafComplex:
     `restrictions`: no operation changes a map in place, so one map may
     serve many simplices or pairs, within a complex and across complexes
     (`constant_complex` gives every simplex the same dims map and every
-    cover pair the same restriction map).  Two kinds of derived data are
+    cover pair the same restriction map; a glued stage holds its pieces'
+    maps as they are).  Two kinds of derived data are
     cached per instance and owned by it alone: stalk cohomology and,
     filled by `sections.cohomology_sheaf`, one cohomology sheaf per
     degree.  A restricted copy starts with empty caches and
@@ -264,43 +269,6 @@ class SheafComplex:
 
     # -- operations -----------------------------------------------------------
 
-    def direct_sum(self, other):
-        """Blockwise sum: a simplex or cover pair where one summand alone has
-        a value keeps that summand's maps as they are."""
-        if self.domain != other.domain:
-            raise SheafError("direct sum requires equal domains")
-        if self.F is not other.F:
-            raise SheafError("direct sum requires a common field")
-        F = self.F
-        none = {}
-
-        def total(in_a, in_b, ma, mb, shape):
-            # shape(S, q): the rows and columns of S's degree-q block
-            if not in_b:
-                return ma
-            if not in_a:
-                return mb
-            ma, mb = ma or none, mb or none
-            return {q: _block_diag(F, ma.get(q), mb.get(q), *shape(self, q), *shape(other, q))
-                    for q in sorted(ma.keys() | mb.keys())}
-
-        dims, diffs, restr = {}, {}, {}
-        for sid in self.dims.keys() | other.dims.keys():
-            qa, qb = self.dims.get(sid, none), other.dims.get(sid, none)
-            dims[sid] = {q: qa.get(q, 0) + qb.get(q, 0) for q in sorted(qa.keys() | qb.keys())} \
-                if qa and qb else qa or qb
-            dm = total(qa, qb, self.diffs.get(sid), other.diffs.get(sid),
-                       lambda S, q: (S.dim(sid, q + 1), S.dim(sid, q)))
-            if dm:
-                diffs[sid] = dm
-        for (s, t) in self.restrictions.keys() | other.restrictions.keys():
-            rm = total(s in self.dims or t in self.dims, s in other.dims or t in other.dims,
-                       self.restrictions.get((s, t)), other.restrictions.get((s, t)),
-                       lambda S, q: (S.dim(t, q), S.dim(s, q)))
-            if rm:
-                restr[(s, t)] = rm
-        return SheafComplex(F, self.complex, self.domain, dims, diffs, restr)
-
     def restrict_open(self, subset):
         if not subset.issubset(self.domain) or not subset.is_up_closed(within=self.domain):
             raise SheafError("restrict_open needs an up-closed subset of the domain")
@@ -309,31 +277,6 @@ class SheafComplex:
         restr = {p: ms for p, ms in self.restrictions.items()
                  if p[0] in subset.ids and p[1] in subset.ids}
         return SheafComplex(self.F, self.complex, subset, dims, diffs, restr)
-
-    def extend_by_zero(self, ambient):
-        """Extension by zero to an ambient SimplexSet containing the domain.
-
-        The domain must be down-closed inside the ambient set (closed
-        pushforward); values outside are zero, so no new matrices appear.
-        """
-        if not self.domain.issubset(ambient):
-            raise SheafError("ambient set must contain the domain")
-        if not self.domain.is_down_closed(within=ambient):
-            raise SheafError("extend_by_zero requires a domain closed in the ambient set")
-        return SheafComplex(self.F, self.complex, ambient,
-                            self.dims, self.diffs, self.restrictions)
-
-
-def _block_diag(F, A, B, ra, ca, rb, cb):
-    """diag(A, B) for an ra × ca block A and an rb × cb block B; None is zero."""
-    out = mx.zeros(F, ra + rb, ca + cb)
-    if A is not None:
-        for i in range(ra):
-            out[i][:ca] = A[i]
-    if B is not None:
-        for i in range(rb):
-            out[ra + i][ca:] = B[i]
-    return out
 
 
 def constant_complex(F, complex, domain, rank=1):

@@ -87,9 +87,9 @@ def main():
         if cleanup:
             mark("after cleanup")
 
-    def push(S, V, cleanup=True):
+    def push(S, V):
         state["step"] += 1
-        out = real_push(S, V, cleanup)
+        out = real_push(S, V)
         mark("after pushforward")
         return out
 

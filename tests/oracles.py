@@ -22,12 +22,17 @@ helpers only tests need: `shift` builds test complexes,
 
 Library paths that no command runs live here too, as references:
 `rgamma_dims`, RΓ over any up-set in the order-chain (nerve) model, which
-`hypercohomology` computes in the cellular model over clopen domains only;
-`restrict_closed`; `is_refinement`; and the paper's decomposition
+`hypercohomology` computes in the cellular model over clopen domains only,
+and with it the pushforward's stalks by definition (`pushforward_mismatch`);
+`restrict_closed`; `is_refinement`; the general block sum `direct_sum`
+and `extend_by_zero`, which the construction replaced by gluing disjoint
+pieces; and the paper's decomposition
 statement, `check_decomposition`, which builds each pure closure's
 complex with `build_ic_pure` (through `restrict_stratification`, which
 takes the closure as a standalone complex with `subcomplex`, and
-`transport_complex`) and compares their sum with the direct-sum build.
+`transport_complex`) and compares their sum with the direct-sum build;
+`stellar` subdivides a simplex, for the paper's independence of the
+triangulation.
 """
 
 import heapq
@@ -356,6 +361,25 @@ def rgamma_dims(S, member_ids):
     return G.minimize_dims()
 
 
+def pushforward_mismatch(S, T):
+    """Where T is not the open pushforward of S by definition, or None.
+
+    The stalk of Rj_*S at a simplex σ of T's domain is RΓ over the deleted
+    star up(σ) ∩ domain(S) (`rgamma_dims`); at an old simplex that is S's
+    own stalk.  Returns (simplex, degree, T's dim, the definition's dim) at
+    the first simplex in id order that differs.
+    """
+    K = S.complex
+    for sid in sorted(T.domain.ids):
+        want = S.stalk_cohomology(sid) if sid in S.domain.ids \
+            else rgamma_dims(S, K.up_set(sid))
+        got = T.stalk_cohomology(sid)
+        q = first_difference(got, want)
+        if q is not None:
+            return list(K.simplices[sid]), q, got.get(q, 0), want.get(q, 0)
+    return None
+
+
 def restrict_closed(S, subset):
     """S restricted to a down-closed subset of its domain."""
     if not subset.issubset(S.domain) or not subset.is_down_closed(within=S.domain):
@@ -404,6 +428,34 @@ def subcomplex(K, down_closed_set):
     return sub, to_parent, from_parent
 
 
+def stellar(K, levels, sigma):
+    """Stellar subdivision of K at the simplex sigma, with its levels.
+
+    A new vertex v, one past the largest vertex, goes inside sigma: each
+    maximal simplex T ⊇ sigma becomes the simplices {v} ∪ T − {x} for
+    x ∈ sigma, and each generating simplex of a level changes the same
+    way.  Returns (K', levels', carrier): carrier[i] is the id in K of the
+    smallest old simplex that contains simplex i of K', which is v
+    replaced by sigma.
+    """
+    sigma = set(sigma)
+    v = max(K.vertices) + 1
+
+    def split(simplices):
+        out = []
+        for t in simplices:
+            if sigma <= set(t):
+                out.extend(sorted((set(t) - {x}) | {v}) for x in sorted(sigma))
+            else:
+                out.append(list(t))
+        return out
+
+    maximal = [t for i, t in enumerate(K.simplices) if not K.cofacets[i]]
+    K2 = SimplicialComplex(K.vertices + (v,), split(maximal))
+    carrier = [K.id_of((set(t) - {v}) | sigma if v in t else t) for t in K2.simplices]
+    return K2, {k: split(gens) for k, gens in levels.items()}, carrier
+
+
 def restrict_stratification(strat, closed_set):
     """The induced stratification of a down-closed union of strata."""
     K = strat.complex
@@ -448,6 +500,74 @@ def build_ic_pure(strat, m, Lm=None, field=QQ):
     return parent_ic, bundle
 
 
+def direct_sum(A, B):
+    """Blockwise sum of two complexes on one domain.
+
+    A simplex or cover pair where one summand alone has a value keeps that
+    summand's maps as they are; elsewhere every degree is a block-diagonal
+    matrix.  The construction glues disjoint pieces instead (`deligne._glue`);
+    this is the general sum the tests compare and add complexes with.
+    """
+    if A.domain != B.domain:
+        raise SheafError("direct sum requires equal domains")
+    if A.F is not B.F:
+        raise SheafError("direct sum requires a common field")
+    F = A.F
+    none = {}
+
+    def total(in_a, in_b, ma, mb, shape):
+        # shape(S, q): the rows and columns of S's degree-q block
+        if not in_b:
+            return ma
+        if not in_a:
+            return mb
+        ma, mb = ma or none, mb or none
+        return {q: block_diag(F, ma.get(q), mb.get(q), *shape(A, q), *shape(B, q))
+                for q in sorted(ma.keys() | mb.keys())}
+
+    dims, diffs, restr = {}, {}, {}
+    for sid in A.dims.keys() | B.dims.keys():
+        qa, qb = A.dims.get(sid, none), B.dims.get(sid, none)
+        dims[sid] = {q: qa.get(q, 0) + qb.get(q, 0) for q in sorted(qa.keys() | qb.keys())} \
+            if qa and qb else qa or qb
+        dm = total(qa, qb, A.diffs.get(sid), B.diffs.get(sid),
+                   lambda S, q: (S.dim(sid, q + 1), S.dim(sid, q)))
+        if dm:
+            diffs[sid] = dm
+    for (s, t) in A.restrictions.keys() | B.restrictions.keys():
+        rm = total(s in A.dims or t in A.dims, s in B.dims or t in B.dims,
+                   A.restrictions.get((s, t)), B.restrictions.get((s, t)),
+                   lambda S, q: (S.dim(t, q), S.dim(s, q)))
+        if rm:
+            restr[(s, t)] = rm
+    return SheafComplex(F, A.complex, A.domain, dims, diffs, restr)
+
+
+def block_diag(F, A, B, ra, ca, rb, cb):
+    """diag(A, B) for an ra × ca block A and an rb × cb block B; None is zero."""
+    out = mx.zeros(F, ra + rb, ca + cb)
+    if A is not None:
+        for i in range(ra):
+            out[i][:ca] = A[i]
+    if B is not None:
+        for i in range(rb):
+            out[ra + i][ca:] = B[i]
+    return out
+
+
+def extend_by_zero(S, ambient):
+    """S extended by zero to an ambient SimplexSet containing its domain.
+
+    The domain must be down-closed inside the ambient set (closed
+    pushforward); values outside are zero, so no new matrices appear.
+    """
+    if not S.domain.issubset(ambient):
+        raise SheafError("ambient set must contain the domain")
+    if not S.domain.is_down_closed(within=ambient):
+        raise SheafError("extend_by_zero requires a domain closed in the ambient set")
+    return SheafComplex(S.F, S.complex, ambient, S.dims, S.diffs, S.restrictions)
+
+
 def check_decomposition(bundle):
     """Compare the direct construction with the sum of pure-closure complexes.
 
@@ -462,8 +582,8 @@ def check_decomposition(bundle):
         piece, sub_bundle = build_ic_pure(strat, m, bundle.systems[m],
                                           field=bundle.field)
         summand_hyperco[m] = sec.hypercohomology(sub_bundle.ic)
-        ext = piece.extend_by_zero(K.full_set())
-        total = ext if total is None else total.direct_sum(ext)
+        ext = extend_by_zero(piece, K.full_set())
+        total = ext if total is None else direct_sum(total, ext)
     table_direct = bundle.ic.stalk_table()
     table_sum = total.stalk_table()
     mismatch = None

@@ -123,7 +123,7 @@ def test_support_locus(wedge_ic, wedge):
 def test_ax2_rejects_non_clc(wedge):
     K, strat = wedge
     v = K.simplex_set({K.id_of([1])})
-    sky = constant_complex(QQ, K, v).extend_by_zero(K.full_set())
+    sky = oracles.extend_by_zero(constant_complex(QQ, K, v), K.full_set())
     with pytest.raises(ax.AxiomInputError):
         ax.check_ax2(sky, strat)
 

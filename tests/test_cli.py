@@ -29,6 +29,11 @@ def _bad_space(tmp_path, name, complex_doc, strat_doc):
     return str(d)
 
 
+def _object_text(pairs):
+    """JSON text for an object with the given (key, text) pairs, repeated keys kept."""
+    return "{%s}" % ", ".join("%s: %s" % (json.dumps(k), v) for k, v in pairs)
+
+
 def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     o = out(tmp_path)
     # PASS -> 0
@@ -108,6 +113,17 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     (Path(deep) / "complex.json").write_text("[" * 200000)
     deep_levels = _bad_space(tmp_path, "deep-levels", cdoc, sdoc)
     (Path(deep_levels) / "stratification.json").write_text("[" * 200000)
+    # a key repeated in one object is refused, not read as its last value
+    levels = sdoc["levels"]
+    twice_level = _bad_space(tmp_path, "twice-level", cdoc, sdoc)
+    (Path(twice_level) / "stratification.json").write_text(_object_text([
+        ("levels", _object_text([("0", json.dumps(levels["0"])),
+                                 ("1", '[["not", "a", "vertex"]]'),
+                                 ("1", json.dumps(levels["1"])),
+                                 ("2", json.dumps(levels["2"]))]))]))
+    twice_vertices = _bad_space(tmp_path, "twice-vertices", cdoc, sdoc)
+    (Path(twice_vertices) / "complex.json").write_text(_object_text(
+        [("vertices", "[0]")] + [(k, json.dumps(v)) for k, v in cdoc.items()]))
     # local-system files, each breaking one rule of a valid rank-2 system
     K = load_complex(cdoc)
     U = compute_open_filtration(validate_stratification(K, sdoc["levels"])).U[1]
@@ -136,6 +152,9 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     path = tmp_path / "string-rank.json"
     path.write_text(json.dumps({"rank": "2"}))
     systems.append((str(path), "rank must be a nonnegative integer, got '2'"))
+    path = tmp_path / "twice-rank.json"
+    path.write_text(_object_text([("rank", "-1"), ("rank", "2")]))
+    systems.append((str(path), "cannot read local system: key 'rank' appears twice"))
     for name, data in (("not-utf8", b'{"rank": "\xff"}'), ("deep", b"[" * 200000)):
         path = tmp_path / (name + ".json")
         path.write_bytes(data)
@@ -195,6 +214,11 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
         assert run(argv + ["--out", o]) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    for space, what, key in ((twice_level, "stratification", "1"),
+                             (twice_vertices, "complex", "vertices")):
+        assert run(["validate", space, "--out", o]) == 1, space
+        assert capsys.readouterr().err == "error: cannot read %s: key %r appears twice " \
+            "in one object\n" % (what, key)
     for path, reason in systems:
         assert run(["build", "demo:wedge", "--local-system", path, "--out", o]) == 1, path
         err = capsys.readouterr().err

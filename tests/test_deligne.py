@@ -1,6 +1,8 @@
 import copy
 import gc
+import json
 import random
+import re
 import tracemalloc
 import weakref
 
@@ -270,7 +272,7 @@ def test_decomposition_all_spaces_and_random_refinements(built, spaces):
 
 def test_hypercohomology_additive_over_sums(built):
     S = built["wedge"].ic
-    T = S.direct_sum(S)
+    T = oracles.direct_sum(S, S)
     hs = sec.hypercohomology(S)
     assert sec.hypercohomology(T) == {q: 2 * d for q, d in hs.items()}
 
@@ -359,7 +361,7 @@ def test_build_report_stays_below_the_build_peak(tmp_path, name, field):
 def test_no_operation_mutates_a_shared_map(monkeypatch, spaces, name, system):
     # maps are shared across simplices, pairs and complexes (one {degree:
     # matrix} map per matrix of a local system, the far region of a
-    # pushforward, one summand's maps in a direct sum), so none may change
+    # pushforward, the pieces' maps in a glued stage), so none may change
     # in place: every complex built here, the local system and each stage
     # among them, keeps the dims, differentials and restrictions it was
     # built with through build_tower, costalk_table, cohomology_sheaf and
@@ -427,36 +429,46 @@ def test_systems_and_cohomology_sheaves_share_one_dims_map_per_value(tower_of, n
 
 @pytest.mark.parametrize("name", demos.DEMO_NAMES)
 def test_direct_sum_shares_every_one_sided_map(monkeypatch, spaces, name):
-    # a simplex or cover pair where one summand alone has a value keeps
-    # that summand's dims, differential and restriction maps: every sum of
-    # a canonical and a naive QQ build shares them, and none is rebuilt
-    real = SheafComplex.direct_sum
+    # each stage is the truncation and the attached systems glued as a
+    # disjoint union, so every map is one-sided: every dims, differential
+    # and restriction map of a glued stage is a map of one of the two, and
+    # none is rebuilt, in canonical and naive QQ builds
+    real = deligne._glue
     shared, rebuilt = [0], []
 
-    def summing(A, B):
-        C = real(A, B)
-        for X, Y in ((A, B), (B, A)):
-            one_sided = X.dims.keys() - Y.dims.keys()
-            for sid in one_sided:
-                for what, mine, got in (("dims", X.dims, C.dims), ("diffs", X.diffs, C.diffs)):
-                    if sid in mine:
-                        if got.get(sid) is mine[sid]:
-                            shared[0] += 1
-                        else:
-                            rebuilt.append((what, sid))
-            for p, ms in X.restrictions.items():
-                if (p[0] in one_sided or p[1] in one_sided) \
-                        and p[0] not in Y.dims and p[1] not in Y.dims:
-                    if C.restrictions.get(p) is ms:
-                        shared[0] += 1
-                    else:
-                        rebuilt.append(("restrictions", p))
+    def glue(trunc, attached):
+        C = real(trunc, attached)
+        for what in ("dims", "diffs", "restrictions"):
+            mine, theirs, got = (getattr(X, what) for X in (trunc, attached, C))
+            assert got.keys() == mine.keys() | theirs.keys(), (name, what)
+            for key, m in got.items():
+                if m is mine.get(key) or m is theirs.get(key):
+                    shared[0] += 1
+                else:
+                    rebuilt.append((what, key))
         return C
 
-    monkeypatch.setattr(SheafComplex, "direct_sum", summing)
+    monkeypatch.setattr(deligne, "_glue", glue)
     for naive in (False, True):
         deligne.build_tower(spaces[name][1], naive=naive)
     assert shared[0] and not rebuilt, (shared[0], len(rebuilt), rebuilt[:5])
+
+
+@pytest.mark.parametrize("name,naive", (("wedge", False), ("nonpure-wedge", True)))
+def test_glue_rejects_a_truncation_that_meets_the_attached_systems(monkeypatch, spaces,
+                                                                   name, naive):
+    # with the truncation made the identity, the pushforward keeps the
+    # lower local systems' values on U^1 where they are attached again;
+    # the glue names the step and a simplex there instead of summing them
+    K, strat = spaces[name]
+    monkeypatch.setattr(sec, "truncate_le", lambda S, a: S)
+    with pytest.raises(sec.EngineError) as info:
+        deligne.build_tower(strat, naive=naive)
+    got = re.fullmatch(r"step 1 \(collapsed through (\d)\): the truncation meets an "
+                       r"attached local system at (\[[\d, ]*\])", str(info.value))
+    assert got, str(info.value)
+    U1 = compute_open_filtration(strat).U_m[1]
+    assert K.id_of(json.loads(got.group(2))) in U1.ids, str(info.value)
 
 
 def test_stages_keep_no_composite_restrictions(towers):
@@ -568,7 +580,7 @@ def test_coarsen_rejects_non_clc(spaces):
     K, strat = spaces["wedge"]
     # a skyscraper off the strata pattern is not locally constant stratumwise
     v = K.simplex_set({K.id_of([1])})
-    sky = constant_complex(QQ, K, v).extend_by_zero(K.full_set())
+    sky = oracles.extend_by_zero(constant_complex(QQ, K, v), K.full_set())
     with pytest.raises(SheafError, match="locally constant"):
         clc_coarsen(strat, sky)
 
