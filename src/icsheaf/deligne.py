@@ -82,7 +82,8 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
     lower local systems as closed subsets.  The cover pairs of a piece
     share one {-m: matrix} map per distinct matrix of L^m, and its
     simplices one {-m: rank} dims map per distinct rank: one of each in
-    all for a constant system.
+    all for a constant system.  A cover pair of rank 0, with no value at
+    either end, stores no map.
     """
     dims, restr = {}, {}
     for m in sorted(systems):
@@ -96,6 +97,8 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
         shifted = {}  # id of a matrix of L -> its {-m: matrix} map
         for p, ms in L.restrictions.items():
             r = ms[0]
+            if not r:  # 0 × 0, as L's maps are invertible
+                continue
             got = shifted.get(id(r))
             if got is None:
                 got = shifted[id(r)] = {-m: r}
@@ -112,9 +115,9 @@ def _glue(trunc, attached):
     Every map of the result is a map of one of the two, shared as it is.
     A simplex where one side has a value and the other a value, a
     differential or a restriction raises EngineError naming it: there the
-    sum would need blocks of both.  A cover pair where both store a map
-    has no value at either end (a rank-0 system), and keeps the
-    truncation's empty map.
+    sum would need blocks of both.  So does a cover pair where both store
+    a map, since every map of the attached systems has a value at both
+    ends.
     """
     owned, K = attached.dims, trunc.complex
     clash = next(chain((s for s in trunc.dims if s in owned),

@@ -381,6 +381,22 @@ def _add_family_columns(S, G, heads, sid, bids):
                         ucol(h0 + j)[key] = v
 
 
+def _block(F, rows, ncols, entries):
+    """The dense map with ncols columns into rows, {live id: row}, or None if zero.
+
+    entries are (id, column, value) triples; one whose id has no row, or
+    whose value is zero or None, is left out.
+    """
+    m = None
+    for g, j, v in entries:
+        i = rows.get(g)
+        if i is not None and v:
+            if m is None:
+                m = mx.zeros(F, len(rows), ncols)
+            m[i][j] = v
+    return m
+
+
 def pushforward_open(S, V):
     """Derived pushforward of S along the open inclusion domain(S) → V.
 
@@ -399,9 +415,15 @@ def pushforward_open(S, V):
     holds the nerve complex (its rows `dout`, the family columns `ucols`
     with one key tuple per column and, while `reduce` runs, the reverse
     index of source ids and the candidate heap) and nothing of the
-    chains; the materialization tables come after it.  Away from the
-    boundary region the result shares S's maps, which no operation
-    mutates.
+    chains.  The materialization after it holds one index per region
+    simplex and degree, `at[sid][q]`, which maps each live id that sid
+    sees (a survivor supported at a simplex ≥ sid), in ascending id
+    order, to its row there.  `_block` builds every dense map of the step
+    from (id, column, value) entries read off that index: the differential
+    at each region simplex, the 0/1 selection at each region cover pair
+    and the family restriction from each far-adjacent simplex into the
+    boundary region.  Away from the boundary region the result shares S's
+    maps, which no operation mutates.
     """
     K = S.complex
     F = S.F
@@ -420,100 +442,69 @@ def pushforward_open(S, V):
     G, heads = _nerve_complex(S, all_chains(K, bids))
 
     # compatible-family map from boundary-adjacent old simplices
-    far_adjacent = set()
-    for sid in far:
-        for c, _ in K.cofacets[sid]:
-            if c in bids:
-                far_adjacent.add(sid)
-                break
-    for sid in sorted(far_adjacent):
+    far_adjacent = sorted(sid for sid in far
+                          if any(c in bids for c, _ in K.cofacets[sid]))
+    for sid in far_adjacent:
         _add_family_columns(S, G, heads, sid, bids)
 
     G.reduce(same_support=True)
 
-    # materialize
     dims, diffs, restr = {}, {}, {}
     for sid in far:
         if sid in S.dims:
             dims[sid] = S.dims[sid]
         if sid in S.diffs:
             diffs[sid] = S.diffs[sid]
-    alive = {sid: {} for sid in region}
+    # at[sid][q]: each live degree-q id that sid sees (one supported at a
+    # simplex >= sid), in ascending id order, to its row there
+    at = {sid: {} for sid in region}
     down_cache = {}
     for g in G.gens_sorted():
         supp = G.support[g]
         lst = down_cache.get(supp)
         if lst is None:
-            lst = [x for x in K.down_set(supp) if x in region]
-            down_cache[supp] = lst
+            lst = down_cache[supp] = [x for x in K.down_set(supp) if x in region]
         q = G.degree[g]
         for sid in lst:
-            alive[sid].setdefault(q, []).append(g)
-    index_at = {}
-    for sid in region:
-        index_at[sid] = {q: {g: i for i, g in enumerate(gs)}
-                         for q, gs in alive[sid].items()}
-        nd = {q: len(gs) for q, gs in alive[sid].items()}
-        if nd:
-            dims[sid] = nd
+            rows = at[sid].setdefault(q, {})
+            rows[g] = len(rows)
+    for sid, qs in at.items():
+        if qs:
+            dims[sid] = {q: len(rows) for q, rows in qs.items()}
     for sid in sorted(region):
-        dm = {}
-        for q, gs in alive[sid].items():
-            tgt = alive[sid].get(q + 1)
-            if not tgt:
-                continue
-            m = mx.zeros(F, len(tgt), len(gs))
-            ti = index_at[sid][q + 1]
-            hit = False
-            for j, g in enumerate(gs):
-                for h, v in G.dout[g].items():
-                    i = ti.get(h)
-                    if i is not None:
-                        m[i][j] = v
-                        hit = True
-            if hit:
-                dm[q] = m
+        qs, dm = at[sid], {}
+        for q, cols in qs.items():
+            if q + 1 in qs:
+                m = _block(F, qs[q + 1], len(cols), ((h, j, v) for g, j in cols.items()
+                                                     for h, v in G.dout[g].items()))
+                if m:
+                    dm[q] = m
         if dm:
             diffs[sid] = dm
-    # a restriction selects the generators alive at the coface
+    # a restriction selects the ids the coface sees, each of which s sees
+    # too, so it is never zero; a cofacet of a region simplex is in the
+    # region, since V is up-closed and a cofacet in U lies above a new simplex
     for s in sorted(region):
         for t, _ in K.cofacets[s]:
-            if t not in region:
-                continue
             rm = {}
-            for q, gs in alive[s].items():
-                tgt = alive[t].get(q)
-                if not tgt:
-                    continue
-                m = mx.zeros(F, len(tgt), len(gs))
-                si = index_at[s][q]
-                for i, g in enumerate(tgt):
-                    m[i][si[g]] = F.one
-                rm[q] = m
+            for q, cols in at[s].items():
+                if q in at[t]:
+                    rm[q] = _block(F, at[t][q], len(cols),
+                                   ((g, cols[g], F.one) for g in at[t][q]))
             if rm:
                 restr[(s, t)] = rm
-    for s in sorted(far_adjacent):
+    for s in far_adjacent:
         for t, _ in K.cofacets[s]:
             if t not in bids:
                 continue
             rm = {}
             for q, d in sorted(S.dims.get(s, {}).items()):
-                tgt = alive[t].get(q)
-                if not tgt:
-                    continue
-                m = mx.zeros(F, len(tgt), d)
-                hit = False
-                for i, g in enumerate(tgt):
-                    col = G.ucols.get(g)
-                    if not col:
-                        continue
-                    for i2 in range(d):
-                        v = col.get((s, q, i2))
-                        if v:
-                            m[i][i2] = v
-                            hit = True
-                if hit:
-                    rm[q] = m
+                if q in at[t]:
+                    m = _block(F, at[t][q], d, ((g, i, G.ucols[g].get((s, q, i)))
+                                                for g in at[t][q] if g in G.ucols
+                                                for i in range(d)))
+                    if m:
+                        rm[q] = m
             if rm:
                 restr[(s, t)] = rm
     for (s, t), ms in S.restrictions.items():

@@ -13,8 +13,10 @@ from icsheaf.deligne import (ICBundle, _verify_bundle, build_ic, clc_coarsen,
                              compare_stratifications)
 from icsheaf.fields import QQ, field_by_name
 from icsheaf import sections as sec
+from icsheaf.reduction import SparseComplex
 from icsheaf.sheaves import (SheafComplex, SheafError, constant_complex, first_difference,
                              make_local_system)
+from icsheaf.simplicial import SimplicialComplex
 from icsheaf.stratify import compute_open_filtration
 from icsheaf.stratify import StratificationError, validate_stratification
 
@@ -37,6 +39,25 @@ def test_engine_errors_name_the_step(spaces, monkeypatch):
     with pytest.raises(sec.EngineError,
                        match=r"^step 2 \(collapsed through 2\): the restriction at"):
         build_ic(strat)
+
+
+def test_pushforward_unit_check_names_step_simplex_and_degree(spaces, monkeypatch):
+    # a same-support cleanup that loses a survivor breaks the section unit
+    # on the boundary region, and the check says at which step, simplex
+    # and degree
+    real = SparseComplex.reduce
+
+    def lossy(G, same_support=False):
+        real(G, same_support)
+        if same_support:
+            del G.degree[min(G.degree)]
+
+    monkeypatch.setattr(SparseComplex, "reduce", lossy)
+    with pytest.raises(sec.EngineError,
+                       match=r"^step \d+ \(collapsed through \d+\): pushforward cleanup "
+                             r"broke the section unit at \[\d+(, \d+)*\]: degree -?\d+ "
+                             r"has dim \d+, the coefficient complex \d+$"):
+        build_ic(spaces["wedge"][1])
 
 
 def test_manifold_trivial_build():
@@ -147,25 +168,58 @@ def test_susp_oracle_and_duality(built):
     assert dims == dims[::-1]
 
 
-@pytest.mark.parametrize("name", demos.DEMO_NAMES)
+# the 6-vertex RP²
+RP2 = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+       [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5]]
+
+
+def susp_rp2xs1():
+    """The suspension of RP² × S¹, staircase-multiplied with a 3-cycle.
+
+    1,190 simplices; the apexes 18 and 19 are levels 0 and 1.  Not a CLI demo.
+    """
+    circle = [[0, 1], [1, 2], [0, 2]]
+    cells = [[3 * u + w for u, w in c] for c in demos.staircase_product(RP2, circle)]
+    top = [c + [18] for c in cells] + [c + [19] for c in cells]
+    K = SimplicialComplex(range(20), top)
+    return validate_stratification(
+        K, {"2": [sorted(c) for c in top], "1": [[18], [19]], "0": [[18], [19]]})
+
+
+@pytest.mark.parametrize("name", demos.DEMO_NAMES + ("susp-rp2xs1",))
 def test_verdier_self_duality(build_of, spaces, name):
     # the middle-perversity IC with constant coefficients is Verdier self-dual
     # (Goresky-MacPherson, Intersection Homology II): costalk^a = stalk^-a on
     # every simplex.  The naive builds are negative controls: they break it
     # exactly at nonpure-wedge's cone point and on fake-surface's fake sphere.
-    K, strat = spaces[name]
-    expect_bad = set()
-    if name == "nonpure-wedge":
-        expect_bad = {(12,)}
-    elif name == "fake-surface":
-        expect_bad = {K.simplices[sid] for sid in oracles.fake_surface_stratum_ids(K)}
-        assert len(expect_bad) == 14
-    for naive in (False, True):
-        S = build_of(name, "fp:32003", naive).ic
+    # So is the suspension of the non-orientable RP² × S¹ over QQ and GF(3),
+    # which breaks it exactly at the two apexes; over GF(2) every manifold
+    # is orientable and it holds everywhere.  Its apex stalk is H^0 and H^1
+    # of RP² × S¹ shifted by −2 (the cone formula).
+    if name == "susp-rp2xs1":
+        strat = susp_rp2xs1()
+        K = strat.complex
+        cases = []
+        for field, h1, want in (("fp:2", 2, set()), ("q", 1, {(18,), (19,)}),
+                                ("fp:3", 1, {(18,), (19,)})):
+            S = build_ic(strat, field=field_by_name(field)).ic
+            assert S.stalk_cohomology(K.id_of([18])) == {-2: 1, -1: h1}, field
+            cases.append((S, want))
+    else:
+        K, strat = spaces[name]
+        expect_bad = set()
+        if name == "nonpure-wedge":
+            expect_bad = {(12,)}
+        elif name == "fake-surface":
+            expect_bad = {K.simplices[sid] for sid in oracles.fake_surface_stratum_ids(K)}
+            assert len(expect_bad) == 14
+        cases = [(build_of(name, "fp:32003", naive).ic, expect_bad if naive else set())
+                 for naive in (False, True)]
+    for S, want in cases:
         bad = {K.simplices[sid] for sid in sorted(K.full_set().ids)
                if sec.cell_costalk(S, sid)
                != {-q: d for q, d in S.stalk_cohomology(sid).items()}}
-        assert bad == (expect_bad if naive else set()), naive
+        assert bad == want, (name, S.F.name)
 
 
 @pytest.mark.parametrize("field", ("q", "fp:32003"))

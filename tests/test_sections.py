@@ -288,19 +288,19 @@ def test_stratum_costalk_shift_identity(built):
                     (name, k, sid)
 
 
-def test_cleanup_rank_neutrality_pushforwards(spaces):
-    # the cleaned pushforward has the stalks of the definition, RΓ over the
-    # deleted star at every new simplex and the coefficients' at every old
-    # one, for the construction's first pushforward on every bundled space
-    from icsheaf.deligne import default_local_system, split_local_system, _attach_systems
-    for name, (K, strat) in spaces.items():
-        filt = compute_open_filtration(strat)
-        L = default_local_system(QQ, filt)
-        systems = split_local_system(L, filt, filt.U[1])
-        I1 = _attach_systems(QQ, K, systems, filt.U[1], upto=strat.n)
-        target = filt.U[2] if len(filt.U[2]) > len(filt.U[1]) else filt.U[strat.n + 1]
-        T = sec.pushforward_open(I1, target)
-        assert oracles.pushforward_mismatch(I1, T) is None, name
+def test_cleanup_rank_neutrality_pushforwards(tower_of):
+    # every pushforward step of every canonical and naive tower over GF(32003),
+    # the collapsed naive steps included, has the stalks of the definition
+    # (RΓ over the deleted star at every new simplex, the coefficients' at
+    # every old one), d² = 0, restrictions (family restrictions included)
+    # that commute with d, and path-independent composites
+    for name in demos.DEMO_NAMES:
+        for naive in (False, True):
+            inter = tower_of(name, "fp:32003", naive).intermediates
+            for i in range(len(inter) - 1):
+                T = sec.pushforward_open(inter[i], inter[i + 1].domain)
+                assert oracles.pushforward_mismatch(inter[i], T) is None, (name, naive, i)
+                T.validate()
 
 
 def test_cleanup_rank_neutrality_full_builds(towers):
