@@ -115,9 +115,8 @@ def _glue(trunc, attached):
     Every map of the result is a map of one of the two, shared as it is.
     A simplex where one side has a value and the other a value, a
     differential or a restriction raises EngineError naming it: there the
-    sum would need blocks of both.  So does a cover pair where both store
-    a map, since every map of the attached systems has a value at both
-    ends.
+    sum would need blocks of both.  So does a cover pair both store: every
+    map of the attached systems has a value at both ends.
     """
     owned, K = attached.dims, trunc.complex
     clash = next(chain((s for s in trunc.dims if s in owned),

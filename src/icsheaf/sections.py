@@ -397,6 +397,22 @@ def _block(F, rows, ncols, entries):
     return m
 
 
+def _out_entries(G, cols):
+    """(target id, column, value) of G's differential on the ids of cols, {id: column}."""
+    for g, j in cols.items():
+        for h, v in G.dout[g].items():
+            yield h, j, v
+
+
+def _family_entries(G, rows, s, q, d):
+    """(id, column, value) of the family columns from s's degree q into rows."""
+    for g in rows:
+        col = G.ucols.get(g)
+        if col:
+            for i in range(d):
+                yield g, i, col.get((s, q, i))
+
+
 def pushforward_open(S, V):
     """Derived pushforward of S along the open inclusion domain(S) → V.
 
@@ -415,15 +431,11 @@ def pushforward_open(S, V):
     holds the nerve complex (its rows `dout`, the family columns `ucols`
     with one key tuple per column and, while `reduce` runs, the reverse
     index of source ids and the candidate heap) and nothing of the
-    chains.  The materialization after it holds one index per region
-    simplex and degree, `at[sid][q]`, which maps each live id that sid
-    sees (a survivor supported at a simplex ≥ sid), in ascending id
-    order, to its row there.  `_block` builds every dense map of the step
-    from (id, column, value) entries read off that index: the differential
-    at each region simplex, the 0/1 selection at each region cover pair
-    and the family restriction from each far-adjacent simplex into the
-    boundary region.  Away from the boundary region the result shares S's
-    maps, which no operation mutates.
+    chains.  The materialization after it holds `at[sid][q]`: for each
+    region simplex and degree, the live ids sid sees (those supported at a
+    simplex ≥ sid), in ascending order, each to its row there.  `_block`
+    makes every dense map of the step from it.  Away from the boundary
+    region the result shares S's maps, which no operation mutates.
     """
     K = S.complex
     F = S.F
@@ -442,74 +454,67 @@ def pushforward_open(S, V):
     G, heads = _nerve_complex(S, all_chains(K, bids))
 
     # compatible-family map from boundary-adjacent old simplices
-    far_adjacent = sorted(sid for sid in far
-                          if any(c in bids for c, _ in K.cofacets[sid]))
-    for sid in far_adjacent:
+    far_adjacent = set()
+    for sid in far:
+        for c, _ in K.cofacets[sid]:
+            if c in bids:
+                far_adjacent.add(sid)
+                break
+    for sid in sorted(far_adjacent):
         _add_family_columns(S, G, heads, sid, bids)
 
     G.reduce(same_support=True)
 
-    dims, diffs, restr = {}, {}, {}
-    for sid in far:
-        if sid in S.dims:
-            dims[sid] = S.dims[sid]
-        if sid in S.diffs:
-            diffs[sid] = S.diffs[sid]
-    # at[sid][q]: each live degree-q id that sid sees (one supported at a
-    # simplex >= sid), in ascending id order, to its row there
+    dims = {sid: d for sid, d in S.dims.items() if sid in far}
+    diffs = {sid: d for sid, d in S.diffs.items() if sid in far}
+    restr = {p: ms for p, ms in S.restrictions.items() if p[0] in far and p[1] in far}
     at = {sid: {} for sid in region}
     down_cache = {}
     for g in G.gens_sorted():
         supp = G.support[g]
         lst = down_cache.get(supp)
         if lst is None:
-            lst = down_cache[supp] = [x for x in K.down_set(supp) if x in region]
+            lst = [x for x in K.down_set(supp) if x in region]
+            down_cache[supp] = lst
         q = G.degree[g]
         for sid in lst:
             rows = at[sid].setdefault(q, {})
             rows[g] = len(rows)
-    for sid, qs in at.items():
-        if qs:
-            dims[sid] = {q: len(rows) for q, rows in qs.items()}
     for sid in sorted(region):
         qs, dm = at[sid], {}
+        if qs:
+            dims[sid] = {q: len(rows) for q, rows in qs.items()}
         for q, cols in qs.items():
             if q + 1 in qs:
-                m = _block(F, qs[q + 1], len(cols), ((h, j, v) for g, j in cols.items()
-                                                     for h, v in G.dout[g].items()))
+                m = _block(F, qs[q + 1], len(cols), _out_entries(G, cols))
                 if m:
                     dm[q] = m
         if dm:
             diffs[sid] = dm
-    # a restriction selects the ids the coface sees, each of which s sees
-    # too, so it is never zero; a cofacet of a region simplex is in the
-    # region, since V is up-closed and a cofacet in U lies above a new simplex
+    # a restriction selects the ids the coface sees, all seen by s too; the
+    # region is the up-set of the new simplices, so it holds every cofacet
     for s in sorted(region):
         for t, _ in K.cofacets[s]:
             rm = {}
             for q, cols in at[s].items():
-                if q in at[t]:
-                    rm[q] = _block(F, at[t][q], len(cols),
-                                   ((g, cols[g], F.one) for g in at[t][q]))
+                rows = at[t].get(q)
+                if rows:
+                    rm[q] = _block(F, rows, len(cols), [(g, cols[g], F.one) for g in rows])
             if rm:
                 restr[(s, t)] = rm
-    for s in far_adjacent:
+    for s in sorted(far_adjacent):
         for t, _ in K.cofacets[s]:
             if t not in bids:
                 continue
             rm = {}
             for q, d in sorted(S.dims.get(s, {}).items()):
-                if q in at[t]:
-                    m = _block(F, at[t][q], d, ((g, i, G.ucols[g].get((s, q, i)))
-                                                for g in at[t][q] if g in G.ucols
-                                                for i in range(d)))
+                rows = at[t].get(q)
+                if rows:
+                    m = _block(F, rows, d, _family_entries(G, rows, s, q, d))
                     if m:
                         rm[q] = m
             if rm:
                 restr[(s, t)] = rm
-    for (s, t), ms in S.restrictions.items():
-        if s in far and t in far:
-            restr[(s, t)] = ms
 
     out = SheafComplex(F, K, V, dims, diffs, restr)
     for sid in sorted(bids):
