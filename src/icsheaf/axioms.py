@@ -149,11 +149,11 @@ def check_ax1(S, strat):
 
     # (c) attaching, as costalk vanishing on the non-open strata
     witnesses = []
-    for k in range(1, n + 1):
-        zone = filt.U[k + 1].difference(filt.U[k])
-        for sid in sorted(zone.ids):
-            table = sec.cell_costalk(S, sid)
-            bad = [a for a, d in table.items() if d and a <= n - k]
+    zones = {k: filt.U[k + 1].difference(filt.U[k]).ids for k in range(1, n + 1)}
+    costalks = sec.cell_costalk(S, set().union(*zones.values()))
+    for k, zone in zones.items():
+        for sid in sorted(zone):
+            bad = [a for a, d in costalks[sid].items() if d and a <= n - k]
             if bad:
                 witnesses.append(Witness("costalk", "c", [sid], min(bad),
                                          None, n - k, m=k))
@@ -181,7 +181,7 @@ def check_ax2(S, strat):
     clauses = [_normalization_clause(S, "a", filt.U_m)]
     hi = S.degree_range()[1]
 
-    costalks = sec.costalk_table(S)
+    costalks = sec.cell_costalk(S, S.domain.ids)
     crange = sorted({a for t in costalks.values() for a in t})
 
     support_w, cosupport_w = [], []
@@ -251,7 +251,7 @@ def check_classic_ax2(S):
                                 not witnesses, witnesses))
 
     # (c) support, (d) cosupport -- global loci
-    costalks = sec.costalk_table(S)
+    costalks = sec.cell_costalk(S, S.domain.ids)
     crange = sorted({a for t in costalks.values() for a in t})
     support_w = _locus_witnesses(K, S.domain.ids, range(-n + 1, hi + 1),
                                  S.stalk_cohomology, "stalk", "c", lambda a: -a)

@@ -18,10 +18,10 @@ from . import axioms as ax
 from . import sections as sec
 from .deligne import (build_ic, clc_coarsen, compare_stratifications,
                       default_costalk_sample)
-from .fields import field_by_name
-from .sheaves import SheafError, make_local_system
-from .simplicial import ComplexError, SimplicialComplex, load_complex
-from .stratify import (StratificationError, compute_open_filtration,
+from .fields import QQ, field_by_name
+from .sheaves import SheafError, constant_complex, make_local_system
+from .simplicial import ComplexError, SimplicialComplex, complex_to_doc, load_complex
+from .stratify import (TRUST_NOTE, StratificationError, compute_open_filtration,
                        naive_filtration, validate_stratification)
 
 
@@ -70,7 +70,6 @@ def demo_files(name, out):
     cpath, spath = d / "complex.json", d / "stratification.json"
     if not (cpath.exists() and spath.exists()):
         K, doc = demos.demo_space(name)
-        from .simplicial import complex_to_doc
         d.mkdir(parents=True, exist_ok=True)
         cpath.write_text(reports.canonical_json(complex_to_doc(K)))
         spath.write_text(reports.canonical_json(doc))
@@ -201,8 +200,6 @@ def _link_heuristic(strat):
     open-stratum family it meets, should have the rational homology of a
     sphere of the matching dimension.  Warnings only.
     """
-    from .sheaves import constant_complex
-    from .fields import QQ
     K = strat.complex
     filt = compute_open_filtration(strat)
     warnings = []
@@ -296,7 +293,6 @@ def _job(argv):
             within = K.simplex_set(K.walk(points, K.cofacets))
 
         if args.command == "validate":
-            from .stratify import TRUST_NOTE
             payload = {"valid": True, "n": strat.n,
                        "strata": [{"index": s.index, "complex_dim": s.complex_dim,
                                    "open": s.is_open, "size": len(s.simplex_set)}
@@ -354,10 +350,8 @@ def _job(argv):
             return 0
 
         if args.command == "costalks":
-            if points is None:
-                table = sec.costalk_table(bundle.ic)
-            else:
-                table = {sid: sec.cell_costalk(bundle.ic, sid) for sid in points}
+            table = sec.cell_costalk(bundle.ic,
+                                     bundle.ic.domain.ids if points is None else points)
             payload = {"costalks": reports.table_doc(K, table)}
             reports.write_report(out / "costalks-report.json", manifest, payload)
             shown = list(sorted(payload["costalks"].items()))[:10]

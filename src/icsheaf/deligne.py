@@ -260,10 +260,10 @@ def compare_stratifications(strat1, strat2, local_system=None, field=QQ,
     one's stalk table, costalks at the sample and hypercohomology are read
     and the complex dropped before the second build, so only one bundle is
     alive at once.  The sample (`default_costalk_sample` of both
-    stratifications) is fixed before either build.  The witnesses are the
-    first stalk mismatch, the first costalk mismatch in sample order and
-    a hypercohomology mismatch; the second side's costalks are computed
-    up to that first mismatch, the first side's at the whole sample.
+    stratifications) is fixed before either build, and each side's
+    costalks at it come from one `cell_costalk` call.  The witnesses are
+    the first stalk mismatch, the first costalk mismatch in sample order
+    and a hypercohomology mismatch.
 
     The local system lives on the first build's open dense part U_1 (by
     default it is constant of rank 1); the second build restricts it to
@@ -279,10 +279,10 @@ def compare_stratifications(strat1, strat2, local_system=None, field=QQ,
 
     ic = build_ic(strat1, local_system, field=field, naive=naive_first).ic
     t1, h1 = ic.stalk_table(), sec.hypercohomology(ic)
-    c1s = [sec.cell_costalk(ic, sid) for sid in sample]
+    c1 = sec.cell_costalk(ic, sample)
     del ic
     ic = build_ic(strat2, local_system, field=field).ic
-    t2 = ic.stalk_table()
+    t2, c2 = ic.stalk_table(), sec.cell_costalk(ic, sample)
 
     report = {"passed": True, "witnesses": []}
     for sid in sorted(K.full_set().ids):
@@ -292,13 +292,12 @@ def compare_stratifications(strat1, strat2, local_system=None, field=QQ,
                 {"kind": "stalk", "simplex": list(K.simplices[sid]),
                  "first": t1.get(sid, {}), "second": t2.get(sid, {})})
             break
-    for sid, c1 in zip(sample, c1s):
-        c2 = sec.cell_costalk(ic, sid)
-        if c1 != c2:
+    for sid in sample:
+        if c1[sid] != c2[sid]:
             report["passed"] = False
             report["witnesses"].append(
                 {"kind": "costalk", "simplex": list(K.simplices[sid]),
-                 "first": c1, "second": c2})
+                 "first": c1[sid], "second": c2[sid]})
             break
     h2 = sec.hypercohomology(ic)
     if h1 != h2:

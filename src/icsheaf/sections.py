@@ -13,9 +13,10 @@ set it computes the same sections as the nerve model, and
 `hypercohomology` uses it there; over the open star of a simplex it
 computes the costalk there (compactly supported cochains of the star).
 The open star's summands form a subcomplex of the cellular complex over
-the whole domain, and a same-support reduction of that one complex keeps
-every such subcomplex up to homotopy, so `costalk_table` reads the
-costalks at all simplices off one reduction.
+any up-set holding it, and a same-support reduction of that one complex
+keeps every such subcomplex up to homotopy, so `cell_costalk` reads the
+costalks at all the simplices a job asks for off one reduction over the
+union of their stars.
 
 Both are assembled by `_add_value` and `SparseComplex.add_block` and
 reduced sparsely; a question about one value (stalk cohomology, a
@@ -155,44 +156,33 @@ def hypercohomology(S):
     return _cellular_complex(S, A.ids).minimize_dims()
 
 
-def cell_costalk(S, sid):
-    """Costalk dims at a simplex: compactly supported cochains of its open star.
+def cell_costalk(S, sids):
+    """Costalk dims at each of the given simplices: {sid: dims}.
 
-    The cellular cochain complex over the open star, one summand per
-    coface τ ≥ sid in the domain, in degree dim τ + q (see
-    `hypercohomology`).  Computed afresh on every call, for one
-    simplex or a few.  These summands are the subcomplex at sid of the
-    cellular complex over the whole domain, and one same-support reduction
-    of that complex keeps the subcomplex at every simplex up to homotopy:
-    `costalk_table` reads the same dims at every simplex off it.
-    """
-    if sid not in S.domain.ids:
-        raise SheafError("simplex outside the domain")
-    return _cellular_complex(S, S.complex.up_set(sid)).minimize_dims()
-
-
-def costalk_table(S):
-    """Costalk dims at every simplex of S's domain: {sid: dims}.
-
-    One same-support reduction of the cellular complex over the whole
-    domain keeps every costalk.  Eliminating g → h, both supported at τ,
-    writes fill only x → y with supp(x) ≤ τ ≤ supp(y).  For σ ≤ τ that is
-    a Gaussian elimination inside σ's subcomplex (the blocks at τ' ≥ σ);
-    for σ ≰ τ no x lies in it, so its entries are untouched.  The costalk
-    at σ is then the free reduction of the survivors supported at the
-    simplices ≥ σ.  Equal to `cell_costalk` at every simplex.
+    The costalk at σ is the compactly supported cochains of its open star:
+    the cellular complex (see `hypercohomology`) over the cofaces τ ≥ σ in
+    the domain, one summand per τ in degree dim τ + q.  Over the up-set of
+    sids those summands form a subcomplex for every σ asked for, and one
+    same-support reduction of the complex over that up-set keeps each of
+    them: eliminating g → h, both supported at τ, writes fill only x → y
+    with supp(x) ≤ τ ≤ supp(y).  For σ ≤ τ that is a Gaussian elimination
+    inside σ's subcomplex; for σ ≰ τ no x lies in it, so its entries are
+    untouched.  The costalk at σ is then the free reduction of the
+    survivors supported at the simplices ≥ σ.  A simplex outside the
+    domain raises SheafError.
     """
     K = S.complex
-    G = _cellular_complex(S, S.domain.ids)
+    sids = sorted(set(sids))
+    if not S.domain.ids.issuperset(sids):
+        raise SheafError("simplex outside the domain")
+    G = _cellular_complex(S, K.walk(sids, K.cofacets))
     G.reduce(same_support=True)
     survivors = {}  # support simplex -> its surviving generators
     for g in G.gens_sorted():
         survivors.setdefault(G.support[g], []).append(g)
-    table = {}
-    for sid in sorted(S.domain.ids):
-        star = [g for tau in K.up_set(sid) for g in survivors.get(tau, ())]
-        table[sid] = G.subcomplex(star).minimize_dims()
-    return table
+    return {sid: G.subcomplex([g for tau in K.up_set(sid)
+                               for g in survivors.get(tau, ())]).minimize_dims()
+            for sid in sids}
 
 
 def _vanishes(d):

@@ -13,7 +13,8 @@ the reference versions of package code that a faster path replaced, kept
 as they were so the tests can compare the two (`order_chains`,
 `chains_recursively`, `down_set_by_subsets`, `composite_restriction`,
 the dense solver behind `cohomology_sheaf_reference`, the dict-indexed
-eliminator `DictIndexComplex` and the tuple-keyed one `ReferenceComplex`),
+eliminator `DictIndexComplex`, the tuple-keyed one `ReferenceComplex` and
+the costalk of one open star by its own reduction, `star_costalk`),
 the supported-sections complex that AX2 is compared against
 (`supported_section_dims`), and the
 helpers only tests need: `shift` builds test complexes,
@@ -359,6 +360,16 @@ def rgamma_dims(S, member_ids):
         return {}
     G, _ = sec._nerve_complex(S, all_chains(S.complex, members))
     return G.minimize_dims()
+
+
+def star_costalk(S, sid):
+    """Costalk dims at a simplex of the domain from its open star alone.
+
+    The cellular complex over up(sid) ∩ domain, freely reduced with no
+    same-support pass first: the per-simplex path `sections.cell_costalk`
+    replaced, which reads every costalk a job needs off one reduction.
+    """
+    return sec._cellular_complex(S, S.complex.up_set(sid)).minimize_dims()
 
 
 def pushforward_mismatch(S, T):

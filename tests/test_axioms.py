@@ -12,7 +12,7 @@ import oracles
 
 
 def full_costalks(S):
-    return {sid: sec.cell_costalk(S, sid) for sid in sorted(S.domain.ids)}
+    return {sid: oracles.star_costalk(S, sid) for sid in sorted(S.domain.ids)}
 
 
 def test_ax1_passes_on_constant_over_manifold():

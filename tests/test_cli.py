@@ -566,29 +566,27 @@ def test_check_links_advisory(tmp_path, capsys):
 
 
 def test_checks_compute_each_costalk_once(tmp_path, monkeypatch):
-    # check-ax1 needs costalks only on the non-open strata (the wedge point);
-    # the AX2 checks and the full costalks table need one per simplex, all
-    # from one costalk table
+    # every costalk a job reads comes from one cell_costalk call per built
+    # complex: the AX1 zone, the whole domain for the AX2 checks and the
+    # costalks table, the point or the sample of a point query, and the
+    # sample on each side of compare
     from icsheaf import sections as sec
     calls = []
-    real_one, real_table = sec.cell_costalk, sec.costalk_table
+    real = sec.cell_costalk
 
-    def one(S, sid):
-        calls.append(sid)
-        return real_one(S, sid)
+    def counted(S, sids):
+        calls.append(S)
+        return real(S, sids)
 
-    def table(S):
-        calls.append("table")
-        return real_table(S)
-
-    monkeypatch.setattr(sec, "cell_costalk", one)
-    monkeypatch.setattr(sec, "costalk_table", table)
+    monkeypatch.setattr(sec, "cell_costalk", counted)
     o = out(tmp_path)
-    assert run(["check-ax1", "demo:wedge", "--out", o]) == 0
-    assert len(calls) == 1 and "table" not in calls
-    for argv, code in ((["check-ax2", "demo:wedge"], 0),
-                       (["check-classic-ax2", "demo:wedge"], 2),
-                       (["costalks", "demo:wedge"], 0)):
+    for argv, code, n in ((["check-ax1", "demo:wedge"], 0, 1),
+                          (["check-ax2", "demo:wedge"], 0, 1),
+                          (["check-classic-ax2", "demo:wedge"], 2, 1),
+                          (["costalks", "demo:wedge"], 0, 1),
+                          (["costalks", "demo:wedge", "--at", "0"], 0, 1),
+                          (["costalks", "demo:wedge", "--sample", "4"], 0, 1),
+                          (["compare", "demo:wedge"], 0, 2)):
         calls.clear()
         assert run(argv + ["--out", o]) == code, argv
-        assert calls == ["table"], argv
+        assert len(calls) == n, argv

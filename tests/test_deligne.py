@@ -76,7 +76,7 @@ def test_wedge_ic_values(wedge_ic, wedge):
     K, strat = wedge
     v0 = K.id_of([0])
     assert wedge_ic.ic.stalk_cohomology(v0) == {-2: 1, -1: 1}
-    assert sec.cell_costalk(wedge_ic.ic, v0) == {1: 1, 2: 1}
+    assert sec.cell_costalk(wedge_ic.ic, [v0])[v0] == {1: 1, 2: 1}
     # independent oracle: shifted sphere cohomologies of the two components
     from itertools import combinations
     h4 = oracles.cochain_cohomology_dims([list(c) for c in combinations(range(6), 5)])
@@ -89,7 +89,7 @@ def test_wedge_ic_values(wedge_ic, wedge):
     assert sec.hypercohomology(wedge_ic.ic) == expect == {-2: 1, -1: 1, 1: 1, 2: 1}
     # costalk at a smooth top-component simplex sits in the manifold degree
     smooth = K.id_of([1, 2])
-    assert sec.cell_costalk(wedge_ic.ic, smooth) == {2: 1}
+    assert sec.cell_costalk(wedge_ic.ic, [smooth])[smooth] == {2: 1}
 
 
 def test_wedge_restriction_to_u1_is_shifted_system(wedge_ic, wedge):
@@ -128,8 +128,7 @@ def test_attaching_by_construction(built):
         n = filt.n
         for k in range(1, n + 1):
             zone = filt.U[k + 1].difference(filt.U[k])
-            for sid in sorted(zone.ids):
-                table = sec.cell_costalk(b.ic, sid)
+            for sid, table in sec.cell_costalk(b.ic, zone.ids).items():
                 assert all(q > n - k for q in table), (name, k, sid)
 
 
@@ -189,9 +188,8 @@ def susp_rp2xs1():
 def not_self_dual(S):
     """The simplices where S's costalk is not its stalk mirrored: costalk^a ≠ stalk^-a."""
     K = S.complex
-    return {K.simplices[sid] for sid in sorted(K.full_set().ids)
-            if sec.cell_costalk(S, sid)
-            != {-q: d for q, d in S.stalk_cohomology(sid).items()}}
+    return {K.simplices[sid] for sid, costalk in sec.cell_costalk(S, K.full_set().ids).items()
+            if costalk != {-q: d for q, d in S.stalk_cohomology(sid).items()}}
 
 
 @pytest.mark.parametrize("name", demos.DEMO_NAMES)
@@ -247,7 +245,7 @@ def test_scoped_build_matches_full_build(build_of, spaces, naive, field):
             assert ic.domain == star
             where = (name, K.simplices[sid])
             assert ic.stalk_cohomology(sid) == full.stalk_cohomology(sid), where
-            assert sec.cell_costalk(ic, sid) == sec.cell_costalk(full, sid), where
+            assert sec.cell_costalk(ic, [sid])[sid] == sec.cell_costalk(full, [sid])[sid], where
 
 
 def test_scoped_build_needs_an_open_set(wedge):
@@ -422,7 +420,7 @@ def test_no_operation_mutates_a_shared_map(monkeypatch, spaces, name, system):
     # pushforward, the pieces' maps in a glued stage), so none may change
     # in place: every complex built here, the local system and each stage
     # among them, keeps the dims, differentials and restrictions it was
-    # built with through build_tower, costalk_table, cohomology_sheaf and
+    # built with through build_tower, cell_costalk, cohomology_sheaf and
     # clc_coarsen
     K, strat = spaces[name]
     U = compute_open_filtration(strat).U[1]
@@ -444,7 +442,7 @@ def test_no_operation_mutates_a_shared_map(monkeypatch, spaces, name, system):
                          for i, p in enumerate(sorted(U.cover_pairs()))}})
     bundle = deligne.build_tower(strat, L, field=QQ)
     S = bundle.ic
-    sec.costalk_table(S)
+    sec.cell_costalk(S, S.domain.ids)
     lo, hi = S.degree_range()
     for a in range(lo, hi + 1):
         sec.cohomology_sheaf(S, a)
@@ -604,11 +602,11 @@ def test_coarsening_is_a_fixed_point(spaces, build_of):
                 if key not in rebuilt:
                     coarser = validate_stratification(K, doc)
                     ic2 = build_ic(coarser, field=F).ic
-                    rebuilt[key] = (ic2, sec.costalk_table(ic2),
+                    rebuilt[key] = (ic2, sec.cell_costalk(ic2, ic2.domain.ids),
                                     clc_coarsen(coarser, ic2).levels_doc())
                 ic2, costalks2, again = rebuilt[key]
                 for what, t1, t2 in (("stalk", ic.stalk_table(), ic2.stalk_table()),
-                                     ("costalk", sec.costalk_table(ic), costalks2)):
+                                     ("costalk", sec.cell_costalk(ic, ic.domain.ids), costalks2)):
                     sid = first_row(t1, t2)
                     assert sid is None, "%s: %s differs at %s: %s != %s" % (
                         case, what, list(K.simplices[sid]), t1.get(sid), t2.get(sid))

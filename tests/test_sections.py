@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from icsheaf import demos
@@ -151,15 +153,15 @@ def test_costalk_concentration_on_manifolds():
     for K in manifolds:
         S = constant_complex(QQ, K, K.full_set())
         n = K.dim
-        for sid in sorted(K.full_set().ids):
-            assert sec.cell_costalk(S, sid) == {n: 1}, (n, K.simplices[sid])
+        for sid, costalk in sec.cell_costalk(S, K.full_set().ids).items():
+            assert costalk == {n: 1}, (n, K.simplices[sid])
 
 
 def test_costalk_outside_domain():
     K, U = punctured_disk()
     S = constant_complex(QQ, K, U)
     with pytest.raises(SheafError):
-        sec.cell_costalk(S, K.id_of([0]))
+        sec.cell_costalk(S, [K.id_of([0])])
 
 
 def test_costalk_reads_the_restricted_domain(wedge_ic, wedge):
@@ -167,11 +169,11 @@ def test_costalk_reads_the_restricted_domain(wedge_ic, wedge):
     # the vertex shrinks and so does its costalk; the full complex keeps its own
     K, _ = wedge
     S, v0 = wedge_ic.ic, K.id_of([0])
-    full = sec.cell_costalk(S, v0)
+    full = sec.cell_costalk(S, [v0])[v0]
     sphere = K.simplex_set({i for i, s in enumerate(K.simplices) if set(s) <= {0, 6, 7, 8}})
     assert full == {1: 1, 2: 1}
-    assert sec.cell_costalk(oracles.restrict_closed(S, sphere), v0) == {-2: 1, 1: 1}
-    assert sec.cell_costalk(S, v0) == full
+    assert sec.cell_costalk(oracles.restrict_closed(S, sphere), [v0])[v0] == {-2: 1, 1: 1}
+    assert sec.cell_costalk(S, [v0])[v0] == full
 
 
 def nerve_costalk(S, sid):
@@ -207,7 +209,7 @@ def test_cellular_costalk_matches_nerve_oracle(spaces, built, naive, field):
             singular = K.full_set().ids - b.filtration.U[1].ids
             sample = sorted(set(default_costalk_sample(strat)) | singular)
         for sid in sample:
-            assert sec.cell_costalk(b.ic, sid) == nerve_costalk(b.ic, sid), \
+            assert sec.cell_costalk(b.ic, [sid])[sid] == nerve_costalk(b.ic, sid), \
                 (name, naive, field, K.simplices[sid])
 
 
@@ -217,29 +219,46 @@ def test_cellular_costalk_matches_nerve_oracle_on_open_part(towers):
         S = towers[name].intermediates[0]
         assert S.domain != S.complex.full_set()
         for sid in sorted(S.domain.ids):
-            assert sec.cell_costalk(S, sid) == nerve_costalk(S, sid), \
+            assert sec.cell_costalk(S, [sid])[sid] == nerve_costalk(S, sid), \
                 (name, S.complex.simplices[sid])
 
 
 @pytest.mark.parametrize("field", ("q", "fp:2", "fp:32003"))
-def test_costalk_table_matches_cell_costalk(spaces, tower_of, field):
-    # every stage of every tower, whose domains are the open sets U_k, and
-    # one build scoped to an open star
+def test_cell_costalk_matches_star_oracle(spaces, tower_of, field):
+    # one same-support reduction over the union of the stars asked for keeps
+    # every costalk: compared with each open star's own reduction on the
+    # whole domain of every stage of every tower (the open sets U_k), at
+    # each single simplex and, on the IC, over proper up-sets: the AX1
+    # zone, the default sample and a seeded random subset; and on one build
+    # scoped to an open star
+    rng = random.Random(30)
     cases = []
     for name in demos.DEMO_NAMES:
+        K, strat = spaces[name]
         for naive in (False, True):
-            for k, S in enumerate(tower_of(name, field, naive).intermediates):
-                cases.append(("%s%s stage %d" % (name, " --naive" if naive else "", k), S))
+            stages = tower_of(name, field, naive).intermediates
+            for k, S in enumerate(stages):
+                label = "%s%s stage %d" % (name, " --naive" if naive else "", k)
+                ids = sorted(S.domain.ids)
+                sets = [("domain", ids)] + [("simplex", [sid]) for sid in ids]
+                if k == len(stages) - 1:
+                    filt = compute_open_filtration(strat)
+                    zone = set().union(*(filt.U[m + 1].difference(filt.U[m]).ids
+                                         for m in range(1, filt.n + 1)))
+                    sets += [("AX1 zone", zone), ("sample", default_costalk_sample(strat)),
+                             ("random", rng.sample(ids, len(ids) // 4))]
+                cases.append((label, S, sets))
     K, strat = spaces["nonpure-wedge"]
     star = K.open_star(K.simplices[default_costalk_sample(strat)[0]])
-    cases.append(("nonpure-wedge within a star",
-                  build_ic(strat, field=field_by_name(field), within=star).ic))
-    for label, S in cases:
-        table = sec.costalk_table(S)
-        assert sorted(table) == sorted(S.domain.ids), label
-        for sid, row in table.items():
-            want = sec.cell_costalk(S, sid)
-            assert row == want, (label, S.complex.simplices[sid], row, want)
+    S = build_ic(strat, field=field_by_name(field), within=star).ic
+    cases.append(("nonpure-wedge within a star", S, [("domain", S.domain.ids)]))
+    for label, S, sets in cases:
+        want = {sid: oracles.star_costalk(S, sid) for sid in sorted(S.domain.ids)}
+        for what, sids in sets:
+            got = sec.cell_costalk(S, sids)
+            assert sorted(got) == sorted(set(sids)), (label, what)
+            for sid, row in got.items():
+                assert row == want[sid], (label, what, S.complex.simplices[sid], row, want[sid])
 
 
 def test_adjunction_triangle_rank_identity(built):
@@ -282,7 +301,7 @@ def test_stratum_costalk_shift_identity(built):
             SV = S.restrict_open(V)
             for sid in sorted(Z.ids):
                 supported = oracles.supported_section_dims(SV, sid, Z.ids)
-                costalk = sec.cell_costalk(S, sid)
+                costalk = sec.cell_costalk(S, [sid])[sid]
                 shift = 2 * (n - k)
                 assert costalk == {q + shift: d for q, d in supported.items()}, \
                     (name, k, sid)
@@ -293,14 +312,21 @@ def test_cleanup_rank_neutrality_pushforwards(tower_of):
     # the collapsed naive steps included, has the stalks of the definition
     # (RΓ over the deleted star at every new simplex, the coefficients' at
     # every old one), d² = 0, restrictions (family restrictions included)
-    # that commute with d, and path-independent composites
+    # that commute with d, path-independent composites, and the costalks of
+    # the definition: the coefficients' at every old simplex (j^! = j^*) and
+    # none at a new one (i^! Rj_* = 0), which a missing family restriction
+    # breaks while every stalk stays right
     for name in demos.DEMO_NAMES:
         for naive in (False, True):
             inter = tower_of(name, "fp:32003", naive).intermediates
             for i in range(len(inter) - 1):
-                T = sec.pushforward_open(inter[i], inter[i + 1].domain)
-                assert oracles.pushforward_mismatch(inter[i], T) is None, (name, naive, i)
+                S = inter[i]
+                T = sec.pushforward_open(S, inter[i + 1].domain)
+                assert oracles.pushforward_mismatch(S, T) is None, (name, naive, i)
                 T.validate()
+                old = sec.cell_costalk(S, S.domain.ids)
+                for sid, row in sec.cell_costalk(T, T.domain.ids).items():
+                    assert row == old.get(sid, {}), (name, naive, i, S.complex.simplices[sid])
 
 
 def test_cleanup_rank_neutrality_full_builds(towers):
