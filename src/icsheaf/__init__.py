@@ -8,7 +8,7 @@ characterizations.
 """
 
 from .fields import QQ, PrimeField, field_by_name
-from .simplicial import SimplicialComplex, SimplexSet, load_complex
+from .simplicial import SimplicialComplex, load_complex
 from .stratify import (Stratification, OpenFiltration, validate_stratification,
                        compute_open_strata, compute_open_filtration,
                        naive_filtration)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QQ", "PrimeField", "field_by_name",
-    "SimplicialComplex", "SimplexSet", "load_complex",
+    "SimplicialComplex", "load_complex",
     "Stratification", "OpenFiltration", "validate_stratification",
     "compute_open_strata", "compute_open_filtration", "naive_filtration",
     "SheafComplex", "make_local_system", "constant_complex",

@@ -105,7 +105,7 @@ def _normalization_clause(S, clause_name, domains):
     witnesses = []
     for m, dom in sorted(domains.items()):
         Hm = None
-        for sid in sorted(dom.ids):
+        for sid in sorted(dom):
             table = S.stalk_cohomology(sid)
             if set(table) - {-m}:
                 bad = next(q for q in sorted(table) if q != -m and table[q])
@@ -114,7 +114,7 @@ def _normalization_clause(S, clause_name, domains):
                 break
         else:
             Hm = sec.cohomology_sheaf(S, -m)
-            for (s, t) in dom.cover_pairs():
+            for (s, t) in S.complex.cover_pairs(dom):
                 if not Hm.is_iso(s, t, -m):
                     witnesses.append(Witness("restriction", clause_name,
                                              [s, t], -m, None, None, m=m))
@@ -140,7 +140,7 @@ def check_ax1(S, strat):
     hi = S.degree_range()[1]
     for k in range(1, n + 1):
         cutoff = k - 1 - n
-        witnesses += _locus_witnesses(K, filt.W[k + 1].ids, range(cutoff + 1, hi + 1),
+        witnesses += _locus_witnesses(K, filt.W[k + 1], range(cutoff + 1, hi + 1),
                                       S.stalk_cohomology, "stalk", "b",
                                       lambda a: cutoff, m=k)
     clauses.append(ClauseResult(
@@ -149,7 +149,7 @@ def check_ax1(S, strat):
 
     # (c) attaching, as costalk vanishing on the non-open strata
     witnesses = []
-    zones = {k: filt.U[k + 1].difference(filt.U[k]).ids for k in range(1, n + 1)}
+    zones = {k: filt.U[k + 1] - filt.U[k] for k in range(1, n + 1)}
     costalks = sec.cell_costalk(S, set().union(*zones.values()))
     for k, zone in zones.items():
         for sid in sorted(zone):
@@ -177,16 +177,15 @@ def check_ax2(S, strat):
         raise AxiomInputError(
             "complex is not locally constant on the strata: %r" % (witness,))
     filt = compute_open_filtration(strat)
-    closures = {m: dom.down_closure() for m, dom in filt.U_m.items()}
     clauses = [_normalization_clause(S, "a", filt.U_m)]
     hi = S.degree_range()[1]
 
-    costalks = sec.cell_costalk(S, S.domain.ids)
+    costalks = sec.cell_costalk(S, S.domain)
     crange = sorted({a for t in costalks.values() for a in t})
 
     support_w, cosupport_w = [], []
     for m in sorted(filt.U_m):
-        xm = closures[m].ids
+        xm = filt.X_m[m]
         support_w += _locus_witnesses(K, xm, range(-m + 1, hi + 1), S.stalk_cohomology,
                                       "stalk", "b", lambda a: -a, m=m)
         cosupport_w += _locus_witnesses(K, xm, [a for a in crange if a < m],
@@ -216,27 +215,26 @@ def check_classic_ax2(S):
     # (a) normalization off a small closed subset: carve out the largest
     # open set where the complex is a shifted local system, then bound the
     # complement's dimension
-    conc = {sid for sid in S.domain.ids
+    conc = {sid for sid in S.domain
             if set(S.stalk_cohomology(sid)) == {-n}}
     v_ids = {sid for sid in conc if set(K.up_set(sid)) <= conc}
     Hn = sec.cohomology_sheaf(S, -n)
     changed = True
     while changed:
         changed = False
-        for (s, t) in Hn.domain.cover_pairs():
+        for (s, t) in K.cover_pairs(Hn.domain):
             if s in v_ids and t in v_ids and not Hn.is_iso(s, t, -n):
                 v_ids -= set(K.down_set(s))
                 changed = True
-    V = K.simplex_set(v_ids)
     witnesses = []
-    sigma = V.complement()
-    ok = len(V) > 0
+    sigma = K.full_set() - v_ids
+    top = max(map(K.sdim, sigma), default=-1)
+    ok = bool(v_ids)
     if not ok:
         witnesses.append(Witness("stalk", "a", [], -n, None, None))
-    elif len(sigma) and sigma.max_real_dim() > 2 * (n - 1):
+    elif sigma and top > 2 * (n - 1):
         ok = False
-        witnesses.append(Witness("stalk", "a", sorted(sigma.ids),
-                                 -n, sigma.max_real_dim() // 2, n - 1))
+        witnesses.append(Witness("stalk", "a", sigma, -n, top // 2, n - 1))
     clauses.append(ClauseResult(
         "a", "local system in degree −n off a closed subset of complex dimension < n",
         ok, witnesses))
@@ -244,18 +242,18 @@ def check_classic_ax2(S):
     # (b) lower bound
     witnesses = []
     for a in range(lo, -n):
-        ids, cdim = support_locus(K, S.domain.ids, a, S.stalk_cohomology)
+        ids, cdim = support_locus(K, S.domain, a, S.stalk_cohomology)
         if ids:
             witnesses.append(Witness("stalk", "b", ids, a, cdim, None))
     clauses.append(ClauseResult("b", "no cohomology below degree −n",
                                 not witnesses, witnesses))
 
     # (c) support, (d) cosupport -- global loci
-    costalks = sec.cell_costalk(S, S.domain.ids)
+    costalks = sec.cell_costalk(S, S.domain)
     crange = sorted({a for t in costalks.values() for a in t})
-    support_w = _locus_witnesses(K, S.domain.ids, range(-n + 1, hi + 1),
+    support_w = _locus_witnesses(K, S.domain, range(-n + 1, hi + 1),
                                  S.stalk_cohomology, "stalk", "c", lambda a: -a)
-    cosupport_w = _locus_witnesses(K, S.domain.ids, [a for a in crange if a < n],
+    cosupport_w = _locus_witnesses(K, S.domain, [a for a in crange if a < n],
                                    costalks.__getitem__, "costalk", "d", lambda a: a)
     clauses.append(ClauseResult("c", "global stalk support loci have complex dimension < −a",
                                 not support_w, support_w))

@@ -70,9 +70,8 @@ def demo_files(name, out):
     cpath, spath = d / "complex.json", d / "stratification.json"
     if not (cpath.exists() and spath.exists()):
         K, doc = demos.demo_space(name)
-        d.mkdir(parents=True, exist_ok=True)
-        cpath.write_text(reports.canonical_json(complex_to_doc(K)))
-        spath.write_text(reports.canonical_json(doc))
+        reports.write_json(cpath, complex_to_doc(K))
+        reports.write_json(spath, doc)
     return cpath, spath
 
 
@@ -205,10 +204,10 @@ def _link_heuristic(strat):
     warnings = []
     for st in strat.strata:
         kdim = st.complex_dim
-        tops = [i for i in sorted(st.simplex_set.ids) if K.sdim(i) == 2 * kdim]
+        tops = [i for i in sorted(st.simplex_set) if K.sdim(i) == 2 * kdim]
         for sid in tops[:2]:
             for m, xm in sorted(filt.X_m.items()):
-                if sid not in xm.ids or m == kdim:
+                if sid not in xm or m == kdim:
                     continue
                 link = K.link_of(K.simplices[sid], xm)
                 expect_dim = 2 * m - 2 * kdim - 1
@@ -290,7 +289,7 @@ def _job(argv):
             inputs["local_system_sha256"] = digest
         manifest = _manifest(args, inputs, extra)
         if points is not None:
-            within = K.simplex_set(K.walk(points, K.cofacets))
+            within = frozenset(K.walk(points, K.cofacets))
 
         if args.command == "validate":
             payload = {"valid": True, "n": strat.n,
@@ -320,8 +319,7 @@ def _job(argv):
             payload = reports.bundle_doc(bundle)
             reports.write_report(out / "ic-bundle.json", manifest, payload)
             table = bundle.ic.stalk_table()
-            sing = strat.level(strat.n - 1) if strat.n else None
-            shown = sorted(sing.ids)[:8] if sing else []
+            shown = sorted(strat.level(strat.n - 1))[:8]
             print("built %s complex; construction steps: %s"
                   % ("naive" if args.naive else "canonical",
                      [(s["step"], s["cutoff"]) for s in bundle.log]))
@@ -351,7 +349,7 @@ def _job(argv):
 
         if args.command == "costalks":
             table = sec.cell_costalk(bundle.ic,
-                                     bundle.ic.domain.ids if points is None else points)
+                                     bundle.ic.domain if points is None else points)
             payload = {"costalks": reports.table_doc(K, table)}
             reports.write_report(out / "costalks-report.json", manifest, payload)
             shown = list(sorted(payload["costalks"].items()))[:10]

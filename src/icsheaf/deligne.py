@@ -61,12 +61,12 @@ def split_local_system(L, filt, within):
     L lives on an open set containing the open dense part U_1: on U_1
     itself, or on the U_1 of a coarser stratification (`compare`).
     """
-    if not filt.U[1].issubset(L.domain):
+    if not filt.U[1] <= L.domain:
         raise SheafError("local system must be defined on the open dense part U_1")
     out = {}
     for m, um in filt.U_m.items():
-        um = um.intersection(within)
-        if len(um):
+        um = um & within
+        if um:
             out[m] = L.restrict_open(um)
     return out
 
@@ -90,8 +90,8 @@ def _attach_systems(F, K, systems, ambient, upto, raw=False):
         if m > upto:
             continue
         L = systems[m]
-        if not raw and not (L.domain.issubset(ambient)
-                            and L.domain.is_down_closed(within=ambient)):
+        if not raw and not (L.domain <= ambient
+                            and K.is_down_closed(L.domain, within=ambient)):
             raise SheafError("the local system on U^%d is not closed in the open set "
                              "it is attached to" % m)
         shifted = {}  # id of a matrix of L -> its {-m: matrix} map
@@ -154,22 +154,22 @@ def build_tower(strat, local_system=None, field=QQ, naive=False, within=None):
 
     Returns an ICBundle with every stage in `intermediates` and the final
     complex, which lives on `within`, as `ic`.  `within` is an up-closed
-    SimplexSet (default: the whole space).  The step schedule and cutoffs
-    come from the global filtration; only the domain of every stage is cut
-    down to `within`.  Pushforward, truncation and the sum with the lower
-    local systems commute with restriction to an open set, so the result
-    is the whole-space complex restricted to `within`.  With naive=True the
-    stepwise-simultaneous filtration is used instead and runs of repeated
-    open sets are collapsed into a single pushforward truncated at the
-    cutoff of the last collapsed step; the result is the deliberately
-    non-canonical comparison object.
+    frozenset of simplex ids (default: the whole space).  The step schedule
+    and cutoffs come from the global filtration; only the domain of every
+    stage is cut down to `within`.  Pushforward, truncation and the sum
+    with the lower local systems commute with restriction to an open set,
+    so the result is the whole-space complex restricted to `within`.  With
+    naive=True the stepwise-simultaneous filtration is used instead and
+    runs of repeated open sets are collapsed into a single pushforward
+    truncated at the cutoff of the last collapsed step; the result is the
+    deliberately non-canonical comparison object.
     """
     F = field
     K = strat.complex
     n = strat.n
     if within is None:
         within = K.full_set()
-    elif not within.is_up_closed():
+    elif not (within <= K.full_set() and K.is_up_closed(within)):
         raise SheafError("build_ic needs an up-closed set to build on")
     filt = naive_filtration(strat) if naive else compute_open_filtration(strat)
     if local_system is None:
@@ -178,7 +178,7 @@ def build_tower(strat, local_system=None, field=QQ, naive=False, within=None):
         raise SheafError("local system field does not match the build field")
     systems = split_local_system(local_system, filt, within)
 
-    I = _attach_systems(F, K, systems, filt.U[1].intersection(within), upto=n)
+    I = _attach_systems(F, K, systems, filt.U[1] & within, upto=n)
     intermediates = [I]
     log = []
     k = 1
@@ -188,7 +188,7 @@ def build_tower(strat, local_system=None, field=QQ, naive=False, within=None):
             while k2 + 1 <= n and filt.U[k2 + 2] == filt.U[k + 1]:
                 k2 += 1
         cutoff = k2 - 1 - n
-        target = filt.U[k2 + 1].intersection(within)
+        target = filt.U[k2 + 1] & within
         try:
             trunc = sec.truncate_le(sec.pushforward_open(I, target), cutoff)
             I = _glue(trunc, _attach_systems(F, K, systems, target, upto=n - k2,
@@ -216,7 +216,7 @@ def _verify_bundle(bundle):
 
     # first stage is the shifted local system sum
     for m, Lm in bundle.systems.items():
-        for sid in sorted(Lm.domain.ids):
+        for sid in sorted(Lm.domain):
             expect = {-m: Lm.dim(sid, 0)} if Lm.dim(sid, 0) else {}
             got = inter[0].stalk_cohomology(sid)
             if got != expect:
@@ -225,11 +225,11 @@ def _verify_bundle(bundle):
     # each stage lives on an open part of the next and restricts back to it
     for i in range(len(bundle.log)):
         prev, cur = inter[i], inter[i + 1]
-        if not (prev.domain.issubset(cur.domain)
-                and prev.domain.is_up_closed(within=cur.domain)):
+        if not (prev.domain <= cur.domain
+                and K.is_up_closed(prev.domain, within=cur.domain)):
             raise SheafError("stage %d domain is not an open subset of stage %d domain"
                              % (i, i + 1))
-        for sid in sorted(prev.domain.ids):
+        for sid in sorted(prev.domain):
             got, want = cur.stalk_cohomology(sid), prev.stalk_cohomology(sid)
             if got != want:
                 raise SheafError("stage %d does not restrict to stage %d %s"
@@ -243,9 +243,9 @@ def _verify_bundle(bundle):
 def default_costalk_sample(strat, limit=24):
     """Deterministic simplex sample: all singular simplices plus a spread."""
     K = strat.complex
-    filt_sing = strat.level(strat.n - 1) if strat.n >= 1 else strat.complex.empty_set()
-    sample = sorted(filt_sing.ids)
-    rest = [i for i in sorted(K.full_set().ids) if i not in filt_sing.ids]
+    filt_sing = strat.level(strat.n - 1)
+    sample = sorted(filt_sing)
+    rest = sorted(K.full_set() - filt_sing)
     if rest:
         step = max(1, len(rest) // max(1, limit))
         sample.extend(rest[::step][:limit])
@@ -285,7 +285,7 @@ def compare_stratifications(strat1, strat2, local_system=None, field=QQ,
     t2, c2 = ic.stalk_table(), sec.cell_costalk(ic, sample)
 
     report = {"passed": True, "witnesses": []}
-    for sid in sorted(K.full_set().ids):
+    for sid in range(len(K)):
         if t1.get(sid, {}) != t2.get(sid, {}):
             report["passed"] = False
             report["witnesses"].append(
@@ -311,7 +311,7 @@ def compare_stratifications(strat1, strat2, local_system=None, field=QQ,
 class CoarseningState:
     def __init__(self, strat, levels, steps, merge_level):
         self.input_stratification = strat
-        self.levels = levels            # k -> SimplexSet (closed filtration)
+        self.levels = levels            # k -> frozenset of simplex ids (closed filtration)
         self.steps = steps              # per-step witness records
         self.merge_level = merge_level  # stratum index -> level merged at (or None)
         self.note = ("merging is restricted to strata of the given stratification; "
@@ -344,7 +344,7 @@ def clc_coarsen(strat, S):
 
     stratum_of = {}
     for st in strat.strata:
-        for sid in st.simplex_set.ids:
+        for sid in st.simplex_set:
             stratum_of[sid] = st.index
 
     merge_level = {st.index: None for st in strat.strata}
@@ -364,7 +364,7 @@ def clc_coarsen(strat, S):
                     continue
                 # upward cover pairs leaving the stratum; it waits until every
                 # one of them lands in a merged stratum
-                pairs = [(sid, cof) for sid in sorted(st.simplex_set.ids)
+                pairs = [(sid, cof) for sid in sorted(st.simplex_set)
                          for cof, _ in K.cofacets[sid] if stratum_of[cof] != st.index]
                 if any(merge_level[stratum_of[cof]] is None for _, cof in pairs):
                     continue
@@ -386,8 +386,8 @@ def clc_coarsen(strat, S):
                                   "witness_pair": [list(K.simplices[bad[0]]),
                                                    list(K.simplices[bad[1]])]})
     # a stratum merged at level j leaves the filtration below level j only
-    levels = {k: K.simplex_set(sid for st in strat.strata
-                               if merge_level[st.index] is None or merge_level[st.index] <= k
-                               for sid in st.simplex_set.ids) if k < n else K.full_set()
+    levels = {k: frozenset(sid for st in strat.strata
+                           if merge_level[st.index] is None or merge_level[st.index] <= k
+                           for sid in st.simplex_set) if k < n else K.full_set()
               for k in range(n + 1)}
     return CoarseningState(strat, levels, steps, merge_level)

@@ -156,7 +156,7 @@ def _candidate_fake_points(strat):
     out = []
     for v in K.vertices:
         sid = K.id_of([v])
-        if sid not in x0.ids:
+        if sid not in x0:
             out.append(v)
     return out
 

@@ -10,8 +10,9 @@ every dict itself and encodes each other value with one `json` call, each
 distinct list once, so neither the whole text nor the encoder's list of
 its tokens is ever held; a `Rows` section is made row by row as it is
 written.  The bytes equal `canonical_json` of the same
-document.  It writes a temporary file beside the target and moves it into
-place, so a failed write leaves no partial report.
+document.  It writes through `write_json`, as the CLI writes the files of a
+bundled space: a temporary file beside the target is moved into place, so
+a failed or stopped write leaves no partial file.
 """
 
 import hashlib
@@ -167,7 +168,7 @@ def sheaf_complex_doc(S):
                 yield sid_key(sid), row
 
     def restriction_rows():
-        pairs = [p for p in S.domain.cover_pairs() if p[0] in S.dims or p[1] in S.dims]
+        pairs = [p for p in K.cover_pairs(S.domain) if p[0] in S.dims or p[1] in S.dims]
         for p in sorted(pairs, key=pair_key):
             qs, qt = S.dims.get(p[0], none), S.dims.get(p[1], none)
             ms = S.restrictions.get(p, none)
@@ -176,7 +177,7 @@ def sheaf_complex_doc(S):
                 for q in sorted(qs.keys() | qt.keys())}
 
     return {"field": F.name,
-            "domain": [list(K.simplices[i]) for i in sorted(S.domain.ids)],
+            "domain": [list(K.simplices[i]) for i in sorted(S.domain)],
             "stalk_dims": Rows(stalk_rows),
             "differentials": Rows(differential_rows),
             "restrictions": Rows(restriction_rows)}
@@ -200,8 +201,8 @@ def filtration_doc(filt):
     strat = filt.stratification
     K = strat.complex
 
-    def fmt(sset):
-        return [list(K.simplices[i]) for i in sorted(sset.ids)]
+    def fmt(ids):
+        return [list(K.simplices[i]) for i in sorted(ids)]
 
     rows = []
     for k in sorted(filt.U):
@@ -224,8 +225,8 @@ def filtration_table_text(filt):
     strat = filt.stratification
     K = strat.complex
 
-    def short(sset):
-        ids = sorted(sset.ids)
+    def short(ids):
+        ids = sorted(ids)
         names = ["{%s}" % ",".join(map(str, K.simplices[i])) for i in ids[:6]]
         if len(ids) > 6:
             names.append("… (%d total)" % len(ids))
@@ -246,16 +247,16 @@ def filtration_table_text(filt):
     return "\n".join(lines)
 
 
-def write_report(path, manifest, payload):
-    """Stream the canonical JSON of the report document to path.
+def write_json(path, doc):
+    """Stream canonical_json(doc) of a dict doc to path, or leave path as it was.
 
-    A payload `json` cannot encode raises, and leaves the directory as it
-    was: the text goes to a temporary file beside path, which replaces
-    path only once it is complete.
+    The text goes to a temporary file beside path, named for this process,
+    which replaces path only once it is complete: a document `json` cannot
+    encode raises, and a reader, or a job run after one that was stopped
+    partway, never finds a partial file at path.
     """
-    doc = {"format": FORMAT_TAG, "manifest": manifest, "report": payload}
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
     try:
         with open(tmp, "w", encoding="ascii") as f:
             _dump(doc, f.write, {})
@@ -265,3 +266,8 @@ def write_report(path, manifest, payload):
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def write_report(path, manifest, payload):
+    """Stream the canonical JSON of the report document to path (`write_json`)."""
+    return write_json(path, {"format": FORMAT_TAG, "manifest": manifest, "report": payload})

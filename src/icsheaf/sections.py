@@ -126,7 +126,7 @@ def _cellular_complex(S, members):
     """
     K = S.complex
     G = SparseComplex(S.F)
-    members = sorted(set(members) & S.domain.ids)
+    members = sorted(S.domain.intersection(members))
     first = {sid: _add_value(S, G, sid, K.sdim(sid), (-1) ** K.sdim(sid), sid)
              for sid in members}
     for sid in members:
@@ -150,10 +150,10 @@ def hypercohomology(S):
     as in Shepard's cellular model of the derived category (Curry,
     Sheaves, Cosheaves and Applications, arXiv:1303.3255).
     """
-    A = S.domain
-    if not (A.is_up_closed() and A.is_down_closed()):
+    K, A = S.complex, S.domain
+    if not (K.is_up_closed(A) and K.is_down_closed(A)):
         raise SheafError("hypercohomology needs a clopen domain")
-    return _cellular_complex(S, A.ids).minimize_dims()
+    return _cellular_complex(S, A).minimize_dims()
 
 
 def cell_costalk(S, sids):
@@ -173,7 +173,7 @@ def cell_costalk(S, sids):
     """
     K = S.complex
     sids = sorted(set(sids))
-    if not S.domain.ids.issuperset(sids):
+    if not S.domain.issuperset(sids):
         raise SheafError("simplex outside the domain")
     G = _cellular_complex(S, K.walk(sids, K.cofacets))
     G.reduce(same_support=True)
@@ -291,7 +291,7 @@ def cohomology_sheaf(S, a):
     T = truncate_le(S, a)
     data = {}    # sid -> (representatives, annihilator), None where the image vanishes
     stalks = {}
-    for sid in sorted(S.domain.ids):
+    for sid in sorted(S.domain):
         k = T.dim(sid, a)
         if not k:
             continue
@@ -309,7 +309,7 @@ def cohomology_sheaf(S, a):
         stalks[sid] = h
 
     restr = {}
-    for (s, t) in S.domain.cover_pairs():
+    for (s, t) in S.complex.cover_pairs(S.domain):
         if s not in stalks or t not in stalks:
             continue  # a missing block is zero
         r = T.restriction_cover(s, t, a)
@@ -334,7 +334,7 @@ def is_clc(S, strat):
     for a in range(lo, hi + 1):
         H = cohomology_sheaf(S, a)
         for st in strat.strata:
-            for (s, t) in st.simplex_set.intersection(S.domain).cover_pairs():
+            for (s, t) in S.complex.cover_pairs(st.simplex_set & S.domain):
                 if not H.is_iso(s, t, a):
                     return False, {"stratum": st.index, "degree": a,
                                    "pair": (S.complex.simplices[s],
@@ -430,15 +430,15 @@ def pushforward_open(S, V):
     K = S.complex
     F = S.F
     U = S.domain
-    if not U.is_up_closed() or not V.is_up_closed():
+    if not K.is_up_closed(U) or not K.is_up_closed(V):
         raise SheafError("pushforward_open needs up-closed U and V")
-    if not U.issubset(V):
+    if not U <= V:
         raise SheafError("U must be contained in V")
-    new_ids = V.ids - U.ids
+    new_ids = V - U
     if not new_ids:
         return S
-    bids = K.walk(new_ids, K.cofacets) & U.ids
-    far = U.ids - bids
+    bids = K.walk(new_ids, K.cofacets) & U
+    far = U - bids
     region = bids | new_ids
 
     G, heads = _nerve_complex(S, all_chains(K, bids))

@@ -52,7 +52,7 @@ def make_local_system(F, complex, domain, spec):
           dim(sid) entries, each a canonical element of F
           (`F.is_element`: no float or bool, and in [0, p) over F_p).
     """
-    if not domain.is_up_closed():
+    if not complex.is_up_closed(domain):
         raise SheafError("local system domain must be up-closed")
     if "rank" in spec:
         r = spec["rank"]
@@ -62,10 +62,10 @@ def make_local_system(F, complex, domain, spec):
     at = complex.simplices
     dims, matrices = spec["stalk_dim"], spec["matrices"]
     for s, d in dims.items():
-        if s not in domain.ids or type(d) is not int or d < 0:
+        if s not in domain or type(d) is not int or d < 0:
             raise SheafError("stalk dim at %r must be a nonnegative integer at a simplex "
                              "of the domain, got %r" % (at[s], d))
-    pairs = list(domain.cover_pairs())
+    pairs = list(complex.cover_pairs(domain))
     cover = set(pairs)
     for (s, t), m in matrices.items():
         if (s, t) not in cover:
@@ -113,7 +113,7 @@ class SheafComplex:
     def __init__(self, F, complex, domain, dims, diffs, restrictions):
         self.F = F
         self.complex = complex
-        self.domain = domain
+        self.domain = domain  # a frozenset of simplex ids
         # dims: sid -> {q: dim}; diffs: sid -> {q: matrix}; restrictions:
         # (sid,tid) -> {q: matrix}.  Missing entries mean zero.
         # One pass drops zero dims and then empty values; a value with no
@@ -216,7 +216,7 @@ class SheafComplex:
         return got
 
     def stalk_table(self):
-        return {sid: self.stalk_cohomology(sid) for sid in sorted(self.domain.ids)}
+        return {sid: self.stalk_cohomology(sid) for sid in sorted(self.domain)}
 
     # -- validation -----------------------------------------------------------
 
@@ -229,7 +229,7 @@ class SheafComplex:
                               self.dim(sid, q + 2), self.dim(sid, q + 1), self.dim(sid, q))
                     if any(any(row) for row in dd):
                         raise SheafError("d² ≠ 0 at %r" % (self.complex.simplices[sid],))
-        for (s, t) in self.domain.cover_pairs():
+        for (s, t) in self.complex.cover_pairs(self.domain):
             for q in self.dims.get(s, {}):
                 # restriction commutes with d
                 a = _mul(F, self.diff(t, q), self.restriction_cover(s, t, q),
@@ -246,7 +246,7 @@ class SheafComplex:
     def check_path_independence(self, q):
         """All two-step degree-q composites between a codim-2 pair must agree."""
         K = self.complex
-        dom = self.domain.ids
+        dom = self.domain
         for s in sorted(dom):
             targets = {}
             for m, _ in K.cofacets[s]:
@@ -270,12 +270,13 @@ class SheafComplex:
     # -- operations -----------------------------------------------------------
 
     def restrict_open(self, subset):
-        if not subset.issubset(self.domain) or not subset.is_up_closed(within=self.domain):
+        if not (subset <= self.domain
+                and self.complex.is_up_closed(subset, within=self.domain)):
             raise SheafError("restrict_open needs an up-closed subset of the domain")
-        dims = {s: qs for s, qs in self.dims.items() if s in subset.ids}
-        diffs = {s: ms for s, ms in self.diffs.items() if s in subset.ids}
+        dims = {s: qs for s, qs in self.dims.items() if s in subset}
+        diffs = {s: ms for s, ms in self.diffs.items() if s in subset}
         restr = {p: ms for p, ms in self.restrictions.items()
-                 if p[0] in subset.ids and p[1] in subset.ids}
+                 if p[0] in subset and p[1] in subset}
         return SheafComplex(self.F, self.complex, subset, dims, diffs, restr)
 
 
@@ -286,7 +287,7 @@ def constant_complex(F, complex, domain, rank=1):
     {0: identity} map; no operation mutates a map, so the shares hold.
     """
     value = {0: rank}
-    dims = {s: value for s in domain.ids}
+    dims = {s: value for s in domain}
     ident = {0: mx.identity(F, rank)}
-    restr = {p: ident for p in domain.cover_pairs()}
+    restr = {p: ident for p in complex.cover_pairs(domain)}
     return SheafComplex(F, complex, domain, dims, {}, restr)

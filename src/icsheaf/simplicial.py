@@ -1,15 +1,17 @@
 """Finite abstract simplicial complexes and their face-poset calculus.
 
 A complex stores its simplices as sorted vertex tuples with deterministic
-integer ids assigned by (dimension, lexicographic tuple).  Subsets of the
-face poset are SimplexSet values; up-closed sets model open subspaces of
-the realization and down-closed sets model closed ones (Alexandrov
-duality).  Everything is immutable after construction.
+integer ids assigned by (dimension, lexicographic tuple).  A subset of the
+face poset is a frozenset of simplex ids; up-closed sets model open
+subspaces of the realization and down-closed sets model closed ones
+(Alexandrov duality), and the questions that need the poset are methods
+of the complex.  Everything is immutable after construction.
 
 One walk, `SimplicialComplex.walk`, follows facets or cofacets from a set
 of seeds: up-sets, down-sets, closures, components and links are all read
-off it.  `up_set` keeps the one process-wide cache left, an lru_cache that
-holds every complex it has seen until it is emptied: `cli.run` calls
+off it, and a down-closure is `K.walk(ids, K.facets)`.  `up_set` keeps the
+one process-wide cache left, an lru_cache that holds every complex it has
+seen until it is emptied: `cli.run` calls
 `SimplicialComplex.up_set.cache_clear()` at the end of every job, and
 library code that builds many complexes in one process should call it too.
 """
@@ -124,149 +126,55 @@ class SimplicialComplex:
         """Ids of all faces of sid, sid included."""
         return tuple(sorted(self.walk((sid,), self.facets)))
 
-    def all_ids(self):
+    def full_set(self):
         return frozenset(range(len(self.simplices)))
 
-    # -- SimplexSet constructors -------------------------------------------
-
-    def simplex_set(self, ids):
-        return SimplexSet(self, frozenset(ids))
-
-    def full_set(self):
-        return SimplexSet(self, self.all_ids())
-
-    def empty_set(self):
-        return SimplexSet(self, frozenset())
-
-    def set_from_tuples(self, tuples):
-        return self.simplex_set(self.id_of(t) for t in tuples)
-
     def open_star(self, simplex):
-        return self.simplex_set(self.up_set(self.id_of(simplex)))
+        return frozenset(self.up_set(self.id_of(simplex)))
+
+    def is_up_closed(self, ids, within=None):
+        """Up-closed; with `within`, up-closed as a subset of that set (relatively open)."""
+        return all(j in ids for i in ids for j, _ in self.cofacets[i]
+                   if within is None or j in within)
+
+    def is_down_closed(self, ids, within=None):
+        """Down-closed; with `within`, down-closed as a subset of that set (relatively closed)."""
+        return all(j in ids for i in ids for j, _ in self.facets[i]
+                   if within is None or j in within)
+
+    def cover_pairs(self, ids):
+        """Covering pairs s ⋖ t inside ids, in ascending order of s."""
+        for s in sorted(ids):
+            for c, _ in self.cofacets[s]:
+                if c in ids:
+                    yield (s, c)
+
+    def components(self, ids):
+        """Partition of ids by face-comparability, as frozensets by least member."""
+        comps = []
+        left = set(ids)
+        for i in sorted(ids):
+            if i in left:
+                comp = self.walk((i,), self.facets, self.cofacets, within=ids)
+                left -= comp
+                comps.append(frozenset(comp))
+        return comps
 
     def link_of(self, simplex, closed):
-        """The link inside a down-closed SimplexSet, as a complex of its own, or None.
+        """The link inside a down-closed set of ids, as a complex of its own, or None.
 
         {t − s : s ⊊ t in closed}: the maximal simplices of closed over s
         generate it.  With K.full_set() it is the link in K.
         """
         sid = self.id_of(simplex)
         s = set(self.simplices[sid])
-        inside = closed.ids
         members = [tuple(v for v in self.simplices[t] if v not in s)
-                   for t in self.up_set(sid) if t != sid and t in inside
-                   and not any(c in inside for c, _ in self.cofacets[t])]
+                   for t in self.up_set(sid) if t != sid and t in closed
+                   and not any(c in closed for c, _ in self.cofacets[t])]
         if not members:
             return None
         verts = sorted({v for t in members for v in t}, key=_vertex_key)
         return SimplicialComplex(verts, members)
-
-
-class SimplexSet:
-    """A subset of the face poset of a fixed complex."""
-
-    __slots__ = ("complex", "ids", "_up", "_down")
-
-    def __init__(self, complex, ids):
-        self.complex = complex
-        self.ids = frozenset(ids)
-        self._up = None
-        self._down = None
-
-    def __contains__(self, sid):
-        return sid in self.ids
-
-    def __len__(self):
-        return len(self.ids)
-
-    def __eq__(self, other):
-        return isinstance(other, SimplexSet) and self.complex is other.complex \
-            and self.ids == other.ids
-
-    def __hash__(self):
-        return hash(self.ids)
-
-    def _same(self, other):
-        if self.complex is not other.complex:
-            raise ComplexError("simplex sets belong to different complexes")
-
-    def union(self, other):
-        self._same(other)
-        return SimplexSet(self.complex, self.ids | other.ids)
-
-    def intersection(self, other):
-        self._same(other)
-        return SimplexSet(self.complex, self.ids & other.ids)
-
-    def difference(self, other):
-        self._same(other)
-        return SimplexSet(self.complex, self.ids - other.ids)
-
-    def issubset(self, other):
-        self._same(other)
-        return self.ids <= other.ids
-
-    def complement(self):
-        return SimplexSet(self.complex, self.complex.all_ids() - self.ids)
-
-    def _closed(self, adj, within):
-        ids = self.ids
-        if within is None:
-            return all(j in ids for i in ids for j, _ in adj[i])
-        self._same(within)
-        amb = within.ids
-        return all(j in ids for i in ids for j, _ in adj[i] if j in amb)
-
-    def is_up_closed(self, within=None):
-        """Up-closed; with `within`, up-closed as a subset of that set (relatively open)."""
-        if within is not None:
-            return self._closed(self.complex.cofacets, within)
-        if self._up is None:
-            self._up = self._closed(self.complex.cofacets, None)
-        return self._up
-
-    def is_down_closed(self, within=None):
-        """Down-closed; with `within`, down-closed as a subset of that set (relatively closed)."""
-        if within is not None:
-            return self._closed(self.complex.facets, within)
-        if self._down is None:
-            self._down = self._closed(self.complex.facets, None)
-        return self._down
-
-    def down_closure(self):
-        K = self.complex
-        return SimplexSet(K, K.walk(self.ids, K.facets))
-
-    def cover_pairs(self):
-        """Covering pairs s ⋖ t inside the set, in ascending order of s."""
-        K = self.complex
-        for s in sorted(self.ids):
-            for c, _ in K.cofacets[s]:
-                if c in self.ids:
-                    yield (s, c)
-
-    def max_real_dim(self):
-        if not self.ids:
-            return -1
-        return max(self.complex.sdim(i) for i in self.ids)
-
-    def tuples(self):
-        return [self.complex.simplices[i] for i in sorted(self.ids)]
-
-    def components(self):
-        """Partition by face-comparability inside the set, by least member."""
-        K = self.complex
-        comps = []
-        left = set(self.ids)
-        for i in sorted(self.ids):
-            if i in left:
-                comp = K.walk((i,), K.facets, K.cofacets, within=self.ids)
-                left -= comp
-                comps.append(SimplexSet(K, comp))
-        return comps
-
-    def __repr__(self):
-        return "SimplexSet(%d simplices)" % len(self.ids)
 
 
 def all_chains(K, members):

@@ -36,13 +36,13 @@ class Stratification:
 
     def __init__(self, complex, levels, strata):
         self.complex = complex
-        self.levels = levels          # list of SimplexSet, index k = 0..n
+        self.levels = levels          # list of frozensets of simplex ids, index k = 0..n
         self.n = len(levels) - 1
         self.strata = strata          # list of Stratum
 
     def level(self, k):
         if k < 0:
-            return self.complex.empty_set()
+            return frozenset()
         if k > self.n:
             return self.levels[self.n]
         return self.levels[k]
@@ -55,14 +55,13 @@ class Stratification:
 
 
 def generators_doc(K, levels):
-    """{str(k): maximal members of level k} for (k, down-closed SimplexSet) pairs.
+    """{str(k): maximal members of level k} for (k, down-closed set of ids) pairs.
 
     The maximal members, as vertex lists in ascending id order, are enough
     to regenerate each level.
     """
     doc = {}
-    for k, sset in levels:
-        ids = sset.ids
+    for k, ids in levels:
         doc[str(k)] = [list(K.simplices[i]) for i in sorted(ids)
                        if not any(c in ids for c, _ in K.cofacets[i])]
     return doc
@@ -102,45 +101,42 @@ def validate_stratification(K, levels):
         if not (isinstance(raw, (list, tuple)) and all(map(is_vertex_list, raw))):
             raise StratificationError(
                 "level %d must be a list of simplices (lists of vertex ids)" % k)
-        lv.append(K.set_from_tuples(raw).down_closure())
-    full = K.full_set()
-    if lv[n] != full:
+        lv.append(frozenset(K.walk([K.id_of(t) for t in raw], K.facets)))
+    if lv[n] != K.full_set():
         raise StratificationError("top level X_%d must contain every simplex" % n)
     for k in range(n):
-        if not lv[k].issubset(lv[k + 1]):
+        if not lv[k] <= lv[k + 1]:
             raise StratificationError("levels not nested: X_%d ⊄ X_%d" % (k, k + 1))
 
     strata = []
     idx = 0
     for k in range(n + 1):
-        content = lv[k].difference(lv[k - 1] if k > 0 else K.empty_set())
-        for comp in content.components():
-            top = comp.max_real_dim()
+        content = lv[k] - lv[k - 1] if k > 0 else lv[k]
+        for comp in K.components(content):
+            top = max(map(K.sdim, comp))
             if top > 2 * k:
-                bad = max((i for i in comp.ids), key=lambda i: K.sdim(i))
+                bad = max(comp, key=K.sdim)
                 raise StratificationError(
                     "dimensional homogeneity: component at level %d contains %r of real dimension %d > %d"
                     % (k, K.simplices[bad], K.sdim(bad), 2 * k))
             if top != 2 * k:
-                bad = K.simplices[min(comp.ids)]
+                bad = K.simplices[min(comp)]
                 raise StratificationError(
                     "dimensional homogeneity: component of %r at level %d has no real-%d-dimensional simplex"
                     % (bad, k, 2 * k))
-            is_open = comp.is_up_closed()
+            is_open = K.is_up_closed(comp)
             if k == 0 and is_open:
                 raise StratificationError(
                     "open 0-dimensional stratum at %r is not allowed"
-                    % (K.simplices[min(comp.ids)],))
+                    % (K.simplices[min(comp)],))
             strata.append(Stratum(comp, k, is_open, idx))
             idx += 1
     # frontier: the closure of a stratum leaves its own level only downward
     for s in strata:
-        cl = s.simplex_set.down_closure()
-        extra = cl.difference(s.simplex_set)
-        lower = s.complex_dim - 1
-        low = lv[lower] if lower >= 0 else K.empty_set()
-        if not extra.issubset(low):
-            bad = K.simplices[min(extra.difference(low).ids)]
+        extra = K.walk(s.simplex_set, K.facets) - s.simplex_set
+        low = lv[s.complex_dim - 1] if s.complex_dim > 0 else frozenset()
+        if not extra <= low:
+            bad = K.simplices[min(extra - low)]
             raise StratificationError(
                 "frontier violation: closure of stratum %d meets %r outside lower levels"
                 % (s.index, bad))
@@ -153,15 +149,16 @@ class OpenFiltration:
     def __init__(self, strat, U_m, X_m, W, U, canonical=True):
         self.stratification = strat
         self.n = strat.n
-        self.U_m = U_m      # dict m -> SimplexSet (1..n)
-        self.X_m = X_m      # dict m -> SimplexSet
-        self.W = W          # dict k -> SimplexSet (1..n+1)
-        self.U = U          # dict k -> SimplexSet (1..n+1)
+        # each value a frozenset of simplex ids
+        self.U_m = U_m      # dict m -> U^m (1..n)
+        self.X_m = X_m      # dict m -> X^m
+        self.W = W          # dict k -> W_k (1..n+1)
+        self.U = U          # dict k -> U_k (1..n+1)
         self.canonical = canonical
 
     def U_m_j(self, m, j):
         """X^m minus X_{m-j} (locally closed)."""
-        return self.X_m[m].difference(self.stratification.level(m - j))
+        return self.X_m[m] - self.stratification.level(m - j)
 
 
 def compute_open_strata(strat):
@@ -169,38 +166,26 @@ def compute_open_strata(strat):
     K = strat.complex
     U_m, X_m = {}, {}
     for m in range(1, strat.n + 1):
-        u = K.empty_set()
-        for s in strat.strata_at(m):
-            if s.is_open:
-                u = u.union(s.simplex_set)
+        u = frozenset().union(*(s.simplex_set for s in strat.strata_at(m) if s.is_open))
         U_m[m] = u
-        X_m[m] = u.down_closure()
-    covered = K.empty_set()
-    for m in U_m:
-        covered = covered.union(X_m[m])
-    if covered != K.full_set():
-        missing = K.simplices[min(covered.complement().ids)]
+        X_m[m] = frozenset(K.walk(u, K.facets))
+    outside = K.full_set().difference(*X_m.values())
+    if outside:
         raise StratificationError(
-            "open strata are not dense: %r is outside every X^m" % (missing,))
+            "open strata are not dense: %r is outside every X^m"
+            % (K.simplices[min(outside)],))
     return U_m, X_m
 
 
 def compute_open_filtration(strat):
     """The canonical induced open filtration, with its identities re-verified."""
-    K = strat.complex
     n = strat.n
     U_m, X_m = compute_open_strata(strat)
     W, U = {}, {}
     for k in range(1, n + 2):
-        w = K.empty_set()
-        for m in range(max(1, n - k + 2), n + 1):
-            w = w.union(X_m[m].difference(strat.level(n - k)))
-        W[k] = w
-        u = w
-        for m in range(1, n - k + 2):
-            if m in U_m:
-                u = u.union(U_m[m])
-        U[k] = u
+        W[k] = frozenset().union(*(X_m[m] - strat.level(n - k)
+                                   for m in range(max(1, n - k + 2), n + 1)))
+        U[k] = W[k].union(*(U_m[m] for m in range(1, n - k + 2)))
     filt = OpenFiltration(strat, U_m, X_m, W, U, canonical=True)
     errors = verify_filtration_identities(filt)
     if errors:
@@ -215,15 +200,10 @@ def naive_filtration(strat):
     same step, which is exactly what the canonical W_k/U_k bookkeeping
     avoids.  Flagged so builds can record the provenance.
     """
-    K = strat.complex
     n = strat.n
     U_m, X_m = compute_open_strata(strat)
-    U = {}
-    for k in range(1, n + 2):
-        u = K.empty_set()
-        for m in range(1, n + 1):
-            u = u.union(X_m[m].difference(strat.level(m - k)))
-        U[k] = u
+    U = {k: frozenset().union(*(X_m[m] - strat.level(m - k) for m in range(1, n + 1)))
+         for k in range(1, n + 2)}
     return OpenFiltration(strat, U_m, X_m, {}, U, canonical=False)
 
 
@@ -238,38 +218,30 @@ def verify_filtration_identities(filt):
     errors = []
     # openness: U_k up-closed inside U_{k+1}
     for k in range(1, n + 1):
-        if not filt.U[k].is_up_closed(within=filt.U[k + 1]):
+        if not K.is_up_closed(filt.U[k], within=filt.U[k + 1]):
             errors.append("U_%d is not open in U_%d" % (k, k + 1))
     if filt.U[n + 1] != K.full_set():
         errors.append("U_%d is not the whole complex" % (n + 1))
     # density of U_1
-    if filt.U[1].down_closure() != K.full_set():
+    if K.walk(filt.U[1], K.facets) != K.full_set():
         errors.append("U_1 is not dense")
     # strata content: U_{k+1} − U_k = non-open complex-(n−k)-dimensional strata
     for k in range(1, n + 1):
-        diff = filt.U[k + 1].difference(filt.U[k])
-        expected = K.empty_set()
-        for s in strat.strata_at(n - k):
-            if not s.is_open:
-                expected = expected.union(s.simplex_set)
-        if diff != expected:
+        expected = frozenset().union(*(s.simplex_set for s in strat.strata_at(n - k)
+                                       if not s.is_open))
+        if filt.U[k + 1] - filt.U[k] != expected:
             errors.append(
                 "U_%d − U_%d does not equal the non-open dimension-%d strata"
                 % (k + 1, k, n - k))
     # closedness: X^m ∩ U_k = U^m_{m−n+k} for m ≥ n−k+1
     for k in range(1, n + 2):
         for m in range(max(1, n - k + 1), n + 1):
-            lhs = filt.X_m[m].intersection(filt.U[k])
-            rhs = filt.U_m_j(m, m - n + k)
-            if lhs != rhs:
+            if filt.X_m[m] & filt.U[k] != filt.U_m_j(m, m - n + k):
                 errors.append("X^%d ∩ U_%d ≠ U^%d_%d" % (m, k, m, m - n + k))
     # difference: U_{k+1} − U_k = (W_{k+1} − W_k) − U^{n−k+1}_1
     for k in range(1, n + 1):
-        lhs = filt.U[k + 1].difference(filt.U[k])
-        rhs = filt.W[k + 1].difference(filt.W[k])
         m = n - k + 1
-        if m in filt.U_m:
-            rhs = rhs.difference(filt.U_m[m])
-        if lhs != rhs:
+        rhs = filt.W[k + 1] - filt.W[k] - filt.U_m.get(m, frozenset())
+        if filt.U[k + 1] - filt.U[k] != rhs:
             errors.append("U_%d − U_%d ≠ (W_%d − W_%d) − U^%d_1" % (k + 1, k, k + 1, k, m))
     return errors

@@ -190,25 +190,30 @@ def link_by_bruteforce(simplices, s):
 
 
 def components_by_bfs(members):
-    """Components of a simplex family under face-comparability."""
+    """Components of a simplex family under face-comparability.
+
+    Two members are comparable when one is a subset of the other; every
+    such pair is found by listing each member's proper subsets that are
+    members, so the walk is linear in the members for a bounded dimension.
+    """
     members = [tuple(sorted(m)) for m in members]
+    near = {m: [] for m in members}
+    for m in members:
+        for r in range(1, len(m)):
+            for face in combinations(m, r):
+                if face in near:
+                    near[m].append(face)
+                    near[face].append(m)
     seen = set()
     comps = []
     for start in members:
         if start in seen:
             continue
-        stack = [start]
-        comp = set()
+        comp, stack = {start}, [start]
         while stack:
-            cur = stack.pop()
-            if cur in comp:
-                continue
-            comp.add(cur)
-            for other in members:
-                if other in comp:
-                    continue
-                a, b = set(cur), set(other)
-                if a <= b or b <= a:
+            for other in near[stack.pop()]:
+                if other not in comp:
+                    comp.add(other)
                     stack.append(other)
         seen |= comp
         comps.append(comp)
@@ -229,14 +234,12 @@ def chains_by_bruteforce(members, length):
     return chains
 
 
-def order_chains(P, length):
-    """All strictly increasing chains s0 ⊂ … ⊂ s_length in a SimplexSet P.
+def order_chains(K, mset, length):
+    """All strictly increasing chains s0 ⊂ … ⊂ s_length in a set of ids of K.
 
     Chains of simplex ids, in lexicographic order; the package builds all
     lengths at once with `simplicial.all_chains`.
     """
-    K = P.complex
-    mset = P.ids
     out = []
 
     def extend(chain, top):
@@ -337,7 +340,7 @@ def fake_surface_stratum_ids(K):
 def star_chains(S, sid):
     """All chains of the subposet up(sid) ∩ domain."""
     K = S.complex
-    members = [i for i in K.up_set(sid) if i in S.domain.ids]
+    members = [i for i in K.up_set(sid) if i in S.domain]
     return all_chains(K, members)
 
 
@@ -355,7 +358,7 @@ def supported_section_dims(S, sid, z_ids):
 
 def rgamma_dims(S, member_ids):
     """Cohomology dims of RΓ over an up-set of S's domain (order-chain model)."""
-    members = set(member_ids) & set(S.domain.ids)
+    members = S.domain.intersection(member_ids)
     if not members:
         return {}
     G, _ = sec._nerve_complex(S, all_chains(S.complex, members))
@@ -381,8 +384,8 @@ def pushforward_mismatch(S, T):
     the first simplex in id order that differs.
     """
     K = S.complex
-    for sid in sorted(T.domain.ids):
-        want = S.stalk_cohomology(sid) if sid in S.domain.ids \
+    for sid in sorted(T.domain):
+        want = S.stalk_cohomology(sid) if sid in S.domain \
             else rgamma_dims(S, K.up_set(sid))
         got = T.stalk_cohomology(sid)
         q = first_difference(got, want)
@@ -393,12 +396,12 @@ def pushforward_mismatch(S, T):
 
 def restrict_closed(S, subset):
     """S restricted to a down-closed subset of its domain."""
-    if not subset.issubset(S.domain) or not subset.is_down_closed(within=S.domain):
+    if not (subset <= S.domain and S.complex.is_down_closed(subset, within=S.domain)):
         raise SheafError("restrict_closed needs a down-closed subset of the domain")
-    dims = {s: qs for s, qs in S.dims.items() if s in subset.ids}
-    diffs = {s: ms for s, ms in S.diffs.items() if s in subset.ids}
+    dims = {s: qs for s, qs in S.dims.items() if s in subset}
+    diffs = {s: ms for s, ms in S.diffs.items() if s in subset}
     restr = {p: ms for p, ms in S.restrictions.items()
-             if p[0] in subset.ids and p[1] in subset.ids}
+             if p[0] in subset and p[1] in subset}
     return SheafComplex(S.F, S.complex, subset, dims, diffs, restr)
 
 
@@ -413,15 +416,15 @@ def is_refinement(strat1, strat2):
     corr = {}
     for s1 in strat1.strata:
         hosts = [s2.index for s2 in strat2.strata
-                 if s1.simplex_set.issubset(s2.simplex_set)]
+                 if s1.simplex_set <= s2.simplex_set]
         if len(hosts) != 1:
             return False, {}
         corr[s1.index] = hosts[0]
     covered = {j: set() for j in range(len(strat2.strata))}
     for i, j in corr.items():
-        covered[j].update(strat1.strata[i].simplex_set.ids)
+        covered[j].update(strat1.strata[i].simplex_set)
     for s2 in strat2.strata:
-        if covered[s2.index] != set(s2.simplex_set.ids):
+        if covered[s2.index] != set(s2.simplex_set):
             return False, {}
     return True, corr
 
@@ -430,9 +433,9 @@ def is_refinement(strat1, strat2):
 # zero sum to the direct-sum complex that `build_ic` builds in one pass.
 
 def subcomplex(K, down_closed_set):
-    """A down-closed SimplexSet of K as a standalone complex, with id maps."""
-    assert down_closed_set.is_down_closed()
-    tuples = down_closed_set.tuples()
+    """A down-closed set of ids of K as a standalone complex, with id maps."""
+    assert K.is_down_closed(down_closed_set)
+    tuples = [K.simplices[i] for i in sorted(down_closed_set)]
     sub = SimplicialComplex({v for t in tuples for v in t}, tuples)
     to_parent = {sub.index[t]: K.index[t] for t in tuples}
     from_parent = {v: k for k, v in to_parent.items()}
@@ -471,7 +474,7 @@ def restrict_stratification(strat, closed_set):
     """The induced stratification of a down-closed union of strata."""
     K = strat.complex
     sub, to_parent, from_parent = subcomplex(K, closed_set)
-    levels = {k: [K.simplices[i] for i in strat.level(k).ids if i in from_parent]
+    levels = {k: [K.simplices[i] for i in strat.level(k) if i in from_parent]
               for k in range(sub.dim // 2 + 1)}
     return validate_stratification(sub, levels), sub, to_parent, from_parent
 
@@ -504,7 +507,7 @@ def build_ic_pure(strat, m, Lm=None, field=QQ):
     if Lm is None:
         Lsub = None
     else:
-        sub_dom = sub.simplex_set({from_parent[i] for i in Lm.domain.ids})
+        sub_dom = frozenset({from_parent[i] for i in Lm.domain})
         Lsub = transport_complex(Lm, sub, from_parent, sub_dom)
     bundle = build_ic(substrat, Lsub, field=field)
     parent_ic = transport_complex(bundle.ic, strat.complex, to_parent, closed)
@@ -567,14 +570,14 @@ def block_diag(F, A, B, ra, ca, rb, cb):
 
 
 def extend_by_zero(S, ambient):
-    """S extended by zero to an ambient SimplexSet containing its domain.
+    """S extended by zero to an ambient set of ids containing its domain.
 
     The domain must be down-closed inside the ambient set (closed
     pushforward); values outside are zero, so no new matrices appear.
     """
-    if not S.domain.issubset(ambient):
+    if not S.domain <= ambient:
         raise SheafError("ambient set must contain the domain")
-    if not S.domain.is_down_closed(within=ambient):
+    if not S.complex.is_down_closed(S.domain, within=ambient):
         raise SheafError("extend_by_zero requires a domain closed in the ambient set")
     return SheafComplex(S.F, S.complex, ambient, S.dims, S.diffs, S.restrictions)
 
@@ -598,7 +601,7 @@ def check_decomposition(bundle):
     table_direct = bundle.ic.stalk_table()
     table_sum = total.stalk_table()
     mismatch = None
-    for sid in sorted(K.full_set().ids):
+    for sid in sorted(K.full_set()):
         bad = first_difference(table_direct.get(sid, {}), table_sum.get(sid, {}))
         if bad is not None:
             mismatch = {"simplex": list(K.simplices[sid]), "degree": bad,
@@ -752,7 +755,7 @@ def cohomology_sheaf_reference(S, a):
     F = S.F
     data = {}
     stalks = {}
-    for sid in sorted(S.domain.ids):
+    for sid in sorted(S.domain):
         n = S.dim(sid, a)
         d_out = S.diff(sid, a) if S.dim(sid, a + 1) else None
         d_in = S.diff(sid, a - 1) if S.dim(sid, a - 1) else None
@@ -761,7 +764,7 @@ def cohomology_sheaf_reference(S, a):
         if coh.h_dim:
             stalks[sid] = {a: coh.h_dim}
     restr = {}
-    for (s, t) in S.domain.cover_pairs():
+    for (s, t) in S.complex.cover_pairs(S.domain):
         cs, ct = data[s], data[t]
         if cs.h_dim == 0 and ct.h_dim == 0:
             continue
@@ -786,7 +789,7 @@ def is_clc_reference(S, strat):
     for a in range(lo, hi + 1):
         H = cohomology_sheaf_reference(S, a)
         for st in sorted(strat.strata, key=lambda st: st.index):
-            ids = st.simplex_set.ids & S.domain.ids
+            ids = st.simplex_set & S.domain
             for s in sorted(ids):
                 for t, _ in K.cofacets[s]:
                     if t not in ids:
@@ -826,7 +829,7 @@ def load_sheaf_complex(doc, K, F):
     def parse_matrix(m):
         return [[F.parse(x) for x in row] for row in m]
 
-    domain = K.set_from_tuples(doc["domain"])
+    domain = frozenset(K.id_of(t) for t in doc["domain"])
     dims = {parse_simplex(k): {int(q): d for q, d in v.items()}
             for k, v in doc["stalk_dims"].items()}
     diffs = {parse_simplex(k): {int(q): parse_matrix(m) for q, m in v.items()}
@@ -1117,9 +1120,9 @@ def _pure_closures(simplices, levels):
 
     simplices: every simplex of the space, as a frozenset; levels[k]: the
     closed level X_k, a set of them.  A stratum is a component of
-    X_m − X_(m−1), connected through the cover relation (`components_by_bfs`
-    compares every pair, too slow here), and it is open when it holds every
-    coface of its members.
+    X_m − X_(m−1) under face-comparability (`components_by_bfs`; the
+    difference is convex, so that is connection through the cover
+    relation), and it is open when it holds every coface of its members.
     """
     cofacets = {s: [] for s in simplices}
     for s in simplices:
@@ -1128,19 +1131,9 @@ def _pure_closures(simplices, levels):
                 cofacets[s - {v}].append(s)
     out = {}
     for m in range(1, len(levels)):
-        content = levels[m] - levels[m - 1]
-        seen, union = set(), []
-        for start in content:
-            if start in seen:
-                continue
-            comp, stack = set(), [start]
-            while stack:
-                s = stack.pop()
-                if s not in comp:
-                    comp.add(s)
-                    stack += [u for u in cofacets[s] if u in content]
-                    stack += [s - {v} for v in s if s - {v} in content]
-            seen |= comp
+        union = []
+        for comp in components_by_bfs(levels[m] - levels[m - 1]):
+            comp = {frozenset(t) for t in comp}
             if all(u in comp for s in comp for u in cofacets[s]):
                 union += comp
         out[m] = {frozenset(c) for c in close_downward(union)}
@@ -1175,7 +1168,7 @@ def link_stalks(K, strat, p):
     H^a(IC_(X^m))_σ = IH_(a+m)(lk σ) for a + m < N − 1 − ⌊(N − 2)/2⌋, and 0
     otherwise.  The stalk is the sum over the m with σ in X^m.
     """
-    lv = [{frozenset(K.simplices[i]) for i in L.ids} for L in strat.levels]
+    lv = [{frozenset(K.simplices[i]) for i in L} for L in strat.levels]
     closures = _pure_closures([frozenset(s) for s in K.simplices], lv)
     out = {}
     for sid, simplex in enumerate(K.simplices):

@@ -92,9 +92,9 @@ def write_local_systems():
         U = compute_open_filtration(validate_stratification(K, doc["levels"])).U[1]
         key = lambda sid: reports.simplex_key(K, sid)
         Path("diag21-%s.json" % name).write_text(json.dumps({
-            "stalk_dims": {key(s): 2 for s in sorted(U.ids)},
+            "stalk_dims": {key(s): 2 for s in sorted(U)},
             "matrices": {"%s|%s" % (key(s), key(t)): [[2, 0], [0, 1]]
-                         for s, t in sorted(U.cover_pairs())}}))
+                         for s, t in sorted(K.cover_pairs(U))}}))
 
 
 def _sha(data):

@@ -213,10 +213,10 @@ def _extract_system(S, filt):
     dims, mats = {}, {}
     for m, um in filt.U_m.items():
         H = sec.cohomology_sheaf(S, -m)
-        for sid in um.ids:
+        for sid in um:
             dims[sid] = H.dim(sid, -m)
-        for (a, b) in H.domain.cover_pairs():
-            if a in um.ids and b in um.ids:
+        for (a, b) in K.cover_pairs(H.domain):
+            if a in um and b in um:
                 mats[(a, b)] = H.restriction_cover(a, b, -m)
     return make_local_system(QQ, K, filt.U[1], {"stalk_dim": dims, "matrices": mats})
 
@@ -282,7 +282,7 @@ def test_criterion_10_engine_properties():
             lo, hi = S.degree_range()
             for a in range(lo - 1, hi + 1):
                 T = sec.truncate_le(S, a)
-                for sid in sorted(S.domain.ids):
+                for sid in sorted(S.domain):
                     full = S.stalk_cohomology(sid)
                     assert T.stalk_cohomology(sid) == \
                         {q: d for q, d in full.items() if q <= a}
@@ -291,7 +291,7 @@ def test_criterion_10_engine_properties():
         for name, b in builds.items():
             prev = b.intermediates[-2]
             T = sec.pushforward_open(prev, b.ic.domain)
-            for sid in sorted(prev.domain.ids):
+            for sid in sorted(prev.domain):
                 assert T.stalk_cohomology(sid) == prev.stalk_cohomology(sid)
 
         # adjunction triangle rank identity across the non-open strata
@@ -299,13 +299,13 @@ def test_criterion_10_engine_properties():
             filt = b.filtration
             for k in range(1, filt.n + 1):
                 V = filt.U[k + 1]
-                Z = V.difference(filt.U[k])
+                Z = V - filt.U[k]
                 SV = b.ic.restrict_open(V)
-                for sid in sorted(Z.ids):
-                    supported = oracles.supported_section_dims(SV, sid, Z.ids)
+                for sid in sorted(Z):
+                    supported = oracles.supported_section_dims(SV, sid, Z)
                     stalk = SV.stalk_cohomology(sid)
-                    star = [i for i in SV.complex.up_set(sid) if i in V.ids]
-                    openpart = oracles.rgamma_dims(SV, [i for i in star if i not in Z.ids])
+                    star = [i for i in SV.complex.up_set(sid) if i in V]
+                    openpart = oracles.rgamma_dims(SV, [i for i in star if i not in Z])
                     total = sum((-1) ** q * (supported.get(q, 0) - stalk.get(q, 0)
                                              + openpart.get(q, 0))
                                 for q in set(supported) | set(stalk) | set(openpart))
@@ -319,7 +319,7 @@ def test_criterion_10_engine_properties():
         ]
         for K in manifolds:
             S = constant_complex(QQ, K, K.full_set())
-            for costalk in sec.cell_costalk(S, K.full_set().ids).values():
+            for costalk in sec.cell_costalk(S, K.full_set()).values():
                 assert costalk == {K.dim: 1}
 
         # the cleaned pushforwards of the construction have the stalks of

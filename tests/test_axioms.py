@@ -12,7 +12,7 @@ import oracles
 
 
 def full_costalks(S):
-    return {sid: oracles.star_costalk(S, sid) for sid in sorted(S.domain.ids)}
+    return {sid: oracles.star_costalk(S, sid) for sid in sorted(S.domain)}
 
 
 def test_ax1_passes_on_constant_over_manifold():
@@ -105,24 +105,24 @@ def test_constant_on_wedge_fails_cosupport(wedge):
 def test_support_locus(wedge_ic, wedge):
     K, strat = wedge
     S = wedge_ic.ic
-    ids, cdim = ax.support_locus(K, S.domain.ids, -1, S.stalk_cohomology)
+    ids, cdim = ax.support_locus(K, S.domain, -1, S.stalk_cohomology)
     s2 = {i for i, s in enumerate(K.simplices) if set(s) <= {0, 6, 7, 8}}
     assert set(ids) == s2 and cdim == 1
     # below the degree range the locus is empty
-    ids2, cdim2 = ax.support_locus(K, S.domain.ids, -5, S.stalk_cohomology)
+    ids2, cdim2 = ax.support_locus(K, S.domain, -5, S.stalk_cohomology)
     assert ids2 == [] and cdim2 is None
     # naive complex: degree -1 stalk locus contains the fake stratum
     Kf, docf = demos.demo_space("fake-surface")
     sf = validate_stratification(Kf, docf["levels"])
     bn = build_ic(sf, naive=True)
-    ids3, cdim3 = ax.support_locus(Kf, bn.filtration.X_m[2].ids, -1,
+    ids3, cdim3 = ax.support_locus(Kf, bn.filtration.X_m[2], -1,
                                    bn.ic.stalk_cohomology)
     assert oracles.fake_surface_stratum_ids(Kf) <= set(ids3) and cdim3 == 1
 
 
 def test_ax2_rejects_non_clc(wedge):
     K, strat = wedge
-    v = K.simplex_set({K.id_of([1])})
+    v = frozenset({K.id_of([1])})
     sky = oracles.extend_by_zero(constant_complex(QQ, K, v), K.full_set())
     with pytest.raises(ax.AxiomInputError):
         ax.check_ax2(sky, strat)
@@ -135,7 +135,7 @@ def test_witness_minimality(wedge_ic, wedge, spaces):
     classic = ax.check_classic_ax2(wedge_ic.ic)
     for w in [w for c in classic.clauses for w in c.witnesses]:
         tables = ct if w.kind == "costalk" else \
-            {sid: wedge_ic.ic.stalk_cohomology(sid) for sid in sorted(K.full_set().ids)}
+            {sid: wedge_ic.ic.stalk_cohomology(sid) for sid in sorted(K.full_set())}
         assert all(tables[sid].get(w.degree, 0) for sid in w.simplex_ids)
         observed = max(K.sdim(i) for i in w.simplex_ids) // 2
         assert observed == w.observed_dim and observed >= w.bound

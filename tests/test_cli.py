@@ -11,7 +11,7 @@ from icsheaf import axioms as ax
 from icsheaf import cli, deligne, demos, stratify
 from icsheaf.cli import run
 from icsheaf import reports
-from icsheaf.simplicial import SimplicialComplex, load_complex
+from icsheaf.simplicial import SimplicialComplex, complex_to_doc, load_complex
 from icsheaf.stratify import compute_open_filtration, validate_stratification
 
 import oracles
@@ -127,9 +127,9 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     # local-system files, each breaking one rule of a valid rank-2 system
     K = load_complex(cdoc)
     U = compute_open_filtration(validate_stratification(K, sdoc["levels"])).U[1]
-    dims = {reports.simplex_key(K, s): 2 for s in U.ids}
+    dims = {reports.simplex_key(K, s): 2 for s in U}
     mats = {"%s|%s" % (reports.simplex_key(K, s), reports.simplex_key(K, t)): [[2, 0], [0, 1]]
-            for s, t in U.cover_pairs()}
+            for s, t in K.cover_pairs(U)}
     pair = next(iter(mats))
     systems = []
     for name, stalk_dims, matrices, reason in (
@@ -270,6 +270,49 @@ def test_demo_materializes_and_caches(tmp_path):
     before = cpath.read_text()
     assert run(["validate", "demo:wedge", "--out", o]) == 0
     assert cpath.read_text() == before  # reused, not regenerated
+
+
+class _Stopped(BaseException):
+    """A job stopped from outside: no handler in the package catches it."""
+
+
+def test_stopped_demo_materialization_is_redone(tmp_path, monkeypatch):
+    # a job stopped halfway through writing stratification.json leaves no
+    # truncated file there, which every later job with the same --out
+    # would fail to read; the next job writes the files again and runs
+    o = out(tmp_path)
+    d = tmp_path / "o" / "demos" / "wedge"
+
+    class Cut:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[:len(text) // 2])
+            raise _Stopped
+
+    def cut_open(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+        return Cut(f) if path.name.startswith("stratification.json") else f
+
+    monkeypatch.setattr(reports, "open", cut_open, raising=False)
+    with pytest.raises(_Stopped):
+        run(["build", "demo:wedge", "--out", o])
+    monkeypatch.undo()
+    assert sorted(p.name for p in d.iterdir()) == ["complex.json"]
+    # a killed job's temporary file is not read either
+    (d / "stratification.json.1.tmp").write_text('{"levels":{"0":[[0')
+    assert run(["build", "demo:wedge", "--out", o]) == 0
+    K, doc = demos.demo_space("wedge")
+    assert json.loads((d / "stratification.json").read_text()) == doc
+    assert json.loads((d / "complex.json").read_text()) == \
+        json.loads(reports.canonical_json(complex_to_doc(K)))
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -499,9 +542,9 @@ def test_manifest_names_every_input(tmp_path):
     rank2, diag21 = tmp_path / "rank2.json", tmp_path / "diag21.json"
     rank2.write_text(json.dumps({"rank": 2}))
     diag21.write_text(json.dumps({
-        "stalk_dims": {key(s): 2 for s in U.ids},
+        "stalk_dims": {key(s): 2 for s in U},
         "matrices": {"%s|%s" % (key(s), key(t)): [[2, 0], [0, 1]]
-                     for s, t in U.cover_pairs()}}))
+                     for s, t in K.cover_pairs(U)}}))
     hashes = set()
     for system in ([], ["--local-system", str(rank2)], ["--local-system", str(diag21)]):
         assert run(["check-ax2", "demo:wedge", "--field", "q", "--out", o] + system) == 0

@@ -68,7 +68,7 @@ def test_manifold_trivial_build():
     strat = validate_stratification(
         K, {"2": [list(c) for c in combinations(range(6), 5)], "1": [], "0": []})
     b = build_ic(strat)
-    for sid in sorted(K.full_set().ids):
+    for sid in sorted(K.full_set()):
         assert b.ic.stalk_cohomology(sid) == {-2: 1}
 
 
@@ -97,7 +97,7 @@ def test_wedge_restriction_to_u1_is_shifted_system(wedge_ic, wedge):
     filt = wedge_ic.filtration
     back = wedge_ic.ic.restrict_open(filt.U[1])
     for m, um in filt.U_m.items():
-        for sid in um.ids:
+        for sid in um:
             assert back.stalk_cohomology(sid) == {-m: 1}
 
 
@@ -106,7 +106,7 @@ def test_tower_restriction_compatibility(towers):
         for i in range(len(b.intermediates) - 1):
             prev, cur = b.intermediates[i], b.intermediates[i + 1]
             backed = cur.restrict_open(prev.domain)
-            for sid in sorted(prev.domain.ids):
+            for sid in sorted(prev.domain):
                 assert backed.stalk_cohomology(sid) == prev.stalk_cohomology(sid)
 
 
@@ -116,7 +116,7 @@ def test_vanishing_by_construction(built):
         filt = b.filtration
         n = filt.n
         for k in range(1, n + 1):
-            for sid in sorted(filt.W[k + 1].ids):
+            for sid in sorted(filt.W[k + 1]):
                 table = b.ic.stalk_cohomology(sid)
                 assert all(q <= k - 1 - n for q in table), (name, k, sid)
 
@@ -127,9 +127,47 @@ def test_attaching_by_construction(built):
         filt = b.filtration
         n = filt.n
         for k in range(1, n + 1):
-            zone = filt.U[k + 1].difference(filt.U[k])
-            for sid, table in sec.cell_costalk(b.ic, zone.ids).items():
+            zone = filt.U[k + 1] - filt.U[k]
+            for sid, table in sec.cell_costalk(b.ic, zone).items():
                 assert all(q > n - k for q in table), (name, k, sid)
+
+
+@pytest.mark.parametrize("field", ("fp:2", "fp:32003", "q"))
+def test_singular_costalks_are_what_each_truncation_discards(spaces, monkeypatch, field):
+    # a sheaf-level check that shares nothing with the cellular costalk: at
+    # a simplex σ of a stratum of real dimension d that is new at a step
+    # with stage A and cutoff p, i^! Rj_* = 0 gives
+    # i^!(τ≤p Rj_*A) = i^*(τ>p Rj_*A)[−1−d], so costalk^a(IC, σ) =
+    # dim H^(a−1−d)(Rj_*A)_σ when a−1−d > p and 0 otherwise (Goresky and
+    # MacPherson, Intersection Homology II, §2–3).  Every simplex the
+    # pushforwards give a value, and no attached local system, is checked.
+    pushed = []
+    truncate = sec.truncate_le
+
+    def keep(S, p):
+        pushed.append((S, p))
+        return truncate(S, p)
+
+    monkeypatch.setattr(sec, "truncate_le", keep)
+    counts = []
+    for name in demos.DEMO_NAMES:
+        K, strat = spaces[name]
+        pushed.clear()
+        tower = deligne.build_tower(strat, field=field_by_name(field))
+        assert len(pushed) == len(tower.log), name
+        want = {}
+        for A, (R, p) in zip(tower.intermediates, pushed):
+            new = R.domain - A.domain
+            for sid in new:
+                d = max(K.sdim(t) for t in K.up_set(sid) if t in new)
+                want[sid] = {b + 1 + d: h for b, h in R.stalk_cohomology(sid).items()
+                             if b > p}
+        assert set(want) == K.full_set() - tower.filtration.U[1], name
+        got = sec.cell_costalk(tower.ic, want)
+        for sid in sorted(want):
+            assert got[sid] == want[sid], (name, K.simplices[sid], got[sid], want[sid])
+        counts.append(len(want))
+    assert counts == [1, 1, 2, 2, 15]
 
 
 def test_pinched_torus_against_normalization_oracle(built):
@@ -144,7 +182,7 @@ def test_pure_wrapper_matches_direct_build(built, spaces):
     K, strat = spaces["pinched-torus"]
     piece, sub_bundle = oracles.build_ic_pure(strat, 1)
     direct = built["pinched-torus"].ic
-    for sid in sorted(K.full_set().ids):
+    for sid in sorted(K.full_set()):
         assert piece.stalk_cohomology(sid) == direct.stalk_cohomology(sid)
 
 
@@ -188,7 +226,7 @@ def susp_rp2xs1():
 def not_self_dual(S):
     """The simplices where S's costalk is not its stalk mirrored: costalk^a ≠ stalk^-a."""
     K = S.complex
-    return {K.simplices[sid] for sid, costalk in sec.cell_costalk(S, K.full_set().ids).items()
+    return {K.simplices[sid] for sid, costalk in sec.cell_costalk(S, K.full_set()).items()
             if costalk != {-q: d for q, d in S.stalk_cohomology(sid).items()}}
 
 
@@ -234,9 +272,9 @@ def test_scoped_build_matches_full_build(build_of, spaces, naive, field):
     for name in demos.DEMO_NAMES:
         K, strat = spaces[name]
         full = build_of(name, field, naive).ic
-        check = sorted(K.full_set().ids)
+        check = sorted(K.full_set())
         if name in ("susp-s1xs2", "nonpure-wedge"):
-            sing = strat.level(strat.n - 1).ids
+            sing = strat.level(strat.n - 1)
             rest = [sid for sid in check if sid not in sing]
             check = sorted(sing) + random.Random(name).sample(rest, 8)
         for sid in check:
@@ -251,7 +289,11 @@ def test_scoped_build_matches_full_build(build_of, spaces, naive, field):
 def test_scoped_build_needs_an_open_set(wedge):
     K, strat = wedge
     with pytest.raises(SheafError, match="up-closed"):
-        build_ic(strat, within=K.simplex_set([K.id_of([0])]))
+        build_ic(strat, within=frozenset([K.id_of([0])]))
+    # ids that name no simplex of the complex are no open set of it either
+    for within in ({len(K)}, {-1}, K.full_set() | {len(K)}):
+        with pytest.raises(SheafError, match="up-closed"):
+            deligne.build_tower(strat, within=frozenset(within))
 
 
 @pytest.mark.parametrize("stage", (0, -1), ids=("first", "last"))
@@ -437,12 +479,12 @@ def test_no_operation_mutates_a_shared_map(monkeypatch, spaces, name, system):
         # diag(2, 1) on every cover pair; every other pair shares one matrix
         D = [[2, 0], [0, 1]]
         L = make_local_system(QQ, K, U, {
-            "stalk_dim": {s: 2 for s in U.ids},
+            "stalk_dim": {s: 2 for s in U},
             "matrices": {p: D if i % 2 else [row[:] for row in D]
-                         for i, p in enumerate(sorted(U.cover_pairs()))}})
+                         for i, p in enumerate(sorted(K.cover_pairs(U)))}})
     bundle = deligne.build_tower(strat, L, field=QQ)
     S = bundle.ic
-    sec.cell_costalk(S, S.domain.ids)
+    sec.cell_costalk(S, S.domain)
     lo, hi = S.degree_range()
     for a in range(lo, hi + 1):
         sec.cohomology_sheaf(S, a)
@@ -524,7 +566,7 @@ def test_glue_rejects_a_truncation_that_meets_the_attached_systems(monkeypatch, 
                        r"attached local system at (\[[\d, ]*\])", str(info.value))
     assert got, str(info.value)
     U1 = compute_open_filtration(strat).U_m[1]
-    assert K.id_of(json.loads(got.group(2))) in U1.ids, str(info.value)
+    assert K.id_of(json.loads(got.group(2))) in U1, str(info.value)
 
 
 def test_stages_keep_no_composite_restrictions(towers):
@@ -572,7 +614,7 @@ def test_coarsen_examples(built, spaces):
     # the pinch point never merges
     Kp, sp = spaces["pinched-torus"]
     stp = clc_coarsen(sp, built["pinched-torus"].ic)
-    assert stp.levels[0].tuples() == [(0,)]
+    assert [Kp.simplices[i] for i in sorted(stp.levels[0])] == [(0,)]
 
 
 def test_coarsening_is_a_fixed_point(spaces, build_of):
@@ -602,11 +644,11 @@ def test_coarsening_is_a_fixed_point(spaces, build_of):
                 if key not in rebuilt:
                     coarser = validate_stratification(K, doc)
                     ic2 = build_ic(coarser, field=F).ic
-                    rebuilt[key] = (ic2, sec.cell_costalk(ic2, ic2.domain.ids),
+                    rebuilt[key] = (ic2, sec.cell_costalk(ic2, ic2.domain),
                                     clc_coarsen(coarser, ic2).levels_doc())
                 ic2, costalks2, again = rebuilt[key]
                 for what, t1, t2 in (("stalk", ic.stalk_table(), ic2.stalk_table()),
-                                     ("costalk", sec.cell_costalk(ic, ic.domain.ids), costalks2)):
+                                     ("costalk", sec.cell_costalk(ic, ic.domain), costalks2)):
                     sid = first_row(t1, t2)
                     assert sid is None, "%s: %s differs at %s: %s != %s" % (
                         case, what, list(K.simplices[sid]), t1.get(sid), t2.get(sid))
@@ -635,7 +677,7 @@ def test_coarsen_records_each_failure_once(spaces, build_of):
 def test_coarsen_rejects_non_clc(spaces):
     K, strat = spaces["wedge"]
     # a skyscraper off the strata pattern is not locally constant stratumwise
-    v = K.simplex_set({K.id_of([1])})
+    v = frozenset({K.id_of([1])})
     sky = oracles.extend_by_zero(constant_complex(QQ, K, v), K.full_set())
     with pytest.raises(SheafError, match="locally constant"):
         clc_coarsen(strat, sky)

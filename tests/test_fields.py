@@ -70,8 +70,8 @@ def _scaled_system(F, K, filt):
     U = filt.U[1]
     two = 2
     D = [[two, F.zero], [F.zero, F.inv(two)]]
-    pairs = [(s, c) for s in sorted(U.ids) for c, _ in K.cofacets[s] if c in U.ids]
-    return make_local_system(F, K, U, {"stalk_dim": {s: 2 for s in U.ids},
+    pairs = [(s, c) for s in sorted(U) for c, _ in K.cofacets[s] if c in U]
+    return make_local_system(F, K, U, {"stalk_dim": {s: 2 for s in U},
                                        "matrices": {p: D for p in pairs}})
 
 

@@ -52,7 +52,7 @@ def test_stalks_are_the_intersection_homology_of_links(build_of, spaces, field):
         K, strat = spaces[name]
         want = oracles.link_stalks(K, strat, FIELDS[field])
         got = build_of(name, field).ic.stalk_table()
-        assert set(got) == set(want) == set(K.full_set().ids), name
+        assert set(got) == set(want) == set(K.full_set()), name
         for sid in sorted(want):
             assert got[sid] == want[sid], (name, field, K.simplices[sid], got[sid], want[sid])
         if field == "fp:32003":

@@ -104,9 +104,9 @@ def test_memoized_restrictions_match_the_composite(build_of, name, field):
     K = S.complex
     memo = {}
     pairs = 0
-    for s in sorted(S.domain.ids):
+    for s in sorted(S.domain):
         for t in K.up_set(s):
-            if t not in S.domain.ids:
+            if t not in S.domain:
                 continue
             for q in S.degrees():
                 got = S.restriction(s, t, q, memo)
@@ -124,7 +124,7 @@ def test_flat_stalks_match_the_reduction(tower_of, name, field):
     flat = 0
     for naive in (False, True):
         for S in tower_of(name, field, naive).intermediates:
-            for sid in sorted(S.domain.ids):
+            for sid in sorted(S.domain):
                 G = SparseComplex(S.F)
                 sec._add_value(S, G, sid, 0, 1, None)
                 if not any(G.dout):

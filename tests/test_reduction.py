@@ -189,7 +189,7 @@ def test_eliminator_matches_the_tuple_keyed_reference(monkeypatch, tower_of, fie
         for same_support in (True, False):
             case.append("%s, cellular complex of the IC%s"
                         % (label, " (same support)" if same_support else ""))
-            sec._cellular_complex(bundle.ic, bundle.ic.domain.ids).reduce(same_support)
+            sec._cellular_complex(bundle.ic, bundle.ic.domain).reduce(same_support)
     assert True in seen and False in seen
 
 
@@ -415,7 +415,7 @@ def _zero_blocks_filled(S):
     diffs = {s: {q: S.diff(s, q) for q in qs if q + 1 in qs} for s, qs in S.dims.items()}
     restr = {(s, t): {q: S.restriction_cover(s, t, q)
                       for q in S.dims.get(s, {}).keys() | S.dims.get(t, {}).keys()}
-             for s, t in S.domain.cover_pairs()}
+             for s, t in S.complex.cover_pairs(S.domain)}
     return SheafComplex(S.F, S.complex, S.domain, S.dims, diffs, restr)
 
 

@@ -15,7 +15,7 @@ import oracles
 
 def punctured_disk():
     K = SimplicialComplex(range(4), [[0, 1, 2], [0, 2, 3], [0, 1, 3]])
-    U = K.simplex_set(K.full_set().ids - {K.id_of([0])})
+    U = K.full_set() - {K.id_of([0])}
     return K, U
 
 
@@ -33,7 +33,7 @@ def test_pushforward_disk_apex_is_circle():
     T.validate()
     rim = [[1, 2], [2, 3], [1, 3]]
     assert T.stalk_cohomology(K.id_of([0])) == oracles.cochain_cohomology_dims(rim)
-    for sid in sorted(U.ids):
+    for sid in sorted(U):
         assert T.stalk_cohomology(sid) == S.stalk_cohomology(sid)
 
 
@@ -58,7 +58,7 @@ def test_pushforward_pinched_torus_stalk():
 def test_pushforward_rejects_bad_inputs():
     K, U = punctured_disk()
     S = constant_complex(QQ, K, U)
-    rim = K.full_set().difference(K.open_star([0]))
+    rim = K.full_set() - K.open_star([0])
     with pytest.raises(SheafError):
         sec.pushforward_open(constant_complex(QQ, K, rim), K.full_set())
 
@@ -70,7 +70,7 @@ def test_truncation_contract(built):
         lo, hi = S.degree_range()
         for a in range(lo - 1, hi + 1):
             T = sec.truncate_le(S, a)
-            for sid in sorted(S.domain.ids):
+            for sid in sorted(S.domain):
                 full = S.stalk_cohomology(sid)
                 cut = T.stalk_cohomology(sid)
                 assert cut == {q: d for q, d in full.items() if q <= a}, (name, a, sid)
@@ -121,13 +121,13 @@ def test_bar_and_cellular_models_agree(spaces, built):
     # on clopen subsets the one-summand-per-cell model equals the nerve model
     for name in ("wedge", "pinched-torus", "fake-surface"):
         S = built[name].ic
-        assert oracles.rgamma_dims(S, S.domain.ids) == sec.hypercohomology(S)
+        assert oracles.rgamma_dims(S, S.domain) == sec.hypercohomology(S)
     # a disjoint union, restricted to one clopen component
     K = SimplicialComplex(range(7), [[0, 1, 2], [3, 4, 5, 6]])
     S = constant_complex(QQ, K, K.full_set())
-    comp = K.full_set().components()[0]
-    assert comp.is_up_closed() and comp.is_down_closed()
-    assert oracles.rgamma_dims(S, comp.ids) == \
+    comp = K.components(K.full_set())[0]
+    assert K.is_up_closed(comp) and K.is_down_closed(comp)
+    assert oracles.rgamma_dims(S, comp) == \
         sec.hypercohomology(S.restrict_open(comp)) == {0: 1}
 
 
@@ -139,7 +139,7 @@ def test_hypercohomology_needs_a_clopen_domain(wedge):
     S = build_ic(strat, within=K.open_star([0])).ic
     with pytest.raises(SheafError, match="clopen"):
         sec.hypercohomology(S)
-    assert oracles.rgamma_dims(S, S.domain.ids) == S.stalk_cohomology(K.id_of([0])) \
+    assert oracles.rgamma_dims(S, S.domain) == S.stalk_cohomology(K.id_of([0])) \
         == {-2: 1, -1: 1}
 
 
@@ -153,7 +153,7 @@ def test_costalk_concentration_on_manifolds():
     for K in manifolds:
         S = constant_complex(QQ, K, K.full_set())
         n = K.dim
-        for sid, costalk in sec.cell_costalk(S, K.full_set().ids).items():
+        for sid, costalk in sec.cell_costalk(S, K.full_set()).items():
             assert costalk == {n: 1}, (n, K.simplices[sid])
 
 
@@ -170,7 +170,7 @@ def test_costalk_reads_the_restricted_domain(wedge_ic, wedge):
     K, _ = wedge
     S, v0 = wedge_ic.ic, K.id_of([0])
     full = sec.cell_costalk(S, [v0])[v0]
-    sphere = K.simplex_set({i for i, s in enumerate(K.simplices) if set(s) <= {0, 6, 7, 8}})
+    sphere = frozenset({i for i, s in enumerate(K.simplices) if set(s) <= {0, 6, 7, 8}})
     assert full == {1: 1, 2: 1}
     assert sec.cell_costalk(oracles.restrict_closed(S, sphere), [v0])[v0] == {-2: 1, 1: 1}
     assert sec.cell_costalk(S, [v0])[v0] == full
@@ -204,9 +204,9 @@ def test_cellular_costalk_matches_nerve_oracle(spaces, built, naive, field):
         else:
             b = build_ic(strat, field=F, naive=naive)
         if name in SURFACE_DEMOS:
-            sample = sorted(K.full_set().ids)
+            sample = sorted(K.full_set())
         else:
-            singular = K.full_set().ids - b.filtration.U[1].ids
+            singular = K.full_set() - b.filtration.U[1]
             sample = sorted(set(default_costalk_sample(strat)) | singular)
         for sid in sample:
             assert sec.cell_costalk(b.ic, [sid])[sid] == nerve_costalk(b.ic, sid), \
@@ -218,7 +218,7 @@ def test_cellular_costalk_matches_nerve_oracle_on_open_part(towers):
     for name in SURFACE_DEMOS:
         S = towers[name].intermediates[0]
         assert S.domain != S.complex.full_set()
-        for sid in sorted(S.domain.ids):
+        for sid in sorted(S.domain):
             assert sec.cell_costalk(S, [sid])[sid] == nerve_costalk(S, sid), \
                 (name, S.complex.simplices[sid])
 
@@ -239,11 +239,11 @@ def test_cell_costalk_matches_star_oracle(spaces, tower_of, field):
             stages = tower_of(name, field, naive).intermediates
             for k, S in enumerate(stages):
                 label = "%s%s stage %d" % (name, " --naive" if naive else "", k)
-                ids = sorted(S.domain.ids)
+                ids = sorted(S.domain)
                 sets = [("domain", ids)] + [("simplex", [sid]) for sid in ids]
                 if k == len(stages) - 1:
                     filt = compute_open_filtration(strat)
-                    zone = set().union(*(filt.U[m + 1].difference(filt.U[m]).ids
+                    zone = set().union(*(filt.U[m + 1] - filt.U[m]
                                          for m in range(1, filt.n + 1)))
                     sets += [("AX1 zone", zone), ("sample", default_costalk_sample(strat)),
                              ("random", rng.sample(ids, len(ids) // 4))]
@@ -251,9 +251,9 @@ def test_cell_costalk_matches_star_oracle(spaces, tower_of, field):
     K, strat = spaces["nonpure-wedge"]
     star = K.open_star(K.simplices[default_costalk_sample(strat)[0]])
     S = build_ic(strat, field=field_by_name(field), within=star).ic
-    cases.append(("nonpure-wedge within a star", S, [("domain", S.domain.ids)]))
+    cases.append(("nonpure-wedge within a star", S, [("domain", S.domain)]))
     for label, S, sets in cases:
-        want = {sid: oracles.star_costalk(S, sid) for sid in sorted(S.domain.ids)}
+        want = {sid: oracles.star_costalk(S, sid) for sid in sorted(S.domain)}
         for what, sids in sets:
             got = sec.cell_costalk(S, sids)
             assert sorted(got) == sorted(set(sids)), (label, what)
@@ -271,15 +271,15 @@ def test_adjunction_triangle_rank_identity(built):
         n = filt.n
         for k in range(1, n + 1):
             V = filt.U[k + 1]
-            Z = V.difference(filt.U[k])
+            Z = V - filt.U[k]
             if not len(Z):
                 continue
             SV = S.restrict_open(V)
-            for sid in sorted(Z.ids):
-                supported = oracles.supported_section_dims(SV, sid, Z.ids)
+            for sid in sorted(Z):
+                supported = oracles.supported_section_dims(SV, sid, Z)
                 stalk = SV.stalk_cohomology(sid)
-                star = [i for i in SV.complex.up_set(sid) if i in V.ids]
-                open_part = oracles.rgamma_dims(SV, [i for i in star if i not in Z.ids])
+                star = [i for i in SV.complex.up_set(sid) if i in V]
+                open_part = oracles.rgamma_dims(SV, [i for i in star if i not in Z])
                 total = 0
                 for q in set(supported) | set(stalk) | set(open_part):
                     total += (-1) ** q * (supported.get(q, 0) - stalk.get(q, 0)
@@ -297,10 +297,10 @@ def test_stratum_costalk_shift_identity(built):
         n = filt.n
         for k in range(1, n + 1):
             V = filt.U[k + 1]
-            Z = V.difference(filt.U[k])
+            Z = V - filt.U[k]
             SV = S.restrict_open(V)
-            for sid in sorted(Z.ids):
-                supported = oracles.supported_section_dims(SV, sid, Z.ids)
+            for sid in sorted(Z):
+                supported = oracles.supported_section_dims(SV, sid, Z)
                 costalk = sec.cell_costalk(S, [sid])[sid]
                 shift = 2 * (n - k)
                 assert costalk == {q + shift: d for q, d in supported.items()}, \
@@ -324,8 +324,8 @@ def test_cleanup_rank_neutrality_pushforwards(tower_of):
                 T = sec.pushforward_open(S, inter[i + 1].domain)
                 assert oracles.pushforward_mismatch(S, T) is None, (name, naive, i)
                 T.validate()
-                old = sec.cell_costalk(S, S.domain.ids)
-                for sid, row in sec.cell_costalk(T, T.domain.ids).items():
+                old = sec.cell_costalk(S, S.domain)
+                for sid, row in sec.cell_costalk(T, T.domain).items():
                     assert row == old.get(sid, {}), (name, naive, i, S.complex.simplices[sid])
 
 
@@ -359,11 +359,11 @@ def test_truncation_names_a_block_outside_the_kernel():
     # swaps the axes and is no chain map
     K = SimplicialComplex(range(2), [[0, 1]])
     one, zero = QQ.one, QQ.zero
-    ids = sorted(K.full_set().ids)
+    ids = sorted(K.full_set())
     dims = {sid: {0: 2, 1: 1} for sid in ids}
     diffs = {sid: {0: [[one, zero]]} for sid in ids}
     restr = {(s, t): {0: [[one, zero], [zero, one]], 1: [[one]]}
-             for s, t in K.full_set().cover_pairs()}
+             for s, t in K.cover_pairs(K.full_set())}
     swap = (K.id_of([0]), K.id_of([0, 1]))
     restr[swap][0] = [[zero, one], [one, zero]]
     S = SheafComplex(QQ, K, K.full_set(), dims, diffs, restr)
@@ -379,10 +379,10 @@ def test_cohomology_sheaf_restrictions(built):
     H = sec.cohomology_sheaf(b.ic, -1)
     K = b.ic.complex
     s2 = {i for i, s in enumerate(K.simplices) if set(s) <= {0, 6, 7, 8}}
-    assert {s for s in K.full_set().ids if H.dim(s, -1)} == s2
+    assert {s for s in K.full_set() if H.dim(s, -1)} == s2
     assert all(H.restriction_cover(s, t, -1) == [[QQ.one]] or
                abs(H.restriction_cover(s, t, -1)[0][0]) == 1
-               for (s, t) in H.domain.cover_pairs() if s in s2 and t in s2)
+               for (s, t) in K.cover_pairs(H.domain) if s in s2 and t in s2)
 
 
 @pytest.mark.parametrize("naive", (False, True), ids=("canonical", "naive"))
@@ -422,12 +422,12 @@ def test_is_clc_matches_reference(spaces, built):
             assert sec.is_clc(S, other) == oracles.is_clc_reference(S, other), name
         star = build_ic(strat, field=QQ, within=K.open_star([0])).ic
         assert sec.is_clc(star, strat) == oracles.is_clc_reference(star, strat), name
-        for v in sorted(s for s in K.full_set().ids if K.sdim(s) == 0)[:4]:
-            sky = constant_complex(QQ, K, K.set_from_tuples([K.simplices[v]]))
+        for v in sorted(s for s in K.full_set() if K.sdim(s) == 0)[:4]:
+            sky = constant_complex(QQ, K, frozenset([v]))
             sky = oracles.extend_by_zero(sky, K.full_set())
             got = sec.is_clc(sky, strat)
             assert got == oracles.is_clc_reference(sky, strat), (name, v)
-            alone = any(st.simplex_set.ids == {v} for st in strat.strata)
+            alone = any(st.simplex_set == {v} for st in strat.strata)
             assert got[0] == alone, (name, v)
             failed += not got[0]
     assert failed
@@ -445,7 +445,7 @@ def test_restricted_copies_keep_stalk_values(built):
     b = built["wedge"]
     S, U1 = b.ic, b.filtration.U[1]
     back = S.restrict_open(U1)
-    for sid in sorted(U1.ids):
+    for sid in sorted(U1):
         assert back.stalk_cohomology(sid) == S.stalk_cohomology(sid)
     # outside its domain a restricted copy has no value, whatever the parent has
     v0 = S.complex.id_of([0])
@@ -461,5 +461,5 @@ def test_pushforward_unit_property(towers):
         S = b.intermediates[-2] if len(b.intermediates) > 1 else b.ic
         U = S.domain
         T = sec.pushforward_open(S, b.ic.domain)
-        for sid in sorted(U.ids):
+        for sid in sorted(U):
             assert T.stalk_cohomology(sid) == S.stalk_cohomology(sid)

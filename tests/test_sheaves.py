@@ -27,13 +27,13 @@ def test_fields():
 def test_constant_local_system():
     K = circle()
     L = make_local_system(QQ, K, K.full_set(), {"rank": 1})
-    assert all(L.dim(s, 0) == 1 for s in K.full_set().ids)
-    assert all(L.is_iso(s, t, 0) for s, t in L.domain.cover_pairs())
+    assert all(L.dim(s, 0) == 1 for s in K.full_set())
+    assert all(L.is_iso(s, t, 0) for s, t in K.cover_pairs(L.domain))
 
 
 def test_sign_local_system_on_circle():
     K = circle()
-    dims = {s: 1 for s in K.full_set().ids}
+    dims = {s: 1 for s in K.full_set()}
     mats = {}
     sheaf_pairs = [(s, c) for s in range(len(K.simplices))
                    for c, _ in K.cofacets[s]]
@@ -43,7 +43,7 @@ def test_sign_local_system_on_circle():
     mats[twist] = [[Fraction(-1)]]
     L = make_local_system(QQ, K, K.full_set(),
                           {"stalk_dim": dims, "matrices": mats})
-    assert all(L.is_iso(s, t, 0) for s, t in L.domain.cover_pairs())
+    assert all(L.is_iso(s, t, 0) for s, t in K.cover_pairs(L.domain))
     # twisted coefficients on a circle: no cohomology at all
     assert sec.hypercohomology(L) == {}
     # sanity against the untwisted circle
@@ -52,7 +52,7 @@ def test_sign_local_system_on_circle():
 
 def test_non_invertible_matrix_rejected():
     K = circle()
-    dims = {s: 1 for s in K.full_set().ids}
+    dims = {s: 1 for s in K.full_set()}
     mats = {(s, c): [[Fraction(1)]] for s in range(len(K.simplices))
             for c, _ in K.cofacets[s]}
     mats[(K.id_of([0]), K.id_of([0, 1]))] = [[Fraction(0)]]
@@ -68,7 +68,7 @@ def test_non_canonical_entry_rejected(field, entry):
     # nonzero; every entry must be a canonical element of the field
     F = field_by_name(field)
     K = circle()
-    dims = {s: 1 for s in K.full_set().ids}
+    dims = {s: 1 for s in K.full_set()}
     mats = {(s, c): [[F.one]] for s in range(len(K.simplices)) for c, _ in K.cofacets[s]}
     mats[(K.id_of([0]), K.id_of([0, 1]))] = [[entry]]
     with pytest.raises(SheafError) as err:
@@ -81,7 +81,7 @@ def test_non_canonical_entry_rejected(field, entry):
 
 def test_local_system_domain_must_be_open():
     K = SimplicialComplex(range(3), [[0, 1, 2]])
-    closed = K.simplex_set({K.id_of([0])})
+    closed = frozenset({K.id_of([0])})
     with pytest.raises(SheafError, match="up-closed"):
         make_local_system(QQ, K, closed, {"rank": 1})
 
@@ -102,11 +102,11 @@ def test_shift_negates_differential_signs():
     K = SimplicialComplex(range(3), [[0, 1, 2]])
     U = K.full_set()
     # two-term complex with identity differential in degrees 0 -> 1
-    dims = {s: {0: 1, 1: 1} for s in U.ids}
-    diffs = {s: {0: [[QQ.one]]} for s in U.ids}
+    dims = {s: {0: 1, 1: 1} for s in U}
+    diffs = {s: {0: [[QQ.one]]} for s in U}
     restr = {}
     from icsheaf.sheaves import SheafComplex
-    for p in U.cover_pairs():
+    for p in K.cover_pairs(U):
         restr[p] = {0: [[QQ.one]], 1: [[QQ.one]]}
     S = SheafComplex(QQ, K, U, dims, diffs, restr)
     S.validate()
@@ -126,18 +126,18 @@ def test_validate_rejects_each_broken_condition():
     # d^0 = 1 on an edge, but the degree-1 restriction [0] -> [0, 1] is 2
     E = SimplicialComplex(range(2), [[0, 1]])
     U = E.full_set()
-    restr = {p: {0: one, 1: one} for p in U.cover_pairs()}
+    restr = {p: {0: one, 1: one} for p in E.cover_pairs(U)}
     restr[(E.id_of([0]), E.id_of([0, 1]))] = {0: one, 1: two}
-    S = SheafComplex(QQ, E, U, {s: {0: 1, 1: 1} for s in U.ids},
-                     {s: {0: one} for s in U.ids}, restr)
+    S = SheafComplex(QQ, E, U, {s: {0: 1, 1: 1} for s in U},
+                     {s: {0: one} for s in U}, restr)
     with pytest.raises(SheafError, match=r"does not commute with d at \(0,\) -> \(0, 1\)"):
         S.validate()
     # rank 1 in degree 1 on a triangle; [0] -> [0, 1] is 2, every other pair 1
     T = SimplicialComplex(range(3), [[0, 1, 2]])
     U = T.full_set()
-    restr = {p: {1: one} for p in U.cover_pairs()}
+    restr = {p: {1: one} for p in T.cover_pairs(U)}
     restr[(T.id_of([0]), T.id_of([0, 1]))] = {1: two}
-    S = SheafComplex(QQ, T, U, {s: {1: 1} for s in U.ids}, {}, restr)
+    S = SheafComplex(QQ, T, U, {s: {1: 1} for s in U}, {}, restr)
     with pytest.raises(SheafError,
                        match=r"path independence fails between \(0,\) and \(0, 1, 2\)"):
         S.validate()
@@ -151,7 +151,7 @@ def test_stalk_cohomology_matches_rank_oracle(built):
     largest = 0
     for name in ("nonpure-wedge", "susp-s1xs2"):
         S = built[name].ic
-        for sid in sorted(S.domain.ids):
+        for sid in sorted(S.domain):
             qs = S.dims.get(sid, {})
             largest = max(largest, sum(qs.values()))
             rank = {q: oracles.rational_rank(S.diff(sid, q)) if S.dim(sid, q + 1) else 0
@@ -169,7 +169,7 @@ def test_direct_sum_and_domain_mismatch():
     D = oracles.direct_sum(S, T)
     assert D.stalk_cohomology(0) == {-2: 1, -1: 1}
     D.validate()
-    sub = K.simplex_set(set(K.full_set().ids) - {K.id_of([0])})
+    sub = K.full_set() - {K.id_of([0])}
     T2 = constant_complex(QQ, K, sub, rank=1)
     with pytest.raises(SheafError, match="equal domains"):
         oracles.direct_sum(S, T2)
@@ -180,15 +180,15 @@ def test_restrict_and_extend():
     S = constant_complex(QQ, K, K.full_set())
     # restrict to the whole domain is the identity
     assert S.restrict_open(K.full_set()).stalk_table() == S.stalk_table()
-    rim = K.full_set().difference(K.open_star([0]))
+    rim = K.full_set() - K.open_star([0])
     restricted = oracles.restrict_closed(S, rim)
-    assert all(restricted.stalk_cohomology(s) == {0: 1} for s in rim.ids)
+    assert all(restricted.stalk_cohomology(s) == {0: 1} for s in rim)
     with pytest.raises(SheafError, match="up-closed"):
         S.restrict_open(rim)
     with pytest.raises(SheafError, match="down-closed"):
         oracles.restrict_closed(S, K.open_star([0]))
     # skyscraper: a vertex value extended into the triangle
-    vset = K.simplex_set({K.id_of([1])})
+    vset = frozenset({K.id_of([1])})
     vert = constant_complex(QQ, K, vset)
     sky = oracles.extend_by_zero(vert, K.full_set())
     assert sky.stalk_cohomology(K.id_of([1])) == {0: 1}
@@ -211,7 +211,7 @@ def test_prime_field_build(wedge):
 def test_path_independence_checked():
     K = SimplicialComplex(range(3), [[0, 1, 2]])
     U = K.full_set()
-    dims = {s: 1 for s in U.ids}
+    dims = {s: 1 for s in U}
     mats = {(s, c): [[Fraction(1)]] for s in range(len(K.simplices))
             for c, _ in K.cofacets[s]}
     mats[(K.id_of([0]), K.id_of([0, 1]))] = [[Fraction(2)]]

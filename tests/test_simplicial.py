@@ -10,6 +10,11 @@ from icsheaf.stratify import compute_open_filtration, validate_stratification
 import oracles
 
 
+def tuples(K, ids):
+    """The simplices of a set of ids, as vertex tuples in id order."""
+    return [K.simplices[i] for i in sorted(ids)]
+
+
 def boundary(vertices):
     from itertools import combinations
     vs = list(vertices)
@@ -59,14 +64,14 @@ def test_open_star_cone_apex():
     K = SimplicialComplex(range(4), [[0, 1, 2], [0, 2, 3], [0, 1, 3]])
     star = K.open_star([0])
     assert len(star) == 7
-    assert star.is_up_closed()
-    assert not star.is_down_closed()
+    assert K.is_up_closed(star)
+    assert not K.is_down_closed(star)
 
 
 def test_open_star_top_simplex():
     K = SimplicialComplex(range(3), [[0, 1, 2]])
     star = K.open_star([0, 1, 2])
-    assert star.tuples() == [(0, 1, 2)]
+    assert star == {K.id_of([0, 1, 2])}
 
 
 def test_open_star_vertex_of_tetra_boundary():
@@ -78,21 +83,21 @@ def test_open_star_vertex_of_tetra_boundary():
 
 def test_down_closure():
     K = SimplicialComplex(range(4), [[0, 1, 2], [0, 2, 3], [0, 1, 3]])
-    assert K.open_star([0]).down_closure() == K.full_set()
-    assert len(K.empty_set().down_closure()) == 0
-    e = K.simplex_set({K.id_of([1, 2])})
-    assert set(e.down_closure().tuples()) == {(1,), (2,), (1, 2)}
+    assert K.walk(K.open_star([0]), K.facets) == K.full_set()
+    assert len(K.walk((), K.facets)) == 0
+    e = {K.id_of([1, 2])}
+    assert set(tuples(K, K.walk(e, K.facets))) == {(1,), (2,), (1, 2)}
 
 
 def test_closure_operators_idempotent_and_dual(spaces):
     for name, (K, _) in spaces.items():
         star = K.open_star([K.vertices[0]])
-        assert star.is_up_closed()
-        cl = star.down_closure()
-        assert cl.is_down_closed() and cl.down_closure() == cl
+        assert K.is_up_closed(star)
+        cl = frozenset(K.walk(star, K.facets))
+        assert K.is_down_closed(cl) and K.walk(cl, K.facets) == cl
         # Alexandrov duality
-        assert star.complement().is_down_closed()
-        assert cl.complement().is_up_closed()
+        assert K.is_down_closed(K.full_set() - star)
+        assert K.is_up_closed(K.full_set() - cl)
 
 
 def test_link_triangle_in_delta5_is_circle():
@@ -120,24 +125,24 @@ def test_link_of_sphere_vertex_is_cycle():
 
 def test_components():
     K = SimplicialComplex(range(6), [[0, 1, 2], [3, 4, 5]])
-    comps = K.full_set().components()
+    comps = K.components(K.full_set())
     assert len(comps) == 2
     brute = oracles.components_by_bfs([list(s) for s in K.simplices])
     assert sorted(len(c) for c in comps) == sorted(len(c) for c in brute)
-    assert K.empty_set().components() == []
+    assert K.components(frozenset()) == []
 
 
 def test_components_sphere_minus_star_connected():
     K = SimplicialComplex(range(4), boundary(range(4)))
-    rest = K.full_set().difference(K.open_star([0]))
-    comps = rest.components()
+    rest = K.full_set() - K.open_star([0])
+    comps = K.components(rest)
     assert len(comps) == 1
-    brute = oracles.components_by_bfs([list(K.simplices[i]) for i in rest.ids])
+    brute = oracles.components_by_bfs([list(K.simplices[i]) for i in rest])
     assert len(brute) == 1
     # maximality: merging the two components of a disconnected set reconnects
     K2 = SimplicialComplex(range(6), [[0, 1, 2], [3, 4, 5]])
-    a, b = K2.full_set().components()
-    assert len(a.union(b).components()) == 2
+    a, b = K2.components(K2.full_set())
+    assert len(K2.components(a | b)) == 2
 
 
 @pytest.mark.parametrize("name", demos.DEMO_NAMES)
@@ -152,12 +157,12 @@ def test_face_poset_walk_matches_oracles(name):
         assert (set(link.simplices) if link else set()) == set(brute), s
     strat = validate_stratification(K, doc["levels"])
     for sset in strat.levels + [st.simplex_set for st in strat.strata]:
-        assert set(sset.down_closure().tuples()) == \
-            set(oracles.close_downward(sset.tuples()))
-        comps = sset.components()
-        assert [min(c.ids) for c in comps] == sorted(min(c.ids) for c in comps)
-        assert {frozenset(c.tuples()) for c in comps} == \
-            {frozenset(c) for c in oracles.components_by_bfs(sset.tuples())}
+        assert set(tuples(K, K.walk(sset, K.facets))) == \
+            set(oracles.close_downward(tuples(K, sset)))
+        comps = K.components(sset)
+        assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+        assert {frozenset(tuples(K, c)) for c in comps} == \
+            {frozenset(c) for c in oracles.components_by_bfs(tuples(K, sset))}
 
 
 @pytest.mark.parametrize("name", demos.DEMO_NAMES)
@@ -168,7 +173,7 @@ def test_link_within_a_closure_is_the_link_in_its_subcomplex(name, spaces):
         if not len(xm):
             continue
         sub = oracles.subcomplex(K, xm)[0]
-        for sid in sorted(xm.ids):
+        for sid in sorted(xm):
             s = K.simplices[sid]
             got, want = K.link_of(s, xm), sub.link_of(s, sub.full_set())
             assert (got and got.simplices) == (want and want.simplices), (m, s)
@@ -195,7 +200,7 @@ def test_relative_closedness_matches_bruteforce(name, spaces):
     for _ in range(200):
         amb_ids = K.walk(rng.sample(range(n), rng.randint(1, 3)), K.cofacets) \
             if rng.random() < 0.5 else set(rng.sample(range(n), rng.randint(0, n)))
-        ambient = K.simplex_set(amb_ids)
+        ambient = frozenset(amb_ids)
         pick = rng.random()
         if pick < 0.3:
             ids = K.walk(rng.sample(range(n), 2), K.cofacets) & amb_ids
@@ -203,11 +208,11 @@ def test_relative_closedness_matches_bruteforce(name, spaces):
             ids = K.walk(rng.sample(range(n), 2), K.facets) & amb_ids
         else:
             ids = set(rng.sample(sorted(amb_ids), rng.randint(0, len(amb_ids))))
-        subset = K.simplex_set(ids)
-        sub, amb = set(subset.tuples()), set(ambient.tuples())
+        subset = frozenset(ids)
+        sub, amb = set(tuples(K, subset)), set(tuples(K, ambient))
         up, down = closed(sub, amb, cofacets), closed(sub, amb, facets)
-        assert subset.is_up_closed(within=ambient) == up
-        assert subset.is_down_closed(within=ambient) == down
+        assert K.is_up_closed(subset, within=ambient) == up
+        assert K.is_down_closed(subset, within=ambient) == down
         seen.add((up, down))
     # both verdicts of both checks occur
     assert {u for u, _ in seen} == {d for _, d in seen} == {True, False}
@@ -216,17 +221,17 @@ def test_relative_closedness_matches_bruteforce(name, spaces):
 def test_order_chains_triangle_flags():
     K = SimplicialComplex(range(3), [[0, 1, 2]])
     P = K.full_set()
-    chains = oracles.order_chains(P, 2)
+    chains = oracles.order_chains(K, P, 2)
     assert len(chains) == 6 == len(oracles.chains_by_bruteforce(
         [list(s) for s in K.simplices], 2))
-    assert oracles.order_chains(P, 5) == []
-    single = K.simplex_set({K.id_of([0])})
-    assert oracles.order_chains(single, 0) == [(K.id_of([0]),)]
+    assert oracles.order_chains(K, P, 5) == []
+    single = frozenset({K.id_of([0])})
+    assert oracles.order_chains(K, single, 0) == [(K.id_of([0]),)]
 
 
 def test_all_chains_count_matches_bruteforce():
     K = SimplicialComplex(range(4), boundary(range(4)))
-    members = sorted(K.full_set().ids)
+    members = sorted(K.full_set())
     got = all_chains(K, members)
     total = sum(len(oracles.chains_by_bruteforce(
         [list(s) for s in K.simplices], ln)) for ln in range(0, 4))
@@ -271,7 +276,7 @@ def test_all_chains_order_matches_recursive_walk(spaces):
 
 def test_all_chains_leaves_no_garbage():
     K = SimplicialComplex(range(5), boundary(range(5)))
-    members = sorted(K.full_set().ids)
+    members = sorted(K.full_set())
     all_chains(K, members)  # fill the up-set cache
     gc.collect()
     gc.disable()

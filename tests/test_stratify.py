@@ -95,14 +95,14 @@ def test_open_strata_wedge(wedge):
     U_m, X_m = compute_open_strata(strat)
     # up-closedness enumeration oracle
     for m, u in U_m.items():
-        assert u.is_up_closed()
+        assert K.is_up_closed(u)
     s4 = {i for i, s in enumerate(K.simplices) if set(s) <= set(range(6))}
     s2 = {i for i, s in enumerate(K.simplices) if set(s) <= {0, 6, 7, 8}}
     v0 = K.id_of([0])
-    assert set(U_m[2].ids) == s4 - {v0}
-    assert set(U_m[1].ids) == s2 - {v0}
-    assert set(X_m[2].ids) == s4
-    assert set(X_m[1].ids) == s2
+    assert set(U_m[2]) == s4 - {v0}
+    assert set(U_m[1]) == s2 - {v0}
+    assert set(X_m[2]) == s4
+    assert set(X_m[1]) == s2
 
 
 def test_pure_case_filtration_formula():
@@ -112,7 +112,7 @@ def test_pure_case_filtration_formula():
         K, {"2": [list(s) for s in boundary(range(6))], "1": [[0]], "0": [[0]]})
     filt = compute_open_filtration(strat)
     for k in range(1, strat.n + 2):
-        assert filt.U[k] == strat.level(strat.n - k).complement()
+        assert filt.U[k] == K.full_set() - strat.level(strat.n - k)
     # pure case: naive filtration coincides with the canonical one
     nv = naive_filtration(strat)
     assert all(nv.U[k] == filt.U[k] for k in filt.U)
@@ -122,10 +122,10 @@ def test_wedge_filtration_sets(wedge):
     K, strat = wedge
     filt = compute_open_filtration(strat)
     v0 = K.id_of([0])
-    everything = set(K.full_set().ids)
-    assert set(filt.U[1].ids) == everything - {v0}
+    everything = set(K.full_set())
+    assert set(filt.U[1]) == everything - {v0}
     assert filt.U[2] == filt.U[1]
-    assert set(filt.U[3].ids) == everything
+    assert set(filt.U[3]) == everything
     assert len(filt.W[2]) == 61  # closure of the 4-sphere part minus the glue vertex
     assert verify_filtration_identities(filt) == []
 
@@ -135,7 +135,7 @@ def test_fake_surface_naive_strictly_larger(spaces):
     filt = compute_open_filtration(strat)
     nv = naive_filtration(strat)
     assert nv.U[1] == filt.U[1]
-    assert filt.U[2].ids < nv.U[2].ids
+    assert filt.U[2] < nv.U[2]
     assert not nv.canonical
 
 
@@ -149,8 +149,8 @@ def test_fake_surface_filtration_formula_instances(spaces):
     u2_2 = filt.U_m_j(2, 2)
     u1_1 = filt.U_m_j(1, 1)
     u1_2 = filt.U_m_j(1, 2)
-    assert filt.U[2] == u2_2.union(u1_1)
-    assert nv.U[2] == u2_2.union(u1_2)
+    assert filt.U[2] == u2_2 | u1_1
+    assert nv.U[2] == u2_2 | u1_2
     assert filt.W[2] == u2_2
 
 
@@ -180,7 +180,7 @@ def test_randomized_filtration_identities(spaces):
             refined = demos.random_refinement(strat, rng)
             filt = compute_open_filtration(refined)
             assert verify_filtration_identities(filt) == []
-            assert filt.U[1].down_closure() == K.full_set()
+            assert K.walk(filt.U[1], K.facets) == K.full_set()
             cases += 1
     assert cases == 40
 
@@ -189,4 +189,12 @@ def test_refinement_recipes_deterministic(wedge):
     K, strat = wedge
     a = demos.refine_stratification(strat, "random:5")
     b = demos.refine_stratification(strat, "random:5")
-    assert [s.simplex_set.ids for s in a.strata] == [s.simplex_set.ids for s in b.strata]
+    assert [s.simplex_set for s in a.strata] == [s.simplex_set for s in b.strata]
+
+
+def test_level_given_as_a_set_of_ids_is_rejected(wedge):
+    # a level is a list of generating vertex lists; the frozenset of ids
+    # that a Stratification holds is not read as one
+    K, strat = wedge
+    with pytest.raises(StratificationError, match="level 0 must be a list of simplices"):
+        validate_stratification(K, {k: strat.level(k) for k in range(strat.n + 1)})

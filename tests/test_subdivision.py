@@ -47,7 +47,7 @@ def test_stellar_subdivision_keeps_the_ic(spaces, build_of, name, sigma, field):
     K2, levels2, carrier = oracles.stellar(K, demos.demo_space(name)[1]["levels"], sigma)
     strat2 = validate_stratification(K2, levels2)
     ic2 = build_ic(strat2, field=field_by_name(field)).ic
-    for sid in sorted(K2.full_set().ids):
+    for sid in sorted(K2.full_set()):
         c = carrier[sid]
         bad = _differs("stalk", sigma, K2.simplices[sid], K.simplices[c],
                        ic2.stalk_cohomology(sid), ic.stalk_cohomology(c))
