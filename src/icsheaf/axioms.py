@@ -46,11 +46,13 @@ class Witness:
 
 
 class ClauseResult:
-    def __init__(self, clause, description, passed, witnesses=()):
+    """A clause's verdict: it passes exactly when it has no witness."""
+
+    def __init__(self, clause, description, witnesses):
         self.clause = clause
         self.description = description
-        self.passed = passed
         self.witnesses = list(witnesses)
+        self.passed = not self.witnesses
 
     def to_json(self, K):
         return {"clause": self.clause, "description": self.description,
@@ -122,7 +124,7 @@ def _normalization_clause(S, clause_name, domains):
     return ClauseResult(clause_name,
                         "restriction to each open dense piece is a local system "
                         "shifted by its complex dimension",
-                        not witnesses, witnesses)
+                        witnesses)
 
 
 def check_ax1(S, strat):
@@ -145,7 +147,7 @@ def check_ax1(S, strat):
                                       lambda a: cutoff, m=k)
     clauses.append(ClauseResult(
         "b", "cohomology sheaves vanish above the middle-perversity cutoff on each W_{k+1}",
-        not witnesses, witnesses))
+        witnesses))
 
     # (c) attaching, as costalk vanishing on the non-open strata
     witnesses = []
@@ -159,7 +161,7 @@ def check_ax1(S, strat):
                                          None, n - k, m=k))
     clauses.append(ClauseResult(
         "c", "costalks vanish in degrees ≤ n−k across the non-open codimension-k strata",
-        not witnesses, witnesses))
+        witnesses))
     return AxiomReport("ax1", K, clauses)
 
 
@@ -193,10 +195,10 @@ def check_ax2(S, strat):
                                         lambda a: a, m=m)
     clauses.append(ClauseResult(
         "b", "stalk support loci in each X^m have complex dimension < −a",
-        not support_w, support_w))
+        support_w))
     clauses.append(ClauseResult(
         "c", "costalk support loci in each X^m have complex dimension < a",
-        not cosupport_w, cosupport_w))
+        cosupport_w))
     return AxiomReport("ax2", K, clauses)
 
 
@@ -229,15 +231,13 @@ def check_classic_ax2(S):
     witnesses = []
     sigma = K.full_set() - v_ids
     top = max(map(K.sdim, sigma), default=-1)
-    ok = bool(v_ids)
-    if not ok:
+    if not v_ids:
         witnesses.append(Witness("stalk", "a", [], -n, None, None))
     elif sigma and top > 2 * (n - 1):
-        ok = False
         witnesses.append(Witness("stalk", "a", sigma, -n, top // 2, n - 1))
     clauses.append(ClauseResult(
         "a", "local system in degree −n off a closed subset of complex dimension < n",
-        ok, witnesses))
+        witnesses))
 
     # (b) lower bound
     witnesses = []
@@ -246,7 +246,7 @@ def check_classic_ax2(S):
         if ids:
             witnesses.append(Witness("stalk", "b", ids, a, cdim, None))
     clauses.append(ClauseResult("b", "no cohomology below degree −n",
-                                not witnesses, witnesses))
+                                witnesses))
 
     # (c) support, (d) cosupport -- global loci
     costalks = sec.cell_costalk(S, S.domain)
@@ -256,7 +256,7 @@ def check_classic_ax2(S):
     cosupport_w = _locus_witnesses(K, S.domain, [a for a in crange if a < n],
                                    costalks.__getitem__, "costalk", "d", lambda a: a)
     clauses.append(ClauseResult("c", "global stalk support loci have complex dimension < −a",
-                                not support_w, support_w))
+                                support_w))
     clauses.append(ClauseResult("d", "global costalk support loci have complex dimension < a",
-                                not cosupport_w, cosupport_w))
+                                cosupport_w))
     return AxiomReport("classic-ax2", K, clauses)

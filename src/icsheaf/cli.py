@@ -124,7 +124,8 @@ def load_space(args):
 def load_system(args, F, strat):
     """The --local-system file as a SheafComplex on U_1 and the sha256 of its bytes.
 
-    (None, None) without one.
+    (None, None) without one.  The file's keys are {"rank"}, {"stalk_dims"}
+    or {"stalk_dims", "matrices"}; any other key is an InputError.
     """
     if not args.local_system:
         return None, None
@@ -133,6 +134,9 @@ def load_system(args, F, strat):
     K = strat.complex
     if not isinstance(doc, dict):
         raise InputError("local system must be a JSON object")
+    extra = sorted(set(doc) - ({"rank"} if "rank" in doc else {"stalk_dims", "matrices"}))
+    if extra:
+        raise InputError("unexpected key %r in local system" % extra[0])
     if "rank" in doc:
         return make_local_system(F, K, filt.U[1], {"rank": doc["rank"]}), digest
     try:
@@ -155,15 +159,11 @@ def load_system(args, F, strat):
 
 
 def _sample_limit(text):
-    """The --sample budget: None for every simplex, else a nonnegative integer."""
-    if text in (None, "", "all"):
+    """The --sample budget: None for 'all', else the integer its ASCII digits spell."""
+    if text in (None, "all"):
         return None
-    try:
-        limit = int(text)
-        if limit >= 0:
-            return limit
-    except ValueError:
-        pass
+    if text.isascii() and text.isdigit():
+        return int(text)
     raise InputError("--sample must be a nonnegative integer or 'all', got %r" % text)
 
 

@@ -412,20 +412,13 @@ def pushforward_open(S, V):
     complex there, glued by the compatible-family chain map.  The reduction
     is checked against S's stalks on the boundary region.
 
-    Everything the call builds on the way lives only as long as the call,
-    and most of it shorter.  The chain list and the one-id-per-chain
-    bookkeeping die inside `_nerve_complex`, which hands back only the
-    first ids of the one-element chains; the memos of composite
-    restrictions live one per `_nerve_complex` call and one per far
-    simplex of the compatible-family map.  So the same-support cleanup
-    holds the nerve complex (its rows `dout`, the family columns `ucols`
-    with one key tuple per column and, while `reduce` runs, the reverse
-    index of source ids and the candidate heap) and nothing of the
-    chains.  The materialization after it holds `at[sid][q]`: for each
-    region simplex and degree, the live ids sid sees (those supported at a
-    simplex ≥ sid), in ascending order, each to its row there.  `_block`
-    makes every dense map of the step from it.  Away from the boundary
-    region the result shares S's maps, which no operation mutates.
+    After the same-support cleanup, `at[sid][q]` maps each live id that
+    the region simplex sid sees (one supported at a simplex ≥ sid) to its
+    row there, in ascending id order.  One pass over the region and the
+    far simplices next to it makes every block of the step from that
+    index with `_block`: dims, differentials, the 0/1 selections and the
+    family blocks.  Elsewhere the result shares S's maps, which no
+    operation mutates.
     """
     K = S.complex
     F = S.F
@@ -470,39 +463,37 @@ def pushforward_open(S, V):
         for sid in lst:
             rows = at[sid].setdefault(q, {})
             rows[g] = len(rows)
-    for sid in sorted(region):
-        qs, dm = at[sid], {}
+    # a region simplex selects the ids each cofacet sees, all seen by s too
+    # (the region is up-closed, so it holds every cofacet); a far-adjacent
+    # one maps by its family block into each cofacet in the boundary
+    # region, and a far cofacet, with no `at` entry, keeps S's own map
+    for s in sorted(region | far_adjacent):
+        qs, dm = at.get(s), {}
         if qs:
-            dims[sid] = {q: len(rows) for q, rows in qs.items()}
-        for q, cols in qs.items():
+            dims[s] = {q: len(rows) for q, rows in qs.items()}
+        for q, cols in (qs or {}).items():
             if q + 1 in qs:
                 m = _block(F, qs[q + 1], len(cols), _out_entries(G, cols))
                 if m:
                     dm[q] = m
         if dm:
-            diffs[sid] = dm
-    # a restriction selects the ids the coface sees, all seen by s too; the
-    # region is the up-set of the new simplices, so it holds every cofacet
-    for s in sorted(region):
+            diffs[s] = dm
         for t, _ in K.cofacets[s]:
-            rm = {}
-            for q, cols in at[s].items():
-                rows = at[t].get(q)
-                if rows:
-                    rm[q] = _block(F, rows, len(cols), [(g, cols[g], F.one) for g in rows])
-            if rm:
-                restr[(s, t)] = rm
-    for s in sorted(far_adjacent):
-        for t, _ in K.cofacets[s]:
-            if t not in bids:
+            if t not in at:
                 continue
             rm = {}
-            for q, d in sorted(S.dims.get(s, {}).items()):
-                rows = at[t].get(q)
-                if rows:
-                    m = _block(F, rows, d, _family_entries(G, rows, s, q, d))
-                    if m:
-                        rm[q] = m
+            if qs is not None:
+                for q, cols in qs.items():
+                    rows = at[t].get(q)
+                    if rows:
+                        rm[q] = _block(F, rows, len(cols), [(g, cols[g], F.one) for g in rows])
+            else:
+                for q, d in sorted(S.dims.get(s, {}).items()):
+                    rows = at[t].get(q)
+                    if rows:
+                        m = _block(F, rows, d, _family_entries(G, rows, s, q, d))
+                        if m:
+                            rm[q] = m
             if rm:
                 restr[(s, t)] = rm
 

@@ -4,7 +4,9 @@
     PYTHONPATH=src python tests/build_phases.py path/to/space --field q
 
 The space is `demo:<name>` or a directory holding `complex.json` and
-`stratification.json`, as for the CLI.  The build runs canonically under
+`stratification.json`, read by `cli.load_space` (a demo's files are
+written to a temporary directory first), so an input the CLI refuses
+exits 1 with one `error:` line here too.  The build runs canonically under
 `tracemalloc`, and a line is printed at each mark: in every pushforward
 step, before its nerve complex, once the nerve complex and its family
 columns are assembled, after the same-support cleanup and after the
@@ -20,17 +22,14 @@ A script, not a test: it prints and checks nothing.
 
 import argparse
 import gc
-import json
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
-from icsheaf import deligne, demos, reports, sections
+from icsheaf import cli, deligne, reports, sections
 from icsheaf.fields import field_by_name
 from icsheaf.reduction import SparseComplex
-from icsheaf.simplicial import load_complex
-from icsheaf.stratify import validate_stratification
 
 # the phase that ends at each mark
 PHASES = {"before nerve complex": "truncation and sum",
@@ -39,16 +38,6 @@ PHASES = {"before nerve complex": "truncation and sum",
           "after pushforward": "materialization",
           "before verification": "truncation and sum",
           "after verification": "verification"}
-
-
-def load(space):
-    if space.startswith("demo:"):
-        K, doc = demos.demo_space(space[5:])
-    else:
-        base = Path(space)
-        K = load_complex(json.loads((base / "complex.json").read_text()))
-        doc = json.loads((base / "stratification.json").read_text())
-    return validate_stratification(K, doc["levels"])
 
 
 def mib(n):
@@ -60,7 +49,13 @@ def main():
     p.add_argument("space", help="demo:<name> or a directory with the space's files")
     p.add_argument("--field", default="q", help="q or fp:<p>")
     args = p.parse_args()
-    strat, F = load(args.space), field_by_name(args.field)
+    # read as the CLI reads it, so a bad input ends in one error line
+    try:
+        F = field_by_name(args.field)
+        with tempfile.TemporaryDirectory() as tmp:
+            strat = cli.load_space(argparse.Namespace(space=args.space, out=tmp))[1]
+    except (cli.InputError, ValueError, OSError) as e:
+        sys.exit("error: %s" % e)
 
     marks = []  # (step, mark, live, peak since the previous mark)
     state = {"step": 0, "nerve": False}

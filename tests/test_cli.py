@@ -159,6 +159,14 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
         path = tmp_path / (name + ".json")
         path.write_bytes(data)
         systems.append((str(path), "cannot read local system"))
+    # a file has exactly one of the documented key sets
+    for name, doc, key in (
+            ("rank-and-dims", {"rank": 1, "stalk_dims": {"0": 5}}, "stalk_dims"),
+            ("rank-and-bogus", {"rank": 1, "bogus": 2}, "bogus"),
+            ("dims-and-x", {"stalk_dims": {}, "matrices": {}, "x": 1}, "x")):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(doc))
+        systems.append((str(path), "unexpected key %r in local system" % key))
     rank2 = tmp_path / "rank2.json"
     rank2.write_text(json.dumps({"rank": 2}))
     # an --out that cannot be a directory: writing a demo file or a report fails
@@ -184,6 +192,11 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
                  ["costalks", "demo:wedge", "--sample", "x"],
                  ["costalks", "demo:wedge", "--sample=-3"],
                  ["costalks", "demo:wedge", "--sample=-1000"],
+                 # a budget is ASCII digits: no empty text, sign, space or underscore
+                 ["costalks", "demo:wedge", "--sample", ""],
+                 ["costalks", "demo:wedge", "--sample", " 3"],
+                 ["costalks", "demo:wedge", "--sample", "+3"],
+                 ["costalks", "demo:wedge", "--sample", "1_0"],
                  ["stalks", "demo:wedge", "--at", "0,99"],
                  ["costalks", "demo:wedge", "--at", "0,99"],
                  # an option the command would ignore

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from icsheaf import deligne, demos, reports
+from icsheaf import axioms, deligne, demos, reports
 from icsheaf.deligne import (ICBundle, _verify_bundle, build_ic, clc_coarsen,
                              compare_stratifications)
 from icsheaf.fields import QQ, field_by_name
@@ -223,6 +223,21 @@ def susp_rp2xs1():
         K, {"2": [sorted(c) for c in top], "1": [[18], [19]], "0": [[18], [19]]})
 
 
+def wedge_s6_s4_s2():
+    """∂Δ⁷ (an S⁶), ∂Δ⁵ (an S⁴) and ∂Δ³ (an S²) glued at vertex 0.
+
+    328 simplices, complex dimension 3.  Level 3 is all of it, level 2
+    the S⁴ and the S², level 1 the S² and the wedge point, level 0 the
+    wedge point.
+    """
+    s6 = demos.boundary_simplex_faces(range(8))
+    s4 = demos.boundary_simplex_faces([0, 8, 9, 10, 11, 12])
+    s2 = demos.boundary_simplex_faces([0, 13, 14, 15])
+    K = SimplicialComplex(range(16), s6 + s4 + s2)
+    return validate_stratification(
+        K, {"3": s6 + s4 + s2, "2": s4 + s2, "1": s2 + [[0]], "0": [[0]]})
+
+
 def not_self_dual(S):
     """The simplices where S's costalk is not its stalk mirrored: costalk^a ≠ stalk^-a."""
     K = S.complex
@@ -260,6 +275,33 @@ def test_verdier_self_duality_susp_rp2xs1(field, apex_h1, expect_bad):
     S = build_ic(strat, field=field_by_name(field)).ic
     assert S.stalk_cohomology(strat.complex.id_of([18])) == {-2: 1, -1: apex_h1}
     assert not_self_dual(S) == expect_bad
+
+
+def test_complex_dimension_three_wedge():
+    # the one space of complex dimension 3: three cutoffs, and AX1's W_k/U_k
+    # bookkeeping for k up to 3.  Each sphere's IC is constant; at the
+    # wedge point the stalk is the sum of the three cone stalks, H^0 of
+    # each sphere's link shifted by −m, and the costalk its mirror.  Its
+    # only singular stratum is the point, so no elimination of a build
+    # meets a family column (`SparseComplex.add_ucol` is never called).
+    strat = wedge_s6_s4_s2()
+    K = strat.complex
+    assert len(K) == 328 and strat.n == 3
+    want = oracles.link_stalks(K, strat, 32003)
+    point = K.id_of([0])
+    for field in ("q", "fp:32003"):
+        b = build_ic(strat, field=field_by_name(field))
+        S = b.ic
+        assert [(s["step"], s["cutoff"]) for s in b.log] == [(1, -3), (2, -2), (3, -1)]
+        assert S.stalk_cohomology(point) == {-3: 1, -2: 1, -1: 1}
+        assert sec.cell_costalk(S, [point])[point] == {1: 1, 2: 1, 3: 1}
+        assert S.stalk_table() == want, field
+        assert sec.hypercohomology(S) == {q: 1 for q in (-3, -2, -1, 1, 2, 3)}
+        assert not_self_dual(S) == set()
+        assert axioms.check_ax1(S, strat).passed
+        assert axioms.check_ax2(S, strat).passed
+        classic = axioms.check_classic_ax2(S)
+        assert [c.clause for c in classic.clauses if not c.passed] == ["c", "d"], field
 
 
 @pytest.mark.parametrize("field", ("q", "fp:32003"))
