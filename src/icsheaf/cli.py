@@ -159,12 +159,17 @@ def load_system(args, F, strat):
 
 
 def _sample_limit(text):
-    """The --sample budget: None for 'all', else the integer its ASCII digits spell."""
+    """The --sample budget: None for 'all', else the integer its ASCII digits spell.
+
+    A budget has one spelling, str(n), as a level key does: the manifest
+    records the text, so "07" would write another report than "7".
+    """
     if text in (None, "all"):
         return None
-    if text.isascii() and text.isdigit():
+    if text.isascii() and text.isdigit() and text == str(int(text)):
         return int(text)
-    raise InputError("--sample must be a nonnegative integer or 'all', got %r" % text)
+    raise InputError("--sample must be a nonnegative integer without leading zeros "
+                     "or 'all', got %r" % text)
 
 
 def _parse_simplex(text):

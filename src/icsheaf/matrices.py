@@ -35,6 +35,9 @@ def mat_mul(F, A, B):
     m = len(A)
     k = len(B)
     n = len(B[0]) if B else 0
+    if m == k == n == 1:
+        a, b = A[0][0], B[0][0]
+        return [[mul(a, b) if a and b else F.zero]]
     out = zeros(F, m, n)
     for i in range(m):
         Ai = A[i]
@@ -89,6 +92,8 @@ def rref(F, A):
 def rank(F, A):
     if not A or not A[0]:
         return 0
+    if len(A) == len(A[0]) == 1:
+        return 1 if A[0][0] else 0
     return len(rref(F, A)[1])
 
 

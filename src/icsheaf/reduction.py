@@ -4,14 +4,15 @@ A complex is presented by integer generator ids with integer degrees and a
 sparse differential.  `add_gen` hands out a block of consecutive ids 0,
 1, 2, … in insertion order and `add_block` copies a dense matrix between
 two blocks; every section model (a complex over many simplices) is
-assembled so, through `sections._add_value`, while a question about one
-value is dense (`matrices`).  Eliminating an invertible entry is an exact
-homotopy equivalence; exhaustive free elimination leaves a zero
-differential, so the surviving generator counts are the cohomology
-dimensions.  In sheaf mode (same_support=True) only entries between
-generators with the same support simplex are eliminated, which keeps
-every move an isomorphism of elementary down-set summands and hence an
-equivalence of complexes of sheaves, slice by slice.
+assembled from such blocks (`sections._add_value`,
+`sections._nerve_complex`), while a question about one value is dense
+(`matrices`).  Eliminating an invertible entry is an exact homotopy
+equivalence; exhaustive free elimination leaves a zero differential, so
+the surviving generator counts are the cohomology dimensions.  In sheaf
+mode (same_support=True) only entries between generators with the same
+support simplex are eliminated, which keeps every move an isomorphism of
+elementary down-set summands and hence an equivalence of complexes of
+sheaves, slice by slice.
 
 A complex stores its differential one way only, as rows `dout[g]`.  The
 reverse index `din` (the sources into each id), which an elimination

@@ -18,9 +18,12 @@ keeps every such subcomplex up to homotopy, so `cell_costalk` reads the
 costalks at all the simplices a job asks for off one reduction over the
 union of their stars.
 
-Both are assembled by `_add_value` and `SparseComplex.add_block` and
-reduced sparsely; a question about one value (stalk cohomology, a
-truncation kernel, invertibility) is dense (`matrices`).
+The cellular complex is assembled by `_add_value` and
+`SparseComplex.add_block`; the nerve complex, whose chains repeat each
+top simplex many times, lays out each top's value once (`_layout`) and
+writes every entry straight into its row, since each is written once.
+Both are reduced sparsely; a question about one value (stalk cohomology,
+a truncation kernel, invertibility) is dense (`matrices`).
 
 Open pushforward produces a nerve complex at every simplex of the target;
 to keep iterated pushforwards small the result is reduced by Gaussian
@@ -30,7 +33,10 @@ of complexes of sheaves (the generator supports are down-sets, so a
 same-support entry is an isomorphism between elementary summands), hence
 stalk cohomology, costalks, hypercohomology and all restriction data are
 preserved on the nose; a per-run check compares stalk tables against the
-coefficient complex on the open part.
+coefficient complex on the open part.  The compatible-family map from the
+old simplices away from the new ones rides through the reduction as unit
+columns, one set per boundary simplex next to them (see
+`pushforward_open`).
 """
 
 from . import matrices as mx
@@ -54,65 +60,143 @@ def _add_value(S, G, sid, shift, sign, support):
     return first
 
 
-def _nerve_complex(S, chains):
+def _layout(S, sid, shared):
+    """The layout of S's value at sid in one block of consecutive ids.
+
+    Returns (blocks, offsets, total, entries), or None for a zero value:
+    blocks lists (q, offset, dim) in ascending degree, offsets maps q to
+    its offset, total is the block's size, and entries[k] lists the
+    internal differential as (source offset, target offset, value)
+    triples, signed (−1)^k, in the order `SparseComplex.add_block` visits
+    them.  Values with equal dims and one differential map (or none) have
+    one layout, kept in shared.
+    """
+    qs = S.dims.get(sid)
+    if not qs:
+        return None
+    ms = S.diffs.get(sid)
+    key = (tuple(sorted(qs.items())), id(ms) if ms else None)
+    got = shared.get(key)
+    if got is not None:
+        return got
+    blocks, offsets, total = [], {}, 0
+    for q, n in key[0]:
+        blocks.append((q, total, n))
+        offsets[q] = total
+        total += n
+    plus = []
+    for q, m in (ms or {}).items():
+        if q in offsets and q + 1 in offsets:
+            g0, h0 = offsets[q], offsets[q + 1]
+            plus.extend((g0 + i, h0 + j, v) for j, row in enumerate(m)
+                        for i, v in enumerate(row) if v)
+    neg = S.F.neg
+    got = shared[key] = blocks, offsets, total, (plus, [(i, j, neg(v)) for i, j, v in plus])
+    return got
+
+
+def _nerve_complex(S, chains, units=()):
     """The order-chain (nerve) complex of S over the given chains.
 
-    Returns (G, heads), heads[sid][q] the id of the first generator in
-    degree q of the one-element chain (sid,), for each sid with a nonzero
-    value: the compatible-family map reads those and nothing else of the
-    chain bookkeeping, which dies on return.  A chain c contributes the
-    value at its top in degrees q + len(c) − 1, supported at its bottom,
-    with the internal differential signed (−1)^(len−1).  Entries into c
-    come from each of its faces among the chains: deleting the element at
-    position pos below the top gives the identity signed (−1)^pos,
-    deleting the top gives the restriction from the new top signed
-    (−1)^(len−1).
+    A chain c contributes the value at its top in degrees q + len(c) − 1,
+    supported at its bottom, with the internal differential signed
+    (−1)^(len−1).  Entries into c come from each of its faces among the
+    chains: deleting the element at position pos below the top gives the
+    identity signed (−1)^pos, deleting the top gives the restriction from
+    the new top signed (−1)^(len−1).  Every source id belongs to one
+    chain, so each entry is written once, straight into its row.
 
-    The bookkeeping holds one integer per chain, the id of its first
-    generator: `_add_value` hands out consecutive ids in ascending degree
-    order, so a chain's degree-q block starts at that id plus an offset
-    that depends only on its top, kept in one table per top simplex.  A
-    chain whose top has a zero value has no generators and no entry.
-    The restrictions on top deletions share one memo of composites
-    (`SheafComplex.restriction`), so each costs one product; it lives
-    only as long as the call, and so is gone before any reduction of G.
+    Each top simplex's value layout (`_layout`) is computed once per call,
+    and the bookkeeping holds one integer per chain, the id of its first
+    generator: a chain's degree-q block starts at that id plus an offset
+    that depends only on its top.  A chain whose top has a zero value has
+    no generators and no entry.  The restrictions on top deletions share
+    one memo of composites (`SheafComplex.restriction`), so each costs one
+    product.
+
+    Every t in units with a value gets unit columns in G's ucols, keyed
+    (t, q, j): column (t, q, j) holds e_j at the chain (t,) and r(t→ρ) e_j
+    at the chain (ρ,) for every member ρ > t.  They are read off the
+    entries the chain (t, ρ), which must be among the chains, got from
+    (t,) on deleting its top, −r(t→ρ), after the memo is dropped: the
+    columns and the memo are never held at once, and no memo outlives the
+    call.
     """
     F = S.F
-    one, mone = F.one, F.neg(F.one)
+    one, neg = F.one, F.neg
+    mone = neg(one)
     G = SparseComplex(F)
+    ids, dout, add_gen, ucol = G.ids, G.dout, G.add_gen, G.ucol
+    layouts = {}  # top simplex -> its `_layout`
+    shared = {}   # the layouts of distinct values, for `_layout`
     start = {}    # chain -> id of its first generator
-    offsets = {}  # top simplex -> {q: offset of its degree-q block}
     for c in chains:
-        ids = _add_value(S, G, c[-1], len(c) - 1, (-1) ** (len(c) - 1), c[0])
-        if ids:
-            g0 = start[c] = min(ids.values())
-            if c[-1] not in offsets:
-                offsets[c[-1]] = {q: g - g0 for q, g in ids.items()}
-    memo = {}
-    for c in chains:
-        cid = start.get(c)
-        if cid is None:
+        top = c[-1]
+        lay = layouts.get(top, 0)
+        if lay == 0:
+            lay = layouts[top] = _layout(S, top, shared)
+        if lay is None:
             continue
-        ln, top = len(c), c[-1]
-        coff = offsets[top]
-        for pos in range(ln):
+        shift = len(c) - 1
+        g0 = start[c] = len(ids)
+        for q, _, n in lay[0]:
+            add_gen(q + shift, c[0], n)
+        for i, j, v in lay[3][shift & 1]:
+            dout[g0 + i][ids[g0 + j]] = v
+    memo = {}  # composite restrictions
+    for c, cid in start.items():
+        ln = len(c)
+        if ln == 1:
+            continue
+        below, top = c[-2], c[-1]
+        _, coff, total, _ = layouts[top]
+        for pos in range(ln - 1):
             fid = start.get(c[:pos] + c[pos + 1:])
-            if fid is None:
-                continue
-            if pos < ln - 1:
+            if fid is not None:
                 sgn = one if pos % 2 == 0 else mone
-                for q, n in S.dims[top].items():
-                    f0, c0 = fid + coff[q], cid + coff[q]
-                    for i in range(n):
-                        G.add_entry(f0 + i, c0 + i, sgn)
-            else:
-                for q, o in offsets[c[-2]].items():
-                    if q in coff:
-                        G.add_block(fid + o, cid + coff[q],
-                                    S.restriction(c[-2], top, q, memo), (-1) ** pos)
-    heads = {c[0]: {q: cid + o for q, o in offsets[c[0]].items()}
-             for c, cid in start.items() if len(c) == 1}
-    return G, heads
+                for i in range(total):
+                    dout[fid + i][ids[cid + i]] = sgn
+        fid = start.get(c[:-1])
+        if fid is None:
+            continue
+        for q, o in layouts[below][1].items():
+            co = coff.get(q)
+            if co is None:
+                continue
+            m = memo.get((below, top, q))
+            if m is None:
+                m = S.restriction(below, top, q, memo)
+            f0, c0 = fid + o, cid + co
+            for j, row in enumerate(m):
+                h = ids[c0 + j]
+                for i, v in enumerate(row):
+                    if v:
+                        dout[f0 + i][h] = v if ln & 1 else neg(v)
+    del memo
+    unit_keys = {t: {q: [(t, q, j) for j in range(n)] for q, _, n in layouts[t][0]}
+                 for t in units if layouts[t]}
+    for t, keys in unit_keys.items():
+        g0 = start[(t,)]
+        for q, o, n in layouts[t][0]:
+            for j, key in enumerate(keys[q]):
+                ucol(g0 + o + j)[key] = one
+    for c, cid in start.items():
+        keys = unit_keys.get(c[0]) if len(c) == 2 else None
+        if keys is None:
+            continue
+        t0, r0, toff = start[c[:1]], start[c[1:]], layouts[c[0]][1]
+        for q, co, n in layouts[c[1]][0]:
+            kq = keys.get(q)
+            if kq is None:
+                continue
+            rows = dout[t0 + toff[q]:t0 + toff[q] + len(kq)]
+            for j in range(n):
+                h = ids[cid + co + j]
+                for i, row in enumerate(rows):
+                    v = row.get(h)
+                    if v:
+                        ucol(r0 + co + j)[kq[i]] = neg(v)
+    return G
 
 
 def _cellular_complex(S, members):
@@ -342,35 +426,6 @@ def is_clc(S, strat):
     return True, None
 
 
-def _add_family_columns(S, G, heads, sid, bids):
-    """The compatible-family columns of the far simplex sid, into G's ucols.
-
-    Column (sid, q, i) has the restrictions of basis vector i of S(sid) in
-    degree q to every boundary simplex ρ ≥ sid, placed at the chain (ρ,).
-    Each composite's nonzero entries go straight into G's map columns
-    (`G.ucol`), under one key tuple per column: the blocks at distinct
-    (ρ, q) are disjoint and the keys of distinct sids differ, so each
-    entry is written once and nothing needs adding up.  Every composite
-    starts at sid, so one memo per sid serves them all; it is dropped on
-    return, before the same-support cleanup.
-    """
-    memo, ucol = {}, G.ucol
-    for rho in S.complex.up_set(sid):
-        if rho not in bids:
-            continue
-        for q, d in sorted(S.dims.get(sid, {}).items()):
-            n = S.dim(rho, q)
-            if not n:
-                continue
-            rm, h0 = S.restriction(sid, rho, q, memo), heads[rho][q]
-            for i in range(d):
-                key = (sid, q, i)
-                for j in range(n):
-                    v = rm[j][i]
-                    if v:
-                        ucol(h0 + j)[key] = v
-
-
 def _block(F, rows, ncols, entries):
     """The dense map with ncols columns into rows, {live id: row}, or None if zero.
 
@@ -394,13 +449,13 @@ def _out_entries(G, cols):
             yield h, j, v
 
 
-def _family_entries(G, rows, s, q, d):
-    """(id, column, value) of the family columns from s's degree q into rows."""
+def _unit_entries(G, rows, t, q, n):
+    """(id, column, value) of the unit columns of t's degree q into rows."""
     for g in rows:
         col = G.ucols.get(g)
         if col:
-            for i in range(d):
-                yield g, i, col.get((s, q, i))
+            for j in range(n):
+                yield g, j, col.get((t, q, j))
 
 
 def pushforward_open(S, V):
@@ -412,13 +467,22 @@ def pushforward_open(S, V):
     complex there, glued by the compatible-family chain map.  The reduction
     is checked against S's stalks on the boundary region.
 
-    After the same-support cleanup, `at[sid][q]` maps each live id that
-    the region simplex sid sees (one supported at a simplex ≥ sid) to its
-    row there, in ascending id order.  One pass over the region and the
-    far simplices next to it makes every block of the step from that
-    index with `_block`: dims, differentials, the 0/1 selections and the
-    family blocks.  Elsewhere the result shares S's maps, which no
-    operation mutates.
+    The family map is carried by unit columns (`_nerve_complex`) at each
+    boundary simplex t with a far facet s, and its block from s to t is
+    U_t · r(s→t), U_t the reduced unit columns of t at t's rows.  That is
+    exact: fill into an id supported at y comes only from an id supported
+    at a simplex ≥ y, so the entries at supports ≥ t change under the
+    same-support cleanup independently of all others, and before it the
+    family of s restricted to supports ≥ t is the unit columns of t times
+    r(s→t), by path independence.
+
+    After the cleanup, `at[sid][q]` maps each live id that the region
+    simplex sid sees (one supported at a simplex ≥ sid) to its row there,
+    in ascending id order.  One pass over the region and the far
+    simplices next to it makes every block of the step from that index
+    with `_block`: dims, differentials, the 0/1 selections, the unit
+    columns and from them the family blocks.  Elsewhere the result shares
+    S's maps, which no operation mutates.
     """
     K = S.complex
     F = S.F
@@ -434,17 +498,15 @@ def pushforward_open(S, V):
     far = U - bids
     region = bids | new_ids
 
-    G, heads = _nerve_complex(S, all_chains(K, bids))
-
-    # compatible-family map from boundary-adjacent old simplices
-    far_adjacent = set()
+    # the far simplices next to the boundary region, and the boundary
+    # simplices next to them, which carry the unit columns
+    far_adjacent, units = set(), set()
     for sid in far:
         for c, _ in K.cofacets[sid]:
             if c in bids:
                 far_adjacent.add(sid)
-                break
-    for sid in sorted(far_adjacent):
-        _add_family_columns(S, G, heads, sid, bids)
+                units.add(c)
+    G = _nerve_complex(S, all_chains(K, bids), units)
 
     G.reduce(same_support=True)
 
@@ -452,6 +514,7 @@ def pushforward_open(S, V):
     diffs = {sid: d for sid, d in S.diffs.items() if sid in far}
     restr = {p: ms for p, ms in S.restrictions.items() if p[0] in far and p[1] in far}
     at = {sid: {} for sid in region}
+    unit_blocks = {}  # (t, q) -> t's reduced unit columns in degree q at its rows
     down_cache = {}
     for g in G.gens_sorted():
         supp = G.support[g]
@@ -465,8 +528,9 @@ def pushforward_open(S, V):
             rows[g] = len(rows)
     # a region simplex selects the ids each cofacet sees, all seen by s too
     # (the region is up-closed, so it holds every cofacet); a far-adjacent
-    # one maps by its family block into each cofacet in the boundary
-    # region, and a far cofacet, with no `at` entry, keeps S's own map
+    # one maps into each cofacet t in the boundary region by t's unit
+    # block times r(s→t), and a far cofacet, with no `at` entry, keeps S's
+    # own map
     for s in sorted(region | far_adjacent):
         qs, dm = at.get(s), {}
         if qs:
@@ -488,11 +552,16 @@ def pushforward_open(S, V):
                     if rows:
                         rm[q] = _block(F, rows, len(cols), [(g, cols[g], F.one) for g in rows])
             else:
-                for q, d in sorted(S.dims.get(s, {}).items()):
-                    rows = at[t].get(q)
-                    if rows:
-                        m = _block(F, rows, d, _family_entries(G, rows, s, q, d))
-                        if m:
+                for q in sorted(S.dims.get(s, {})):
+                    rows, n = at[t].get(q), S.dim(t, q)
+                    if not rows or not n:
+                        continue
+                    if (t, q) not in unit_blocks:
+                        unit_blocks[(t, q)] = _block(F, rows, n, _unit_entries(G, rows, t, q, n))
+                    u = unit_blocks[(t, q)]
+                    if u is not None:
+                        m = mx.mat_mul(F, u, S.restriction_cover(s, t, q))
+                        if not _vanishes(m):
                             rm[q] = m
             if rm:
                 restr[(s, t)] = rm

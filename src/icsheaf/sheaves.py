@@ -164,10 +164,15 @@ class SheafComplex:
         The path adds the vertices of tid missing from sid in ascending
         order, so the composite is the last cover map, into tid from tid
         minus its last missing vertex, times the composite up to that
-        face.  A caller that reads many composites passes a dict as memo:
-        it keeps every composite this call computes, prefixes included,
-        keyed by (sid, tid, q), so each new one costs one product.  Without
-        a memo the same products run in the same order afresh.
+        face, sliced out of tid.  Both are sorted vertex tuples, so one walk
+        down tid from its end, matching sid's vertices from theirs, finds
+        that vertex (the first unmatched one) and whether all of sid was
+        matched; a pair that is not a face and a coface raises SheafError
+        naming both.  A caller that reads many composites passes a dict as
+        memo: it keeps every composite this call computes, prefixes
+        included, keyed by (sid, tid, q), so each new one costs one
+        product.  Without a memo the same products run in the same order
+        afresh.
         """
         if sid == tid:
             return mx.identity(self.F, self.dim(sid, q))
@@ -177,10 +182,16 @@ class SheafComplex:
                 return got
         K = self.complex
         s, t = K.simplices[sid], K.simplices[tid]
-        missing = [v for v in t if v not in s]
-        assert set(s) <= set(t) and missing
-        last = missing[-1]
-        mid = K.index[tuple(u for u in t if u != last)]
+        j, last = len(s) - 1, None
+        for i in range(len(t) - 1, -1, -1):
+            if j >= 0 and t[i] == s[j]:
+                j -= 1
+            elif last is None:
+                last = i
+        if j >= 0 or last is None:
+            raise SheafError("no restriction from %r to %r: the first is not a face "
+                             "of the second" % (list(s), list(t)))
+        mid = K.index[t[:last] + t[last + 1:]]
         out = self.restriction_cover(mid, tid, q)
         if mid != sid:
             out = _mul(self.F, out, self.restriction(sid, mid, q, memo),

@@ -8,7 +8,7 @@ The space is `demo:<name>` or a directory holding `complex.json` and
 written to a temporary directory first), so an input the CLI refuses
 exits 1 with one `error:` line here too.  The build runs canonically under
 `tracemalloc`, and a line is printed at each mark: in every pushforward
-step, before its nerve complex, once the nerve complex and its family
+step, before its nerve complex, once the nerve complex and its unit
 columns are assembled, after the same-support cleanup and after the
 pushforward returns; then before and after verification.  Each line gives
 the MiB live at the mark and the peak since the previous mark.  The last
@@ -68,10 +68,10 @@ def main():
     real_nerve, real_reduce = sections._nerve_complex, SparseComplex.reduce
     real_push, real_verify = sections.pushforward_open, deligne._verify_bundle
 
-    def nerve(S, chains):
+    def nerve(*args):
         mark("before nerve complex")
         state["nerve"] = True
-        return real_nerve(S, chains)
+        return real_nerve(*args)
 
     def reduce(G, same_support=False):
         cleanup = same_support and state["nerve"]

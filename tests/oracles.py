@@ -13,8 +13,12 @@ the reference versions of package code that a faster path replaced, kept
 as they were so the tests can compare the two (`order_chains`,
 `chains_recursively`, `down_set_by_subsets`, `composite_restriction`,
 the dense solver behind `cohomology_sheaf_reference`, the dict-indexed
-eliminator `DictIndexComplex`, the tuple-keyed one `ReferenceComplex` and
-the costalk of one open star by its own reduction, `star_costalk`),
+eliminator `DictIndexComplex`, the tuple-keyed one `ReferenceComplex`,
+the costalk of one open star by its own reduction, `star_costalk`, and
+the pushforward's first nerve assembly and compatible-family columns,
+`nerve_complex_reference` and `add_family_columns_reference`, with the
+step they make, `pushforward_reference`, and the unit columns by
+definition, `unit_columns_reference`),
 the supported-sections complex that AX2 is compared against
 (`supported_section_dims`), and the
 helpers only tests need: `shift` builds test complexes,
@@ -44,6 +48,7 @@ from icsheaf import matrices as mx
 from icsheaf import sections as sec
 from icsheaf.deligne import build_ic
 from icsheaf.fields import QQ
+from icsheaf.reduction import SparseComplex
 from icsheaf.sheaves import SheafComplex, SheafError, first_difference
 from icsheaf.simplicial import SimplicialComplex, all_chains
 from icsheaf.stratify import (StratificationError, compute_open_filtration,
@@ -352,7 +357,7 @@ def supported_section_dims(S, sid, z_ids):
     """
     zset = set(z_ids)
     chains = [c for c in star_chains(S, sid) if any(e in zset for e in c)]
-    G, _ = sec._nerve_complex(S, chains)
+    G, _ = nerve_complex_reference(S, chains)
     return G.minimize_dims()
 
 
@@ -361,8 +366,164 @@ def rgamma_dims(S, member_ids):
     members = S.domain.intersection(member_ids)
     if not members:
         return {}
-    G, _ = sec._nerve_complex(S, all_chains(S.complex, members))
+    G, _ = nerve_complex_reference(S, all_chains(S.complex, members))
     return G.minimize_dims()
+
+
+def nerve_complex_reference(S, chains):
+    """The nerve complex as `sections._nerve_complex` first assembled it.
+
+    Every chain's value goes in through `sections._add_value` and every
+    entry through `SparseComplex.add_entry` and `add_block`, with their
+    cancellation rule.  Returns (G, heads), heads[sid][q] the id of the
+    first generator in degree q of the chain (sid,), for each sid with a
+    nonzero value.  G has no map columns.
+    """
+    F = S.F
+    one, mone = F.one, F.neg(F.one)
+    G = SparseComplex(F)
+    start = {}    # chain -> id of its first generator
+    offsets = {}  # top simplex -> {q: offset of its degree-q block}
+    for c in chains:
+        ids = sec._add_value(S, G, c[-1], len(c) - 1, (-1) ** (len(c) - 1), c[0])
+        if ids:
+            g0 = start[c] = min(ids.values())
+            if c[-1] not in offsets:
+                offsets[c[-1]] = {q: g - g0 for q, g in ids.items()}
+    memo = {}
+    for c in chains:
+        cid = start.get(c)
+        if cid is None:
+            continue
+        ln, top = len(c), c[-1]
+        coff = offsets[top]
+        for pos in range(ln):
+            fid = start.get(c[:pos] + c[pos + 1:])
+            if fid is None:
+                continue
+            if pos < ln - 1:
+                sgn = one if pos % 2 == 0 else mone
+                for q, n in S.dims[top].items():
+                    f0, c0 = fid + coff[q], cid + coff[q]
+                    for i in range(n):
+                        G.add_entry(f0 + i, c0 + i, sgn)
+            else:
+                for q, o in offsets[c[-2]].items():
+                    if q in coff:
+                        G.add_block(fid + o, cid + coff[q],
+                                    S.restriction(c[-2], top, q, memo), (-1) ** pos)
+    heads = {c[0]: {q: cid + o for q, o in offsets[c[0]].items()}
+             for c, cid in start.items() if len(c) == 1}
+    return G, heads
+
+
+def add_family_columns_reference(S, G, heads, sid, bids):
+    """The compatible-family columns of the far simplex sid, into G's ucols,
+    as the pushforward first made them: column (sid, q, i) holds the
+    restriction of basis vector i of S(sid) in degree q to every boundary
+    simplex ρ ≥ sid, at the chain (ρ,), one composite per (sid, ρ)."""
+    memo, ucol = {}, G.ucol
+    for rho in S.complex.up_set(sid):
+        if rho not in bids:
+            continue
+        for q, d in sorted(S.dims.get(sid, {}).items()):
+            n = S.dim(rho, q)
+            if not n:
+                continue
+            rm, h0 = S.restriction(sid, rho, q, memo), heads[rho][q]
+            for i in range(d):
+                key = (sid, q, i)
+                for j in range(n):
+                    v = rm[j][i]
+                    if v:
+                        ucol(h0 + j)[key] = v
+
+
+def unit_columns_reference(S, heads, members, units):
+    """The unit columns `sections._nerve_complex` writes for the simplices
+    in units, by definition: column (t, q, j) holds r(t→ρ) e_j at the
+    chain (ρ,) for every member ρ ≥ t, each composite from
+    `composite_restriction`, placed by the reference's heads.  Returns
+    {id: {key: value}} with the nonzero values only."""
+    K, out = S.complex, {}
+    for t in units:
+        for rho in K.up_set(t):
+            if rho not in members or rho not in heads or t not in heads:
+                continue
+            for q, h0 in heads[rho].items():
+                n = S.dim(t, q)
+                if not n:
+                    continue
+                rm = composite_restriction(S, t, rho, q)
+                for j in range(n):
+                    for k, row in enumerate(rm):
+                        if row[j]:
+                            out.setdefault(h0 + k, {})[(t, q, j)] = row[j]
+    return out
+
+
+def pushforward_reference(S, V):
+    """The open pushforward as `sections.pushforward_open` first made it.
+
+    The nerve complex and the compatible-family columns of every far
+    simplex next to the boundary region come from the references above;
+    then the same cleanup and the same materialization, each family block
+    read off the reduced family columns.  No stalk check.
+    """
+    K, F, U = S.complex, S.F, S.domain
+    new_ids = V - U
+    if not new_ids:
+        return S
+    bids = K.walk(new_ids, K.cofacets) & U
+    far = U - bids
+    region = bids | new_ids
+    G, heads = nerve_complex_reference(S, all_chains(K, bids))
+    far_adjacent = {sid for sid in far if any(c in bids for c, _ in K.cofacets[sid])}
+    for sid in sorted(far_adjacent):
+        add_family_columns_reference(S, G, heads, sid, bids)
+    G.reduce(same_support=True)
+    dims = {sid: d for sid, d in S.dims.items() if sid in far}
+    diffs = {sid: d for sid, d in S.diffs.items() if sid in far}
+    restr = {p: ms for p, ms in S.restrictions.items() if p[0] in far and p[1] in far}
+    at = {sid: {} for sid in region}
+    for g in G.gens_sorted():
+        for sid in K.down_set(G.support[g]):
+            if sid in region:
+                rows = at[sid].setdefault(G.degree[g], {})
+                rows[g] = len(rows)
+    for s in sorted(region | far_adjacent):
+        qs, dm = at.get(s), {}
+        if qs:
+            dims[s] = {q: len(rows) for q, rows in qs.items()}
+        for q, cols in (qs or {}).items():
+            if q + 1 in qs:
+                m = sec._block(F, qs[q + 1], len(cols), sec._out_entries(G, cols))
+                if m:
+                    dm[q] = m
+        if dm:
+            diffs[s] = dm
+        for t, _ in K.cofacets[s]:
+            if t not in at:
+                continue
+            rm = {}
+            if qs is not None:
+                for q, cols in qs.items():
+                    rows = at[t].get(q)
+                    if rows:
+                        rm[q] = sec._block(F, rows, len(cols),
+                                           [(g, cols[g], F.one) for g in rows])
+            else:
+                for q, d in sorted(S.dims.get(s, {}).items()):
+                    rows = at[t].get(q)
+                    if rows:
+                        m = sec._block(F, rows, d, [
+                            (g, i, G.ucols.get(g, {}).get((s, q, i)))
+                            for g in rows for i in range(d)])
+                        if m:
+                            rm[q] = m
+            if rm:
+                restr[(s, t)] = rm
+    return SheafComplex(F, K, V, dims, diffs, restr)
 
 
 def star_costalk(S, sid):

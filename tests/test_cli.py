@@ -569,6 +569,22 @@ def test_manifest_names_every_input(tmp_path):
     assert len(hashes) == 3
 
 
+def test_sample_budget_has_one_spelling(tmp_path, capsys):
+    # the manifest records --sample as written, so a budget is accepted only
+    # as str(n): "07" and "00" exit 1 with one error line, as a level key
+    # "01" does, and the canonical spellings still run
+    o = out(tmp_path)
+    for text in ("07", "00", "007"):
+        assert run(["costalks", "demo:wedge", "--sample", text, "--out", o]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sample ") and err.count("\n") == 1, (text, err)
+        assert not (tmp_path / "o" / "costalks-report.json").exists()
+    for text in ("0", "7", "all"):
+        assert run(["costalks", "demo:wedge", "--sample", text, "--out", o]) == 0, text
+        doc = json.loads((tmp_path / "o" / "costalks-report.json").read_text())
+        assert doc["manifest"]["options"]["sample"] == text
+
+
 def test_local_system_is_read_once(tmp_path, capsys, monkeypatch):
     # the manifest hashes the bytes that were parsed: the file is read once,
     # and is rewritten after each read, so a second read would parse rank 3

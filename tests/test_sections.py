@@ -6,6 +6,7 @@ from icsheaf import demos
 from icsheaf.deligne import build_ic, default_costalk_sample
 from icsheaf.fields import QQ, field_by_name
 from icsheaf import sections as sec
+from icsheaf.reduction import SparseComplex
 from icsheaf.sheaves import SheafComplex, SheafError, constant_complex
 from icsheaf.simplicial import SimplicialComplex
 from icsheaf.stratify import compute_open_filtration
@@ -184,7 +185,7 @@ def nerve_costalk(S, sid):
     real dimension of sid.
     """
     chains = [c for c in oracles.star_chains(S, sid) if c[0] == sid]
-    G, _ = sec._nerve_complex(S, chains)
+    G, _ = oracles.nerve_complex_reference(S, chains)
     d = S.complex.sdim(sid)
     return {q + d: v for q, v in G.minimize_dims().items()}
 
@@ -327,6 +328,74 @@ def test_cleanup_rank_neutrality_pushforwards(tower_of):
                 old = sec.cell_costalk(S, S.domain)
                 for sid, row in sec.cell_costalk(T, T.domain).items():
                     assert row == old.get(sid, {}), (name, naive, i, S.complex.simplices[sid])
+
+
+def _same_complex(G, R):
+    """Are G and R the same complex id for id, with G's keys its id objects?"""
+    ids = G.ids
+    return (G.ids == R.ids and G.degree == R.degree and G.support == R.support
+            and G.dout == R.dout
+            and all(g is ids[g] for g in G.degree)
+            and all(h is ids[h] for row in G.dout for h in row)
+            and all(g is ids[g] for g in G.ucols))
+
+
+@pytest.mark.parametrize("field", ("q", "fp:32003", "fp:2"))
+def test_nerve_complex_and_step_match_the_reference(tower_of, monkeypatch, field):
+    # on every pushforward step of every canonical and naive tower, the nerve
+    # complex equals the reference assembly id for id before its cleanup,
+    # its unit columns are r(t→ρ) e_j at the reference's heads, and the
+    # materialized step equals the one the reference family columns give
+    real, seen = sec._nerve_complex, []
+
+    def nerve(S, chains, units=()):
+        G = real(S, chains, units)
+        R, heads = oracles.nerve_complex_reference(S, chains)
+        assert _same_complex(G, R)
+        members = {c[0] for c in chains}
+        assert G.ucols == oracles.unit_columns_reference(S, heads, members, units)
+        seen.append(sum(map(len, G.ucols.values())))
+        return G
+
+    monkeypatch.setattr(sec, "_nerve_complex", nerve)
+    for name in demos.DEMO_NAMES:
+        for naive in (False, True):
+            inter = tower_of(name, field, naive).intermediates
+            for i in range(len(inter) - 1):
+                S, V = inter[i], inter[i + 1].domain
+                T, R = sec.pushforward_open(S, V), oracles.pushforward_reference(S, V)
+                assert (T.dims, T.diffs, T.restrictions) == \
+                    (R.dims, R.diffs, R.restrictions), (name, naive, i)
+    assert len(seen) > 10 and any(seen)
+
+
+@pytest.mark.parametrize("field", ("q", "fp:32003"))
+def test_family_fill_matches_the_reference(build_of, monkeypatch, field):
+    # no build's cleanup meets a family column, so push each demo's IC back
+    # from the complement of a vertex: there the eliminations carry the unit
+    # columns (`SparseComplex.add_ucol`), and the step is the definition and
+    # the one the reference family columns give
+    calls = {}
+    real = SparseComplex.add_ucol
+
+    def add_ucol(G, h, ext, val):
+        calls[key] = calls.get(key, 0) + 1
+        return real(G, h, ext, val)
+
+    monkeypatch.setattr(SparseComplex, "add_ucol", add_ucol)
+    for name in demos.DEMO_NAMES:
+        S = build_of(name, field).ic
+        K = S.complex
+        for v in (0, 1):
+            key = (name, v)
+            U = S.domain - {K.id_of([v])}
+            T = sec.pushforward_open(S.restrict_open(U), S.domain)
+            assert oracles.pushforward_mismatch(S.restrict_open(U), T) is None, key
+            R = oracles.pushforward_reference(S.restrict_open(U), S.domain)
+            assert (T.dims, T.diffs, T.restrictions) == \
+                (R.dims, R.diffs, R.restrictions), key
+    assert calls[("susp-s1xs2", 0)] and calls[("wedge", 1)]
+    assert len(calls) >= 8
 
 
 def test_cleanup_rank_neutrality_full_builds(towers):

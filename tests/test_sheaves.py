@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -217,3 +218,20 @@ def test_path_independence_checked():
     mats[(K.id_of([0]), K.id_of([0, 1]))] = [[Fraction(2)]]
     with pytest.raises(SheafError, match="path independence"):
         make_local_system(QQ, K, U, {"stalk_dim": dims, "matrices": mats})
+
+
+def test_restriction_of_a_non_face_pair_names_both_simplices():
+    # the composite walks the coface from its end; a pair that is not a face
+    # and a coface raises SheafError naming both, under python -O as well
+    K = SimplicialComplex(range(4), [[0, 1, 2], [1, 2, 3]])
+    S = constant_complex(QQ, K, K.full_set(), 2)
+    for s, t in (([0], [1, 2]), ([0, 1], [1, 2]), ([0, 1], [0]), ([0, 1], [1, 2, 3]),
+                 ([3], [0, 1, 2]), ([0, 2], [1, 2, 3])):
+        with pytest.raises(SheafError, match=r"from %s to %s" % (
+                re.escape(str(s)), re.escape(str(t)))):
+            S.restriction(K.id_of(s), K.id_of(t), 0, {})
+    memo = {}
+    for s, t in (([0], [0, 1, 2]), ([1], [1, 2, 3]), ([1, 2], [1, 2, 3]), ([2], [2])):
+        sid, tid = K.id_of(s), K.id_of(t)
+        want = oracles.composite_restriction(S, sid, tid, 0)
+        assert S.restriction(sid, tid, 0, memo) == want == S.restriction(sid, tid, 0)
