@@ -16,7 +16,7 @@ is kept as check_classic_ax2 for negative demonstrations.
 
 from . import sections as sec
 from .sheaves import SheafError
-from .stratify import compute_open_filtration, TRUST_NOTE
+from .stratify import compute_open_filtration, compute_open_strata, TRUST_NOTE
 
 
 class AxiomInputError(ValueError):
@@ -178,16 +178,16 @@ def check_ax2(S, strat):
     if not ok:
         raise AxiomInputError(
             "complex is not locally constant on the strata: %r" % (witness,))
-    filt = compute_open_filtration(strat)
-    clauses = [_normalization_clause(S, "a", filt.U_m)]
+    U_m, X_m = compute_open_strata(strat)
+    clauses = [_normalization_clause(S, "a", U_m)]
     hi = S.degree_range()[1]
 
     costalks = sec.cell_costalk(S, S.domain)
     crange = sorted({a for t in costalks.values() for a in t})
 
     support_w, cosupport_w = [], []
-    for m in sorted(filt.U_m):
-        xm = filt.X_m[m]
+    for m in sorted(U_m):
+        xm = X_m[m]
         support_w += _locus_witnesses(K, xm, range(-m + 1, hi + 1), S.stalk_cohomology,
                                       "stalk", "b", lambda a: -a, m=m)
         cosupport_w += _locus_witnesses(K, xm, [a for a in crange if a < m],

@@ -194,15 +194,19 @@ def refine_stratification(strat, recipe):
     stratum among the candidates from index i on, "extra-surface[:i]" the
     first admissible fake closed surface from index i on (i >= 0, default
     0), "random:<seed>" a seeded random admissible combination (any
-    integer seed).
+    integer seed).  A number is spelled one way only, as `str` writes it
+    (ASCII digits, no leading zero, a minus sign only for a negative
+    seed), so each refinement has one recipe and one report.
     """
     K = strat.complex
-    name, _, arg = recipe.partition(":")
+    name, colon, arg = recipe.partition(":")
     try:
-        num = int(arg) if arg else 0
+        num = int(arg) if colon else 0
     except ValueError:
+        num = 0  # int("0") succeeds, so str(0) != arg below
+    if colon and str(num) != arg:
         raise StratificationError(
-            "refinement recipe %r: %r is not an integer" % (recipe, arg))
+            "refinement recipe %r: %r is not a plain decimal integer" % (recipe, arg))
     if num < 0 and name in ("extra-point", "extra-surface"):
         raise StratificationError(
             "refinement recipe %r: the candidate index must be nonnegative" % recipe)

@@ -2,17 +2,16 @@
 
 A complex is presented by integer generator ids with integer degrees and a
 sparse differential.  `add_gen` hands out a block of consecutive ids 0,
-1, 2, … in insertion order and `add_block` copies a dense matrix between
-two blocks; every section model (a complex over many simplices) is
-assembled from such blocks (`sections._add_value`,
-`sections._nerve_complex`), while a question about one value is dense
-(`matrices`).  Eliminating an invertible entry is an exact homotopy
-equivalence; exhaustive free elimination leaves a zero differential, so
-the surviving generator counts are the cohomology dimensions.  In sheaf
-mode (same_support=True) only entries between generators with the same
-support simplex are eliminated, which keeps every move an isomorphism of
-elementary down-set summands and hence an equivalence of complexes of
-sheaves, slice by slice.
+1, 2, … in insertion order; every section model (a complex over many
+simplices) is assembled by `sections`, which places each value as such a
+block and writes the entries straight into the rows, while a question
+about one value is dense (`matrices`).  Eliminating an invertible entry
+is an exact homotopy equivalence; exhaustive free elimination leaves a
+zero differential, so the surviving generator counts are the cohomology
+dimensions.  In sheaf mode (same_support=True) only entries between
+generators with the same support simplex are eliminated, which keeps
+every move an isomorphism of elementary down-set summands and hence an
+equivalence of complexes of sheaves, slice by slice.
 
 A complex stores its differential one way only, as rows `dout[g]`.  The
 reverse index `din` (the sources into each id), which an elimination
@@ -66,28 +65,6 @@ class SparseComplex:
             self.dout.append({})
         return ids[g]
 
-    def add_entry(self, g, h, val):
-        """Add the nonzero val to the entry g -> h, dropping it if it cancels."""
-        row = self.dout[g]
-        cur = row.get(h)
-        if cur is None:
-            row[self.ids[h]] = val
-        else:
-            new = self.F.add(cur, val)
-            if new:
-                row[h] = new
-            else:
-                del row[h]
-
-    def add_block(self, g0, h0, M, sign):
-        """Add sign · M (sign ±1), a map from the block at id g0 to that at h0."""
-        neg, add_entry, ids = self.F.neg, self.add_entry, self.ids
-        for j, row in enumerate(M):
-            h = ids[h0 + j]
-            for i, v in enumerate(row):
-                if v:
-                    add_entry(g0 + i, h, v if sign > 0 else neg(v))
-
     def ucol(self, h):
         """The map columns {external key: value} at id h, made empty if new."""
         col = self.ucols.get(h)
@@ -138,8 +115,9 @@ class SparseComplex:
         self._detach(h)
         inv = F.inv(alpha)
         add, mul, neg = F.add, F.mul, F.neg
-        # the fill s -> t is nonzero; it goes in under add_entry's rule, and
-        # s enters or leaves din[t] exactly where the row gains or loses t
+        # the fill s -> t is nonzero; it is added to any entry s -> t, which
+        # is dropped if it cancels, and s enters or leaves din[t] exactly
+        # where the row gains or loses t
         for s, a in zip(ins, coeffs):
             coeff = neg(mul(a, inv))
             row = dout[s]
@@ -226,9 +204,13 @@ class SparseComplex:
             self.degree = {g: d for g, d in self.degree.items()}
 
     def minimize_dims(self):
-        """Free reduction to zero differential; returns degree -> dimension."""
+        """Free reduction to zero differential; returns degree -> dimension.
+        An entry that survives it raises RuntimeError naming the entry."""
         self.reduce(same_support=False)
-        assert not any(self.dout)
+        if any(self.dout):
+            g = next(g for g, row in enumerate(self.dout) if row)
+            raise RuntimeError("free reduction left the entry %d -> %d"
+                               % (g, next(iter(self.dout[g]))))
         out = {}
         for d in self.degree.values():
             out[d] = out.get(d, 0) + 1

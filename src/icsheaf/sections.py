@@ -18,12 +18,12 @@ keeps every such subcomplex up to homotopy, so `cell_costalk` reads the
 costalks at all the simplices a job asks for off one reduction over the
 union of their stars.
 
-The cellular complex is assembled by `_add_value` and
-`SparseComplex.add_block`; the nerve complex, whose chains repeat each
-top simplex many times, lays out each top's value once (`_layout`) and
-writes every entry straight into its row, since each is written once.
-Both are reduced sparsely; a question about one value (stalk cohomology,
-a truncation kernel, invertibility) is dense (`matrices`).
+This module is the one place that knows how a value and a map enter a
+section complex.  Both models lay out each distinct value once
+(`_layout`) and write every entry straight into its row, since each is
+written once.  Both are reduced sparsely; a question about one value
+(stalk cohomology, a truncation kernel, invertibility) is dense
+(`matrices`).
 
 Open pushforward produces a nerve complex at every simplex of the target;
 to keep iterated pushforwards small the result is reduced by Gaussian
@@ -49,17 +49,6 @@ class EngineError(RuntimeError):
     pass
 
 
-def _add_value(S, G, sid, shift, sign, support):
-    """Add S's value at sid to G as consecutive ids, degree q at q + shift,
-    differential times sign (±1), all with the given support; {q: first id}."""
-    qs = S.dims.get(sid, {})
-    first = {q: G.add_gen(q + shift, support, qs[q]) for q in sorted(qs)}
-    for q, m in S.diffs.get(sid, {}).items():
-        if q in first and q + 1 in first:
-            G.add_block(first[q], first[q + 1], m, sign)
-    return first
-
-
 def _layout(S, sid, shared):
     """The layout of S's value at sid in one block of consecutive ids.
 
@@ -67,9 +56,9 @@ def _layout(S, sid, shared):
     blocks lists (q, offset, dim) in ascending degree, offsets maps q to
     its offset, total is the block's size, and entries[k] lists the
     internal differential as (source offset, target offset, value)
-    triples, signed (−1)^k, in the order `SparseComplex.add_block` visits
-    them.  Values with equal dims and one differential map (or none) have
-    one layout, kept in shared.
+    triples, signed (−1)^k, column by column of each map.  Values with
+    equal dims and one differential map (or none) have one layout, kept
+    in shared.
     """
     qs = S.dims.get(sid)
     if not qs:
@@ -206,21 +195,42 @@ def _cellular_complex(S, members):
     τ, with internal differential signed (−1)^dim τ and cover restrictions
     signed by incidence: d maps the block at τ into the blocks at τ and at
     its cofacets, so the blocks at the simplices ≥ σ form a subcomplex for
-    every σ.
+    every σ.  Each value is placed by its `_layout`, and each pair of
+    blocks meets once, so every entry is written straight into its row.
     """
     K = S.complex
+    neg = S.F.neg
     G = SparseComplex(S.F)
-    members = sorted(S.domain.intersection(members))
-    first = {sid: _add_value(S, G, sid, K.sdim(sid), (-1) ** K.sdim(sid), sid)
-             for sid in members}
-    for sid in members:
+    ids, dout, add_gen = G.ids, G.dout, G.add_gen
+    shared = {}  # the layouts of distinct values, for `_layout`
+    start = {}   # member -> (id of its first generator, its layout)
+    for sid in sorted(S.domain.intersection(members)):
+        lay = _layout(S, sid, shared)
+        if lay is None:
+            continue
+        k, g0 = K.sdim(sid), len(ids)
+        start[sid] = g0, lay
+        for q, _, n in lay[0]:
+            add_gen(q + k, sid, n)
+        for i, j, v in lay[3][k & 1]:
+            dout[g0 + i][ids[g0 + j]] = v
+    for sid, (g0, lay) in start.items():
         for cof, sign in K.cofacets[sid]:
-            cof0 = first.get(cof)
-            if cof0 is None:
+            got = start.get(cof)
+            rs = S.restrictions.get((sid, cof)) if got else None
+            if not rs:
                 continue
-            for q, g0 in first[sid].items():
-                if q in cof0:
-                    G.add_block(g0, cof0[q], S.restriction_cover(sid, cof, q), sign)
+            c0, coff = got[0], got[1][1]
+            for q, o, _ in lay[0]:
+                m = rs.get(q)
+                if m is None or q not in coff:
+                    continue
+                f0, h0 = g0 + o, c0 + coff[q]
+                for j, row in enumerate(m):
+                    h = ids[h0 + j]
+                    for i, v in enumerate(row):
+                        if v:
+                            dout[f0 + i][h] = v if sign > 0 else neg(v)
     return G
 
 

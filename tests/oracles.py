@@ -18,7 +18,10 @@ the costalk of one open star by its own reduction, `star_costalk`, and
 the pushforward's first nerve assembly and compatible-family columns,
 `nerve_complex_reference` and `add_family_columns_reference`, with the
 step they make, `pushforward_reference`, and the unit columns by
-definition, `unit_columns_reference`),
+definition, `unit_columns_reference`, the first cellular assembly,
+`cellular_complex_reference`, and the block adders both references
+build through, `add_value`, `add_block` and `add_entry`, whose
+cancellation rule no assembly needs),
 the supported-sections complex that AX2 is compared against
 (`supported_section_dims`), and the
 helpers only tests need: `shift` builds test complexes,
@@ -370,14 +373,51 @@ def rgamma_dims(S, member_ids):
     return G.minimize_dims()
 
 
+def add_entry(G, g, h, val):
+    """Add the nonzero val to G's entry g -> h, dropping it if it cancels,
+    as `SparseComplex.add_entry` did."""
+    row = G.dout[g]
+    cur = row.get(h)
+    if cur is None:
+        row[G.ids[h]] = val
+    else:
+        new = G.F.add(cur, val)
+        if new:
+            row[h] = new
+        else:
+            del row[h]
+
+
+def add_block(G, g0, h0, M, sign):
+    """Add sign · M (sign ±1), a map from G's block at id g0 to that at h0,
+    entry by entry through `add_entry`."""
+    neg, ids = G.F.neg, G.ids
+    for j, row in enumerate(M):
+        h = ids[h0 + j]
+        for i, v in enumerate(row):
+            if v:
+                add_entry(G, g0 + i, h, v if sign > 0 else neg(v))
+
+
+def add_value(S, G, sid, shift, sign, support):
+    """Add S's value at sid to G as consecutive ids, degree q at q + shift,
+    differential times sign (±1), all with the given support; {q: first id}."""
+    qs = S.dims.get(sid, {})
+    first = {q: G.add_gen(q + shift, support, qs[q]) for q in sorted(qs)}
+    for q, m in S.diffs.get(sid, {}).items():
+        if q in first and q + 1 in first:
+            add_block(G, first[q], first[q + 1], m, sign)
+    return first
+
+
 def nerve_complex_reference(S, chains):
     """The nerve complex as `sections._nerve_complex` first assembled it.
 
-    Every chain's value goes in through `sections._add_value` and every
-    entry through `SparseComplex.add_entry` and `add_block`, with their
-    cancellation rule.  Returns (G, heads), heads[sid][q] the id of the
-    first generator in degree q of the chain (sid,), for each sid with a
-    nonzero value.  G has no map columns.
+    Every chain's value goes in through `add_value` and every entry
+    through `add_entry` and `add_block`, with their cancellation rule.
+    Returns (G, heads), heads[sid][q] the id of the first generator in
+    degree q of the chain (sid,), for each sid with a nonzero value.  G
+    has no map columns.
     """
     F = S.F
     one, mone = F.one, F.neg(F.one)
@@ -385,7 +425,7 @@ def nerve_complex_reference(S, chains):
     start = {}    # chain -> id of its first generator
     offsets = {}  # top simplex -> {q: offset of its degree-q block}
     for c in chains:
-        ids = sec._add_value(S, G, c[-1], len(c) - 1, (-1) ** (len(c) - 1), c[0])
+        ids = add_value(S, G, c[-1], len(c) - 1, (-1) ** (len(c) - 1), c[0])
         if ids:
             g0 = start[c] = min(ids.values())
             if c[-1] not in offsets:
@@ -406,15 +446,37 @@ def nerve_complex_reference(S, chains):
                 for q, n in S.dims[top].items():
                     f0, c0 = fid + coff[q], cid + coff[q]
                     for i in range(n):
-                        G.add_entry(f0 + i, c0 + i, sgn)
+                        add_entry(G, f0 + i, c0 + i, sgn)
             else:
                 for q, o in offsets[c[-2]].items():
                     if q in coff:
-                        G.add_block(fid + o, cid + coff[q],
-                                    S.restriction(c[-2], top, q, memo), (-1) ** pos)
+                        add_block(G, fid + o, cid + coff[q],
+                                  S.restriction(c[-2], top, q, memo), (-1) ** pos)
     heads = {c[0]: {q: cid + o for q, o in offsets[c[0]].items()}
              for c, cid in start.items() if len(c) == 1}
     return G, heads
+
+
+def cellular_complex_reference(S, members):
+    """The cellular complex as `sections._cellular_complex` first assembled it.
+
+    Every member's value goes in through `add_value` and every cover
+    restriction through `add_block`, with their cancellation rule.
+    """
+    K = S.complex
+    G = SparseComplex(S.F)
+    members = sorted(S.domain.intersection(members))
+    first = {sid: add_value(S, G, sid, K.sdim(sid), (-1) ** K.sdim(sid), sid)
+             for sid in members}
+    for sid in members:
+        for cof, sign in K.cofacets[sid]:
+            cof0 = first.get(cof)
+            if cof0 is None:
+                continue
+            for q, g0 in first[sid].items():
+                if q in cof0:
+                    add_block(G, g0, cof0[q], S.restriction_cover(sid, cof, q), sign)
+    return G
 
 
 def add_family_columns_reference(S, G, heads, sid, bids):

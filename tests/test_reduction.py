@@ -29,7 +29,7 @@ def simplex_cochains(n, kmax=None, support=None, cls=SparseComplex):
         for v in range(n):
             cof = tuple(sorted(f + (v,)))
             if v not in f and cof in ids:
-                G.add_entry(ids[f], ids[cof], -1 if cof.index(v) % 2 else 1)
+                oracles.add_entry(G, ids[f], ids[cof], -1 if cof.index(v) % 2 else 1)
     return G, faces
 
 
@@ -45,14 +45,29 @@ def test_ids_are_consecutive_from_zero():
 def test_add_entry_cancellation_clears_both_directions():
     G = SparseComplex(QQ)
     g, h = G.add_gen(0), G.add_gen(1)
-    G.add_entry(g, h, 2)
+    oracles.add_entry(G, g, h, 2)
     assert G.dout[g] == {h: 2}
-    G.add_entry(g, h, 0)
+    oracles.add_entry(G, g, h, 0)
     assert G.dout[g] == {h: 2}
-    G.add_entry(g, h, -2)
+    oracles.add_entry(G, g, h, -2)
     assert G.dout[g] == {}
     # reduce indexes the sources from the rows: h has none left to pivot on
     assert G.minimize_dims() == {0: 1, 1: 1} and not hasattr(G, "din")
+
+
+def test_minimize_dims_raises_on_a_surviving_entry():
+    # the free-reduction check is a raise, not an assert, so it holds
+    # under python -O too: a reduce that eliminates nothing leaves x -> y
+
+    class Idle(SparseComplex):
+        def reduce(self, same_support=False):
+            pass
+
+    G = Idle(QQ)
+    x, y = G.add_gen(0), G.add_gen(1)
+    oracles.add_entry(G, x, y, 2)
+    with pytest.raises(RuntimeError, match="left the entry 0 -> 1"):
+        G.minimize_dims()
 
 
 def test_same_support_reduction_never_pivots_across_supports():
@@ -86,8 +101,8 @@ def test_ucols_fill_through_an_elimination():
 
     G = Recording(QQ)
     x, y, z = G.add_gen(0), G.add_gen(1), G.add_gen(1)
-    G.add_entry(x, y, 2)
-    G.add_entry(x, z, 3)
+    oracles.add_entry(G, x, y, 2)
+    oracles.add_entry(G, x, z, 3)
     G.add_ucol(y, "e", 1)
     G.add_ucol(x, "f", 5)
     G.reduce()
@@ -228,7 +243,7 @@ def random_complex(F, rng):
         for v in range(n):
             cof = tuple(sorted(f + (v,)))
             if v not in f and cof in ids:
-                G.add_entry(ids[f], ids[cof], mone if cof.index(v) % 2 else one)
+                oracles.add_entry(G, ids[f], ids[cof], mone if cof.index(v) % 2 else one)
     coeffs = [one, mone, F.add(one, one)]
     by_degree = {}
     for f in faces:
@@ -245,9 +260,9 @@ def random_complex(F, rng):
         for s, row in enumerate(G.dout):
             a = row.get(x)
             if a:
-                G.add_entry(s, y, F.neg(F.mul(a, c)))
+                oracles.add_entry(G, s, y, F.neg(F.mul(a, c)))
         for t, b in list(G.dout[y].items()):
-            G.add_entry(x, t, F.mul(c, b))
+            oracles.add_entry(G, x, t, F.mul(c, b))
     for k in range(rng.randrange(1, 4)):
         for g in rng.sample(range(len(faces)), 3):
             G.add_ucol(g, ("col", k), rng.choice(coeffs))

@@ -369,6 +369,27 @@ def test_nerve_complex_and_step_match_the_reference(tower_of, monkeypatch, field
     assert len(seen) > 10 and any(seen)
 
 
+@pytest.mark.parametrize("field", ("q", "fp:32003", "fp:2"))
+def test_cellular_complex_matches_the_reference(tower_of, field):
+    # on every stage of every canonical and naive tower, the cellular
+    # complex over the whole domain, and over the up-sets that
+    # `cell_costalk` assembles (those of a few simplices, one by one and
+    # together), equals the reference assembly id for id
+    stages = 0
+    for name in demos.DEMO_NAMES:
+        for naive in (False, True):
+            for i, S in enumerate(tower_of(name, field, naive).intermediates):
+                K, dom = S.complex, sorted(S.domain)
+                few = [dom[0], dom[len(dom) // 2], dom[-1]]
+                for members in [S.domain, K.walk(few, K.cofacets)] + \
+                        [K.walk([sid], K.cofacets) for sid in few]:
+                    G = sec._cellular_complex(S, members)
+                    R = oracles.cellular_complex_reference(S, members)
+                    assert _same_complex(G, R) and not G.ucols, (name, naive, i)
+                stages += 1
+    assert stages == 26
+
+
 @pytest.mark.parametrize("field", ("q", "fp:32003"))
 def test_family_fill_matches_the_reference(build_of, monkeypatch, field):
     # no build's cleanup meets a family column, so push each demo's IC back
