@@ -216,18 +216,15 @@ def check_classic_ax2(S):
 
     # (a) normalization off a small closed subset: carve out the largest
     # open set where the complex is a shifted local system, then bound the
-    # complement's dimension
+    # complement's dimension.  One pass carves it: the set only shrinks, so
+    # a pair the pass skips or finds invertible never qualifies later
     conc = {sid for sid in S.domain
             if set(S.stalk_cohomology(sid)) == {-n}}
     v_ids = {sid for sid in conc if set(K.up_set(sid)) <= conc}
     Hn = sec.cohomology_sheaf(S, -n)
-    changed = True
-    while changed:
-        changed = False
-        for (s, t) in K.cover_pairs(Hn.domain):
-            if s in v_ids and t in v_ids and not Hn.is_iso(s, t, -n):
-                v_ids -= set(K.down_set(s))
-                changed = True
+    for (s, t) in K.cover_pairs(Hn.domain):
+        if s in v_ids and t in v_ids and not Hn.is_iso(s, t, -n):
+            v_ids -= K.walk((s,), K.facets)
     witnesses = []
     sigma = K.full_set() - v_ids
     top = max(map(K.sdim, sigma), default=-1)

@@ -22,7 +22,7 @@ from .fields import QQ, field_by_name
 from .sheaves import SheafError, constant_complex, make_local_system
 from .simplicial import ComplexError, SimplicialComplex, complex_to_doc, load_complex
 from .stratify import (TRUST_NOTE, StratificationError, compute_open_filtration,
-                       naive_filtration, validate_stratification)
+                       compute_open_strata, naive_filtration, validate_stratification)
 
 
 class InputError(Exception):
@@ -125,12 +125,13 @@ def load_system(args, F, strat):
     """The --local-system file as a SheafComplex on U_1 and the sha256 of its bytes.
 
     (None, None) without one.  The file's keys are {"rank"}, {"stalk_dims"}
-    or {"stalk_dims", "matrices"}; any other key is an InputError.
+    or {"stalk_dims", "matrices"}; any other key is an InputError.  U_1 is
+    ∪ U^m, canonical or naive: the frontier condition gives X^m − U^m ⊆ X_{m−1}.
     """
     if not args.local_system:
         return None, None
     doc, digest = _read_json(args.local_system, "local system")
-    filt = naive_filtration(strat) if args.naive else compute_open_filtration(strat)
+    U1 = frozenset().union(*compute_open_strata(strat)[0].values())
     K = strat.complex
     if not isinstance(doc, dict):
         raise InputError("local system must be a JSON object")
@@ -138,7 +139,7 @@ def load_system(args, F, strat):
     if extra:
         raise InputError("unexpected key %r in local system" % extra[0])
     if "rank" in doc:
-        return make_local_system(F, K, filt.U[1], {"rank": doc["rank"]}), digest
+        return make_local_system(F, K, U1, {"rank": doc["rank"]}), digest
     try:
         stalk_dim = {K.id_of(_parse_simplex(k)): d for k, d in doc["stalk_dims"].items()}
         matrices = {}
@@ -154,7 +155,7 @@ def load_system(args, F, strat):
                 [[F.parse(x) for x in row] for row in m]
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError("malformed local system: %s" % e)
-    return make_local_system(F, K, filt.U[1],
+    return make_local_system(F, K, U1,
                              {"stalk_dim": stalk_dim, "matrices": matrices}), digest
 
 
@@ -205,13 +206,13 @@ def _link_heuristic(strat):
     sphere of the matching dimension.  Warnings only.
     """
     K = strat.complex
-    filt = compute_open_filtration(strat)
+    X_m = compute_open_strata(strat)[1]
     warnings = []
     for st in strat.strata:
         kdim = st.complex_dim
         tops = [i for i in sorted(st.simplex_set) if K.sdim(i) == 2 * kdim]
         for sid in tops[:2]:
-            for m, xm in sorted(filt.X_m.items()):
+            for m, xm in sorted(X_m.items()):
                 if sid not in xm or m == kdim:
                     continue
                 link = K.link_of(K.simplices[sid], xm)

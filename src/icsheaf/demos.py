@@ -193,10 +193,10 @@ def refine_stratification(strat, recipe):
     Recipes: "extra-point[:i]" adds the first admissible fake point
     stratum among the candidates from index i on, "extra-surface[:i]" the
     first admissible fake closed surface from index i on (i >= 0, default
-    0), "random:<seed>" a seeded random admissible combination (any
-    integer seed).  A number is spelled one way only, as `str` writes it
-    (ASCII digits, no leading zero, a minus sign only for a negative
-    seed), so each refinement has one recipe and one report.
+    0), "random[:seed]" a seeded random admissible combination (any
+    integer seed, default 0).  A number is written as `str` writes it (no
+    leading zero, a minus sign only for a negative seed) and the default 0
+    only bare, so each refinement has one recipe and one report.
     """
     K = strat.complex
     name, colon, arg = recipe.partition(":")
@@ -207,6 +207,9 @@ def refine_stratification(strat, recipe):
     if colon and str(num) != arg:
         raise StratificationError(
             "refinement recipe %r: %r is not a plain decimal integer" % (recipe, arg))
+    if colon and not num:
+        raise StratificationError(
+            "refinement recipe %r: the default 0 is written bare, as %r" % (recipe, name))
     if num < 0 and name in ("extra-point", "extra-surface"):
         raise StratificationError(
             "refinement recipe %r: the candidate index must be nonnegative" % recipe)

@@ -133,10 +133,11 @@ QQ = RationalField()
 
 
 def field_by_name(name):
-    """Resolve a CLI-style field tag: "q" or "fp:<p>"."""
+    """Resolve a CLI-style field tag: "q" or "fp:<p>", p written as `str` writes it."""
     if name == "q":
         return QQ
     digits = name[3:]
-    if name.startswith("fp:") and digits.isascii() and digits.isdigit():
+    if name.startswith("fp:") and digits.isascii() and digits.isdigit() \
+            and str(int(digits)) == digits:
         return PrimeField(int(digits))
     raise ValueError("unknown field %r (expected 'q' or 'fp:<p>')" % name)

@@ -262,8 +262,8 @@ def cell_costalk(S, sids):
     with supp(x) ≤ τ ≤ supp(y).  For σ ≤ τ that is a Gaussian elimination
     inside σ's subcomplex; for σ ≰ τ no x lies in it, so its entries are
     untouched.  The costalk at σ is then the free reduction of the
-    survivors supported at the simplices ≥ σ.  A simplex outside the
-    domain raises SheafError.
+    survivors supported at the simplices ≥ σ (`_seen`).  A simplex outside
+    the domain raises SheafError.
     """
     K = S.complex
     sids = sorted(set(sids))
@@ -271,12 +271,8 @@ def cell_costalk(S, sids):
         raise SheafError("simplex outside the domain")
     G = _cellular_complex(S, K.walk(sids, K.cofacets))
     G.reduce(same_support=True)
-    survivors = {}  # support simplex -> its surviving generators
-    for g in G.gens_sorted():
-        survivors.setdefault(G.support[g], []).append(g)
-    return {sid: G.subcomplex([g for tau in K.up_set(sid)
-                               for g in survivors.get(tau, ())]).minimize_dims()
-            for sid in sids}
+    return {sid: G.subcomplex([g for rows in qs.values() for g in rows]).minimize_dims()
+            for sid, qs in _seen(G, K, sids).items()}
 
 
 def _vanishes(d):
@@ -436,6 +432,22 @@ def is_clc(S, strat):
     return True, None
 
 
+def _seen(G, K, sids):
+    """{σ: {q: {id: row}}} for σ in sids: the live ids of G supported at a
+    simplex ≥ σ, split by degree and numbered in ascending id order (empty
+    where σ sees none); `cell_costalk` and `pushforward_open` read it."""
+    by_support = {}  # support simplex -> its live ids, ascending
+    for g in G.gens_sorted():
+        by_support.setdefault(G.support[g], []).append(g)
+    seen = {}
+    for sid in sids:
+        qs = seen[sid] = {}
+        for g in sorted(g for t in K.up_set(sid) for g in by_support.get(t, ())):
+            rows = qs.setdefault(G.degree[g], {})
+            rows[g] = len(rows)
+    return seen
+
+
 def _block(F, rows, ncols, entries):
     """The dense map with ncols columns into rows, {live id: row}, or None if zero.
 
@@ -486,13 +498,13 @@ def pushforward_open(S, V):
     family of s restricted to supports ≥ t is the unit columns of t times
     r(s→t), by path independence.
 
-    After the cleanup, `at[sid][q]` maps each live id that the region
-    simplex sid sees (one supported at a simplex ≥ sid) to its row there,
-    in ascending id order.  One pass over the region and the far
-    simplices next to it makes every block of the step from that index
-    with `_block`: dims, differentials, the 0/1 selections, the unit
-    columns and from them the family blocks.  Elsewhere the result shares
-    S's maps, which no operation mutates.
+    After the cleanup, `at` is `_seen` over the region: `at[sid][q]` maps
+    each live id that the region simplex sid sees (one supported at a
+    simplex ≥ sid) to its row there, in ascending id order.  One pass
+    over the region and the far simplices next to it makes every block of
+    the step from that index with `_block`: dims, differentials, the 0/1
+    selections, the unit columns and from them the family blocks.
+    Elsewhere the result shares S's maps, which no operation mutates.
     """
     K = S.complex
     F = S.F
@@ -523,19 +535,8 @@ def pushforward_open(S, V):
     dims = {sid: d for sid, d in S.dims.items() if sid in far}
     diffs = {sid: d for sid, d in S.diffs.items() if sid in far}
     restr = {p: ms for p, ms in S.restrictions.items() if p[0] in far and p[1] in far}
-    at = {sid: {} for sid in region}
+    at = _seen(G, K, region)
     unit_blocks = {}  # (t, q) -> t's reduced unit columns in degree q at its rows
-    down_cache = {}
-    for g in G.gens_sorted():
-        supp = G.support[g]
-        lst = down_cache.get(supp)
-        if lst is None:
-            lst = [x for x in K.down_set(supp) if x in region]
-            down_cache[supp] = lst
-        q = G.degree[g]
-        for sid in lst:
-            rows = at[sid].setdefault(q, {})
-            rows[g] = len(rows)
     # a region simplex selects the ids each cofacet sees, all seen by s too
     # (the region is up-closed, so it holds every cofacet); a far-adjacent
     # one maps into each cofacet t in the boundary region by t's unit

@@ -122,10 +122,6 @@ class SimplicialComplex:
         """Ids of all simplices containing sid (the open star), sid included."""
         return tuple(sorted(self.walk((sid,), self.cofacets)))
 
-    def down_set(self, sid):
-        """Ids of all faces of sid, sid included."""
-        return tuple(sorted(self.walk((sid,), self.facets)))
-
     def full_set(self):
         return frozenset(range(len(self.simplices)))
 

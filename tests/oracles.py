@@ -177,7 +177,7 @@ def star_by_bruteforce(simplices, s):
 def down_set_by_subsets(K, sid):
     """Ids of all faces of sid, one index lookup per nonempty vertex subset.
 
-    `SimplicialComplex.down_set` before it walked facets.
+    The reference for the down-set walk `K.walk((sid,), K.facets)`.
     """
     s = K.simplices[sid]
     n = len(s)
@@ -341,7 +341,7 @@ def fake_surface_stratum_ids(K):
     """Simplex ids of the ∂Δ³-on-{1,2,3,4} stratum of the fake-surface demo."""
     ids = set()
     for f in combinations([1, 2, 3, 4], 3):
-        ids.update(K.down_set(K.id_of(f)))
+        ids.update(K.walk((K.id_of(f),), K.facets))
     return ids
 
 
@@ -549,7 +549,7 @@ def pushforward_reference(S, V):
     restr = {p: ms for p, ms in S.restrictions.items() if p[0] in far and p[1] in far}
     at = {sid: {} for sid in region}
     for g in G.gens_sorted():
-        for sid in K.down_set(G.support[g]):
+        for sid in K.walk((G.support[g],), K.facets):
             if sid in region:
                 rows = at[sid].setdefault(G.degree[g], {})
                 rows[g] = len(rows)

@@ -162,7 +162,7 @@ def test_is_refinement(wedge, spaces):
     assert ok and len(corr) == len(refined.strata)
     assert not oracles.is_refinement(strat, refined)[0]
     # two transverse fake-surface refinements do not refine one another
-    r1 = demos.refine_stratification(strat, "extra-surface:0")
+    r1 = demos.refine_stratification(strat, "extra-surface")
     r2 = demos.refine_stratification(strat, "extra-surface:3")
     assert r1.levels != r2.levels
     assert not oracles.is_refinement(r1, r2)[0]
@@ -183,6 +183,28 @@ def test_randomized_filtration_identities(spaces):
             assert K.walk(filt.U[1], K.facets) == K.full_set()
             cases += 1
     assert cases == 40
+
+
+def test_u1_is_the_union_of_the_open_strata(spaces):
+    # the frontier condition gives X^m − U^m ⊆ X_{m−1}, so U_1 is ∪ U^m in
+    # the canonical and the naive filtration alike; a --local-system file
+    # is read on that union
+    recipes = ["extra-point", "extra-surface", "extra-surface:3"]
+    recipes += ["random:%d" % seed for seed in range(1, 13)]
+    cases = 0
+    for name, (K, strat) in spaces.items():
+        strats = [strat]
+        for recipe in recipes:
+            try:
+                strats.append(demos.refine_stratification(strat, recipe))
+            except StratificationError:
+                continue  # no admissible refinement of this kind
+        for st in strats:
+            u1 = frozenset().union(*compute_open_strata(st)[0].values())
+            assert u1 == compute_open_filtration(st).U[1] == naive_filtration(st).U[1], \
+                (name, st.levels_doc())
+            cases += 1
+    assert cases == 78
 
 
 def test_refinement_recipes_deterministic(wedge):
