@@ -200,6 +200,8 @@ def refine_stratification(strat, recipe):
     """
     K = strat.complex
     name, colon, arg = recipe.partition(":")
+    if name not in ("extra-point", "extra-surface", "random"):
+        raise StratificationError("unknown refinement recipe %r" % recipe)
     try:
         num = int(arg) if colon else 0
     except ValueError:
@@ -227,10 +229,7 @@ def refine_stratification(strat, recipe):
             except StratificationError:
                 continue
         raise StratificationError("no admissible fake surface stratum found")
-    if name == "random":
-        rng = random.Random(num)
-        return random_refinement(strat, rng)
-    raise StratificationError("unknown refinement recipe %r" % recipe)
+    return random_refinement(strat, random.Random(num))
 
 
 def random_refinement(strat, rng):

@@ -21,15 +21,7 @@ job after which it last rose: the sweep is one long-lived `cli.run`
 process, so memory that outlives a job shows there, and the named job is
 the one that sets the peak.
 
-With --audit, each `build` job's ic-bundle.json is also read back from its
-own bytes, over the space files the job read: the reloaded complex must
-validate, give the report's stalk table, and pass AX1 and AX2 if the build
-was canonical.  Where the sweep has the matching `check-ax1` or `check-ax2`
-job (the same arguments after the command), each verdict must equal that
-job's exit code, 0 for pass and 2 for fail.
-
     PYTHONPATH=src python tests/report_sweep.py            # compare
-    PYTHONPATH=src python tests/report_sweep.py --audit    # compare and audit builds
     PYTHONPATH=src python tests/report_sweep.py --record   # rewrite the table
 
 Re-record the table only in a change that means to alter reports.  pytest
@@ -47,13 +39,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from icsheaf import axioms, cli, demos, reports
-from icsheaf.fields import field_by_name
-from icsheaf.sheaves import SheafError
-from icsheaf.simplicial import SimplicialComplex, load_complex
+from icsheaf import cli, demos, reports
 from icsheaf.stratify import compute_open_filtration, validate_stratification
-
-import oracles
 
 COMMANDS = ("validate", "filtration", "build", "check-ax1", "check-ax2",
             "check-classic-ax2", "hyperco", "stalks", "costalks", "compare",
@@ -63,7 +50,6 @@ SYSTEM_DEMOS = ("wedge", "pinched-torus")
 # over p = 32003 no sign wraps; p = 2 makes -1 = 1 and every entry 0 or 1
 SMALL_PRIME_COMMANDS = ("build", "hyperco", "costalks", "check-ax2")
 TABLE = Path(__file__).with_name("report_sweep.json")
-AXIOMS = (("check-ax1", axioms.check_ax1), ("check-ax2", axioms.check_ax2))
 
 
 def jobs():
@@ -129,83 +115,24 @@ def run_job(argv, out):
                         for p in sorted(Path(out).glob("*.json"))}}
 
 
-def audit_build(argv, out):
-    """{command: passed} for AX1 and AX2 on a build job's reloaded ic-bundle.json.
-
-    The complex is read from the report's bytes and the space files the
-    job read under `out`; a fault in the reload (a stratification other
-    than the report's, a failed `validate`, another stalk table, or a
-    complex AX2 refuses as not locally constant) is returned as a string
-    instead.
-    """
-    try:
-        doc = json.loads((Path(out) / "ic-bundle.json").read_bytes())["report"]
-        space = Path(out) / "demos" / argv[1][len("demo:"):]
-        K = load_complex(json.loads((space / "complex.json").read_bytes()))
-        levels = json.loads((space / "stratification.json").read_bytes())["levels"]
-        strat = validate_stratification(K, levels)
-        if reports.sha256_of(strat.levels_doc()) != doc["stratification_hash"]:
-            return "the report names another stratification"
-        S = oracles.load_sheaf_complex(doc["complex"], K, field_by_name(doc["field"]))
-        S.validate()
-        if reports.table_doc(K, S.stalk_table()) != doc["stalk_table"]:
-            return "the reloaded complex has another stalk table"
-        return {command: check(S, strat).passed for command, check in AXIOMS}
-    except (SheafError, axioms.AxiomInputError) as e:
-        return "the reloaded complex is refused: %s" % e
-    finally:
-        SimplicialComplex.up_set.cache_clear()
-
-
-def audit_faults(rows, audits):
-    """(fault lines, number of verdicts matched) for the audited build jobs.
-
-    audits maps the argv of each build job after its command to what
-    `audit_build` returned.
-    """
-    exits = {tuple(r["argv"]): r["exit"] for r in rows}
-    faults, matched = [], 0
-    for rest, got in audits.items():
-        job = " ".join(("build",) + rest)
-        if isinstance(got, str):
-            faults.append("audit: %s: %s" % (got, job))
-            continue
-        for command, passed in sorted(got.items()):
-            if not passed and "--naive" not in rest:
-                faults.append("audit: canonical build fails %s: %s" % (command, job))
-            code = exits.get((command,) + rest)
-            if code is not None:
-                matched += 1
-                if code != (0 if passed else 2):
-                    faults.append("audit: %s exits %d, the reload %s: %s" % (
-                        command, code, "passes" if passed else "fails", job))
-    return faults, matched
-
-
 def _maxrss():
     # ru_maxrss is in KiB on Linux
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def sweep(audit=False):
-    """Run every job; returns (rows, audits, argv of the job after which the peak RSS last rose).
-
-    With audit, audits maps the argv after the command of each build job
-    to its `audit_build`; it is empty otherwise.
-    """
+def sweep():
+    """Run every job; returns (rows, argv of the job after which the peak RSS last rose)."""
     here = os.getcwd()
-    rows, audits, peak, peak_argv = [], {}, _maxrss(), None
+    rows, peak, peak_argv = [], _maxrss(), None
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             write_local_systems()
             for argv in jobs():
                 rows.append(run_job(argv, "out"))
-                if audit and argv[0] == "build":
-                    audits[tuple(argv[1:])] = audit_build(argv, "out")
                 if _maxrss() > peak:
                     peak, peak_argv = _maxrss(), argv
-            return rows, audits, peak_argv
+            return rows, peak_argv
         finally:
             os.chdir(here)
 
@@ -214,10 +141,8 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--record", action="store_true",
                    help="write the table instead of comparing against it")
-    p.add_argument("--audit", action="store_true",
-                   help="also re-check every build report from its own bytes")
     args = p.parse_args()
-    rows, audits, peak_argv = sweep(args.audit)
+    rows, peak_argv = sweep()
     if args.record:
         TABLE.write_text("[\n%s\n]\n" % ",\n".join(
             json.dumps(r, sort_keys=True) for r in rows))
@@ -234,17 +159,10 @@ def main():
         if diff:
             bad.append(key)
             print("differs in %s: %s" % (", ".join(diff), key))
-    faults = []
-    if args.audit:
-        faults, matched = audit_faults(rows, audits)
-        for line in faults:
-            print(line)
-        print("audited %d build reports, %d verdicts matched by check jobs, %d faults"
-              % (len(audits), matched, len(faults)))
     print("%d jobs, %d differ, peak RSS %d KiB, last raised by %s"
           % (len(got), len(bad), _maxrss(),
              " ".join(peak_argv) if peak_argv else "no job"))
-    return 1 if bad or faults else 0
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

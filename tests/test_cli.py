@@ -11,6 +11,8 @@ from icsheaf import axioms as ax
 from icsheaf import cli, deligne, demos, stratify
 from icsheaf.cli import run
 from icsheaf import reports
+from icsheaf.fields import field_by_name
+from icsheaf.sheaves import make_local_system
 from icsheaf.simplicial import SimplicialComplex, complex_to_doc, load_complex
 from icsheaf.stratify import compute_open_filtration, validate_stratification
 
@@ -418,6 +420,32 @@ def _has_shape(m, rows, cols):
     return len(m) == rows and all(len(row) == cols for row in m)
 
 
+def _round_trip_builds(spaces, build_of):
+    """((demo, field, kind), bundle) for the builds the report sweep writes.
+
+    Every demo over QQ and F_32003, canonical and naive, and over F_2
+    canonical; on wedge and pinched-torus also a canonical build over QQ
+    and F_32003 with the constant rank-2 system and with the rank-2 system
+    that has diag(2, 1) on every cover pair of U_1.
+    """
+    for name in demos.DEMO_NAMES:
+        for field, kind in (("q", "canonical"), ("q", "naive"), ("fp:32003", "canonical"),
+                            ("fp:32003", "naive"), ("fp:2", "canonical")):
+            yield (name, field, kind), build_of(name, field, kind == "naive")
+    for name in ("wedge", "pinched-torus"):
+        K, strat = spaces[name]
+        U = compute_open_filtration(strat).U[1]
+        for field in ("q", "fp:32003"):
+            F = field_by_name(field)
+            diag21 = [[F.parse(2), F.parse(0)], [F.parse(0), F.parse(1)]]
+            for kind, spec in (("rank2", {"rank": 2}),
+                               ("diag21", {"stalk_dim": {s: 2 for s in U},
+                                           "matrices": {pair: diag21
+                                                        for pair in K.cover_pairs(U)}})):
+                L = make_local_system(F, K, U, spec)
+                yield (name, field, kind), deligne.build_ic(strat, L, field=F)
+
+
 def test_bundle_dump_round_trip(tmp_path, spaces, build_of):
     # every build report reads back as a valid complex with the report's
     # stalk table, and every matrix it writes, the zero blocks the writer
@@ -425,28 +453,24 @@ def test_bundle_dump_round_trip(tmp_path, spaces, build_of):
     # complex gets the live bundle's AX1 and AX2 reports, so the bytes
     # alone describe the complex the axioms were checked on, and a
     # canonical build passes both
-    for name in demos.DEMO_NAMES:
-        K, strat = spaces[name]
-        for field in ("q", "fp:32003"):
-            for naive in (False, True):
-                bundle = build_of(name, field, naive)
-                path = reports.write_report(tmp_path / "ic-bundle.json", {},
-                                            reports.bundle_doc(bundle))
-                doc = json.loads(path.read_text())["report"]
-                S = oracles.load_sheaf_complex(doc["complex"], K, bundle.field)
-                for s, ms in S.diffs.items():
-                    for q, m in ms.items():
-                        assert _has_shape(m, S.dim(s, q + 1), S.dim(s, q)), (name, s, q)
-                for (s, t), ms in S.restrictions.items():
-                    for q, m in ms.items():
-                        assert _has_shape(m, S.dim(t, q), S.dim(s, q)), (name, s, t, q)
-                S.validate()
-                got = reports.table_doc(K, S.stalk_table())
-                assert got == doc["stalk_table"], (name, field, naive)
-                for check in (ax.check_ax1, ax.check_ax2):
-                    live = check(bundle.ic, strat).to_json()
-                    assert check(S, strat).to_json() == live, (name, field, naive, check)
-                    assert naive or live["passed"], (name, field, check)
+    for label, bundle in _round_trip_builds(spaces, build_of):
+        K, strat = spaces[label[0]]
+        path = reports.write_report(tmp_path / "ic-bundle.json", {},
+                                    reports.bundle_doc(bundle))
+        doc = json.loads(path.read_text())["report"]
+        S = oracles.load_sheaf_complex(doc["complex"], K, bundle.field)
+        for s, ms in S.diffs.items():
+            for q, m in ms.items():
+                assert _has_shape(m, S.dim(s, q + 1), S.dim(s, q)), (label, s, q)
+        for (s, t), ms in S.restrictions.items():
+            for q, m in ms.items():
+                assert _has_shape(m, S.dim(t, q), S.dim(s, q)), (label, s, t, q)
+        S.validate()
+        assert reports.table_doc(K, S.stalk_table()) == doc["stalk_table"], label
+        for check in (ax.check_ax1, ax.check_ax2):
+            live = check(bundle.ic, strat).to_json()
+            assert check(S, strat).to_json() == live, (label, check)
+            assert label[2] == "naive" or live["passed"], (label, check)
 
 
 def test_compare_command(tmp_path):

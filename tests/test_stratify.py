@@ -212,6 +212,10 @@ def test_refinement_recipes_deterministic(wedge):
     a = demos.refine_stratification(strat, "random:5")
     b = demos.refine_stratification(strat, "random:5")
     assert [s.simplex_set for s in a.strata] == [s.simplex_set for s in b.strata]
+    # an unknown name is refused as unknown, whatever number follows it
+    for recipe in ("foo", "foo:0", "foo:1", "foo:07"):
+        with pytest.raises(StratificationError, match="unknown refinement recipe"):
+            demos.refine_stratification(strat, recipe)
 
 
 def test_level_given_as_a_set_of_ids_is_rejected(wedge):
