@@ -56,7 +56,7 @@ def _parser():
     p.add_argument("--naive", action="store_true",
                    help="use the stepwise-simultaneous (non-canonical) filtration")
     p.add_argument("--sample", default=None,
-                   help="costalk sample: an integer budget or 'all'")
+                   help="costalk sample: an integer budget (default: every simplex)")
     p.add_argument("--at", default=None, help="single simplex (comma-separated vertices)")
     return p
 
@@ -118,6 +118,9 @@ def load_space(args):
     sdoc = _read_json(spath, "stratification")[0]
     if not isinstance(sdoc, dict) or "levels" not in sdoc:
         raise InputError("stratification document must have 'levels'")
+    extra = [k for k in sdoc if k != "levels"]
+    if extra:
+        raise InputError("unexpected key %r in stratification" % extra[0])
     return K, validate_stratification(K, sdoc["levels"]), inputs
 
 
@@ -139,9 +142,9 @@ def load_system(args, F, strat):
     if extra:
         raise InputError("unexpected key %r in local system" % extra[0])
     if "rank" in doc:
-        return make_local_system(F, K, U1, {"rank": doc["rank"]}), digest
+        return constant_complex(F, K, U1, doc["rank"]), digest
     try:
-        stalk_dim = {K.id_of(_parse_simplex(k)): d for k, d in doc["stalk_dims"].items()}
+        dims = {K.id_of(_parse_simplex(k)): d for k, d in doc["stalk_dims"].items()}
         matrices = {}
         for key, m in doc.get("matrices", {}).items():
             a, b = key.split("|")
@@ -155,22 +158,22 @@ def load_system(args, F, strat):
                 [[F.parse(x) for x in row] for row in m]
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError("malformed local system: %s" % e)
-    return make_local_system(F, K, U1,
-                             {"stalk_dim": stalk_dim, "matrices": matrices}), digest
+    return make_local_system(F, K, U1, dims, matrices), digest
 
 
 def _sample_limit(text):
-    """The --sample budget: None for 'all', else the integer its ASCII digits spell.
+    """The --sample budget: None without one, else the integer its ASCII digits spell.
 
     A budget has one spelling, str(n), as a level key does: the manifest
-    records the text, so "07" would write another report than "7".
+    records the text, so "07" would write another report than "7", and
+    the default, every simplex, is written by leaving the option out.
     """
-    if text in (None, "all"):
+    if text is None:
         return None
     if text.isascii() and text.isdigit() and text == str(int(text)):
         return int(text)
-    raise InputError("--sample must be a nonnegative integer without leading zeros "
-                     "or 'all', got %r" % text)
+    raise InputError("--sample must be a nonnegative integer without leading zeros, "
+                     "got %r" % text)
 
 
 def _parse_simplex(text):

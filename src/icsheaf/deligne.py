@@ -22,7 +22,7 @@ from itertools import chain
 
 from .fields import QQ
 from . import sections as sec
-from .sheaves import SheafComplex, SheafError, first_difference, make_local_system
+from .sheaves import SheafComplex, SheafError, constant_complex, first_difference
 from .stratify import (compute_open_filtration, generators_doc, naive_filtration,
                        StratificationError, TRUST_NOTE)
 
@@ -47,12 +47,6 @@ class ICBundle:
         self.naive = naive
         self.convention = "local systems shifted by complex dimension"
         self.trust_note = TRUST_NOTE
-
-
-def default_local_system(F, filt):
-    """Constant local system of rank 1 on the open dense part U_1."""
-    K = filt.stratification.complex
-    return make_local_system(F, K, filt.U[1], {"rank": 1})
 
 
 def split_local_system(L, filt, within):
@@ -173,7 +167,7 @@ def build_tower(strat, local_system=None, field=QQ, naive=False, within=None):
         raise SheafError("build_ic needs an up-closed set to build on")
     filt = naive_filtration(strat) if naive else compute_open_filtration(strat)
     if local_system is None:
-        local_system = default_local_system(F, filt)
+        local_system = constant_complex(F, K, filt.U[1])
     if local_system.F is not F:
         raise SheafError("local system field does not match the build field")
     systems = split_local_system(local_system, filt, within)
@@ -304,7 +298,6 @@ def compare_stratifications(strat1, strat2, local_system=None, field=QQ,
         report["passed"] = False
         report["witnesses"].append({"kind": "hypercohomology", "first": h1, "second": h2})
     report["hypercohomology"] = h1
-    report["sample_size"] = len(sample)
     return report
 
 

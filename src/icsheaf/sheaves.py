@@ -41,26 +41,19 @@ def _mul(F, A, B, m, k, n):
     return mx.mat_mul(F, A, B)
 
 
-def make_local_system(F, complex, domain, spec):
+def make_local_system(F, complex, domain, dims, matrices):
     """Build and verify a local system on an up-closed domain, in degree 0.
 
-    spec: {"rank": r} for the constant system of rank r (a nonnegative int), or
-          {"stalk_dim": {sid: dim}, "matrices": {(sid, tid): matrix}} with
-          explicit invertible cover-pair matrices.  Every stalk dim is a
-          nonnegative int at a simplex of the domain, every matrices key a
-          cover pair of the domain, and every matrix has dim(tid) rows of
-          dim(sid) entries, each a canonical element of F
-          (`F.is_element`: no float or bool, and in [0, p) over F_p).
+    dims: {sid: dim}, each a nonnegative int at a simplex of the domain;
+    matrices: {(sid, tid): matrix} on cover pairs of the domain, each with
+    dim(tid) rows of dim(sid) entries, every entry a canonical element of F
+    (`F.is_element`: no float or bool, and in [0, p) over F_p), and each
+    invertible.  A missing dim or matrix is zero.  The constant system of
+    rank r is `constant_complex(F, complex, domain, r)`.
     """
     if not complex.is_up_closed(domain):
         raise SheafError("local system domain must be up-closed")
-    if "rank" in spec:
-        r = spec["rank"]
-        if type(r) is not int or r < 0:
-            raise SheafError("rank must be a nonnegative integer, got %r" % (r,))
-        return constant_complex(F, complex, domain, r)
     at = complex.simplices
-    dims, matrices = spec["stalk_dim"], spec["matrices"]
     for s, d in dims.items():
         if s not in domain or type(d) is not int or d < 0:
             raise SheafError("stalk dim at %r must be a nonnegative integer at a simplex "
@@ -294,9 +287,12 @@ class SheafComplex:
 def constant_complex(F, complex, domain, rank=1):
     """The constant sheaf of the given rank on any domain, in degree 0.
 
-    Every simplex shares one {0: rank} dims map and every cover pair one
-    {0: identity} map; no operation mutates a map, so the shares hold.
+    rank is a nonnegative int.  Every simplex shares one {0: rank} dims map
+    and every cover pair one {0: identity} map; no operation mutates a map,
+    so the shares hold.
     """
+    if type(rank) is not int or rank < 0:
+        raise SheafError("rank must be a nonnegative integer, got %r" % (rank,))
     value = {0: rank}
     dims = {s: value for s in domain}
     ident = {0: mx.identity(F, rank)}

@@ -205,11 +205,15 @@ def load_complex(doc):
 
     {"vertices": [ids], "maximal_simplices": [[ids], ...]}
 
-    doc is the parsed document, a dict.  Vertex ids are integers or
-    strings; any other shape, a JSON string included, is a ComplexError.
+    doc is the parsed document, a dict with exactly these two keys.  Vertex
+    ids are integers or strings; any other shape, a JSON string or another
+    key included, is a ComplexError.
     """
     if not isinstance(doc, dict) or "vertices" not in doc or "maximal_simplices" not in doc:
         raise ComplexError("document must have 'vertices' and 'maximal_simplices'")
+    extra = [k for k in doc if k not in ("vertices", "maximal_simplices")]
+    if extra:
+        raise ComplexError("unexpected key %r in complex" % (extra[0],))
     vertices, maximal = doc["vertices"], doc["maximal_simplices"]
     if not is_vertex_list(vertices):
         raise ComplexError("'vertices' must be a list of integer or string ids")

@@ -70,9 +70,10 @@ def generators_doc(K, levels):
 def validate_stratification(K, levels):
     """Check all stratification invariants; raise StratificationError otherwise.
 
-    levels: a dict mapping each complex dimension k = 0..n, as k or str(k),
-    to a list of generating simplices, each a list of vertex ids; level k is
-    their down-closure.  No other form is accepted.
+    levels: a dict mapping str(k), for each complex dimension k = 0..n, to
+    a list of generating simplices, each a list of vertex ids; level k is
+    their down-closure.  No other form is accepted: a key is exactly
+    str(k), as a JSON document writes it, so no level has two names.
     """
     if K.dim % 2 != 0:
         raise StratificationError(
@@ -83,19 +84,13 @@ def validate_stratification(K, levels):
         raise StratificationError(
             "levels must be a dict from level to simplex lists, got a %s"
             % type(levels).__name__)
-    names = {str(k): k for k in range(n + 1)}
-    items, named = {}, {}
-    for key, v in levels.items():
-        k = key if type(key) is int and 0 <= key <= n else names.get(key)
-        if k is None:
+    names = {str(k) for k in range(n + 1)}
+    for key in levels:
+        if key not in names:
             raise StratificationError(
-                "level key %r is not a level 0..%d, as k or exactly str(k)" % (key, n))
-        if k in named:
-            raise StratificationError(
-                "level %d is named twice, by keys %r and %r" % (k, named[k], key))
-        items[k], named[k] = v, key
+                "level key %r is not a level 0..%d, as exactly str(k)" % (key, n))
     for k in range(n + 1):
-        raw = items.get(k)
+        raw = levels.get(str(k))
         if raw is None:
             raise StratificationError("missing level %d" % k)
         if not (isinstance(raw, (list, tuple)) and all(map(is_vertex_list, raw))):

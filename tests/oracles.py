@@ -697,7 +697,7 @@ def restrict_stratification(strat, closed_set):
     """The induced stratification of a down-closed union of strata."""
     K = strat.complex
     sub, to_parent, from_parent = subcomplex(K, closed_set)
-    levels = {k: [K.simplices[i] for i in strat.level(k) if i in from_parent]
+    levels = {str(k): [K.simplices[i] for i in strat.level(k) if i in from_parent]
               for k in range(sub.dim // 2 + 1)}
     return validate_stratification(sub, levels), sub, to_parent, from_parent
 
@@ -1371,7 +1371,7 @@ def _level_of(members, levels, m, sigma=frozenset()):
 def intersection_homology(K, levels, p):
     """{m: {i: IH_i(X^m)}} over GF(p), from allowable chains.
 
-    levels: the stratification document's levels, {k or str(k): generating
+    levels: the stratification document's levels, {str(k): generating
     simplices}; X^m is computed from them here.  X^m has real dimension
     2m, and its closed level X_j (j < m) real codimension 2(m − j).  By the
     paper's decomposition the direct-sum IC has H^q = Σ_m IH_(m−q)(X^m).

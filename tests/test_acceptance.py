@@ -16,8 +16,8 @@ from icsheaf import axioms as ax
 from icsheaf import demos
 from icsheaf import sections as sec
 from icsheaf.deligne import (build_ic, build_tower, compare_stratifications,
-                             default_costalk_sample, default_local_system,
-                             split_local_system, _attach_systems, _verify_bundle)
+                             default_costalk_sample, split_local_system,
+                             _attach_systems, _verify_bundle)
 from icsheaf.fields import QQ
 from icsheaf.sheaves import constant_complex, make_local_system
 from icsheaf.simplicial import SimplicialComplex
@@ -153,20 +153,20 @@ def _equivalence_corpus():
     filt_w = compute_open_filtration(sw)
     bw = build_ic(sw)
     members.append(("wedge ic", sw, bw.ic))
-    L2 = make_local_system(QQ, Kw, filt_w.U[1], {"rank": 2})
+    L2 = constant_complex(QQ, Kw, filt_w.U[1], 2)
     members.append(("wedge ic rank 2", sw, build_ic(sw, L2).ic))
     members.append(("wedge constant [2]", sw,
                     oracles.shift(constant_complex(QQ, Kw, Kw.full_set()), 2)))
     members.append(("wedge constant [0]", sw,
                     constant_complex(QQ, Kw, Kw.full_set())))
     members.append(("wedge ic shifted", sw, oracles.shift(bw.ic, 1)))
-    systems_w = split_local_system(default_local_system(QQ, filt_w), filt_w,
+    systems_w = split_local_system(constant_complex(QQ, Kw, filt_w.U[1]), filt_w,
                                    filt_w.U[1])
     I1w = _attach_systems(QQ, Kw, systems_w, filt_w.U[1], upto=2)
     raw_w = sec.pushforward_open(I1w, Kw.full_set())
     members.append(("wedge untruncated pushforward", sw, raw_w))
     members.append(("wedge overtruncated pushforward", sw, sec.truncate_le(raw_w, -2)))
-    L0 = make_local_system(QQ, Kw, filt_w.U[1], {"rank": 0})
+    L0 = constant_complex(QQ, Kw, filt_w.U[1], 0)
     members.append(("wedge zero system ic", sw, build_ic(sw, L0).ic))
     members.append(("wedge ic plus constant", sw, oracles.direct_sum(
         bw.ic, oracles.shift(constant_complex(QQ, Kw, Kw.full_set()), 2))))
@@ -181,7 +181,7 @@ def _equivalence_corpus():
                                  Kp.full_set())
     members.append(("pinched untruncated pushforward", sp, raw_p))
     members.append(("pinched undertruncated pushforward", sp, sec.truncate_le(raw_p, 0)))
-    Lp2 = make_local_system(QQ, Kp, filt_p.U[1], {"rank": 2})
+    Lp2 = constant_complex(QQ, Kp, filt_p.U[1], 2)
     members.append(("pinched ic rank 2", sp, build_ic(sp, Lp2).ic))
 
     Kf, sf = space("fake-surface")
@@ -218,7 +218,7 @@ def _extract_system(S, filt):
         for (a, b) in K.cover_pairs(H.domain):
             if a in um and b in um:
                 mats[(a, b)] = H.restriction_cover(a, b, -m)
-    return make_local_system(QQ, K, filt.U[1], {"stalk_dim": dims, "matrices": mats})
+    return make_local_system(QQ, K, filt.U[1], dims, mats)
 
 
 def test_criterion_8_axiom_equivalence_suite():
@@ -326,7 +326,8 @@ def test_criterion_10_engine_properties():
         # the definition: RΓ over the deleted star at every new simplex
         for name, (K, strat) in spaces.items():
             filt = compute_open_filtration(strat)
-            systems = split_local_system(default_local_system(QQ, filt), filt, filt.U[1])
+            systems = split_local_system(constant_complex(QQ, K, filt.U[1]), filt,
+                                         filt.U[1])
             I1 = _attach_systems(QQ, K, systems, filt.U[1], upto=strat.n)
             target = filt.U[2] if len(filt.U[2]) > len(filt.U[1]) \
                 else filt.U[strat.n + 1]

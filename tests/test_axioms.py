@@ -3,9 +3,9 @@ import pytest
 from icsheaf import axioms as ax
 from icsheaf import demos
 from icsheaf import sections as sec
-from icsheaf.deligne import build_ic, default_local_system, split_local_system
+from icsheaf.deligne import build_ic, split_local_system
 from icsheaf.fields import QQ
-from icsheaf.sheaves import constant_complex, make_local_system
+from icsheaf.sheaves import constant_complex
 from icsheaf.stratify import compute_open_filtration, validate_stratification
 
 import oracles
@@ -160,7 +160,7 @@ def test_rank2_system_passes_and_matches_rebuild(wedge):
     # uniqueness: a passing complex has the table of the rebuilt complex
     K, strat = wedge
     filt = compute_open_filtration(strat)
-    L2 = make_local_system(QQ, K, filt.U[1], {"rank": 2})
+    L2 = constant_complex(QQ, K, filt.U[1], 2)
     b2 = build_ic(strat, L2)
     assert ax.check_ax1(b2.ic, strat).passed
     rebuilt = build_ic(strat, L2)

@@ -9,10 +9,11 @@ import pytest
 
 from icsheaf import axioms as ax
 from icsheaf import cli, deligne, demos, stratify
+from icsheaf import sections as sec
 from icsheaf.cli import run
 from icsheaf import reports
 from icsheaf.fields import field_by_name
-from icsheaf.sheaves import make_local_system
+from icsheaf.sheaves import constant_complex, make_local_system
 from icsheaf.simplicial import SimplicialComplex, complex_to_doc, load_complex
 from icsheaf.stratify import compute_open_filtration, validate_stratification
 
@@ -126,6 +127,9 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     twice_vertices = _bad_space(tmp_path, "twice-vertices", cdoc, sdoc)
     (Path(twice_vertices) / "complex.json").write_text(_object_text(
         [("vertices", "[0]")] + [(k, json.dumps(v)) for k, v in cdoc.items()]))
+    # a space document has exactly its documented keys, as a local system does
+    colour = _bad_space(tmp_path, "colour", dict(cdoc, colour="red"), sdoc)
+    comment = _bad_space(tmp_path, "comment", cdoc, dict(sdoc, comment="x"))
     # local-system files, each breaking one rule of a valid rank-2 system
     K = load_complex(cdoc)
     U = compute_open_filtration(validate_stratification(K, sdoc["levels"])).U[1]
@@ -252,6 +256,10 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
         assert run(["validate", space, "--out", o]) == 1, space
         assert capsys.readouterr().err == "error: cannot read %s: key %r appears twice " \
             "in one object\n" % (what, key)
+    for space, what, key in ((colour, "complex", "colour"),
+                             (comment, "stratification", "comment")):
+        assert run(["validate", space, "--out", o]) == 1, space
+        assert capsys.readouterr().err == "error: unexpected key %r in %s\n" % (key, what)
     for path, reason in systems:
         assert run(["build", "demo:wedge", "--local-system", path, "--out", o]) == 1, path
         err = capsys.readouterr().err
@@ -438,11 +446,10 @@ def _round_trip_builds(spaces, build_of):
         for field in ("q", "fp:32003"):
             F = field_by_name(field)
             diag21 = [[F.parse(2), F.parse(0)], [F.parse(0), F.parse(1)]]
-            for kind, spec in (("rank2", {"rank": 2}),
-                               ("diag21", {"stalk_dim": {s: 2 for s in U},
-                                           "matrices": {pair: diag21
-                                                        for pair in K.cover_pairs(U)}})):
-                L = make_local_system(F, K, U, spec)
+            for kind, L in (("rank2", constant_complex(F, K, U, 2)),
+                            ("diag21", make_local_system(
+                                F, K, U, {s: 2 for s in U},
+                                {pair: diag21 for pair in K.cover_pairs(U)}))):
                 yield (name, field, kind), deligne.build_ic(strat, L, field=F)
 
 
@@ -452,7 +459,10 @@ def test_bundle_dump_round_trip(tmp_path, spaces, build_of):
     # spells out included, has the shape its stalk dims give; the reloaded
     # complex gets the live bundle's AX1 and AX2 reports, so the bytes
     # alone describe the complex the axioms were checked on, and a
-    # canonical build passes both
+    # canonical build passes both; the reloaded costalks at the default
+    # sample are the live bundle's and those of each open star alone
+    # (`oracles.star_costalk`), so the AX2 verdict does not rest only on
+    # the costalk code it checks
     for label, bundle in _round_trip_builds(spaces, build_of):
         K, strat = spaces[label[0]]
         path = reports.write_report(tmp_path / "ic-bundle.json", {},
@@ -467,6 +477,11 @@ def test_bundle_dump_round_trip(tmp_path, spaces, build_of):
                 assert _has_shape(m, S.dim(t, q), S.dim(s, q)), (label, s, t, q)
         S.validate()
         assert reports.table_doc(K, S.stalk_table()) == doc["stalk_table"], label
+        sample = deligne.default_costalk_sample(strat)
+        costalks = sec.cell_costalk(S, sample)
+        assert costalks == sec.cell_costalk(bundle.ic, sample), label
+        for sid in sample:
+            assert costalks[sid] == oracles.star_costalk(S, sid), (label, sid)
         for check in (ax.check_ax1, ax.check_ax2):
             live = check(bundle.ic, strat).to_json()
             assert check(S, strat).to_json() == live, (label, check)
@@ -569,7 +584,7 @@ def test_point_queries_report_the_full_rows(tmp_path):
     for at in ("12", "0", "2,12"):
         got = rows("stalks", space, "--at", at)
         assert len(got) == 1 and got.items() <= stalks.items(), at
-    costalks = rows("costalks", space, "--sample", "all")
+    costalks = rows("costalks", space)
     got = rows("costalks", space, "--sample", "6")
     assert len(got) > 6 and got.items() <= costalks.items()
 
@@ -623,14 +638,15 @@ def test_manifest_names_every_input(tmp_path):
 def test_sample_budget_has_one_spelling(tmp_path, capsys):
     # the manifest records --sample as written, so a budget is accepted only
     # as str(n): "07" and "00" exit 1 with one error line, as a level key
-    # "01" does, and the canonical spellings still run
+    # "01" does, and so does "all", which spelled the default a second way;
+    # the canonical spellings still run
     o = out(tmp_path)
-    for text in ("07", "00", "007"):
+    for text in ("07", "00", "007", "all"):
         assert run(["costalks", "demo:wedge", "--sample", text, "--out", o]) == 1, text
         err = capsys.readouterr().err
         assert err.startswith("error: --sample ") and err.count("\n") == 1, (text, err)
         assert not (tmp_path / "o" / "costalks-report.json").exists()
-    for text in ("0", "7", "all"):
+    for text in ("0", "7"):
         assert run(["costalks", "demo:wedge", "--sample", text, "--out", o]) == 0, text
         doc = json.loads((tmp_path / "o" / "costalks-report.json").read_text())
         assert doc["manifest"]["options"]["sample"] == text

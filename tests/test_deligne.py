@@ -9,6 +9,7 @@ import weakref
 import pytest
 
 from icsheaf import axioms, deligne, demos, reports
+from icsheaf.cli import run
 from icsheaf.deligne import (ICBundle, _verify_bundle, build_ic, clc_coarsen,
                              compare_stratifications)
 from icsheaf.fields import QQ, field_by_name
@@ -304,6 +305,59 @@ def test_complex_dimension_three_wedge():
         assert [c.clause for c in classic.clauses if not c.passed] == ["c", "d"], field
 
 
+def two_four_spheres_along_a_two_sphere():
+    """∂Δ³ * ∂{4,5,6} and ∂Δ³ * ∂{7,8,9}, two S⁴ glued along the S² ∂Δ³.
+
+    24 top simplices, 194 simplices, complex dimension 2.  The S² is a
+    singular stratum of complex dimension 1 whose link is two circles, so
+    no neighbourhood of it is a manifold.  Returns (complex, levels).
+    """
+    sphere = demos.boundary_simplex_faces(range(4))
+    tops = [s + c for c in (demos.boundary_simplex_faces([4, 5, 6])
+                            + demos.boundary_simplex_faces([7, 8, 9]))
+            for s in sphere]
+    return SimplicialComplex(range(10), tops), {"2": tops, "1": sphere, "0": []}
+
+
+def test_two_four_spheres_glued_along_a_two_sphere(tmp_path):
+    # the first singular stratum of positive dimension whose neighbourhood
+    # is no manifold: the normalization is two disjoint S⁴, so IH is theirs,
+    # the stalk on the S² counts its two local branches, and the costalk at
+    # a vertex of it is their mirror.  Its builds still never fill a family
+    # column (`SparseComplex.add_ucol` is not called).
+    K, levels = two_four_spheres_along_a_two_sphere()
+    strat = validate_stratification(K, levels)
+    assert len(K) == 194 and strat.n == 2
+    assert sum(1 for c in K.cofacets if not c) == 24
+    ih = oracles.intersection_homology(K, levels, 32003)
+    assert {m: h for m, h in ih.items() if h} == {2: {0: 2, 4: 2}}
+    want = oracles.link_stalks(K, strat, 32003)
+    v0, top = K.id_of([0]), K.id_of(levels["2"][0])
+    for field in ("q", "fp:32003"):
+        F = field_by_name(field)
+        S = build_ic(strat, field=F).ic
+        assert sec.hypercohomology(S) == {2 - i: d for i, d in ih[2].items()}, field
+        assert S.stalk_table() == want, field
+        assert all(S.stalk_cohomology(sid) == {-2: 2} for sid in strat.level(1))
+        assert S.stalk_cohomology(top) == {-2: 1}
+        assert sec.cell_costalk(S, [v0])[v0] == {2: 2} == oracles.star_costalk(S, v0)
+        assert axioms.check_ax1(S, strat).passed, field
+        assert axioms.check_ax2(S, strat).passed, field
+        assert axioms.check_classic_ax2(S).passed, field
+        for recipe in ("extra-point", "random:1"):
+            other = demos.refine_stratification(strat, recipe)
+            assert deligne.compare_stratifications(strat, other, field=F)["passed"], \
+                (field, recipe)
+    d = tmp_path / "space"
+    reports.write_json(d / "complex.json", {"vertices": list(range(10)),
+                                            "maximal_simplices": levels["2"]})
+    reports.write_json(d / "stratification.json", {"levels": levels})
+    for command in ("build", "check-ax1", "check-ax2"):
+        assert run([command, str(d), "--out", str(tmp_path / "o")]) == 0, command
+    built = json.loads((tmp_path / "o" / "ic-bundle.json").read_text())["report"]
+    assert built["stalk_table"] == reports.table_doc(K, want)
+
+
 @pytest.mark.parametrize("field", ("q", "fp:32003"))
 @pytest.mark.parametrize("naive", (False, True), ids=("canonical", "naive"))
 def test_scoped_build_matches_full_build(build_of, spaces, naive, field):
@@ -516,14 +570,13 @@ def test_no_operation_mutates_a_shared_map(monkeypatch, spaces, name, system):
 
     monkeypatch.setattr(SheafComplex, "__init__", recording)
     if system == "constant":
-        L = make_local_system(QQ, K, U, {"rank": 2})
+        L = constant_complex(QQ, K, U, 2)
     else:
         # diag(2, 1) on every cover pair; every other pair shares one matrix
         D = [[2, 0], [0, 1]]
-        L = make_local_system(QQ, K, U, {
-            "stalk_dim": {s: 2 for s in U},
-            "matrices": {p: D if i % 2 else [row[:] for row in D]
-                         for i, p in enumerate(sorted(K.cover_pairs(U)))}})
+        L = make_local_system(QQ, K, U, {s: 2 for s in U},
+                              {p: D if i % 2 else [row[:] for row in D]
+                               for i, p in enumerate(sorted(K.cover_pairs(U)))})
     bundle = deligne.build_tower(strat, L, field=QQ)
     S = bundle.ic
     sec.cell_costalk(S, S.domain)

@@ -71,8 +71,7 @@ def _scaled_system(F, K, filt):
     two = 2
     D = [[two, F.zero], [F.zero, F.inv(two)]]
     pairs = [(s, c) for s in sorted(U) for c, _ in K.cofacets[s] if c in U]
-    return make_local_system(F, K, U, {"stalk_dim": {s: 2 for s in U},
-                                       "matrices": {p: D for p in pairs}})
+    return make_local_system(F, K, U, {s: 2 for s in U}, {p: D for p in pairs})
 
 
 def test_build_with_fraction_entries_matches_prime_field(wedge):

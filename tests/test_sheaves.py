@@ -27,9 +27,14 @@ def test_fields():
 
 def test_constant_local_system():
     K = circle()
-    L = make_local_system(QQ, K, K.full_set(), {"rank": 1})
+    L = constant_complex(QQ, K, K.full_set(), 1)
     assert all(L.dim(s, 0) == 1 for s in K.full_set())
     assert all(L.is_iso(s, t, 0) for s, t in K.cover_pairs(L.domain))
+    # a rank is exact: no string, bool or float stands for an int
+    for rank in ("1", -1, True, 1.0, None):
+        with pytest.raises(SheafError, match=re.escape(
+                "rank must be a nonnegative integer, got %r" % (rank,))):
+            constant_complex(QQ, K, K.full_set(), rank)
 
 
 def test_sign_local_system_on_circle():
@@ -42,8 +47,7 @@ def test_sign_local_system_on_circle():
         mats[p] = [[Fraction(1)]]
     twist = (K.id_of([0]), K.id_of([0, 1]))
     mats[twist] = [[Fraction(-1)]]
-    L = make_local_system(QQ, K, K.full_set(),
-                          {"stalk_dim": dims, "matrices": mats})
+    L = make_local_system(QQ, K, K.full_set(), dims, mats)
     assert all(L.is_iso(s, t, 0) for s, t in K.cover_pairs(L.domain))
     # twisted coefficients on a circle: no cohomology at all
     assert sec.hypercohomology(L) == {}
@@ -58,7 +62,7 @@ def test_non_invertible_matrix_rejected():
             for c, _ in K.cofacets[s]}
     mats[(K.id_of([0]), K.id_of([0, 1]))] = [[Fraction(0)]]
     with pytest.raises(SheafError, match="not invertible"):
-        make_local_system(QQ, K, K.full_set(), {"stalk_dim": dims, "matrices": mats})
+        make_local_system(QQ, K, K.full_set(), dims, mats)
 
 
 @pytest.mark.parametrize("field, entry", [
@@ -73,18 +77,18 @@ def test_non_canonical_entry_rejected(field, entry):
     mats = {(s, c): [[F.one]] for s in range(len(K.simplices)) for c, _ in K.cofacets[s]}
     mats[(K.id_of([0]), K.id_of([0, 1]))] = [[entry]]
     with pytest.raises(SheafError) as err:
-        make_local_system(F, K, K.full_set(), {"stalk_dim": dims, "matrices": mats})
+        make_local_system(F, K, K.full_set(), dims, mats)
     assert str(err.value) == "matrix at (0,) -> (0, 1) has entry %r, not an element of %r" \
         % (entry, F)
     mats[(K.id_of([0]), K.id_of([0, 1]))] = [[F.neg(F.one)]]
-    make_local_system(F, K, K.full_set(), {"stalk_dim": dims, "matrices": mats})
+    make_local_system(F, K, K.full_set(), dims, mats)
 
 
 def test_local_system_domain_must_be_open():
     K = SimplicialComplex(range(3), [[0, 1, 2]])
     closed = frozenset({K.id_of([0])})
     with pytest.raises(SheafError, match="up-closed"):
-        make_local_system(QQ, K, closed, {"rank": 1})
+        make_local_system(QQ, K, closed, {}, {})
 
 
 def test_shift():
@@ -217,7 +221,7 @@ def test_path_independence_checked():
             for c, _ in K.cofacets[s]}
     mats[(K.id_of([0]), K.id_of([0, 1]))] = [[Fraction(2)]]
     with pytest.raises(SheafError, match="path independence"):
-        make_local_system(QQ, K, U, {"stalk_dim": dims, "matrices": mats})
+        make_local_system(QQ, K, U, dims, mats)
 
 
 def test_restriction_of_a_non_face_pair_names_both_simplices():
