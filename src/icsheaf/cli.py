@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 = PASS / success, 1 = input or usage error, 2 = an axiom or
-comparison check FAILED (with witnesses in the report).  Every command
+comparison check FAILED (with witnesses in the report), 3 = internal error:
+the engine's own check of a complex it computed failed.  Every command
 writes a canonical JSON report under --out; bundled demonstration spaces
 are materialized to plain files on first use and loaded from those files
 afterwards.
@@ -143,8 +144,9 @@ def load_system(args, F, strat):
         raise InputError("unexpected key %r in local system" % extra[0])
     if "rank" in doc:
         return constant_complex(F, K, U1, doc["rank"]), digest
+    simplex = _simplex_reader(K)
     try:
-        dims = {K.id_of(_parse_simplex(k)): d for k, d in doc["stalk_dims"].items()}
+        dims = {simplex(k): d for k, d in doc["stalk_dims"].items()}
         matrices = {}
         for key, m in doc.get("matrices", {}).items():
             a, b = key.split("|")
@@ -154,8 +156,7 @@ def load_system(args, F, strat):
                     for row in m):
                 raise InputError("matrix %r must be a list of rows, each a list of "
                                  "integers or strings" % key)
-            matrices[(K.id_of(_parse_simplex(a)), K.id_of(_parse_simplex(b)))] = \
-                [[F.parse(x) for x in row] for row in m]
+            matrices[(simplex(a), simplex(b))] = [[F.parse(x) for x in row] for row in m]
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError("malformed local system: %s" % e)
     return make_local_system(F, K, U1, dims, matrices), digest
@@ -176,17 +177,32 @@ def _sample_limit(text):
                      "got %r" % text)
 
 
-def _parse_simplex(text):
-    """Vertex ids separated by commas or whitespace; an empty field is an error."""
-    if "," in text and not all(f.strip() for f in text.split(",")):
-        raise InputError("empty vertex field in simplex %r" % text)
-    out = []
-    for part in text.replace(",", " ").split():
-        try:
-            out.append(int(part))
-        except ValueError:
-            out.append(part)
-    return out
+def _simplex_reader(K):
+    """A function from the text naming a simplex of K to its id.
+
+    The text is vertex names separated by commas or whitespace, and a
+    vertex v is named by str(v) alone, so "01" names the string vertex
+    "01" and never the int 1.  An empty field, a name of no vertex and a
+    name of two (an int and a string spelled alike) are ComplexErrors, as
+    a simplex of K the vertices do not span is.
+    """
+    named = {}
+    for v in K.vertices:
+        named[str(v)] = v if str(v) not in named else None
+
+    def read(text):
+        if "," in text and not all(f.strip() for f in text.split(",")):
+            raise ComplexError("empty vertex field in simplex %r" % text)
+        out = []
+        for part in text.replace(",", " ").split():
+            v = named.get(part)
+            if v is None:
+                raise ComplexError("%s vertex %r in simplex %r" % (
+                    "ambiguous" if part in named else "no", part, text))
+            out.append(v)
+        return K.id_of(out)
+
+    return read
 
 
 def _manifest(args, inputs, extra=None):
@@ -289,7 +305,7 @@ def _job(argv):
         # on their open stars: the build covers the union of those and no more
         points = within = extra = None
         if args.at is not None:
-            points = [K.id_of(_parse_simplex(args.at))]
+            points = [_simplex_reader(K)(args.at)]
             extra = {"at": list(K.simplices[points[0]])}
         elif args.command == "costalks" and limit is not None:
             points = default_costalk_sample(strat, limit=limit)
@@ -390,14 +406,13 @@ def _job(argv):
                       for r in recipes]
             payload = {"comparisons": []}
             all_pass = True
-            for recipe, other in zip(recipes, others):
-                rep = compare_stratifications(
-                    strat, other, local_system=L, field=F, naive_first=args.naive)
-                witnesses = rep["witnesses"]
+            reps = compare_stratifications(strat, others, local_system=L, field=F,
+                                           naive_first=args.naive)
+            for recipe, rep in zip(recipes, reps):
                 payload["comparisons"].append(
                     {"refine": recipe, "passed": rep["passed"],
                      "hypercohomology": reports.dims_doc(rep["hypercohomology"]),
-                     "witnesses": witnesses})
+                     "witnesses": rep["witnesses"]})
                 all_pass = all_pass and rep["passed"]
                 print("compare vs %-16s %s" % (recipe, "PASS" if rep["passed"] else "FAIL"))
             reports.write_report(out / "compare-report.json", manifest, payload)
@@ -419,6 +434,9 @@ def _job(argv):
             ax.AxiomInputError, OSError) as e:
         print("error:", e, file=sys.stderr)
         return 1
+    except sec.EngineError as e:
+        print("internal error:", e, file=sys.stderr)
+        return 3
 
 
 def main():

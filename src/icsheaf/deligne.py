@@ -199,7 +199,11 @@ def build_tower(strat, local_system=None, field=QQ, naive=False, within=None):
 
 
 def _verify_bundle(bundle):
-    """Re-check the construction invariants on the finished tower."""
+    """Re-check the construction invariants on the finished tower.
+
+    A failed check is a fault of the engine, not of its inputs: it raises
+    EngineError.
+    """
     K = bundle.stratification.complex
     inter = bundle.intermediates
 
@@ -214,24 +218,24 @@ def _verify_bundle(bundle):
             expect = {-m: Lm.dim(sid, 0)} if Lm.dim(sid, 0) else {}
             got = inter[0].stalk_cohomology(sid)
             if got != expect:
-                raise SheafError("first stage does not match the shifted local system "
-                                 + mismatch(sid, got, expect))
+                raise sec.EngineError("first stage does not match the shifted local "
+                                      "system " + mismatch(sid, got, expect))
     # each stage lives on an open part of the next and restricts back to it
     for i in range(len(bundle.log)):
         prev, cur = inter[i], inter[i + 1]
         if not (prev.domain <= cur.domain
                 and K.is_up_closed(prev.domain, within=cur.domain)):
-            raise SheafError("stage %d domain is not an open subset of stage %d domain"
-                             % (i, i + 1))
+            raise sec.EngineError("stage %d domain is not an open subset of stage %d "
+                                  "domain" % (i, i + 1))
         for sid in sorted(prev.domain):
             got, want = cur.stalk_cohomology(sid), prev.stalk_cohomology(sid)
             if got != want:
-                raise SheafError("stage %d does not restrict to stage %d %s"
-                                 % (i + 1, i, mismatch(sid, got, want)))
+                raise sec.EngineError("stage %d does not restrict to stage %d %s"
+                                      % (i + 1, i, mismatch(sid, got, want)))
     ok, witness = sec.is_clc(bundle.ic, bundle.stratification)
     if not ok:
-        raise SheafError("constructed complex is not stratumwise locally constant: %r"
-                         % (witness,))
+        raise sec.EngineError("constructed complex is not stratumwise locally "
+                              "constant: %r" % (witness,))
 
 
 def default_costalk_sample(strat, limit=24):
@@ -246,59 +250,67 @@ def default_costalk_sample(strat, limit=24):
     return sorted(set(sample))
 
 
-def compare_stratifications(strat1, strat2, local_system=None, field=QQ,
+def compare_stratifications(strat1, others, local_system=None, field=QQ,
                             naive_first=False):
-    """Build both complexes and compare stalks, sampled costalks, sections.
+    """Compare the complex of strat1 with that of each stratification in others.
 
-    Returns the report.  The complexes are built one at a time: the first
-    one's stalk table, costalks at the sample and hypercohomology are read
-    and the complex dropped before the second build, so only one bundle is
-    alive at once.  The sample (`default_costalk_sample` of both
-    stratifications) is fixed before either build, and each side's
-    costalks at it come from one `cell_costalk` call.  The witnesses are
-    the first stalk mismatch, the first costalk mismatch in sample order
-    and a hypercohomology mismatch.
+    Returns one report per member of others, in order: the stalks,
+    sampled costalks and sections of the two complexes.  The complexes
+    are built one at a time, strat1's once: its stalk table,
+    hypercohomology and costalks are read and it is dropped, then each
+    other complex is built, read and dropped in turn, so only one bundle
+    is alive at once.  A comparison's sample (`default_costalk_sample` of
+    both stratifications) is fixed before any build.  A costalk does not
+    depend on which other simplices one `cell_costalk` call covers, so
+    strat1's costalks at every sample come from one call on their union,
+    and each other side's at its sample from one call.  The witnesses
+    are the first stalk mismatch, the first costalk mismatch in sample
+    order and a hypercohomology mismatch.
 
     The local system lives on the first build's open dense part U_1 (by
-    default it is constant of rank 1); the second build restricts it to
-    the second stratification's U_1, which lies inside the first when
-    strat2 refines strat1.  With naive_first the first build uses the
+    default it is constant of rank 1); each other build restricts it to
+    its own stratification's U_1, which lies inside the first when it
+    refines strat1.  With naive_first the first build uses the
     non-canonical filtration (negative demonstrations).
     """
-    if strat1.complex is not strat2.complex:
-        raise StratificationError("stratifications live on different complexes")
     K = strat1.complex
-    sample = sorted(set(default_costalk_sample(strat1))
-                    | set(default_costalk_sample(strat2)))
+    if any(strat2.complex is not K for strat2 in others):
+        raise StratificationError("stratifications live on different complexes")
+    first = default_costalk_sample(strat1)
+    samples = [sorted(set(first) | set(default_costalk_sample(strat2)))
+               for strat2 in others]
 
     ic = build_ic(strat1, local_system, field=field, naive=naive_first).ic
     t1, h1 = ic.stalk_table(), sec.hypercohomology(ic)
-    c1 = sec.cell_costalk(ic, sample)
+    c1 = sec.cell_costalk(ic, set().union(*samples))
     del ic
-    ic = build_ic(strat2, local_system, field=field).ic
-    t2, c2 = ic.stalk_table(), sec.cell_costalk(ic, sample)
-
-    report = {"passed": True, "witnesses": []}
-    for sid in range(len(K)):
-        if t1.get(sid, {}) != t2.get(sid, {}):
+    out = []
+    for strat2, sample in zip(others, samples):
+        ic = build_ic(strat2, local_system, field=field).ic
+        t2, c2, h2 = ic.stalk_table(), sec.cell_costalk(ic, sample), sec.hypercohomology(ic)
+        del ic
+        report = {"passed": True, "witnesses": []}
+        for sid in range(len(K)):
+            if t1.get(sid, {}) != t2.get(sid, {}):
+                report["passed"] = False
+                report["witnesses"].append(
+                    {"kind": "stalk", "simplex": list(K.simplices[sid]),
+                     "first": t1.get(sid, {}), "second": t2.get(sid, {})})
+                break
+        for sid in sample:
+            if c1[sid] != c2[sid]:
+                report["passed"] = False
+                report["witnesses"].append(
+                    {"kind": "costalk", "simplex": list(K.simplices[sid]),
+                     "first": c1[sid], "second": c2[sid]})
+                break
+        if h1 != h2:
             report["passed"] = False
-            report["witnesses"].append(
-                {"kind": "stalk", "simplex": list(K.simplices[sid]),
-                 "first": t1.get(sid, {}), "second": t2.get(sid, {})})
-            break
-    for sid in sample:
-        if c1[sid] != c2[sid]:
-            report["passed"] = False
-            report["witnesses"].append(
-                {"kind": "costalk", "simplex": list(K.simplices[sid]),
-                 "first": c1[sid], "second": c2[sid]})
-            break
-    h2 = sec.hypercohomology(ic)
-    if h1 != h2:
-        report["passed"] = False
-        report["witnesses"].append({"kind": "hypercohomology", "first": h1, "second": h2})
-    report["hypercohomology"] = h1
-    return report
+            report["witnesses"].append({"kind": "hypercohomology", "first": h1,
+                                        "second": h2})
+        report["hypercohomology"] = h1
+        out.append(report)
+    return out
 
 
 class CoarseningState:

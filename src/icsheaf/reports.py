@@ -5,14 +5,14 @@ separators so identical manifests produce byte-identical files; human
 tables are derived from the same payloads.  Matrices serialize with exact
 field elements as strings ("p/q" over the rationals).
 
-`write_report` streams the document to disk: it writes the sorted keys of
-every dict itself and encodes each other value with one `json` call, each
-distinct list once, so neither the whole text nor the encoder's list of
-its tokens is ever held; a `Rows` section is made row by row as it is
-written.  The bytes equal `canonical_json` of the same
-document.  It writes through `write_json`, as the CLI writes the files of a
-bundled space: a temporary file beside the target is moved into place, so
-a failed or stopped write leaves no partial file.
+`_dump` is the one canonical encoder: it writes the sorted keys of every
+dict itself and encodes each other value with one `json` call, so neither
+the whole text nor the encoder's list of its tokens is ever held; a `Rows`
+section is made row by row as it is written, and a `Text` is written as
+it is.  `write_json` streams its bytes to disk, as the CLI writes reports
+and the files of a bundled space: a temporary file beside the target is
+moved into place, so a failed or stopped write leaves no partial file.
+`sha256_of` hashes the same bytes.
 """
 
 import hashlib
@@ -27,9 +27,8 @@ class Rows:
     """A document dict whose rows are made as they are read.
 
     `items()` yields the (key, value) pairs in sorted key order from a
-    fresh call of `make`, so no row outlives its turn.  `write_report`
-    streams it row by row; `canonical_json` encodes it as the dict it
-    stands for.
+    fresh call of `make`, so no row outlives its turn.  `_dump` streams it
+    row by row.
     """
 
     def __init__(self, make):
@@ -39,30 +38,21 @@ class Rows:
         return self.make()
 
 
-def _expand(obj):
-    if type(obj) is Rows:
-        return dict(obj.items())
-    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+class Text(str):
+    """A document value given as its JSON text, which `_dump` writes as it is."""
+
+    __slots__ = ()
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_expand)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_expand) + "\n"
+def _dump(doc, write):
+    """Write the canonical JSON text of a dict doc, without a newline.
 
-
-def sha256_of(obj):
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
-
-
-def _dump(doc, write, texts):
-    """Write canonical_json(doc) for a dict doc, without its newline.
-
-    Strings and ints are written as `json` writes them; texts maps id(lst)
-    to the text of a list already written: a document shares each distinct
-    matrix among its references, so each is encoded once.  The document
-    holds every list it keys alive for the call.
+    Strings and ints are written as `json` writes them, a `Text` as it is
+    and any other value by `_ENCODER`, which raises TypeError on a value
+    `json` cannot encode.
     """
     sep = "{"
     for k, v in doc.items() if type(doc) is Rows else sorted(doc.items()):
@@ -72,21 +62,27 @@ def _dump(doc, write, texts):
         t = type(v)
         if t is dict or t is Rows:
             write(sep + key + ":")
-            _dump(v, write, texts)
+            _dump(v, write)
         else:
-            if t is str:
+            if t is Text:
+                text = v
+            elif t is str:
                 text = encode_basestring_ascii(v)
             elif t is int:
                 text = int.__repr__(v)
             else:
-                text = texts.get(id(v))
-                if text is None:
-                    text = _ENCODER.encode(v)
-                    if t is list:
-                        texts[id(v)] = text
+                text = _ENCODER.encode(v)
             write(sep + key + ":" + text)
         sep = ","
     write("{}" if sep == "{" else "}")
+
+
+def sha256_of(doc):
+    """The sha256 of the bytes `write_json` writes for the dict doc."""
+    h = hashlib.sha256()
+    _dump(doc, lambda text: h.update(text.encode("ascii")))
+    h.update(b"\n")
+    return h.hexdigest()
 
 
 def simplex_key(K, sid):
@@ -113,17 +109,16 @@ def sheaf_complex_doc(S):
     A missing matrix is zero; the writer spells out the canonical keys:
     every degree q of a simplex's value that also has degree q + 1, and
     every degree of either end of a cover pair, each written as the zero
-    matrix of its shape where the complex stores none.  Equal matrices
-    share one document list for the call: a complex holds many references
-    to few distinct values (shared blocks, identities, 0/1 selections and
-    zero blocks), and equal values print the same, so each is written
-    once.  `json` encodes a shared list in full wherever it appears.  The
-    entries share their strings the same way: most are a few values (0, 1,
-    −1), and each distinct one is printed once per call.  The stalk dims,
-    differentials and restrictions are `Rows` made from the complex as
-    they are written, in order of simplex key, so a report never holds a
-    section whole: the complex's maps are shared and never mutated, so
-    they are read, not copied, while the report is written.
+    matrix of its shape where the complex stores none.  A matrix is its
+    JSON text, a `Text` encoded once per distinct value for the call: a
+    complex holds many references to few distinct values (shared blocks,
+    identities, 0/1 selections and zero blocks), and equal values print
+    the same.  The entries are encoded once each the same way: most are a
+    few values (0, 1, −1).  The stalk dims, differentials and restrictions
+    are `Rows` made from the complex as they are written, in order of
+    simplex key, so a report never holds a section whole: the complex's
+    maps are shared and never mutated, so they are read, not copied, while
+    the report is written.
     """
     K = S.complex
     F = S.F
@@ -133,14 +128,15 @@ def sheaf_complex_doc(S):
     def estr(x):
         got = strs.get(x)
         if got is None:
-            got = strs[x] = F.to_str(x)
+            got = strs[x] = encode_basestring_ascii(F.to_str(x))
         return got
 
     def mdoc(m):
         key = tuple(map(tuple, m))
         got = docs.get(key)
         if got is None:
-            got = docs[key] = [[estr(x) for x in row] for row in key]
+            got = docs[key] = Text(
+                "[%s]" % ",".join("[%s]" % ",".join(map(estr, row)) for row in key))
         return got
 
     def zero(rows, cols):
@@ -248,7 +244,8 @@ def filtration_table_text(filt):
 
 
 def write_json(path, doc):
-    """Stream canonical_json(doc) of a dict doc to path, or leave path as it was.
+    """Stream the canonical JSON of a dict doc (`_dump`) and a newline to
+    path, or leave path as it was.
 
     The text goes to a temporary file beside path, named for this process,
     which replaces path only once it is complete: a document `json` cannot
@@ -259,7 +256,7 @@ def write_json(path, doc):
     tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
     try:
         with open(tmp, "w", encoding="ascii") as f:
-            _dump(doc, f.write, {})
+            _dump(doc, f.write)
             f.write("\n")
         os.replace(tmp, path)
     except BaseException:

@@ -242,12 +242,15 @@ def hypercohomology(S):
     model; any other domain raises SheafError.  Over the open star of a
     simplex the same complex computes the costalk there (`cell_costalk`),
     as in Shepard's cellular model of the derived category (Curry,
-    Sheaves, Cosheaves and Applications, arXiv:1303.3255).
+    Sheaves, Cosheaves and Applications, arXiv:1303.3255).  As there, a
+    same-support reduction runs before the free one.
     """
     K, A = S.complex, S.domain
     if not (K.is_up_closed(A) and K.is_down_closed(A)):
         raise SheafError("hypercohomology needs a clopen domain")
-    return _cellular_complex(S, A).minimize_dims()
+    G = _cellular_complex(S, A)
+    G.reduce(same_support=True)
+    return G.minimize_dims()
 
 
 def cell_costalk(S, sids):

@@ -23,7 +23,8 @@ definition, `unit_columns_reference`, the first cellular assembly,
 build through, `add_value`, `add_block` and `add_entry`, whose
 cancellation rule no assembly needs),
 the supported-sections complex that AX2 is compared against
-(`supported_section_dims`), and the
+(`supported_section_dims`), the canonical JSON text of a report by
+`json.dumps` (`canonical_json`), and the
 helpers only tests need: `shift` builds test complexes,
 `load_sheaf_complex` reads a dumped complex back and
 `fake_surface_stratum_ids` names the fake stratum of a demo.
@@ -44,10 +45,12 @@ triangulation.
 """
 
 import heapq
+import json
 from fractions import Fraction
 from itertools import combinations
 
 from icsheaf import matrices as mx
+from icsheaf import reports
 from icsheaf import sections as sec
 from icsheaf.deligne import build_ic
 from icsheaf.fields import QQ
@@ -1036,6 +1039,67 @@ def shift(S, k):
              for s, ms in S.diffs.items()}
     restr = {p: {q - k: m for q, m in ms.items()} for p, ms in S.restrictions.items()}
     return SheafComplex(F, S.complex, S.domain, dims, diffs, restr)
+
+
+def canonical_json(doc):
+    """The text `reports.write_json` writes for doc, by one `json.dumps` call.
+
+    A `reports.Rows` stands for the dict of its rows and a `reports.Text`
+    for the value its JSON text spells; `json.dumps` would encode either
+    as something else.
+    """
+    def plain(obj):
+        if type(obj) is reports.Text:
+            return json.loads(obj)
+        if type(obj) is reports.Rows or isinstance(obj, dict):
+            return {k: plain(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [plain(v) for v in obj]
+        return obj
+
+    return json.dumps(plain(doc), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def orientation_system(K, U):
+    """The orientation local system on U, a manifold part of K of dimension K.dim.
+
+    Returns (dims, signs) for `make_local_system`: rank 1 at every simplex
+    of U, and on each cover pair σ ⋖ τ of U the sign ±1 of the map.  The
+    stalk at σ is spanned by the vertex order of a reference top simplex
+    T(σ) ⊇ σ, the least one; an orientation moves from a top simplex T to
+    T' across their shared facet f with the sign −ε(f, T)·ε(f, T'), through
+    the top simplices of σ's star and the facets that contain σ.  The map
+    σ → τ is the sign with which T(σ)'s order arrives at T(τ).
+    """
+    tops = [t for t in range(len(K)) if K.sdim(t) == K.dim]
+    star = {}  # simplex -> the top simplices containing it
+    for t in tops:
+        for s in K.walk([t], K.facets):
+            star.setdefault(s, []).append(t)
+    incidence = {t: dict(K.facets[t]) for t in tops}
+
+    def arrival(s):
+        """{top simplex of s's star: the sign T(s)'s order arrives with}"""
+        verts = set(K.simplices[s])
+        got, todo = {min(star[s]): 1}, [min(star[s])]
+        while todo:
+            t = todo.pop()
+            for f, e in K.facets[t]:
+                if not verts <= set(K.simplices[f]):
+                    continue
+                for t2, _ in K.cofacets[f]:
+                    if t2 not in got:
+                        got[t2] = -got[t] * e * incidence[t2][f]
+                        todo.append(t2)
+        return got
+
+    signs = {}
+    for s in sorted(U):
+        moved = arrival(s)
+        for t, _ in K.cofacets[s]:
+            if t in U:
+                signs[(s, t)] = moved[min(star[t])]
+    return {s: 1 for s in U}, signs
 
 
 def load_sheaf_complex(doc, K, F):

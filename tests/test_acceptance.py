@@ -141,7 +141,7 @@ def test_criterion_7_stratification_independence():
             K, strat = space(name)
             for seed in rng_seeds:
                 refined = demos.random_refinement(strat, random.Random(seed))
-                rep = compare_stratifications(strat, refined)
+                rep, = compare_stratifications(strat, [refined])
                 assert rep["passed"], (name, seed, rep["witnesses"])
 
 

@@ -353,7 +353,7 @@ def test_stopped_demo_materialization_is_redone(tmp_path, monkeypatch):
     K, doc = demos.demo_space("wedge")
     assert json.loads((d / "stratification.json").read_text()) == doc
     assert json.loads((d / "complex.json").read_text()) == \
-        json.loads(reports.canonical_json(complex_to_doc(K)))
+        json.loads(oracles.canonical_json(complex_to_doc(K)))
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -378,7 +378,7 @@ def test_manifest_round_trip(tmp_path):
     assert run(["hyperco", "demo:pinched-torus", "--out", o]) == 0
     doc = json.loads((tmp_path / "o" / "hyperco-report.json").read_text())
     assert doc["format"] == reports.FORMAT_TAG
-    again = json.loads(reports.canonical_json(doc))
+    again = json.loads(oracles.canonical_json(doc))
     assert again == doc
     assert doc["report"]["hypercohomology"] == {"-1": 1, "1": 1}
 
@@ -389,13 +389,22 @@ def test_streamed_report_equals_canonical_json(tmp_path, built):
         {"b": {"z": [], "a": {}}, "a": [{"y": 1, "x": None}], "é": "ü\u2603"},
         {2: "two", 10: "ten", 1.5: [1.25, False], True: None},
         {"m": shared, "n": {"m": shared, "k": shared}},
+        {"t": reports.Text('[["1","-1/2"],[]]'), "u": reports.Text("[]")},
         reports.bundle_doc(built["wedge"]),
     ]
     for payload in payloads:
         path = reports.write_report(tmp_path / "r.json", {"command": "x"}, payload)
         doc = {"format": reports.FORMAT_TAG, "manifest": {"command": "x"},
                "report": payload}
-        assert path.read_bytes() == reports.canonical_json(doc).encode()
+        assert path.read_bytes() == oracles.canonical_json(doc).encode()
+
+
+def test_report_hash_is_the_hash_of_the_written_file(tmp_path, built):
+    # sha256_of and write_json share one encoder: the hash is of the file's bytes
+    bundle = built["nonpure-wedge"]
+    for doc in (reports.bundle_doc(bundle), bundle.stratification.levels_doc(), {}):
+        data = reports.write_json(tmp_path / "d.json", doc).read_bytes()
+        assert reports.sha256_of(doc) == hashlib.sha256(data).hexdigest()
 
 
 def test_failed_report_leaves_no_file(tmp_path):
@@ -512,11 +521,84 @@ def test_compare_with_local_system(tmp_path, monkeypatch):
     monkeypatch.setattr(deligne, "compute_open_filtration", counted)
     assert run(["compare", "demo:wedge", "--local-system", str(rank2), "--refine", "self",
                 "--refine", "extra-point", "--out", o]) == 0
-    # one open filtration per stratification of each comparison
-    assert len(filtrations) == 2 * 2
+    # one open filtration per build: the first stratification's is built once
+    assert len(filtrations) == 1 + 2
     doc = json.loads((tmp_path / "o" / "compare-report.json").read_text())
     assert [c["hypercohomology"] for c in doc["report"]["comparisons"]] == \
         [{"-2": 2, "-1": 2, "1": 2, "2": 2}] * 2
+
+
+def test_compare_builds_the_first_stratification_once(tmp_path, monkeypatch):
+    # two recipes need three builds, and report what two one-recipe jobs report
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return build_ic(*args, **kwargs)
+
+    build_ic = deligne.build_ic
+    monkeypatch.setattr(deligne, "build_ic", counted)
+    recipes = ("extra-point", "random:7")
+
+    def comparisons(*refine):
+        o = tmp_path / "-".join(refine)
+        argv = ["compare", "demo:wedge", "--out", str(o)]
+        for recipe in refine:
+            argv += ["--refine", recipe]
+        assert run(argv) == 0
+        return json.loads((o / "compare-report.json").read_text())["report"]["comparisons"]
+
+    both = comparisons(*recipes)
+    assert len(builds) == 3
+    assert both == comparisons(recipes[0]) + comparisons(recipes[1])
+
+
+@pytest.mark.parametrize("fault", ("truncate_le", "is_clc"))
+def test_engine_fault_exits_3(tmp_path, capsys, monkeypatch, fault):
+    # a failed check of a computed complex is no input error: one
+    # `internal error:` line naming the step or stratum and the degree
+    def truncate_le(S, a):
+        raise sec.EngineError("the kernel at [0] in degree %d does not land" % a)
+
+    def is_clc(S, strat):
+        return False, {"stratum": 0, "degree": -1, "pair": ((0,), (0, 1))}
+
+    monkeypatch.setattr(sec, fault, {"truncate_le": truncate_le, "is_clc": is_clc}[fault])
+    assert run(["build", "demo:wedge", "--out", out(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1, err
+    where = "step 1 (collapsed through 1): " if fault == "truncate_le" else "'stratum': 0"
+    assert where in err and "degree" in err, err
+    assert not (tmp_path / "o" / "ic-bundle.json").exists()
+
+
+def test_at_names_a_vertex_by_its_str(tmp_path, capsys):
+    # a vertex is named by str(v) alone: "01" names the string vertex "01",
+    # and "00", "+0" or a non-ASCII digit name no vertex
+    o = out(tmp_path)
+    ids = ["01", "a", "b", "c"]
+    faces = [[v for v in ids if v != w] for w in ids]
+    sphere = _bad_space(tmp_path, "sphere", {"vertices": ids, "maximal_simplices": faces},
+                        {"levels": {"0": [["01"]], "1": faces}})
+    assert run(["stalks", sphere, "--at", "01", "--out", o]) == 0
+    doc = json.loads((tmp_path / "o" / "stalks-report.json").read_text())
+    assert doc["manifest"]["options"]["at"] == ["01"]
+    assert list(doc["report"]["stalks"]) == ["01"]
+    for at in ("1", "001", "01,a,", "1,a"):
+        assert run(["stalks", sphere, "--at", at, "--out", o]) == 1, at
+        assert capsys.readouterr().err.count("\n") == 1
+    for at in ("00", "+0", "-0", "\u0660", "0,01"):
+        assert run(["stalks", "demo:wedge", "--at", at, "--out", o]) == 1, at
+        err = capsys.readouterr().err
+        assert err.startswith("error: no vertex ") and err.count("\n") == 1, (at, err)
+    # an int vertex and a string vertex spelled alike cannot be named
+    mixed = _bad_space(tmp_path, "mixed", {"vertices": [1, "1", 2],
+                                           "maximal_simplices": [[1, "1", 2]]},
+                       {"levels": {"0": [[1]], "1": [[1, "1", 2]]}})
+    assert run(["stalks", mixed, "--at", "1", "--out", o]) == 1
+    assert capsys.readouterr().err == \
+        "error: ambiguous vertex '1' in simplex '1'\n"
+    assert run(["stalks", mixed, "--at", "2", "--out", o]) == 0
 
 
 @pytest.mark.parametrize("command, calls", (

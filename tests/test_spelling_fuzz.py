@@ -1,7 +1,10 @@
 """A bounded, seeded fuzzer for one spelling per job.
 
 Each case respells one input of a job on a copy of the wedge demo: the
-value of `--sample`, `--field` or the number in a `--refine` recipe, a
+value of `--sample`, `--field` or the number in a `--refine` recipe, the
+simplex of `--at` (its order, separators, whitespace, leading zeros,
+signs, non-ASCII digits and empty fields, on the wedge and on a copy
+whose vertex ids are strings of digits), a
 level key, or the top level of the complex, stratification or
 local-system document (an unknown or repeated key, a bool, float, NaN or
 infinity for an int, a byte-order mark, bytes that are not UTF-8).  A
@@ -22,7 +25,7 @@ import pytest
 
 from icsheaf import demos, reports
 from icsheaf.cli import run
-from icsheaf.simplicial import complex_to_doc
+from icsheaf.simplicial import complex_to_doc, load_complex
 from icsheaf.stratify import compute_open_filtration, validate_stratification
 
 SEEDS = range(12)
@@ -68,6 +71,40 @@ def option_cases(rng, space):
         ["compare", space, "--refine", rng.choice((
             "%s:%s" % (name, respell_number(rng, num)),
             "%s:%s" % (respell_word(rng, name), num)))]
+
+
+def respell_simplex(rng, names):
+    """Another spelling of the simplex whose vertices are named names."""
+    names = list(names)
+    i = rng.randrange(len(names))
+    name = names[i]
+    kind = rng.choice(("order", "separator", "whitespace", "zero", "sign", "digits",
+                       "empty"))
+    if kind == "order":
+        rng.shuffle(names)
+    elif kind == "separator":
+        return rng.choice((", ", " ", "\t", " , ", ",\n")).join(names)
+    elif kind == "whitespace":
+        return rng.choice((" ", "\t")) + ",".join(names) + rng.choice(("", " ", "\n"))
+    elif kind == "zero":
+        names[i] = name[1:] if name.startswith("0") and len(name) > 1 else "0" + name
+    elif kind == "sign":
+        names[i] = rng.choice("+-") + name
+    elif kind == "digits":
+        names[i] = "".join(chr(rng.choice(ZEROS) + int(c)) if c.isdigit() else c
+                           for c in name)
+    else:
+        return rng.choice(("," + ",".join(names), ",".join(names) + ",",
+                           ",".join(names[:i] + [""] + names[i:])))
+    return ",".join(names)
+
+
+def at_case(rng, space, K):
+    """(canonical argv, respelled argv) for the simplex of `--at`."""
+    command = rng.choice(("stalks", "costalks"))
+    names = [str(v) for v in K.simplices[rng.randrange(len(K))]]
+    return [command, space, "--at", ",".join(names)], \
+        [command, space, "--at", respell_simplex(rng, names)]
 
 
 def _int_paths(doc, path=()):
@@ -123,27 +160,41 @@ def _report(command):
     return "ic-bundle.json" if command == "build" else "%s-report.json" % command
 
 
+def _renamed(doc, name):
+    """doc with each int vertex id v in it replaced by name(v)."""
+    if type(doc) is int:
+        return name(doc)
+    if isinstance(doc, dict):
+        return {k: _renamed(v, name) for k, v in doc.items()}
+    return [_renamed(v, name) for v in doc]
+
+
 @pytest.fixture(scope="module")
 def wedge_copy(tmp_path_factory):
-    """(directory, complex doc, levels doc, the two local-system docs) of the wedge."""
+    """(directory, complex doc, levels doc, the two local-system docs, the two
+    complexes whose `--at` is respelled) of the wedge and of a copy with
+    vertex ids "00", "01", ..."""
     d = tmp_path_factory.mktemp("fuzz")
     K, sdoc = demos.demo_space("wedge")
     cdoc = complex_to_doc(K)
-    space = d / "wedge"
-    space.mkdir()
-    (space / "complex.json").write_text(json.dumps(cdoc))
-    (space / "stratification.json").write_text(json.dumps(sdoc))
+    strings = (_renamed(cdoc, "0{}".format), _renamed(sdoc, "0{}".format))
+    for name, (c, s) in (("wedge", (cdoc, sdoc)), ("wedge-str", strings)):
+        space = d / name
+        space.mkdir()
+        (space / "complex.json").write_text(json.dumps(c))
+        (space / "stratification.json").write_text(json.dumps(s))
     U = compute_open_filtration(validate_stratification(K, sdoc["levels"])).U[1]
     key = lambda sid: reports.simplex_key(K, sid)
     diag21 = {"stalk_dims": {key(s): 2 for s in U},
               "matrices": {"%s|%s" % (key(s), key(t)): [[2, 0], [0, 1]]
                            for s, t in K.cover_pairs(U)}}
-    return d, cdoc, sdoc, ({"rank": 2}, diag21)
+    return d, cdoc, sdoc, ({"rank": 2}, diag21), \
+        {"wedge": K, "wedge-str": load_complex(strings[0])}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_each_job_has_one_spelling(seed, wedge_copy, capsys):
-    d, cdoc, sdoc, systems = wedge_copy
+    d, cdoc, sdoc, systems, complexes = wedge_copy
     rng = random.Random(seed)
     space = str(d / "wedge")
 
@@ -178,6 +229,11 @@ def test_each_job_has_one_spelling(seed, wedge_copy, capsys):
 
     for _ in range(DRAWS):
         for canonical, argv in option_cases(rng, space):
+            check(argv, canonical, argv)
+        for name, K in sorted(complexes.items()):
+            canonical, argv = at_case(rng, str(d / name), K)
+            # every simplex has a spelling: str(v) of each vertex
+            assert job(canonical, "canonical")[0] == 0, (seed, canonical)
             check(argv, canonical, argv)
         levels = sdoc["levels"]
         k = rng.choice(sorted(levels))
