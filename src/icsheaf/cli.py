@@ -182,24 +182,21 @@ def _simplex_reader(K):
 
     The text is vertex names separated by commas or whitespace, and a
     vertex v is named by str(v) alone, so "01" names the string vertex
-    "01" and never the int 1.  An empty field, a name of no vertex and a
-    name of two (an int and a string spelled alike) are ComplexErrors, as
-    a simplex of K the vertices do not span is.
+    "01" and never the int 1.  A complex gives each vertex its own name
+    with neither whitespace nor a comma in it, so this reads back
+    `reports.simplex_key`.  An empty field and a name of no vertex are
+    ComplexErrors, as a simplex of K the vertices do not span is.
     """
-    named = {}
-    for v in K.vertices:
-        named[str(v)] = v if str(v) not in named else None
+    named = {str(v): v for v in K.vertices}
 
     def read(text):
         if "," in text and not all(f.strip() for f in text.split(",")):
             raise ComplexError("empty vertex field in simplex %r" % text)
         out = []
         for part in text.replace(",", " ").split():
-            v = named.get(part)
-            if v is None:
-                raise ComplexError("%s vertex %r in simplex %r" % (
-                    "ambiguous" if part in named else "no", part, text))
-            out.append(v)
+            if part not in named:
+                raise ComplexError("no vertex %r in simplex %r" % (part, text))
+            out.append(named[part])
         return K.id_of(out)
 
     return read

@@ -22,7 +22,7 @@ from itertools import chain
 
 from .fields import QQ
 from . import sections as sec
-from .sheaves import SheafComplex, SheafError, constant_complex, first_difference
+from .sheaves import SheafComplex, SheafError, constant_complex, first_mismatch, mismatch_text
 from .stratify import (compute_open_filtration, generators_doc, naive_filtration,
                        StratificationError, TRUST_NOTE)
 
@@ -183,13 +183,17 @@ def build_tower(strat, local_system=None, field=QQ, naive=False, within=None):
                 k2 += 1
         cutoff = k2 - 1 - n
         target = filt.U[k2 + 1] & within
+        layer = "pushforward"
         try:
-            trunc = sec.truncate_le(sec.pushforward_open(I, target), cutoff)
+            pushed = sec.pushforward_open(I, target)
+            layer = "truncation"
+            trunc = sec.truncate_le(pushed, cutoff)
+            layer = "glue"
             I = _glue(trunc, _attach_systems(F, K, systems, target, upto=n - k2,
                                              raw=naive))
         except sec.EngineError as e:
-            raise type(e)("step %d (collapsed through %d): %s" % (k, k2, e)) from e
-        del trunc  # so only I, and no step leftover, meets the next cleanup
+            raise type(e)("step %d (collapsed through %d): %s: %s" % (k, k2, layer, e)) from e
+        del pushed, trunc  # so only I, and no step leftover, meets the next cleanup
         log.append({"step": k, "collapsed_through": k2, "cutoff": cutoff,
                     "target_size": len(target)})
         intermediates.append(I)
@@ -206,36 +210,30 @@ def _verify_bundle(bundle):
     """
     K = bundle.stratification.complex
     inter = bundle.intermediates
-
-    def mismatch(sid, got, want):
-        q = first_difference(got, want)
-        return "at %s: degree %d has dim %d, expected %d" % (
-            list(K.simplices[sid]), q, got.get(q, 0), want.get(q, 0))
-
-    # first stage is the shifted local system sum
-    for m, Lm in bundle.systems.items():
-        for sid in sorted(Lm.domain):
-            expect = {-m: Lm.dim(sid, 0)} if Lm.dim(sid, 0) else {}
-            got = inter[0].stalk_cohomology(sid)
-            if got != expect:
-                raise sec.EngineError("first stage does not match the shifted local "
-                                      "system " + mismatch(sid, got, expect))
-    # each stage lives on an open part of the next and restricts back to it
-    for i in range(len(bundle.log)):
-        prev, cur = inter[i], inter[i + 1]
-        if not (prev.domain <= cur.domain
-                and K.is_up_closed(prev.domain, within=cur.domain)):
-            raise sec.EngineError("stage %d domain is not an open subset of stage %d "
-                                  "domain" % (i, i + 1))
-        for sid in sorted(prev.domain):
-            got, want = cur.stalk_cohomology(sid), prev.stalk_cohomology(sid)
-            if got != want:
-                raise sec.EngineError("stage %d does not restrict to stage %d %s"
-                                      % (i + 1, i, mismatch(sid, got, want)))
-    ok, witness = sec.is_clc(bundle.ic, bundle.stratification)
-    if not ok:
-        raise sec.EngineError("constructed complex is not stratumwise locally "
-                              "constant: %r" % (witness,))
+    stage = 0
+    try:
+        # first stage is the shifted local system sum
+        shifted = {sid: {q - m: d for q, d in Lm.dims.get(sid, {}).items()}
+                   for m, Lm in bundle.systems.items() for sid in Lm.domain}
+        wrong = first_mismatch(sorted(shifted), inter[0].stalk_cohomology, shifted.get)
+        if wrong is not None:
+            raise sec.EngineError("not the shifted local system " + mismatch_text(K, wrong))
+        # each stage lives on an open part of the next and restricts back to it
+        for stage in range(1, len(inter)):
+            prev, cur = inter[stage - 1], inter[stage]
+            if not (prev.domain <= cur.domain
+                    and K.is_up_closed(prev.domain, within=cur.domain)):
+                raise sec.EngineError("the domain of stage %d is not open in it" % (stage - 1))
+            wrong = first_mismatch(sorted(prev.domain), cur.stalk_cohomology,
+                                   prev.stalk_cohomology)
+            if wrong is not None:
+                raise sec.EngineError("does not restrict to stage %d %s"
+                                      % (stage - 1, mismatch_text(K, wrong)))
+        ok, witness = sec.is_clc(bundle.ic, bundle.stratification)
+        if not ok:
+            raise sec.EngineError("not stratumwise locally constant: %r" % (witness,))
+    except sec.EngineError as e:
+        raise type(e)("verify, stage %d: %s" % (stage, e)) from e
 
 
 def default_costalk_sample(strat, limit=24):
@@ -263,9 +261,12 @@ def compare_stratifications(strat1, others, local_system=None, field=QQ,
     both stratifications) is fixed before any build.  A costalk does not
     depend on which other simplices one `cell_costalk` call covers, so
     strat1's costalks at every sample come from one call on their union,
-    and each other side's at its sample from one call.  The witnesses
-    are the first stalk mismatch, the first costalk mismatch in sample
-    order and a hypercohomology mismatch.
+    and each other side's at its sample from one call.  A member of
+    others that is strat1 itself is not built again unless naive_first:
+    its side reads strat1's tables.  The witnesses are the first stalk
+    mismatch in id order, the first costalk mismatch in sample order
+    (`first_mismatch`) and a hypercohomology mismatch, and a report
+    passes when it has none.
 
     The local system lives on the first build's open dense part U_1 (by
     default it is constant of rank 1); each other build restricts it to
@@ -286,30 +287,23 @@ def compare_stratifications(strat1, others, local_system=None, field=QQ,
     del ic
     out = []
     for strat2, sample in zip(others, samples):
-        ic = build_ic(strat2, local_system, field=field).ic
-        t2, c2, h2 = ic.stalk_table(), sec.cell_costalk(ic, sample), sec.hypercohomology(ic)
-        del ic
-        report = {"passed": True, "witnesses": []}
-        for sid in range(len(K)):
-            if t1.get(sid, {}) != t2.get(sid, {}):
-                report["passed"] = False
-                report["witnesses"].append(
-                    {"kind": "stalk", "simplex": list(K.simplices[sid]),
-                     "first": t1.get(sid, {}), "second": t2.get(sid, {})})
-                break
-        for sid in sample:
-            if c1[sid] != c2[sid]:
-                report["passed"] = False
-                report["witnesses"].append(
-                    {"kind": "costalk", "simplex": list(K.simplices[sid]),
-                     "first": c1[sid], "second": c2[sid]})
-                break
+        if strat2 is strat1 and not naive_first:
+            t2, c2, h2 = t1, c1, h1
+        else:
+            ic = build_ic(strat2, local_system, field=field).ic
+            t2, c2 = ic.stalk_table(), sec.cell_costalk(ic, sample)
+            h2 = sec.hypercohomology(ic)
+            del ic
+        witnesses = []
+        for kind, sids, x, y in (("stalk", range(len(K)), t1, t2), ("costalk", sample, c1, c2)):
+            wrong = first_mismatch(sids, x.get, y.get)
+            if wrong is not None:
+                sid = wrong[0]
+                witnesses.append({"kind": kind, "simplex": list(K.simplices[sid]),
+                                  "first": x[sid], "second": y[sid]})
         if h1 != h2:
-            report["passed"] = False
-            report["witnesses"].append({"kind": "hypercohomology", "first": h1,
-                                        "second": h2})
-        report["hypercohomology"] = h1
-        out.append(report)
+            witnesses.append({"kind": "hypercohomology", "first": h1, "second": h2})
+        out.append({"passed": not witnesses, "witnesses": witnesses, "hypercohomology": h1})
     return out
 
 

@@ -41,7 +41,7 @@ columns, one set per boundary simplex next to them (see
 
 from . import matrices as mx
 from .reduction import SparseComplex
-from .sheaves import SheafComplex, SheafError, first_difference
+from .sheaves import SheafComplex, SheafError, first_mismatch, mismatch_text
 from .simplicial import all_chains
 
 
@@ -581,12 +581,7 @@ def pushforward_open(S, V):
                 restr[(s, t)] = rm
 
     out = SheafComplex(F, K, V, dims, diffs, restr)
-    for sid in sorted(bids):
-        got, want = out.stalk_cohomology(sid), S.stalk_cohomology(sid)
-        if got != want:
-            q = first_difference(got, want)
-            raise EngineError(
-                "pushforward cleanup broke the section unit at %s: degree %d "
-                "has dim %d, the coefficient complex %d"
-                % (list(K.simplices[sid]), q, got.get(q, 0), want.get(q, 0)))
+    broken = first_mismatch(sorted(bids), out.stalk_cohomology, S.stalk_cohomology)
+    if broken is not None:
+        raise EngineError("the cleanup broke the section unit " + mismatch_text(K, broken))
     return out

@@ -34,6 +34,22 @@ def first_difference(x, y):
                default=None)
 
 
+def first_mismatch(sids, got, want):
+    """(sid, q, a, b) at the first of sids where the {degree: dim} tables got(sid) and
+    want(sid) differ, lowest in degree q with dims a and b; None where none do."""
+    for sid in sids:
+        x, y = got(sid), want(sid)
+        if x != y:
+            q = first_difference(x, y)
+            return sid, q, x.get(q, 0), y.get(q, 0)
+
+
+def mismatch_text(K, mismatch):
+    """A `first_mismatch` result as "at [σ]: degree q has dim a, expected b"."""
+    sid, q, a, b = mismatch
+    return "at %s: degree %d has dim %d, expected %d" % (list(K.simplices[sid]), q, a, b)
+
+
 def _mul(F, A, B, m, k, n):
     # shape-safe composition for possibly zero-dimensional matrices
     if m == 0 or n == 0 or k == 0:
@@ -232,7 +248,8 @@ class SheafComplex:
                     dd = _mul(F, self.diff(sid, q + 1), self.diff(sid, q),
                               self.dim(sid, q + 2), self.dim(sid, q + 1), self.dim(sid, q))
                     if any(any(row) for row in dd):
-                        raise SheafError("d² ≠ 0 at %r" % (self.complex.simplices[sid],))
+                        raise SheafError("d² ≠ 0 at %r from degree %d"
+                                         % (self.complex.simplices[sid], q))
         for (s, t) in self.complex.cover_pairs(self.domain):
             for q in self.dims.get(s, {}):
                 # restriction commutes with d
@@ -242,8 +259,8 @@ class SheafComplex:
                          self.dim(t, q + 1), self.dim(s, q + 1), self.dim(s, q))
                 if a != b:
                     raise SheafError(
-                        "restriction does not commute with d at %r -> %r"
-                        % (self.complex.simplices[s], self.complex.simplices[t]))
+                        "restriction does not commute with d at %r -> %r in degree %d"
+                        % (self.complex.simplices[s], self.complex.simplices[t], q))
         for q in self.degrees():
             self.check_path_independence(q)
 

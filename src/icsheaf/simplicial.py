@@ -45,6 +45,18 @@ class SimplicialComplex:
         vs = list(vertices)
         if len(set(vs)) != len(vs):
             raise ComplexError("duplicate vertex id in vertex list")
+        # a vertex is named by str(v), and a simplex by the names of its
+        # vertices separated by whitespace (`reports.simplex_key`), commas
+        # (`--at`) or "|" between the two ends of a pair: each name is one
+        # field of those texts and names one vertex
+        named = {}
+        for v in vs:
+            if isinstance(v, str) and (v.split() != [v] or "," in v or "|" in v):
+                raise ComplexError("vertex id %r is empty or holds whitespace, ',' or '|'"
+                                   % (v,))
+            if named.setdefault(str(v), v) != v:
+                raise ComplexError("vertex ids %r and %r are both named %r"
+                                   % (named[str(v)], v, str(v)))
         vset = set(vs)
         simplices = set()
         for m in maximal_simplices:

@@ -1103,15 +1103,14 @@ def orientation_system(K, U):
 
 
 def load_sheaf_complex(doc, K, F):
-    """A SheafComplex back from its `reports.sheaf_complex_doc` document."""
+    """A SheafComplex back from its `reports.sheaf_complex_doc` document.
+
+    A key names each vertex v by str(v), so "01" is the string vertex "01".
+    """
+    named = {str(v): v for v in K.vertices}
+
     def parse_simplex(key):
-        out = []
-        for p in key.split(" "):
-            try:
-                out.append(int(p))
-            except ValueError:
-                out.append(p)
-        return K.id_of(out)
+        return K.id_of([named[p] for p in key.split(" ")])
 
     def parse_matrix(m):
         return [[F.parse(x) for x in row] for row in m]

@@ -260,6 +260,27 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
                              (comment, "stratification", "comment")):
         assert run(["validate", space, "--out", o]) == 1, space
         assert capsys.readouterr().err == "error: unexpected key %r in %s\n" % (key, what)
+    # a vertex is named by str(v) in report keys and in --at, where
+    # whitespace, ',' and '|' separate names: a name that is empty, holds
+    # one of those or names two vertices is refused at load
+    for name, vertices, message in (
+            ("space-id", ["a b", "c", "d", "e"],
+             "vertex id 'a b' is empty or holds whitespace, ',' or '|'"),
+            ("tab-id", ["a\tb", "c", "d", "e"],
+             "vertex id 'a\\tb' is empty or holds whitespace, ',' or '|'"),
+            ("empty-id", ["", "c", "d", "e"],
+             "vertex id '' is empty or holds whitespace, ',' or '|'"),
+            ("comma-id", ["a,b", "c", "d", "e"],
+             "vertex id 'a,b' is empty or holds whitespace, ',' or '|'"),
+            ("pipe-id", ["a|b", "c", "d", "e"],
+             "vertex id 'a|b' is empty or holds whitespace, ',' or '|'"),
+            ("one-name", [1, "1", 2, 3], "vertex ids 1 and '1' are both named '1'")):
+        faces = [[v for v in vertices if v != w] for w in vertices]
+        space = _bad_space(tmp_path, name, {"vertices": vertices, "maximal_simplices": faces},
+                           {"levels": {"0": [], "1": faces}})
+        for command in ("validate", "build"):
+            assert run([command, space, "--out", o]) == 1, (name, command)
+            assert capsys.readouterr().err == "error: %s\n" % message, (name, command)
     for path, reason in systems:
         assert run(["build", "demo:wedge", "--local-system", path, "--out", o]) == 1, path
         err = capsys.readouterr().err
@@ -443,7 +464,9 @@ def _round_trip_builds(spaces, build_of):
     Every demo over QQ and F_32003, canonical and naive, and over F_2
     canonical; on wedge and pinched-torus also a canonical build over QQ
     and F_32003 with the constant rank-2 system and with the rank-2 system
-    that has diag(2, 1) on every cover pair of U_1.
+    that has diag(2, 1) on every cover pair of U_1.  Last, one build the
+    sweep does not write: the wedge over QQ with each vertex v renamed to
+    the string "0v", which a report key must not read back as the int v.
     """
     for name in demos.DEMO_NAMES:
         for field, kind in (("q", "canonical"), ("q", "naive"), ("fp:32003", "canonical"),
@@ -460,6 +483,15 @@ def _round_trip_builds(spaces, build_of):
                                 F, K, U, {s: 2 for s in U},
                                 {pair: diag21 for pair in K.cover_pairs(U)}))):
                 yield (name, field, kind), deligne.build_ic(strat, L, field=F)
+    K, doc = demos.demo_space("wedge")
+
+    def rename(simplices):
+        return [["0%d" % v for v in s] for s in simplices]
+
+    K = SimplicialComplex(["0%d" % v for v in K.vertices],
+                          rename(complex_to_doc(K)["maximal_simplices"]))
+    strat = validate_stratification(K, {k: rename(gens) for k, gens in doc["levels"].items()})
+    yield ("wedge, vertices '0v'", "q", "canonical"), deligne.build_ic(strat)
 
 
 def test_bundle_dump_round_trip(tmp_path, spaces, build_of):
@@ -473,7 +505,8 @@ def test_bundle_dump_round_trip(tmp_path, spaces, build_of):
     # (`oracles.star_costalk`), so the AX2 verdict does not rest only on
     # the costalk code it checks
     for label, bundle in _round_trip_builds(spaces, build_of):
-        K, strat = spaces[label[0]]
+        strat = bundle.stratification
+        K = strat.complex
         path = reports.write_report(tmp_path / "ic-bundle.json", {},
                                     reports.bundle_doc(bundle))
         doc = json.loads(path.read_text())["report"]
@@ -521,8 +554,9 @@ def test_compare_with_local_system(tmp_path, monkeypatch):
     monkeypatch.setattr(deligne, "compute_open_filtration", counted)
     assert run(["compare", "demo:wedge", "--local-system", str(rank2), "--refine", "self",
                 "--refine", "extra-point", "--out", o]) == 0
-    # one open filtration per build: the first stratification's is built once
-    assert len(filtrations) == 1 + 2
+    # one open filtration per build: the first stratification's is built
+    # once, and `self` reads that build again
+    assert len(filtrations) == 1 + 1
     doc = json.loads((tmp_path / "o" / "compare-report.json").read_text())
     assert [c["hypercohomology"] for c in doc["report"]["comparisons"]] == \
         [{"-2": 2, "-1": 2, "1": 2, "2": 2}] * 2
@@ -553,10 +587,27 @@ def test_compare_builds_the_first_stratification_once(tmp_path, monkeypatch):
     assert both == comparisons(recipes[0]) + comparisons(recipes[1])
 
 
+@pytest.mark.parametrize("naive, builds", ((False, 1), (True, 2)))
+def test_compare_self_builds_once(tmp_path, monkeypatch, naive, builds):
+    # a canonical first side is its own refinement's build; a naive one is
+    # compared with the canonical build of the same stratification
+    count = []
+
+    def counted(*args, **kwargs):
+        count.append(kwargs.get("naive", False))
+        return build_ic(*args, **kwargs)
+
+    build_ic = deligne.build_ic
+    monkeypatch.setattr(deligne, "build_ic", counted)
+    argv = ["compare", "demo:wedge", "--refine", "self", "--out", out(tmp_path)]
+    assert run(argv + ["--naive"] * naive) == 0
+    assert count == [naive] + [False] * (builds - 1)
+
+
 @pytest.mark.parametrize("fault", ("truncate_le", "is_clc"))
 def test_engine_fault_exits_3(tmp_path, capsys, monkeypatch, fault):
     # a failed check of a computed complex is no input error: one
-    # `internal error:` line naming the step or stratum and the degree
+    # `internal error:` line naming the stage and layer, and the degree
     def truncate_le(S, a):
         raise sec.EngineError("the kernel at [0] in degree %d does not land" % a)
 
@@ -565,10 +616,11 @@ def test_engine_fault_exits_3(tmp_path, capsys, monkeypatch, fault):
 
     monkeypatch.setattr(sec, fault, {"truncate_le": truncate_le, "is_clc": is_clc}[fault])
     assert run(["build", "demo:wedge", "--out", out(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: ") and err.count("\n") == 1, err
-    where = "step 1 (collapsed through 1): " if fault == "truncate_le" else "'stratum': 0"
-    assert where in err and "degree" in err, err
+    assert capsys.readouterr().err == "internal error: %s\n" % {
+        "truncate_le": "step 1 (collapsed through 1): truncation: the kernel at [0] in "
+                       "degree -2 does not land",
+        "is_clc": "verify, stage 2: not stratumwise locally constant: "
+                  "{'stratum': 0, 'degree': -1, 'pair': ((0,), (0, 1))}"}[fault]
     assert not (tmp_path / "o" / "ic-bundle.json").exists()
 
 
@@ -591,14 +643,15 @@ def test_at_names_a_vertex_by_its_str(tmp_path, capsys):
         assert run(["stalks", "demo:wedge", "--at", at, "--out", o]) == 1, at
         err = capsys.readouterr().err
         assert err.startswith("error: no vertex ") and err.count("\n") == 1, (at, err)
-    # an int vertex and a string vertex spelled alike cannot be named
+    # an int vertex and a string vertex spelled alike have one name, so
+    # the space is refused at load, whatever the command
     mixed = _bad_space(tmp_path, "mixed", {"vertices": [1, "1", 2],
                                            "maximal_simplices": [[1, "1", 2]]},
                        {"levels": {"0": [[1]], "1": [[1, "1", 2]]}})
-    assert run(["stalks", mixed, "--at", "1", "--out", o]) == 1
-    assert capsys.readouterr().err == \
-        "error: ambiguous vertex '1' in simplex '1'\n"
-    assert run(["stalks", mixed, "--at", "2", "--out", o]) == 0
+    for command in ("validate", "filtration", *cli.BUILDS):
+        assert run([command, mixed, "--out", o]) == 1, command
+        assert capsys.readouterr().err == \
+            "error: vertex ids 1 and '1' are both named '1'\n", command
 
 
 @pytest.mark.parametrize("command, calls", (

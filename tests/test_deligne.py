@@ -38,14 +38,15 @@ def test_engine_errors_name_the_step(spaces, monkeypatch):
 
     monkeypatch.setattr(sec, "truncate_le", failing)
     with pytest.raises(sec.EngineError,
-                       match=r"^step 2 \(collapsed through 2\): the restriction at"):
+                       match=r"^step 2 \(collapsed through 2\): truncation: the restriction "
+                             r"at \[0\] -> \[0, 1\] in degree 0 does not land in ker d\^0$"):
         build_ic(strat)
 
 
 def test_pushforward_unit_check_names_step_simplex_and_degree(spaces, monkeypatch):
     # a same-support cleanup that loses a survivor breaks the section unit
-    # on the boundary region, and the check says at which step, simplex
-    # and degree
+    # on the boundary region, and the check says at which step and layer,
+    # simplex and degree
     real = SparseComplex.reduce
 
     def lossy(G, same_support=False):
@@ -54,11 +55,10 @@ def test_pushforward_unit_check_names_step_simplex_and_degree(spaces, monkeypatc
             del G.degree[min(G.degree)]
 
     monkeypatch.setattr(SparseComplex, "reduce", lossy)
-    with pytest.raises(sec.EngineError,
-                       match=r"^step \d+ \(collapsed through \d+\): pushforward cleanup "
-                             r"broke the section unit at \[\d+(, \d+)*\]: degree -?\d+ "
-                             r"has dim \d+, the coefficient complex \d+$"):
+    with pytest.raises(sec.EngineError) as info:
         build_ic(spaces["wedge"][1])
+    assert str(info.value) == "step 2 (collapsed through 2): pushforward: the cleanup " \
+        "broke the section unit at [0, 1]: degree 0 has dim 1, expected 0"
 
 
 def test_manifold_trivial_build():
@@ -133,37 +133,45 @@ def test_attaching_by_construction(built):
                 assert all(q > n - k for q in table), (name, k, sid)
 
 
-@pytest.mark.parametrize("field", ("fp:2", "fp:32003", "q"))
-def test_singular_costalks_are_what_each_truncation_discards(spaces, monkeypatch, field):
-    # a sheaf-level check that shares nothing with the cellular costalk: at
-    # a simplex σ of a stratum of real dimension d that is new at a step
-    # with stage A and cutoff p, i^! Rj_* = 0 gives
-    # i^!(τ≤p Rj_*A) = i^*(τ>p Rj_*A)[−1−d], so costalk^a(IC, σ) =
-    # dim H^(a−1−d)(Rj_*A)_σ when a−1−d > p and 0 otherwise (Goresky and
-    # MacPherson, Intersection Homology II, §2–3).  Every simplex the
-    # pushforwards give a value, and no attached local system, is checked.
-    pushed = []
+def discarded_costalks(monkeypatch, strat, local_system=None, field=QQ):
+    """The tower of strat and the singular costalks its truncations predict.
+
+    A sheaf-level check that shares nothing with the cellular costalk: at
+    a simplex σ of a stratum of real dimension d that is new at a step
+    with stage A and cutoff p, i^! Rj_* = 0 gives
+    i^!(τ≤p Rj_*A) = i^*(τ>p Rj_*A)[−1−d], so costalk^a(IC, σ) =
+    dim H^(a−1−d)(Rj_*A)_σ when a−1−d > p and 0 otherwise (Goresky and
+    MacPherson, Intersection Homology II, §2–3).  Returns the unverified
+    tower and {sid: costalk} at every simplex the pushforwards give a
+    value, which is every simplex off U_1: no attached local system.
+    """
+    K, pushed = strat.complex, []
     truncate = sec.truncate_le
 
     def keep(S, p):
         pushed.append((S, p))
         return truncate(S, p)
 
-    monkeypatch.setattr(sec, "truncate_le", keep)
+    with monkeypatch.context() as m:
+        m.setattr(sec, "truncate_le", keep)
+        tower = deligne.build_tower(strat, local_system, field=field)
+    assert len(pushed) == len(tower.log)
+    want = {}
+    for A, (R, p) in zip(tower.intermediates, pushed):
+        new = R.domain - A.domain
+        for sid in new:
+            d = max(K.sdim(t) for t in K.up_set(sid) if t in new)
+            want[sid] = {b + 1 + d: h for b, h in R.stalk_cohomology(sid).items() if b > p}
+    assert set(want) == K.full_set() - tower.filtration.U[1]
+    return tower, want
+
+
+@pytest.mark.parametrize("field", ("fp:2", "fp:32003", "q"))
+def test_singular_costalks_are_what_each_truncation_discards(spaces, monkeypatch, field):
     counts = []
     for name in demos.DEMO_NAMES:
         K, strat = spaces[name]
-        pushed.clear()
-        tower = deligne.build_tower(strat, field=field_by_name(field))
-        assert len(pushed) == len(tower.log), name
-        want = {}
-        for A, (R, p) in zip(tower.intermediates, pushed):
-            new = R.domain - A.domain
-            for sid in new:
-                d = max(K.sdim(t) for t in K.up_set(sid) if t in new)
-                want[sid] = {b + 1 + d: h for b, h in R.stalk_cohomology(sid).items()
-                             if b > p}
-        assert set(want) == K.full_set() - tower.filtration.U[1], name
+        tower, want = discarded_costalks(monkeypatch, strat, field=field_by_name(field))
         got = sec.cell_costalk(tower.ic, want)
         for sid in sorted(want):
             assert got[sid] == want[sid], (name, K.simplices[sid], got[sid], want[sid])
@@ -279,25 +287,32 @@ def test_verdier_self_duality_susp_rp2xs1(field, apex_h1, expect_bad):
 
 
 @pytest.mark.parametrize("field", ("q", "fp:3", "fp:2"))
-def test_orientation_system_susp_rp2xs1(field, tmp_path):
+def test_orientation_system_susp_rp2xs1(field, tmp_path, monkeypatch):
     # ω, the orientation system of the top stratum RP² × S¹ × (0, 1), makes
     # IC_ω the Verdier dual of IC, D(IC_L) = IC_(L^∨ ⊗ ω): costalk^a(IC_ω) =
     # stalk^−a(IC) and costalk^a(IC) = stalk^−a(IC_ω) at every simplex, the
     # apexes' stalk vanishes, and H^*(X; IC_ω) is the IH of allowable
-    # chains.  Over GF(2) ω is trivial.  Over GF(3) ω also goes through the
-    # CLI as a --local-system file.
+    # chains.  Each singular costalk of IC_ω is what its truncation
+    # discards (`discarded_costalks`).  Over GF(2) ω is trivial.  Over
+    # GF(3) ω also goes through the CLI as a --local-system file.
     strat = susp_rp2xs1()
     K, F = strat.complex, field_by_name(field)
     U = compute_open_filtration(strat).U[1]
     dims, signs = oracles.orientation_system(K, U)
     omega = make_local_system(F, K, U, dims,
                               {p: [[F.parse(e)]] for p, e in signs.items()})
-    ic, icw = build_ic(strat, field=F).ic, build_ic(strat, omega, field=F).ic
+    tower, discarded = discarded_costalks(monkeypatch, strat, omega, F)
+    _verify_bundle(tower)
+    ic, icw = build_ic(strat, field=F).ic, tower.ic
+    del tower
     costalk, costalk_w = (sec.cell_costalk(S, K.full_set()) for S in (ic, icw))
     if field == "fp:2":
         assert icw.stalk_table() == ic.stalk_table() and costalk_w == costalk
         assert sec.hypercohomology(icw) == sec.hypercohomology(ic)
         return
+    assert {K.simplices[sid] for sid in discarded} == {(18,), (19,)}
+    for sid, want in discarded.items():
+        assert costalk_w[sid] == want, K.simplices[sid]
     for sid in range(len(K)):
         for c, S in ((costalk_w, ic), (costalk, icw)):
             assert c[sid] == {-q: d for q, d in S.stalk_cohomology(sid).items()}, \
@@ -442,17 +457,20 @@ def test_scoped_build_needs_an_open_set(wedge):
 @pytest.mark.parametrize("stage", (0, -1), ids=("first", "last"))
 def test_verify_names_simplex_degree_and_dims(towers, stage):
     # a tower with one stage shifted by one degree fails verification with
-    # the simplex, the first differing degree and both dims in the message
+    # the stage, the simplex, the first differing degree and both dims in
+    # the message
     b = towers["wedge"]
     tower = list(b.intermediates)
     tower[stage] = oracles.shift(tower[stage], 1)
     bad = ICBundle(b.stratification, b.filtration, b.systems, tower, b.log,
                    b.field, b.naive)
-    what = ("first stage does not match the shifted local system" if stage == 0
-            else "stage 2 does not restrict to stage 1")
-    with pytest.raises(sec.EngineError, match=r"^%s at \[\d+(, \d+)*\]: "
-                       r"degree -\d has dim 1, expected 0$" % what):
+    with pytest.raises(sec.EngineError) as info:
         _verify_bundle(bad)
+    assert str(info.value) == {
+        0: "verify, stage 0: not the shifted local system at [1]: degree -3 has dim 1, "
+           "expected 0",
+        -1: "verify, stage 2: does not restrict to stage 1 at [1]: degree -3 has dim 1, "
+            "expected 0"}[stage]
 
 
 def test_verify_needs_each_stage_open_in_the_next(towers):
@@ -465,9 +483,9 @@ def test_verify_needs_each_stage_open_in_the_next(towers):
     tower[0] = tower[-1]
     bad = ICBundle(b.stratification, b.filtration, b.systems, tower, b.log,
                    b.field, b.naive)
-    with pytest.raises(sec.EngineError,
-                       match="^stage 0 domain is not an open subset of stage 1 domain$"):
+    with pytest.raises(sec.EngineError) as info:
         _verify_bundle(bad)
+    assert str(info.value) == "verify, stage 1: the domain of stage 0 is not open in it"
 
 
 def test_susp_cone_point_stalk(built, spaces):
@@ -705,7 +723,7 @@ def test_glue_rejects_a_truncation_that_meets_the_attached_systems(monkeypatch, 
     monkeypatch.setattr(sec, "truncate_le", lambda S, a: S)
     with pytest.raises(sec.EngineError) as info:
         deligne.build_tower(strat, naive=naive)
-    got = re.fullmatch(r"step 1 \(collapsed through (\d)\): the truncation meets an "
+    got = re.fullmatch(r"step 1 \(collapsed through (\d)\): glue: the truncation meets an "
                        r"attached local system at (\[[\d, ]*\])", str(info.value))
     assert got, str(info.value)
     U1 = compute_open_filtration(strat).U_m[1]

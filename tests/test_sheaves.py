@@ -123,20 +123,25 @@ def test_shift_negates_differential_signs():
 def test_validate_rejects_each_broken_condition():
     from icsheaf.sheaves import SheafComplex
     one, two = [[QQ.one]], [[2]]
-    # d^1 d^0 = 1 on a point with one dimension in degrees 0, 1, 2
+    # each message names the degree: d^0 d^-1 = 1 on a point with one
+    # dimension in degrees -1, 0, 1
     P = SimplicialComplex(range(1), [[0]])
-    S = SheafComplex(QQ, P, P.full_set(), {0: {0: 1, 1: 1, 2: 1}}, {0: {0: one, 1: one}}, {})
-    with pytest.raises(SheafError, match="d² ≠ 0 at"):
+    S = SheafComplex(QQ, P, P.full_set(), {0: {-1: 1, 0: 1, 1: 1}},
+                     {0: {-1: one, 0: one}}, {})
+    with pytest.raises(SheafError) as info:
         S.validate()
-    # d^0 = 1 on an edge, but the degree-1 restriction [0] -> [0, 1] is 2
+    assert str(info.value) == "d² ≠ 0 at (0,) from degree -1"
+    # d^1 = 1 on an edge, but the degree-2 restriction [0] -> [0, 1] is 2
     E = SimplicialComplex(range(2), [[0, 1]])
     U = E.full_set()
-    restr = {p: {0: one, 1: one} for p in E.cover_pairs(U)}
-    restr[(E.id_of([0]), E.id_of([0, 1]))] = {0: one, 1: two}
-    S = SheafComplex(QQ, E, U, {s: {0: 1, 1: 1} for s in U},
-                     {s: {0: one} for s in U}, restr)
-    with pytest.raises(SheafError, match=r"does not commute with d at \(0,\) -> \(0, 1\)"):
+    restr = {p: {1: one, 2: one} for p in E.cover_pairs(U)}
+    restr[(E.id_of([0]), E.id_of([0, 1]))] = {1: one, 2: two}
+    S = SheafComplex(QQ, E, U, {s: {1: 1, 2: 1} for s in U},
+                     {s: {1: one} for s in U}, restr)
+    with pytest.raises(SheafError) as info:
         S.validate()
+    assert str(info.value) == "restriction does not commute with d at (0,) -> (0, 1) " \
+        "in degree 1"
     # rank 1 in degree 1 on a triangle; [0] -> [0, 1] is 2, every other pair 1
     T = SimplicialComplex(range(3), [[0, 1, 2]])
     U = T.full_set()
