@@ -34,6 +34,10 @@ from types import MappingProxyType
 DEAD = MappingProxyType({})  # the row of every eliminated id
 
 
+class EngineError(RuntimeError):
+    """A fault of the engine, not of its inputs: the CLI exits 3 on it."""
+
+
 class SparseComplex:
     """A cochain complex on generator ids 0, 1, … with a sparse differential.
 
@@ -205,12 +209,12 @@ class SparseComplex:
 
     def minimize_dims(self):
         """Free reduction to zero differential; returns degree -> dimension.
-        An entry that survives it raises RuntimeError naming the entry."""
+        An entry that survives it raises EngineError naming the entry."""
         self.reduce(same_support=False)
         if any(self.dout):
             g = next(g for g, row in enumerate(self.dout) if row)
-            raise RuntimeError("free reduction left the entry %d -> %d"
-                               % (g, next(iter(self.dout[g]))))
+            raise EngineError("free reduction left the entry %d -> %d"
+                              % (g, next(iter(self.dout[g]))))
         out = {}
         for d in self.degree.values():
             out[d] = out.get(d, 0) + 1

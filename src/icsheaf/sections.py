@@ -40,13 +40,9 @@ columns, one set per boundary simplex next to them (see
 """
 
 from . import matrices as mx
-from .reduction import SparseComplex
+from .reduction import EngineError, SparseComplex
 from .sheaves import SheafComplex, SheafError, first_mismatch, mismatch_text
 from .simplicial import all_chains
-
-
-class EngineError(RuntimeError):
-    pass
 
 
 def _layout(S, sid, shared):
@@ -104,12 +100,11 @@ def _nerve_complex(S, chains, units=()):
     product.
 
     Every t in units with a value gets unit columns in G's ucols, keyed
-    (t, q, j): column (t, q, j) holds e_j at the chain (t,) and r(t→ρ) e_j
-    at the chain (ρ,) for every member ρ > t.  They are read off the
-    entries the chain (t, ρ), which must be among the chains, got from
-    (t,) on deleting its top, −r(t→ρ), after the memo is dropped: the
-    columns and the memo are never held at once, and no memo outlives the
-    call.
+    (t, q, j), one tuple per key: column (t, q, j) holds e_j at the chain
+    (t,), written with its generators, and r(t→ρ) e_j at the chain (ρ,)
+    for every member ρ > t, written from the restriction that gives the
+    chain (t, ρ), which must be among the chains, its entry −r(t→ρ) from
+    (t,).  No memo outlives the call.
     """
     F = S.F
     one, neg = F.one, F.neg
@@ -119,6 +114,7 @@ def _nerve_complex(S, chains, units=()):
     layouts = {}  # top simplex -> its `_layout`
     shared = {}   # the layouts of distinct values, for `_layout`
     start = {}    # chain -> id of its first generator
+    unit_keys = {}  # unit t -> {q: the keys (t, q, j) of its columns}
     for c in chains:
         top = c[-1]
         lay = layouts.get(top, 0)
@@ -132,6 +128,12 @@ def _nerve_complex(S, chains, units=()):
             add_gen(q + shift, c[0], n)
         for i, j, v in lay[3][shift & 1]:
             dout[g0 + i][ids[g0 + j]] = v
+        if not shift and top in units:
+            keys = unit_keys[top] = {}
+            for q, o, n in lay[0]:
+                kq = keys[q] = [(top, q, j) for j in range(n)]
+                for j, key in enumerate(kq):
+                    ucol(g0 + o + j)[key] = one
     memo = {}  # composite restrictions
     for c, cid in start.items():
         ln = len(c)
@@ -148,6 +150,7 @@ def _nerve_complex(S, chains, units=()):
         fid = start.get(c[:-1])
         if fid is None:
             continue
+        keys = unit_keys.get(below) if ln == 2 else None
         for q, o in layouts[below][1].items():
             co = coff.get(q)
             if co is None:
@@ -161,30 +164,12 @@ def _nerve_complex(S, chains, units=()):
                 for i, v in enumerate(row):
                     if v:
                         dout[f0 + i][h] = v if ln & 1 else neg(v)
-    del memo
-    unit_keys = {t: {q: [(t, q, j) for j in range(n)] for q, _, n in layouts[t][0]}
-                 for t in units if layouts[t]}
-    for t, keys in unit_keys.items():
-        g0 = start[(t,)]
-        for q, o, n in layouts[t][0]:
-            for j, key in enumerate(keys[q]):
-                ucol(g0 + o + j)[key] = one
-    for c, cid in start.items():
-        keys = unit_keys.get(c[0]) if len(c) == 2 else None
-        if keys is None:
-            continue
-        t0, r0, toff = start[c[:1]], start[c[1:]], layouts[c[0]][1]
-        for q, co, n in layouts[c[1]][0]:
-            kq = keys.get(q)
-            if kq is None:
-                continue
-            rows = dout[t0 + toff[q]:t0 + toff[q] + len(kq)]
-            for j in range(n):
-                h = ids[cid + co + j]
-                for i, row in enumerate(rows):
-                    v = row.get(h)
-                    if v:
-                        ucol(r0 + co + j)[kq[i]] = neg(v)
+            if keys:
+                u0, kq = start[(top,)] + co, keys[q]
+                for j, row in enumerate(m):
+                    for i, v in enumerate(row):
+                        if v:
+                            ucol(u0 + j)[kq[i]] = v
     return G
 
 
@@ -493,7 +478,8 @@ def pushforward_open(S, V):
     is checked against S's stalks on the boundary region.
 
     The family map is carried by unit columns (`_nerve_complex`) at each
-    boundary simplex t with a far facet s, and its block from s to t is
+    boundary simplex t with a far facet s, written from r(t→ρ) at every ρ
+    above t in the boundary region, and its block from s to t is
     U_t · r(s→t), U_t the reduced unit columns of t at t's rows.  That is
     exact: fill into an id supported at y comes only from an id supported
     at a simplex ≥ y, so the entries at supports ≥ t change under the

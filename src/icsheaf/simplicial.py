@@ -137,9 +137,6 @@ class SimplicialComplex:
     def full_set(self):
         return frozenset(range(len(self.simplices)))
 
-    def open_star(self, simplex):
-        return frozenset(self.up_set(self.id_of(simplex)))
-
     def is_up_closed(self, ids, within=None):
         """Up-closed; with `within`, up-closed as a subset of that set (relatively open)."""
         return all(j in ids for i in ids for j, _ in self.cofacets[i]

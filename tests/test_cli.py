@@ -13,6 +13,7 @@ from icsheaf import sections as sec
 from icsheaf.cli import run
 from icsheaf import reports
 from icsheaf.fields import field_by_name
+from icsheaf.reduction import SparseComplex
 from icsheaf.sheaves import constant_complex, make_local_system
 from icsheaf.simplicial import SimplicialComplex, complex_to_doc, load_complex
 from icsheaf.stratify import compute_open_filtration, validate_stratification
@@ -622,6 +623,25 @@ def test_engine_fault_exits_3(tmp_path, capsys, monkeypatch, fault):
         "is_clc": "verify, stage 2: not stratumwise locally constant: "
                   "{'stratum': 0, 'degree': -1, 'pair': ((0,), (0, 1))}"}[fault]
     assert not (tmp_path / "o" / "ic-bundle.json").exists()
+
+
+def test_free_reduction_fault_exits_3(tmp_path, capsys, monkeypatch):
+    # a free reduction that leaves an entry is a fault of the engine, not a
+    # traceback: the costalks exit 3 with one `internal error:` line
+    real = SparseComplex.reduce
+
+    def leaky(G, same_support=False):
+        real(G, same_support)
+        if not same_support:
+            g, h = G.add_gen(0), G.add_gen(1)
+            G.dout[g][h] = G.F.one
+
+    monkeypatch.setattr(SparseComplex, "reduce", leaky)
+    assert run(["costalks", "demo:wedge", "--out", out(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: free reduction left the entry ")
+    assert err.count("\n") == 1 and err.count("internal error:") == 1
+    assert not (tmp_path / "o" / "costalks-report.json").exists()
 
 
 def test_at_names_a_vertex_by_its_str(tmp_path, capsys):

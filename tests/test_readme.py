@@ -18,7 +18,7 @@ def test_readme_library_block_runs():
     finally:
         SimplicialComplex.up_set.cache_clear()
     K, star = scope["K"], scope["star"]
-    assert star.ic.domain == K.open_star([0])
+    assert star.ic.domain == frozenset(K.up_set(K.id_of([0])))
     assert star.ic.stalk_cohomology(K.id_of([0])) == \
         scope["bundle"].ic.stalk_cohomology(K.id_of([0]))
     assert scope["tower"].intermediates[-1] is scope["tower"].ic

@@ -13,6 +13,7 @@ from icsheaf.reduction import SparseComplex
 from icsheaf.sheaves import SheafComplex
 
 import oracles
+import work_counts
 
 
 def simplex_cochains(n, kmax=None, support=None, cls=SparseComplex):
@@ -446,3 +447,10 @@ def test_document_does_not_depend_on_stored_zero_blocks(tower_of, name, field, n
         want = reports.sha256_of(reports.sheaf_complex_doc(S))
         for T in (_zero_blocks_dropped(S), _zero_blocks_filled(S)):
             assert reports.sha256_of(reports.sheaf_complex_doc(T)) == want, (name, field, i)
+
+
+def test_work_counts_match_the_table():
+    # the fixed jobs of tests/work_counts.py do the work recorded in
+    # work_counts.json: same cleanup sizes, eliminations, free-reduction
+    # inputs and rref cells, job by job
+    assert work_counts.differences(work_counts.measure()) == []

@@ -59,7 +59,7 @@ def test_pushforward_pinched_torus_stalk():
 def test_pushforward_rejects_bad_inputs():
     K, U = punctured_disk()
     S = constant_complex(QQ, K, U)
-    rim = K.full_set() - K.open_star([0])
+    rim = K.full_set() - frozenset(K.up_set(K.id_of([0])))
     with pytest.raises(SheafError):
         sec.pushforward_open(constant_complex(QQ, K, rim), K.full_set())
 
@@ -137,7 +137,7 @@ def test_hypercohomology_needs_a_clopen_domain(wedge):
     # that is not closed: hypercohomology keeps only the cellular model and
     # refuses it, while the nerve model's RΓ over the star is the stalk there
     K, strat = wedge
-    S = build_ic(strat, within=K.open_star([0])).ic
+    S = build_ic(strat, within=frozenset(K.up_set(K.id_of([0])))).ic
     with pytest.raises(SheafError, match="clopen"):
         sec.hypercohomology(S)
     assert oracles.rgamma_dims(S, S.domain) == S.stalk_cohomology(K.id_of([0])) \
@@ -250,7 +250,7 @@ def test_cell_costalk_matches_star_oracle(spaces, tower_of, field):
                              ("random", rng.sample(ids, len(ids) // 4))]
                 cases.append((label, S, sets))
     K, strat = spaces["nonpure-wedge"]
-    star = K.open_star(K.simplices[default_costalk_sample(strat)[0]])
+    star = frozenset(K.up_set(default_costalk_sample(strat)[0]))
     S = build_ic(strat, field=field_by_name(field), within=star).ic
     cases.append(("nonpure-wedge within a star", S, [("domain", S.domain)]))
     for label, S, sets in cases:
@@ -510,7 +510,7 @@ def test_is_clc_matches_reference(spaces, built):
         S = built[name].ic
         for other in (strat, demos.refine_stratification(strat, "extra-point")):
             assert sec.is_clc(S, other) == oracles.is_clc_reference(S, other), name
-        star = build_ic(strat, field=QQ, within=K.open_star([0])).ic
+        star = build_ic(strat, field=QQ, within=frozenset(K.up_set(K.id_of([0])))).ic
         assert sec.is_clc(star, strat) == oracles.is_clc_reference(star, strat), name
         for v in sorted(s for s in K.full_set() if K.sdim(s) == 0)[:4]:
             sky = constant_complex(QQ, K, frozenset([v]))

@@ -190,13 +190,14 @@ def test_restrict_and_extend():
     S = constant_complex(QQ, K, K.full_set())
     # restrict to the whole domain is the identity
     assert S.restrict_open(K.full_set()).stalk_table() == S.stalk_table()
-    rim = K.full_set() - K.open_star([0])
+    star = frozenset(K.up_set(K.id_of([0])))
+    rim = K.full_set() - star
     restricted = oracles.restrict_closed(S, rim)
     assert all(restricted.stalk_cohomology(s) == {0: 1} for s in rim)
     with pytest.raises(SheafError, match="up-closed"):
         S.restrict_open(rim)
     with pytest.raises(SheafError, match="down-closed"):
-        oracles.restrict_closed(S, K.open_star([0]))
+        oracles.restrict_closed(S, star)
     # skyscraper: a vertex value extended into the triangle
     vset = frozenset({K.id_of([1])})
     vert = constant_complex(QQ, K, vset)
@@ -206,7 +207,7 @@ def test_restrict_and_extend():
     # extend then restrict back is the identity on tables
     assert oracles.restrict_closed(sky, vset).stalk_table() == vert.stalk_table()
     with pytest.raises(SheafError, match="closed in the ambient"):
-        oracles.extend_by_zero(constant_complex(QQ, K, K.open_star([0])), K.full_set())
+        oracles.extend_by_zero(constant_complex(QQ, K, star), K.full_set())
 
 
 def test_prime_field_build(wedge):

@@ -62,7 +62,7 @@ def test_empty_complex_rejected():
 
 def test_open_star_cone_apex():
     K = SimplicialComplex(range(4), [[0, 1, 2], [0, 2, 3], [0, 1, 3]])
-    star = K.open_star([0])
+    star = frozenset(K.up_set(K.id_of([0])))
     assert len(star) == 7
     assert K.is_up_closed(star)
     assert not K.is_down_closed(star)
@@ -70,20 +70,20 @@ def test_open_star_cone_apex():
 
 def test_open_star_top_simplex():
     K = SimplicialComplex(range(3), [[0, 1, 2]])
-    star = K.open_star([0, 1, 2])
+    star = frozenset(K.up_set(K.id_of([0, 1, 2])))
     assert star == {K.id_of([0, 1, 2])}
 
 
 def test_open_star_vertex_of_tetra_boundary():
     K = SimplicialComplex(range(4), boundary(range(4)))
-    star = K.open_star([0])
+    star = frozenset(K.up_set(K.id_of([0])))
     brute = oracles.star_by_bruteforce([list(s) for s in K.simplices], [0])
     assert len(star) == len(brute) == 7
 
 
 def test_down_closure():
     K = SimplicialComplex(range(4), [[0, 1, 2], [0, 2, 3], [0, 1, 3]])
-    assert K.walk(K.open_star([0]), K.facets) == K.full_set()
+    assert K.walk(frozenset(K.up_set(K.id_of([0]))), K.facets) == K.full_set()
     assert len(K.walk((), K.facets)) == 0
     e = {K.id_of([1, 2])}
     assert set(tuples(K, K.walk(e, K.facets))) == {(1,), (2,), (1, 2)}
@@ -91,7 +91,7 @@ def test_down_closure():
 
 def test_closure_operators_idempotent_and_dual(spaces):
     for name, (K, _) in spaces.items():
-        star = K.open_star([K.vertices[0]])
+        star = frozenset(K.up_set(K.id_of([K.vertices[0]])))
         assert K.is_up_closed(star)
         cl = frozenset(K.walk(star, K.facets))
         assert K.is_down_closed(cl) and K.walk(cl, K.facets) == cl
@@ -134,7 +134,7 @@ def test_components():
 
 def test_components_sphere_minus_star_connected():
     K = SimplicialComplex(range(4), boundary(range(4)))
-    rest = K.full_set() - K.open_star([0])
+    rest = K.full_set() - frozenset(K.up_set(K.id_of([0])))
     comps = K.components(rest)
     assert len(comps) == 1
     brute = oracles.components_by_bfs([list(K.simplices[i]) for i in rest])
