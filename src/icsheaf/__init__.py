@@ -10,8 +10,7 @@ characterizations.
 from .fields import QQ, PrimeField, field_by_name
 from .simplicial import SimplicialComplex, load_complex
 from .stratify import (Stratification, OpenFiltration, validate_stratification,
-                       compute_open_strata, compute_open_filtration,
-                       naive_filtration)
+                       compute_open_filtration, naive_filtration)
 from .sheaves import SheafComplex, make_local_system, constant_complex
 from .sections import (pushforward_open, truncate_le, cohomology_sheaf,
                        cell_costalk, hypercohomology, is_clc)
@@ -25,7 +24,7 @@ __all__ = [
     "QQ", "PrimeField", "field_by_name",
     "SimplicialComplex", "load_complex",
     "Stratification", "OpenFiltration", "validate_stratification",
-    "compute_open_strata", "compute_open_filtration", "naive_filtration",
+    "compute_open_filtration", "naive_filtration",
     "SheafComplex", "make_local_system", "constant_complex",
     "pushforward_open", "truncate_le", "cohomology_sheaf", "cell_costalk",
     "hypercohomology", "is_clc",

@@ -16,7 +16,7 @@ is kept as check_classic_ax2 for negative demonstrations.
 
 from . import sections as sec
 from .sheaves import SheafError
-from .stratify import compute_open_filtration, compute_open_strata, TRUST_NOTE
+from .stratify import compute_open_filtration, TRUST_NOTE
 
 
 class AxiomInputError(ValueError):
@@ -102,6 +102,26 @@ def _locus_witnesses(K, ids, degrees, dims_at, kind, clause, bound, m=None):
     return witnesses
 
 
+def _support_clauses(S, pieces, support, cosupport):
+    """The stalk support and costalk cosupport clauses, each given as (name, description).
+
+    pieces: (m, ids, component_dim) triples; inside ids a degree-a stalk locus
+    must have complex dimension < −a for a > −m, a costalk locus < a for a < m.
+    """
+    K = S.complex
+    hi = S.degree_range()[1]
+    costalks = sec.cell_costalk(S, S.domain)
+    crange = sorted({a for t in costalks.values() for a in t})
+    support_w, cosupport_w = [], []
+    for m, ids, cdim in pieces:
+        support_w += _locus_witnesses(K, ids, range(-m + 1, hi + 1), S.stalk_cohomology,
+                                      "stalk", support[0], lambda a: -a, m=cdim)
+        cosupport_w += _locus_witnesses(K, ids, [a for a in crange if a < m],
+                                        costalks.__getitem__, "costalk", cosupport[0],
+                                        lambda a: a, m=cdim)
+    return [ClauseResult(*support, support_w), ClauseResult(*cosupport, cosupport_w)]
+
+
 def _normalization_clause(S, clause_name, domains):
     """Stalk concentration in degree −m with invertible restrictions on each V^m."""
     witnesses = []
@@ -178,27 +198,11 @@ def check_ax2(S, strat):
     if not ok:
         raise AxiomInputError(
             "complex is not locally constant on the strata: %r" % (witness,))
-    U_m, X_m = compute_open_strata(strat)
-    clauses = [_normalization_clause(S, "a", U_m)]
-    hi = S.degree_range()[1]
-
-    costalks = sec.cell_costalk(S, S.domain)
-    crange = sorted({a for t in costalks.values() for a in t})
-
-    support_w, cosupport_w = [], []
-    for m in sorted(U_m):
-        xm = X_m[m]
-        support_w += _locus_witnesses(K, xm, range(-m + 1, hi + 1), S.stalk_cohomology,
-                                      "stalk", "b", lambda a: -a, m=m)
-        cosupport_w += _locus_witnesses(K, xm, [a for a in crange if a < m],
-                                        costalks.__getitem__, "costalk", "c",
-                                        lambda a: a, m=m)
-    clauses.append(ClauseResult(
-        "b", "stalk support loci in each X^m have complex dimension < −a",
-        support_w))
-    clauses.append(ClauseResult(
-        "c", "costalk support loci in each X^m have complex dimension < a",
-        cosupport_w))
+    clauses = [_normalization_clause(S, "a", strat.U_m)]
+    clauses += _support_clauses(
+        S, [(m, strat.X_m[m], m) for m in sorted(strat.U_m)],
+        ("b", "stalk support loci in each X^m have complex dimension < −a"),
+        ("c", "costalk support loci in each X^m have complex dimension < a"))
     return AxiomReport("ax2", K, clauses)
 
 
@@ -211,7 +215,7 @@ def check_classic_ax2(S):
     """
     K = S.complex
     n = K.dim // 2
-    lo, hi = S.degree_range()
+    lo = S.degree_range()[0]
     clauses = []
 
     # (a) normalization off a small closed subset: carve out the largest
@@ -246,14 +250,8 @@ def check_classic_ax2(S):
                                 witnesses))
 
     # (c) support, (d) cosupport -- global loci
-    costalks = sec.cell_costalk(S, S.domain)
-    crange = sorted({a for t in costalks.values() for a in t})
-    support_w = _locus_witnesses(K, S.domain, range(-n + 1, hi + 1),
-                                 S.stalk_cohomology, "stalk", "c", lambda a: -a)
-    cosupport_w = _locus_witnesses(K, S.domain, [a for a in crange if a < n],
-                                   costalks.__getitem__, "costalk", "d", lambda a: a)
-    clauses.append(ClauseResult("c", "global stalk support loci have complex dimension < −a",
-                                support_w))
-    clauses.append(ClauseResult("d", "global costalk support loci have complex dimension < a",
-                                cosupport_w))
+    clauses += _support_clauses(
+        S, [(n, S.domain, None)],
+        ("c", "global stalk support loci have complex dimension < −a"),
+        ("d", "global costalk support loci have complex dimension < a"))
     return AxiomReport("classic-ax2", K, clauses)

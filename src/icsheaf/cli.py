@@ -3,9 +3,8 @@
 Exit codes: 0 = PASS / success, 1 = input or usage error, 2 = an axiom or
 comparison check FAILED (with witnesses in the report), 3 = internal error:
 the engine's own check of a complex it computed failed.  Every command
-writes a canonical JSON report under --out; bundled demonstration spaces
-are materialized to plain files on first use and loaded from those files
-afterwards.
+writes a canonical JSON report under --out; a bundled demonstration space
+is written to plain files under --out on every use and loaded from them.
 """
 
 import argparse
@@ -23,7 +22,7 @@ from .fields import QQ, field_by_name
 from .sheaves import SheafError, constant_complex, make_local_system
 from .simplicial import ComplexError, SimplicialComplex, complex_to_doc, load_complex
 from .stratify import (TRUST_NOTE, StratificationError, compute_open_filtration,
-                       compute_open_strata, naive_filtration, validate_stratification)
+                       naive_filtration, validate_stratification)
 
 
 class InputError(Exception):
@@ -50,7 +49,8 @@ def _parser():
     p.add_argument("--local-system", dest="local_system", help="local system JSON file")
     p.add_argument("--field", default="q", help="coefficients: q or fp:<p>")
     p.add_argument("--check-links", action="store_true",
-                   help="advisory link-homology heuristic during validation")
+                   help="validate: warn where a stratum's link is no rational "
+                        "homology sphere (genuine singular strata warn too)")
     p.add_argument("--out", default="icsheaf-out", help="report/output directory")
     p.add_argument("--refine", action="append", default=[],
                    help="refinement recipe for compare (repeatable)")
@@ -63,16 +63,15 @@ def _parser():
 
 
 def demo_files(name, out):
-    """Materialize a bundled space to plain files (cached)."""
+    """Write a bundled space to plain files under out, on every use; return their paths."""
     if name not in demos.DEMO_NAMES:
         raise InputError("unknown demo %r (available: %s)"
                          % (name, ", ".join(demos.DEMO_NAMES)))
     d = Path(out) / "demos" / name
     cpath, spath = d / "complex.json", d / "stratification.json"
-    if not (cpath.exists() and spath.exists()):
-        K, doc = demos.demo_space(name)
-        reports.write_json(cpath, complex_to_doc(K))
-        reports.write_json(spath, doc)
+    K, doc = demos.demo_space(name)
+    reports.write_json(cpath, complex_to_doc(K))
+    reports.write_json(spath, doc)
     return cpath, spath
 
 
@@ -135,7 +134,7 @@ def load_system(args, F, strat):
     if not args.local_system:
         return None, None
     doc, digest = _read_json(args.local_system, "local system")
-    U1 = frozenset().union(*compute_open_strata(strat)[0].values())
+    U1 = frozenset().union(*strat.U_m.values())
     K = strat.complex
     if not isinstance(doc, dict):
         raise InputError("local system must be a JSON object")
@@ -214,21 +213,21 @@ def _manifest(args, inputs, extra=None):
 
 
 def _link_heuristic(strat):
-    """Advisory: normal links of top stratum simplices within each closure.
+    """Advisory warnings: links of top stratum simplices against spheres.
 
-    A necessary (never sufficient) cone condition: the link of a top-
-    dimensional simplex of a stratum, taken inside the closure of each
-    open-stratum family it meets, should have the rational homology of a
-    sphere of the matching dimension.  Warnings only.
+    The rational homology of the link of each of the first two top simplices
+    of a stratum of complex dimension k, inside each X^m (m ≠ k) that holds
+    it, is compared with that of S^(2m−2k−1).  No cone condition, necessary
+    or sufficient: genuine singular strata fail it (the pinch point of
+    pinched-torus).
     """
     K = strat.complex
-    X_m = compute_open_strata(strat)[1]
     warnings = []
     for st in strat.strata:
         kdim = st.complex_dim
         tops = [i for i in sorted(st.simplex_set) if K.sdim(i) == 2 * kdim]
         for sid in tops[:2]:
-            for m, xm in sorted(X_m.items()):
+            for m, xm in sorted(strat.X_m.items()):
                 if sid not in xm or m == kdim:
                     continue
                 link = K.link_of(K.simplices[sid], xm)

@@ -3,8 +3,9 @@
 Levels are indexed by complex dimension k (real dimension 2k), descending:
 X = X_n ⊇ X_{n-1} ⊇ … ⊇ X_{-1} = ∅.  Validation is purely combinatorial:
 nesting, down-closedness, even-dimensional homogeneity of strata, absence
-of open point strata, and the frontier condition.  The local cone
-condition is NOT checked (undecidable); reports carry that trust note.
+of open point strata, the frontier condition, and density of the open
+strata.  The local cone condition is NOT checked (undecidable); reports
+carry that trust note.
 """
 
 from .simplicial import is_vertex_list
@@ -34,11 +35,13 @@ class Stratum:
 class Stratification:
     """A validated filtration by closed subcomplex sets with even-dim strata."""
 
-    def __init__(self, complex, levels, strata):
+    def __init__(self, complex, levels, strata, U_m, X_m):
         self.complex = complex
         self.levels = levels          # list of frozensets of simplex ids, index k = 0..n
         self.n = len(levels) - 1
         self.strata = strata          # list of Stratum
+        self.U_m = U_m                # dict m -> U^m, the open complex-m strata (1..n)
+        self.X_m = X_m                # dict m -> X^m, the closure of U^m
 
     def level(self, k):
         if k < 0:
@@ -126,27 +129,40 @@ def validate_stratification(K, levels):
                     % (K.simplices[min(comp)],))
             strata.append(Stratum(comp, k, is_open, idx))
             idx += 1
-    # frontier: the closure of a stratum leaves its own level only downward
+    # frontier: the closure of a stratum leaves its own level only downward.
+    # U^m is the union of the open complex-m strata, X^m that of their closures
+    U_m = {m: frozenset() for m in range(1, n + 1)}
+    X_m = dict(U_m)
     for s in strata:
-        extra = K.walk(s.simplex_set, K.facets) - s.simplex_set
+        closure = K.walk(s.simplex_set, K.facets)
+        extra = closure - s.simplex_set
         low = lv[s.complex_dim - 1] if s.complex_dim > 0 else frozenset()
         if not extra <= low:
             bad = K.simplices[min(extra - low)]
             raise StratificationError(
                 "frontier violation: closure of stratum %d meets %r outside lower levels"
                 % (s.index, bad))
-    return Stratification(K, lv, strata)
+        if s.is_open:
+            U_m[s.complex_dim] |= s.simplex_set
+            X_m[s.complex_dim] |= closure
+    # density: every simplex lies in some X^m
+    outside = K.full_set().difference(*X_m.values())
+    if outside:
+        raise StratificationError(
+            "open strata are not dense: %r is outside every X^m"
+            % (K.simplices[min(outside)],))
+    return Stratification(K, lv, strata, U_m, X_m)
 
 
 class OpenFiltration:
-    """U^m, X^m, W_k, U_k derived from a stratification (or the naive variant)."""
+    """W_k, U_k derived from a stratification (or the naive variant), with its U^m, X^m."""
 
-    def __init__(self, strat, U_m, X_m, W, U, canonical=True):
+    def __init__(self, strat, W, U, canonical=True):
         self.stratification = strat
         self.n = strat.n
         # each value a frozenset of simplex ids
-        self.U_m = U_m      # dict m -> U^m (1..n)
-        self.X_m = X_m      # dict m -> X^m
+        self.U_m = strat.U_m  # dict m -> U^m (1..n)
+        self.X_m = strat.X_m  # dict m -> X^m
         self.W = W          # dict k -> W_k (1..n+1)
         self.U = U          # dict k -> U_k (1..n+1)
         self.canonical = canonical
@@ -156,32 +172,16 @@ class OpenFiltration:
         return self.X_m[m] - self.stratification.level(m - j)
 
 
-def compute_open_strata(strat):
-    """U^m = union of open complex-m-dimensional strata; X^m = its closure."""
-    K = strat.complex
-    U_m, X_m = {}, {}
-    for m in range(1, strat.n + 1):
-        u = frozenset().union(*(s.simplex_set for s in strat.strata_at(m) if s.is_open))
-        U_m[m] = u
-        X_m[m] = frozenset(K.walk(u, K.facets))
-    outside = K.full_set().difference(*X_m.values())
-    if outside:
-        raise StratificationError(
-            "open strata are not dense: %r is outside every X^m"
-            % (K.simplices[min(outside)],))
-    return U_m, X_m
-
-
 def compute_open_filtration(strat):
     """The canonical induced open filtration, with its identities re-verified."""
     n = strat.n
-    U_m, X_m = compute_open_strata(strat)
+    U_m, X_m = strat.U_m, strat.X_m
     W, U = {}, {}
     for k in range(1, n + 2):
         W[k] = frozenset().union(*(X_m[m] - strat.level(n - k)
                                    for m in range(max(1, n - k + 2), n + 1)))
         U[k] = W[k].union(*(U_m[m] for m in range(1, n - k + 2)))
-    filt = OpenFiltration(strat, U_m, X_m, W, U, canonical=True)
+    filt = OpenFiltration(strat, W, U, canonical=True)
     errors = verify_filtration_identities(filt)
     if errors:
         raise StratificationError("open filtration identity failed: " + errors[0])
@@ -196,10 +196,9 @@ def naive_filtration(strat):
     avoids.  Flagged so builds can record the provenance.
     """
     n = strat.n
-    U_m, X_m = compute_open_strata(strat)
-    U = {k: frozenset().union(*(X_m[m] - strat.level(m - k) for m in range(1, n + 1)))
+    U = {k: frozenset().union(*(strat.X_m[m] - strat.level(m - k) for m in range(1, n + 1)))
          for k in range(1, n + 2)}
-    return OpenFiltration(strat, U_m, X_m, {}, U, canonical=False)
+    return OpenFiltration(strat, {}, U, canonical=False)
 
 
 def verify_filtration_identities(filt):

@@ -17,7 +17,8 @@ Then, with the bundle held, the build's report is written to a temporary
 directory as `test_build_report_stays_below_the_build_peak` writes it,
 after a collection, and the report's peak and the report/build ratio are
 printed: that test asserts the ratio is below 1 for its five cases.
-A script, not a test: it prints and checks nothing.
+A script, not a test: it prints and asserts nothing, and exits nonzero
+only on a refused input or a crash.
 """
 
 import argparse

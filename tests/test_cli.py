@@ -261,6 +261,18 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
                              (comment, "stratification", "comment")):
         assert run(["validate", space, "--out", o]) == 1, space
         assert capsys.readouterr().err == "error: unexpected key %r in %s\n" % (key, what)
+    # ∂Δ⁵ with the triangle [0, 1, 6] attached along the edge [0, 1]: the
+    # triangle is a stratum of level 1 that is not open, so no open
+    # stratum's closure X^m reaches the vertex 6, and every command refuses
+    # the space at load, validate included
+    sphere = demos.boundary_simplex_faces(range(6))
+    thin = _bad_space(tmp_path, "not-dense",
+                      {"vertices": list(range(7)), "maximal_simplices": sphere + [[0, 1, 6]]},
+                      {"levels": {"0": [], "1": [[0, 1, 6]], "2": sphere + [[0, 1, 6]]}})
+    for command in ("validate", "filtration", "build"):
+        assert run([command, thin, "--out", o]) == 1, command
+        assert capsys.readouterr().err == \
+            "error: open strata are not dense: (6,) is outside every X^m\n", command
     # a vertex is named by str(v) in report keys and in --at, where
     # whitespace, ',' and '|' separate names: a name that is empty, holds
     # one of those or names two vertices is refused at load
@@ -322,17 +334,20 @@ def test_each_job_frees_its_complex(tmp_path, monkeypatch):
     assert_freed("build_ic raised")
 
 
-def test_demo_materializes_and_caches(tmp_path):
+def test_demo_is_rewritten_on_every_use(tmp_path):
+    # demo:<name> always means the bundled space: a file edited under
+    # <out>/demos/<name>/ is written again, not read
     o = out(tmp_path)
     assert run(["demo", "wedge", "--out", o]) == 0
     cpath = tmp_path / "o" / "demos" / "wedge" / "complex.json"
     spath = tmp_path / "o" / "demos" / "wedge" / "stratification.json"
-    assert cpath.exists() and spath.exists()
-    K = load_complex(json.loads(cpath.read_text()))
-    assert len(K) == 75
-    before = cpath.read_text()
+    bundled = cpath.read_bytes(), spath.read_bytes()
+    doc = json.loads(bundled[0])
+    assert len(load_complex(doc)) == 75
+    doc["maximal_simplices"] = doc["maximal_simplices"][:-4]
+    cpath.write_text(json.dumps(doc))
     assert run(["validate", "demo:wedge", "--out", o]) == 0
-    assert cpath.read_text() == before  # reused, not regenerated
+    assert (cpath.read_bytes(), spath.read_bytes()) == bundled
 
 
 class _Stopped(BaseException):

@@ -340,20 +340,31 @@ def test_orientation_system_susp_rp2xs1(field, tmp_path, monkeypatch):
     assert doc["report"]["stalk_table"] == reports.table_doc(K, icw.stalk_table())
 
 
-def test_complex_dimension_three_wedge():
+def test_complex_dimension_three_wedge(monkeypatch):
     # the one space of complex dimension 3: three cutoffs, and AX1's W_k/U_k
     # bookkeeping for k up to 3.  Each sphere's IC is constant; at the
     # wedge point the stalk is the sum of the three cone stalks, H^0 of
     # each sphere's link shifted by −m, and the costalk its mirror.  Its
-    # only singular stratum is the point, so no elimination of a build
-    # meets a family column (`SparseComplex.add_ucol` is never called).
+    # only singular stratum is the point, and no elimination of either
+    # build meets a family column: `SparseComplex.add_ucol`, wrapped around
+    # each build, is never called.  That is evidence for n ≥ 3, no proof
     strat = wedge_s6_s4_s2()
     K = strat.complex
     assert len(K) == 328 and strat.n == 3
     want = oracles.link_stalks(K, strat, 32003)
     point = K.id_of([0])
+    fills = []
+    real = SparseComplex.add_ucol
+
+    def add_ucol(G, *args):
+        fills.append(args)
+        return real(G, *args)
+
     for field in ("q", "fp:32003"):
-        b = build_ic(strat, field=field_by_name(field))
+        with monkeypatch.context() as m:
+            m.setattr(SparseComplex, "add_ucol", add_ucol)
+            b = build_ic(strat, field=field_by_name(field))
+        assert fills == [], field
         S = b.ic
         assert [(s["step"], s["cutoff"]) for s in b.log] == [(1, -3), (2, -2), (3, -1)]
         assert S.stalk_cohomology(point) == {-3: 1, -2: 1, -1: 1}

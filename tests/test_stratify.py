@@ -6,8 +6,8 @@ import pytest
 from icsheaf import demos
 from icsheaf.simplicial import SimplicialComplex
 from icsheaf.stratify import (StratificationError, compute_open_filtration,
-                              compute_open_strata, naive_filtration,
-                              validate_stratification, verify_filtration_identities)
+                              naive_filtration, validate_stratification,
+                              verify_filtration_identities)
 
 import oracles
 
@@ -88,7 +88,7 @@ def test_odd_dimensional_complex_rejected():
 
 def test_open_strata_wedge(wedge):
     K, strat = wedge
-    U_m, X_m = compute_open_strata(strat)
+    U_m, X_m = strat.U_m, strat.X_m
     # up-closedness enumeration oracle
     for m, u in U_m.items():
         assert K.is_up_closed(u)
@@ -196,7 +196,7 @@ def test_u1_is_the_union_of_the_open_strata(spaces):
             except StratificationError:
                 continue  # no admissible refinement of this kind
         for st in strats:
-            u1 = frozenset().union(*compute_open_strata(st)[0].values())
+            u1 = frozenset().union(*st.U_m.values())
             assert u1 == compute_open_filtration(st).U[1] == naive_filtration(st).U[1], \
                 (name, st.levels_doc())
             cases += 1
